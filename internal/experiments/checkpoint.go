@@ -222,6 +222,7 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 
 func encodeEngineState(e *checkpoint.Encoder, st sim.EngineState) {
 	e.I64(int64(st.Now))
+	e.U64(st.Ord)
 	e.U64(st.Seq)
 	e.U64(st.Events)
 	e.U64(st.Draws)

@@ -94,7 +94,16 @@ func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	enc.I64(o.queuedBytes)
 	enc.I64(o.maxQueued)
 	enc.I64(o.txBytes)
-	enc.Bool(o.busy)
+	// The busy flag can outlive its key; the logical state is whether the
+	// transmission is still in progress (serializing(), spelled out so that
+	// ckptcomplete sees the fields read).
+	busy := o.busy && !o.sh.eng.Passed(o.busyUntil, o.busySeq)
+	enc.Bool(busy)
+	if busy {
+		enc.I64(int64(o.busyUntil))
+		enc.U64(o.busySeq)
+		enc.Bool(o.wakeArmed)
+	}
 	enc.Bool(o.paused)
 	enc.Bool(o.down)
 	enc.F64(o.lossRate)

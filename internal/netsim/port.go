@@ -37,11 +37,24 @@ type outPort struct {
 
 	queues      [packet.NumPriorities][]queued
 	heads       [packet.NumPriorities]int
+	nQueued     int //ckpt:skip derived: the packet count of queues, which are captured
 	queuedBytes int64
 	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
-	busy        bool
 	paused      bool
+
+	// Transmitter completion is lazy (DESIGN.md §8.1). Starting a
+	// transmission queues no event: it reserves the key (busyUntil,
+	// busySeq) an eager completion event would have run at, and the port
+	// counts as serializing until the engine has passed that key. The
+	// completion is materialised at exactly that key (wakeArmed) only once
+	// there is a packet for it to send. busy says a key has been reserved
+	// and not run as an event; only serializing() says whether it is still
+	// ahead.
+	busy      bool
+	busyUntil sim.Time
+	busySeq   uint64
+	wakeArmed bool
 
 	// Injected fault state (see Fabric's fault-control methods). down
 	// halts the transmitter like a PFC pause but is independent of it;
@@ -162,6 +175,7 @@ func (o *outPort) push(p *packet.Packet, in int) {
 		pr = packet.NumPriorities - 1
 	}
 	o.queues[pr] = append(o.queues[pr], queued{p, in})
+	o.nQueued++
 	o.queuedBytes += int64(p.Size)
 	if o.queuedBytes > o.maxQueued {
 		o.maxQueued = o.queuedBytes
@@ -192,6 +206,7 @@ func (o *outPort) pop() (queued, bool) {
 			h = 0
 		}
 		o.heads[pr] = h
+		o.nQueued--
 		o.queuedBytes -= int64(el.p.Size)
 		return el, true
 	}
@@ -199,9 +214,14 @@ func (o *outPort) pop() (queued, bool) {
 }
 
 // tryTransmit starts serializing the next packet if the port is idle, not
-// PFC-paused, and the link is not administratively down.
+// PFC-paused, and the link is not administratively down. A port still
+// serializing with packets waiting gets its completion event instead.
 func (o *outPort) tryTransmit() {
-	if o.busy || o.paused || o.down {
+	if o.paused || o.down {
+		return
+	}
+	if o.serializing() {
+		o.armWake()
 		return
 	}
 	el, ok := o.pop()
@@ -227,8 +247,11 @@ func (o *outPort) tryTransmit() {
 			RateBps:    o.rate,
 		})
 	}
+	// The completion's place in the execution order is fixed here, where
+	// the eager event was scheduled, whether or not it is ever queued.
 	eng := o.sh.eng
-	eng.AfterFunc(tx, portTxDone, o, nil, 0)
+	o.busyUntil, o.busySeq = eng.Now().Add(tx), eng.ReserveSeq()
+	o.armWake()
 	if o.boundary {
 		// Fused boundary delivery: skip the portDeliver and receive
 		// intermediaries and schedule the forward at the peer switch
@@ -247,9 +270,25 @@ func (o *outPort) tryTransmit() {
 	eng.AfterFunc(tx+o.delay, portDeliver, o, p, 0)
 }
 
+// serializing reports whether a transmission is in progress: one was
+// started and the engine has not yet passed its completion key.
+func (o *outPort) serializing() bool {
+	return o.busy && !o.sh.eng.Passed(o.busyUntil, o.busySeq)
+}
+
+// armWake queues the completion event of the transmission in progress if
+// a packet is waiting for it and it is not queued already.
+func (o *outPort) armWake() {
+	if o.wakeArmed || o.nQueued == 0 {
+		return
+	}
+	o.wakeArmed = true
+	o.sh.eng.ScheduleReserved(o.busyUntil, o.busySeq, portTxDone, o, nil, 0)
+}
+
 func portTxDone(a, _ any, _ int) {
 	o := a.(*outPort)
-	o.busy = false
+	o.busy, o.wakeArmed = false, false
 	o.tryTransmit()
 }
 

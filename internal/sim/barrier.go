@@ -75,6 +75,15 @@ func (s *workerSlot) release(n uint64, t Time) {
 // whichever side swaps the 1 out of parked owns the token — if release
 // wins it sends one token, and the waiter (seeing its own swap return 0)
 // drains it; if the waiter wins there is no token in flight.
+//
+// It can deliver a stale one. release stores cmd and only then swaps the
+// flag; a waiter that saw the store while spinning can finish the epoch
+// and park for the next command before that swap lands, which then takes
+// the new flag and sends a token for the old command. So a token proves
+// nothing: every wake re-checks the predicate and parks again if it does
+// not hold. Each raised flag is answered by at most one token and the
+// waiter consumes it before raising the flag again, so the capacity-1
+// channel never blocks a sender.
 func (s *workerSlot) await(n uint64) Time {
 	for i := 0; i < barrierSpin; i++ {
 		if s.cmd.Load() >= n {
@@ -84,15 +93,19 @@ func (s *workerSlot) await(n uint64) Time {
 			runtime.Gosched()
 		}
 	}
-	s.parked.Store(1)
-	if s.cmd.Load() >= n {
-		if s.parked.Swap(0) == 0 {
-			<-s.wake // release consumed our flag; its token is in flight
+	for {
+		s.parked.Store(1)
+		if s.cmd.Load() >= n {
+			if s.parked.Swap(0) == 0 {
+				<-s.wake // release consumed our flag; its token is in flight
+			}
+			return s.until
 		}
-		return s.until
+		<-s.wake
+		if s.cmd.Load() >= n {
+			return s.until
+		}
 	}
-	<-s.wake
-	return s.until
 }
 
 // joinBarrier is the coordinator's half of epoch completion: remaining
@@ -115,6 +128,9 @@ func (j *joinBarrier) done() {
 }
 
 // wait blocks the coordinator until every dispatched worker has arrived.
+// Like await it re-checks after every wake: the last arrival of one epoch
+// can send its token after the coordinator, having seen remaining hit 0
+// while spinning, has already parked for the next.
 func (j *joinBarrier) wait() {
 	for i := 0; i < barrierSpin; i++ {
 		if j.remaining.Load() == 0 {
@@ -124,12 +140,17 @@ func (j *joinBarrier) wait() {
 			runtime.Gosched()
 		}
 	}
-	j.parked.Store(1)
-	if j.remaining.Load() == 0 {
-		if j.parked.Swap(0) == 0 {
-			<-j.wake
+	for {
+		j.parked.Store(1)
+		if j.remaining.Load() == 0 {
+			if j.parked.Swap(0) == 0 {
+				<-j.wake
+			}
+			return
 		}
-		return
+		<-j.wake
+		if j.remaining.Load() == 0 {
+			return
+		}
 	}
-	<-j.wake
 }

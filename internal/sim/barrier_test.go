@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // barrierTrial is everything observable about one group run that the two
@@ -178,5 +180,57 @@ func TestGroupBarrierBatching(t *testing.T) {
 	}
 	if ran[1] != 1 || ran[2] != 101 {
 		t.Fatalf("crossing epoch ran %d/%d events, want 1/101", ran[1], ran[2])
+	}
+}
+
+// TestBarrierStaleWake drives the hybrid barrier where its wake tokens go
+// stale: four shards on two Ps, every shard busy in every epoch, one
+// event per shard per epoch, so a waiter regularly sees its predicate
+// while spinning and parks for the next round before the releaser's flag
+// swap lands. A waiter that trusts the resulting token runs a phantom
+// epoch (or returns from the join early) and the group deadlocks within
+// a few thousand epochs; the watchdog turns that hang into a failure
+// with a goroutine dump in seconds rather than at the test timeout.
+func TestBarrierStaleWake(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const (
+		shards   = 4
+		epochs   = 20000
+		rounds   = 10
+		watchdog = 10 * time.Second
+	)
+	for r := 0; r < rounds; r++ {
+		done := make(chan []uint64, 1)
+		go func() {
+			engines := make([]*Engine, shards)
+			for i := range engines {
+				engines[i] = NewEngine(int64(i))
+				var tick func()
+				eng := engines[i]
+				tick = func() { eng.After(1, tick) }
+				eng.Schedule(1, tick)
+			}
+			g := NewGroup(engines)
+			for e := 1; e <= epochs; e++ {
+				g.RunEpoch(Time(e))
+			}
+			g.Close()
+			ran := make([]uint64, shards)
+			for i, eng := range engines {
+				ran[i] = eng.Events()
+			}
+			done <- ran
+		}()
+		select {
+		case ran := <-done:
+			for i, n := range ran {
+				if n != epochs {
+					t.Fatalf("round %d: shard %d ran %d events over %d epochs", r, i, n, epochs)
+				}
+			}
+		case <-time.After(watchdog):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("round %d: barrier hung for %v\n%s", r, watchdog, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

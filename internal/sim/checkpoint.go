@@ -33,6 +33,7 @@ type EventRecord struct {
 // with equal EngineStates execute identically from here on.
 type EngineState struct {
 	Now    Time
+	Ord    uint64 // position within the instant Now (Engine.Passed); ordEnd after Run
 	Seq    uint64 // next band-0 sequence number
 	Events uint64 // events executed so far
 	Draws  uint64 // RNG draws consumed from the seeded source
@@ -49,6 +50,7 @@ type EngineState struct {
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
 		Now:    e.now,
+		Ord:    e.ord,
 		Seq:    e.seq,
 		Events: e.nEvent,
 		Draws:  e.src.Draws(),
@@ -155,6 +157,7 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 
 	// Commit.
 	e.now = st.Now
+	e.ord = st.Ord
 	e.seq = st.Seq
 	e.nEvent = st.Events
 	e.q, e.qa, e.lad = q, qa, lad
@@ -190,32 +193,51 @@ func (g *Group) CaptureState() GroupState {
 // and Skips to the recorded count. Wrapping does not change the stream —
 // both Int63 and Uint64 advance the underlying generator exactly one
 // step, as they do unwrapped.
+//
+// The generator is seeded on the first draw, not at construction: seeding
+// math/rand's source fills a 4.9 KB table, every host and switch owns a
+// stream, and most never draw (a core switch routes without randomness, a
+// dcPIM host draws only to shuffle several candidates). Draws() == 0
+// therefore means no generator exists yet.
 type CountingSource struct {
-	src rand.Source64
-	n   uint64
+	seed int64
+	src  rand.Source64 // nil until the first draw
+	n    uint64
 }
 
 // NewCountingSource returns a counting source over rand.NewSource(seed).
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &CountingSource{seed: seed}
+}
+
+// start builds the generator for the stream's first draw.
+//
+//lint:coldpath runs once per stream; every later draw finds the generator built
+func (c *CountingSource) start() {
+	c.src = rand.NewSource(c.seed).(rand.Source64)
 }
 
 // Int63 draws one value.
 func (c *CountingSource) Int63() int64 {
+	if c.src == nil {
+		c.start()
+	}
 	c.n++
 	return c.src.Int63()
 }
 
 // Uint64 draws one value.
 func (c *CountingSource) Uint64() uint64 {
+	if c.src == nil {
+		c.start()
+	}
 	c.n++
 	return c.src.Uint64()
 }
 
-// Seed reseeds the underlying source and resets the draw count.
+// Seed reseeds the source and resets the draw count.
 func (c *CountingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	c.seed, c.src, c.n = seed, nil, 0
 }
 
 // Draws returns the number of values drawn so far.

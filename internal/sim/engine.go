@@ -22,7 +22,13 @@ import "math/rand"
 // at the same instant, and among themselves in a shard-count-invariant
 // order — the property that makes sharded runs byte-identical to serial.
 type Engine struct {
-	now    Time
+	now Time
+	// ord is one more than the seq of the event executing now (of the last
+	// one executed, between events; 0 before the first). With now it is
+	// the engine's position in the (time, seq) total order, which Passed
+	// compares keys against. Run and SkipTo leave it at ordEnd: every key
+	// at the horizon has passed.
+	ord    uint64
 	q      []*event // 4-ary min-heap by (at, seq), band-0 events only (heap discipline)
 	lad    *ladder  // band-0 events, ladder discipline (nil selects the heap)
 	qa     []*event // arrival-band events (ScheduleArrival), same order
@@ -254,17 +260,23 @@ func (e *Engine) recycle(t *event) {
 	e.freeN++
 }
 
-// push allocates an event at absolute time at and inserts it into the
-// band-0 queue. Scheduling in the past panics: it would silently corrupt
-// causality.
+// push allocates an event at absolute time at, stamps it with the next
+// band-0 sequence number and inserts it into the band-0 queue. Scheduling
+// in the past panics: it would silently corrupt causality.
 func (e *Engine) push(at Time) *event {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
+	return e.insert(at, e.ReserveSeq())
+}
+
+// insert queues a band-0 event under the key (at, seq). Both disciplines
+// order by the key alone, so seq need not be the newest one allocated
+// (ScheduleReserved inserts keys reserved earlier).
+func (e *Engine) insert(at Time, seq uint64) *event {
 	t := e.alloc()
 	t.at = at
-	t.seq = e.seq
-	e.seq++
+	t.seq = seq
 	if e.lad != nil {
 		e.lad.push(t)
 		return t
@@ -369,6 +381,50 @@ func (e *Engine) AfterFunc(d Duration, fn func(a, b any, i int), a, b any, i int
 	return Timer{ev: t, gen: t.gen}
 }
 
+// ordEnd is the position after every event of the current instant: no
+// event's seq comes within two of it (band-1 keys are range-checked far
+// below), so Passed(now, seq) holds for every seq once ord is ordEnd.
+const ordEnd = ^uint64(0)
+
+// ReserveSeq allocates the band-0 sequence number the next scheduled event
+// would have taken, without queueing anything. A component that knows
+// *when* it may need a wake-up but not yet *whether* reserves the key at
+// the moment an eager implementation would have scheduled, and
+// materialises it with ScheduleReserved only if work turns up; every
+// other event keeps the seq it would have had either way, so execution
+// order is identical to the eager schedule's (DESIGN.md §8.1).
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Passed reports whether the key (at, seq) lies behind the engine's
+// position in the execution order: an event queued under it from the
+// start would already have run. True when now > at, or now == at and the
+// executing event's seq is greater — arrival-band events carry the top
+// bit and so count as after every band-0 key of their instant. Once Run
+// or SkipTo has returned, every key at or before the horizon has passed.
+// The executing event's own key has not.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return e.now > at || (e.now == at && e.ord > seq+1)
+}
+
+// ScheduleReserved runs fn(a, b, i) at the key (at, seq), seq having come
+// from ReserveSeq. The key may be inserted long after it was reserved but
+// never at or behind the executing event — that would run it out of
+// order, so it panics. One key must be materialised at most once.
+//
+//lint:hotpath per-packet transmitter wake-up; 0-alloc contract of BenchmarkFabricForwarding
+func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func(a, b any, i int), a, b any, i int) {
+	if at < e.now || (at == e.now && seq < e.ord) {
+		panic("sim: reserved key is not ahead of the executing event")
+	}
+	t := e.insert(at, seq)
+	t.fnArgs = fn
+	t.a, t.b, t.i = a, b, i
+}
+
 // ScheduleFunc runs fn(a, b, i) at absolute time at — the argument-form
 // counterpart of Schedule, used by timeline installers (fault schedules)
 // that place many events at pre-computed absolute times without building
@@ -399,6 +455,7 @@ func (e *Engine) Step() bool {
 		t = e.mainPop()
 	}
 	e.now = t.at
+	e.ord = t.seq + 1
 	e.nEvent++
 	if e.journalOn {
 		//lint:ignore hotalloc opt-in replay journal, off on every measured path; the guard above keeps default runs alloc-free
@@ -420,8 +477,9 @@ func (e *Engine) Step() bool {
 // run late. Equivalent to Run(at) on an idle engine, minus the queue
 // peeks.
 func (e *Engine) SkipTo(at Time) {
-	if at > e.now {
+	if at >= e.now {
 		e.now = at
+		e.ord = ordEnd
 	}
 }
 
@@ -436,8 +494,9 @@ func (e *Engine) Run(until Time) {
 		}
 		e.Step()
 	}
-	if e.now < until {
+	if e.now <= until {
 		e.now = until
+		e.ord = ordEnd
 	}
 }
 

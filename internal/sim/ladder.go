@@ -43,9 +43,20 @@ import "math"
 // Scheduling in the past is impossible (Engine.push checks), so every
 // insert lands at or after the drain front and no bucket behind cur can
 // ever be targeted.
+//
+// A rung covers its span of time once and is drained front to back, so
+// neither it nor a bucket's backing array is ever refilled in place:
+// drained arrays and exhausted rungs go to free lists (freeBkts,
+// freeSegs) that file and newSeg draw from, which is what keeps
+// steady-state filing and rung spawning off the allocator.
 const (
 	ladBuckets  = 256 // buckets per rung
 	ladSpawnMin = 512 // bucket size that spawns a finer rung instead of heapifying
+	// ladKeepCap bounds the capacity of a recycled bucket array. Only
+	// over-dense buckets (the ones that spawn) outgrow it; keeping theirs
+	// would, as arrays circulate, leave every bucket holding a peak-sized
+	// array.
+	ladKeepCap = 2 * ladSpawnMin
 )
 
 // ladTimeMax is the saturation point for rung spans: a rung whose
@@ -74,6 +85,9 @@ type ladder struct {
 	activeEnd Time     //ckpt:skip drain-front edge, physical layout normalized away by EngineState
 	segs      []*ladSeg
 	n         int //ckpt:skip derived count, physical layout normalized away by EngineState
+
+	freeBkts [][]*event //ckpt:skip drained bucket arrays awaiting reuse: empty, every slot nil
+	freeSegs []*ladSeg  //ckpt:skip exhausted rungs awaiting reuse: every bucket empty
 }
 
 // push files t into the tier its timestamp selects. O(1) except for
@@ -118,11 +132,48 @@ func (l *ladder) file(s *ladSeg, t *event) {
 	if b < s.cur {
 		b = s.cur
 	}
-	bp := &s.buckets[b]
+	l.add(&s.buckets[b], t)
+}
+
+// add appends t to bucket bp, starting an empty bucket on a recycled
+// array when one is free.
+func (l *ladder) add(bp *[]*event, t *event) {
+	if *bp == nil {
+		if k := len(l.freeBkts) - 1; k >= 0 {
+			*bp, l.freeBkts[k] = l.freeBkts[k], nil
+			l.freeBkts = l.freeBkts[:k]
+		}
+	}
 	t.bkt = bp
 	t.idx = int32(len(*bp))
-	//lint:ignore hotalloc bucket appends reuse capacity left by earlier drains; growth is amortized to the bucket's peak population
+	//lint:ignore hotalloc a bucket starts on a recycled array (freeBkts) and grows past its capacity only while it beats the populations that array has held
 	*bp = append(*bp, t)
+}
+
+// release returns a drained bucket's array to the free list. The caller
+// has moved every event out; clearing the slots drops the stale
+// references so a recycled array retains no event.
+func (l *ladder) release(b []*event) {
+	if cap(b) > ladKeepCap {
+		return
+	}
+	clear(b)
+	//lint:ignore hotalloc free-list growth is bounded by the peak number of simultaneously occupied buckets
+	l.freeBkts = append(l.freeBkts, b[:0])
+}
+
+// newSeg returns an empty rung with the given geometry, reusing an
+// exhausted one when available.
+func (l *ladder) newSeg(start Time, width Duration, limit Time) *ladSeg {
+	k := len(l.freeSegs) - 1
+	if k < 0 {
+		return &ladSeg{start: start, width: width, limit: limit}
+	}
+	s := l.freeSegs[k]
+	l.freeSegs[k] = nil
+	l.freeSegs = l.freeSegs[:k]
+	s.start, s.width, s.limit, s.cur = start, width, limit, 0
+	return s
 }
 
 // grow appends upper rungs — each ladBuckets× coarser than the last —
@@ -148,7 +199,7 @@ func (l *ladder) grow(at Time) *ladSeg {
 			width = 1
 		}
 		limit := spanEnd(base, width)
-		s := &ladSeg{start: base, width: width, limit: limit}
+		s := l.newSeg(base, width, limit)
 		l.segs = append(l.segs, s)
 		if at < limit || limit == ladTimeMax {
 			return s
@@ -209,7 +260,14 @@ func (l *ladder) advance() bool {
 			s.cur++
 		}
 		if s.cur == ladBuckets {
-			l.segs = l.segs[1:] // exhausted
+			// Exhausted. Shift the rest down rather than reslicing past
+			// it, so segs keeps its backing array (and spawn its room to
+			// prepend); there are at most a handful of rungs.
+			k := copy(l.segs, l.segs[1:])
+			l.segs[k] = nil
+			l.segs = l.segs[:k]
+			//lint:ignore hotalloc free-list growth is bounded by the peak rung count
+			l.freeSegs = append(l.freeSegs, s)
 			continue
 		}
 		b := s.buckets[s.cur]
@@ -221,9 +279,11 @@ func (l *ladder) advance() bool {
 		s.cur++
 		if len(b) > ladSpawnMin && s.width > 1 {
 			l.spawn(b, bucketEnd)
+			l.release(b)
 			continue
 		}
 		l.fill(b, bucketEnd)
+		l.release(b)
 		return true
 	}
 	return false
@@ -267,15 +327,13 @@ func (l *ladder) spawn(b []*event, end Time) {
 	if width < 1 {
 		width = 1
 	}
-	s := &ladSeg{start: start, width: Duration(width), limit: end}
+	s := l.newSeg(start, Duration(width), end)
 	for _, ev := range b {
-		i := int(int64(ev.at-start) / width)
-		bp := &s.buckets[i]
-		ev.bkt = bp
-		ev.idx = int32(len(*bp))
-		*bp = append(*bp, ev)
+		l.add(&s.buckets[int64(ev.at-start)/width], ev)
 	}
-	l.segs = append([]*ladSeg{s}, l.segs...)
+	l.segs = append(l.segs, nil)
+	copy(l.segs[1:], l.segs)
+	l.segs[0] = s
 }
 
 // remove deletes a queued event (cancellation): heap-remove from the

@@ -1,0 +1,217 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// lazyUnit is one serializer in the reserved-key property test: the
+// smallest thing with an outPort's shape. Work arrives (kick), is started
+// one item at a time, and each start has a completion a fixed delay later
+// that starts the next item if one is waiting and otherwise does nothing.
+// The eager variant schedules every completion with AfterFunc; the lazy
+// one reserves the completion's key and materialises it on demand.
+type lazyUnit struct {
+	waiting int
+	busy    bool
+	until   Time
+	seq     uint64
+	armed   bool
+}
+
+// runReservedProgram executes one random program and returns the trace of
+// everything that did work — kicks and starts, each stamped with the key
+// of the event it ran in — plus the engine's final sequence counter and
+// event total. The rng is consumed only inside traced steps, so two runs
+// that execute them in the same order draw the same program.
+func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []string, seq, events uint64) {
+	e := NewEngineQueue(1, q)
+	rng := rand.New(rand.NewSource(seed))
+	units := make([]lazyUnit, 6)
+	budget := 1500
+
+	// Delays cluster on a few small values so completions, kicks and
+	// arrivals collide on the same instant all the time, with an
+	// occasional long one to reach the ladder's buckets and upper rungs.
+	delay := func() Duration {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return Duration(50_000 + rng.Intn(5_000_000))
+		default:
+			return Duration(rng.Intn(4))
+		}
+	}
+	log := func(what string, u int) {
+		trace = append(trace, fmt.Sprintf("%d/%#x %s%d", e.now, e.ord-1, what, u))
+	}
+
+	var try, done, kick func(a, b any, u int)
+	try = func(_, _ any, u int) {
+		s := &units[u]
+		if s.busy {
+			if lazy {
+				if !e.Passed(s.until, s.seq) {
+					if !s.armed && s.waiting > 0 {
+						s.armed = true
+						e.ScheduleReserved(s.until, s.seq, done, nil, nil, u)
+					}
+					return
+				}
+				s.busy = false
+			} else {
+				return
+			}
+		}
+		if s.waiting == 0 {
+			return
+		}
+		s.waiting--
+		s.busy = true
+		log("start", u)
+		d := delay()
+		if rng.Intn(3) == 0 {
+			// Something else scheduled between the start and its
+			// completion, as a port's PFC release is.
+			e.AfterFunc(delay(), kick, nil, nil, rng.Intn(len(units)))
+		}
+		if lazy {
+			s.until, s.seq = e.now.Add(d), e.ReserveSeq()
+			if s.waiting > 0 {
+				s.armed = true
+				e.ScheduleReserved(s.until, s.seq, done, nil, nil, u)
+			}
+		} else {
+			e.AfterFunc(d, done, nil, nil, u)
+		}
+	}
+	done = func(_, _ any, u int) {
+		units[u].busy, units[u].armed = false, false
+		try(nil, nil, u)
+	}
+	kick = func(_, _ any, u int) {
+		log("kick", u)
+		units[u].waiting++
+		try(nil, nil, u)
+		for n := 1 + rng.Intn(2); n > 0 && budget > 0; n-- {
+			budget--
+			v := rng.Intn(len(units))
+			if rng.Intn(4) == 0 {
+				e.ScheduleArrival(e.now.Add(delay()), uint64(budget), kick, nil, nil, v)
+			} else {
+				e.AfterFunc(delay(), kick, nil, nil, v)
+			}
+		}
+	}
+
+	for u := range units {
+		e.AfterFunc(delay(), kick, nil, nil, u)
+	}
+	// Interleave bounded runs with single steps so that execution resumes
+	// from the position Run leaves as well. The driver draws from its own
+	// stream: the two variants execute different numbers of events.
+	drv := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for e.Pending() > 0 {
+		if drv.Intn(2) == 0 {
+			e.Run(e.now.Add(Duration(drv.Intn(3))))
+		} else {
+			e.Step()
+		}
+	}
+	return trace, e.seq, e.nEvent
+}
+
+// TestReservedSeqEquivalence is the property behind lazy completions: a
+// program run with eager no-op-unless-needed completions and run again
+// with ReserveSeq + on-demand ScheduleReserved does its work in the
+// identical (time, seq) order — same-instant inserts and arrival-band
+// events included — under both queue disciplines, allocates the identical
+// sequence numbers, and executes fewer events.
+func TestReservedSeqEquivalence(t *testing.T) {
+	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
+		saved := false
+		for seed := int64(1); seed <= 40; seed++ {
+			want, wantSeq, wantEv := runReservedProgram(q, false, seed)
+			got, gotSeq, gotEv := runReservedProgram(q, true, seed)
+			if len(want) < 1000 {
+				t.Fatalf("%v seed %d: program too short to mean anything (%d steps)", q, seed, len(want))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v seed %d: eager did %d steps, lazy %d", q, seed, len(want), len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v seed %d: step %d: eager %s, lazy %s", q, seed, i, want[i], got[i])
+				}
+			}
+			if gotSeq != wantSeq {
+				t.Fatalf("%v seed %d: eager allocated %d seqs, lazy %d", q, seed, wantSeq, gotSeq)
+			}
+			if gotEv > wantEv {
+				t.Fatalf("%v seed %d: lazy ran %d events, eager %d", q, seed, gotEv, wantEv)
+			}
+			saved = saved || gotEv < wantEv
+		}
+		if !saved {
+			t.Errorf("%v: no program elided a single completion", q)
+		}
+	}
+}
+
+// TestScheduleReservedOrderGuard: a reserved key may be inserted late but
+// never at or behind the executing event, and Passed agrees with that
+// boundary — including the arrival band and the position Run leaves.
+func TestScheduleReservedOrderGuard(t *testing.T) {
+	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
+		e := NewEngineQueue(1, q)
+		nop := func(_, _ any, _ int) {}
+		mustPanic := func(what string, fn func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: %s did not panic", q, what)
+				}
+			}()
+			fn()
+		}
+
+		before := e.ReserveSeq()
+		own := e.ReserveSeq()
+		after := e.ReserveSeq()
+		ran := 0
+		e.ScheduleReserved(5, own, func(_, _ any, _ int) {
+			ran++
+			if !e.Passed(5, before) || e.Passed(5, own) || e.Passed(5, after) || !e.Passed(4, after) || e.Passed(6, before) {
+				t.Errorf("%v: Passed disagrees with the executing key (5, %d)", q, own)
+			}
+			mustPanic("a key before the executing event", func() { e.ScheduleReserved(5, before, nop, nil, nil, 0) })
+			mustPanic("the executing event's own key", func() { e.ScheduleReserved(5, own, nop, nil, nil, 0) })
+			mustPanic("a key at an earlier instant", func() { e.ScheduleReserved(4, after, nop, nil, nil, 0) })
+			e.ScheduleReserved(5, after, func(_, _ any, _ int) { ran++ }, nil, nil, 0)
+		}, nil, nil, 0)
+		// An arrival-band event sorts after every band-0 key of its instant.
+		late := e.ReserveSeq()
+		e.ScheduleArrival(5, 1, func(_, _ any, _ int) {
+			ran++
+			if !e.Passed(5, late) {
+				t.Errorf("%v: band-0 key not passed inside an arrival of the same instant", q)
+			}
+			mustPanic("a band-0 key behind an executing arrival", func() { e.ScheduleReserved(5, late, nop, nil, nil, 0) })
+		}, nil, nil, 0)
+		e.Run(4)
+		if e.Passed(5, before) || !e.Passed(4, after) {
+			t.Errorf("%v: after Run(4) every key at 4 has passed and none at 5", q)
+		}
+		e.Run(5)
+		if ran != 3 {
+			t.Fatalf("%v: ran %d of 3 events", q, ran)
+		}
+		horizon := e.ReserveSeq()
+		if !e.Passed(5, horizon) {
+			t.Errorf("%v: after Run(5) a key at 5 reserved later still counts as passed", q)
+		}
+		mustPanic("a key at the horizon Run returned from", func() { e.ScheduleReserved(5, horizon, nop, nil, nil, 0) })
+	}
+}
