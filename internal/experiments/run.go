@@ -436,16 +436,20 @@ func (rs *runState) result() RunResult {
 	return res
 }
 
-// pendingPerHost is the measured peak of engine-pending events per host
-// under the heaviest steady workloads used here (dcPIM all-to-all at load
-// 0.6 peaks near 19 pending events per host on both the 128- and
-// 1024-host FatTrees; see DESIGN.md §13). QueueAuto compares the
-// resulting per-engine estimate against sim.LadderDensityMin.
-const pendingPerHost = 19
+// pendingPerHost is the measured peak, per host, of events in the band-0
+// queue plus the arrival heap — the population the discipline orders;
+// events in constant-delay lanes (sim.Lane) are not its to sort and are
+// not counted. dcPIM all-to-all at load 0.6 over a 100 µs trace peaks at
+// 6.4 per host on the 128-host FatTree and 6.3 on the 1024-host one (818
+// and 6,404 events); the 8192-host tree reaches 2.8 in the 25 µs its
+// campaign cell runs. QueueAuto compares the resulting per-engine
+// estimate against sim.LadderDensityMin (DESIGN.md §13.2).
+const pendingPerHost = 6
 
-// expectedPending estimates peak pending events on one engine when hosts
-// are spread over n shards. The LPT partition keeps host counts within
-// one pod of even, so the mean is a faithful per-engine estimate.
+// expectedPending estimates the peak of queued (not lane) events on one
+// engine when hosts are spread over n shards. The LPT partition keeps
+// host counts within one pod of even, so the mean is a faithful
+// per-engine estimate.
 func expectedPending(hosts, n int) int {
 	if n < 1 {
 		n = 1

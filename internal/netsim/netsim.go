@@ -177,6 +177,8 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	seed := f.eng.Seed()
 	for i := 0; i < n; i++ {
 		s := &shardState{id: i, eng: grp.Engine(i)}
+		s.hostLane = s.lane(t.HostDelay)
+		s.swLane = s.lane(t.SwitchDelay)
 		if n == 1 {
 			s.counters = &f.Counters
 		} else {
@@ -204,7 +206,7 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 				fab: f, sh: sh, rng: d.rng,
 				rate: p.Rate, delay: p.Delay,
 				capacity: cfg.PortBufferBytes,
-				owner:    d, ownerPort: pi,
+				owner:    d,
 			}
 		}
 		f.switches[i] = d
@@ -222,28 +224,44 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 			fab: f, sh: sh, rng: host.rng,
 			rate: up.Rate, delay: up.Delay,
 			capacity: cfg.HostQueueBytes,
-			hostNIC:  host,
 		}
 		f.hosts[h] = host
 	}
 
-	// Wire boundary egress: directed boundary links get stable ids in
-	// (switch, port) order, and each boundary port learns its peer so
-	// tryTransmit can schedule the fused forward event — intra-shard via
-	// its own engine's arrival band, cross-shard via staging.
+	// Wire every port's far end, so a delivery event never goes back to
+	// the port that sent the packet. Directed boundary links also get
+	// stable ids in (switch, port) order: their delivery is the fused
+	// forward at the peer switch, a SwitchDelay further out — intra-shard
+	// on the port's own engine, cross-shard via staging (no lanes there:
+	// staged arrivals are scheduled at the barrier, not a constant delay
+	// ahead of the engine's clock).
 	var linkID uint64
 	for _, sw := range t.Switches {
 		for pi, p := range sw.Ports {
-			if p.ToHost || !p.Boundary {
+			o := f.switches[sw.ID].ports[pi]
+			if p.ToHost {
+				o.peerHost = f.hosts[p.Peer]
+				o.wireLanes(0)
 				continue
 			}
-			o := f.switches[sw.ID].ports[pi]
-			o.boundary = true
-			o.linkID = linkID
 			o.peerSw = f.switches[p.Peer]
 			o.peerIn = p.PeerPort
+			if !p.Boundary {
+				o.wireLanes(0)
+				continue
+			}
+			o.boundary = true
+			o.linkID = linkID
 			linkID++
+			if o.peerSw.sh == o.sh {
+				o.wireLanes(t.SwitchDelay)
+			}
 		}
+	}
+	for h, host := range f.hosts {
+		host.nic.peerSw = f.switches[t.HostSwitch[h]]
+		host.nic.peerIn = t.HostPort[h]
+		host.nic.wireLanes(0)
 	}
 	if linkID >= maxBoundaryLinks {
 		panic("netsim: too many boundary links for the arrival-band key space")
@@ -277,15 +295,19 @@ func (f *Fabric) Start() {
 
 // Inject schedules every flow of the trace as an arrival event at its
 // sender, on the sender's shard. Trace order within a shard is preserved,
-// so arrivals tie-break identically at every shard count.
+// so arrivals tie-break identically at every shard count. The events read
+// the trace when they fire: it must not change while the run lasts.
 func (f *Fabric) Inject(tr *workload.Trace) {
-	for _, fl := range tr.Flows {
-		fl := fl
+	for i := range tr.Flows {
+		fl := &tr.Flows[i]
 		h := f.hosts[fl.Src]
-		h.sh.eng.Schedule(fl.Arrival, func() {
-			h.proto.OnFlowArrival(fl)
-		})
+		h.sh.eng.ScheduleFunc(fl.Arrival, injectFlow, h, tr, i)
 	}
+}
+
+// injectFlow hands flow i of the trace to its sender's protocol.
+func injectFlow(a, b any, i int) {
+	a.(*Host).proto.OnFlowArrival(b.(*workload.Trace).Flows[i])
 }
 
 // Host is one end host: a protocol instance plus a NIC egress queue.
@@ -333,7 +355,7 @@ func (h *Host) Send(p *packet.Packet) {
 	for _, o := range h.fab.obs {
 		o.PacketInjected(h.id, p)
 	}
-	h.sh.eng.AfterFunc(h.fab.topo.HostDelay, hostEnqueue, h, p, 0)
+	h.sh.hostLane.After(hostEnqueue, h, p, 0)
 }
 
 func hostEnqueue(a, b any, _ int) {
@@ -342,7 +364,12 @@ func hostEnqueue(a, b any, _ int) {
 
 // deliver passes a packet up the receive stack to the protocol.
 func (h *Host) deliver(p *packet.Packet) {
-	h.sh.eng.AfterFunc(h.fab.topo.HostDelay, hostDeliver, h, p, 0)
+	h.sh.hostLane.After(hostDeliver, h, p, 0)
+}
+
+// arriveAtHost is the delivery event of a link that ends at a host.
+func arriveAtHost(a, b any, _ int) {
+	a.(*Host).deliver(b.(*packet.Packet))
 }
 
 // hostDeliver is the fabric's delivery point and one of its two packet
@@ -389,7 +416,13 @@ type swDev struct {
 // (-1 for host-attached arrivals; those are accounted per their host
 // port). Processing latency is applied before enqueueing.
 func (d *swDev) receive(p *packet.Packet, in int) {
-	d.sh.eng.AfterFunc(d.fab.topo.SwitchDelay, swForward, d, p, in)
+	d.sh.swLane.After(swForward, d, p, in)
+}
+
+// arriveAtSwitch is the delivery event of a link that ends at a switch,
+// entering through its port in.
+func arriveAtSwitch(a, b any, in int) {
+	a.(*swDev).receive(b.(*packet.Packet), in)
 }
 
 func swForward(a, b any, in int) {

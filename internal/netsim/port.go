@@ -17,8 +17,7 @@ type queued struct {
 // outPort models one transmit side of a full-duplex link: eight
 // strict-priority FIFO queues sharing a byte budget, a serializing
 // transmitter, and the attached link's rate and propagation delay.
-// A port belongs either to a switch (owner set) or to a host NIC
-// (hostNIC set).
+// A port belongs either to a switch (owner set) or to a host NIC.
 // A port's checkpoint (outPort.captureState) covers the dynamic plane:
 // queues, byte counts, PFC/fault state, and the boundary arrival
 // sequence. Link parameters and device wiring are static topology,
@@ -31,9 +30,7 @@ type outPort struct {
 	delay    sim.Duration //ckpt:skip static link parameter from topology
 	capacity int64        //ckpt:skip static link parameter from topology
 
-	owner     *swDev //ckpt:skip device wiring, re-established by construction
-	ownerPort int    //ckpt:skip device wiring, re-established by construction
-	hostNIC   *Host  //ckpt:skip device wiring, re-established by construction
+	owner *swDev //ckpt:skip device wiring, re-established by construction
 
 	queues      [packet.NumPriorities][]queued
 	heads       [packet.NumPriorities]int
@@ -65,6 +62,21 @@ type outPort struct {
 	burstRate  float64
 	burstUntil sim.Time
 
+	// The far end of the link, so the delivery event goes straight to the
+	// receiving device: a host (peerHost), or port peerIn of a switch
+	// (peerSw).
+	peerHost *Host  //ckpt:skip peer wiring, re-established by construction
+	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
+	peerIn   int    //ckpt:skip peer wiring, re-established by construction
+
+	// Lanes for the two packet sizes that make up nearly all traffic: the
+	// delivery of a full MTU or a bare header fires a delay fixed by the
+	// link, so it needs no priority queue (sim.Lane). Any other size is
+	// scheduled by the engine, and so is every cross-shard delivery: a port
+	// whose peer sits on another shard has no lanes.
+	laneMTU *sim.Lane //ckpt:skip lane wiring, re-established by construction
+	laneHdr *sim.Lane //ckpt:skip lane wiring, re-established by construction
+
 	// Boundary egress (switch↔switch links marked topo.Port.Boundary):
 	// delivery is fused into a single arrival-band event — the forward at
 	// the peer switch, scheduled tx+delay+SwitchDelay ahead with a key
@@ -74,8 +86,14 @@ type outPort struct {
 	boundary bool   //ckpt:skip static topology attribute (topo.Port.Boundary)
 	linkID   uint64 //ckpt:skip derived from the directed link identity at construction
 	arrSeq   uint64
-	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
-	peerIn   int    //ckpt:skip peer wiring, re-established by construction
+}
+
+// wireLanes resolves the port's lanes on its shard: serialization plus
+// propagation of each fixed size, plus extra (the peer's SwitchDelay on a
+// fused boundary link).
+func (o *outPort) wireLanes(extra sim.Duration) {
+	o.laneMTU = o.sh.lane(sim.TransmissionTime(packet.MTU, o.rate) + o.delay + extra)
+	o.laneHdr = o.sh.lane(sim.TransmissionTime(packet.HeaderSize, o.rate) + o.delay + extra)
 }
 
 // faultDrop applies injected link faults (degrade / loss burst) at enqueue
@@ -252,22 +270,43 @@ func (o *outPort) tryTransmit() {
 	eng := o.sh.eng
 	o.busyUntil, o.busySeq = eng.Now().Add(tx), eng.ReserveSeq()
 	o.armWake()
-	if o.boundary {
-		// Fused boundary delivery: skip the portDeliver and receive
-		// intermediaries and schedule the forward at the peer switch
+	var lane *sim.Lane
+	switch p.Size {
+	case packet.MTU:
+		lane = o.laneMTU
+	case packet.HeaderSize:
+		lane = o.laneHdr
+	}
+	switch {
+	case o.boundary:
+		// Fused boundary delivery: schedule the forward at the peer switch
 		// directly, keyed in the arrival band so execution order does not
 		// depend on which shard inserted it, or when.
-		at := eng.Now().Add(tx + o.delay + o.fab.topo.SwitchDelay)
 		key := bandKey(o.linkID, o.arrSeq)
 		o.arrSeq++
+		if lane != nil {
+			lane.Arrive(key, swForward, o.peerSw, p, o.peerIn)
+			break
+		}
+		at := eng.Now().Add(tx + o.delay + o.fab.topo.SwitchDelay)
 		if peer := o.peerSw.sh; peer == o.sh {
 			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, o.peerIn)
 		} else {
 			o.sh.stage(peer, at, key, swForward, o.peerSw, p, o.peerIn)
 		}
-		return
+	case o.peerHost != nil:
+		if lane != nil {
+			lane.After(arriveAtHost, o.peerHost, p, 0)
+		} else {
+			eng.AfterFunc(tx+o.delay, arriveAtHost, o.peerHost, p, 0)
+		}
+	default:
+		if lane != nil {
+			lane.After(arriveAtSwitch, o.peerSw, p, o.peerIn)
+		} else {
+			eng.AfterFunc(tx+o.delay, arriveAtSwitch, o.peerSw, p, o.peerIn)
+		}
 	}
-	eng.AfterFunc(tx+o.delay, portDeliver, o, p, 0)
 }
 
 // serializing reports whether a transmission is in progress: one was
@@ -290,31 +329,6 @@ func portTxDone(a, _ any, _ int) {
 	o := a.(*outPort)
 	o.busy, o.wakeArmed = false, false
 	o.tryTransmit()
-}
-
-func portDeliver(a, b any, _ int) {
-	a.(*outPort).deliverToPeer(b.(*packet.Packet))
-}
-
-// deliverToPeer hands the packet to the device at the far end of the
-// link. Boundary links never reach here (their delivery is fused into
-// the arrival-band event at transmit time), so the peer is always on
-// the same shard.
-func (o *outPort) deliverToPeer(p *packet.Packet) {
-	if o.hostNIC != nil {
-		// Host NIC → its ToR; the packet enters through the ToR port
-		// facing this host.
-		h := o.hostNIC.id
-		tor := o.fab.switches[o.fab.topo.HostSwitch[h]]
-		tor.receive(p, o.fab.topo.HostPort[h])
-		return
-	}
-	spec := o.owner.spec.Ports[o.ownerPort]
-	if spec.ToHost {
-		o.fab.hosts[spec.Peer].deliver(p)
-		return
-	}
-	o.fab.switches[spec.Peer].receive(p, spec.PeerPort)
 }
 
 // checkPause sends a PFC pause upstream when an ingress's buffered bytes

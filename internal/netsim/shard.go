@@ -25,6 +25,34 @@ type shardState struct {
 	counters *Counters         // aliases Fabric.Counters when single-shard
 	out      [][]stagedArrival //ckpt:skip barrier staging queues, empty at every capture point (synced barrier)
 	staged   uint64            // cross-shard arrivals drained INTO this shard
+
+	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
+	// host stack, the switch traversal, and serialization + propagation of
+	// an MTU or a header on each kind of link this shard's ports drive.
+	// The packets in flight are engine state, captured there.
+	hostLane *sim.Lane   //ckpt:skip lane wiring, re-established by construction
+	swLane   *sim.Lane   //ckpt:skip lane wiring, re-established by construction
+	lanes    []shardLane //ckpt:skip lane wiring, re-established by construction
+}
+
+// shardLane indexes one of the shard's lanes by its delay.
+type shardLane struct {
+	d    sim.Duration
+	lane *sim.Lane
+}
+
+// lane returns the shard's lane of delay d, creating it on first request.
+// A shard has a handful of distinct delays (two per link class plus the
+// two device latencies), so wiring scans them instead of hashing.
+func (s *shardState) lane(d sim.Duration) *sim.Lane {
+	for i := range s.lanes {
+		if s.lanes[i].d == d {
+			return s.lanes[i].lane
+		}
+	}
+	l := s.eng.NewLane(d)
+	s.lanes = append(s.lanes, shardLane{d, l})
+	return l
 }
 
 // stagedArrival is one cross-shard event awaiting the barrier: an

@@ -17,7 +17,9 @@ import (
 // captured state byte-for-byte on arrival. RestoreState covers the other
 // direction for callers that CAN rebind callbacks (round-trip tests, and
 // any future self-describing event kinds): it rebuilds the queues from a
-// captured state, all-or-nothing.
+// captured state, all-or-nothing. Lanes hold ordinary pending events —
+// where an event is stored is physical layout — so capture lists their
+// records with the queues' and restore puts every record in a queue.
 
 // EventRecord is the execution-order key of one event: its timestamp and
 // its full seq word (band bit included, so band-1 arrival keys are
@@ -64,6 +66,12 @@ func (e *Engine) CaptureState() EngineState {
 	}
 	add(e.q)
 	add(e.qa)
+	for _, l := range e.lanes {
+		for k := 0; k < l.n; k++ {
+			r := &l.buf[(l.head+k)&(len(l.buf)-1)]
+			st.Pending = append(st.Pending, EventRecord{At: r.at, Seq: r.seq})
+		}
+	}
 	if l := e.lad; l != nil {
 		add(l.active)
 		for _, s := range l.segs {
@@ -109,7 +117,9 @@ type RebindFunc func(EventRecord) (func(), bool)
 // succeeded — a failed restore leaves it exactly as it was (FuzzRestoreState
 // asserts this). The restored engine keeps its own queue discipline;
 // st.Queue records what the source used but does not constrain the target,
-// since both disciplines implement the identical total order.
+// since both disciplines implement the identical total order. Lanes are
+// left empty: every restored record goes to a queue, which is legal for
+// the same reason.
 func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	// Validate before touching anything.
 	var prev EventRecord
@@ -161,6 +171,9 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	e.seq = st.Seq
 	e.nEvent = st.Events
 	e.q, e.qa, e.lad = q, qa, lad
+	for _, l := range e.lanes {
+		l.reset()
+	}
 	e.free, e.freeN = nil, 0
 	e.src = NewCountingSource(e.seed)
 	e.rng = rand.New(e.src)

@@ -265,6 +265,9 @@ func FuzzRestoreState(f *testing.F) {
 			dst := NewEngineQueue(2, q)
 			dst.Schedule(Time(now)+1_000_000, func() {})
 			dst.Run(Time(now) / 2)
+			// A lane event of the target's own: kept by a rejected restore,
+			// replaced like the queued one by an accepted restore.
+			dst.NewLane(1_000_000).After(func(_, _ any, _ int) {}, nil, nil, 0)
 			before := dst.CaptureState()
 			var got []EventRecord
 			err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {

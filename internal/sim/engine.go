@@ -28,10 +28,16 @@ type Engine struct {
 	// the engine's position in the (time, seq) total order, which Passed
 	// compares keys against. Run and SkipTo leave it at ordEnd: every key
 	// at the horizon has passed.
-	ord    uint64
-	q      []*event // 4-ary min-heap by (at, seq), band-0 events only (heap discipline)
-	lad    *ladder  // band-0 events, ladder discipline (nil selects the heap)
-	qa     []*event // arrival-band events (ScheduleArrival), same order
+	ord uint64
+	q   []*event // 4-ary min-heap by (at, seq), band-0 events only (heap discipline)
+	lad *ladder  // band-0 events, ladder discipline (nil selects the heap)
+	qa  []*event // arrival-band events (ScheduleArrival), same order
+	// lanes hold constant-delay events of either band by value (lane.go);
+	// fronts[i] caches lanes[i]'s head key (laneIdle when empty) so the
+	// drain loop finds the earliest lane without touching the rings.
+	lanes  []*Lane
+	fronts []EventRecord //ckpt:skip derived: the head key of each lane, which is captured
+	laneN  int           //ckpt:skip derived: total records across lanes, which are captured
 	seq    uint64
 	seed   int64           //ckpt:skip construction input; the RNG position is captured as Draws
 	src    *CountingSource // rng's source, counted so RNG position is checkpointable
@@ -74,15 +80,17 @@ func (q QueueDiscipline) String() string {
 }
 
 // LadderDensityMin is the expected-pending-events hint at which QueueAuto
-// selects the ladder queue. Set from the head-to-head hold-model
-// benchmarks in internal/experiments (BenchmarkEngineHold…): the heap
-// wins clearly below ~4k pending events, the ladder at and above ~16k;
-// the crossover sits between. See DESIGN.md §13.
-const LadderDensityMin = 8192
+// selects the ladder queue. The hint counts what the discipline orders —
+// the band-0 queue plus the arrival heap, not events in lanes. End to end
+// the two disciplines are within 5% of each other at every measured
+// density; the ladder is the faster pick by 2–3% at an estimated 3.1k and
+// 6.1k (the 1024-host FatTree on two engines and on one), and below that
+// the heap buys 6–7% of resident memory. See DESIGN.md §13.2.
+const LadderDensityMin = 2560
 
 // PickQueue resolves QueueAuto against an expected event-density hint
-// (roughly the number of concurrently pending events the simulation will
-// hold). Explicit disciplines pass through unchanged.
+// (roughly the number of concurrently pending events the band-0 queue and
+// the arrival heap will hold). Explicit disciplines pass through unchanged.
 func PickQueue(q QueueDiscipline, expectedPending int) QueueDiscipline {
 	if q != QueueAuto {
 		return q
@@ -199,14 +207,14 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // NextAt returns the timestamp of the earliest pending event, or false
-// when the queue is empty. Epoch runners use it to size the next
-// conservative window.
+// when nothing is pending. Epoch runners use it to size the next
+// conservative window, and to skip shards with no work inside it.
 func (e *Engine) NextAt() (Time, bool) {
-	t := e.peek()
-	if t == nil {
+	src, at := e.next()
+	if src == srcNone {
 		return 0, false
 	}
-	return t.at, true
+	return at, true
 }
 
 // Rand returns the engine's deterministic random source. All simulation
@@ -219,7 +227,7 @@ func (e *Engine) Events() uint64 { return e.nEvent }
 // Pending returns the number of live events currently queued. Cancelled
 // events are removed from the queue immediately and never counted.
 func (e *Engine) Pending() int {
-	n := len(e.q) + len(e.qa)
+	n := len(e.q) + len(e.qa) + e.laneN
 	if e.lad != nil {
 		n += e.lad.n
 	}
@@ -436,38 +444,82 @@ func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int
 	return Timer{ev: t, gen: t.gen}
 }
 
-// Step executes the next pending event, if any, and reports whether one
-// ran. The event is recycled before its callback runs, so the callback may
-// immediately reuse the storage by scheduling new events; its own handle
-// is already inert by the time it executes.
-//
-//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold at both disciplines
-func (e *Engine) Step() bool {
-	var t *event
-	if len(e.qa) == 0 {
-		if t = e.mainMin(); t == nil {
-			return false
+// Where the next event sits: a lane index, or one of these.
+const (
+	srcNone    = -1 - iota // nothing pending
+	srcMain                // the band-0 queue
+	srcArrival             // the arrival heap
+)
+
+// next finds the earliest pending event across the band-0 queue, the
+// arrival heap and the lanes, and returns where it sits and its time. All
+// of them order by (time, seq), so the merge is the single total order.
+// Under the ladder discipline this may advance the drain front (a pure
+// restructuring — pop order is unaffected).
+func (e *Engine) next() (src int, at Time) {
+	src, at = srcNone, laneIdle.At
+	seq := laneIdle.Seq
+	for i := range e.fronts {
+		if f := &e.fronts[i]; f.At < at || (f.At == at && f.Seq < seq) {
+			src, at, seq = i, f.At, f.Seq
 		}
-		t = e.mainPop()
-	} else if m := e.mainMin(); m == nil || eventLess(e.qa[0], m) {
-		t = popRoot(&e.qa)
-	} else {
-		t = e.mainPop()
 	}
-	e.now = t.at
-	e.ord = t.seq + 1
+	if len(e.qa) > 0 {
+		if t := e.qa[0]; t.at < at || (t.at == at && t.seq < seq) {
+			src, at, seq = srcArrival, t.at, t.seq
+		}
+	}
+	if t := e.mainMin(); t != nil && (t.at < at || (t.at == at && t.seq < seq)) {
+		src, at = srcMain, t.at
+	}
+	return src, at
+}
+
+// exec removes the event next found at src and runs it. A queued event is
+// recycled before its callback runs, so the callback may immediately reuse
+// the storage by scheduling new events; its own handle is already inert by
+// the time it executes.
+func (e *Engine) exec(src int) {
+	var r laneRec
+	var fn func()
+	switch src {
+	case srcMain, srcArrival:
+		var t *event
+		if src == srcMain {
+			t = e.mainPop()
+		} else {
+			t = popRoot(&e.qa)
+		}
+		r = laneRec{at: t.at, seq: t.seq, fn: t.fnArgs, a: t.a, b: t.b, i: t.i}
+		fn = t.fn
+		e.recycle(t)
+	default:
+		r = e.lanes[src].pop()
+	}
+	e.now = r.at
+	e.ord = r.seq + 1
 	e.nEvent++
 	if e.journalOn {
 		//lint:ignore hotalloc opt-in replay journal, off on every measured path; the guard above keeps default runs alloc-free
-		e.journal = append(e.journal, EventRecord{At: t.at, Seq: t.seq})
+		e.journal = append(e.journal, EventRecord{At: r.at, Seq: r.seq})
 	}
-	fn, fnArgs, a, b, i := t.fn, t.fnArgs, t.a, t.b, t.i
-	e.recycle(t)
-	if fnArgs != nil {
-		fnArgs(a, b, i)
+	if r.fn != nil {
+		r.fn(r.a, r.b, r.i)
 	} else {
 		fn()
 	}
+}
+
+// Step executes the next pending event, if any, and reports whether one
+// ran.
+//
+//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold at both disciplines
+func (e *Engine) Step() bool {
+	src, _ := e.next()
+	if src == srcNone {
+		return false
+	}
+	e.exec(src)
 	return true
 }
 
@@ -483,35 +535,23 @@ func (e *Engine) SkipTo(at Time) {
 	}
 }
 
-// Run executes events until the queue is empty or the clock would pass
+// Run executes events until nothing is pending or the clock would pass
 // until. Events stamped exactly at until still run. The clock is left at
 // the later of its current value and until when the horizon is hit.
+//
+//lint:hotpath event drain loop of every fabric run; one merged scan per event
 func (e *Engine) Run(until Time) {
 	for {
-		t := e.peek()
-		if t == nil || t.at > until {
+		src, at := e.next()
+		if src == srcNone || at > until {
 			break
 		}
-		e.Step()
+		e.exec(src)
 	}
 	if e.now <= until {
 		e.now = until
 		e.ord = ordEnd
 	}
-}
-
-// peek returns the next event to run without removing it, or nil when
-// both bands are empty. Arrival events carry the band bit in seq, so
-// eventLess breaks every same-instant tie toward the main band.
-func (e *Engine) peek() *event {
-	m := e.mainMin()
-	if len(e.qa) == 0 {
-		return m
-	}
-	if m == nil || eventLess(e.qa[0], m) {
-		return e.qa[0]
-	}
-	return m
 }
 
 // RunAll executes events until the queue drains. Intended for workloads

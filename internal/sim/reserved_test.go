@@ -20,16 +20,62 @@ type lazyUnit struct {
 	armed   bool
 }
 
-// runReservedProgram executes one random program and returns the trace of
+// reservedRun is what one random program left behind: the trace of
 // everything that did work — kicks and starts, each stamped with the key
-// of the event it ran in — plus the engine's final sequence counter and
-// event total. The rng is consumed only inside traced steps, so two runs
-// that execute them in the same order draw the same program.
-func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []string, seq, events uint64) {
+// of the event it ran in — the engine's final sequence counter and event
+// total, and what the engine looked like from outside along the way: the
+// key of every executed event, Pending and NextAt after each driver
+// action, and the captured pending set at random points.
+type reservedRun struct {
+	trace       []string
+	seq, events uint64
+	journal     []EventRecord
+	probes      []string
+	laneEvents  int // schedules that went through a Lane
+}
+
+// runReservedProgram executes one random program. The rng is consumed only
+// inside traced steps, so two runs that execute them in the same order
+// draw the same program. With lanes set, a random subset of the schedules
+// whose delay is one of the small constants goes through Lane.After /
+// Lane.Arrive instead of AfterFunc / ScheduleArrival; which ones is drawn
+// from a stream of its own, so the program does not change.
+func runReservedProgram(q QueueDiscipline, lazy, lanes bool, seed int64) reservedRun {
+	var out reservedRun
 	e := NewEngineQueue(1, q)
 	rng := rand.New(rand.NewSource(seed))
 	units := make([]lazyUnit, 6)
 	budget := 1500
+
+	// One lane per constant delay, created either way so that an engine
+	// with idle lanes is covered too.
+	const laneDelays = 4
+	var lane [laneDelays]*Lane
+	for d := range lane {
+		lane[d] = e.NewLane(Duration(d))
+	}
+	pick := rand.New(rand.NewSource(seed ^ 0x1a9e))
+	viaLane := func(d Duration) bool {
+		if !lanes || d >= laneDelays || pick.Intn(3) == 0 {
+			return false
+		}
+		out.laneEvents++
+		return true
+	}
+	after := func(d Duration, fn func(a, b any, i int), u int) {
+		if viaLane(d) {
+			lane[d].After(fn, nil, nil, u)
+		} else {
+			e.AfterFunc(d, fn, nil, nil, u)
+		}
+	}
+	arrive := func(d Duration, key uint64, fn func(a, b any, i int), u int) {
+		if viaLane(d) {
+			lane[d].Arrive(key, fn, nil, nil, u)
+		} else {
+			e.ScheduleArrival(e.now.Add(d), key, fn, nil, nil, u)
+		}
+	}
 
 	// Delays cluster on a few small values so completions, kicks and
 	// arrivals collide on the same instant all the time, with an
@@ -45,7 +91,7 @@ func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []strin
 		}
 	}
 	log := func(what string, u int) {
-		trace = append(trace, fmt.Sprintf("%d/%#x %s%d", e.now, e.ord-1, what, u))
+		out.trace = append(out.trace, fmt.Sprintf("%d/%#x %s%d", e.now, e.ord-1, what, u))
 	}
 
 	var try, done, kick func(a, b any, u int)
@@ -75,7 +121,7 @@ func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []strin
 		if rng.Intn(3) == 0 {
 			// Something else scheduled between the start and its
 			// completion, as a port's PFC release is.
-			e.AfterFunc(delay(), kick, nil, nil, rng.Intn(len(units)))
+			after(delay(), kick, rng.Intn(len(units)))
 		}
 		if lazy {
 			s.until, s.seq = e.now.Add(d), e.ReserveSeq()
@@ -84,7 +130,7 @@ func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []strin
 				e.ScheduleReserved(s.until, s.seq, done, nil, nil, u)
 			}
 		} else {
-			e.AfterFunc(d, done, nil, nil, u)
+			after(d, done, u)
 		}
 	}
 	done = func(_, _ any, u int) {
@@ -99,28 +145,42 @@ func runReservedProgram(q QueueDiscipline, lazy bool, seed int64) (trace []strin
 			budget--
 			v := rng.Intn(len(units))
 			if rng.Intn(4) == 0 {
-				e.ScheduleArrival(e.now.Add(delay()), uint64(budget), kick, nil, nil, v)
+				arrive(delay(), uint64(budget), kick, v)
 			} else {
-				e.AfterFunc(delay(), kick, nil, nil, v)
+				after(delay(), kick, v)
 			}
 		}
 	}
 
 	for u := range units {
-		e.AfterFunc(delay(), kick, nil, nil, u)
+		after(delay(), kick, u)
 	}
-	// Interleave bounded runs with single steps so that execution resumes
-	// from the position Run leaves as well. The driver draws from its own
-	// stream: the two variants execute different numbers of events.
+	// Interleave bounded runs with single steps and idle skips so that
+	// execution resumes from the position each of them leaves. The driver
+	// draws from its own stream: the eager and lazy variants execute
+	// different numbers of events.
+	e.StartJournal()
 	drv := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for e.Pending() > 0 {
-		if drv.Intn(2) == 0 {
+		switch drv.Intn(5) {
+		case 0, 1:
 			e.Run(e.now.Add(Duration(drv.Intn(3))))
-		} else {
+		case 2:
+			if at, ok := e.NextAt(); ok && at > e.now {
+				e.SkipTo(at - 1)
+			}
+		default:
 			e.Step()
 		}
+		at, ok := e.NextAt()
+		out.probes = append(out.probes, fmt.Sprintf("pending %d next %d %v", e.Pending(), at, ok))
+		if drv.Intn(16) == 0 {
+			out.probes = append(out.probes, fmt.Sprint(e.CaptureState().Pending))
+		}
 	}
-	return trace, e.seq, e.nEvent
+	out.journal = e.TakeJournal()
+	out.seq, out.events = e.seq, e.nEvent
+	return out
 }
 
 // TestReservedSeqEquivalence is the property behind lazy completions: a
@@ -133,8 +193,10 @@ func TestReservedSeqEquivalence(t *testing.T) {
 	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
 		saved := false
 		for seed := int64(1); seed <= 40; seed++ {
-			want, wantSeq, wantEv := runReservedProgram(q, false, seed)
-			got, gotSeq, gotEv := runReservedProgram(q, true, seed)
+			eager := runReservedProgram(q, false, false, seed)
+			lazy := runReservedProgram(q, true, false, seed)
+			want, wantSeq, wantEv := eager.trace, eager.seq, eager.events
+			got, gotSeq, gotEv := lazy.trace, lazy.seq, lazy.events
 			if len(want) < 1000 {
 				t.Fatalf("%v seed %d: program too short to mean anything (%d steps)", q, seed, len(want))
 			}

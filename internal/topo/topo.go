@@ -189,9 +189,19 @@ func (t *Topology) validateRoutes(sw *Switch) error {
 // In the regular topologies built here all equal-cost paths have identical
 // latency, so the representative path is exact for latency math.
 func (t *Topology) Path(src, dst int) []Port {
-	path := []Port{t.hostUplink(src)}
+	var path []Port
+	t.walk(src, dst, func(l Port) { path = append(path, l) })
+	return path
+}
+
+// walk calls visit on each link of the representative path from src to
+// dst, in order. The latency math below runs on it directly: protocols ask
+// for delays per host at start-up and per completed flow, and need no
+// slice of the route.
+func (t *Topology) walk(src, dst int, visit func(Port)) {
+	visit(t.hostUplink(src))
 	if src == dst {
-		return path
+		return
 	}
 	sw := t.Switches[t.HostSwitch[src]]
 	for hops := 0; ; hops++ {
@@ -203,9 +213,9 @@ func (t *Topology) Path(src, dst int) []Port {
 			pi = cands[0]
 		}
 		p := sw.Ports[pi]
-		path = append(path, p)
+		visit(p)
 		if p.ToHost {
-			return path
+			return
 		}
 		sw = t.Switches[p.Peer]
 	}
@@ -222,15 +232,24 @@ func (t *Topology) hostUplink(host int) Port {
 // wire size from src to dst: host stack latency at both ends, plus per-link
 // serialization and propagation, plus switch processing at each switch.
 func (t *Topology) OneWayDelay(src, dst int, size int) sim.Duration {
-	path := t.Path(src, dst)
-	d := 2 * t.HostDelay // sender stack + receiver stack
-	for i, l := range path {
-		d += sim.TransmissionTime(size, l.Rate) + l.Delay
-		if i < len(path)-1 {
-			d += t.SwitchDelay // a switch sits between consecutive links
-		}
-	}
+	d, _ := t.pathLatency(src, dst, size)
 	return d
+}
+
+// pathLatency is OneWayDelay plus the slowest link rate on the path, from
+// one walk of the route.
+func (t *Topology) pathLatency(src, dst int, size int) (sim.Duration, float64) {
+	// Sender stack + receiver stack; a switch sits between consecutive
+	// links, so every link but the last is followed by one.
+	d := 2*t.HostDelay - t.SwitchDelay
+	slowest := t.HostRate
+	t.walk(src, dst, func(l Port) {
+		d += sim.TransmissionTime(size, l.Rate) + l.Delay + t.SwitchDelay
+		if l.Rate < slowest {
+			slowest = l.Rate
+		}
+	})
+	return d, slowest
 }
 
 // maxDistancePair returns a pair of hosts at maximum topological distance
@@ -279,13 +298,7 @@ func (t *Topology) UnloadedFCT(src, dst int, size int64) sim.Duration {
 	// First packet pipelines through every hop; the rest drain behind it at
 	// the bottleneck (access) rate. All topologies here have core links at
 	// least as fast as access links, so the access link is the bottleneck.
-	d := t.OneWayDelay(src, dst, first)
-	bottleneck := t.HostRate
-	for _, l := range t.Path(src, dst) {
-		if l.Rate < bottleneck {
-			bottleneck = l.Rate
-		}
-	}
+	d, bottleneck := t.pathLatency(src, dst, first)
 	for i := 1; i < n; i++ {
 		d += sim.TransmissionTime(packet.DataPacketSize(size, i), bottleneck)
 	}

@@ -316,3 +316,50 @@ func TestPathSameHost(t *testing.T) {
 		t.Fatalf("self path length = %d, want 1", len(p))
 	}
 }
+
+// TestLatencyMathWalksInPlace: OneWayDelay and UnloadedFCT equal the sums
+// over the materialized Path — protocols call them per host at start-up
+// and per completed flow — and allocate nothing.
+func TestLatencyMathWalksInPlace(t *testing.T) {
+	for _, tp := range []*Topology{
+		DefaultLeafSpine().Build(), OversubscribedLeafSpine().Build(), DefaultFatTree().Build(),
+	} {
+		n := tp.NumHosts
+		for _, pair := range [][2]int{{0, 0}, {0, 1}, {0, n / 2}, {n - 1, 0}, {n / 3, n - 2}} {
+			src, dst := pair[0], pair[1]
+			path := tp.Path(src, dst)
+			for _, size := range []int{packet.HeaderSize, 777, packet.MTU} {
+				want := 2 * tp.HostDelay
+				for i, l := range path {
+					want += sim.TransmissionTime(size, l.Rate) + l.Delay
+					if i < len(path)-1 {
+						want += tp.SwitchDelay
+					}
+				}
+				if got := tp.OneWayDelay(src, dst, size); got != want {
+					t.Errorf("%s: OneWayDelay(%d, %d, %d) = %v, want %v", tp.Name, src, dst, size, got, want)
+				}
+			}
+			for _, size := range []int64{1, 1460, 30_000, 1 << 20} {
+				bottleneck := tp.HostRate
+				for _, l := range path {
+					bottleneck = math.Min(bottleneck, l.Rate)
+				}
+				want := tp.OneWayDelay(src, dst, packet.DataPacketSize(size, 0))
+				for i := 1; i < packet.PacketsForBytes(size); i++ {
+					want += sim.TransmissionTime(packet.DataPacketSize(size, i), bottleneck)
+				}
+				if got := tp.UnloadedFCT(src, dst, size); got != want {
+					t.Errorf("%s: UnloadedFCT(%d, %d, %d) = %v, want %v", tp.Name, src, dst, size, got, want)
+				}
+			}
+		}
+		var sink sim.Duration
+		if a := testing.AllocsPerRun(100, func() {
+			sink += tp.OneWayDelay(0, n-1, packet.MTU) + tp.UnloadedFCT(n-1, 0, 30_000)
+		}); a != 0 {
+			t.Errorf("%s: latency math allocates %.0f objects per call pair", tp.Name, a)
+		}
+		_ = sink
+	}
+}
