@@ -44,13 +44,11 @@ func main() {
 		hosts      = flag.Int("hosts", 0, "topology size override (0 = paper size)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations in sweeps (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 		shards     = flag.Int("shards", 0, "split each fabric into this many barrier-synchronized shards (0/1 = serial); output is identical at any setting")
-		procs      = flag.Int("procs", 0, "pin the scale campaign's GOMAXPROCS axis to this value (0 = sweep 1 and min(8, NumCPU)); output is identical at any setting")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsDir = flag.String("metrics", "", "write per-run telemetry (CSV time series + JSON report) into this directory")
 		benchjson  = flag.String("benchjson", "", "run the substrate benchmark suite and write BENCH_<name>.json files into this directory, then exit")
 		benchcheck = flag.String("benchcheck", "", "re-run the substrate benchmarks against the baseline BENCH_*.json files in this directory and exit nonzero on a >10% ns/op regression")
-		queue      = flag.String("queue", "auto", "engine event-queue discipline: auto, heap, or ladder; output is identical under any setting")
 		matchers   = flag.String("matchers", "", "restrict the matchers experiment to these comma-separated registered matchers (empty = all)")
 		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot instrumented runs every this much simulated time (e.g. 100us); pair with -checkpoint-dir to keep the files")
 		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory")
@@ -58,19 +56,6 @@ func main() {
 		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
 	)
 	flag.Parse()
-
-	var qd sim.QueueDiscipline
-	switch *queue {
-	case "", "auto":
-		qd = sim.QueueAuto
-	case "heap":
-		qd = sim.QueueHeap
-	case "ladder":
-		qd = sim.QueueLadder
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -queue %q (want auto, heap, or ladder)\n", *queue)
-		os.Exit(2)
-	}
 
 	if *benchjson != "" {
 		if err := experiments.WriteBenchJSON(*benchjson, os.Stdout); err != nil {
@@ -127,7 +112,7 @@ func main() {
 
 	opts := experiments.Options{
 		Seed: *seed, Scale: *scale, Hosts: *hosts, Workers: *parallel,
-		Shards: *shards, Procs: *procs, MetricsDir: *metricsDir, Queue: qd, Matchers: *matchers,
+		Shards: *shards, MetricsDir: *metricsDir, Matchers: *matchers,
 		// Simulated time is picoseconds; time.Duration is nanoseconds.
 		CheckpointEvery: sim.Duration(ckptEvery.Nanoseconds()) * 1000,
 		CheckpointDir:   *ckptDir,

@@ -6,10 +6,10 @@ import (
 )
 
 // atomicfield enforces exclusive sync/atomic discipline on fields the
-// package manages atomically (DESIGN.md §16–17). The hybrid barrier
-// (internal/sim/barrier.go) and the sharded fabric counters stay correct
-// under -race only because every access to their coordination fields goes
-// through sync/atomic; one plain `s.parked = 0` compiles fine, passes
+// package manages atomically (DESIGN.md §17). The instruments every shard
+// of a run adds to (metrics.Counter, metrics.Gauge) and the sharded fabric
+// counters stay correct under -race only because every access to them goes
+// through sync/atomic; one plain `c.v = 0` compiles fine, passes
 // single-shard tests, and races only under load.
 //
 // Two flavors of atomic field, two detection paths:

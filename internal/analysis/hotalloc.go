@@ -8,8 +8,8 @@ import (
 )
 
 // hotalloc enforces the zero-allocation contract on hot paths (DESIGN.md
-// §17). The 0-alloc benchmarks (BenchmarkOnPacket, the ladder ops, barrier
-// epochs) already gate allocations at the root function, but a benchmark
+// §17). The 0-alloc benchmarks (BenchmarkOnPacket, the engine hold model,
+// barrier epochs) already gate allocations at the root function, but a benchmark
 // only measures the call tree it happens to exercise; a new allocation in
 // a rarely-taken branch, or in a helper three calls down, slips through
 // until a perf regression shows up as a digest-preserving slowdown.
@@ -18,8 +18,8 @@ import (
 // contain no allocation sites.
 //
 // Per package, Run exports an AllocProfileFact for every function: whether
-// it is marked hot (//lint:hotpath) or cold (//lint:coldpath — e.g. the
-// ladder's grow path, amortized and deliberately allocating), its
+// it is marked hot (//lint:hotpath) or cold (//lint:coldpath — e.g. a
+// lane ring's grow path, amortized and deliberately allocating), its
 // syntactic allocation sites, and its static in-module callees. Finish
 // walks the call graph from every hot root, stops at cold nodes, and
 // reports each reachable allocation once.

@@ -106,18 +106,19 @@ func TestInjectedCkptViolation(t *testing.T) {
 		"field dcpim/internal/core.Proto.epoch is reachable from the capture path")
 }
 
-// TestInjectedAtomicViolation adds one plain read of a hybrid-barrier
-// atomic field: atomicfield must flag it.
+// TestInjectedAtomicViolation adds one plain read of a typed atomic that
+// every shard of a run adds to — a metrics counter's value: atomicfield
+// must flag it.
 func TestInjectedAtomicViolation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks the sim package")
+		t.Skip("loads and type-checks the metrics package")
 	}
 	dir := copyRepo(t)
-	inject(t, dir, "internal/sim/barrier.go",
-		"// joinBarrier is",
-		"func (s *workerSlot) injectedPeek() uint64 {\n\tc := s.cmd\n\treturn c.Load()\n}\n\n// joinBarrier is")
-	requireFinding(t, dir, "./internal/sim", "atomicfield",
-		"field cmd has atomic type sync/atomic.Uint64")
+	inject(t, dir, "internal/metrics/metrics.go",
+		"// Inc adds one.",
+		"func (c *Counter) injectedPeek() int64 {\n\tv := c.v\n\treturn v.Load()\n}\n\n// Inc adds one.")
+	requireFinding(t, dir, "./internal/metrics", "atomicfield",
+		"field v has atomic type sync/atomic.Int64")
 }
 
 // TestInjectedHotAllocViolation adds one append to the body of the

@@ -31,7 +31,7 @@ const Magic = "DCPIMCK1"
 // section contains or how it is encoded MUST bump this — Read rejects
 // mismatched versions with a VersionError rather than misinterpreting
 // bytes. Versioning rules are spelled out in DESIGN.md §14.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // Meta identifies what a snapshot is of: the format version, the run's
 // identity (protocol, seed, topology and spec hashes, execution shape)
@@ -44,7 +44,6 @@ type Meta struct {
 	Seed      int64
 	Hosts     int    // topology host count
 	Shards    int    // resolved shard count (≥ 1)
-	Queue     string // resolved queue discipline ("heap" / "ladder")
 	TopoHash  uint64 // fingerprint of the topology shape
 	SpecHash  uint64 // fingerprint of the full run spec (trace, faults, horizon)
 	HorizonPs int64  // run horizon, picoseconds
@@ -190,7 +189,6 @@ func (s *Snapshot) Checkpoint(w io.Writer) error {
 	e.I64(s.Meta.Seed)
 	e.I64(int64(s.Meta.Hosts))
 	e.I64(int64(s.Meta.Shards))
-	e.String(s.Meta.Queue)
 	e.U64(s.Meta.TopoHash)
 	e.U64(s.Meta.SpecHash)
 	e.I64(s.Meta.HorizonPs)
@@ -251,7 +249,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	s.Meta.Seed = d.I64()
 	s.Meta.Hosts = int(d.I64())
 	s.Meta.Shards = int(d.I64())
-	s.Meta.Queue = d.String()
 	s.Meta.TopoHash = d.U64()
 	s.Meta.SpecHash = d.U64()
 	s.Meta.HorizonPs = d.I64()

@@ -10,7 +10,7 @@ import (
 func sampleSnapshot() *Snapshot {
 	s := &Snapshot{Meta: Meta{
 		Version: Version, Label: "fig3a-dcpim-load0.500", Protocol: "dcpim",
-		Seed: 99, Hosts: 16, Shards: 4, Queue: "ladder",
+		Seed: 99, Hosts: 16, Shards: 4,
 		TopoHash: 0xdeadbeefcafe, SpecHash: 0x1234567890ab,
 		HorizonPs: 2_000_000_000, TimePs: 1_000_000_000, Index: 3, EveryPs: 250_000_000,
 	}}
@@ -94,15 +94,19 @@ func TestReadErrorTaxonomy(t *testing.T) {
 		}
 	})
 	t.Run("version mismatch", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		b[len(Magic)] = 99 // version byte
-		// Re-seal so the version check (not the checksum) fires: a future
-		// writer produces a valid checksum over a newer version.
-		reseal(b)
-		var ve *VersionError
-		_, err := Read(bytes.NewReader(b))
-		if !errors.As(err, &ve) || ve.Got != 99 || ve.Want != Version {
-			t.Fatalf("got %v, want *VersionError{99,%d}", err, Version)
+		// A future writer's file, and one from before Meta lost its queue
+		// field (format 2), both get the typed answer.
+		for _, v := range []byte{99, 2} {
+			b := append([]byte(nil), good...)
+			b[len(Magic)] = v // version byte
+			// Re-seal so the version check (not the checksum) fires: the
+			// other writer produced a valid checksum over its own version.
+			reseal(b)
+			var ve *VersionError
+			_, err := Read(bytes.NewReader(b))
+			if !errors.As(err, &ve) || ve.Got != uint32(v) || ve.Want != Version {
+				t.Fatalf("got %v, want *VersionError{%d,%d}", err, v, Version)
+			}
 		}
 	})
 	t.Run("flipped payload byte", func(t *testing.T) {
@@ -130,7 +134,7 @@ func TestReadErrorTaxonomy(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			e.String("")
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 9; i++ {
 			e.I64(0)
 		}
 		_ = s

@@ -32,7 +32,7 @@ func RunAblation(o Options, w io.Writer) error {
 		c := cfg
 		return RunSpec{
 			Protocol: DCPIM, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 61, Shards: o.Shards, Queue: o.Queue, DcPIM: &c,
+			Horizon: horizon + horizon/2, Seed: o.Seed + 61, Shards: o.Shards, DcPIM: &c,
 		}
 	}
 	summarize := func(res RunResult) (short, medium, all stats.Summary) {

@@ -36,9 +36,9 @@ type BenchResult struct {
 // SubstrateBenches returns the perf-trajectory suite: raw fabric
 // forwarding, a full dcPIM run, the sharded FatTree run at 1, 2 and
 // 4 shards (same seed and trace — the shardsN results measure scaling of
-// one identical simulation), and the engine hold-model head-to-head of
-// both queue disciplines at the measured event densities of the 128-,
-// 1024- and 4096-host campaigns.
+// one identical simulation), the engine hold model at six queued events
+// per host for 128, 1024 and 4096 hosts and at 10⁶ with a far-future
+// tail, and the epoch barrier with one and with four busy shards.
 func SubstrateBenches() []Bench {
 	benches := []Bench{
 		{"FabricForwarding", benchForwarding},
@@ -51,33 +51,31 @@ func SubstrateBenches() []Bench {
 			Fn:   func(b *testing.B) { benchFatTreeSharded(b, shards) },
 		})
 	}
-	for _, hosts := range []int{128, 1024, 4096} {
-		for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-			hosts, q := hosts, q
-			benches = append(benches, Bench{
-				Name: fmt.Sprintf("EngineHold_%s_%dh", q, hosts),
-				Fn:   func(b *testing.B) { benchEngineHold(b, q, expectedPending(hosts, 1)) },
-			})
-		}
-	}
-	for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-		q := q
+	for _, hold := range []struct {
+		name    string
+		pending int
+		farTail bool
+	}{
+		{"EngineHold_128h", 768, false},
+		{"EngineHold_1024h", 6144, false},
+		{"EngineHold_4096h", 24576, false},
+		{"EngineHoldDeep_1M", 1_000_000, true},
+	} {
+		hold := hold
 		benches = append(benches, Bench{
-			Name: fmt.Sprintf("EngineHoldDeep_%s_1M", q),
-			Fn:   func(b *testing.B) { benchEngineHoldDeep(b, q, 1_000_000) },
+			Name: hold.name,
+			Fn:   func(b *testing.B) { benchEngineHold(b, hold.pending, hold.farTail) },
 		})
 	}
-	for _, mode := range []sim.BarrierMode{sim.BarrierChannel, sim.BarrierHybrid} {
-		for _, busy := range []struct {
-			name string
-			n    int
-		}{{"solo", 1}, {"all4", 4}} {
-			mode, busy := mode, busy
-			benches = append(benches, Bench{
-				Name: fmt.Sprintf("GroupEpoch_%s_%s", mode, busy.name),
-				Fn:   func(b *testing.B) { benchGroupEpoch(b, mode, busy.n) },
-			})
-		}
+	for _, busy := range []struct {
+		name string
+		n    int
+	}{{"solo", 1}, {"all4", 4}} {
+		busy := busy
+		benches = append(benches, Bench{
+			Name: "GroupEpoch_" + busy.name,
+			Fn:   func(b *testing.B) { benchGroupEpoch(b, busy.n) },
+		})
 	}
 	return benches
 }
@@ -228,45 +226,17 @@ func benchEndToEnd(b *testing.B) {
 // schedules one replacement. The delay mix mirrors dcPIM's event stream
 // — dominated by sub-µs per-packet serialization and control timers,
 // with a tail of epoch-scale (tens of µs) matching and retransmission
-// timers — which is what separates a calendar queue (O(1) near the
-// cursor) from a heap (log n everywhere). One op = one Step.
-func benchEngineHold(b *testing.B, q sim.QueueDiscipline, pending int) {
+// timers — so most pushes land near the front of the heap. farTail adds
+// a 1-in-64 far-future tail (up to 80 ms): with 10⁶ pending it puts the
+// 4-ary heap ten levels deep, far beyond anything a fabric run queues.
+// One op = one Step.
+func benchEngineHold(b *testing.B, pending int, farTail bool) {
 	b.ReportAllocs()
-	eng := sim.NewEngineQueue(int64(pending), q)
-	rng := eng.Rand()
-	delay := func() sim.Duration {
-		if rng.Intn(16) == 0 {
-			return sim.Duration(1 + rng.Int63n(int64(40*sim.Microsecond)))
-		}
-		return sim.Duration(1 + rng.Int63n(int64(800*sim.Nanosecond)))
-	}
-	var hold func()
-	hold = func() { eng.After(delay(), hold) }
-	for i := 0; i < pending; i++ {
-		eng.After(delay(), hold)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !eng.Step() {
-			b.Fatal("hold population drained")
-		}
-	}
-}
-
-// benchEngineHoldDeep is the hold model at hyperscale population — 10⁶
-// live events — with a delay mix that adds a 1-in-64 far-future tail
-// (up to 80 ms) on top of the dcPIM-shaped mix. The population puts the
-// heap ~20 comparisons deep per op, and the far tail lands beyond the
-// ladder's spawn range, exercising its hierarchical upper rungs (the
-// tier that replaced the O(n) overflow re-bucketing); near-cursor pops
-// stay O(1). One op = one Step.
-func benchEngineHoldDeep(b *testing.B, q sim.QueueDiscipline, pending int) {
-	b.ReportAllocs()
-	eng := sim.NewEngineQueue(int64(pending), q)
+	eng := sim.NewEngine(int64(pending))
 	rng := eng.Rand()
 	delay := func() sim.Duration {
 		switch {
-		case rng.Intn(64) == 0:
+		case farTail && rng.Intn(64) == 0:
 			return sim.Duration(1 + rng.Int63n(int64(80*sim.Millisecond)))
 		case rng.Intn(16) == 0:
 			return sim.Duration(1 + rng.Int63n(int64(40*sim.Microsecond)))
@@ -289,17 +259,16 @@ func benchEngineHoldDeep(b *testing.B, q sim.QueueDiscipline, pending int) {
 
 // benchGroupEpoch measures raw epoch-barrier overhead: a 4-engine group
 // where `busy` engines each execute exactly one event per epoch (the
-// rest idle-skip). One op = one RunEpoch. busy=1 is the solo window the
-// hybrid barrier inlines on the coordinator (zero crossings); busy=4 is
-// a full crossing, the channel barrier's worst case of two wakeups per
-// worker per epoch.
-func benchGroupEpoch(b *testing.B, mode sim.BarrierMode, busy int) {
+// rest idle-skip). One op = one RunEpoch. busy=1 is the window in which
+// only the coordinator's shard has work (no crossing); busy=4 sends to
+// and joins three workers.
+func benchGroupEpoch(b *testing.B, busy int) {
 	b.ReportAllocs()
 	engines := make([]*sim.Engine, 4)
 	for i := range engines {
 		engines[i] = sim.NewEngine(int64(i + 1))
 	}
-	g := sim.NewGroupMode(engines, mode)
+	g := sim.NewGroup(engines)
 	defer g.Close()
 	const step = sim.Microsecond
 	for i := 0; i < busy; i++ {

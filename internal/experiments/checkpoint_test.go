@@ -43,50 +43,47 @@ func assertRunsEqual(t *testing.T, what string, want, got RunResult) {
 // checkpoint at a randomized mid-run cadence, resume from a randomized
 // snapshot, and require every observable — digest, records, counters,
 // CSV/JSON, and all post-resume snapshots — byte-identical to the
-// uninterrupted run, across shard counts and queue disciplines, with
-// and without a fault schedule. The checkpointed run itself must also
-// match a plain (never-checkpointed) run, proving capture is pure.
+// uninterrupted run, across shard counts, with and without a fault
+// schedule. The checkpointed run itself must also match a plain
+// (never-checkpointed) run, proving capture is pure.
 func TestResumeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for _, withFaults := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
-			for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-				every := sim.Duration(int64(2*sim.Millisecond) / int64(3+rng.Intn(4)))
-				pick := rng.Int63()
-				t.Run(fmt.Sprintf("faults=%v/shards=%d/%s", withFaults, shards, q), func(t *testing.T) {
-					prep := func(withCk bool) RunSpec {
-						spec := goldenSpec(t, DCPIM, withFaults)
-						spec.Shards = shards
-						spec.Queue = q
-						spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
-						if withCk {
-							spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
-						}
-						return spec
+			every := sim.Duration(int64(2*sim.Millisecond) / int64(3+rng.Intn(4)))
+			pick := rng.Int63()
+			t.Run(fmt.Sprintf("faults=%v/shards=%d/heap", withFaults, shards), func(t *testing.T) {
+				prep := func(withCk bool) RunSpec {
+					spec := goldenSpec(t, DCPIM, withFaults)
+					spec.Shards = shards
+					spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
+					if withCk {
+						spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
 					}
-					plain := Run(prep(false))
-					ckRes, snaps := RunCheckpointed(prep(true))
-					assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
-					if len(snaps) == 0 {
-						t.Fatalf("no snapshots at cadence %v", every)
+					return spec
+				}
+				plain := Run(prep(false))
+				ckRes, snaps := RunCheckpointed(prep(true))
+				assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
+				if len(snaps) == 0 {
+					t.Fatalf("no snapshots at cadence %v", every)
+				}
+				k := int(pick % int64(len(snaps)))
+				resRes, post, err := Resume(prep(true), snaps[k])
+				if err != nil {
+					t.Fatalf("resume from snapshot %d (t=%v): %v", k, sim.Time(snaps[k].Meta.TimePs), err)
+				}
+				assertRunsEqual(t, fmt.Sprintf("resumed-from-%d vs plain", k), plain, resRes)
+				want := snaps[k+1:]
+				if len(post) != len(want) {
+					t.Fatalf("resume took %d post-resume snapshots, uninterrupted took %d", len(post), len(want))
+				}
+				for i := range post {
+					if err := checkpoint.Compare(want[i], post[i]); err != nil {
+						t.Errorf("post-resume snapshot %d: %v", want[i].Meta.Index, err)
 					}
-					k := int(pick % int64(len(snaps)))
-					resRes, post, err := Resume(prep(true), snaps[k])
-					if err != nil {
-						t.Fatalf("resume from snapshot %d (t=%v): %v", k, sim.Time(snaps[k].Meta.TimePs), err)
-					}
-					assertRunsEqual(t, fmt.Sprintf("resumed-from-%d vs plain", k), plain, resRes)
-					want := snaps[k+1:]
-					if len(post) != len(want) {
-						t.Fatalf("resume took %d post-resume snapshots, uninterrupted took %d", len(post), len(want))
-					}
-					for i := range post {
-						if err := checkpoint.Compare(want[i], post[i]); err != nil {
-							t.Errorf("post-resume snapshot %d: %v", want[i].Meta.Index, err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -177,7 +174,7 @@ func TestBisectNoDivergence(t *testing.T) {
 // fixtureSpec pins the golden snapshot fixture's run: the canonical
 // ckpt-experiment spec at committed parameters (16-host FatTree).
 func fixtureSpec() RunSpec {
-	return ckptSpec(7, 16, 200*sim.Microsecond, 50*sim.Microsecond, 0, sim.QueueHeap, "")
+	return ckptSpec(7, 16, 200*sim.Microsecond, 50*sim.Microsecond, 0, "")
 }
 
 const fixturePath = "testdata/ckpt-fattree16.dcpimck"
@@ -244,7 +241,7 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 	})
 
 	t.Run("topology-mismatch", func(t *testing.T) {
-		spec := ckptSpec(7, 128, 200*sim.Microsecond, 50*sim.Microsecond, 0, sim.QueueHeap, "")
+		spec := ckptSpec(7, 128, 200*sim.Microsecond, 50*sim.Microsecond, 0, "")
 		_, _, err := Resume(spec, snap)
 		var ce *checkpoint.CompatError
 		if !errors.As(err, &ce) {
@@ -268,7 +265,7 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 // reconstruct the exact spec it came from (the property -resume relies
 // on), proven by the spec-hash gate inside Resume accepting it.
 func TestCkptSpecFromMetaRoundTrip(t *testing.T) {
-	spec := ckptSpec(11, 16, 120*sim.Microsecond, 40*sim.Microsecond, 0, sim.QueueLadder, "")
+	spec := ckptSpec(11, 16, 120*sim.Microsecond, 40*sim.Microsecond, 0, "")
 	_, snaps := RunCheckpointed(spec)
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots")

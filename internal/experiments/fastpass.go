@@ -26,7 +26,7 @@ func RunFastpass(o Options, w io.Writer) error {
 		}.Generate()
 		res := Run(RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 51, Shards: o.Shards, Queue: o.Queue,
+			Horizon: horizon + horizon/2, Seed: o.Seed + 51, Shards: o.Shards,
 		})
 		short := stats.Summarize(res.Records, func(r stats.FlowRecord) bool {
 			return r.Size <= tp.BDP()

@@ -25,7 +25,7 @@ func faultSpec(o Options, proto string, level int, horizon sim.Duration) RunSpec
 		Protocol: proto, Topo: tp, Trace: tr,
 		// Faulted runs need more drain than clean sweeps: recovery
 		// timers only fire after links return.
-		Horizon: horizon * 3, Seed: o.Seed + 77, Shards: o.Shards, Queue: o.Queue,
+		Horizon: horizon * 3, Seed: o.Seed + 77, Shards: o.Shards,
 	}
 	if level > 0 {
 		spec.Faults = faults.Generate(faults.Intensity(level, o.Seed+int64(level)*1000, horizon), tp)

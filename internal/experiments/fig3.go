@@ -20,7 +20,7 @@ func loadSpec(o Options, proto string, dist workload.SizeDist, load float64, hor
 	}.Generate()
 	return RunSpec{
 		Protocol: proto, Topo: tp, Trace: tr,
-		Horizon: horizon + horizon/2, Seed: o.Seed + 77, Shards: o.Shards, Queue: o.Queue,
+		Horizon: horizon + horizon/2, Seed: o.Seed + 77, Shards: o.Shards,
 	}
 }
 

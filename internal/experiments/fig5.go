@@ -33,7 +33,7 @@ func RunFig5ab(o Options, w io.Writer) error {
 			}.Generate()
 			specs = append(specs, RunSpec{
 				Protocol: proto, Topo: tp, Trace: tr,
-				Horizon: horizon + horizon/2, Seed: o.Seed + 13, Shards: o.Shards, Queue: o.Queue,
+				Horizon: horizon + horizon/2, Seed: o.Seed + 13, Shards: o.Shards,
 			})
 		}
 	}
@@ -80,7 +80,7 @@ func RunFig5cd(o Options, w io.Writer) error {
 			}.Generate()
 			specs = append(specs, RunSpec{
 				Protocol: proto, Topo: tp, Trace: tr,
-				Horizon: horizon + horizon/2, Seed: o.Seed + 21, Shards: o.Shards, Queue: o.Queue,
+				Horizon: horizon + horizon/2, Seed: o.Seed + 21, Shards: o.Shards,
 			})
 		}
 	}

@@ -35,7 +35,7 @@ func RunFig7(o Options, w io.Writer) error {
 		}.Generate()
 		res := Run(RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 41, Shards: o.Shards, Queue: o.Queue,
+			Horizon: horizon + horizon/2, Seed: o.Seed + 41, Shards: o.Shards,
 			BinWidth: 100 * sim.Microsecond,
 		})
 		bs := stats.BucketSlowdowns(res.Records, buckets)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/sim"
@@ -20,8 +21,7 @@ type ScaleResult struct {
 	Hosts        int     `json:"hosts"`
 	Load         float64 `json:"load"`
 	Shards       int     `json:"shards"`
-	Procs        int     `json:"procs"` // GOMAXPROCS the cell ran under
-	Queue        string  `json:"queue"`
+	Procs        int     `json:"procs"` // GOMAXPROCS the cell ran under (the process's; information, not an axis)
 	WallMS       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -45,28 +45,38 @@ func scaleHorizon(o Options, hosts int) sim.Duration {
 	return o.scaled(h)
 }
 
-// procsFor resolves the campaign's GOMAXPROCS axis: the pinned -procs
-// value, or {1, min(8, NumCPU)} — the serial baseline plus the widest
-// point the acceptance grid asks for that the machine can provide.
-func procsFor(o Options) []int {
-	if o.Procs != 0 {
-		return []int{o.Procs}
+// ScaleMachine stamps BENCH_scale.json with the box it was measured on:
+// a speedup figure means nothing without the core count beside it.
+type ScaleMachine struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPU        string `json:"cpu"` // /proc/cpuinfo model name; empty where there is none
+	Go         string `json:"go"`
+}
+
+// ScaleReport is the BENCH_scale.json document.
+type ScaleReport struct {
+	Machine ScaleMachine  `json:"machine"`
+	Rows    []ScaleResult `json:"rows"`
+}
+
+func scaleMachine() ScaleMachine {
+	m := ScaleMachine{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Go: runtime.Version()}
+	buf, _ := os.ReadFile("/proc/cpuinfo")
+	for _, line := range strings.Split(string(buf), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			m.CPU = strings.TrimSpace(v)
+			break
+		}
 	}
-	top := runtime.NumCPU()
-	if top > 8 {
-		top = 8
-	}
-	if top <= 1 {
-		return []int{1}
-	}
-	return []int{1, top}
+	return m
 }
 
 // scaleCellLabel names one campaign cell's snapshot files. Every axis
 // that changes the run (or its snapshot metadata) is in the name, so a
 // resumed cell can only ever pick up its own snapshots.
-func scaleCellLabel(hosts int, load float64, shards, procs int, q sim.QueueDiscipline) string {
-	return fmt.Sprintf("scale-h%d-l%02d-s%d-p%d-%s", hosts, int(load*100), shards, procs, q)
+func scaleCellLabel(hosts int, load float64, shards int) string {
+	return fmt.Sprintf("scale-h%d-l%02d-s%d", hosts, int(load*100), shards)
 }
 
 // latestSnapshot returns the highest-index snapshot of one cell label in
@@ -114,23 +124,21 @@ func runScaleCell(spec RunSpec, w io.Writer) (RunResult, bool) {
 	return Run(spec), false
 }
 
-// RunScale is the hyperscale campaign (DESIGN.md §13, §16): it sweeps
-// the FatTree over hosts × load × shard count × GOMAXPROCS × queue
-// discipline, reporting wall time, event throughput, barrier profile
-// (epochs dispatched vs idle-skipped), and the delivered-stream digest
-// for every cell. Within one (hosts, load) group the digest must be
-// identical across every shard count, processor count and both
-// disciplines — the run fails otherwise, making the campaign itself a
-// determinism check at scales the unit tests don't reach.
+// RunScale is the hyperscale campaign (DESIGN.md §13.2): it sweeps the
+// FatTree over hosts × load × shard count, reporting wall time, event
+// throughput, barrier profile (epochs dispatched vs idle-skipped), and
+// the delivered-stream digest for every cell. Within one (hosts, load)
+// group the digest must be identical at every shard count — the run
+// fails otherwise, making the campaign itself a determinism check at
+// scales the unit tests don't reach.
 //
-// Flags narrow the sweep: -hosts, -shards and -procs pin those axes, and
-// quick passes (-scale < 1) keep only the low-load point. CI runs two
-// smoke legs: 1024 hosts serially and 8192 hosts at 8 shards with
-// -procs 4 — the multi-core figures a single-core dev box cannot
-// produce. With -metrics DIR set, the machine-readable rows land in
-// DIR/BENCH_scale.json; with -checkpoint/-checkpoint-dir set each cell
-// snapshots at the cadence and an interrupted campaign resumes cells
-// from their latest snapshots.
+// The campaign runs at the process's GOMAXPROCS (set it in the
+// environment) and stamps it into every row. Flags narrow the sweep:
+// -hosts and -shards pin those axes, and quick passes (-scale < 1) keep
+// only the low-load point. With -metrics DIR set, the machine-readable
+// rows land in DIR/BENCH_scale.json under a machine stamp; with
+// -checkpoint/-checkpoint-dir set each cell snapshots at the cadence and
+// an interrupted campaign resumes cells from their latest snapshots.
 func RunScale(o Options, w io.Writer) error {
 	hostSet := []int{128, 1024, 8192}
 	if o.Hosts != 0 {
@@ -153,17 +161,13 @@ func RunScale(o Options, w io.Writer) error {
 			return []int{1, 4, 8}
 		}
 	}
-	procsSet := procsFor(o)
-	queues := []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder}
-
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
+	machine := scaleMachine()
 
 	var rows []ScaleResult
-	fmt.Fprintf(w, "sweep pool: %d workers (GOMAXPROCS %d); procs axis %v\n",
-		o.EffectiveWorkers(), prevProcs, procsSet)
-	fmt.Fprintf(w, "%6s %5s %7s %6s %7s %10s %9s %12s %7s %8s  %s\n",
-		"hosts", "load", "shards", "procs", "queue", "wall_ms", "events", "events/s", "flows", "skipped", "digest")
+	fmt.Fprintf(w, "sweep pool: %d workers; GOMAXPROCS %d of %d CPUs (%s)\n",
+		o.EffectiveWorkers(), machine.GOMAXPROCS, machine.NumCPU, machine.CPU)
+	fmt.Fprintf(w, "%6s %5s %7s %10s %9s %12s %7s %8s  %s\n",
+		"hosts", "load", "shards", "wall_ms", "events", "events/s", "flows", "skipped", "digest")
 	for _, hosts := range hostSet {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
@@ -175,70 +179,64 @@ func RunScale(o Options, w io.Writer) error {
 			var groupDigest uint64
 			haveDigest := false
 			for _, shards := range shardsFor(hosts) {
-				for _, q := range queues {
-					for _, procs := range procsSet {
-						runtime.GOMAXPROCS(procs)
-						spec := RunSpec{
-							Protocol: DCPIM, Topo: tp, Trace: tr,
-							Horizon: horizon + horizon/2, Seed: o.Seed + 7,
-							Shards: shards, Queue: q, Digest: true,
-						}
-						if o.CheckpointEvery > 0 {
-							spec.Checkpoint = &CheckpointSpec{
-								Every: o.CheckpointEvery, Dir: o.CheckpointDir,
-								Label: scaleCellLabel(hosts, load, shards, procs, q), Journal: true,
-							}
-						}
-						elapsed := WallTimer()
-						res, resumed := runScaleCell(spec, w)
-						wall := elapsed()
-						runtime.GOMAXPROCS(prevProcs)
-						if !haveDigest {
-							groupDigest, haveDigest = res.Digest, true
-						} else if res.Digest != groupDigest {
-							return fmt.Errorf("scale: hosts=%d load=%.1f shards=%d procs=%d queue=%s digest %#016x diverges from group %#016x",
-								hosts, load, shards, procs, q, res.Digest, groupDigest)
-						}
-						var dispatched, skipped, epochs uint64
-						for _, s := range res.ShardStats {
-							dispatched += s.Dispatched
-							skipped += s.Skipped
-							if n := s.Dispatched + s.Skipped; n > epochs {
-								epochs = n
-							}
-						}
-						var skippedPct float64
-						if dispatched+skipped > 0 {
-							skippedPct = 100 * float64(skipped) / float64(dispatched+skipped)
-						}
-						row := ScaleResult{
-							Hosts: hosts, Load: load, Shards: shards, Procs: procs, Queue: q.String(),
-							WallMS:       float64(wall.Microseconds()) / 1000,
-							Events:       res.Events,
-							EventsPerSec: float64(res.Events) / wall.Seconds(),
-							Flows:        res.Started,
-							Completed:    res.Col.Completed(),
-							Epochs:       epochs,
-							SkippedPct:   skippedPct,
-							Resumed:      resumed,
-							Digest:       fmt.Sprintf("%#016x", res.Digest),
-						}
-						rows = append(rows, row)
-						mark := ""
-						if resumed {
-							mark = " (resumed)"
-						}
-						fmt.Fprintf(w, "%6d %5.1f %7d %6d %7s %10.1f %9d %12.0f %7d %7.1f%%  %s%s\n",
-							hosts, load, shards, procs, q, row.WallMS, row.Events,
-							row.EventsPerSec, row.Flows, row.SkippedPct, row.Digest, mark)
+				spec := RunSpec{
+					Protocol: DCPIM, Topo: tp, Trace: tr,
+					Horizon: horizon + horizon/2, Seed: o.Seed + 7,
+					Shards: shards, Digest: true,
+				}
+				if o.CheckpointEvery > 0 {
+					spec.Checkpoint = &CheckpointSpec{
+						Every: o.CheckpointEvery, Dir: o.CheckpointDir,
+						Label: scaleCellLabel(hosts, load, shards), Journal: true,
 					}
 				}
+				elapsed := WallTimer()
+				res, resumed := runScaleCell(spec, w)
+				wall := elapsed()
+				if !haveDigest {
+					groupDigest, haveDigest = res.Digest, true
+				} else if res.Digest != groupDigest {
+					return fmt.Errorf("scale: hosts=%d load=%.1f shards=%d digest %#016x diverges from group %#016x",
+						hosts, load, shards, res.Digest, groupDigest)
+				}
+				var dispatched, skipped, epochs uint64
+				for _, s := range res.ShardStats {
+					dispatched += s.Dispatched
+					skipped += s.Skipped
+					if n := s.Dispatched + s.Skipped; n > epochs {
+						epochs = n
+					}
+				}
+				var skippedPct float64
+				if dispatched+skipped > 0 {
+					skippedPct = 100 * float64(skipped) / float64(dispatched+skipped)
+				}
+				row := ScaleResult{
+					Hosts: hosts, Load: load, Shards: shards, Procs: machine.GOMAXPROCS,
+					WallMS:       float64(wall.Microseconds()) / 1000,
+					Events:       res.Events,
+					EventsPerSec: float64(res.Events) / wall.Seconds(),
+					Flows:        res.Started,
+					Completed:    res.Col.Completed(),
+					Epochs:       epochs,
+					SkippedPct:   skippedPct,
+					Resumed:      resumed,
+					Digest:       fmt.Sprintf("%#016x", res.Digest),
+				}
+				rows = append(rows, row)
+				mark := ""
+				if resumed {
+					mark = " (resumed)"
+				}
+				fmt.Fprintf(w, "%6d %5.1f %7d %10.1f %9d %12.0f %7d %7.1f%%  %s%s\n",
+					hosts, load, shards, row.WallMS, row.Events,
+					row.EventsPerSec, row.Flows, row.SkippedPct, row.Digest, mark)
 			}
 		}
 	}
 	printScaleSpeedups(w, rows)
 	if o.MetricsDir != "" {
-		buf, err := json.MarshalIndent(rows, "", "  ")
+		buf, err := json.MarshalIndent(ScaleReport{Machine: machine, Rows: rows}, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -253,9 +251,8 @@ func RunScale(o Options, w io.Writer) error {
 }
 
 // printScaleSpeedups condenses the campaign into the figure the grid is
-// for: per (hosts, load), best parallel events/sec over the serial
-// (shards=1, procs=1, heap) baseline. Groups without both a baseline and
-// a parallel cell (pinned axes) are skipped.
+// for: per (hosts, load), best sharded events/sec over the shards=1 row
+// of the same group. Groups without both (a pinned -shards) are skipped.
 func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 	type key struct {
 		hosts int
@@ -271,7 +268,7 @@ func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 			seen[k] = true
 			order = append(order, k)
 		}
-		if r.Shards == 1 && r.Procs == 1 && r.Queue == "heap" {
+		if r.Shards == 1 {
 			base[k] = r.EventsPerSec
 		}
 		if r.Shards > 1 && r.EventsPerSec > best[k].EventsPerSec {
@@ -286,10 +283,10 @@ func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 			continue
 		}
 		if !printed {
-			fmt.Fprintf(w, "speedup vs serial (shards=1, procs=1, heap):\n")
+			fmt.Fprintf(w, "speedup vs shards=1 of the same (hosts, load):\n")
 			printed = true
 		}
-		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d procs=%d %s (%.0f vs %.0f events/s)\n",
-			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.Procs, p.Queue, p.EventsPerSec, b)
+		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d (%.0f vs %.0f events/s)\n",
+			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.EventsPerSec, b)
 	}
 }

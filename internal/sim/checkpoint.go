@@ -31,7 +31,7 @@ type EventRecord struct {
 
 // EngineState is a complete logical snapshot of one engine: everything
 // that determines its future behavior, with physical layout (heap array
-// order, ladder bucket geometry, free lists) normalized away. Two engines
+// order, lane rings, free lists) normalized away. Two engines
 // with equal EngineStates execute identically from here on.
 type EngineState struct {
 	Now    Time
@@ -39,16 +39,15 @@ type EngineState struct {
 	Seq    uint64 // next band-0 sequence number
 	Events uint64 // events executed so far
 	Draws  uint64 // RNG draws consumed from the seeded source
-	Queue  QueueDiscipline
 	// Pending holds every queued event in execution order (sorted by
 	// (At, Seq)), both bands merged.
 	Pending []EventRecord
 }
 
 // CaptureState snapshots the engine. Pure reads: the queues are walked
-// without popping (the ladder's drain front is not advanced), so capture
-// at a barrier never perturbs the run — the property that lets periodic
-// checkpointing coexist with byte-identity goldens.
+// without popping, so capture at a barrier never perturbs the run — the
+// property that lets periodic checkpointing coexist with byte-identity
+// goldens.
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
 		Now:    e.now,
@@ -56,7 +55,6 @@ func (e *Engine) CaptureState() EngineState {
 		Seq:    e.seq,
 		Events: e.nEvent,
 		Draws:  e.src.Draws(),
-		Queue:  e.Queue(),
 	}
 	st.Pending = make([]EventRecord, 0, e.Pending())
 	add := func(evs []*event) {
@@ -70,14 +68,6 @@ func (e *Engine) CaptureState() EngineState {
 		for k := 0; k < l.n; k++ {
 			r := &l.buf[(l.head+k)&(len(l.buf)-1)]
 			st.Pending = append(st.Pending, EventRecord{At: r.at, Seq: r.seq})
-		}
-	}
-	if l := e.lad; l != nil {
-		add(l.active)
-		for _, s := range l.segs {
-			for b := s.cur; b < ladBuckets; b++ {
-				add(s.buckets[b])
-			}
 		}
 	}
 	sort.Slice(st.Pending, func(i, j int) bool {
@@ -115,11 +105,9 @@ type RebindFunc func(EventRecord) (func(), bool)
 // the state is validated and the replacement queues are built in scratch
 // storage first, and the engine is only mutated after every step has
 // succeeded — a failed restore leaves it exactly as it was (FuzzRestoreState
-// asserts this). The restored engine keeps its own queue discipline;
-// st.Queue records what the source used but does not constrain the target,
-// since both disciplines implement the identical total order. Lanes are
-// left empty: every restored record goes to a queue, which is legal for
-// the same reason.
+// asserts this). Lanes are left empty: every restored record goes to a
+// heap, which is legal because where an event is stored never affects the
+// (time, seq) order it runs in.
 func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	// Validate before touching anything.
 	var prev EventRecord
@@ -138,28 +126,18 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 
 	// Build scratch queues. Records arrive sorted by (At, Seq); a sorted
 	// array is already a valid min-heap, so band assignment is the only
-	// work for the heap discipline. Under the ladder every event is pushed
-	// into a fresh ladder, growing upper rungs as needed — drains refine
-	// them lazily, and pop order is a function of (at, seq) alone, not
-	// placement.
+	// work.
 	var q, qa []*event
-	var lad *ladder
-	if e.lad != nil {
-		lad = new(ladder)
-	}
 	for _, rec := range st.Pending {
 		fn, ok := rebind(rec)
 		if !ok {
 			return fmt.Errorf("sim: restore: no rebinding for event at=%d seq=%#x", rec.At, rec.Seq)
 		}
 		t := &event{eng: e, at: rec.At, seq: rec.Seq, fn: fn, idx: -1}
-		switch {
-		case rec.Seq&arrivalBand != 0:
+		if rec.Seq&arrivalBand != 0 {
 			t.idx = int32(len(qa))
 			qa = append(qa, t)
-		case lad != nil:
-			lad.push(t)
-		default:
+		} else {
 			t.idx = int32(len(q))
 			q = append(q, t)
 		}
@@ -170,7 +148,7 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	e.ord = st.Ord
 	e.seq = st.Seq
 	e.nEvent = st.Events
-	e.q, e.qa, e.lad = q, qa, lad
+	e.q, e.qa = q, qa
 	for _, l := range e.lanes {
 		l.reset()
 	}

@@ -28,103 +28,45 @@ func fillRandom(e *Engine, rng *rand.Rand, n int, spread int64) {
 	}
 }
 
-func testRoundTripPopOrder(t *testing.T, q QueueDiscipline, fill func(e *Engine)) {
-	src := NewEngineQueue(7, q)
-	fill(src)
-
-	st := src.CaptureState()
-	if st.Queue != q {
-		t.Fatalf("captured discipline %v, want %v", st.Queue, q)
-	}
-
-	// Restore into both disciplines; pop order must equal the captured
-	// execution order (st.Pending is already sorted into it).
-	for _, dq := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		dst := NewEngineQueue(7, dq)
-		var got []EventRecord
-		err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-			return func() { got = append(got, rec) }, true
-		})
-		if err != nil {
-			t.Fatalf("restore into %v: %v", dq, err)
-		}
-		if dst.Now() != st.Now || dst.Pending() != len(st.Pending) {
-			t.Fatalf("restore into %v: now=%d pending=%d, want %d/%d",
-				dq, dst.Now(), dst.Pending(), st.Now, len(st.Pending))
-		}
-		dst.RunAll()
-		if len(got) != len(st.Pending) {
-			t.Fatalf("restore into %v: popped %d events, want %d", dq, len(got), len(st.Pending))
-		}
-		for i, rec := range st.Pending {
-			if got[i] != rec {
-				t.Fatalf("restore into %v: pop %d = %+v, want %+v", dq, i, got[i], rec)
-			}
-		}
-		// The restored engine continues allocating seqs where the source
-		// left off.
-		if dst.seq != st.Seq {
-			t.Fatalf("restore into %v: seq %d, want %d", dq, dst.seq, st.Seq)
-		}
-	}
-}
-
+// TestCaptureRestoreHeap round-trips an engine mid-run — drained past its
+// first events, a third of the remaining timers cancelled, fresh inserts on
+// top — and requires the restored engine to pop exactly the captured
+// execution order (st.Pending is already sorted into it) and to continue
+// allocating seqs where the source left off.
 func TestCaptureRestoreHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	testRoundTripPopOrder(t, QueueHeap, func(e *Engine) {
-		e.Run(1000)
-		fillRandom(e, rng, 500, 50_000)
-	})
-}
+	src := NewEngine(7)
+	var timers []Timer
+	for i := 0; i < 2_000; i++ {
+		timers = append(timers, src.Schedule(Time(rng.Int63n(500_000)), func() {}))
+	}
+	src.Run(100_000)
+	// Cancelled heap slots must simply be absent from the capture.
+	for i, tm := range timers {
+		if i%3 == 0 {
+			tm.Cancel()
+		}
+	}
+	fillRandom(src, rng, 500, 400_000)
 
-func TestCaptureRestoreLadderOverflowTier(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		// Everything lands in the overflow tier (fresh ladder, activeEnd
-		// 0), including far-future stragglers.
-		fillRandom(e, rng, 300, 10_000)
-		e.Schedule(5_000_000, func() {})
-		e.Schedule(5_000_001, func() {})
-	})
-}
-
-func TestCaptureRestoreLadderSpawnedRung(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		// Force a rung spawn: > ladSpawnMin events dense in one narrow
-		// range plus a wide spread, then drain past the first bucket so
-		// advance() re-buckets and spawns a min-anchored finer segment.
-		for i := 0; i < ladSpawnMin+200; i++ {
-			e.Schedule(Time(800_000+rng.Int63n(2_000)), func() {})
+	dst := NewEngine(7)
+	var got []EventRecord
+	st := captureAndRestore(t, src, dst, &got)
+	if dst.Now() != st.Now || dst.Pending() != len(st.Pending) {
+		t.Fatalf("restored now=%d pending=%d, want %d/%d", dst.Now(), dst.Pending(), st.Now, len(st.Pending))
+	}
+	dst.RunAll()
+	if len(got) != len(st.Pending) {
+		t.Fatalf("popped %d events, want %d", len(got), len(st.Pending))
+	}
+	for i, rec := range st.Pending {
+		if got[i] != rec {
+			t.Fatalf("pop %d = %+v, want %+v", i, got[i], rec)
 		}
-		fillRandom(e, rng, 400, 3_000_000)
-		e.Run(700_000) // drain into the segment structure mid-ladder
-		if len(e.lad.segs) == 0 {
-			t.Fatal("test did not build any ladder segments")
-		}
-		fillRandom(e, rng, 100, 1_000_000) // gap-clamped inserts at the drained frontier
-	})
-}
-
-func TestCaptureRestoreLadderCancelledSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		var timers []Timer
-		for i := 0; i < 2_000; i++ {
-			at := Time(rng.Int63n(500_000))
-			timers = append(timers, e.Schedule(at, func() {}))
-		}
-		e.Run(100_000) // move the drain front into the structure
-		// Cancel a third of what's left — swap-deleted bucket slots and
-		// heap-removed drain-front entries must simply be absent from the
-		// capture.
-		for i, tm := range timers {
-			if i%3 == 0 {
-				tm.Cancel()
-			}
-		}
-		fillRandom(e, rng, 200, 400_000)
-	})
+	}
+	if dst.seq != st.Seq {
+		t.Fatalf("restored seq %d, want %d", dst.seq, st.Seq)
+	}
 }
 
 func TestCaptureRestoreArrivalBand(t *testing.T) {
@@ -166,33 +108,31 @@ func TestCaptureRestoreArrivalBand(t *testing.T) {
 func TestCaptureIsPure(t *testing.T) {
 	// Capturing must not perturb the run: two identical engines, one
 	// captured mid-run repeatedly, drain identically.
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		a := NewEngineQueue(9, q)
-		b := NewEngineQueue(9, q)
-		var ta, tb []Time
-		rngA, rngB := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
-		schedule := func(e *Engine, rng *rand.Rand, out *[]Time) {
-			for i := 0; i < 2_000; i++ {
-				at := Time(rng.Int63n(1_000_000))
-				e.Schedule(at, func() { *out = append(*out, e.Now()) })
-			}
+	a := NewEngine(9)
+	b := NewEngine(9)
+	var ta, tb []Time
+	rngA, rngB := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	schedule := func(e *Engine, rng *rand.Rand, out *[]Time) {
+		for i := 0; i < 2_000; i++ {
+			at := Time(rng.Int63n(1_000_000))
+			e.Schedule(at, func() { *out = append(*out, e.Now()) })
 		}
-		schedule(a, rngA, &ta)
-		schedule(b, rngB, &tb)
-		for _, horizon := range []Time{100_000, 400_000, 900_000} {
-			a.Run(horizon)
-			b.Run(horizon)
-			_ = a.CaptureState() // a is captured, b is the control
-		}
-		a.RunAll()
-		b.RunAll()
-		if len(ta) != len(tb) {
-			t.Fatalf("%v: %d vs %d events", q, len(ta), len(tb))
-		}
-		for i := range ta {
-			if ta[i] != tb[i] {
-				t.Fatalf("%v: event %d at %d vs %d", q, i, ta[i], tb[i])
-			}
+	}
+	schedule(a, rngA, &ta)
+	schedule(b, rngB, &tb)
+	for _, horizon := range []Time{100_000, 400_000, 900_000} {
+		a.Run(horizon)
+		b.Run(horizon)
+		_ = a.CaptureState() // a is captured, b is the control
+	}
+	a.RunAll()
+	b.RunAll()
+	if len(ta) != len(tb) {
+		t.Fatalf("%d vs %d events", len(ta), len(tb))
+	}
+	for i := range ta {
+		if ta[i] != tb[i] {
+			t.Fatalf("event %d at %d vs %d", i, ta[i], tb[i])
 		}
 	}
 }
@@ -261,33 +201,31 @@ func FuzzRestoreState(f *testing.F) {
 			}
 			st.Pending = append(st.Pending, rec)
 		}
-		for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-			dst := NewEngineQueue(2, q)
-			dst.Schedule(Time(now)+1_000_000, func() {})
-			dst.Run(Time(now) / 2)
-			// A lane event of the target's own: kept by a rejected restore,
-			// replaced like the queued one by an accepted restore.
-			dst.NewLane(1_000_000).After(func(_, _ any, _ int) {}, nil, nil, 0)
-			before := dst.CaptureState()
-			var got []EventRecord
-			err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-				return func() { got = append(got, rec) }, true
-			})
-			if err != nil {
-				after := dst.CaptureState()
-				if after.Now != before.Now || after.Seq != before.Seq || len(after.Pending) != len(before.Pending) {
-					t.Fatalf("%v: failed restore mutated engine", q)
-				}
-				continue
+		dst := NewEngine(2)
+		dst.Schedule(Time(now)+1_000_000, func() {})
+		dst.Run(Time(now) / 2)
+		// A lane event of the target's own: kept by a rejected restore,
+		// replaced like the queued one by an accepted restore.
+		dst.NewLane(1_000_000).After(func(_, _ any, _ int) {}, nil, nil, 0)
+		before := dst.CaptureState()
+		var got []EventRecord
+		err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
+			return func() { got = append(got, rec) }, true
+		})
+		if err != nil {
+			after := dst.CaptureState()
+			if after.Now != before.Now || after.Seq != before.Seq || len(after.Pending) != len(before.Pending) {
+				t.Fatalf("failed restore mutated engine")
 			}
-			dst.RunAll()
-			if len(got) != len(st.Pending) {
-				t.Fatalf("%v: drained %d events, want %d", q, len(got), len(st.Pending))
-			}
-			for i, rec := range st.Pending {
-				if got[i] != rec {
-					t.Fatalf("%v: pop %d = %+v, want %+v", q, i, got[i], rec)
-				}
+			return
+		}
+		dst.RunAll()
+		if len(got) != len(st.Pending) {
+			t.Fatalf("drained %d events, want %d", len(got), len(st.Pending))
+		}
+		for i, rec := range st.Pending {
+			if got[i] != rec {
+				t.Fatalf("pop %d = %+v, want %+v", i, got[i], rec)
 			}
 		}
 	})

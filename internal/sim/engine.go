@@ -29,8 +29,7 @@ type Engine struct {
 	// compares keys against. Run and SkipTo leave it at ordEnd: every key
 	// at the horizon has passed.
 	ord uint64
-	q   []*event // 4-ary min-heap by (at, seq), band-0 events only (heap discipline)
-	lad *ladder  // band-0 events, ladder discipline (nil selects the heap)
+	q   []*event // 4-ary min-heap by (at, seq), band-0 events only
 	qa  []*event // arrival-band events (ScheduleArrival), same order
 	// lanes hold constant-delay events of either band by value (lane.go);
 	// fronts[i] caches lanes[i]'s head key (laneIdle when empty) so the
@@ -48,57 +47,6 @@ type Engine struct {
 
 	journalOn bool          //ckpt:skip bisection instrumentation, re-armed by StartJournal after resume
 	journal   []EventRecord //ckpt:skip bisection instrumentation, not simulation state
-}
-
-// QueueDiscipline selects the data structure holding band-0 events.
-// Both disciplines implement the identical (time, seq) total order —
-// execution order, and therefore every digest, is the same under either;
-// only the constant factors differ with event density (DESIGN.md §13).
-type QueueDiscipline uint8
-
-const (
-	// QueueAuto picks a discipline from the expected event density hint.
-	QueueAuto QueueDiscipline = iota
-	// QueueHeap is the inlined 4-ary min-heap: fastest at the event
-	// densities of small fabrics, where near-sorted pushes terminate
-	// their sift almost immediately.
-	QueueHeap
-	// QueueLadder is the calendar/ladder queue (ladder.go): O(1) bucket
-	// appends that win once the pending population is large.
-	QueueLadder
-)
-
-func (q QueueDiscipline) String() string {
-	switch q {
-	case QueueHeap:
-		return "heap"
-	case QueueLadder:
-		return "ladder"
-	default:
-		return "auto"
-	}
-}
-
-// LadderDensityMin is the expected-pending-events hint at which QueueAuto
-// selects the ladder queue. The hint counts what the discipline orders —
-// the band-0 queue plus the arrival heap, not events in lanes. End to end
-// the two disciplines are within 5% of each other at every measured
-// density; the ladder is the faster pick by 2–3% at an estimated 3.1k and
-// 6.1k (the 1024-host FatTree on two engines and on one), and below that
-// the heap buys 6–7% of resident memory. See DESIGN.md §13.2.
-const LadderDensityMin = 2560
-
-// PickQueue resolves QueueAuto against an expected event-density hint
-// (roughly the number of concurrently pending events the band-0 queue and
-// the arrival heap will hold). Explicit disciplines pass through unchanged.
-func PickQueue(q QueueDiscipline, expectedPending int) QueueDiscipline {
-	if q != QueueAuto {
-		return q
-	}
-	if expectedPending >= LadderDensityMin {
-		return QueueLadder
-	}
-	return QueueHeap
 }
 
 // maxFreeEvents bounds the event free list. A transient event burst
@@ -129,12 +77,6 @@ type event struct {
 	a, b   any                   //ckpt:skip closure arguments, rebound with fnArgs
 	i      int                   //ckpt:skip closure argument, rebound with fnArgs
 	fn     func()                //ckpt:skip closure, rebound by RebindFunc on restore
-
-	// bkt locates the event under the ladder discipline: nil while in a
-	// heap (idx is the heap slot), else the unsorted bucket or overflow
-	// slice holding it (idx is the slice slot). Always nil under the
-	// heap discipline.
-	bkt *[]*event //ckpt:skip ladder bucket location, physical layout normalized away by EngineState
 
 	next *event //ckpt:skip free-list link, physical layout normalized away by EngineState
 }
@@ -170,32 +112,11 @@ func (t Timer) Cancel() {
 	}
 }
 
-// NewEngine returns an engine with the clock at zero, a random source
-// seeded with seed, and the heap queue discipline.
+// NewEngine returns an engine with the clock at zero and a random source
+// seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return NewEngineQueue(seed, QueueHeap)
-}
-
-// NewEngineQueue returns an engine using the given queue discipline for
-// its band-0 events (QueueAuto here means QueueHeap; resolve density
-// hints with PickQueue first). The discipline is fixed for the engine's
-// lifetime. Execution order — and so every simulation result — is
-// identical under either discipline.
-func NewEngineQueue(seed int64, q QueueDiscipline) *Engine {
 	src := NewCountingSource(seed)
-	e := &Engine{seed: seed, src: src, rng: rand.New(src)}
-	if q == QueueLadder {
-		e.lad = new(ladder)
-	}
-	return e
-}
-
-// Queue reports the engine's band-0 queue discipline.
-func (e *Engine) Queue() QueueDiscipline {
-	if e.lad != nil {
-		return QueueLadder
-	}
-	return QueueHeap
+	return &Engine{seed: seed, src: src, rng: rand.New(src)}
 }
 
 // Now returns the current simulated time.
@@ -226,13 +147,7 @@ func (e *Engine) Events() uint64 { return e.nEvent }
 
 // Pending returns the number of live events currently queued. Cancelled
 // events are removed from the queue immediately and never counted.
-func (e *Engine) Pending() int {
-	n := len(e.q) + len(e.qa) + e.laneN
-	if e.lad != nil {
-		n += e.lad.n
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.q) + len(e.qa) + e.laneN }
 
 // alloc takes an event from the free list, or makes one.
 //
@@ -259,7 +174,6 @@ func (e *Engine) recycle(t *event) {
 	t.a, t.b = nil, nil
 	t.i = 0
 	t.idx = -1
-	t.bkt = nil
 	if e.freeN >= maxFreeEvents {
 		return
 	}
@@ -278,44 +192,18 @@ func (e *Engine) push(at Time) *event {
 	return e.insert(at, e.ReserveSeq())
 }
 
-// insert queues a band-0 event under the key (at, seq). Both disciplines
-// order by the key alone, so seq need not be the newest one allocated
+// insert queues a band-0 event under the key (at, seq). The heap orders
+// by the key alone, so seq need not be the newest one allocated
 // (ScheduleReserved inserts keys reserved earlier).
 func (e *Engine) insert(at Time, seq uint64) *event {
 	t := e.alloc()
 	t.at = at
 	t.seq = seq
-	if e.lad != nil {
-		e.lad.push(t)
-		return t
-	}
 	t.idx = int32(len(e.q))
 	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
 	e.q = append(e.q, t)
 	siftUp(e.q, int(t.idx))
 	return t
-}
-
-// mainMin returns the earliest band-0 event without removing it, or nil.
-// Under the ladder discipline this may advance the drain front (a pure
-// restructuring — pop order is unaffected).
-func (e *Engine) mainMin() *event {
-	if e.lad != nil {
-		return e.lad.min()
-	}
-	if len(e.q) == 0 {
-		return nil
-	}
-	return e.q[0]
-}
-
-// mainPop removes and returns the earliest band-0 event; the caller
-// guarantees one exists.
-func (e *Engine) mainPop() *event {
-	if e.lad != nil {
-		return e.lad.pop()
-	}
-	return popRoot(&e.q)
 }
 
 // arrivalBand is the top bit of the seq ordering key. Engine-local
@@ -454,8 +342,6 @@ const (
 // next finds the earliest pending event across the band-0 queue, the
 // arrival heap and the lanes, and returns where it sits and its time. All
 // of them order by (time, seq), so the merge is the single total order.
-// Under the ladder discipline this may advance the drain front (a pure
-// restructuring — pop order is unaffected).
 func (e *Engine) next() (src int, at Time) {
 	src, at = srcNone, laneIdle.At
 	seq := laneIdle.Seq
@@ -469,8 +355,10 @@ func (e *Engine) next() (src int, at Time) {
 			src, at, seq = srcArrival, t.at, t.seq
 		}
 	}
-	if t := e.mainMin(); t != nil && (t.at < at || (t.at == at && t.seq < seq)) {
-		src, at = srcMain, t.at
+	if len(e.q) > 0 {
+		if t := e.q[0]; t.at < at || (t.at == at && t.seq < seq) {
+			src, at = srcMain, t.at
+		}
 	}
 	return src, at
 }
@@ -486,7 +374,7 @@ func (e *Engine) exec(src int) {
 	case srcMain, srcArrival:
 		var t *event
 		if src == srcMain {
-			t = e.mainPop()
+			t = popRoot(&e.q)
 		} else {
 			t = popRoot(&e.qa)
 		}
@@ -513,7 +401,7 @@ func (e *Engine) exec(src int) {
 // Step executes the next pending event, if any, and reports whether one
 // ran.
 //
-//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold at both disciplines
+//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold
 func (e *Engine) Step() bool {
 	src, _ := e.next()
 	if src == srcNone {
@@ -590,11 +478,7 @@ func popRoot(qp *[]*event) *event {
 // it. Only band-0 events can be cancelled: ScheduleArrival returns no
 // Timer, so arrival events never come through here.
 func (e *Engine) remove(t *event) {
-	if e.lad != nil {
-		e.lad.remove(t)
-	} else {
-		heapRemove(&e.q, t)
-	}
+	heapRemove(&e.q, t)
 	e.recycle(t)
 }
 

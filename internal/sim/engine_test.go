@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -398,6 +399,217 @@ func TestEngineCancelSubsetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineFreeListCap verifies the free-list bound: after a burst far
+// above maxFreeEvents drains, the engine retains at most maxFreeEvents
+// recycled events and drops the rest for the GC.
+func TestEngineFreeListCap(t *testing.T) {
+	old := maxFreeEvents
+	maxFreeEvents = 64
+	defer func() { maxFreeEvents = old }()
+
+	e := NewEngine(1)
+	for i := 0; i < 1000; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.RunAll()
+	if e.freeN > 64 {
+		t.Fatalf("free list holds %d events, cap is 64", e.freeN)
+	}
+	n := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		n++
+	}
+	if n != e.freeN {
+		t.Fatalf("free list length %d, counter says %d", n, e.freeN)
+	}
+}
+
+// queueOp is one step of a randomized schedule: either a new event (band 0
+// via After, band 1 via ScheduleArrival) or the cancellation of an earlier
+// band-0 event.
+type queueOp struct {
+	cancel  bool
+	victim  int // index into the timer list when cancel
+	arrival bool
+	delay   Duration
+	key     uint64
+	tag     int
+}
+
+// runSchedule replays ops on an engine, interleaving execution (Step
+// bursts after the ops listed in steps) with scheduling so inserts land
+// behind, at and ahead of the drain front. It returns the execution order
+// as "at/tag" strings.
+func runSchedule(ops []queueOp, steps []int) []string {
+	e := NewEngine(7)
+	var order []string
+	log := func(_, _ any, tag int) { order = append(order, fmt.Sprintf("%d/%d", e.Now(), tag)) }
+	var timers []Timer
+	si := 0
+	for i, o := range ops {
+		switch {
+		case o.cancel:
+			if len(timers) > 0 {
+				timers[o.victim%len(timers)].Cancel()
+			}
+		case o.arrival:
+			e.ScheduleArrival(e.Now().Add(o.delay), o.key, log, nil, nil, o.tag)
+		default:
+			timers = append(timers, e.AfterFunc(o.delay, log, nil, nil, o.tag))
+		}
+		if si < len(steps) && steps[si] == i {
+			si++
+			for k := 0; k < 3; k++ {
+				e.Step()
+			}
+		}
+	}
+	e.RunAll()
+	return order
+}
+
+// refQueue is the reference model the engine's heaps are checked against:
+// every pending event of both bands in one slice kept sorted by (at, seq)
+// and popped from the front.
+type refQueue struct {
+	now   Time
+	seq   uint64
+	evs   []refEvent
+	order []string
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	tag int
+}
+
+func (r *refQueue) add(at Time, seq uint64, tag int) {
+	i := sort.Search(len(r.evs), func(i int) bool {
+		e := r.evs[i]
+		return e.at > at || (e.at == at && e.seq > seq)
+	})
+	r.evs = append(r.evs, refEvent{})
+	copy(r.evs[i+1:], r.evs[i:])
+	r.evs[i] = refEvent{at, seq, tag}
+}
+
+func (r *refQueue) cancel(seq uint64) {
+	for i, e := range r.evs {
+		if e.seq == seq {
+			r.evs = append(r.evs[:i], r.evs[i+1:]...)
+			return
+		}
+	}
+}
+
+func (r *refQueue) step() bool {
+	if len(r.evs) == 0 {
+		return false
+	}
+	e := r.evs[0]
+	r.evs = r.evs[1:]
+	r.now = e.at
+	r.order = append(r.order, fmt.Sprintf("%d/%d", e.at, e.tag))
+	return true
+}
+
+// refSchedule is runSchedule on the reference model.
+func refSchedule(ops []queueOp, steps []int) []string {
+	var r refQueue
+	var timers []uint64 // seq of every band-0 event, in scheduling order
+	si := 0
+	for i, o := range ops {
+		switch {
+		case o.cancel:
+			if len(timers) > 0 {
+				r.cancel(timers[o.victim%len(timers)])
+			}
+		case o.arrival:
+			r.add(r.now.Add(o.delay), arrivalBand|o.key, o.tag)
+		default:
+			timers = append(timers, r.seq)
+			r.add(r.now.Add(o.delay), r.seq, o.tag)
+			r.seq++
+		}
+		if si < len(steps) && steps[si] == i {
+			si++
+			for k := 0; k < 3; k++ {
+				r.step()
+			}
+		}
+	}
+	for r.step() {
+	}
+	return r.order
+}
+
+// TestQueueOracleEquivalence checks the engine's queues against the
+// sorted-slice model: identical randomized schedules — cancellations,
+// same-instant ties in both bands, near events, far-future events and
+// dense same-instant bursts — execute in the identical order.
+func TestQueueOracleEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 50; trial++ {
+		n := 200 + rng.Intn(800)
+		ops := make([]queueOp, n)
+		arrKeys := map[uint64]bool{}
+		for i := range ops {
+			o := &ops[i]
+			o.tag = i
+			switch rng.Intn(10) {
+			case 0: // cancellation of a random earlier band-0 timer
+				o.cancel = true
+				o.victim = rng.Intn(1 << 20)
+			case 1, 2: // band-1 arrival with a unique identity key
+				o.arrival = true
+				for {
+					o.key = uint64(rng.Intn(1 << 30))
+					if !arrKeys[o.key] {
+						arrKeys[o.key] = true
+						break
+					}
+				}
+				o.delay = Duration(rng.Intn(2000))
+			default:
+				// Delay mix: 0 forces same-instant FIFO ties, small values
+				// collide on a few instants, large ones sit deep in the heap
+				// while near events churn above them.
+				switch rng.Intn(5) {
+				case 0:
+					o.delay = 0
+				case 1:
+					o.delay = Duration(rng.Intn(64))
+				case 2:
+					o.delay = Duration(rng.Intn(100_000))
+				case 3:
+					o.delay = Duration(1_000_000 + rng.Intn(10_000_000))
+				default:
+					o.delay = Duration(100_000_000 + rng.Int63n(100_000_000_000))
+				}
+			}
+		}
+		// Step bursts at random points so scheduling interleaves with
+		// execution.
+		var steps []int
+		for i := 0; i < n; i += 1 + rng.Intn(20) {
+			steps = append(steps, i)
+		}
+
+		want := refSchedule(ops, steps)
+		got := runSchedule(ops, steps)
+		if len(want) != len(got) {
+			t.Fatalf("trial %d: model ran %d events, engine %d", trial, len(want), len(got))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("trial %d: execution order diverges at event %d: model %s, engine %s",
+					trial, i, want[i], got[i])
+			}
+		}
 	}
 }
 

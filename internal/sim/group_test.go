@@ -1,44 +1,74 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// underWatchdog runs body on a goroutine of its own and fails the test
+// with a dump of every goroutine if body has not returned within limit: a
+// barrier that loses a wake-up shows up in seconds with the stuck stacks,
+// not at the package timeout with none. body reports through t.Errorf and
+// returns; it must not call t.Fatal off the test goroutine.
+func underWatchdog(t *testing.T, limit time.Duration, body func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("no return within %v\n%s", limit, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+const groupWatchdog = 10 * time.Second
 
 // TestGroupEpochs runs two engines through barrier-synchronized epochs
 // and checks each executes exactly its own events, in time order, with
 // the barrier clock agreeing across shards.
 func TestGroupEpochs(t *testing.T) {
-	a, b := NewEngine(1), NewEngine(1)
-	g := NewGroup([]*Engine{a, b})
-	defer g.Close()
+	underWatchdog(t, groupWatchdog, func() {
+		a, b := NewEngine(1), NewEngine(1)
+		g := NewGroup([]*Engine{a, b})
+		defer g.Close()
 
-	var ran []Time
-	a.Schedule(10, func() { ran = append(ran, a.Now()) })
-	var ranB []Time
-	b.Schedule(5, func() { ranB = append(ranB, b.Now()) })
-	b.Schedule(25, func() { ranB = append(ranB, b.Now()) })
+		var ran []Time
+		a.Schedule(10, func() { ran = append(ran, a.Now()) })
+		var ranB []Time
+		b.Schedule(5, func() { ranB = append(ranB, b.Now()) })
+		b.Schedule(25, func() { ranB = append(ranB, b.Now()) })
 
-	g.RunEpoch(15)
-	if len(ran) != 1 || ran[0] != 10 {
-		t.Fatalf("shard 0 ran %v, want [10]", ran)
-	}
-	if len(ranB) != 1 || ranB[0] != 5 {
-		t.Fatalf("shard 1 ran %v, want [5]", ranB)
-	}
-	if a.Now() != 15 || b.Now() != 15 || g.Now() != 15 {
-		t.Fatalf("clocks after epoch: %v %v %v, want 15", a.Now(), b.Now(), g.Now())
-	}
-	if at, ok := g.NextAt(); !ok || at != 25 {
-		t.Fatalf("NextAt = %v %v, want 25 true", at, ok)
-	}
-	g.RunEpoch(30)
-	if len(ranB) != 2 || ranB[1] != 25 {
-		t.Fatalf("shard 1 after second epoch: %v", ranB)
-	}
-	if g.Pending() != 0 {
-		t.Fatalf("pending %d after drain", g.Pending())
-	}
-	if g.Events() != 3 {
-		t.Fatalf("events %d, want 3", g.Events())
-	}
+		g.RunEpoch(15)
+		if len(ran) != 1 || ran[0] != 10 {
+			t.Errorf("shard 0 ran %v, want [10]", ran)
+		}
+		if len(ranB) != 1 || ranB[0] != 5 {
+			t.Errorf("shard 1 ran %v, want [5]", ranB)
+		}
+		if a.Now() != 15 || b.Now() != 15 || g.Now() != 15 {
+			t.Errorf("clocks after epoch: %v %v %v, want 15", a.Now(), b.Now(), g.Now())
+		}
+		if at, ok := g.NextAt(); !ok || at != 25 {
+			t.Errorf("NextAt = %v %v, want 25 true", at, ok)
+		}
+		g.RunEpoch(30)
+		if len(ranB) != 2 || ranB[1] != 25 {
+			t.Errorf("shard 1 after second epoch: %v", ranB)
+		}
+		if g.Pending() != 0 {
+			t.Errorf("pending %d after drain", g.Pending())
+		}
+		if g.Events() != 3 {
+			t.Errorf("events %d, want 3", g.Events())
+		}
+	})
 }
 
 // TestGroupSingle checks the n=1 degenerate path is plain Engine.Run.
@@ -59,17 +89,180 @@ func TestGroupSingle(t *testing.T) {
 // engine for a later epoch — the pattern the netsim staging drain uses
 // between epochs.
 func TestGroupCrossScheduling(t *testing.T) {
-	a, b := NewEngine(1), NewEngine(1)
+	underWatchdog(t, groupWatchdog, func() {
+		a, b := NewEngine(1), NewEngine(1)
+		g := NewGroup([]*Engine{a, b})
+		defer g.Close()
+
+		var got Time
+		a.Schedule(10, func() {})
+		g.RunEpoch(10)
+		// Between epochs (barrier held), scheduling on any shard is safe.
+		b.Schedule(20, func() { got = b.Now() })
+		g.RunEpoch(30)
+		if got != 20 {
+			t.Errorf("cross-scheduled event ran at %v, want 20", got)
+		}
+	})
+}
+
+// TestGroupShardsOverlap proves two shards of one epoch are in flight at
+// the same time: each runs an event that cannot finish until the other's
+// has started. A barrier that runs the shards one after the other on the
+// coordinator can never complete the exchange.
+func TestGroupShardsOverlap(t *testing.T) {
+	a, b := NewEngine(1), NewEngine(2)
 	g := NewGroup([]*Engine{a, b})
 	defer g.Close()
 
-	var got Time
-	a.Schedule(10, func() {})
-	g.RunEpoch(10)
-	// Between epochs (barrier held), scheduling on any shard is safe.
-	b.Schedule(20, func() { got = b.Now() })
-	g.RunEpoch(30)
-	if got != 20 {
-		t.Fatalf("cross-scheduled event ran at %v, want 20", got)
+	const patience = 5 * time.Second
+	ab, ba := make(chan struct{}), make(chan struct{})
+	var metA, metB bool // each written by its own shard's event only
+	a.Schedule(1, func() {
+		select {
+		case ab <- struct{}{}:
+			<-ba
+			metA = true
+		case <-time.After(patience):
+		}
+	})
+	b.Schedule(1, func() {
+		select {
+		case <-ab:
+			ba <- struct{}{}
+			metB = true
+		case <-time.After(patience):
+		}
+	})
+	g.RunEpoch(1)
+	if !metA || !metB {
+		t.Fatalf("shards never met within %v (shard 0 %v, shard 1 %v): the epoch ran them one after the other",
+			patience, metA, metB)
+	}
+}
+
+// barrierTrial is everything observable about one run of the random
+// program that a Group and a plain sequential loop must agree on:
+// per-shard execution order, the shared clock, the event total and the
+// number of epochs.
+type barrierTrial struct {
+	orders [][]string
+	epochs uint64
+	events uint64
+	now    Time
+}
+
+// runBarrierTrial drives a randomized schedule — initial events, event
+// chains scheduled from inside callbacks, and cross-shard scheduling
+// between epochs (the staging-drain pattern) — either through a Group or,
+// as the reference, through the same engines run one after the other to
+// each barrier by a plain loop. Everything is a pure function of
+// (shards, seed): epoch windows derive from the engines' NextAt, so the
+// rng stream stays aligned across the two drivers.
+func runBarrierTrial(grouped bool, shards int, seed int64) barrierTrial {
+	engines := make([]*Engine, shards)
+	for i := range engines {
+		engines[i] = NewEngine(int64(100 + i))
+	}
+	// The group's accessors only read engine state between epochs, so the
+	// reference driver uses them too; it never calls RunEpoch.
+	g := NewGroup(engines)
+	defer g.Close()
+
+	orders := make([][]string, shards)
+	var sched func(i int, at Time, tag, chain int)
+	sched = func(i int, at Time, tag, chain int) {
+		eng := engines[i]
+		eng.Schedule(at, func() {
+			orders[i] = append(orders[i], fmt.Sprintf("%d/%d", eng.Now(), tag))
+			if chain > 0 {
+				sched(i, eng.Now().Add(Duration(1+tag%37)), tag+1000, chain-1)
+			}
+		})
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < shards; i++ {
+		for k := 0; k < 30; k++ {
+			sched(i, Time(1+rng.Intn(500)), i*10000+k, rng.Intn(3))
+		}
+	}
+
+	const lookahead = Duration(7)
+	var epochs uint64
+	for {
+		at, ok := g.NextAt()
+		if !ok {
+			break
+		}
+		until := at.Add(lookahead - 1)
+		if grouped {
+			g.RunEpoch(until)
+		} else {
+			for _, eng := range engines {
+				eng.Run(until)
+			}
+		}
+		epochs++
+		// Cross-shard scheduling between epochs, like netsim's staging
+		// drain. Bounded so the run terminates.
+		if epochs <= 200 && rng.Intn(3) == 0 {
+			dst := rng.Intn(shards)
+			sched(dst, g.Now().Add(Duration(1+rng.Intn(50))), 50000+int(epochs), 0)
+		}
+		if epochs > 1_000_000 {
+			panic("runaway barrier trial")
+		}
+	}
+	if grouped {
+		for i := 0; i < shards; i++ {
+			if g.Dispatched(i)+g.Skipped(i) != g.Epochs() || g.Epochs() != epochs {
+				panic(fmt.Sprintf("shard %d dispatched %d + skipped %d of %d epochs (%d driven)",
+					i, g.Dispatched(i), g.Skipped(i), g.Epochs(), epochs))
+			}
+		}
+	}
+	return barrierTrial{orders: orders, epochs: epochs, events: g.Events(), now: g.Now()}
+}
+
+// TestGroupBarrierEquivalence is the randomized equivalence property for
+// the epoch barrier: for identical schedules, an N-shard Group and the
+// same engines stepped sequentially to each barrier produce identical
+// per-shard execution orders, clocks, event totals and epoch counts — at
+// every shard count, with fewer, as many and more Ps than shards. The
+// trial itself checks that every shard was dispatched or idle-skipped in
+// every epoch.
+func TestGroupBarrierEquivalence(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			underWatchdog(t, groupWatchdog, func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				for trial := 0; trial < 6; trial++ {
+					seed := int64(shards*1000 + trial)
+					name := fmt.Sprintf("procs=%d shards=%d seed=%d", procs, shards, seed)
+					want := runBarrierTrial(false, shards, seed)
+					got := runBarrierTrial(true, shards, seed)
+					if got.epochs != want.epochs || got.events != want.events || got.now != want.now {
+						t.Errorf("%s: epochs/events/now = %d/%d/%d, sequential %d/%d/%d",
+							name, got.epochs, got.events, got.now, want.epochs, want.events, want.now)
+						return
+					}
+					for i := 0; i < shards; i++ {
+						if len(got.orders[i]) != len(want.orders[i]) {
+							t.Errorf("%s: shard %d ran %d events, sequential ran %d",
+								name, i, len(got.orders[i]), len(want.orders[i]))
+							return
+						}
+						for k := range want.orders[i] {
+							if got.orders[i][k] != want.orders[i][k] {
+								t.Errorf("%s: shard %d diverges at %d: %s vs %s",
+									name, i, k, got.orders[i][k], want.orders[i][k])
+								return
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

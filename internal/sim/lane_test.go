@@ -11,43 +11,41 @@ import (
 // identical (time, seq) sequence, allocates the identical sequence
 // numbers, and shows the identical Pending, NextAt and captured pending
 // set after every driver action — Run, Step and SkipTo interleaved — as
-// the same program with every event in the queues, under both disciplines
-// and with eager and lazy completions.
+// the same program with every event in the queues, with eager and lazy
+// completions.
 func TestLaneEquivalence(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		for _, lazy := range []bool{false, true} {
-			for seed := int64(1); seed <= 20; seed++ {
-				name := fmt.Sprintf("%v lazy=%v seed %d", q, lazy, seed)
-				want := runReservedProgram(q, lazy, false, seed)
-				got := runReservedProgram(q, lazy, true, seed)
-				if want.laneEvents != 0 || got.laneEvents < len(got.journal)/5 {
-					t.Fatalf("%s: %d of %d events went through lanes (%d in the all-queue run)",
-						name, got.laneEvents, len(got.journal), want.laneEvents)
+	for _, lazy := range []bool{false, true} {
+		for seed := int64(1); seed <= 20; seed++ {
+			name := fmt.Sprintf("lazy=%v seed %d", lazy, seed)
+			want := runReservedProgram(lazy, false, seed)
+			got := runReservedProgram(lazy, true, seed)
+			if want.laneEvents != 0 || got.laneEvents < len(got.journal)/5 {
+				t.Fatalf("%s: %d of %d events went through lanes (%d in the all-queue run)",
+					name, got.laneEvents, len(got.journal), want.laneEvents)
+			}
+			if len(got.journal) != len(want.journal) {
+				t.Fatalf("%s: queues ran %d events, lanes %d", name, len(want.journal), len(got.journal))
+			}
+			for i := range want.journal {
+				if got.journal[i] != want.journal[i] {
+					t.Fatalf("%s: event %d: queues %+v, lanes %+v", name, i, want.journal[i], got.journal[i])
 				}
-				if len(got.journal) != len(want.journal) {
-					t.Fatalf("%s: queues ran %d events, lanes %d", name, len(want.journal), len(got.journal))
+			}
+			for i := range want.trace {
+				if got.trace[i] != want.trace[i] {
+					t.Fatalf("%s: step %d: queues %s, lanes %s", name, i, want.trace[i], got.trace[i])
 				}
-				for i := range want.journal {
-					if got.journal[i] != want.journal[i] {
-						t.Fatalf("%s: event %d: queues %+v, lanes %+v", name, i, want.journal[i], got.journal[i])
-					}
-				}
-				for i := range want.trace {
-					if got.trace[i] != want.trace[i] {
-						t.Fatalf("%s: step %d: queues %s, lanes %s", name, i, want.trace[i], got.trace[i])
-					}
-				}
-				if got.seq != want.seq || got.events != want.events {
-					t.Fatalf("%s: queues ended at seq %d after %d events, lanes at %d after %d",
-						name, want.seq, want.events, got.seq, got.events)
-				}
-				if len(got.probes) != len(want.probes) {
-					t.Fatalf("%s: queues took %d driver actions, lanes %d", name, len(want.probes), len(got.probes))
-				}
-				for i := range want.probes {
-					if got.probes[i] != want.probes[i] {
-						t.Fatalf("%s: probe %d:\nqueues %s\nlanes  %s", name, i, want.probes[i], got.probes[i])
-					}
+			}
+			if got.seq != want.seq || got.events != want.events {
+				t.Fatalf("%s: queues ended at seq %d after %d events, lanes at %d after %d",
+					name, want.seq, want.events, got.seq, got.events)
+			}
+			if len(got.probes) != len(want.probes) {
+				t.Fatalf("%s: queues took %d driver actions, lanes %d", name, len(want.probes), len(got.probes))
+			}
+			for i := range want.probes {
+				if got.probes[i] != want.probes[i] {
+					t.Fatalf("%s: probe %d:\nqueues %s\nlanes  %s", name, i, want.probes[i], got.probes[i])
 				}
 			}
 		}
@@ -59,40 +57,38 @@ func TestLaneEquivalence(t *testing.T) {
 // order they were scheduled in; records of different instants are never
 // reordered.
 func TestLaneTieOrder(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		e := NewEngineQueue(1, q)
-		l := e.NewLane(10)
-		var got []int
-		rec := func(_, _ any, i int) { got = append(got, i) }
+	e := NewEngine(1)
+	l := e.NewLane(10)
+	var got []int
+	rec := func(_, _ any, i int) { got = append(got, i) }
 
-		// t=0: arrivals in descending key order around two band-0 events.
-		l.Arrive(9, rec, nil, nil, 5)
-		l.After(rec, nil, nil, 1)
-		l.Arrive(7, rec, nil, nil, 4)
-		l.Arrive(3, rec, nil, nil, 3)
-		l.After(rec, nil, nil, 2)
-		// A queued event of the same instant merges by the same keys.
-		e.ScheduleArrival(10, 8, rec, nil, nil, 45)
-		e.AfterFunc(10, rec, nil, nil, 25)
-		// t=1: a smaller key at a later instant stays behind all of t=0.
-		e.Run(1)
-		l.Arrive(1, rec, nil, nil, 7)
-		l.After(rec, nil, nil, 6)
+	// t=0: arrivals in descending key order around two band-0 events.
+	l.Arrive(9, rec, nil, nil, 5)
+	l.After(rec, nil, nil, 1)
+	l.Arrive(7, rec, nil, nil, 4)
+	l.Arrive(3, rec, nil, nil, 3)
+	l.After(rec, nil, nil, 2)
+	// A queued event of the same instant merges by the same keys.
+	e.ScheduleArrival(10, 8, rec, nil, nil, 45)
+	e.AfterFunc(10, rec, nil, nil, 25)
+	// t=1: a smaller key at a later instant stays behind all of t=0.
+	e.Run(1)
+	l.Arrive(1, rec, nil, nil, 7)
+	l.After(rec, nil, nil, 6)
 
-		if n := e.Pending(); n != 9 {
-			t.Fatalf("%v: Pending() = %d, want 9", q, n)
-		}
-		if at, ok := e.NextAt(); !ok || at != 10 {
-			t.Fatalf("%v: NextAt() = %d, %v, want 10", q, at, ok)
-		}
-		e.RunAll()
-		want := []int{1, 2, 25, 3, 4, 45, 5, 6, 7}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%v: ran %v, want %v", q, got, want)
-		}
-		if e.Pending() != 0 || e.Now() != 11 {
-			t.Errorf("%v: drained to pending %d at %d, want 0 at 11", q, e.Pending(), e.Now())
-		}
+	if n := e.Pending(); n != 9 {
+		t.Fatalf("Pending() = %d, want 9", n)
+	}
+	if at, ok := e.NextAt(); !ok || at != 10 {
+		t.Fatalf("NextAt() = %d, %v, want 10", at, ok)
+	}
+	e.RunAll()
+	want := []int{1, 2, 25, 3, 4, 45, 5, 6, 7}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ran %v, want %v", got, want)
+	}
+	if e.Pending() != 0 || e.Now() != 11 {
+		t.Errorf("drained to pending %d at %d, want 0 at 11", e.Pending(), e.Now())
 	}
 }
 
@@ -137,63 +133,61 @@ func TestLaneRingGrowth(t *testing.T) {
 // empties them — every restored record goes to a queue — and the restored
 // engine replays exactly what the source goes on to execute.
 func TestLaneRestoreState(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		src := NewEngineQueue(3, q)
-		la, lb := src.NewLane(40), src.NewLane(7)
-		nop := func(_, _ any, _ int) {}
-		for i := 0; i < 50; i++ {
-			la.After(nop, nil, nil, 0)
-			lb.Arrive(uint64(100-i), nop, nil, nil, 0)
-			src.AfterFunc(Duration(i%9), nop, nil, nil, 0)
-			if i%10 == 9 {
-				src.Run(src.Now().Add(3))
-			}
+	src := NewEngine(3)
+	la, lb := src.NewLane(40), src.NewLane(7)
+	nop := func(_, _ any, _ int) {}
+	for i := 0; i < 50; i++ {
+		la.After(nop, nil, nil, 0)
+		lb.Arrive(uint64(100-i), nop, nil, nil, 0)
+		src.AfterFunc(Duration(i%9), nop, nil, nil, 0)
+		if i%10 == 9 {
+			src.Run(src.Now().Add(3))
 		}
-		if la.n == 0 || lb.n == 0 {
-			t.Fatalf("%v: test left a lane empty (%d, %d)", q, la.n, lb.n)
-		}
-		st := src.CaptureState()
-		if len(st.Pending) != src.Pending() {
-			t.Fatalf("%v: captured %d records of %d pending", q, len(st.Pending), src.Pending())
-		}
+	}
+	if la.n == 0 || lb.n == 0 {
+		t.Fatalf("test left a lane empty (%d, %d)", la.n, lb.n)
+	}
+	st := src.CaptureState()
+	if len(st.Pending) != src.Pending() {
+		t.Fatalf("captured %d records of %d pending", len(st.Pending), src.Pending())
+	}
 
-		// The target has lane events of its own, which the restore replaces.
-		dst := NewEngineQueue(3, q)
-		dl := dst.NewLane(5)
-		dl.After(nop, nil, nil, 0)
-		dl.Arrive(1, nop, nil, nil, 0)
-		var got []EventRecord
-		err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-			return func() { got = append(got, rec) }, true
-		})
-		if err != nil {
-			t.Fatalf("%v: RestoreState: %v", q, err)
+	// The target has lane events of its own, which the restore replaces.
+	dst := NewEngine(3)
+	dl := dst.NewLane(5)
+	dl.After(nop, nil, nil, 0)
+	dl.Arrive(1, nop, nil, nil, 0)
+	var got []EventRecord
+	err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
+		return func() { got = append(got, rec) }, true
+	})
+	if err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	if dl.n != 0 || dst.laneN != 0 || dst.fronts[dl.id] != laneIdle {
+		t.Fatalf("lane holds %d records after restore (engine counts %d)", dl.n, dst.laneN)
+	}
+	if dst.Pending() != len(st.Pending) {
+		t.Fatalf("restored engine has %d pending, want %d", dst.Pending(), len(st.Pending))
+	}
+	src.StartJournal()
+	src.RunAll()
+	dst.RunAll()
+	want := src.TakeJournal()
+	if len(got) != len(want) {
+		t.Fatalf("restored engine ran %d events, source %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: restored %+v, source %+v", i, got[i], want[i])
 		}
-		if dl.n != 0 || dst.laneN != 0 || dst.fronts[dl.id] != laneIdle {
-			t.Fatalf("%v: lane holds %d records after restore (engine counts %d)", q, dl.n, dst.laneN)
-		}
-		if dst.Pending() != len(st.Pending) {
-			t.Fatalf("%v: restored engine has %d pending, want %d", q, dst.Pending(), len(st.Pending))
-		}
-		src.StartJournal()
-		src.RunAll()
-		dst.RunAll()
-		want := src.TakeJournal()
-		if len(got) != len(want) {
-			t.Fatalf("%v: restored engine ran %d events, source %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: event %d: restored %+v, source %+v", q, i, got[i], want[i])
-			}
-		}
-		// The emptied lane is usable again.
-		ran := false
-		dl.After(func(_, _ any, _ int) { ran = true }, nil, nil, 0)
-		dst.RunAll()
-		if !ran {
-			t.Errorf("%v: lane event scheduled after a restore did not run", q)
-		}
+	}
+	// The emptied lane is usable again.
+	ran := false
+	dl.After(func(_, _ any, _ int) { ran = true }, nil, nil, 0)
+	dst.RunAll()
+	if !ran {
+		t.Errorf("lane event scheduled after a restore did not run")
 	}
 }
 
@@ -201,21 +195,21 @@ func TestLaneRestoreState(t *testing.T) {
 // has work inside the window — the group must dispatch it, not idle-skip
 // its clock past the event.
 func TestLaneGroupDispatch(t *testing.T) {
-	for _, mode := range []BarrierMode{BarrierHybrid, BarrierChannel} {
+	underWatchdog(t, groupWatchdog, func() {
 		e0, e1 := NewEngine(1), NewEngine(1)
-		g := NewGroupMode([]*Engine{e0, e1}, mode)
+		g := NewGroup([]*Engine{e0, e1})
 		ranAt := Time(-1)
 		e1.NewLane(5).After(func(_, _ any, _ int) { ranAt = e1.Now() }, nil, nil, 0)
 		if at, ok := g.NextAt(); !ok || at != 5 {
-			t.Errorf("%v: group NextAt() = %d, %v, want 5", mode, at, ok)
+			t.Errorf("group NextAt() = %d, %v, want 5", at, ok)
 		}
 		g.RunEpoch(10)
 		g.Close()
 		if ranAt != 5 {
-			t.Errorf("%v: lane event ran at %d, want 5", mode, ranAt)
+			t.Errorf("lane event ran at %d, want 5", ranAt)
 		}
 		if g.Dispatched(1) != 1 || g.Skipped(1) != 0 {
-			t.Errorf("%v: shard 1 dispatched %d, skipped %d, want 1, 0", mode, g.Dispatched(1), g.Skipped(1))
+			t.Errorf("shard 1 dispatched %d, skipped %d, want 1, 0", g.Dispatched(1), g.Skipped(1))
 		}
-	}
+	})
 }

@@ -40,9 +40,9 @@ type reservedRun struct {
 // whose delay is one of the small constants goes through Lane.After /
 // Lane.Arrive instead of AfterFunc / ScheduleArrival; which ones is drawn
 // from a stream of its own, so the program does not change.
-func runReservedProgram(q QueueDiscipline, lazy, lanes bool, seed int64) reservedRun {
+func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 	var out reservedRun
-	e := NewEngineQueue(1, q)
+	e := NewEngine(1)
 	rng := rand.New(rand.NewSource(seed))
 	units := make([]lazyUnit, 6)
 	budget := 1500
@@ -79,7 +79,7 @@ func runReservedProgram(q QueueDiscipline, lazy, lanes bool, seed int64) reserve
 
 	// Delays cluster on a few small values so completions, kicks and
 	// arrivals collide on the same instant all the time, with an
-	// occasional long one to reach the ladder's buckets and upper rungs.
+	// occasional long one so the heap holds far-future keys too.
 	delay := func() Duration {
 		switch rng.Intn(8) {
 		case 0:
@@ -187,38 +187,36 @@ func runReservedProgram(q QueueDiscipline, lazy, lanes bool, seed int64) reserve
 // program run with eager no-op-unless-needed completions and run again
 // with ReserveSeq + on-demand ScheduleReserved does its work in the
 // identical (time, seq) order — same-instant inserts and arrival-band
-// events included — under both queue disciplines, allocates the identical
-// sequence numbers, and executes fewer events.
+// events included — allocates the identical sequence numbers, and executes
+// fewer events.
 func TestReservedSeqEquivalence(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		saved := false
-		for seed := int64(1); seed <= 40; seed++ {
-			eager := runReservedProgram(q, false, false, seed)
-			lazy := runReservedProgram(q, true, false, seed)
-			want, wantSeq, wantEv := eager.trace, eager.seq, eager.events
-			got, gotSeq, gotEv := lazy.trace, lazy.seq, lazy.events
-			if len(want) < 1000 {
-				t.Fatalf("%v seed %d: program too short to mean anything (%d steps)", q, seed, len(want))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v seed %d: eager did %d steps, lazy %d", q, seed, len(want), len(got))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v seed %d: step %d: eager %s, lazy %s", q, seed, i, want[i], got[i])
-				}
-			}
-			if gotSeq != wantSeq {
-				t.Fatalf("%v seed %d: eager allocated %d seqs, lazy %d", q, seed, wantSeq, gotSeq)
-			}
-			if gotEv > wantEv {
-				t.Fatalf("%v seed %d: lazy ran %d events, eager %d", q, seed, gotEv, wantEv)
-			}
-			saved = saved || gotEv < wantEv
+	saved := false
+	for seed := int64(1); seed <= 40; seed++ {
+		eager := runReservedProgram(false, false, seed)
+		lazy := runReservedProgram(true, false, seed)
+		want, wantSeq, wantEv := eager.trace, eager.seq, eager.events
+		got, gotSeq, gotEv := lazy.trace, lazy.seq, lazy.events
+		if len(want) < 1000 {
+			t.Fatalf("seed %d: program too short to mean anything (%d steps)", seed, len(want))
 		}
-		if !saved {
-			t.Errorf("%v: no program elided a single completion", q)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: eager did %d steps, lazy %d", seed, len(want), len(got))
 		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: step %d: eager %s, lazy %s", seed, i, want[i], got[i])
+			}
+		}
+		if gotSeq != wantSeq {
+			t.Fatalf("seed %d: eager allocated %d seqs, lazy %d", seed, wantSeq, gotSeq)
+		}
+		if gotEv > wantEv {
+			t.Fatalf("seed %d: lazy ran %d events, eager %d", seed, gotEv, wantEv)
+		}
+		saved = saved || gotEv < wantEv
+	}
+	if !saved {
+		t.Errorf("no program elided a single completion")
 	}
 }
 
@@ -226,54 +224,52 @@ func TestReservedSeqEquivalence(t *testing.T) {
 // never at or behind the executing event, and Passed agrees with that
 // boundary — including the arrival band and the position Run leaves.
 func TestScheduleReservedOrderGuard(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		e := NewEngineQueue(1, q)
-		nop := func(_, _ any, _ int) {}
-		mustPanic := func(what string, fn func()) {
-			t.Helper()
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%v: %s did not panic", q, what)
-				}
-			}()
-			fn()
-		}
-
-		before := e.ReserveSeq()
-		own := e.ReserveSeq()
-		after := e.ReserveSeq()
-		ran := 0
-		e.ScheduleReserved(5, own, func(_, _ any, _ int) {
-			ran++
-			if !e.Passed(5, before) || e.Passed(5, own) || e.Passed(5, after) || !e.Passed(4, after) || e.Passed(6, before) {
-				t.Errorf("%v: Passed disagrees with the executing key (5, %d)", q, own)
+	e := NewEngine(1)
+	nop := func(_, _ any, _ int) {}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
 			}
-			mustPanic("a key before the executing event", func() { e.ScheduleReserved(5, before, nop, nil, nil, 0) })
-			mustPanic("the executing event's own key", func() { e.ScheduleReserved(5, own, nop, nil, nil, 0) })
-			mustPanic("a key at an earlier instant", func() { e.ScheduleReserved(4, after, nop, nil, nil, 0) })
-			e.ScheduleReserved(5, after, func(_, _ any, _ int) { ran++ }, nil, nil, 0)
-		}, nil, nil, 0)
-		// An arrival-band event sorts after every band-0 key of its instant.
-		late := e.ReserveSeq()
-		e.ScheduleArrival(5, 1, func(_, _ any, _ int) {
-			ran++
-			if !e.Passed(5, late) {
-				t.Errorf("%v: band-0 key not passed inside an arrival of the same instant", q)
-			}
-			mustPanic("a band-0 key behind an executing arrival", func() { e.ScheduleReserved(5, late, nop, nil, nil, 0) })
-		}, nil, nil, 0)
-		e.Run(4)
-		if e.Passed(5, before) || !e.Passed(4, after) {
-			t.Errorf("%v: after Run(4) every key at 4 has passed and none at 5", q)
-		}
-		e.Run(5)
-		if ran != 3 {
-			t.Fatalf("%v: ran %d of 3 events", q, ran)
-		}
-		horizon := e.ReserveSeq()
-		if !e.Passed(5, horizon) {
-			t.Errorf("%v: after Run(5) a key at 5 reserved later still counts as passed", q)
-		}
-		mustPanic("a key at the horizon Run returned from", func() { e.ScheduleReserved(5, horizon, nop, nil, nil, 0) })
+		}()
+		fn()
 	}
+
+	before := e.ReserveSeq()
+	own := e.ReserveSeq()
+	after := e.ReserveSeq()
+	ran := 0
+	e.ScheduleReserved(5, own, func(_, _ any, _ int) {
+		ran++
+		if !e.Passed(5, before) || e.Passed(5, own) || e.Passed(5, after) || !e.Passed(4, after) || e.Passed(6, before) {
+			t.Errorf("Passed disagrees with the executing key (5, %d)", own)
+		}
+		mustPanic("a key before the executing event", func() { e.ScheduleReserved(5, before, nop, nil, nil, 0) })
+		mustPanic("the executing event's own key", func() { e.ScheduleReserved(5, own, nop, nil, nil, 0) })
+		mustPanic("a key at an earlier instant", func() { e.ScheduleReserved(4, after, nop, nil, nil, 0) })
+		e.ScheduleReserved(5, after, func(_, _ any, _ int) { ran++ }, nil, nil, 0)
+	}, nil, nil, 0)
+	// An arrival-band event sorts after every band-0 key of its instant.
+	late := e.ReserveSeq()
+	e.ScheduleArrival(5, 1, func(_, _ any, _ int) {
+		ran++
+		if !e.Passed(5, late) {
+			t.Errorf("band-0 key not passed inside an arrival of the same instant")
+		}
+		mustPanic("a band-0 key behind an executing arrival", func() { e.ScheduleReserved(5, late, nop, nil, nil, 0) })
+	}, nil, nil, 0)
+	e.Run(4)
+	if e.Passed(5, before) || !e.Passed(4, after) {
+		t.Errorf("after Run(4) every key at 4 has passed and none at 5")
+	}
+	e.Run(5)
+	if ran != 3 {
+		t.Fatalf("ran %d of 3 events", ran)
+	}
+	horizon := e.ReserveSeq()
+	if !e.Passed(5, horizon) {
+		t.Errorf("after Run(5) a key at 5 reserved later still counts as passed")
+	}
+	mustPanic("a key at the horizon Run returned from", func() { e.ScheduleReserved(5, horizon, nop, nil, nil, 0) })
 }
