@@ -226,9 +226,11 @@ func checkBoxing(pass *Pass, call *ast.CallExpr, sig *types.Signature, site func
 // isPointerShaped reports whether converting a value of type t to an
 // interface stores it inline (single pointer word) rather than boxing.
 func isPointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
+	switch u := t.Underlying().(type) {
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return true
+	case *types.Basic:
+		return u.Kind() == types.UntypedNil // a nil interface, nothing to box
 	}
 	return false
 }

@@ -41,7 +41,8 @@ func (r *ring) Boxes(v int) {
 	box(v)                       // want "interface conversion of int in hot-path function dcpim/internal/hotfix.ring.Boxes"
 	f := func() int { return v } // want "closure capturing outer variables in hot-path function dcpim/internal/hotfix.ring.Boxes"
 	_ = f
-	box(r) // pointer-shaped: stored inline in the interface, no boxing
+	box(r)   // pointer-shaped: stored inline in the interface, no boxing
+	box(nil) // a nil interface: nothing to box
 }
 
 // PushSanctioned's append is proven non-growing, suppressed inline.

@@ -18,7 +18,7 @@ import (
 // deterministic setup before Restore runs.
 type Proto struct {
 	cfg Config           //ckpt:skip construction input, supplied again by the resuming run
-	tm  timing           //ckpt:skip derived from cfg at Attach
+	tm  *timing          //ckpt:skip derived from cfg and the topology; one value shared by every host Attach wires
 	col *stats.Collector //ckpt:skip collector wiring; the Collector captures its own state
 	ins instruments      //ckpt:skip optional telemetry wiring, re-registered at setup
 
@@ -27,8 +27,9 @@ type Proto struct {
 	rng  *rand.Rand   //ckpt:skip aliases the host's stream; its position is captured as Host draws
 	id   int          //ckpt:skip topology identity, re-established by Attach
 
-	tick  int64 // stage ticks elapsed
-	epoch int64 // current epoch (data phase) index
+	tick    int64  // stage ticks elapsed
+	epoch   int64  // current epoch (data phase) index
+	stageFn func() //ckpt:skip p.onStage bound once in Start, so the ticker does not allocate a method value per stage
 
 	snd sender
 	rcv receiver
@@ -37,33 +38,47 @@ type Proto struct {
 // New returns an unattached dcPIM host protocol. The same Config and
 // Collector are normally shared across all hosts of a fabric (see Attach).
 func New(cfg Config, col *stats.Collector) *Proto {
-	if cfg.Rounds < 1 || cfg.Channels < 1 || cfg.Beta <= 0 {
-		panic("core: invalid dcPIM config")
-	}
+	cfg.validate()
 	return &Proto{cfg: cfg, col: col}
 }
 
+func (cfg Config) validate() {
+	if cfg.Rounds < 1 || cfg.Channels < 1 || cfg.Beta <= 0 {
+		panic("core: invalid dcPIM config")
+	}
+}
+
 // Attach creates a dcPIM instance on every host of the fabric, all sharing
-// cfg, and returns them. Each instance records into col's child collector
-// for its host's shard, so completions never contend across shards; col's
-// readers merge the children deterministically.
+// cfg and one derived timing, and returns them. The instances are one
+// allocation. Each records into col's child collector for its host's
+// shard, so completions never contend across shards; col's readers merge
+// the children deterministically.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
-	protos := make([]*Proto, fab.Topology().NumHosts)
-	for i := range protos {
-		protos[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+	cfg.validate()
+	tm := deriveTiming(cfg, fab.Topology())
+	slab := make([]Proto, fab.Topology().NumHosts)
+	protos := make([]*Proto, len(slab))
+	for i := range slab {
+		slab[i] = Proto{cfg: cfg, tm: &tm, col: col.ForShard(fab.ShardOfHost(i))}
+		protos[i] = &slab[i]
 		fab.AttachProtocol(i, protos[i])
 	}
 	return protos
 }
 
-// Start implements netsim.Protocol: derives timing from the topology and
-// launches the per-stage ticker driving the matching state machine.
+// Start implements netsim.Protocol: launches the per-stage ticker driving
+// the matching state machine. An instance made by a bare New derives its
+// timing from the host's topology here; Attach has already shared one.
 func (p *Proto) Start(h *netsim.Host) {
 	p.host = h
 	p.eng = h.Engine()
 	p.rng = h.Rng()
 	p.id = h.ID()
-	p.tm = deriveTiming(p.cfg, h.Topo())
+	if p.tm == nil {
+		tm := deriveTiming(p.cfg, h.Topo())
+		p.tm = &tm
+	}
+	p.stageFn = p.onStage
 	p.snd.init(p)
 	p.rcv.init(p)
 	p.epoch = -1 // first onStage call (tick 0) opens epoch 0
@@ -71,7 +86,7 @@ func (p *Proto) Start(h *netsim.Host) {
 	if p.cfg.MaxClockSkew > 0 {
 		start = start.Add(sim.Duration(p.rng.Int63n(int64(p.cfg.MaxClockSkew))))
 	}
-	p.eng.Schedule(start, p.onStage)
+	p.eng.Schedule(start, p.stageFn)
 }
 
 // Timing exposes derived protocol timing (tests and experiments).
@@ -113,7 +128,7 @@ func (p *Proto) onStage() {
 		p.snd.grantStage(matchEpoch, round)
 	}
 	p.tick++
-	p.eng.After(p.tm.stageLen, p.onStage)
+	p.eng.After(p.tm.stageLen, p.stageFn)
 }
 
 // OnFlowArrival implements netsim.Protocol (sender role).

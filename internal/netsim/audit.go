@@ -109,17 +109,21 @@ func (f *Fabric) AuditErrors() []string {
 	return f.audit.errs
 }
 
-// queuedCount returns the number of packets buffered in port o, and
-// checks each against the live set when an auditor is present.
+// auditQueued returns the number of packets buffered in port o, and
+// checks each against the auditor's live set.
 func (o *outPort) auditQueued(a *auditor) int64 {
 	var n int64
-	for pr := range o.queues {
-		for _, el := range o.queues[pr][o.heads[pr]:] {
+	for pr := range o.q {
+		for p := o.q[pr].head; p != nil; p = p.QNext {
 			n++
-			if _, ok := a.live[el.p]; !ok {
-				a.fail("audit: queued packet not owned by fabric (released while buffered): %v", el.p)
+			if _, ok := a.live[p]; !ok {
+				a.fail("audit: queued packet not owned by fabric (released while buffered): %v", p)
 			}
 		}
+	}
+	if n != int64(o.nQueued) {
+		a.fail("audit: port counts %d queued packets but its class lists hold %d (released while buffered: recycling a packet zeroes its queue link)",
+			o.nQueued, n)
 	}
 	return n
 }
@@ -138,13 +142,8 @@ func (f *Fabric) AuditVerify() []string {
 	}
 	f.mergeCounters()
 	var queued int64
-	for _, h := range f.hosts {
-		queued += h.nic.auditQueued(a)
-	}
-	for _, d := range f.switches {
-		for _, o := range d.ports {
-			queued += o.auditQueued(a)
-		}
+	for i := range f.ports {
+		queued += f.ports[i].auditQueued(a)
 	}
 	if outstanding := int64(len(a.live)); a.injected != a.delivered+a.dropped+outstanding {
 		a.fail("audit: ownership leak: injected %d != delivered %d + dropped %d + outstanding %d",

@@ -10,10 +10,10 @@ import (
 // switch fault/PFC state, per-port queue contents and transmitter state,
 // per-device RNG positions, and each host's protocol state — into one
 // canonical byte stream. Canonical means independent of physical layout:
-// port queues are written from their live region (compaction offsets
-// excluded), and devices are walked in topology order, so two fabrics in
-// the same logical state always serialize identically. Capture is pure
-// reads; taking a snapshot never perturbs the run.
+// port queues are written as their packets in order (list links and the
+// non-empty mask excluded), and devices are walked in topology order, so
+// two fabrics in the same logical state always serialize identically.
+// Capture is pure reads; taking a snapshot never perturbs the run.
 //
 // There is no fabric-level restore: resume rebuilds the fabric from its
 // spec and replays deterministically to the snapshot time, then verifies
@@ -42,24 +42,26 @@ func (f *Fabric) CaptureState(enc *checkpoint.Encoder) {
 		enc.U64(s.staged)
 	}
 	enc.U32(uint32(len(f.switches)))
-	for _, d := range f.switches {
+	for i := range f.switches {
+		d := &f.switches[i]
 		enc.Bool(d.down)
 		enc.U64(d.src.Draws())
 		enc.U32(uint32(len(d.ingressBytes)))
 		for _, b := range d.ingressBytes {
 			enc.I64(b)
 		}
-		enc.U32(uint32(len(d.paused))) // lazily sized: 0 until first pause
+		enc.U32(uint32(len(d.paused))) // 0 until the switch's first PFC accounting
 		for _, p := range d.paused {
 			enc.Bool(p)
 		}
 		enc.U32(uint32(len(d.ports)))
-		for _, o := range d.ports {
-			o.captureState(enc)
+		for pi := range d.ports {
+			d.ports[pi].captureState(enc)
 		}
 	}
 	enc.U32(uint32(len(f.hosts)))
-	for _, h := range f.hosts {
+	for i := range f.hosts {
+		h := &f.hosts[i]
 		enc.U64(h.src.Draws())
 		h.nic.captureState(enc)
 		if c, ok := h.proto.(StateCaptor); ok {
@@ -87,9 +89,12 @@ func captureCounters(enc *checkpoint.Encoder, c *Counters) {
 }
 
 // captureState serializes one port: transmitter and fault state, the
-// arrival-band sequence, and the live content of each priority queue.
-// The compaction offsets (heads) and dead prefixes are physical layout
-// and deliberately excluded.
+// arrival-band sequence, and each priority class as a count followed by
+// its packets in FIFO order, each with the ingress it arrived through.
+// The class lists are intrusive (packet.Packet.QNext), so the count takes
+// one walk and the content a second; the links themselves, the tail
+// pointers and the non-empty mask are physical layout and deliberately
+// excluded.
 func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	enc.I64(o.queuedBytes)
 	enc.I64(o.maxQueued)
@@ -111,11 +116,14 @@ func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	enc.I64(int64(o.burstUntil))
 	enc.U64(o.arrSeq)
 	for pr := 0; pr < packet.NumPriorities; pr++ {
-		q := o.queues[pr][o.heads[pr]:]
-		enc.U32(uint32(len(q)))
-		for _, el := range q {
-			capturePacket(enc, el.p)
-			enc.I64(int64(el.in))
+		n := uint32(0)
+		for p := o.q[pr].head; p != nil; p = p.QNext {
+			n++
+		}
+		enc.U32(n)
+		for p := o.q[pr].head; p != nil; p = p.QNext {
+			capturePacket(enc, p)
+			enc.I64(int64(p.QIn))
 		}
 	}
 }

@@ -17,7 +17,7 @@ import "dcpim/internal/sim"
 // serialized finishes its transmission — the fault takes the link dark,
 // it does not destroy the bits already on the wire.
 func (f *Fabric) SetLinkDown(sw, pt int, down bool) {
-	o := f.switches[sw].ports[pt]
+	o := &f.switches[sw].ports[pt]
 	o.down = down
 	if !down {
 		o.tryTransmit()
@@ -44,27 +44,29 @@ func (f *Fabric) HostDown(h int) bool { return f.hosts[h].nic.down }
 // transmit side of switch sw's port pt (degraded optics). Drops count as
 // Counters.FaultDrops. Rate 0 restores a clean link.
 func (f *Fabric) SetLinkLossRate(sw, pt int, rate float64) {
-	f.switches[sw].ports[pt].lossRate = rate
+	o := &f.switches[sw].ports[pt]
+	o.setLoss(rate, o.burstRate, o.burstUntil)
 }
 
 // SetHostLossRate is SetLinkLossRate for host h's NIC (the host→ToR
 // direction of a degraded access link).
 func (f *Fabric) SetHostLossRate(h int, rate float64) {
-	f.hosts[h].nic.lossRate = rate
+	o := f.hosts[h].nic
+	o.setLoss(rate, o.burstRate, o.burstUntil)
 }
 
 // SetLossBurst installs a transient loss window on switch sw's port pt:
 // until the given time, packets drop with probability rate (if higher
 // than any persistent degrade already present).
 func (f *Fabric) SetLossBurst(sw, pt int, until sim.Time, rate float64) {
-	o := f.switches[sw].ports[pt]
-	o.burstUntil, o.burstRate = until, rate
+	o := &f.switches[sw].ports[pt]
+	o.setLoss(o.lossRate, rate, until)
 }
 
 // SetHostLossBurst is SetLossBurst for host h's NIC.
 func (f *Fabric) SetHostLossBurst(h int, until sim.Time, rate float64) {
 	o := f.hosts[h].nic
-	o.burstUntil, o.burstRate = until, rate
+	o.setLoss(o.lossRate, rate, until)
 }
 
 // RebootSwitch takes switch sw out of service: every output port goes
@@ -73,10 +75,10 @@ func (f *Fabric) SetHostLossBurst(h int, until sim.Time, rate float64) {
 // cold reboot loses its buffers); without it buffers survive and resume
 // draining on restore (a warm control-plane restart).
 func (f *Fabric) RebootSwitch(sw int, drainDrop bool) {
-	d := f.switches[sw]
+	d := &f.switches[sw]
 	d.down = true
-	for _, o := range d.ports {
-		o.down = true
+	for i := range d.ports {
+		d.ports[i].down = true
 	}
 	if drainDrop {
 		d.drainQueues()
@@ -86,11 +88,11 @@ func (f *Fabric) RebootSwitch(sw int, drainDrop bool) {
 // RestoreSwitch brings a rebooted switch back: the forwarding plane
 // accepts arrivals again and every port resumes transmitting.
 func (f *Fabric) RestoreSwitch(sw int) {
-	d := f.switches[sw]
+	d := &f.switches[sw]
 	d.down = false
-	for _, o := range d.ports {
-		o.down = false
-		o.tryTransmit()
+	for i := range d.ports {
+		d.ports[i].down = false
+		d.ports[i].tryTransmit()
 	}
 }
 
@@ -98,18 +100,16 @@ func (f *Fabric) RestoreSwitch(sw int) {
 // keeping PFC ingress accounting consistent so upstream neighbours paused
 // on this switch resume rather than wedge.
 func (d *swDev) drainQueues() {
-	for _, o := range d.ports {
-		for {
-			el, ok := o.pop()
-			if !ok {
-				break
-			}
-			if d.fab.cfg.EnablePFC && el.in >= 0 {
-				d.ingressBytes[el.in] -= int64(el.p.Size)
-				d.checkResume(el.in)
+	fab := d.sh.fab
+	for i := range d.ports {
+		for o := &d.ports[i]; o.nonEmpty != 0; {
+			p, in := o.pop()
+			if fab.cfg.EnablePFC && in >= 0 {
+				d.ingressBytes[in] -= int64(p.Size)
+				d.checkResume(in)
 			}
 			d.sh.counters.FaultDrops++
-			d.fab.dropped(el.p)
+			fab.dropped(p)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestPushAtBusyUntilTie(t *testing.T) {
 			second := packet.NewData(0, 1, 1, 1, packet.MTU, packet.PrioShort)
 			var queued int
 			var armed bool
-			look := func() { queued, armed = nic.nQueued, nic.wakeArmed }
+			look := func() { queued, armed = int(nic.nQueued), nic.wakeArmed }
 
 			inject(f, 0, first, t0, nil)
 			if tc.afterKey {
@@ -143,7 +143,7 @@ func TestResumeMidSerializationDrains(t *testing.T) {
 			f, sinks := buildFabric(t, topo.SmallLeafSpine(), Config{Spray: true})
 			eng := f.Engine()
 			tp := f.Topology()
-			port := f.switches[0].ports[0] // leaf 0's downlink to host 0
+			port := &f.switches[0].ports[0] // leaf 0's downlink to host 0
 			tx := sim.TransmissionTime(packet.MTU, tp.HostRate)
 			// Host 1's packet starts serializing on the downlink at start;
 			// those of hosts 2 and 3 reach it a third of the way through.

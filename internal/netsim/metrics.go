@@ -48,26 +48,25 @@ func (f *Fabric) RegisterMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	for si, sw := range f.switches {
-		for pi, port := range sw.ports {
-			port := port
+	for si := range f.switches {
+		for pi := range f.switches[si].ports {
+			port := &f.switches[si].ports[pi]
 			reg.GaugeFunc(portName(si, pi),
 				func() float64 { return float64(port.queuedBytes) })
 		}
 	}
 	reg.GaugeFunc("netsim/nic_queued_bytes", func() float64 {
 		var total int64
-		for _, h := range f.hosts {
-			total += h.nic.queuedBytes
+		for i := range f.hosts {
+			total += f.hosts[i].nic.queuedBytes
 		}
 		return float64(total)
 	})
 	reg.GaugeFunc("netsim/switch_queued_bytes", func() float64 {
 		var total int64
-		for _, sw := range f.switches {
-			for _, p := range sw.ports {
-				total += p.queuedBytes
-			}
+		sp := f.switchPorts()
+		for i := range sp {
+			total += sp[i].queuedBytes
 		}
 		return float64(total)
 	})

@@ -114,8 +114,14 @@ type Fabric struct {
 	shards    []*shardState
 	lookahead sim.Duration //ckpt:skip derived from topology boundary delays at construction
 
-	hosts    []*Host
-	switches []*swDev
+	// The device plane is flat (DESIGN.md §8.4): one slab per kind, built
+	// by NewSharded and never resized, so devices are addressed by index
+	// and pointers into the slabs stay valid for the fabric's life. ports
+	// holds every switch's output ports in (switch, port) order — each
+	// swDev.ports is a window of it — then one NIC per host.
+	hosts    []Host
+	switches []swDev
+	ports    []outPort //ckpt:skip captured through the switch windows and host NICs that partition it
 
 	// Counters aggregates across shards. Always current single-shard;
 	// with several shards it is recomputed at every barrier and when Run
@@ -176,7 +182,7 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	n := grp.N()
 	seed := f.eng.Seed()
 	for i := 0; i < n; i++ {
-		s := &shardState{id: i, eng: grp.Engine(i)}
+		s := &shardState{id: i, fab: f, eng: grp.Engine(i)}
 		s.hostLane = s.lane(t.HostDelay)
 		s.swLane = s.lane(t.SwitchDelay)
 		if n == 1 {
@@ -191,41 +197,58 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 		f.EnableAudit()
 	}
 
-	f.switches = make([]*swDev, len(t.Switches))
+	// One slab per kind of state; every device gets a window or an element.
+	swPorts := 0
+	for _, sw := range t.Switches {
+		swPorts += len(sw.Ports)
+	}
+	f.switches = make([]swDev, len(t.Switches))
+	f.hosts = make([]Host, t.NumHosts)
+	f.ports = make([]outPort, swPorts+t.NumHosts)
+	ingress := make([]int64, swPorts+len(t.Switches))
+	var paused []bool
+	if cfg.EnablePFC {
+		paused = make([]bool, swPorts)
+	}
+	base := 0
 	for i, sw := range t.Switches {
-		sh := f.shards[part.SwitchShard[i]]
-		src := sim.NewCountingSource(deviceSeed(seed, 1, i))
-		d := &swDev{
-			fab: f, spec: sw, sh: sh,
-			src: src, rng: rand.New(src),
+		np := len(sw.Ports)
+		d := &f.switches[i]
+		*d = swDev{
+			sh:       f.shards[part.SwitchShard[i]],
+			ports:    f.ports[base : base+np : base+np],
+			numHosts: t.NumHosts, spray: cfg.Spray, spec: sw,
+			ingressBytes: ingress[base+i : base+i+np+1 : base+i+np+1],
 		}
-		d.ports = make([]*outPort, len(sw.Ports))
-		d.ingressBytes = make([]int64, len(sw.Ports)+1)
+		if sw.Rule != nil {
+			d.rule = *sw.Rule
+		}
+		if paused != nil {
+			d.paused = paused[base : base : base+np]
+		}
+		d.src.Seed(deviceSeed(seed, 1, i))
+		d.rng = *rand.New(&d.src)
 		for pi, p := range sw.Ports {
-			d.ports[pi] = &outPort{
-				fab: f, sh: sh, rng: d.rng,
+			d.ports[pi] = outPort{
+				sh: d.sh, rng: &d.rng,
 				rate: p.Rate, delay: p.Delay,
 				capacity: cfg.PortBufferBytes,
 				owner:    d,
 			}
 		}
-		f.switches[i] = d
+		base += np
 	}
-	f.hosts = make([]*Host, t.NumHosts)
-	for h := 0; h < t.NumHosts; h++ {
+	for h := range f.hosts {
 		up := t.HostLink
-		sh := f.shards[part.HostShard[h]]
-		src := sim.NewCountingSource(deviceSeed(seed, 2, h))
-		host := &Host{
-			id: h, fab: f, sh: sh,
-			src: src, rng: rand.New(src),
-		}
-		host.nic = &outPort{
-			fab: f, sh: sh, rng: host.rng,
+		host := &f.hosts[h]
+		*host = Host{id: h, sh: f.shards[part.HostShard[h]], nic: &f.ports[swPorts+h]}
+		host.src.Seed(deviceSeed(seed, 2, h))
+		host.rng = *rand.New(&host.src)
+		*host.nic = outPort{
+			sh: host.sh, rng: &host.rng,
 			rate: up.Rate, delay: up.Delay,
 			capacity: cfg.HostQueueBytes,
 		}
-		f.hosts[h] = host
 	}
 
 	// Wire every port's far end, so a delivery event never goes back to
@@ -238,14 +261,14 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	var linkID uint64
 	for _, sw := range t.Switches {
 		for pi, p := range sw.Ports {
-			o := f.switches[sw.ID].ports[pi]
+			o := &f.switches[sw.ID].ports[pi]
 			if p.ToHost {
-				o.peerHost = f.hosts[p.Peer]
+				o.peerHost = &f.hosts[p.Peer]
 				o.wireLanes(0)
 				continue
 			}
-			o.peerSw = f.switches[p.Peer]
-			o.peerIn = p.PeerPort
+			o.peerSw = &f.switches[p.Peer]
+			o.peerIn = int32(p.PeerPort)
 			if !p.Boundary {
 				o.wireLanes(0)
 				continue
@@ -258,10 +281,11 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 			}
 		}
 	}
-	for h, host := range f.hosts {
-		host.nic.peerSw = f.switches[t.HostSwitch[h]]
-		host.nic.peerIn = t.HostPort[h]
-		host.nic.wireLanes(0)
+	for h := range f.hosts {
+		nic := f.hosts[h].nic
+		nic.peerSw = &f.switches[t.HostSwitch[h]]
+		nic.peerIn = int32(t.HostPort[h])
+		nic.wireLanes(0)
 	}
 	if linkID >= maxBoundaryLinks {
 		panic("netsim: too many boundary links for the arrival-band key space")
@@ -276,7 +300,7 @@ func (f *Fabric) Engine() *sim.Engine { return f.eng }
 func (f *Fabric) Topology() *topo.Topology { return f.topo }
 
 // Host returns host h.
-func (f *Fabric) Host(h int) *Host { return f.hosts[h] }
+func (f *Fabric) Host(h int) *Host { return &f.hosts[h] }
 
 // AttachProtocol installs p on host h.
 func (f *Fabric) AttachProtocol(h int, p Protocol) {
@@ -285,7 +309,8 @@ func (f *Fabric) AttachProtocol(h int, p Protocol) {
 
 // Start calls Start on every attached protocol. Must run before events.
 func (f *Fabric) Start() {
-	for _, h := range f.hosts {
+	for i := range f.hosts {
+		h := &f.hosts[i]
 		if h.proto == nil {
 			panic(fmt.Sprintf("netsim: host %d has no protocol", h.id))
 		}
@@ -300,7 +325,7 @@ func (f *Fabric) Start() {
 func (f *Fabric) Inject(tr *workload.Trace) {
 	for i := range tr.Flows {
 		fl := &tr.Flows[i]
-		h := f.hosts[fl.Src]
+		h := &f.hosts[fl.Src]
 		h.sh.eng.ScheduleFunc(fl.Arrival, injectFlow, h, tr, i)
 	}
 }
@@ -310,15 +335,15 @@ func injectFlow(a, b any, i int) {
 	a.(*Host).proto.OnFlowArrival(b.(*workload.Trace).Flows[i])
 }
 
-// Host is one end host: a protocol instance plus a NIC egress queue.
+// Host is one end host: a protocol instance plus a NIC egress queue. Hosts
+// are elements of Fabric.hosts and own their random stream by value.
 type Host struct {
-	id    int                 //ckpt:skip topology identity, re-established by construction
-	fab   *Fabric             //ckpt:skip owner back-pointer, re-established by construction
-	sh    *shardState         //ckpt:skip shard wiring, re-established by construction
-	src   *sim.CountingSource // rng's source, counted for checkpointing
-	rng   *rand.Rand          //ckpt:skip rebuilt from the host seed + captured src draws
+	id    int         //ckpt:skip topology identity, re-established by construction
+	sh    *shardState //ckpt:skip shard wiring, re-established by construction
+	nic   *outPort    // this host's element of Fabric.ports
 	proto Protocol
-	nic   *outPort
+	src   sim.CountingSource // rng's source, counted for checkpointing
+	rng   rand.Rand          //ckpt:skip rebuilt from the host seed + captured src draws
 }
 
 // ID returns the host id.
@@ -333,10 +358,10 @@ func (h *Host) Engine() *sim.Engine { return h.sh.eng }
 // must draw here rather than from Engine().Rand(): per-host streams make
 // draw sequences independent of cross-host event interleaving, which
 // sharded execution requires.
-func (h *Host) Rng() *rand.Rand { return h.rng }
+func (h *Host) Rng() *rand.Rand { return &h.rng }
 
 // Topo returns the topology (for RTT/BDP math in protocols).
-func (h *Host) Topo() *topo.Topology { return h.fab.topo }
+func (h *Host) Topo() *topo.Topology { return h.sh.fab.topo }
 
 // LineRate returns the host's access link rate in bits per second.
 func (h *Host) LineRate() float64 { return h.nic.rate }
@@ -352,12 +377,13 @@ func (h *Host) Send(p *packet.Packet) {
 		panic("netsim: packet Src does not match sending host")
 	}
 	p.SentAt = h.sh.eng.Now()
-	for _, o := range h.fab.obs {
+	for _, o := range h.sh.fab.obs {
 		o.PacketInjected(h.id, p)
 	}
 	h.sh.hostLane.After(hostEnqueue, h, p, 0)
 }
 
+//lint:hotpath one event per injected packet; 0-alloc contract of BenchmarkFabricForwarding
 func hostEnqueue(a, b any, _ int) {
 	a.(*Host).nic.enqueue(b.(*packet.Packet))
 }
@@ -368,6 +394,8 @@ func (h *Host) deliver(p *packet.Packet) {
 }
 
 // arriveAtHost is the delivery event of a link that ends at a host.
+//
+//lint:hotpath one event per delivered packet; 0-alloc contract of BenchmarkFabricForwarding
 func arriveAtHost(a, b any, _ int) {
 	a.(*Host).deliver(b.(*packet.Packet))
 }
@@ -375,6 +403,8 @@ func arriveAtHost(a, b any, _ int) {
 // hostDeliver is the fabric's delivery point and one of its two packet
 // release points: once the protocol's OnPacket returns the packet is
 // recycled, unless the protocol claimed it with packet.Keep.
+//
+//lint:hotpath one event per delivered packet; 0-alloc contract of BenchmarkFabricForwarding
 func hostDeliver(a, b any, _ int) {
 	h := a.(*Host)
 	p := b.(*packet.Packet)
@@ -384,7 +414,7 @@ func hostDeliver(a, b any, _ int) {
 	} else {
 		h.sh.counters.DeliveredCtrl++
 	}
-	for _, o := range h.fab.obs {
+	for _, o := range h.sh.fab.obs {
 		o.PacketDelivered(h.id, p)
 	}
 	h.proto.OnPacket(p)
@@ -392,24 +422,35 @@ func hostDeliver(a, b any, _ int) {
 }
 
 // swDev is a running switch: per-port output queues plus PFC state.
+// Switches are elements of Fabric.switches; what forward needs on every
+// packet (shard, port window, routing rule, spray flag, stream) comes
+// first and is held by value, so a forward dereferences the device and
+// nothing behind it.
 type swDev struct {
-	fab   *Fabric             //ckpt:skip owner back-pointer, re-established by construction
-	spec  *topo.Switch        //ckpt:skip static topology, rebuilt by construction
-	sh    *shardState         //ckpt:skip shard wiring, re-established by construction
-	src   *sim.CountingSource // rng's source, counted for checkpointing
-	rng   *rand.Rand          //ckpt:skip rebuilt from the switch seed + captured src draws
-	ports []*outPort
+	sh       *shardState //ckpt:skip shard wiring, re-established by construction
+	ports    []outPort   // this switch's window of Fabric.ports
+	numHosts int         //ckpt:skip copy of topo.Topology.NumHosts
+	// rule is a copy of spec.Rule; DownDiv == 0 (no valid rule has it)
+	// marks a table-routed switch, which goes through spec.Routes.
+	rule  topo.RouteRule //ckpt:skip static topology, rebuilt by construction
+	spray bool           //ckpt:skip copy of Config.Spray
 
 	// down marks a rebooting switch: arrivals are discarded (FaultDrops)
 	// until RestoreSwitch brings the forwarding plane back.
 	down bool
 
+	src  sim.CountingSource // rng's source, counted for checkpointing
+	rng  rand.Rand          //ckpt:skip rebuilt from the switch seed + captured src draws
+	spec *topo.Switch       //ckpt:skip static topology, rebuilt by construction
+
 	// ingressBytes tracks, per ingress port, bytes currently buffered in
 	// this switch that arrived through that port (PFC accounting). Index
 	// len(ports) is used for packets from directly attached hosts, which
 	// are never paused collectively — host pause state is per host port.
+	// Both are windows of per-fabric slabs; paused has length 0 until the
+	// first PFC accounting on this switch (see checkPause).
 	ingressBytes []int64
-	paused       []bool // lazily sized; whether we've paused each ingress
+	paused       []bool // whether we've paused each ingress
 }
 
 // receive handles a packet arriving at the switch from ingress port `in`
@@ -421,36 +462,44 @@ func (d *swDev) receive(p *packet.Packet, in int) {
 
 // arriveAtSwitch is the delivery event of a link that ends at a switch,
 // entering through its port in.
+//
+//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
 func arriveAtSwitch(a, b any, in int) {
 	a.(*swDev).receive(b.(*packet.Packet), in)
 }
 
+//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
 func swForward(a, b any, in int) {
 	a.(*swDev).forward(b.(*packet.Packet), in)
 }
 
 func (d *swDev) forward(p *packet.Packet, in int) {
-	if p.Dst < 0 || p.Dst >= d.fab.topo.NumHosts {
+	if p.Dst < 0 || p.Dst >= d.numHosts {
 		panic("netsim: packet to unknown host")
 	}
 	if d.down {
 		d.sh.counters.FaultDrops++
-		d.fab.dropped(p)
+		d.sh.fab.dropped(p)
 		return
 	}
-	pi, cands := d.spec.Route(p.Dst)
+	var pi int32
+	var cands []int32
+	if d.rule.DownDiv != 0 {
+		pi, cands = d.rule.Route(p.Dst)
+	} else {
+		pi, cands = d.spec.Route(p.Dst)
+	}
 	if pi < 0 {
 		// Multipath: spray draws from the device RNG, ECMP hashes flow
 		// identity; a resolved down port consumes no randomness in either
 		// mode (matching the old single-candidate table rows).
-		if d.fab.cfg.Spray {
+		if d.spray {
 			pi = cands[d.rng.Intn(len(cands))]
 		} else {
 			pi = cands[ecmpHash(p.Flow, p.Src, p.Dst)%uint64(len(cands))]
 		}
 	}
-	port := d.ports[pi]
-	port.enqueueAt(p, d, in)
+	d.ports[pi].enqueueAt(p, d, in)
 }
 
 // ecmpHash mixes flow identity into a path choice (64-bit splitmix).
@@ -470,12 +519,15 @@ func ecmpHash(flow uint64, src, dst int) uint64 {
 // experiments and tests assert it.
 func (f *Fabric) MaxPortQueue() int64 {
 	var max int64
-	for _, sw := range f.switches {
-		for _, p := range sw.ports {
-			if p.maxQueued > max {
-				max = p.maxQueued
-			}
+	sp := f.switchPorts()
+	for i := range sp {
+		if q := sp[i].maxQueued; q > max {
+			max = q
 		}
 	}
 	return max
 }
+
+// switchPorts returns the switch output ports: Fabric.ports without the
+// host NICs at its end.
+func (f *Fabric) switchPorts() []outPort { return f.ports[:len(f.ports)-len(f.hosts)] }

@@ -154,9 +154,9 @@ func TestSprayingUsesAllSpines(t *testing.T) {
 	eng.RunAll()
 	used := 0
 	for si := 9; si < 13; si++ { // spines are switches 9..12
-		sw := f.switches[si]
-		for _, p := range sw.ports {
-			if p.txBytes > 0 {
+		sw := &f.switches[si]
+		for pi := range sw.ports {
+			if sw.ports[pi].txBytes > 0 {
 				used++
 				break
 			}
@@ -184,9 +184,9 @@ func TestECMPSticksToOnePath(t *testing.T) {
 	eng.RunAll()
 	used := 0
 	for si := 9; si < 13; si++ {
-		sw := f.switches[si]
-		for _, p := range sw.ports {
-			if p.txBytes > 0 {
+		sw := &f.switches[si]
+		for pi := range sw.ports {
+			if sw.ports[pi].txBytes > 0 {
 				used++
 				break
 			}

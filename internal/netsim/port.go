@@ -1,17 +1,19 @@
 package netsim
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
 )
 
-// queued is one buffered packet plus the ingress port it arrived through
-// (for PFC accounting; -1 when not applicable).
-type queued struct {
-	p  *packet.Packet
-	in int
+// pktFIFO is one priority class of a port: an intrusive singly linked
+// list through packet.Packet.QNext, both ends nil while the class is
+// empty.
+type pktFIFO struct {
+	head *packet.Packet
+	tail *packet.Packet //ckpt:skip derived: the last packet of the walk from head, which is captured
 }
 
 // outPort models one transmit side of a full-duplex link: eight
@@ -22,23 +24,19 @@ type queued struct {
 // queues, byte counts, PFC/fault state, and the boundary arrival
 // sequence. Link parameters and device wiring are static topology,
 // re-created identically by building the fabric before restore.
+//
+// Ports live in one slab per fabric (Fabric.ports) and the field order is
+// the memory layout (DESIGN.md §8.4): everything a packet hop touches —
+// enqueueAt → push → tryTransmit → armWake — comes first and fits two
+// cache lines, the class lists take the next two, and static or rare
+// fields sit in the tail. TestPortLayout guards the split; a new field
+// goes in the tail unless every hop reads it.
 type outPort struct {
-	fab      *Fabric      //ckpt:skip owner back-pointer, re-established by construction
-	sh       *shardState  //ckpt:skip shard wiring, re-established by construction
-	rng      *rand.Rand   //ckpt:skip aliases the owning device's stream; its position is captured there
-	rate     float64      //ckpt:skip static link parameter from topology
-	delay    sim.Duration //ckpt:skip static link parameter from topology
-	capacity int64        //ckpt:skip static link parameter from topology
-
-	owner *swDev //ckpt:skip device wiring, re-established by construction
-
-	queues      [packet.NumPriorities][]queued
-	heads       [packet.NumPriorities]int
-	nQueued     int //ckpt:skip derived: the packet count of queues, which are captured
+	sh          *shardState //ckpt:skip shard wiring, re-established by construction
 	queuedBytes int64
+	capacity    int64 //ckpt:skip static link parameter from topology
 	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
-	paused      bool
 
 	// Transmitter completion is lazy (DESIGN.md §8.1). Starting a
 	// transmission queues no event: it reserves the key (busyUntil,
@@ -48,26 +46,28 @@ type outPort struct {
 	// there is a packet for it to send. busy says a key has been reserved
 	// and not run as an event; only serializing() says whether it is still
 	// ahead.
-	busy      bool
 	busyUntil sim.Time
 	busySeq   uint64
+	nQueued   int32 //ckpt:skip derived: the packet count of the class lists, which are captured
+	peerIn    int32 //ckpt:skip peer wiring, re-established by construction
+	nonEmpty  uint8 //ckpt:skip derived: bit pr is set while class pr's list holds a packet
+	paused    bool
+	busy      bool
 	wakeArmed bool
+	// down halts the transmitter like a PFC pause but is independent of it
+	// (see Fabric's fault-control methods).
+	down bool
+	// boundary marks egress onto a switch↔switch link marked
+	// topo.Port.Boundary: delivery is fused into a single arrival-band
+	// event — the forward at the peer switch, scheduled
+	// tx+delay+SwitchDelay ahead with a key built from the directed link
+	// id and a per-link sequence, so its execution order is identical at
+	// every shard count.
+	boundary bool //ckpt:skip static topology attribute (topo.Port.Boundary)
+	faulty   bool //ckpt:skip derived: lossRate > 0 || burstRate > 0, so a clean link never reads the cold tail
 
-	// Injected fault state (see Fabric's fault-control methods). down
-	// halts the transmitter like a PFC pause but is independent of it;
-	// lossRate is a persistent degraded-link drop probability; burstRate
-	// applies instead while the clock is before burstUntil.
-	down       bool
-	lossRate   float64
-	burstRate  float64
-	burstUntil sim.Time
-
-	// The far end of the link, so the delivery event goes straight to the
-	// receiving device: a host (peerHost), or port peerIn of a switch
-	// (peerSw).
-	peerHost *Host  //ckpt:skip peer wiring, re-established by construction
-	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
-	peerIn   int    //ckpt:skip peer wiring, re-established by construction
+	rate  float64      //ckpt:skip static link parameter from topology
+	delay sim.Duration //ckpt:skip static link parameter from topology
 
 	// Lanes for the two packet sizes that make up nearly all traffic: the
 	// delivery of a full MTU or a bare header fires a delay fixed by the
@@ -77,15 +77,26 @@ type outPort struct {
 	laneMTU *sim.Lane //ckpt:skip lane wiring, re-established by construction
 	laneHdr *sim.Lane //ckpt:skip lane wiring, re-established by construction
 
-	// Boundary egress (switch↔switch links marked topo.Port.Boundary):
-	// delivery is fused into a single arrival-band event — the forward at
-	// the peer switch, scheduled tx+delay+SwitchDelay ahead with a key
-	// built from the directed link id and a per-link sequence, so its
-	// execution order is identical at every shard count. Data and PFC
-	// frames on the same directed link share arrSeq.
-	boundary bool   //ckpt:skip static topology attribute (topo.Port.Boundary)
-	linkID   uint64 //ckpt:skip derived from the directed link identity at construction
-	arrSeq   uint64
+	// The far end of the link, so the delivery event goes straight to the
+	// receiving device: a host (peerHost), or port peerIn of a switch
+	// (peerSw).
+	peerHost *Host  //ckpt:skip peer wiring, re-established by construction
+	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
+	owner    *swDev //ckpt:skip device wiring, re-established by construction
+
+	q [packet.NumPriorities]pktFIFO
+
+	// Cold tail: injected fault parameters (lossRate is a persistent
+	// degraded-link drop probability; burstRate applies instead while the
+	// clock is before burstUntil), the stream they draw from, and the
+	// boundary link's identity. Data and PFC frames on the same directed
+	// link share arrSeq.
+	rng        *rand.Rand //ckpt:skip aliases the owning device's stream; its position is captured there
+	lossRate   float64
+	burstRate  float64
+	burstUntil sim.Time
+	linkID     uint64 //ckpt:skip derived from the directed link identity at construction
+	arrSeq     uint64
 }
 
 // wireLanes resolves the port's lanes on its shard: serialization plus
@@ -94,6 +105,13 @@ type outPort struct {
 func (o *outPort) wireLanes(extra sim.Duration) {
 	o.laneMTU = o.sh.lane(sim.TransmissionTime(packet.MTU, o.rate) + o.delay + extra)
 	o.laneHdr = o.sh.lane(sim.TransmissionTime(packet.HeaderSize, o.rate) + o.delay + extra)
+}
+
+// setLoss installs the port's injected loss parameters and the flag that
+// says whether faultDrop has anything to do.
+func (o *outPort) setLoss(lossRate, burstRate float64, burstUntil sim.Time) {
+	o.lossRate, o.burstRate, o.burstUntil = lossRate, burstRate, burstUntil
+	o.faulty = lossRate > 0 || burstRate > 0
 }
 
 // faultDrop applies injected link faults (degrade / loss burst) at enqueue
@@ -109,19 +127,19 @@ func (o *outPort) faultDrop(p *packet.Packet) bool {
 		return false
 	}
 	o.sh.counters.FaultDrops++
-	o.fab.dropped(p)
+	o.sh.fab.dropped(p)
 	return true
 }
 
 // enqueue is the host-NIC entry point: plain drop-tail, no dataplane
 // features (a host never trims or marks its own packets).
 func (o *outPort) enqueue(p *packet.Packet) {
-	if o.faultDrop(p) {
+	if o.faulty && o.faultDrop(p) {
 		return
 	}
 	if o.queuedBytes+int64(p.Size) > o.capacity {
 		o.sh.counters.HostDrops++
-		o.fab.dropped(p)
+		o.sh.fab.dropped(p)
 		return
 	}
 	o.push(p, -1)
@@ -131,8 +149,9 @@ func (o *outPort) enqueue(p *packet.Packet) {
 // NDP trimming, ECN marking, and drop-tail in that order, then PFC
 // accounting for the ingress the packet came through.
 func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
-	cfg := &o.fab.cfg
-	if o.faultDrop(p) {
+	fab := o.sh.fab
+	cfg := &fab.cfg
+	if o.faulty && o.faultDrop(p) {
 		return
 	}
 	if cfg.RandomLossRate > 0 && o.rng.Float64() < cfg.RandomLossRate {
@@ -141,7 +160,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 		} else {
 			o.sh.counters.CtrlDrops++
 		}
-		o.fab.dropped(p)
+		fab.dropped(p)
 		return
 	}
 	isData := p.Kind == packet.Data && !p.Trimmed
@@ -149,7 +168,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 	if isData && p.Unsched && cfg.AeolusThresholdBytes > 0 &&
 		o.queuedBytes >= cfg.AeolusThresholdBytes {
 		o.sh.counters.AeolusDrops++
-		o.fab.dropped(p)
+		fab.dropped(p)
 		return
 	}
 	// Trimming applies to regular data only: NDP carries retransmissions
@@ -161,7 +180,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 		p.Size = packet.HeaderSize
 		p.Priority = packet.PrioControl
 		o.sh.counters.Trims++
-		for _, ob := range o.fab.obs {
+		for _, ob := range fab.obs {
 			ob.PacketTrimmed(p)
 		}
 		isData = false
@@ -172,7 +191,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 		} else {
 			o.sh.counters.CtrlDrops++
 		}
-		o.fab.dropped(p)
+		fab.dropped(p)
 		return
 	}
 	if isData && cfg.ECNThresholdBytes > 0 && o.queuedBytes >= cfg.ECNThresholdBytes {
@@ -186,13 +205,23 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 	}
 }
 
-// push appends to the packet's priority queue and kicks the transmitter.
+// push links the packet behind its priority class's tail, recording the
+// ingress it came through (for PFC accounting; -1 when not applicable),
+// and kicks the transmitter.
 func (o *outPort) push(p *packet.Packet, in int) {
 	pr := p.Priority
-	if int(pr) >= packet.NumPriorities {
+	if pr >= packet.NumPriorities {
 		pr = packet.NumPriorities - 1
 	}
-	o.queues[pr] = append(o.queues[pr], queued{p, in})
+	p.QIn = int32(in)
+	q := &o.q[pr]
+	if bit := uint8(1) << pr; o.nonEmpty&bit == 0 {
+		o.nonEmpty |= bit
+		q.head = p
+	} else {
+		q.tail.QNext = p
+	}
+	q.tail = p
 	o.nQueued++
 	o.queuedBytes += int64(p.Size)
 	if o.queuedBytes > o.maxQueued {
@@ -201,34 +230,26 @@ func (o *outPort) push(p *packet.Packet, in int) {
 	o.tryTransmit()
 }
 
-// pop removes the highest-priority head-of-line packet.
-func (o *outPort) pop() (queued, bool) {
-	for pr := 0; pr < packet.NumPriorities; pr++ {
-		q := o.queues[pr]
-		h := o.heads[pr]
-		if h >= len(q) {
-			continue
-		}
-		el := q[h]
-		q[h] = queued{}
-		h++
-		switch {
-		case h == len(q):
-			// Empty: reset to reuse the backing array.
-			o.queues[pr] = q[:0]
-			h = 0
-		case h > 64 && h*2 > len(q):
-			// Compact once the dead prefix dominates, amortized O(1).
-			n := copy(q, q[h:])
-			o.queues[pr] = q[:n]
-			h = 0
-		}
-		o.heads[pr] = h
-		o.nQueued--
-		o.queuedBytes -= int64(el.p.Size)
-		return el, true
+// pop unlinks the highest-priority head-of-line packet and returns it with
+// its ingress, or nil when the port is empty. The packet leaves with its
+// queue linkage zeroed: those fields are the fabric's only while it is
+// buffered.
+func (o *outPort) pop() (*packet.Packet, int) {
+	if o.nonEmpty == 0 {
+		return nil, 0
 	}
-	return queued{}, false
+	pr := bits.TrailingZeros8(o.nonEmpty)
+	q := &o.q[pr]
+	p := q.head
+	if q.head = p.QNext; q.head == nil {
+		q.tail = nil
+		o.nonEmpty &^= 1 << pr
+	}
+	in := int(p.QIn)
+	p.QNext, p.QIn = nil, 0
+	o.nQueued--
+	o.queuedBytes -= int64(p.Size)
+	return p, in
 }
 
 // tryTransmit starts serializing the next packet if the port is idle, not
@@ -242,22 +263,23 @@ func (o *outPort) tryTransmit() {
 		o.armWake()
 		return
 	}
-	el, ok := o.pop()
-	if !ok {
+	p, in := o.pop()
+	if p == nil {
 		return
 	}
 	o.busy = true
-	p := el.p
 
-	// Release PFC accounting as soon as the packet leaves the buffer.
-	if o.owner != nil && o.fab.cfg.EnablePFC && el.in >= 0 {
-		o.owner.ingressBytes[el.in] -= int64(p.Size)
-		o.owner.checkResume(el.in)
+	// Release PFC accounting as soon as the packet leaves the buffer (only
+	// switch ports record an ingress).
+	if in >= 0 && o.sh.fab.cfg.EnablePFC {
+		o.owner.ingressBytes[in] -= int64(p.Size)
+		o.owner.checkResume(in)
 	}
 
 	tx := sim.TransmissionTime(p.Size, o.rate)
 	o.txBytes += int64(p.Size)
 	if p.CollectINT {
+		//lint:ignore hotalloc packet.Release keeps the INT backing array, so a recycled packet appends into capacity it already grew
 		p.INT = append(p.INT, packet.INTHop{
 			QueueBytes: o.queuedBytes,
 			TxBytes:    o.txBytes,
@@ -285,14 +307,14 @@ func (o *outPort) tryTransmit() {
 		key := bandKey(o.linkID, o.arrSeq)
 		o.arrSeq++
 		if lane != nil {
-			lane.Arrive(key, swForward, o.peerSw, p, o.peerIn)
+			lane.Arrive(key, swForward, o.peerSw, p, int(o.peerIn))
 			break
 		}
-		at := eng.Now().Add(tx + o.delay + o.fab.topo.SwitchDelay)
+		at := eng.Now().Add(tx + o.delay + o.sh.fab.topo.SwitchDelay)
 		if peer := o.peerSw.sh; peer == o.sh {
-			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, o.peerIn)
+			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, int(o.peerIn))
 		} else {
-			o.sh.stage(peer, at, key, swForward, o.peerSw, p, o.peerIn)
+			o.sh.stage(peer, at, key, swForward, o.peerSw, p, int(o.peerIn))
 		}
 	case o.peerHost != nil:
 		if lane != nil {
@@ -302,9 +324,9 @@ func (o *outPort) tryTransmit() {
 		}
 	default:
 		if lane != nil {
-			lane.After(arriveAtSwitch, o.peerSw, p, o.peerIn)
+			lane.After(arriveAtSwitch, o.peerSw, p, int(o.peerIn))
 		} else {
-			eng.AfterFunc(tx+o.delay, arriveAtSwitch, o.peerSw, p, o.peerIn)
+			eng.AfterFunc(tx+o.delay, arriveAtSwitch, o.peerSw, p, int(o.peerIn))
 		}
 	}
 }
@@ -325,6 +347,7 @@ func (o *outPort) armWake() {
 	o.sh.eng.ScheduleReserved(o.busyUntil, o.busySeq, portTxDone, o, nil, 0)
 }
 
+//lint:hotpath one completion per back-to-back packet; 0-alloc contract of BenchmarkFabricForwarding
 func portTxDone(a, _ any, _ int) {
 	o := a.(*outPort)
 	o.busy, o.wakeArmed = false, false
@@ -332,12 +355,12 @@ func portTxDone(a, _ any, _ int) {
 }
 
 // checkPause sends a PFC pause upstream when an ingress's buffered bytes
-// cross the pause watermark.
+// cross the pause watermark. The first call on a switch opens its window
+// of the fabric's pause-flag slab: until then len(paused) is 0, which is
+// also what the checkpoint records.
 func (d *swDev) checkPause(in int) {
-	if d.paused == nil {
-		d.paused = make([]bool, len(d.ports))
-	}
-	if d.paused[in] || d.ingressBytes[in] < d.fab.cfg.PFCPause {
+	d.paused = d.paused[:cap(d.paused)]
+	if d.paused[in] || d.ingressBytes[in] < d.sh.fab.cfg.PFCPause {
 		return
 	}
 	d.paused[in] = true
@@ -348,7 +371,7 @@ func (d *swDev) checkPause(in int) {
 // checkResume lifts the pause once the ingress drains below the resume
 // watermark.
 func (d *swDev) checkResume(in int) {
-	if d.paused == nil || !d.paused[in] || d.ingressBytes[in] > d.fab.cfg.PFCResume {
+	if len(d.paused) == 0 || !d.paused[in] || d.ingressBytes[in] > d.sh.fab.cfg.PFCResume {
 		return
 	}
 	d.paused[in] = false
@@ -364,21 +387,22 @@ func (d *swDev) checkResume(in int) {
 // arrival-band sequence; on intra-shard links plain scheduling suffices.
 func (d *swDev) signalUpstream(in int, pause bool) {
 	spec := d.spec.Ports[in]
+	fab := d.sh.fab
 	i := 0
 	if pause {
 		i = 1
 	}
 	if spec.ToHost {
 		// Hosts always share their ToR's shard.
-		d.sh.eng.AfterFunc(spec.Delay, pfcApply, d.fab.hosts[spec.Peer].nic, nil, i)
+		d.sh.eng.AfterFunc(spec.Delay, pfcApply, fab.hosts[spec.Peer].nic, nil, i)
 		return
 	}
-	up := d.fab.switches[spec.Peer].ports[spec.PeerPort]
+	up := &fab.switches[spec.Peer].ports[spec.PeerPort]
 	if !spec.Boundary {
 		d.sh.eng.AfterFunc(spec.Delay, pfcApply, up, nil, i)
 		return
 	}
-	rev := d.ports[in] // our transmitter on the same directed link d→peer
+	rev := &d.ports[in] // our transmitter on the same directed link d→peer
 	at := d.sh.eng.Now().Add(spec.Delay)
 	key := bandKey(rev.linkID, rev.arrSeq)
 	rev.arrSeq++

@@ -1,0 +1,318 @@
+package netsim
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"dcpim/internal/checkpoint"
+	"dcpim/internal/packet"
+	"dcpim/internal/sim"
+	"dcpim/internal/topo"
+)
+
+// queued is one buffered packet of the reference model plus the ingress it
+// arrived through — the element type the port's queues had before they
+// became intrusive lists.
+type queued struct {
+	p  *packet.Packet
+	in int
+}
+
+// portModel is the reference the port queue is checked against: one plain
+// slice per class, an eager transmitter flag, and the byte accounting.
+type portModel struct {
+	q                               [packet.NumPriorities][]queued
+	queuedBytes, maxQueued, txBytes int64
+	capacity                        int64
+	busy, paused, down              bool
+	ingress                         []int64
+	sent                            []*packet.Packet // transmit order
+}
+
+func (m *portModel) count() (n int) {
+	for pr := range m.q {
+		n += len(m.q[pr])
+	}
+	return n
+}
+
+// pop removes the head of the first non-empty class.
+func (m *portModel) pop() (queued, bool) {
+	for pr := range m.q {
+		if len(m.q[pr]) > 0 {
+			el := m.q[pr][0]
+			m.q[pr] = m.q[pr][1:]
+			m.queuedBytes -= int64(el.p.Size)
+			m.ingress[el.in] -= int64(el.p.Size)
+			return el, true
+		}
+	}
+	return queued{}, false
+}
+
+// tryTransmit starts the next packet if nothing holds the transmitter.
+func (m *portModel) tryTransmit() {
+	if m.paused || m.down || m.busy {
+		return
+	}
+	if el, ok := m.pop(); ok {
+		m.busy = true
+		m.txBytes += int64(el.p.Size)
+		m.sent = append(m.sent, el.p)
+	}
+}
+
+// enqueue admits p by drop-tail and reports whether it was buffered.
+func (m *portModel) enqueue(p *packet.Packet, in int) bool {
+	if m.queuedBytes+int64(p.Size) > m.capacity {
+		return false
+	}
+	pr := int(p.Priority)
+	if pr >= packet.NumPriorities {
+		pr = packet.NumPriorities - 1
+	}
+	m.q[pr] = append(m.q[pr], queued{p, in})
+	m.queuedBytes += int64(p.Size)
+	if m.queuedBytes > m.maxQueued {
+		m.maxQueued = m.queuedBytes
+	}
+	m.ingress[in] += int64(p.Size)
+	m.tryTransmit()
+	return true
+}
+
+// encode writes the model in outPort.captureState's format. The reserved
+// completion key is the engine's business, so it is read from the port.
+func (m *portModel) encode(enc *checkpoint.Encoder, o *outPort) {
+	enc.I64(m.queuedBytes)
+	enc.I64(m.maxQueued)
+	enc.I64(m.txBytes)
+	enc.Bool(m.busy)
+	if m.busy {
+		enc.I64(int64(o.busyUntil))
+		enc.U64(o.busySeq)
+		enc.Bool(o.wakeArmed)
+	}
+	enc.Bool(m.paused)
+	enc.Bool(m.down)
+	enc.F64(0)
+	enc.F64(0)
+	enc.I64(0)
+	enc.U64(0)
+	for pr := range m.q {
+		enc.U32(uint32(len(m.q[pr])))
+		for _, el := range m.q[pr] {
+			capturePacket(enc, el.p)
+			enc.I64(int64(el.in))
+		}
+	}
+}
+
+// unlinked reports whether p carries no queue linkage.
+func unlinked(p *packet.Packet) bool { return p.QNext == nil && p.QIn == 0 }
+
+// TestPortQueueAgainstModel drives one switch port — leaf 0's downlink to
+// host 0 — with random interleavings of everything that touches its
+// queue: enqueues in every class (classes ≥ 8 clamp to the lowest) from
+// random ingresses, transmit completions, PFC pause/resume, link down/up
+// and a cold reboot's drain. After every step the port must agree with
+// the slice-per-class model on the counters, on the auditor's walk, and
+// byte for byte on the checkpoint encoding (which pins the content and
+// order of every class, hence the pop order); a packet that leaves the
+// queue — transmitted, drained or dropped — must carry no stale link or
+// ingress, and at the end the packets reach the host in the model's
+// transmit order.
+func TestPortQueueAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := Config{Spray: true, EnablePFC: true, PortBufferBytes: 12 * packet.MTU}
+		f, sinks := buildFabric(t, topo.SmallLeafSpine(), cfg)
+		eng := f.Engine()
+		sw := &f.switches[0]
+		port := &sw.ports[0]
+		m := &portModel{capacity: cfg.PortBufferBytes, ingress: make([]int64, len(sw.ingressBytes))}
+		rng := rand.New(rand.NewSource(seed))
+		sizes := []int{packet.MTU, packet.MTU, packet.HeaderSize, 700}
+
+		check := func(step int, op string) {
+			t.Helper()
+			if int(port.nQueued) != m.count() || port.queuedBytes != m.queuedBytes ||
+				port.maxQueued != m.maxQueued || port.txBytes != m.txBytes {
+				t.Fatalf("seed %d step %d (%s): port nQueued=%d queuedBytes=%d maxQueued=%d txBytes=%d, model %d %d %d %d",
+					seed, step, op, port.nQueued, port.queuedBytes, port.maxQueued, port.txBytes,
+					m.count(), m.queuedBytes, m.maxQueued, m.txBytes)
+			}
+			if n := port.auditQueued(f.audit); n != int64(m.count()) || len(f.audit.errs) != 0 {
+				t.Fatalf("seed %d step %d (%s): auditor walked %d packets, model holds %d; errors %v",
+					seed, step, op, n, m.count(), f.audit.errs)
+			}
+			if !reflect.DeepEqual(sw.ingressBytes, m.ingress) {
+				t.Fatalf("seed %d step %d (%s): ingress bytes %v, model %v", seed, step, op, sw.ingressBytes, m.ingress)
+			}
+			var got, want checkpoint.Encoder
+			port.captureState(&got)
+			m.encode(&want, port)
+			if !bytes.Equal(got.Data(), want.Data()) {
+				t.Fatalf("seed %d step %d (%s): captureState differs from the model's encoding", seed, step, op)
+			}
+			for _, p := range m.sent {
+				if !unlinked(p) {
+					t.Fatalf("seed %d step %d (%s): transmitted packet still linked: QNext=%p QIn=%d", seed, step, op, p.QNext, p.QIn)
+				}
+			}
+		}
+		// released checks a packet the fabric dropped: packet.Release must
+		// have handed it back zeroed, linkage included.
+		released := func(step int, op string, p *packet.Packet) {
+			t.Helper()
+			if !reflect.DeepEqual(*p, packet.Packet{}) {
+				t.Fatalf("seed %d step %d (%s): dropped packet not zeroed by Release: %+v", seed, step, op, *p)
+			}
+		}
+
+		for step := 0; step < 600; step++ {
+			op := "enqueue"
+			switch r := rng.Intn(20); {
+			case r < 11:
+				p := packet.NewData(1, 0, uint64(step), step, sizes[rng.Intn(len(sizes))], uint8(rng.Intn(11)))
+				in := rng.Intn(len(sw.ports))
+				f.audit.inject(p)
+				admitted := m.enqueue(p, in) // before the port can recycle p
+				port.enqueueAt(p, sw, in)
+				if !admitted {
+					released(step, op, p)
+				}
+			case r < 15:
+				op = "complete"
+				if m.busy {
+					eng.Run(port.busyUntil)
+					m.busy = false
+					m.tryTransmit()
+				}
+			case r < 16:
+				op = "pause"
+				pfcApply(port, nil, 1)
+				m.paused = true
+			case r < 17:
+				op = "resume"
+				pfcApply(port, nil, 0)
+				m.paused = false
+				m.tryTransmit()
+			case r < 18:
+				op = "link down"
+				f.SetLinkDown(0, 0, true)
+				m.down = true
+			case r < 19:
+				op = "link up"
+				f.SetLinkDown(0, 0, false)
+				m.down = false
+				m.tryTransmit()
+			default:
+				op = "cold reboot"
+				m.down = true
+				var drained []*packet.Packet
+				for el, ok := m.pop(); ok; el, ok = m.pop() {
+					drained = append(drained, el.p)
+				}
+				f.RebootSwitch(0, true)
+				for _, p := range drained {
+					released(step, op, p)
+				}
+				check(step, op)
+				op = "restore"
+				f.RestoreSwitch(0)
+				m.down = false
+				m.tryTransmit()
+			}
+			check(step, op)
+		}
+
+		// Let everything still buffered out and compare the order on the wire.
+		pfcApply(port, nil, 0)
+		f.SetLinkDown(0, 0, false)
+		m.paused, m.down = false, false
+		for m.busy || m.count() > 0 {
+			m.busy = false
+			m.tryTransmit()
+		}
+		eng.RunAll()
+		if got := sinks[0].received; !reflect.DeepEqual(got, m.sent) {
+			t.Fatalf("seed %d: host received %d packets, model transmitted %d, or in another order", seed, len(got), len(m.sent))
+		}
+	}
+}
+
+// TestAuditCatchesReleaseWhileBuffered: a protocol that recycles a packet
+// the fabric still holds zeroes its queue link with everything else, which
+// cuts the class list behind it. The conservation auditor must say so.
+func TestAuditCatchesReleaseWhileBuffered(t *testing.T) {
+	f := New(sim.NewEngine(1), topo.SmallLeafSpine().Build(), Config{Spray: true, Audit: true})
+	for i := 0; i < f.Topology().NumHosts; i++ {
+		f.AttachProtocol(i, &sink{})
+	}
+	f.Start()
+	f.SetLinkDown(0, 0, true)
+	var parked []*packet.Packet
+	for i := 0; i < 3; i++ {
+		p := packet.NewData(1, 0, 7, i, packet.MTU, packet.PrioShort)
+		parked = append(parked, p)
+		f.Host(1).Send(p)
+	}
+	f.Engine().RunAll()
+	if errs := f.AuditVerify(); len(errs) != 0 {
+		t.Fatalf("audit of three parked packets: %v", errs)
+	}
+	packet.Release(parked[1])
+	errs := strings.Join(f.AuditVerify(), "\n")
+	if !strings.Contains(errs, "released while buffered") {
+		t.Fatalf("auditor missed a packet released while buffered; errors: %q", errs)
+	}
+}
+
+// TestPortLayout guards the memory layout the forwarding path was sized
+// for (DESIGN.md §8.4). A hop's first touch of a port is a cache miss at
+// 8192 hosts, so everything enqueueAt → push → tryTransmit → armWake reads
+// or writes must stay inside the first two cache lines, and the port
+// inside five: a field added without thought would push a hot one out, or
+// grow every one of a fabric's ports (49,152 at k=32). New fields go
+// behind q, in the cold tail, unless every hop needs them — then something
+// else has to leave the prefix.
+func TestPortLayout(t *testing.T) {
+	var o outPort
+	if sz := unsafe.Sizeof(o); sz > 320 {
+		t.Errorf("outPort is %d bytes, want <= 320", sz)
+	}
+	// owner is the last hot field; the class lists follow it.
+	if off := unsafe.Offsetof(o.owner); off >= 128 {
+		t.Errorf("outPort.owner, the last hot field, sits at offset %d, want < 128", off)
+	}
+	if off := unsafe.Offsetof(o.q); off > 128 {
+		t.Errorf("outPort.q starts at offset %d, want <= 128", off)
+	}
+	if sz := unsafe.Sizeof(packet.Packet{}); sz > 160 {
+		t.Errorf("packet.Packet is %d bytes with its queue link, want <= 160 (the allocator's size class before the link)", sz)
+	}
+}
+
+// TestNewShardedAllocatesSlabs: building a fabric costs a fixed number of
+// allocations — the slabs, the shard, its lanes — not one per port, switch
+// or host. The k=8 FatTree has 128 hosts, 80 switches and 640 switch ports.
+func TestNewShardedAllocatesSlabs(t *testing.T) {
+	tp := topo.FatTreeK(8).Build()
+	part, err := topo.MakePartition(tp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Spray: true, EnablePFC: true}
+	allocs := testing.AllocsPerRun(5, func() {
+		NewSharded(sim.NewGroup([]*sim.Engine{sim.NewEngine(1)}), tp, cfg, part)
+	})
+	// Measured 33 at k=8 and at k=16: engine and group, one shard with its
+	// lanes, five slabs. One allocation per switch alone would add 80.
+	if allocs > 48 {
+		t.Errorf("NewSharded on a k=8 FatTree made %.0f allocations, want a constant (<= 48), not one per device", allocs)
+	}
+}

@@ -21,6 +21,7 @@ import (
 // counters, and outbound staging queues.
 type shardState struct {
 	id       int               //ckpt:skip shard ordinal, re-established by construction
+	fab      *Fabric           //ckpt:skip owner back-pointer, re-established by construction
 	eng      *sim.Engine       //ckpt:skip engine wiring; EngineStates are captured by the checkpoint driver
 	counters *Counters         // aliases Fabric.Counters when single-shard
 	out      [][]stagedArrival //ckpt:skip barrier staging queues, empty at every capture point (synced barrier)
@@ -68,6 +69,8 @@ type stagedArrival struct {
 
 // stage queues a cross-shard arrival. Only the owning shard's goroutine
 // appends to its out rows during an epoch, so no locking is needed.
+//
+//lint:coldpath a row grows to its epoch high-water mark once; drainStaging hands the backing array back (q[:0])
 func (s *shardState) stage(dst *shardState, at sim.Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
 	s.out[dst.id] = append(s.out[dst.id], stagedArrival{at, key, fn, a, b, i})
 }

@@ -121,11 +121,11 @@ type INTHop struct {
 // owns the packet and should Release it once consumed.
 type Packet struct {
 	Kind     Kind
+	Priority uint8  // 0 (highest) .. NumPriorities-1
 	Src, Dst int    // host ids
 	Flow     uint64 // flow id (0 = none)
 	Seq      int    // data/token sequence number within the flow
 	Size     int    // bytes on the wire
-	Priority uint8  // 0 (highest) .. NumPriorities-1
 
 	// Transport header fields; which are meaningful depends on Kind and
 	// the protocol in use.
@@ -147,6 +147,14 @@ type Packet struct {
 	PauseClass uint8    // priority class a Pause/Resume applies to
 
 	keep bool //ckpt:skip transient ownership flag, false for every packet at rest in a captured queue
+
+	// Queue linkage, owned by the fabric while the packet is buffered in a
+	// port (netsim's intrusive per-class FIFOs) and zero at every other
+	// time: QNext is the packet behind this one in its class, QIn the
+	// ingress port it arrived through (-1 when not applicable). Protocols
+	// never read or write them.
+	QIn   int32
+	QNext *Packet
 }
 
 // pool recycles packets across the whole process. Packets carry no

@@ -68,16 +68,22 @@ type RouteRule struct {
 // across. No allocation on either path.
 func (s *Switch) Route(dst int) (int32, []int32) {
 	if r := s.Rule; r != nil {
-		if d := int32(dst) - r.DownBase; d >= 0 && d < r.DownCount {
-			return r.DownPort + d/r.DownDiv, nil
-		}
-		return -1, r.Up
+		return r.Route(dst)
 	}
 	c := s.Routes[dst]
 	if len(c) == 1 {
 		return c[0], nil
 	}
 	return -1, c
+}
+
+// Route is Switch.Route for a rule-routed switch, for callers that hold
+// the rule by value (netsim's switch devices copy it next to their ports).
+func (r *RouteRule) Route(dst int) (int32, []int32) {
+	if d := int32(dst) - r.DownBase; d >= 0 && d < r.DownCount {
+		return r.DownPort + d/r.DownDiv, nil
+	}
+	return -1, r.Up
 }
 
 // Topology is an immutable description of a datacenter network.
