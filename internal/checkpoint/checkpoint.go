@@ -31,7 +31,7 @@ const Magic = "DCPIMCK1"
 // section contains or how it is encoded MUST bump this — Read rejects
 // mismatched versions with a VersionError rather than misinterpreting
 // bytes. Versioning rules are spelled out in DESIGN.md §14.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // Meta identifies what a snapshot is of: the format version, the run's
 // identity (protocol, seed, topology and spec hashes, execution shape)

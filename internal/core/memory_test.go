@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dcpim/internal/packet"
 	"dcpim/internal/sim"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
@@ -82,5 +83,49 @@ func TestSteadyStateBytesPerFlow(t *testing.T) {
 	// sanity-check the measurement itself is not vacuous.
 	if len(h.col.Records()) == 0 {
 		t.Fatal("collector kept no records; measurement is vacuous")
+	}
+}
+
+// mallocsPerPacedPacketBudget bounds the heap objects a sender and its
+// receiver allocate per data packet of a long flow at steady state
+// (measured 2.6: token and data packets the pool had to make, timers).
+// A method value re-bound on every pacer tick costs one more object per
+// tick — 3.8 per packet with sender.pace — which is what this catches.
+const mallocsPerPacedPacketBudget = 3.0
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestPacerMallocsPerPacket runs one 4 MB flow to warm the slabs, pools
+// and free lists, then counts mallocs over a second identical flow: the
+// token-clocked data phase must not allocate per pacing tick.
+func TestPacerMallocsPerPacket(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop packets, so malloc counts do not hold")
+	}
+	h := newHarness(topo.SmallLeafSpine(), DefaultConfig(), 11)
+	const size = 4 << 20
+	wave := 2 * sim.Millisecond
+	flow := func(id uint64, at sim.Duration) *workload.Trace {
+		return &workload.Trace{Flows: []workload.Flow{
+			{ID: id, Src: 0, Dst: 5, Size: size, Arrival: sim.Time(at)},
+		}}
+	}
+	h.run(flow(1, 0), wave)
+	h.fab.Inject(flow(2, wave))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.eng.Run(sim.Time(2 * wave))
+	runtime.ReadMemStats(&after)
+	if h.col.Completed() != 2 {
+		t.Fatalf("%d of 2 flows completed", h.col.Completed())
+	}
+	pkts := float64(packet.PacketsForBytes(size))
+	perPkt := float64(after.Mallocs-before.Mallocs) / pkts
+	t.Logf("%d mallocs over %.0f paced packets: %.2f per packet (budget %.1f)",
+		after.Mallocs-before.Mallocs, pkts, perPkt, mallocsPerPacedPacketBudget)
+	if perPkt > mallocsPerPacedPacketBudget {
+		t.Fatalf("%.2f mallocs per paced packet exceeds the budget of %.1f",
+			perPkt, mallocsPerPacedPacketBudget)
 	}
 }

@@ -183,13 +183,11 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 	var ge checkpoint.Encoder
 	gs := rs.grp.CaptureState()
 	ge.U64(gs.Epochs)
-	ge.U32(uint32(len(gs.Dispatched)))
-	for _, v := range gs.Dispatched {
-		ge.U64(v)
-	}
-	ge.U32(uint32(len(gs.Skipped)))
-	for _, v := range gs.Skipped {
-		ge.U64(v)
+	for _, per := range [][]uint64{gs.Dispatched, gs.Skipped, gs.Critical, gs.Events} {
+		ge.U32(uint32(len(per)))
+		for _, v := range per {
+			ge.U64(v)
+		}
 	}
 	snap.AddSection("group", ge.Data())
 	var fe checkpoint.Encoder

@@ -31,6 +31,22 @@ type ScaleResult struct {
 	SkippedPct   float64 `json:"skipped_pct"`
 	Resumed      bool    `json:"resumed,omitempty"` // cell restored from a snapshot
 	Digest       string  `json:"digest"`
+	// Critical is Σ over epochs of the most events any one shard executed
+	// (0 when serial). Events over it bounds the cell's speedup on a core
+	// per shard; it is a count, equal across repeats of a seed.
+	Critical uint64 `json:"critical_events"`
+}
+
+// bound renders events / critical events: what the cell's epochs allow a
+// core per shard and a free barrier to gain over one core. Measured far
+// under it with cores to spare is barrier cost; a bound far under the
+// shard count is imbalance; measured under it with fewer cores than
+// shards is the box. A serial cell has no epochs and no bound.
+func (r ScaleResult) bound() string {
+	if r.Critical == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", float64(r.Events)/float64(r.Critical))
 }
 
 // scaleHorizon is the per-tier trace horizon: the hyperscale trees carry
@@ -166,8 +182,8 @@ func RunScale(o Options, w io.Writer) error {
 	var rows []ScaleResult
 	fmt.Fprintf(w, "sweep pool: %d workers; GOMAXPROCS %d of %d CPUs (%s)\n",
 		o.EffectiveWorkers(), machine.GOMAXPROCS, machine.NumCPU, machine.CPU)
-	fmt.Fprintf(w, "%6s %5s %7s %10s %9s %12s %7s %8s  %s\n",
-		"hosts", "load", "shards", "wall_ms", "events", "events/s", "flows", "skipped", "digest")
+	fmt.Fprintf(w, "%6s %5s %7s %10s %9s %12s %7s %8s %7s  %s\n",
+		"hosts", "load", "shards", "wall_ms", "events", "events/s", "flows", "skipped", "bound", "digest")
 	for _, hosts := range hostSet {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
@@ -199,10 +215,11 @@ func RunScale(o Options, w io.Writer) error {
 					return fmt.Errorf("scale: hosts=%d load=%.1f shards=%d digest %#016x diverges from group %#016x",
 						hosts, load, shards, res.Digest, groupDigest)
 				}
-				var dispatched, skipped, epochs uint64
+				var dispatched, skipped, epochs, critical uint64
 				for _, s := range res.ShardStats {
 					dispatched += s.Dispatched
 					skipped += s.Skipped
+					critical += s.Critical
 					if n := s.Dispatched + s.Skipped; n > epochs {
 						epochs = n
 					}
@@ -222,15 +239,16 @@ func RunScale(o Options, w io.Writer) error {
 					SkippedPct:   skippedPct,
 					Resumed:      resumed,
 					Digest:       fmt.Sprintf("%#016x", res.Digest),
+					Critical:     critical,
 				}
 				rows = append(rows, row)
 				mark := ""
 				if resumed {
 					mark = " (resumed)"
 				}
-				fmt.Fprintf(w, "%6d %5.1f %7d %10.1f %9d %12.0f %7d %7.1f%%  %s%s\n",
+				fmt.Fprintf(w, "%6d %5.1f %7d %10.1f %9d %12.0f %7d %7.1f%% %7s  %s%s\n",
 					hosts, load, shards, row.WallMS, row.Events,
-					row.EventsPerSec, row.Flows, row.SkippedPct, row.Digest, mark)
+					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.Digest, mark)
 			}
 		}
 	}
@@ -252,7 +270,8 @@ func RunScale(o Options, w io.Writer) error {
 
 // printScaleSpeedups condenses the campaign into the figure the grid is
 // for: per (hosts, load), best sharded events/sec over the shards=1 row
-// of the same group. Groups without both (a pinned -shards) are skipped.
+// of the same group, beside the bound that row's critical path puts on
+// it. Groups without both rows (a pinned -shards) are skipped.
 func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 	type key struct {
 		hosts int
@@ -286,7 +305,7 @@ func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 			fmt.Fprintf(w, "speedup vs shards=1 of the same (hosts, load):\n")
 			printed = true
 		}
-		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d (%.0f vs %.0f events/s)\n",
-			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.EventsPerSec, b)
+		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d (%.0f vs %.0f events/s), bound %s on >= %d cores\n",
+			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.EventsPerSec, b, p.bound(), p.Shards)
 	}
 }

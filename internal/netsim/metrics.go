@@ -86,12 +86,12 @@ func (f *Fabric) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // RegisterShardMetrics exposes the barrier-overhead counters — epochs,
-// per-shard dispatched/skipped epochs, executed events, and staged
-// cross-shard arrivals — as gauges on reg. Deliberately NOT part of
-// RegisterMetrics: these series depend on the shard count by
-// construction, and the standard metric set must stay byte-identical
-// across shard counts (TestShardedByteIdentity). Opt in from
-// shard-profiling runs only. No-op when reg is nil.
+// per-shard dispatched/skipped epochs, executed events, the share of them
+// on the critical path, and staged cross-shard arrivals — as gauges on
+// reg. Deliberately NOT part of RegisterMetrics: these series depend on
+// the shard count by construction, and the standard metric set must stay
+// byte-identical across shard counts (TestShardedByteIdentity). Opt in
+// from shard-profiling runs only. No-op when reg is nil.
 func (f *Fabric) RegisterShardMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -108,6 +108,8 @@ func (f *Fabric) RegisterShardMetrics(reg *metrics.Registry) {
 			func() float64 { return float64(f.grp.Dispatched(id)) })
 		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/epochs_skipped", id),
 			func() float64 { return float64(f.grp.Skipped(id)) })
+		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/critical_events", id),
+			func() float64 { return float64(f.grp.Critical(id)) })
 	}
 }
 

@@ -109,10 +109,13 @@ type Fabric struct {
 	// Sharded execution state (see shard.go). A fabric built with New has
 	// one shard whose engine is eng and whose counters alias Counters, so
 	// the serial path is unchanged.
-	grp       *sim.Group      //ckpt:skip execution wiring, rebuilt by Shard; its counters are captured separately
-	part      *topo.Partition //ckpt:skip derived from topology + shard count at construction
-	shards    []*shardState
-	lookahead sim.Duration //ckpt:skip derived from topology boundary delays at construction
+	grp    *sim.Group //ckpt:skip execution wiring, rebuilt by Shard; its counters are captured separately
+	shards []*shardState
+	// lookahead is the epoch window, derived by NewSharded from what can
+	// cross the cut; barrier is the end of the epoch in flight, which every
+	// staged arrival must land after (shardState.stage).
+	lookahead sim.Duration //ckpt:skip derived from topology, partition and Config.EnablePFC at construction
+	barrier   sim.Time     //ckpt:skip equals the group clock between epochs, where every capture happens
 
 	// The device plane is flat (DESIGN.md §8.4): one slab per kind, built
 	// by NewSharded and never resized, so devices are addressed by index
@@ -177,7 +180,7 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	}
 	f := &Fabric{
 		eng: grp.Engine(0), topo: t, cfg: cfg,
-		grp: grp, part: part, lookahead: part.Lookahead,
+		grp: grp,
 	}
 	n := grp.N()
 	seed := f.eng.Seed()
@@ -258,6 +261,14 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	// on the port's own engine, cross-shard via staging (no lanes there:
 	// staged arrivals are scheduled at the barrier, not a constant delay
 	// ahead of the engine's clock).
+	//
+	// The links that cross shards also set the epoch window: the least
+	// time between an event and the earliest arrival it can stage on
+	// another shard. Data crosses only as the fused forward, which lands a
+	// serialization (of a header at the least), the propagation delay and
+	// the peer's SwitchDelay after the transmission starts. A PFC frame is
+	// not fused and lands after the bare delay, so a configuration that can
+	// emit one keeps that floor on every crossing link.
 	var linkID uint64
 	for _, sw := range t.Switches {
 		for pi, p := range sw.Ports {
@@ -278,6 +289,14 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 			linkID++
 			if o.peerSw.sh == o.sh {
 				o.wireLanes(t.SwitchDelay)
+				continue
+			}
+			w := p.Delay
+			if !cfg.EnablePFC {
+				w += sim.TransmissionTime(packet.HeaderSize, p.Rate) + t.SwitchDelay
+			}
+			if f.lookahead == 0 || w < f.lookahead {
+				f.lookahead = w
 			}
 		}
 	}

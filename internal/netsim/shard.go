@@ -1,21 +1,23 @@
 package netsim
 
 import (
+	"fmt"
+
 	"dcpim/internal/sim"
 )
 
 // Sharded execution splits one fabric across several engines along the
 // topology's Boundary links (rack↔spine, pod↔core): every device lives
 // on exactly one shard and all of its events run on that shard's engine.
-// Epochs advance all shards to a common barrier no further than one
-// lookahead window (the minimum cross-shard link delay) past the
-// earliest pending event, so no shard can observe an effect from another
-// shard's current epoch. Packets and PFC frames crossing a boundary link
-// are staged per shard pair during the epoch and scheduled on the
-// destination engine at the barrier, keyed by (directed link id, link
-// sequence) in the engine's arrival band — an ordering derived from
-// simulation identity, not insertion order, so event execution order is
-// identical at every shard count, including 1.
+// Epochs advance all shards to a common barrier less than one lookahead
+// window (the least latency of anything the fabric can stage across the
+// cut, see NewSharded) past the earliest pending event, so no shard can
+// observe an effect from another shard's current epoch. Packets and PFC
+// frames crossing a boundary link are staged per shard pair during the
+// epoch and scheduled on the destination engine at the barrier, keyed by
+// (directed link id, link sequence) in the engine's arrival band — an
+// ordering derived from simulation identity, not insertion order, so
+// event execution order is identical at every shard count, including 1.
 
 // shardState is the per-shard slice of the fabric: engine, disjoint
 // counters, and outbound staging queues.
@@ -68,10 +70,18 @@ type stagedArrival struct {
 }
 
 // stage queues a cross-shard arrival. Only the owning shard's goroutine
-// appends to its out rows during an epoch, so no locking is needed.
+// appends to its out rows during an epoch, so no locking is needed. The
+// arrival must land after the epoch in flight ends: the destination shard
+// is running that epoch now and may already be past an earlier instant.
+// A window wider than what the fabric can stage is caught here, at its
+// cause, instead of as a reordered delivery.
 //
 //lint:coldpath a row grows to its epoch high-water mark once; drainStaging hands the backing array back (q[:0])
 func (s *shardState) stage(dst *shardState, at sim.Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
+	if at <= s.fab.barrier {
+		panic(fmt.Sprintf("netsim: shard %d staged an arrival on shard %d at %v, inside the epoch ending at %v (window %v too wide)",
+			s.id, dst.id, at, s.fab.barrier, s.fab.lookahead))
+	}
 	s.out[dst.id] = append(s.out[dst.id], stagedArrival{at, key, fn, a, b, i})
 }
 
@@ -136,12 +146,12 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 	for interval > 0 && next <= now {
 		next = next.Add(interval)
 	}
-	// Epoch target: one lookahead past the earliest pending event, minus
-	// one picosecond. Every staged arrival from an epoch ending at T
-	// lands strictly after T — a cross-shard packet arrives at
-	// send + tx + delay ≥ M + 1ps + W, and a PFC frame at send + delay ≥
-	// M + W, both > M + W − 1ps — so the barrier never truncates a
-	// causal chain.
+	// Epoch target: one lookahead W past the earliest pending event M,
+	// minus one picosecond. Nothing runs before M, and whatever an event
+	// at send ≥ M stages lands at send + W or later (NewSharded derives W
+	// as exactly that floor) — strictly after T = M + W − 1ps, so the
+	// barrier never truncates a causal chain. stage checks it per arrival
+	// against the barrier published here.
 	for now < until {
 		t := until
 		if m, ok := f.grp.NextAt(); ok {
@@ -152,6 +162,7 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 		if interval > 0 && next <= until && next < t {
 			t = next
 		}
+		f.barrier = t
 		f.grp.RunEpoch(t)
 		f.drainStaging()
 		now = t
@@ -223,10 +234,11 @@ func (f *Fabric) NumShards() int { return len(f.shards) }
 // ShardStats describes one shard's share of a sharded run — the numbers
 // that quantify barrier overhead: how many epochs the shard actually had
 // work in (versus idle-skipped at the barrier), how many events it
-// executed, and how many cross-shard arrivals were staged into it. All
-// are plain counters maintained unconditionally (their upkeep is noise
-// against an epoch's channel round-trip); they are only formatted when a
-// caller opts in via RegisterShardMetrics or reads them here.
+// executed, how many of them bounded an epoch, and how many cross-shard
+// arrivals were staged into it. All are plain counters maintained
+// unconditionally (their upkeep is noise against an epoch's channel
+// round-trip); they are only formatted when a caller opts in via
+// RegisterShardMetrics or reads them here.
 type ShardStats struct {
 	Shard      int
 	Events     uint64 // events executed on the shard's engine
@@ -234,6 +246,11 @@ type ShardStats struct {
 	Staged     uint64 // cross-shard arrivals drained into this shard
 	Dispatched uint64 // epochs the shard had work inside the window
 	Skipped    uint64 // epochs the shard was idle and only advanced its clock
+	// Critical counts the events the shard executed in the epochs where no
+	// shard executed more. Its sum over shards is the run's critical path:
+	// total events over that sum is the speedup a core per shard and a free
+	// barrier would give, a count that repeats exactly for a seed.
+	Critical uint64
 }
 
 // ShardStats returns per-shard barrier-overhead counters, indexed by
@@ -242,30 +259,28 @@ func (f *Fabric) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(f.shards))
 	for i, s := range f.shards {
 		out[i] = ShardStats{
-			Shard:   i,
-			Events:  s.eng.Events(),
-			Pending: s.eng.Pending(),
-			Staged:  s.staged,
-		}
-		if f.grp != nil {
-			out[i].Dispatched = f.grp.Dispatched(i)
-			out[i].Skipped = f.grp.Skipped(i)
+			Shard:      i,
+			Events:     s.eng.Events(),
+			Pending:    s.eng.Pending(),
+			Staged:     s.staged,
+			Dispatched: f.grp.Dispatched(i),
+			Skipped:    f.grp.Skipped(i),
+			Critical:   f.grp.Critical(i),
 		}
 	}
 	return out
 }
 
-// Epochs returns the number of barriers executed (0 when single-shard
-// without a group).
-func (f *Fabric) Epochs() uint64 {
-	if f.grp == nil {
-		return 0
-	}
-	return f.grp.Epochs()
-}
+// Epochs returns the number of barriers executed (0 when single-shard:
+// one shard runs on its engine without epochs).
+func (f *Fabric) Epochs() uint64 { return f.grp.Epochs() }
 
-// Lookahead returns the conservative synchronization window: the
-// minimum delay over cross-shard links (0 when single-shard).
+// Lookahead returns the conservative synchronization window: the least
+// time between an event on one shard and the earliest arrival it can
+// stage on another, over the links that cross shards — propagation plus
+// a header's serialization and the peer's SwitchDelay for the fused data
+// forward, the bare propagation delay when PFC frames can cross (0 when
+// single-shard).
 func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
 
 // ShardOfHost returns the shard owning host h.

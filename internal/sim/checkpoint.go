@@ -166,6 +166,8 @@ type GroupState struct {
 	Epochs     uint64
 	Dispatched []uint64
 	Skipped    []uint64
+	Critical   []uint64
+	Events     []uint64 // per engine, at the last barrier
 }
 
 // CaptureState snapshots the group's barrier counters. Only meaningful
@@ -175,6 +177,8 @@ func (g *Group) CaptureState() GroupState {
 		Epochs:     g.epochs,
 		Dispatched: append([]uint64(nil), g.dispatched...),
 		Skipped:    append([]uint64(nil), g.skipped...),
+		Critical:   append([]uint64(nil), g.critical...),
+		Events:     append([]uint64(nil), g.events...),
 	}
 }
 

@@ -37,6 +37,14 @@ type Group struct {
 	epochs     uint64   // barriers executed
 	dispatched []uint64 // per shard: epochs it had work inside the window
 	skipped    []uint64 // per shard: epochs it was idle and only advanced its clock
+	// The critical path in events: an epoch lasts as long as its busiest
+	// shard, so Σ over epochs of the most events any shard executed is what
+	// a run costs with a core per shard and a free barrier. critical
+	// credits each epoch's maximum to the shard that set it (the lowest id
+	// on a tie); events holds every engine's count at the last barrier, to
+	// take the next epoch's differences from.
+	critical []uint64
+	events   []uint64
 }
 
 // NewGroup builds a group over engines. The slice must be non-empty; the
@@ -50,7 +58,12 @@ func NewGroup(engines []*Engine) *Group {
 		engines:    engines,
 		dispatched: make([]uint64, len(engines)),
 		skipped:    make([]uint64, len(engines)),
+		critical:   make([]uint64, len(engines)),
+		events:     make([]uint64, len(engines)),
 		work:       make([]chan Time, len(engines)-1),
+	}
+	for i, eng := range engines {
+		g.events[i] = eng.Events()
 	}
 	for i := range g.work {
 		ch := make(chan Time, 1)
@@ -97,6 +110,16 @@ func (g *Group) RunEpoch(until Time) {
 	g.engines[0].Run(until)
 	g.dispatched[0]++
 	g.wg.Wait()
+
+	top, most := 0, uint64(0)
+	for i, eng := range g.engines {
+		n := eng.Events()
+		if d := n - g.events[i]; d > most {
+			top, most = i, d
+		}
+		g.events[i] = n
+	}
+	g.critical[top] += most
 }
 
 // Close shuts down the worker goroutines. The group must be idle (no
@@ -143,6 +166,11 @@ func (g *Group) Dispatched(i int) uint64 { return g.dispatched[i] }
 
 // Skipped returns how many epochs shard i was idle-skipped.
 func (g *Group) Skipped(i int) uint64 { return g.skipped[i] }
+
+// Critical returns the events shard i executed in the epochs where no
+// shard executed more. Summed over shards it is the run's critical path,
+// and Events over that sum bounds the speedup of a core per shard.
+func (g *Group) Critical(i int) uint64 { return g.critical[i] }
 
 // NextAt returns the earliest pending event time across shards, or
 // false when every shard's queue is empty. Only meaningful between

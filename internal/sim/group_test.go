@@ -141,6 +141,42 @@ func TestGroupShardsOverlap(t *testing.T) {
 	}
 }
 
+// TestGroupCriticalPath pins the clock-free critical path: each epoch
+// credits the most events any one shard executed to that shard (the
+// lowest id on a tie), whether the other was dispatched or idle-skipped,
+// and an empty epoch credits nothing.
+func TestGroupCriticalPath(t *testing.T) {
+	underWatchdog(t, groupWatchdog, func() {
+		a, b := NewEngine(1), NewEngine(1)
+		g := NewGroup([]*Engine{a, b})
+		defer g.Close()
+
+		// Events per 10-tick epoch: shard 0 runs 3, 1, 2, 1, 0; shard 1
+		// runs 2, 4, 2, 0 (skipped), 0.
+		for epoch, n := range [][2]int{{3, 2}, {1, 4}, {2, 2}, {1, 0}, {0, 0}} {
+			for i, eng := range []*Engine{a, b} {
+				for k := 0; k < n[i]; k++ {
+					eng.Schedule(Time(epoch*10+1+k), func() {})
+				}
+			}
+		}
+		for epoch := 1; epoch <= 5; epoch++ {
+			g.RunEpoch(Time(epoch * 10))
+		}
+		if g.Events() != 15 || g.Skipped(1) != 2 {
+			t.Errorf("events %d, shard 1 skipped %d; want 15, 2", g.Events(), g.Skipped(1))
+		}
+		if g.Critical(0) != 3+2+1 || g.Critical(1) != 4 {
+			t.Errorf("critical path = %d + %d events, want 6 + 4", g.Critical(0), g.Critical(1))
+		}
+		st := g.CaptureState()
+		if len(st.Critical) != 2 || st.Critical[0] != 6 || st.Critical[1] != 4 ||
+			len(st.Events) != 2 || st.Events[0] != 7 || st.Events[1] != 8 {
+			t.Errorf("captured critical %v, events %v; want [6 4], [7 8]", st.Critical, st.Events)
+		}
+	})
+}
+
 // barrierTrial is everything observable about one run of the random
 // program that a Group and a plain sequential loop must agree on:
 // per-shard execution order, the shared clock, the event total and the

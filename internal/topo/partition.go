@@ -9,11 +9,12 @@ import (
 
 // Partition assigns every host and switch of a topology to one of
 // NumShards shards such that only Boundary-marked links cross shards.
-// Lookahead is the minimum propagation delay over cross-shard links —
-// the conservative synchronization window: no event executed in one
-// shard before the barrier can affect another shard until at least
-// Lookahead later, because every cross-shard packet or PFC signal rides
-// a boundary link with at least that much delay.
+// Lookahead is the minimum propagation delay over cross-shard links,
+// which MakePartition requires to be positive: nothing executed on one
+// shard can affect another sooner, whatever rides the link. It is a
+// floor, not the synchronization window — the fabric knows what it
+// actually sends across the cut and derives its (wider) epoch from that
+// (netsim.NewSharded).
 type Partition struct {
 	NumShards   int
 	HostShard   []int32 // host id → shard
