@@ -10,7 +10,8 @@
 //	experiments -run all -scale 0.25      # quicker, lower-fidelity pass
 //	experiments -run fig5cd -hosts 16     # scaled-down topology
 //	experiments -run fig3a -parallel 8    # sweep probes on 8 workers
-//	experiments -run fig5cd -shards 4     # one fabric across 4 cores, byte-identical output
+//	experiments -run fig5cd               # 1024 hosts: auto-sharded, one shard per pod
+//	experiments -run fig5cd -shards 1     # the same run on one engine, byte-identical output
 //	experiments -run faults               # scripted link/switch/host faults
 //	experiments -run matchers             # matcher lab: registry-wide sweep
 //	experiments -run matchers -matchers pim,budget-pim -metrics out/
@@ -28,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -43,7 +45,7 @@ func main() {
 		scale      = flag.Float64("scale", 1, "horizon scale factor (1 = paper fidelity)")
 		hosts      = flag.Int("hosts", 0, "topology size override (0 = paper size)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations in sweeps (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-		shards     = flag.Int("shards", 0, "split each fabric into this many barrier-synchronized shards (0/1 = serial); output is identical at any setting")
+		shards     = flag.Int("shards", 0, "split each fabric into this many barrier-synchronized shards (0 = auto: serial below 256 hosts, one shard per pod or rack above; 1 = serial); output is identical at any setting")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsDir = flag.String("metrics", "", "write per-run telemetry (CSV time series + JSON report) into this directory")
@@ -56,6 +58,10 @@ func main() {
 		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
 	)
 	flag.Parse()
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "-shards %d: want 0 (auto), 1 (serial) or a shard count\n", *shards)
+		os.Exit(2)
+	}
 
 	if *benchjson != "" {
 		if err := experiments.WriteBenchJSON(*benchjson, os.Stdout); err != nil {
@@ -150,11 +156,17 @@ func main() {
 	}
 
 	// The effective pool is the flag value after the shard clamp
-	// (workers × shards ≤ GOMAXPROCS) — what actually bounds sweep
-	// concurrency, which the raw -parallel value no longer shows.
+	// (workers × explicit shards ≤ GOMAXPROCS) — what actually bounds
+	// sweep concurrency, which the raw -parallel value no longer shows.
+	// An auto count depends on each experiment's topology, so the banner
+	// can only name the policy.
 	if n := opts.EffectiveWorkers(); *parallel != 0 || *shards > 1 {
-		fmt.Printf("(sweep pool: %d workers × %d shards on GOMAXPROCS %d)\n",
-			n, max(1, *shards), runtime.GOMAXPROCS(0))
+		per := "auto"
+		if *shards != 0 {
+			per = strconv.Itoa(*shards)
+		}
+		fmt.Printf("(sweep pool: %d workers × %s shards on GOMAXPROCS %d)\n",
+			n, per, runtime.GOMAXPROCS(0))
 	}
 
 	for i, e := range todo {

@@ -133,17 +133,13 @@ func Resume(spec RunSpec, snap *checkpoint.Snapshot) (RunResult, []*checkpoint.S
 // checkCompat rejects snapshots that belong to a different run than
 // spec describes. Field order is most-specific-message first.
 func checkCompat(spec RunSpec, m checkpoint.Meta) error {
-	n := spec.Shards
-	if n < 1 {
-		n = 1
-	}
 	for _, c := range []struct{ field, got, want string }{
 		{"protocol", m.Protocol, spec.Protocol},
 		{"seed", fmt.Sprint(m.Seed), fmt.Sprint(spec.Seed)},
 		{"hosts", fmt.Sprint(m.Hosts), fmt.Sprint(spec.Topo.NumHosts)},
 		{"topology hash", fmt.Sprintf("%#016x", m.TopoHash), fmt.Sprintf("%#016x", topoHash(spec.Topo))},
 		{"spec hash", fmt.Sprintf("%#016x", m.SpecHash), fmt.Sprintf("%#016x", specHash(spec))},
-		{"shards", fmt.Sprint(m.Shards), fmt.Sprint(n)},
+		{"shards", fmt.Sprint(m.Shards), fmt.Sprint(spec.shards())},
 		{"horizon", fmt.Sprintf("%d ps", m.HorizonPs), fmt.Sprintf("%d ps", int64(spec.Horizon))},
 		{"cadence", fmt.Sprintf("%d ps", m.EveryPs), fmt.Sprintf("%d ps", int64(spec.Checkpoint.Every))},
 	} {

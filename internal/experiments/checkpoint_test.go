@@ -8,9 +8,12 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/sim"
+	"dcpim/internal/topo"
+	"dcpim/internal/workload"
 )
 
 // assertRunsEqual requires every observable of two runs to match:
@@ -47,6 +50,7 @@ func assertRunsEqual(t *testing.T, what string, want, got RunResult) {
 // schedule. The checkpointed run itself must also match a plain
 // (never-checkpointed) run, proving capture is pure.
 func TestResumeEquivalence(t *testing.T) {
+	watchdog(t, 2*time.Minute)
 	rng := rand.New(rand.NewSource(20260808))
 	for _, withFaults := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
@@ -85,6 +89,72 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResumeEquivalenceAuto is the resume-equivalence case for a run that
+// requested no shard count, on the smallest topology the default shards
+// (the 432-host FatTree): its snapshots carry the resolved count, resume
+// under Shards 0 — and under that count spelled out — byte-identical to
+// the plain run, and are refused under Shards 1 before any replay.
+func TestResumeEquivalenceAuto(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five 432-host runs")
+	}
+	watchdog(t, 2*time.Minute)
+	tp := fatTreeFor(432)
+	auto := topo.AutoShards(tp)
+	if auto < 2 {
+		t.Fatalf("AutoShards(%s) = %d: the test needs a topology the default shards", tp.Name, auto)
+	}
+	horizon := 30 * sim.Microsecond
+	tr := workload.AllToAllConfig{
+		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
+		Dist: workload.WebSearch(), Horizon: horizon * 2 / 3, Seed: 11,
+	}.Generate()
+	prep := func(shards int, withCk bool) RunSpec {
+		spec := RunSpec{
+			Protocol: DCPIM, Topo: tp, Trace: tr, Horizon: horizon, Seed: 12,
+			Shards: shards, Digest: true,
+			Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "ckpt-auto"},
+		}
+		if withCk {
+			spec.Checkpoint = &CheckpointSpec{Every: horizon / 4, Journal: true}
+		}
+		return spec
+	}
+	plain := Run(prep(0, false))
+	ckRes, snaps := RunCheckpointed(prep(0, true))
+	assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
+	if len(snaps) < 2 {
+		t.Fatalf("%d snapshots, want at least 2", len(snaps))
+	}
+	for _, s := range snaps {
+		if s.Meta.Shards != auto {
+			t.Errorf("snapshot %d: Meta.Shards = %d, want the resolved count %d", s.Meta.Index, s.Meta.Shards, auto)
+		}
+	}
+	mid := snaps[len(snaps)/2]
+	for _, shards := range []int{0, auto} {
+		res, post, err := Resume(prep(shards, true), mid)
+		if err != nil {
+			t.Fatalf("resume under Shards=%d: %v", shards, err)
+		}
+		assertRunsEqual(t, fmt.Sprintf("resumed under Shards=%d vs plain", shards), plain, res)
+		want := snaps[len(snaps)/2+1:]
+		if len(post) != len(want) {
+			t.Fatalf("Shards=%d: %d post-resume snapshots, uninterrupted took %d", shards, len(post), len(want))
+		}
+		for i := range post {
+			if err := checkpoint.Compare(want[i], post[i]); err != nil {
+				t.Errorf("Shards=%d: post-resume snapshot %d: %v", shards, want[i].Meta.Index, err)
+			}
+		}
+	}
+	_, _, err := Resume(prep(1, true), mid)
+	var ce *checkpoint.CompatError
+	if !errors.As(err, &ce) || ce.Field != "shards" {
+		t.Fatalf("resume under Shards=1: want CompatError on shards, got %v", err)
 	}
 }
 

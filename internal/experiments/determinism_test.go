@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"dcpim/internal/faults"
 	"dcpim/internal/sim"
+	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
 
@@ -121,6 +124,7 @@ func TestGoldenDigestPerProtocol(t *testing.T) {
 // racks, two spines) splits into at most 4 single-switch shards, so 4
 // is the hardest cut: every switch↔switch link is a shard boundary.
 func TestShardedByteIdentity(t *testing.T) {
+	watchdog(t, time.Minute)
 	sharded := func(t *testing.T, withFaults bool, shards int) RunSpec {
 		spec := goldenSpec(t, DCPIM, withFaults)
 		spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "shard"}
@@ -169,6 +173,7 @@ func TestShardedPerProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparator sharded sweep")
 	}
+	watchdog(t, time.Minute)
 	protos := append([]string{Fastpass}, Comparators...)
 	for _, proto := range protos {
 		serial := Run(goldenSpec(t, proto, true))
@@ -189,6 +194,7 @@ func TestExperimentOutputShardInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments three times each")
 	}
+	watchdog(t, 2*time.Minute)
 	for _, id := range []string{"fig3a", "fig5cd"} {
 		e, ok := ByID(id)
 		if !ok {
@@ -222,6 +228,7 @@ func TestFaultsOutputShardInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fault grid twice")
 	}
+	watchdog(t, 2*time.Minute)
 	var ref bytes.Buffer
 	o := quick()
 	o.Workers = 1
@@ -258,6 +265,53 @@ func TestFaultsOutputParallelInvariant(t *testing.T) {
 		}
 		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
 			t.Errorf("-parallel %d output differs from serial:\n%s\nvs\n%s", workers, got.String(), ref.String())
+		}
+	}
+}
+
+// TestAutoShardsInvariant is the default's equivalence proof at the size
+// where the default changes: the 1024-host FatTree with no count requested
+// runs on topo.AutoShards shards (len(ShardStats) says so) and produces
+// the digest, counters, flow records and sampled metrics of the serial
+// and of the explicit 2-shard run, for a receiver-driven, a trimming and
+// a PFC-lossless protocol (HPCC keeps the bare-propagation window).
+func TestAutoShardsInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nine 1024-host runs")
+	}
+	watchdog(t, 3*time.Minute)
+	tp := fatTreeFor(1024)
+	horizon := 20 * sim.Microsecond
+	tr := workload.AllToAllConfig{
+		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
+		Dist: workload.WebSearch(), Horizon: horizon, Seed: 5,
+	}.Generate()
+	auto := topo.AutoShards(tp)
+	if auto < 2 {
+		t.Fatalf("AutoShards(%s) = %d: the test needs a topology the default shards", tp.Name, auto)
+	}
+	for _, proto := range []string{DCPIM, NDP, HPCC} {
+		run := func(shards int) RunResult {
+			return Run(RunSpec{
+				Protocol: proto, Topo: tp, Trace: tr,
+				Horizon: horizon + horizon/2, Seed: 6, Shards: shards, Digest: true,
+				Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "auto"},
+			})
+		}
+		serial := run(1)
+		if serial.Digest == 0 || serial.Col.Completed() == 0 {
+			t.Fatalf("%s: serial run delivered nothing (digest %#x, %d flows completed)",
+				proto, serial.Digest, serial.Col.Completed())
+		}
+		for _, tc := range []struct{ shards, ran int }{{0, auto}, {1, 1}, {2, 2}} {
+			res := serial
+			if tc.shards != 1 {
+				res = run(tc.shards)
+			}
+			if got := len(res.ShardStats); got != tc.ran {
+				t.Errorf("%s Shards=%d: ran on %d shards, want %d", proto, tc.shards, got, tc.ran)
+			}
+			assertRunsEqual(t, fmt.Sprintf("%s Shards=%d vs serial", proto, tc.shards), serial, res)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"dcpim/internal/sim"
 	"dcpim/internal/workload"
@@ -20,6 +21,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			watchdog(t, 2*time.Minute) // scale and ckpt run sharded fabrics
 			var buf bytes.Buffer
 			o := quick()
 			if e.ID == "fig4a" {
@@ -152,6 +154,9 @@ func TestTopologyScaling(t *testing.T) {
 	}
 	if tp := fatTreeFor(128); tp.NumHosts != 128 {
 		t.Fatalf("k=8 fat-tree = %d", tp.NumHosts)
+	}
+	if tp := fatTreeFor(432); tp.NumHosts != 432 {
+		t.Fatalf("k=12 fat-tree = %d", tp.NumHosts)
 	}
 	if tp := fatTreeFor(0); tp.NumHosts != 1024 {
 		t.Fatalf("full fat-tree = %d", tp.NumHosts)

@@ -62,9 +62,11 @@ type Options struct {
 	// and printed output are identical at any setting.
 	Workers int
 	// Shards splits every fabric into this many barrier-synchronized
-	// shards along topology boundary links (0 or 1 = serial). Collector
-	// output, counters, digests and sampled metrics are byte-identical at
-	// any value; only wall-clock time changes. See DESIGN.md §11.
+	// shards along topology boundary links: 0 = auto (the topology's own
+	// count, topo.AutoShards — serial below 256 hosts, one shard per pod
+	// or rack above), 1 = serial, n > 1 as given. Collector output,
+	// counters, digests and sampled metrics are byte-identical at any
+	// value; only wall-clock time changes. See DESIGN.md §11.
 	Shards int
 	// MetricsDir, when non-empty, enables the telemetry layer on
 	// instrumented experiments: each labeled run writes its sampled CSV
@@ -94,14 +96,17 @@ func (o Options) scaled(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * o.Scale)
 }
 
-// workers resolves the worker-pool size for RunMany. Each concurrent
-// simulation runs max(1, Shards) engine goroutines, so the pool is the
-// floor of GOMAXPROCS over the shard count — workers × shards never
-// exceeds GOMAXPROCS (the old ceiling division oversubscribed the
-// machine whenever shards didn't divide it evenly: 4 CPUs at 3 shards
-// gave 2 workers × 3 shards = 6 runnable engine goroutines). The floor
-// is clamped to one worker so sweeps always make progress even when a
-// single simulation is wider than the machine.
+// workers resolves the worker-pool size for RunMany. With an explicit
+// Shards > 1 each concurrent simulation runs that many engine
+// goroutines, so the pool is the floor of GOMAXPROCS over the shard
+// count — workers × shards never exceeds GOMAXPROCS (the old ceiling
+// division oversubscribed the machine whenever shards didn't divide it
+// evenly: 4 CPUs at 3 shards gave 2 workers × 3 shards = 6 runnable
+// engine goroutines). The floor is clamped to one worker so sweeps
+// always make progress even when a single simulation is wider than the
+// machine. Auto (Shards 0) leaves the pool alone: its count depends on
+// each spec's topology, and a sweep of auto-sharded runs measured no
+// worse oversubscribed than serial (DESIGN.md §11.5).
 func (o Options) workers() int {
 	w := o.Workers
 	if w <= 0 {
@@ -146,7 +151,7 @@ type RunSpec struct {
 	Trace    *workload.Trace
 	Horizon  sim.Duration // total run time (trace horizon + drain)
 	Seed     int64
-	Shards   int            // fabric shard count (0 or 1 = serial)
+	Shards   int            // fabric shard count: 0 = auto (topo.AutoShards), 1 = serial
 	BinWidth sim.Duration   // utilization series bin (0 = 10 µs)
 	DcPIM    *core.Config   // optional dcPIM parameter override
 	Fabric   *netsim.Config // optional fabric override
@@ -242,11 +247,13 @@ func (r RunResult) Completion() float64 {
 // protocol is resolved through the registry (protocols.MustLookup), so
 // any self-registered protocol name works here.
 //
-// Spec.Shards > 1 runs the fabric as barrier-synchronized shards, one
-// engine goroutine each; every engine carries the run seed, every device
-// a seed-derived RNG stream, so the result — records, counters, digest,
-// metrics — is the same at every shard count. Panics when the topology
-// cannot be cut into that many shards (topo.MaxShards gives the limit).
+// More than one shard (Spec.Shards > 1, or 0 on a topology whose auto
+// count is) runs the fabric as barrier-synchronized shards, one engine
+// goroutine each; every engine carries the run seed, every device a
+// seed-derived RNG stream, so the result — records, counters, digest,
+// metrics — is the same at every shard count, and len(ShardStats) says
+// which one ran. Panics when the topology cannot be cut into that many
+// shards (topo.MaxShards gives the limit).
 //
 // When spec.Checkpoint is set the run routes through RunCheckpointed,
 // which advances in cadence-sized windows and snapshots at each
@@ -281,22 +288,31 @@ type runState struct {
 	hostDigests []uint64
 }
 
+// shards resolves the spec's shard count — the one place the zero value
+// is read as auto. Everything that needs the count (wiring, checkpoint
+// compatibility, snapshot metadata via len(engines), reports via
+// len(ShardStats)) comes through here, and it is a function of the spec
+// alone, never of the machine.
+func (spec RunSpec) shards() int {
+	if spec.Shards == 0 {
+		return topo.AutoShards(spec.Topo)
+	}
+	return spec.Shards
+}
+
 // newRunState wires one simulation and injects its trace; the returned
 // state sits at t=0 ready for runTo. Call close when done.
 func newRunState(spec RunSpec) *runState {
-	n := spec.Shards
-	if n < 1 {
-		n = 1
+	n := spec.shards()
+	part, err := topo.MakePartition(spec.Topo, n)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	engines := make([]*sim.Engine, n)
 	for i := range engines {
 		engines[i] = sim.NewEngine(spec.Seed)
 	}
 	grp := sim.NewGroup(engines)
-	part, err := topo.MakePartition(spec.Topo, n)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
 	bin := spec.BinWidth
 	if bin == 0 {
 		bin = 10 * sim.Microsecond

@@ -9,10 +9,11 @@ import (
 // RunMany executes the given runs on a pool of workers goroutines and
 // returns their results in input order. workers <= 0 means one worker
 // per CPU (runtime.GOMAXPROCS(0)); workers == 1 (or a single spec) is
-// the plain serial loop. Each run itself uses max(1, RunSpec.Shards)
-// goroutines, so a sweep of sharded specs runs up to workers × shards
-// goroutines — Options.workers divides the pool by the shard count to
-// keep that product near GOMAXPROCS.
+// the plain serial loop. Each run itself uses one goroutine per shard
+// (RunSpec.Shards: 0 = auto, 1 = serial), so a sweep of sharded specs runs
+// up to workers × shards goroutines — Options.workers divides the pool by
+// an explicit shard count to keep that product near GOMAXPROCS, and
+// leaves it alone for auto.
 //
 // Determinism contract: every simulation is hermetic — it owns its engine,
 // RNG, fabric and collector, all seeded from the spec alone — so each

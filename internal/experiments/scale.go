@@ -20,8 +20,9 @@ import (
 type ScaleResult struct {
 	Hosts        int     `json:"hosts"`
 	Load         float64 `json:"load"`
-	Shards       int     `json:"shards"`
-	Procs        int     `json:"procs"` // GOMAXPROCS the cell ran under (the process's; information, not an axis)
+	Shards       int     `json:"shards"`         // the count that ran: len(RunResult.ShardStats)
+	Auto         bool    `json:"auto,omitempty"` // no count was requested; Shards is what the topology resolved to
+	Procs        int     `json:"procs"`          // GOMAXPROCS the cell ran under (the process's; information, not an axis)
 	WallMS       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -47,6 +48,15 @@ func (r ScaleResult) bound() string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(r.Events)/float64(r.Critical))
+}
+
+// shardsLabel is the row's shards column: the count, marked when it was
+// resolved rather than requested.
+func (r ScaleResult) shardsLabel() string {
+	if r.Auto {
+		return fmt.Sprintf("auto=%d", r.Shards)
+	}
+	return fmt.Sprint(r.Shards)
 }
 
 // scaleHorizon is the per-tier trace horizon: the hyperscale trees carry
@@ -148,15 +158,20 @@ func runScaleCell(spec RunSpec, w io.Writer) (RunResult, bool) {
 // fails otherwise, making the campaign itself a determinism check at
 // scales the unit tests don't reach.
 //
+// Every group ends with the auto row — no count requested, so the cell
+// runs on whatever topo.AutoShards resolves to — next to the explicit
+// counts it was chosen from; shards=1 stays the serial baseline.
+//
 // The campaign runs at the process's GOMAXPROCS (set it in the
 // environment) and stamps it into every row. Flags narrow the sweep:
-// -hosts and -shards pin those axes, and quick passes (-scale < 1) keep
-// only the low-load point. With -metrics DIR set, the machine-readable
-// rows land in DIR/BENCH_scale.json under a machine stamp; with
-// -checkpoint/-checkpoint-dir set each cell snapshots at the cadence and
-// an interrupted campaign resumes cells from their latest snapshots.
+// -hosts and a non-zero -shards pin those axes, and quick passes
+// (-scale < 1) keep only the low-load point. With -metrics DIR set, the
+// machine-readable rows land in DIR/BENCH_scale.json under a machine
+// stamp; with -checkpoint/-checkpoint-dir set each cell snapshots at the
+// cadence and an interrupted campaign resumes cells from their latest
+// snapshots.
 func RunScale(o Options, w io.Writer) error {
-	hostSet := []int{128, 1024, 8192}
+	hostSet := []int{128, 432, 1024, 8192}
 	if o.Hosts != 0 {
 		hostSet = []int{o.Hosts}
 	}
@@ -164,17 +179,21 @@ func RunScale(o Options, w io.Writer) error {
 	if o.Scale > 0 && o.Scale < 1 {
 		loads = loads[:1]
 	}
+	// Explicit counts, 1 first as the serial baseline; the trailing 0
+	// requests nothing and becomes the auto row.
 	shardsFor := func(hosts int) []int {
 		if o.Shards != 0 {
 			return []int{o.Shards}
 		}
 		switch {
 		case hosts >= 4096:
-			return []int{1, 8}
+			return []int{1, 8, 0}
 		case hosts >= 1024:
-			return []int{1, 8, 16, 64}
+			return []int{1, 8, 16, 64, 0}
+		case hosts >= 256:
+			return []int{1, 4, 12, 0}
 		default:
-			return []int{1, 4, 8}
+			return []int{1, 4, 8, 0}
 		}
 	}
 	machine := scaleMachine()
@@ -228,8 +247,10 @@ func RunScale(o Options, w io.Writer) error {
 				if dispatched+skipped > 0 {
 					skippedPct = 100 * float64(skipped) / float64(dispatched+skipped)
 				}
+				// A row whose count differs from the request is the auto row.
+				ran := len(res.ShardStats)
 				row := ScaleResult{
-					Hosts: hosts, Load: load, Shards: shards, Procs: machine.GOMAXPROCS,
+					Hosts: hosts, Load: load, Shards: ran, Auto: ran != shards, Procs: machine.GOMAXPROCS,
 					WallMS:       float64(wall.Microseconds()) / 1000,
 					Events:       res.Events,
 					EventsPerSec: float64(res.Events) / wall.Seconds(),
@@ -246,8 +267,8 @@ func RunScale(o Options, w io.Writer) error {
 				if resumed {
 					mark = " (resumed)"
 				}
-				fmt.Fprintf(w, "%6d %5.1f %7d %10.1f %9d %12.0f %7d %7.1f%% %7s  %s%s\n",
-					hosts, load, shards, row.WallMS, row.Events,
+				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %9d %12.0f %7d %7.1f%% %7s  %s%s\n",
+					hosts, load, row.shardsLabel(), row.WallMS, row.Events,
 					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.Digest, mark)
 			}
 		}
@@ -269,43 +290,53 @@ func RunScale(o Options, w io.Writer) error {
 }
 
 // printScaleSpeedups condenses the campaign into the figure the grid is
-// for: per (hosts, load), best sharded events/sec over the shards=1 row
-// of the same group, beside the bound that row's critical path puts on
-// it. Groups without both rows (a pinned -shards) are skipped.
+// for: per (hosts, load), events/sec of the best explicit count and of
+// the auto row over the shards=1 row of the same group, each beside the
+// bound its critical path puts on it. Groups without the serial row (a
+// pinned -shards) are skipped.
 func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 	type key struct {
 		hosts int
 		load  float64
 	}
-	base := map[key]float64{}
-	best := map[key]ScaleResult{}
-	seen := map[key]bool{}
+	type group struct{ base, best, auto ScaleResult }
+	groups := map[key]*group{}
 	var order []key
 	for _, r := range rows {
 		k := key{r.Hosts, r.Load}
-		if !seen[k] {
-			seen[k] = true
+		g := groups[k]
+		if g == nil {
+			g = &group{}
+			groups[k] = g
 			order = append(order, k)
 		}
-		if r.Shards == 1 {
-			base[k] = r.EventsPerSec
-		}
-		if r.Shards > 1 && r.EventsPerSec > best[k].EventsPerSec {
-			best[k] = r
+		switch {
+		case r.Auto:
+			g.auto = r
+		case r.Shards == 1:
+			g.base = r
+		case r.EventsPerSec > g.best.EventsPerSec:
+			g.best = r
 		}
 	}
 	printed := false
 	for _, k := range order {
-		b, okB := base[k]
-		p, okP := best[k]
-		if !okB || !okP || b <= 0 {
+		g := groups[k]
+		b := g.base.EventsPerSec
+		if b <= 0 {
 			continue
 		}
 		if !printed {
 			fmt.Fprintf(w, "speedup vs shards=1 of the same (hosts, load):\n")
 			printed = true
 		}
-		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d (%.0f vs %.0f events/s), bound %s on >= %d cores\n",
-			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.EventsPerSec, b, p.bound(), p.Shards)
+		fmt.Fprintf(w, "  %5d hosts load %.1f: %.0f events/s serial", k.hosts, k.load, b)
+		for _, r := range []ScaleResult{g.best, g.auto} {
+			if r.EventsPerSec > 0 {
+				fmt.Fprintf(w, "; %.2fx at %s shards (bound %s on >= %d cores)",
+					r.EventsPerSec/b, r.shardsLabel(), r.bound(), r.Shards)
+			}
+		}
+		fmt.Fprintln(w)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"dcpim/internal/sim"
 	"dcpim/internal/workload"
@@ -37,6 +38,7 @@ func Test1024HostDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 1024-host runs")
 	}
+	watchdog(t, 3*time.Minute)
 	for _, shards := range []int{1, 8, 16, 64} {
 		spec := scale1024Spec()
 		spec.Shards = shards
@@ -76,6 +78,7 @@ func Test8192HostDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 8192-host runs")
 	}
+	watchdog(t, 3*time.Minute)
 	for _, shards := range []int{1, 8} {
 		spec := scale8192Spec()
 		spec.Shards = shards
@@ -88,13 +91,15 @@ func Test8192HostDigest(t *testing.T) {
 }
 
 // TestWorkersClamp pins the RunMany pool division: the pool is the floor
-// of the worker budget over the shard count, clamped to one, so
+// of the worker budget over an explicit shard count, clamped to one, so
 // workers × shards never exceeds the budget (the old ceiling division
-// oversubscribed whenever shards didn't divide it).
+// oversubscribed whenever shards didn't divide it). Auto (0) has no one
+// count to divide by and leaves the pool alone.
 func TestWorkersClamp(t *testing.T) {
 	for _, tc := range []struct {
 		workers, shards, want int
 	}{
+		{8, 0, 8},
 		{8, 1, 8},
 		{8, 2, 4},
 		{4, 3, 1},  // ceiling division used to give 2 → 6 goroutines on 4 CPUs

@@ -38,11 +38,12 @@ func oversubFor(hosts int) *topo.Topology {
 }
 
 // fatTreeFor builds the FatTree tier covering the requested host count:
-// k=4 (16 hosts) for quick runs, k=8 (128), the paper's k=16 (1024, also
-// the 0-default), then the hyperscale rungs — k=32 (8192) and the 3-tier
-// k=48-class tree (27648). The mapping is monotone in hosts and is part
-// of the checkpoint contract: ckptSpecFromMeta rebuilds specs from a
-// snapshot's host count through this function.
+// k=4 (16 hosts) for quick runs, k=8 (128), k=12 (432, the scale grid's
+// first auto-sharded rung), the paper's k=16 (1024, also the 0-default),
+// then the hyperscale rungs — k=32 (8192) and the 3-tier k=48-class tree
+// (27648). The mapping is monotone in hosts and is part of the checkpoint
+// contract: ckptSpecFromMeta rebuilds specs from a snapshot's host count
+// through this function.
 func fatTreeFor(hosts int) *topo.Topology {
 	switch {
 	case hosts != 0 && hosts <= 16:
@@ -52,6 +53,8 @@ func fatTreeFor(hosts int) *topo.Topology {
 		c.K = 8
 		c.Name = "fattree-128"
 		return c.Build()
+	case hosts != 0 && hosts <= 432:
+		return topo.FatTreeK(12).Build()
 	case hosts == 0 || hosts <= 1024:
 		return topo.DefaultFatTree().Build()
 	case hosts <= 8192:

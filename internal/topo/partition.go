@@ -36,6 +36,56 @@ func MaxShards(t *Topology) int {
 	return len(components(t))
 }
 
+// autoShardHosts is where AutoShards starts cutting. Below it a fabric's
+// working set sits in cache and its epochs are too thin to repay the
+// barrier: two cores run the 128-host FatTree and the 144-host leaf-spine
+// at 0.85–0.9× sharded, the 250-, 288- and 432-host fabrics at 1.2–1.5×,
+// and on one core the cost up there is 2–8% until locality turns it into
+// a gain near 600 hosts (the `-run scale` grid and DESIGN.md §11.5).
+const autoShardHosts = 256
+
+// AutoShards is the shard count a run takes when none is requested: 1
+// below autoShardHosts hosts, otherwise one shard per host-bearing
+// partition unit (a pod of a fat-tree, a rack of a leaf-spine) — 16 for
+// the k=16 FatTree, 32 for k=32 — with MakePartition's LPT spreading the
+// switch-only units over them. It is a pure function of the topology and
+// never looks at the machine: epoch counts, ShardStats and checkpoint
+// compatibility must not depend on where a run happens, and more shards
+// than cores costs nothing measurable on the channel barrier. A cut that
+// would leave no lookahead (a zero-delay boundary link) stays serial.
+func AutoShards(t *Topology) int {
+	if t.NumHosts < autoShardHosts {
+		return 1
+	}
+	for _, sw := range t.Switches {
+		for _, port := range sw.Ports {
+			if port.Boundary && port.Delay <= 0 {
+				return 1
+			}
+		}
+	}
+	hostsOn := hostsPerSwitch(t)
+	n := 0
+	for _, unit := range components(t) {
+		for _, sw := range unit {
+			if hostsOn[sw] > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// hostsPerSwitch counts the hosts attached to each switch.
+func hostsPerSwitch(t *Topology) []int {
+	hostsOn := make([]int, len(t.Switches))
+	for _, sw := range t.HostSwitch {
+		hostsOn[sw]++
+	}
+	return hostsOn
+}
+
 // MakePartition splits t into n shards. The partition units are the
 // connected components of the switch graph with boundary links removed
 // (a rack plus its hosts in a leaf-spine; a pod in a fat-tree; each
@@ -73,10 +123,7 @@ func MakePartition(t *Topology, n int) (*Partition, error) {
 		HostShard:   make([]int32, t.NumHosts),
 		SwitchShard: make([]int32, len(t.Switches)),
 	}
-	hostsOn := make([]int, len(t.Switches))
-	for h := 0; h < t.NumHosts; h++ {
-		hostsOn[t.HostSwitch[h]]++
-	}
+	hostsOn := hostsPerSwitch(t)
 	// Weight: hosts dominate, switches break host-ties and guarantee a
 	// positive weight for switch-only units.
 	const hostWeight = 1 << 16

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -133,6 +134,61 @@ func TestMakePartitionInvariants(t *testing.T) {
 			q, err := MakePartition(tp, n)
 			if err != nil || !reflect.DeepEqual(p, q) {
 				t.Errorf("%s n=%d: partition not deterministic", tp.Name, n)
+			}
+		}
+	}
+}
+
+// TestAutoShards pins the default shard count of the stock topologies:
+// serial below the host threshold, one shard per pod or rack above it,
+// always a count MakePartition accepts with every host-bearing shard
+// holding exactly one unit's hosts — and the same answer whatever the
+// machine looks like.
+func TestAutoShards(t *testing.T) {
+	wide := DefaultLeafSpine()
+	wide.Racks = 18 // 288 hosts
+	dead := DefaultFatTree()
+	dead.PropDelay = 0
+	cases := []struct {
+		topo *Topology
+		want int
+	}{
+		{SmallLeafSpine().Build(), 1},
+		{SmallFatTree().Build(), 1},
+		{FatTreeK(8).Build(), 1},          // 128 hosts
+		{DefaultLeafSpine().Build(), 1},   // 144 hosts
+		{FatTreeK(10).Build(), 1},         // 250 hosts, just under
+		{wide.Build(), 18},                // one per rack
+		{FatTreeK(12).Build(), 12},        // 432 hosts
+		{DefaultFatTree().Build(), 16},    // one per pod
+		{HyperscaleFatTree().Build(), 32}, // 8192 hosts
+		{dead.Build(), 1},                 // no lookahead across the cut
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			got := AutoShards(c.topo)
+			if got != c.want {
+				t.Errorf("GOMAXPROCS=%d %s (%d hosts): AutoShards = %d, want %d",
+					procs, c.topo.Name, c.topo.NumHosts, got, c.want)
+			}
+			if got > MaxShards(c.topo) {
+				t.Errorf("%s: AutoShards %d exceeds MaxShards %d", c.topo.Name, got, MaxShards(c.topo))
+			}
+			p, err := MakePartition(c.topo, got)
+			if err != nil {
+				t.Errorf("%s: auto count %d does not partition: %v", c.topo.Name, got, err)
+				continue
+			}
+			hosts := make([]int, got)
+			for h := 0; h < c.topo.NumHosts; h++ {
+				hosts[p.ShardOfHost(h)]++
+			}
+			for k, n := range hosts {
+				if n != c.topo.NumHosts/got {
+					t.Errorf("%s: shard %d of %d holds %d hosts, want %d", c.topo.Name, k, got, n, c.topo.NumHosts/got)
+				}
 			}
 		}
 	}
