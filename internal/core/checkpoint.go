@@ -42,8 +42,14 @@ func (s *sender) captureState(enc *checkpoint.Encoder) {
 	for _, tk := range s.tokens {
 		captureCtlPacket(enc, tk)
 	}
-	enc.U32(uint32(len(s.rtsBuf)))
-	for _, round := range s.rtsBuf {
+	// One buffer per round, in step with rounds; a sender that has not been
+	// asked yet holds none, which reads as every round empty.
+	enc.U32(uint32(len(s.rounds)))
+	for j := range s.rounds {
+		var round []*packet.Packet
+		if s.rtsBuf != nil {
+			round = s.rtsBuf[j]
+		}
 		enc.U32(uint32(len(round)))
 		for _, rts := range round {
 			captureCtlPacket(enc, rts)
@@ -120,8 +126,14 @@ func (r *receiver) captureState(enc *checkpoint.Encoder) {
 		enc.I64(int64(src))
 		enc.I64(r.planned[src])
 	}
-	enc.U32(uint32(len(r.grantBuf)))
-	for _, round := range r.grantBuf {
+	// One buffer per round of the matching under way; a receiver that has
+	// not woken holds none, which reads as every round empty.
+	enc.U32(uint32(r.rounds()))
+	for j := 0; j < r.rounds(); j++ {
+		var round []*packet.Packet
+		if r.grantBuf != nil {
+			round = r.grantBuf[j]
+		}
 		enc.U32(uint32(len(round)))
 		for _, g := range round {
 			captureCtlPacket(enc, g)

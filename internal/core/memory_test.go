@@ -4,8 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
+	"dcpim/internal/stats"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
@@ -127,5 +129,94 @@ func TestPacerMallocsPerPacket(t *testing.T) {
 	if perPkt > mallocsPerPacedPacketBudget {
 		t.Fatalf("%.2f mallocs per paced packet exceeds the budget of %.1f",
 			perPkt, mallocsPerPacedPacketBudget)
+	}
+}
+
+// mallocsIn counts the heap objects fn allocates, on one P so that no
+// other goroutine's allocations are counted with them.
+func mallocsIn(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestIdleHostAllocs: a host costs memory when something addresses it, not
+// before. Start allocates nothing per host beyond the event of its stage
+// timer (taken from the engine's free list here, so nothing at all); a
+// fabric of hosts with no flows runs whole matching cycles — all 2r+1
+// stages of every host, from the very first — without a single
+// allocation; and hosts whose demand came and went are back to allocating
+// nothing per epoch, their maps and buffers cleared in place.
+func TestIdleHostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop packets, so malloc counts do not hold")
+	}
+	cfgT := topo.SmallLeafSpine()
+	eng := sim.NewEngine(5)
+	tp := cfgT.Build()
+	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+	col := stats.NewCollector(0)
+	protos := Attach(fab, DefaultConfig(), col)
+
+	// Fill the engine's free list and grow its heap once, so that the only
+	// objects Start could still allocate are its own.
+	var warm []sim.Timer
+	for i := 0; i < 4*len(protos); i++ {
+		warm = append(warm, eng.Schedule(1, func() {}))
+	}
+	for _, tm := range warm {
+		tm.Cancel()
+	}
+	if n := mallocsIn(func() {
+		for h, p := range protos {
+			p.Start(fab.Host(h))
+		}
+	}); n != 0 {
+		t.Errorf("Start allocated %d objects over %d hosts, want none beyond the recycled timer events", n, len(protos))
+	}
+	if eng.Pending() != len(protos) {
+		t.Fatalf("%d events pending after Start, want one stage timer per host (%d)", eng.Pending(), len(protos))
+	}
+
+	epoch := protos[0].tm.epochLen
+	cycle := func() { eng.Run(eng.Now().Add(epoch)) }
+	for i := 0; i < 3; i++ {
+		before := eng.Events()
+		n := mallocsIn(cycle)
+		if ticks := eng.Events() - before; ticks < uint64(protos[0].tm.stages*len(protos)) {
+			t.Fatalf("idle cycle %d ran %d events, want all %d stages on each of %d hosts", i, ticks, protos[0].tm.stages, len(protos))
+		}
+		if n != 0 {
+			t.Errorf("idle cycle %d allocated %d objects over %d hosts, want 0", i, n, len(protos))
+		}
+	}
+
+	// Demand comes: long flows that go through matching and short ones that
+	// bypass it, to and from every host, then goes.
+	var flows []workload.Flow
+	at := eng.Now()
+	for h := 0; h < tp.NumHosts; h++ {
+		flows = append(flows,
+			workload.Flow{ID: uint64(2*h + 1), Src: h, Dst: (h + 5) % tp.NumHosts, Size: 600_000, Arrival: at},
+			workload.Flow{ID: uint64(2*h + 2), Src: h, Dst: (h + 3) % tp.NumHosts, Size: 9_000, Arrival: at})
+	}
+	fab.Inject(&workload.Trace{Flows: flows})
+	eng.Run(at.Add(40 * epoch))
+	if int(col.Completed()) != len(flows) {
+		t.Fatalf("%d of %d flows completed", col.Completed(), len(flows))
+	}
+	for h, p := range protos {
+		if p.rcv.flows == nil || p.snd.flows == nil || len(p.rcv.flows)+len(p.snd.flows) != 0 {
+			t.Fatalf("host %d: %d receive and %d send flows left; every host should have woken and drained",
+				h, len(p.rcv.flows), len(p.snd.flows))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if n := mallocsIn(cycle); n != 0 {
+			t.Errorf("cycle %d after the demand went allocated %d objects over %d hosts, want 0", i, n, len(protos))
+		}
 	}
 }

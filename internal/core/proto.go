@@ -27,9 +27,8 @@ type Proto struct {
 	rng  *rand.Rand   //ckpt:skip aliases the host's stream; its position is captured as Host draws
 	id   int          //ckpt:skip topology identity, re-established by Attach
 
-	tick    int64  // stage ticks elapsed
-	epoch   int64  // current epoch (data phase) index
-	stageFn func() //ckpt:skip p.onStage bound once in Start, so the ticker does not allocate a method value per stage
+	tick  int64 // stage ticks elapsed
+	epoch int64 // current epoch (data phase) index
 
 	snd sender
 	rcv receiver
@@ -50,19 +49,37 @@ func (cfg Config) validate() {
 
 // Attach creates a dcPIM instance on every host of the fabric, all sharing
 // cfg and one derived timing, and returns them. The instances are one
-// allocation. Each records into col's child collector for its host's
-// shard, so completions never contend across shards; col's readers merge
-// the children deterministically.
+// allocation and the senders' per-round grant bookkeeping (r entries per
+// host, pointer-free) another: a host gets an element and a window of the
+// slabs, filled in place on its own shard's goroutine
+// (Fabric.ForEachHost). Each instance records into col's child collector
+// for its host's shard, so completions never contend across shards;
+// col's readers merge the children deterministically.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	cfg.validate()
 	tm := deriveTiming(cfg, fab.Topology())
-	slab := make([]Proto, fab.Topology().NumHosts)
-	protos := make([]*Proto, len(slab))
-	for i := range slab {
-		slab[i] = Proto{cfg: cfg, tm: &tm, col: col.ForShard(fab.ShardOfHost(i))}
-		protos[i] = &slab[i]
-		fab.AttachProtocol(i, protos[i])
+	n, r := fab.Topology().NumHosts, cfg.Rounds
+	slab := make([]Proto, n)
+	protos := make([]*Proto, n)
+	rounds := make([]roundState, n*r)
+	// The child collectors are made here, on one goroutine — up to the last
+	// shard that has a host, as a serial fill would leave them (a snapshot
+	// counts them); the fill below only looks them up.
+	last := 0
+	for h := 0; h < n; h++ {
+		if s := fab.ShardOfHost(h); s > last {
+			last = s
+		}
 	}
+	col.ForShard(last)
+	fab.ForEachHost(func(h int) {
+		p := &slab[h]
+		p.cfg, p.tm = cfg, &tm
+		p.col = col.ForShard(fab.ShardOfHost(h))
+		p.snd.rounds = rounds[h*r : h*r : (h+1)*r]
+		protos[h] = p
+		fab.AttachProtocol(h, p)
+	})
 	return protos
 }
 
@@ -78,7 +95,6 @@ func (p *Proto) Start(h *netsim.Host) {
 		tm := deriveTiming(p.cfg, h.Topo())
 		p.tm = &tm
 	}
-	p.stageFn = p.onStage
 	p.snd.init(p)
 	p.rcv.init(p)
 	p.epoch = -1 // first onStage call (tick 0) opens epoch 0
@@ -86,8 +102,13 @@ func (p *Proto) Start(h *netsim.Host) {
 	if p.cfg.MaxClockSkew > 0 {
 		start = start.Add(sim.Duration(p.rng.Int63n(int64(p.cfg.MaxClockSkew))))
 	}
-	p.eng.Schedule(start, p.stageFn)
+	p.eng.ScheduleFunc(start, onStageFunc, p, nil, 0)
 }
+
+// onStageFunc is the stage ticker's argument-form trampoline: the event
+// carries the instance, so neither Start nor a tick allocates a method
+// value.
+func onStageFunc(a, _ any, _ int) { a.(*Proto).onStage() }
 
 // Timing exposes derived protocol timing (tests and experiments).
 func (p *Proto) Timing() struct {
@@ -128,7 +149,7 @@ func (p *Proto) onStage() {
 		p.snd.grantStage(matchEpoch, round)
 	}
 	p.tick++
-	p.eng.After(p.tm.stageLen, p.stageFn)
+	p.eng.AfterFunc(p.tm.stageLen, onStageFunc, p, nil, 0)
 }
 
 // OnFlowArrival implements netsim.Protocol (sender role).

@@ -93,6 +93,10 @@ type tokenLoop struct {
 type receiver struct {
 	p *Proto //ckpt:skip owner back-pointer, re-established by Attach
 
+	// Every map below is nil until the host's first flow or grant (wake):
+	// most hosts of a large fabric never receive, and reading a nil map is
+	// reading an empty one. From then on the per-epoch maps are cleared in
+	// place, never remade.
 	flows map[uint64]*recvFlow
 	// bySender lists each sender's live flows (swap-deleted via
 	// recvFlow.senderIdx on completion) — a slice instead of a nested map
@@ -107,7 +111,8 @@ type receiver struct {
 	doneFlows map[uint64]struct{}
 	freeFlows []*recvFlow //ckpt:skip recycled-record free list, not logical state
 
-	// Matching state for epoch matchEpoch.
+	// Matching state for epoch matchEpoch. grantBuf has a slot per round
+	// (rounds) and, like the maps, is nil until wake.
 	matchEpoch  int64
 	used        int // channels accepted so far
 	planned     map[int]int64
@@ -120,8 +125,29 @@ type receiver struct {
 	matchedTotal int // channels in matchedNow (telemetry bookkeeping)
 }
 
-func (r *receiver) init(p *Proto) {
-	r.p = p
+// init binds the receiver to its host. It allocates nothing.
+func (r *receiver) init(p *Proto) { r.p = p }
+
+// rounds is how many rounds of grants the matching under way buffers: r
+// once the first matching has opened (requestStage sets matchEpoch ≥ 1),
+// none before.
+func (r *receiver) rounds() int {
+	if r.matchEpoch == 0 {
+		return 0
+	}
+	return r.p.cfg.Rounds
+}
+
+// wake makes the receiver's maps and grant buffers, once, before the
+// first write to any of them: on the host's first flow (ensure) or
+// buffered grant (onGrant).
+//
+//lint:coldpath runs once per receiving host
+func (r *receiver) wake() {
+	if r.flows != nil {
+		return
+	}
+	r.grantBuf = make([][]*packet.Packet, r.p.cfg.Rounds)
 	r.flows = make(map[uint64]*recvFlow)
 	r.bySender = make(map[int][]*recvFlow)
 	r.doneFlows = make(map[uint64]struct{})
@@ -129,6 +155,13 @@ func (r *receiver) init(p *Proto) {
 	r.matchedNow = make(map[int]int)
 	r.matchedNext = make(map[int]int)
 	r.loops = make(map[int]*tokenLoop)
+}
+
+// emptied returns buf with length 0 and its slots cleared, keeping the
+// backing array for the next round's appends.
+func emptied(buf []*packet.Packet) []*packet.Packet {
+	clear(buf)
+	return buf[:0]
 }
 
 // ensure returns the live flow state for pkt, creating it lazily (data
@@ -141,6 +174,7 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 	if _, done := r.doneFlows[pkt.Flow]; done {
 		return nil
 	}
+	r.wake()
 	n := packet.PacketsForBytes(pkt.FlowSize)
 	f := r.newRecvFlow()
 	f.id, f.src, f.size, f.arrival = pkt.Flow, pkt.Src, pkt.FlowSize, pkt.SentAt
@@ -280,8 +314,8 @@ func (r *receiver) onEpochStart(e int64) {
 	for _, l := range r.loops {
 		l.timer.Cancel()
 	}
-	r.matchedNow = r.matchedNext
-	r.matchedNext = make(map[int]int)
+	r.matchedNow, r.matchedNext = r.matchedNext, r.matchedNow
+	clear(r.matchedNext)
 	total := 0
 	//lint:deterministic int sum: map order cannot affect the result
 	for _, ch := range r.matchedNow {
@@ -289,7 +323,7 @@ func (r *receiver) onEpochStart(e int64) {
 	}
 	r.p.ins.matchedChannels.Add(int64(total - r.matchedTotal))
 	r.matchedTotal = total
-	r.loops = make(map[int]*tokenLoop, len(r.matchedNow))
+	clear(r.loops)
 	for _, src := range sortedKeys(r.matchedNow) {
 		ch := r.matchedNow[src]
 		if ch <= 0 {
@@ -396,14 +430,14 @@ func (r *receiver) requestStage(epoch int64, round int) {
 	if round == 0 {
 		r.matchEpoch = epoch
 		r.used = 0
-		for _, buf := range r.grantBuf {
+		for j, buf := range r.grantBuf {
 			for _, g := range buf {
 				packet.Release(g) // offer expired with its epoch
 			}
+			r.grantBuf[j] = emptied(buf)
 		}
-		r.grantBuf = make([][]*packet.Packet, r.p.cfg.Rounds)
-		r.matchedNext = make(map[int]int)
-		r.planned = r.computePlanned()
+		clear(r.matchedNext)
+		r.computePlanned()
 	}
 	free := r.p.cfg.Channels - r.used
 	if free <= 0 {
@@ -432,8 +466,8 @@ func (r *receiver) requestStage(epoch int64, round int) {
 // computePlanned rebuilds per-sender unadmitted demand, net of what the
 // just-started data phase is projected to deliver (§3.4's outstanding-byte
 // bookkeeping).
-func (r *receiver) computePlanned() map[int]int64 {
-	planned := make(map[int]int64)
+func (r *receiver) computePlanned() {
+	clear(r.planned)
 	//lint:deterministic builds a map keyed per sender; consumers iterate it via sortedKeys
 	for src, flows := range r.bySender {
 		var sum int64
@@ -447,10 +481,9 @@ func (r *receiver) computePlanned() map[int]int64 {
 			sum -= int64(ch) * r.p.tm.channelBytes
 		}
 		if sum > 0 {
-			planned[src] = sum
+			r.planned[src] = sum
 		}
 	}
-	return planned
 }
 
 func (r *receiver) minRemainingFrom(src int) int64 {
@@ -467,9 +500,10 @@ func (r *receiver) minRemainingFrom(src int) int64 {
 }
 
 func (r *receiver) onGrant(g *packet.Packet) {
-	if g.Epoch != r.matchEpoch || g.Round < 0 || g.Round >= len(r.grantBuf) {
+	if g.Epoch != r.matchEpoch || g.Round < 0 || g.Round >= r.rounds() {
 		return
 	}
+	r.wake()
 	g.Keep() // buffered until the round's accept tick
 	//lint:ignore hotalloc one append per grant per matching round (epoch rate, not packet rate), bounded by the channel budget
 	r.grantBuf[g.Round] = append(r.grantBuf[g.Round], g)
@@ -479,7 +513,7 @@ func (r *receiver) onGrant(g *packet.Packet) {
 // flow first in the FCT round, random otherwise, within the channel
 // budget (§3.4).
 func (r *receiver) acceptStage(epoch int64, round int) {
-	if epoch != r.matchEpoch || round < 0 || round >= len(r.grantBuf) {
+	if epoch != r.matchEpoch || round < 0 || round >= r.rounds() || r.grantBuf == nil {
 		return
 	}
 	// Include stragglers from earlier rounds (clock skew, queueing): a
@@ -487,7 +521,7 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 	var grants []*packet.Packet
 	for j := 0; j <= round; j++ {
 		grants = append(grants, r.grantBuf[j]...)
-		r.grantBuf[j] = nil
+		r.grantBuf[j] = emptied(r.grantBuf[j])
 	}
 	if len(grants) == 0 {
 		return

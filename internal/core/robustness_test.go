@@ -83,7 +83,7 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	// Install a fake flow and tokens.
 	f := &sendFlow{id: 9, dst: 1, size: 100_000, npkts: 10}
 	f.sent = f.sent.grow(10)
-	s.flows[9] = f
+	s.flows = map[uint64]*sendFlow{9: f}
 	s.dataEpoch = 5
 	// Advance the engine clock past epoch 5's grace window.
 	eng.Run(sim.Time(sim.Duration(6) * p.tm.epochLen))

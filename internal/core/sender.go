@@ -15,16 +15,19 @@ import (
 type sender struct {
 	p *Proto //ckpt:skip owner back-pointer, re-established by Attach
 
-	flows     map[uint64]*sendFlow
-	freeFlows []*sendFlow //ckpt:skip recycled-record free list, not logical state
+	flows     map[uint64]*sendFlow // nil until the host's first flow
+	freeFlows []*sendFlow          //ckpt:skip recycled-record free list, not logical state
 
 	// Token queue (FIFO as issued by receivers, which already order their
 	// token streams by SRPT).
 	tokens []*packet.Packet
 	pacing bool
-	paceFn func() //ckpt:skip s.pace bound once in init, so the pacer does not allocate a method value per tick
 
 	// Matching state for epoch matchEpoch (the data phase being built).
+	// rounds has length 0 until the first epoch opens and r from then on,
+	// over fixed storage (a window of Attach's slab) that every epoch
+	// clears in place. rtsBuf has a slot per round in step with it, but is
+	// nil until the host's first request: a sender nobody asks holds none.
 	matchEpoch int64
 	committed  int          // channels accepted so far
 	reserved   int          // channels granted but not yet resolved
@@ -66,10 +69,23 @@ func (f *sendFlow) remainingBytes() int64 {
 	return int64(f.npkts-f.sentCnt) * packet.PayloadSize
 }
 
+// init binds the sender to its host. It allocates nothing for a host
+// Attach made: the per-round bookkeeping is already there, the flow map
+// waits for the first flow and the request buffers for the first request.
+// A bare New gets its per-round bookkeeping here.
 func (s *sender) init(p *Proto) {
 	s.p = p
-	s.paceFn = s.pace
-	s.flows = make(map[uint64]*sendFlow)
+	if r := p.cfg.Rounds; cap(s.rounds) != r {
+		s.rounds = make([]roundState, 0, r)
+	}
+}
+
+// wake makes the request buffers, one per round, on the host's first
+// request.
+//
+//lint:coldpath runs once per host that is ever asked for a grant
+func (s *sender) wake() {
+	s.rtsBuf = make([][]*packet.Packet, s.p.cfg.Rounds)
 }
 
 // flowArrival starts a new outgoing flow: notify the receiver and, for
@@ -80,6 +96,9 @@ func (s *sender) flowArrival(fl workload.Flow) {
 	f.npkts = packet.PacketsForBytes(fl.Size)
 	f.short = fl.Size <= s.p.tm.shortThresh
 	f.sent = f.sent.grow(f.npkts)
+	if s.flows == nil {
+		s.flows = make(map[uint64]*sendFlow)
+	}
 	s.flows[f.id] = f
 
 	s.sendNotification(f)
@@ -199,8 +218,12 @@ func (s *sender) kickPacer() {
 	// token inside its own OnPacket delivery, which the packet ownership
 	// contract forbids (the fabric still touches the packet after OnPacket
 	// returns).
-	s.p.eng.After(0, s.paceFn)
+	s.p.eng.AfterFunc(0, paceFunc, s, nil, 0)
 }
+
+// paceFunc is the pacer's argument-form trampoline (no method value per
+// tick).
+func paceFunc(a, _ any, _ int) { a.(*sender).pace() }
 
 // pace runs every MTU transmission time while tokens are queued: it sends
 // one token's data packet per tick, yielding to short-flow bursts already
@@ -212,7 +235,7 @@ func (s *sender) pace() {
 	}
 	// Let short flows and control drain first; retry one MTU later.
 	if s.p.host.NICQueuedBytes() >= 2*packet.MTU {
-		s.p.eng.After(s.p.tm.mtuTime, s.paceFn)
+		s.p.eng.AfterFunc(s.p.tm.mtuTime, paceFunc, s, nil, 0)
 		return
 	}
 	tok := s.popValidToken()
@@ -231,7 +254,7 @@ func (s *sender) pace() {
 	if f.sentCnt == f.npkts {
 		s.maybeFinish(f)
 	}
-	s.p.eng.After(s.p.tm.mtuTime, s.paceFn)
+	s.p.eng.AfterFunc(s.p.tm.mtuTime, paceFunc, s, nil, 0)
 }
 
 // popValidToken discards expired tokens (older than the previous epoch's
@@ -267,13 +290,14 @@ func (s *sender) onEpochStart(e int64) {
 	s.matchEpoch = e + 1
 	s.committed = 0
 	s.reserved = 0
-	s.rounds = make([]roundState, s.p.cfg.Rounds)
-	for _, buf := range s.rtsBuf {
+	s.rounds = s.rounds[:cap(s.rounds)]
+	clear(s.rounds)
+	for j, buf := range s.rtsBuf {
 		for _, r := range buf {
 			packet.Release(r) // request never granted before its epoch ended
 		}
+		s.rtsBuf[j] = emptied(buf)
 	}
-	s.rtsBuf = make([][]*packet.Packet, s.p.cfg.Rounds)
 	// Tokens from before the previous epoch can never become valid again;
 	// drop them eagerly so the queue stays short.
 	live := s.tokens[:0]
@@ -296,6 +320,9 @@ func (s *sender) onEpochStart(e int64) {
 func (s *sender) onRTS(rts *packet.Packet) {
 	if rts.Epoch != s.matchEpoch || rts.Round < 0 || rts.Round >= s.p.cfg.Rounds {
 		return
+	}
+	if s.rtsBuf == nil {
+		s.wake()
 	}
 	rts.Keep() // buffered until the round's grant tick
 	//lint:ignore hotalloc one append per RTS per matching round (epoch rate, not packet rate), bounded by the channel budget
@@ -338,9 +365,9 @@ func (s *sender) grantStage(epoch int64, round int) {
 	// processing it in the next round is the "catch up in the remaining
 	// rounds" behaviour the design relies on).
 	var reqs []*packet.Packet
-	for j := 0; j <= round; j++ {
+	for j := 0; j <= round && j < len(s.rtsBuf); j++ {
 		reqs = append(reqs, s.rtsBuf[j]...)
-		s.rtsBuf[j] = nil
+		s.rtsBuf[j] = emptied(s.rtsBuf[j])
 	}
 	if len(reqs) == 0 {
 		return

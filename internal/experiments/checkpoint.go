@@ -60,7 +60,7 @@ func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) {
 	if ck == nil || ck.Every <= 0 {
 		panic("experiments: RunCheckpointed requires spec.Checkpoint with Every > 0")
 	}
-	rs := newRunState(spec)
+	rs := newRunState(spec, nil)
 	defer rs.close()
 	horizon := sim.Time(spec.Horizon)
 	var snaps []*checkpoint.Snapshot
@@ -96,7 +96,7 @@ func Resume(spec RunSpec, snap *checkpoint.Snapshot) (RunResult, []*checkpoint.S
 	if err := checkCompat(spec, snap.Meta); err != nil {
 		return RunResult{}, nil, err
 	}
-	rs := newRunState(spec)
+	rs := newRunState(spec, nil)
 	defer rs.close()
 	horizon := sim.Time(spec.Horizon)
 	at := sim.Time(snap.Meta.TimePs)

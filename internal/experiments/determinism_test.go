@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"dcpim/internal/checkpoint"
 	"dcpim/internal/faults"
+	"dcpim/internal/protocols"
 	"dcpim/internal/sim"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
@@ -312,6 +315,58 @@ func TestAutoShardsInvariant(t *testing.T) {
 				t.Errorf("%s Shards=%d: ran on %d shards, want %d", proto, tc.shards, got, tc.ran)
 			}
 			assertRunsEqual(t, fmt.Sprintf("%s Shards=%d vs serial", proto, tc.shards), serial, res)
+		}
+	}
+}
+
+// TestShardedSetupInvariant: every registered protocol is attached,
+// started and fed its trace with each shard working on its own goroutine,
+// and what that leaves at t = 0 — every engine's pending keys and RNG
+// position, the fabric with each host's protocol state, the collector —
+// is the same snapshot whether one, two or four Ps ran the shards, build
+// after build; a short run from there delivers the serial run's packets.
+// It is the only place the baselines' Start methods run side by side, so
+// CI also runs it under the race detector. The 432-host FatTree is the
+// smallest topology that shards itself (12 shards).
+func TestShardedSetupInvariant(t *testing.T) {
+	watchdog(t, 3*time.Minute)
+	tp := fatTreeFor(432)
+	if auto := topo.AutoShards(tp); auto < 4 {
+		t.Fatalf("AutoShards(%s) = %d: the test needs a topology the default shards", tp.Name, auto)
+	}
+	horizon := 10 * sim.Microsecond
+	tr := workload.AllToAllConfig{
+		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
+		Dist: workload.WebSearch(), Horizon: horizon, Seed: 9,
+	}.Generate()
+	for _, proto := range protocols.Names() {
+		spec := RunSpec{
+			Protocol: proto, Topo: tp, Trace: tr,
+			Horizon: horizon + horizon/2, Seed: 10, Digest: true,
+			Checkpoint: &CheckpointSpec{Every: horizon},
+		}
+		serial := spec
+		serial.Shards, serial.Checkpoint = 1, nil
+		want := Run(serial).Digest
+		var first *checkpoint.Snapshot
+		for _, procs := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				for rep := 0; rep < 2; rep++ {
+					rs := newRunState(spec, nil)
+					snap := rs.capture(0, 0)
+					if first == nil {
+						first = snap
+					} else if err := checkpoint.Compare(first, snap); err != nil {
+						t.Errorf("%s procs=%d build %d: set-up differs from the first build: %v", proto, procs, rep, err)
+					}
+					rs.runTo(sim.Time(spec.Horizon))
+					if got := rs.result().Digest; got != want {
+						t.Errorf("%s procs=%d build %d: digest %#016x, serial %#016x", proto, procs, rep, got, want)
+					}
+					rs.close()
+				}
+			}()
 		}
 	}
 }

@@ -7,7 +7,9 @@ package experiments
 
 import (
 	"io"
+	"math/bits"
 	"runtime"
+	"time"
 
 	"dcpim/internal/core"
 	"dcpim/internal/faults"
@@ -197,6 +199,15 @@ type RunResult struct {
 	// staged boundary arrivals, and epochs dispatched versus idle-skipped.
 	ShardStats []netsim.ShardStats
 
+	// Where the run's wall time went, for the one caller that hands a run
+	// a clock (RunScale; zero otherwise) and so different on every run:
+	// Wall from the first line of set-up to the folded result, Wire the
+	// set-up alone (partition, fabric, protocols, trace), and Serial the
+	// part of Wall spent outside sim.Group's Each and RunEpoch — on one
+	// goroutine, whatever the shard count. Serial over Wall is what
+	// Amdahl's law charges a sharded run.
+	Wall, Wire, Serial time.Duration
+
 	// MetricsCSV / MetricsJSON hold the sampled time series and the
 	// end-of-run report when RunSpec.Metrics is set (nil otherwise).
 	MetricsCSV  []byte
@@ -258,12 +269,17 @@ func (r RunResult) Completion() float64 {
 // When spec.Checkpoint is set the run routes through RunCheckpointed,
 // which advances in cadence-sized windows and snapshots at each
 // boundary; results are byte-identical either way.
-func Run(spec RunSpec) RunResult {
+func Run(spec RunSpec) RunResult { return runClocked(spec, nil) }
+
+// runClocked is Run, metered on clock when it is not nil: a WallTimer the
+// caller started as it called, on which the result's Wall, Wire and Serial
+// are read. A checkpointed run is not metered.
+func runClocked(spec RunSpec, clock func() time.Duration) RunResult {
 	if spec.Checkpoint != nil {
 		res, _ := RunCheckpointed(spec)
 		return res
 	}
-	rs := newRunState(spec)
+	rs := newRunState(spec, clock)
 	defer rs.close()
 	rs.runTo(sim.Time(spec.Horizon))
 	return rs.result()
@@ -286,6 +302,8 @@ type runState struct {
 	smp         *metrics.Sampler
 	interval    sim.Duration
 	hostDigests []uint64
+	clock       func() time.Duration // the caller's wall clock, nil when the run is not metered
+	wire        time.Duration        // clock's reading when set-up ended
 }
 
 // shards resolves the spec's shard count — the one place the zero value
@@ -301,8 +319,9 @@ func (spec RunSpec) shards() int {
 }
 
 // newRunState wires one simulation and injects its trace; the returned
-// state sits at t=0 ready for runTo. Call close when done.
-func newRunState(spec RunSpec) *runState {
+// state sits at t=0 ready for runTo. Call close when done. A non-nil clock
+// (runClocked) meters the run; nothing reads the wall clock otherwise.
+func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	n := spec.shards()
 	part, err := topo.MakePartition(spec.Topo, n)
 	if err != nil {
@@ -313,6 +332,9 @@ func newRunState(spec RunSpec) *runState {
 		engines[i] = sim.NewEngine(spec.Seed)
 	}
 	grp := sim.NewGroup(engines)
+	if clock != nil {
+		grp.SetClock(clock)
+	}
 	bin := spec.BinWidth
 	if bin == 0 {
 		bin = 10 * sim.Microsecond
@@ -386,11 +408,15 @@ func newRunState(spec RunSpec) *runState {
 	fab.Start()
 	fab.Inject(spec.Trace)
 	smp.SampleAt(0)
-	return &runState{
+	rs := &runState{
 		spec: spec, engines: engines, grp: grp, col: col,
 		fab: fab, reg: reg, smp: smp, interval: interval,
-		hostDigests: hostDigests,
+		hostDigests: hostDigests, clock: clock,
 	}
+	if clock != nil {
+		rs.wire = clock()
+	}
+	return rs
 }
 
 // runTo advances the simulation to t (a no-op when already there).
@@ -434,6 +460,10 @@ func (rs *runState) result() RunResult {
 	if spec.Metrics != nil {
 		res.MetricsCSV, res.MetricsJSON = emitMetrics(spec, rs.reg, rs.smp)
 	}
+	if rs.clock != nil {
+		res.Wall, res.Wire = rs.clock(), rs.wire
+		res.Serial = res.Wall - rs.grp.SharedWall()
+	}
 	return res
 }
 
@@ -444,14 +474,29 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
+// fnvMix folds the eight bytes of w into h, low byte first. The words of
+// a delivery are mostly small numbers, and a zero byte's FNV-1a step is
+// h *= prime alone, so only the bytes up to w's highest set one go through
+// the loop and the zero bytes above them are one multiplication by the
+// matching power of the prime — the same value as eight steps.
 func fnvMix(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	n := (bits.Len64(w) + 7) / 8
+	for i := 0; i < n; i++ {
 		h ^= w & 0xff
 		h *= fnvPrime
 		w >>= 8
 	}
-	return h
+	return h * fnvPrimePow[8-n]
 }
+
+// fnvPrimePow[k] is fnvPrime to the k-th power (mod 2^64).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
 
 // Experiment is one reproducible paper artifact.
 type Experiment struct {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/sim"
@@ -36,6 +37,14 @@ type ScaleResult struct {
 	// (0 when serial). Events over it bounds the cell's speedup on a core
 	// per shard; it is a count, equal across repeats of a seed.
 	Critical uint64 `json:"critical_events"`
+	// WireS is the cell's set-up wall time (RunResult.Wire) and SerialFrac
+	// the share of its whole wall time spent outside the shard goroutines
+	// (RunResult.Serial / Wall; 0 when serial, where the question does not
+	// arise, and both 0 for a checkpointed cell, which is not metered).
+	// Both are clock readings: they vary run to run and with the
+	// box, unlike Critical.
+	WireS      float64 `json:"wire_s"`
+	SerialFrac float64 `json:"serial_frac"`
 }
 
 // bound renders events / critical events: what the cell's epochs allow a
@@ -48,6 +57,27 @@ func (r ScaleResult) bound() string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(r.Events)/float64(r.Critical))
+}
+
+// amdahl is the wall-clock counterpart of bound: the speedup over one core
+// that the cell's serial stretch allows on the given number of cores, were
+// the sharded stretches to spread perfectly. The row ran its sharded
+// stretches on min(Procs, Shards) cores, so they hold at most that many
+// times their wall time in work; charging them the full amount keeps the
+// figure an upper bound.
+func (r ScaleResult) amdahl(cores int) float64 {
+	ran := min(r.Procs, r.Shards)
+	serial, shared := r.SerialFrac, (1-r.SerialFrac)*float64(ran)
+	return (serial + shared) / (serial + shared/float64(min(cores, r.Shards)))
+}
+
+// serialLabel renders the serial share and the Amdahl speedups it implies
+// at 4, 8 and 16 cores, to sit beside bound on a row.
+func (r ScaleResult) serialLabel() string {
+	if r.Critical == 0 || r.SerialFrac == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%% %.1f/%.1f/%.1fx", 100*r.SerialFrac, r.amdahl(4), r.amdahl(8), r.amdahl(16))
 }
 
 // shardsLabel is the row's shards column: the count, marked when it was
@@ -134,10 +164,12 @@ func latestSnapshot(dir, label string) *checkpoint.Snapshot {
 // interrupted earlier campaign — the cell resumes from it (verified
 // replay, DESIGN.md §14) instead of starting cold. A snapshot that fails
 // to resume (stale build, changed grid) is reported and the cell runs
-// fresh; the campaign never wedges on leftover files.
-func runScaleCell(spec RunSpec, w io.Writer) (RunResult, bool) {
+// fresh; the campaign never wedges on leftover files. clock is the
+// caller's timer of the cell; a cell run without checkpoints is metered on
+// it (runClocked).
+func runScaleCell(spec RunSpec, w io.Writer, clock func() time.Duration) (RunResult, bool) {
 	if spec.Checkpoint == nil {
-		return Run(spec), false
+		return runClocked(spec, clock), false
 	}
 	if snap := latestSnapshot(spec.Checkpoint.Dir, spec.Checkpoint.Label); snap != nil {
 		res, _, err := Resume(spec, snap)
@@ -201,8 +233,8 @@ func RunScale(o Options, w io.Writer) error {
 	var rows []ScaleResult
 	fmt.Fprintf(w, "sweep pool: %d workers; GOMAXPROCS %d of %d CPUs (%s)\n",
 		o.EffectiveWorkers(), machine.GOMAXPROCS, machine.NumCPU, machine.CPU)
-	fmt.Fprintf(w, "%6s %5s %7s %10s %9s %12s %7s %8s %7s  %s\n",
-		"hosts", "load", "shards", "wall_ms", "events", "events/s", "flows", "skipped", "bound", "digest")
+	fmt.Fprintf(w, "%6s %5s %7s %10s %8s %9s %12s %7s %8s %7s %21s  %s\n",
+		"hosts", "load", "shards", "wall_ms", "wire_ms", "events", "events/s", "flows", "skipped", "bound", "serial amdahl@4/8/16", "digest")
 	for _, hosts := range hostSet {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
@@ -226,7 +258,7 @@ func RunScale(o Options, w io.Writer) error {
 					}
 				}
 				elapsed := WallTimer()
-				res, resumed := runScaleCell(spec, w)
+				res, resumed := runScaleCell(spec, w, elapsed)
 				wall := elapsed()
 				if !haveDigest {
 					groupDigest, haveDigest = res.Digest, true
@@ -261,15 +293,19 @@ func RunScale(o Options, w io.Writer) error {
 					Resumed:      resumed,
 					Digest:       fmt.Sprintf("%#016x", res.Digest),
 					Critical:     critical,
+					WireS:        res.Wire.Seconds(),
+				}
+				if ran > 1 && res.Wall > 0 {
+					row.SerialFrac = res.Serial.Seconds() / res.Wall.Seconds()
 				}
 				rows = append(rows, row)
 				mark := ""
 				if resumed {
 					mark = " (resumed)"
 				}
-				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %9d %12.0f %7d %7.1f%% %7s  %s%s\n",
-					hosts, load, row.shardsLabel(), row.WallMS, row.Events,
-					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.Digest, mark)
+				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %8.1f %9d %12.0f %7d %7.1f%% %7s %21s  %s%s\n",
+					hosts, load, row.shardsLabel(), row.WallMS, 1000*row.WireS, row.Events,
+					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.serialLabel(), row.Digest, mark)
 			}
 		}
 	}

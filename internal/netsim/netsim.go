@@ -109,13 +109,17 @@ type Fabric struct {
 	// Sharded execution state (see shard.go). A fabric built with New has
 	// one shard whose engine is eng and whose counters alias Counters, so
 	// the serial path is unchanged.
-	grp    *sim.Group //ckpt:skip execution wiring, rebuilt by Shard; its counters are captured separately
+	grp    *sim.Group      //ckpt:skip execution wiring, rebuilt by Shard; its counters are captured separately
+	part   *topo.Partition //ckpt:skip which shard owns which device; construction input, supplied again by the resuming run
 	shards []*shardState
 	// lookahead is the epoch window, derived by NewSharded from what can
 	// cross the cut; barrier is the end of the epoch in flight, which every
 	// staged arrival must land after (shardState.stage).
 	lookahead sim.Duration //ckpt:skip derived from topology, partition and Config.EnablePFC at construction
 	barrier   sim.Time     //ckpt:skip equals the group clock between epochs, where every capture happens
+	// parity selects the staging rows the epoch in flight appends to
+	// (shardState.out); the coordinator flips it between epochs.
+	parity int //ckpt:skip staging is empty at every capture point, so which half fills next is not state
 
 	// The device plane is flat (DESIGN.md §8.4): one slab per kind, built
 	// by NewSharded and never resized, so devices are addressed by index
@@ -160,7 +164,23 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Fabric {
 // with Fabric.Run or RunSynced — never a member engine's Run directly —
 // and close the group when done. Output is byte-identical to the same
 // seed on any other shard count.
+//
+// The coordinator allocates the slabs and says which window of them each
+// device gets; every shard then builds and wires its own devices on its
+// own goroutine (Group.Each), in ascending device order — the order a
+// serial pass would reach them in — so each engine creates its lanes in
+// the same sequence at every shard count.
 func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partition) *Fabric {
+	f, w := newFabric(grp, t, cfg, part)
+	grp.Each(func(shard int) { f.wireShard(shard, w) })
+	f.lookahead = w.lookahead()
+	return f
+}
+
+// newFabric is the coordinator's share of NewSharded: the shards, the
+// slabs, and the wiring every shard's wireShard reads. The fabric it
+// returns has no device yet.
+func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partition) (*Fabric, *wiring) {
 	if grp.N() != part.NumShards {
 		panic(fmt.Sprintf("netsim: %d engines for %d shards", grp.N(), part.NumShards))
 	}
@@ -180,10 +200,9 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 	}
 	f := &Fabric{
 		eng: grp.Engine(0), topo: t, cfg: cfg,
-		grp: grp,
+		grp: grp, part: part,
 	}
 	n := grp.N()
-	seed := f.eng.Seed()
 	for i := 0; i < n; i++ {
 		s := &shardState{id: i, fab: f, eng: grp.Engine(i)}
 		s.hostLane = s.lane(t.HostDelay)
@@ -192,124 +211,180 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 			s.counters = &f.Counters
 		} else {
 			s.counters = new(Counters)
-			s.out = make([][]stagedArrival, n)
+			s.out[0], s.out[1] = make([]stagingRow, n), make([]stagingRow, n)
 		}
 		f.shards = append(f.shards, s)
+	}
+	if n > 1 {
+		grp.SetInbox(f)
 	}
 	if cfg.Audit {
 		f.EnableAudit()
 	}
 
 	// One slab per kind of state; every device gets a window or an element.
-	swPorts := 0
-	for _, sw := range t.Switches {
-		swPorts += len(sw.Ports)
+	// base[i] says where switch i's ports start in the port slab and what
+	// id its first directed boundary link has: ids run in (switch, port)
+	// order over the whole fabric, so a shard needs the count over the
+	// switches before its own.
+	w := &wiring{
+		base:  make([]swBase, len(t.Switches)+1),
+		cross: make([]sim.Duration, n),
 	}
+	for i, sw := range t.Switches {
+		links := uint64(0)
+		for pi := range sw.Ports {
+			if p := &sw.Ports[pi]; p.Boundary && !p.ToHost {
+				links++
+			}
+		}
+		w.base[i+1] = swBase{w.base[i].port + len(sw.Ports), w.base[i].link + links}
+	}
+	if w.base[len(t.Switches)].link >= maxBoundaryLinks {
+		panic("netsim: too many boundary links for the arrival-band key space")
+	}
+	swPorts := w.base[len(t.Switches)].port
 	f.switches = make([]swDev, len(t.Switches))
 	f.hosts = make([]Host, t.NumHosts)
 	f.ports = make([]outPort, swPorts+t.NumHosts)
-	ingress := make([]int64, swPorts+len(t.Switches))
-	var paused []bool
+	w.ingress = make([]int64, swPorts+len(t.Switches))
 	if cfg.EnablePFC {
-		paused = make([]bool, swPorts)
+		w.paused = make([]bool, swPorts)
 	}
-	base := 0
-	for i, sw := range t.Switches {
-		np := len(sw.Ports)
-		d := &f.switches[i]
-		*d = swDev{
-			sh:       f.shards[part.SwitchShard[i]],
-			ports:    f.ports[base : base+np : base+np],
-			numHosts: t.NumHosts, spray: cfg.Spray, spec: sw,
-			ingressBytes: ingress[base+i : base+i+np+1 : base+i+np+1],
+	return f, w
+}
+
+// wiring is what newFabric works out once for every shard's wireShard —
+// each switch's windows of the slabs and its first directed-link id — and
+// where each wireShard leaves the one thing the fabric needs back.
+type wiring struct {
+	base    []swBase // per switch, plus the totals at the end
+	ingress []int64
+	paused  []bool // nil without PFC
+	// cross[s] is the least staging latency over shard s's cross-shard
+	// links, 0 when it has none; written by shard s's wireShard only.
+	cross []sim.Duration
+}
+
+// swBase is a switch's first port in the port slab and its first directed
+// boundary link's id.
+type swBase struct {
+	port int
+	link uint64
+}
+
+// lookahead is the epoch window: the least any shard found over the links
+// it drives across the cut (0 when nothing crosses: one shard).
+func (w *wiring) lookahead() sim.Duration {
+	var min sim.Duration
+	for _, c := range w.cross {
+		if c != 0 && (min == 0 || c < min) {
+			min = c
 		}
+	}
+	return min
+}
+
+// wireShard builds and wires one shard's devices: its switches in id
+// order, port by port, then its hosts — picked out of the partition's
+// dense owner tables, a compare per device of the fabric, so no list of a
+// shard's devices is ever built. It runs on the shard's goroutine
+// and writes nothing outside the shard's devices and its slot of w.cross —
+// a peer on another shard is only ever taken the address of, and asked
+// about through the partition.
+//
+// Ports are initialised in place (the slab is zeroed; a 320-byte literal
+// per port would be built and copied) and wired to their far end, so a
+// delivery event never goes back to the port that sent the packet.
+// Directed boundary links carry their stable id: their delivery is the
+// fused forward at the peer switch, a SwitchDelay further out —
+// intra-shard on the port's own engine, cross-shard via staging (no lanes
+// there: staged arrivals are scheduled at a barrier, not a constant delay
+// ahead of the engine's clock).
+//
+// The links that cross shards also bound the epoch window: the least time
+// between an event and the earliest arrival it can stage on another
+// shard. Data crosses only as the fused forward, which lands a
+// serialization (of a header at the least), the propagation delay and the
+// peer's SwitchDelay after the transmission starts. A PFC frame is not
+// fused and lands after the bare delay, so a configuration that can emit
+// one keeps that floor on every crossing link.
+func (f *Fabric) wireShard(shard int, w *wiring) {
+	s := f.shards[shard]
+	t, cfg := f.topo, &f.cfg
+	seed := f.eng.Seed()
+	var classBuf [8]laneClass // a fabric has a handful; more spill to the heap
+	classes := classBuf[:0]
+	for i, owner := range f.part.SwitchShard {
+		if int(owner) != shard {
+			continue
+		}
+		sw := t.Switches[i]
+		base, np := w.base[i].port, len(sw.Ports)
+		d := &f.switches[i]
+		d.sh = s
+		d.ports = f.ports[base : base+np : base+np]
+		d.numHosts, d.spray, d.spec = t.NumHosts, cfg.Spray, sw
+		in := base + i // one ingress counter per port and one for the attached hosts
+		d.ingressBytes = w.ingress[in : in+np+1 : in+np+1]
 		if sw.Rule != nil {
 			d.rule = *sw.Rule
 		}
-		if paused != nil {
-			d.paused = paused[base : base : base+np]
+		if w.paused != nil {
+			d.paused = w.paused[base : base : base+np]
 		}
 		d.src.Seed(deviceSeed(seed, 1, i))
 		d.rng = *rand.New(&d.src)
-		for pi, p := range sw.Ports {
-			d.ports[pi] = outPort{
-				sh: d.sh, rng: &d.rng,
-				rate: p.Rate, delay: p.Delay,
-				capacity: cfg.PortBufferBytes,
-				owner:    d,
-			}
-		}
-		base += np
-	}
-	for h := range f.hosts {
-		up := t.HostLink
-		host := &f.hosts[h]
-		*host = Host{id: h, sh: f.shards[part.HostShard[h]], nic: &f.ports[swPorts+h]}
-		host.src.Seed(deviceSeed(seed, 2, h))
-		host.rng = *rand.New(&host.src)
-		*host.nic = outPort{
-			sh: host.sh, rng: &host.rng,
-			rate: up.Rate, delay: up.Delay,
-			capacity: cfg.HostQueueBytes,
-		}
-	}
-
-	// Wire every port's far end, so a delivery event never goes back to
-	// the port that sent the packet. Directed boundary links also get
-	// stable ids in (switch, port) order: their delivery is the fused
-	// forward at the peer switch, a SwitchDelay further out — intra-shard
-	// on the port's own engine, cross-shard via staging (no lanes there:
-	// staged arrivals are scheduled at the barrier, not a constant delay
-	// ahead of the engine's clock).
-	//
-	// The links that cross shards also set the epoch window: the least
-	// time between an event and the earliest arrival it can stage on
-	// another shard. Data crosses only as the fused forward, which lands a
-	// serialization (of a header at the least), the propagation delay and
-	// the peer's SwitchDelay after the transmission starts. A PFC frame is
-	// not fused and lands after the bare delay, so a configuration that can
-	// emit one keeps that floor on every crossing link.
-	var linkID uint64
-	for _, sw := range t.Switches {
-		for pi, p := range sw.Ports {
-			o := &f.switches[sw.ID].ports[pi]
+		linkID := w.base[i].link
+		for pi := range sw.Ports {
+			p := &sw.Ports[pi]
+			o := &d.ports[pi]
+			o.sh, o.rng, o.owner = s, &d.rng, d
+			o.rate, o.delay, o.capacity = p.Rate, p.Delay, cfg.PortBufferBytes
 			if p.ToHost {
 				o.peerHost = &f.hosts[p.Peer]
-				o.wireLanes(0)
+				classes = o.wireLanes(0, classes)
 				continue
 			}
 			o.peerSw = &f.switches[p.Peer]
 			o.peerIn = int32(p.PeerPort)
 			if !p.Boundary {
-				o.wireLanes(0)
+				classes = o.wireLanes(0, classes)
 				continue
 			}
 			o.boundary = true
 			o.linkID = linkID
 			linkID++
-			if o.peerSw.sh == o.sh {
-				o.wireLanes(t.SwitchDelay)
+			if int(f.part.SwitchShard[p.Peer]) == shard {
+				classes = o.wireLanes(t.SwitchDelay, classes)
 				continue
 			}
-			w := p.Delay
+			cross := p.Delay
 			if !cfg.EnablePFC {
-				w += sim.TransmissionTime(packet.HeaderSize, p.Rate) + t.SwitchDelay
+				cross += sim.TransmissionTime(packet.HeaderSize, p.Rate) + t.SwitchDelay
 			}
-			if f.lookahead == 0 || w < f.lookahead {
-				f.lookahead = w
+			if w.cross[shard] == 0 || cross < w.cross[shard] {
+				w.cross[shard] = cross
 			}
 		}
 	}
-	for h := range f.hosts {
-		nic := f.hosts[h].nic
+	up := t.HostLink
+	nics := f.ports[len(f.ports)-len(f.hosts):]
+	for h, owner := range f.part.HostShard {
+		if int(owner) != shard {
+			continue
+		}
+		host := &f.hosts[h]
+		host.id, host.sh, host.nic = h, s, &nics[h]
+		host.src.Seed(deviceSeed(seed, 2, h))
+		host.rng = *rand.New(&host.src)
+		nic := host.nic
+		nic.sh, nic.rng = s, &host.rng
+		nic.rate, nic.delay, nic.capacity = up.Rate, up.Delay, cfg.HostQueueBytes
 		nic.peerSw = &f.switches[t.HostSwitch[h]]
 		nic.peerIn = int32(t.HostPort[h])
-		nic.wireLanes(0)
+		classes = nic.wireLanes(0, classes)
 	}
-	if linkID >= maxBoundaryLinks {
-		panic("netsim: too many boundary links for the arrival-band key space")
-	}
-	return f
 }
 
 // Engine returns the event engine driving the fabric.
@@ -326,26 +401,62 @@ func (f *Fabric) AttachProtocol(h int, p Protocol) {
 	f.hosts[h].proto = p
 }
 
-// Start calls Start on every attached protocol. Must run before events.
+// ForEachHost runs fn(h) for every host: each shard's hosts in ascending
+// order on that shard's goroutine, the shards side by side (Group.Each).
+// It is for per-host set-up — attaching and starting protocols — which
+// may touch host h, its engine and whatever else belongs to h's shard
+// alone; per engine, hosts are visited in the order a serial loop would.
+func (f *Fabric) ForEachHost(fn func(h int)) {
+	f.grp.Each(func(shard int) {
+		for h, owner := range f.part.HostShard {
+			if int(owner) == shard {
+				fn(h)
+			}
+		}
+	})
+}
+
+// Start calls Start on every attached protocol, shard by shard
+// (startShard): a protocol's Start may schedule on its host's engine and
+// must leave state shared across hosts alone. Must run before events.
 func (f *Fabric) Start() {
 	for i := range f.hosts {
-		h := &f.hosts[i]
-		if h.proto == nil {
-			panic(fmt.Sprintf("netsim: host %d has no protocol", h.id))
+		if f.hosts[i].proto == nil {
+			panic(fmt.Sprintf("netsim: host %d has no protocol", i))
 		}
-		h.proto.Start(h)
+	}
+	f.grp.Each(f.startShard)
+}
+
+// startShard starts the protocols of one shard's hosts, in host order.
+func (f *Fabric) startShard(shard int) {
+	for h, owner := range f.part.HostShard {
+		if int(owner) == shard {
+			host := &f.hosts[h]
+			host.proto.Start(host)
+		}
 	}
 }
 
 // Inject schedules every flow of the trace as an arrival event at its
-// sender, on the sender's shard. Trace order within a shard is preserved,
-// so arrivals tie-break identically at every shard count. The events read
-// the trace when they fire: it must not change while the run lasts.
+// sender, on the sender's shard (injectShard). Trace order within a shard
+// is preserved, so arrivals tie-break identically at every shard count.
+// The events read the trace when they fire: it must not change while the
+// run lasts.
 func (f *Fabric) Inject(tr *workload.Trace) {
+	f.grp.Each(func(shard int) { f.injectShard(shard, tr) })
+}
+
+// injectShard walks the trace and schedules the flows one shard's hosts
+// send, on its engine. Every shard makes the walk, so a flow of another
+// shard costs it the flow's record and one entry of the partition's dense
+// host table, never the Host.
+func (f *Fabric) injectShard(shard int, tr *workload.Trace) {
+	eng := f.shards[shard].eng
 	for i := range tr.Flows {
-		fl := &tr.Flows[i]
-		h := &f.hosts[fl.Src]
-		h.sh.eng.ScheduleFunc(fl.Arrival, injectFlow, h, tr, i)
+		if src := tr.Flows[i].Src; int(f.part.HostShard[src]) == shard {
+			eng.ScheduleFunc(tr.Flows[i].Arrival, injectFlow, &f.hosts[src], tr, i)
+		}
 	}
 }
 

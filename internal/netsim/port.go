@@ -99,12 +99,32 @@ type outPort struct {
 	arrSeq     uint64
 }
 
+// laneClass is the pair of lanes shared by every port of a shard with one
+// link rate and one fixed latency behind the serialization.
+type laneClass struct {
+	rate     float64
+	latency  sim.Duration
+	mtu, hdr *sim.Lane
+}
+
 // wireLanes resolves the port's lanes on its shard: serialization plus
 // propagation of each fixed size, plus extra (the peer's SwitchDelay on a
-// fused boundary link).
-func (o *outPort) wireLanes(extra sim.Duration) {
-	o.laneMTU = o.sh.lane(sim.TransmissionTime(packet.MTU, o.rate) + o.delay + extra)
-	o.laneHdr = o.sh.lane(sim.TransmissionTime(packet.HeaderSize, o.rate) + o.delay + extra)
+// fused boundary link). A fabric's ports fall into a handful of (rate,
+// latency) classes, so the shard's wiring pass keeps the ones it has met
+// in classes and works the two delays out once per class, not per port;
+// a new class asks the shard for its lanes MTU first, as every port did,
+// and is returned appended.
+func (o *outPort) wireLanes(extra sim.Duration, classes []laneClass) []laneClass {
+	latency := o.delay + extra
+	for i := range classes {
+		if c := &classes[i]; c.rate == o.rate && c.latency == latency {
+			o.laneMTU, o.laneHdr = c.mtu, c.hdr
+			return classes
+		}
+	}
+	o.laneMTU = o.sh.lane(sim.TransmissionTime(packet.MTU, o.rate) + latency)
+	o.laneHdr = o.sh.lane(sim.TransmissionTime(packet.HeaderSize, o.rate) + latency)
+	return append(classes, laneClass{o.rate, latency, o.laneMTU, o.laneHdr})
 }
 
 // setLoss installs the port's injected loss parameters and the flag that

@@ -14,20 +14,32 @@ import (
 // cut, see NewSharded) past the earliest pending event, so no shard can
 // observe an effect from another shard's current epoch. Packets and PFC
 // frames crossing a boundary link are staged per shard pair during the
-// epoch and scheduled on the destination engine at the barrier, keyed by
-// (directed link id, link sequence) in the engine's arrival band — an
-// ordering derived from simulation identity, not insertion order, so
-// event execution order is identical at every shard count, including 1.
+// epoch and scheduled on the destination engine by the destination shard
+// itself as its next epoch starts (Land), keyed by (directed link id, link
+// sequence) in the engine's arrival band — an ordering derived from
+// simulation identity, not insertion order, so event execution order is
+// identical at every shard count, including 1.
+//
+// The staging rows are double-buffered by epoch parity. During an epoch
+// of parity p a shard appends only to its out[p] rows, while every
+// destination empties the out[1-p] rows addressed to it — the arrivals of
+// the epoch before — so a row is touched by one goroutine per epoch and
+// needs no lock. The invariant: when an epoch of parity p starts, every
+// out[p] row is empty. It holds because every destination lands its
+// out[1-p] rows during the epoch — on its own goroutine when dispatched,
+// on the coordinator's when idle-skipped (sim.Group.RunEpoch) — and
+// RunSynced lands the last epoch's rows itself before it calls atSync or
+// returns, which is why every capture point still sees staging empty.
 
 // shardState is the per-shard slice of the fabric: engine, disjoint
 // counters, and outbound staging queues.
 type shardState struct {
-	id       int               //ckpt:skip shard ordinal, re-established by construction
-	fab      *Fabric           //ckpt:skip owner back-pointer, re-established by construction
-	eng      *sim.Engine       //ckpt:skip engine wiring; EngineStates are captured by the checkpoint driver
-	counters *Counters         // aliases Fabric.Counters when single-shard
-	out      [][]stagedArrival //ckpt:skip barrier staging queues, empty at every capture point (synced barrier)
-	staged   uint64            // cross-shard arrivals drained INTO this shard
+	id       int             //ckpt:skip shard ordinal, re-established by construction
+	fab      *Fabric         //ckpt:skip owner back-pointer, re-established by construction
+	eng      *sim.Engine     //ckpt:skip engine wiring; EngineStates are captured by the checkpoint driver
+	counters *Counters       // aliases Fabric.Counters when single-shard
+	out      [2][]stagingRow //ckpt:skip barrier staging queues by epoch parity then destination, empty at every capture point (synced barrier)
+	staged   uint64          // cross-shard arrivals landed ON this shard
 
 	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
 	// host stack, the switch traversal, and serialization + propagation of
@@ -69,6 +81,15 @@ type stagedArrival struct {
 	i    int
 }
 
+// stagingRow holds what one shard staged for one destination during one
+// epoch, and the earliest arrival time in it (meaningful while q is
+// non-empty) — what the coordinator needs of the row to size the next
+// window without walking it.
+type stagingRow struct {
+	q     []stagedArrival
+	first sim.Time
+}
+
 // stage queues a cross-shard arrival. Only the owning shard's goroutine
 // appends to its out rows during an epoch, so no locking is needed. The
 // arrival must land after the epoch in flight ends: the destination shard
@@ -76,13 +97,17 @@ type stagedArrival struct {
 // A window wider than what the fabric can stage is caught here, at its
 // cause, instead of as a reordered delivery.
 //
-//lint:coldpath a row grows to its epoch high-water mark once; drainStaging hands the backing array back (q[:0])
+//lint:coldpath a row grows to its epoch high-water mark once; Land hands the backing array back (q[:0])
 func (s *shardState) stage(dst *shardState, at sim.Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if at <= s.fab.barrier {
 		panic(fmt.Sprintf("netsim: shard %d staged an arrival on shard %d at %v, inside the epoch ending at %v (window %v too wide)",
 			s.id, dst.id, at, s.fab.barrier, s.fab.lookahead))
 	}
-	s.out[dst.id] = append(s.out[dst.id], stagedArrival{at, key, fn, a, b, i})
+	row := &s.out[s.fab.parity][dst.id]
+	if len(row.q) == 0 || at < row.first {
+		row.first = at
+	}
+	row.q = append(row.q, stagedArrival{at, key, fn, a, b, i})
 }
 
 // bandKey packs a directed boundary link's identity and its per-link
@@ -110,8 +135,9 @@ func bandKey(linkID, seq uint64) uint64 {
 
 // Run advances the simulation to until across all shards. With one
 // shard it is exactly Engine.Run; with several it executes
-// barrier-synchronized epochs, draining staged cross-shard arrivals at
-// each barrier. Fabric.Counters is up to date when it returns.
+// barrier-synchronized epochs, every shard landing the cross-shard
+// arrivals staged for it as its next epoch starts. Fabric.Counters is up
+// to date and staging empty when it returns.
 func (f *Fabric) Run(until sim.Time) { f.RunSynced(until, 0, nil) }
 
 // RunSynced is Run with evenly spaced synchronization points: atSync is
@@ -147,11 +173,12 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 		next = next.Add(interval)
 	}
 	// Epoch target: one lookahead W past the earliest pending event M,
-	// minus one picosecond. Nothing runs before M, and whatever an event
-	// at send ≥ M stages lands at send + W or later (NewSharded derives W
-	// as exactly that floor) — strictly after T = M + W − 1ps, so the
-	// barrier never truncates a causal chain. stage checks it per arrival
-	// against the barrier published here.
+	// minus one picosecond. Nothing runs before M — the group counts the
+	// arrivals still in staging rows as pending — and whatever an event at
+	// send ≥ M stages lands at send + W or later (NewSharded derives W as
+	// exactly that floor) — strictly after T = M + W − 1ps, so the barrier
+	// never truncates a causal chain. stage checks it per arrival against
+	// the barrier published here.
 	for now < until {
 		t := until
 		if m, ok := f.grp.NextAt(); ok {
@@ -164,9 +191,12 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 		}
 		f.barrier = t
 		f.grp.RunEpoch(t)
-		f.drainStaging()
+		// The epoch's landings emptied the other half of the rows; the next
+		// epoch appends there, and lands what this one staged.
+		f.parity = 1 - f.parity
 		now = t
 		if interval > 0 && now == next {
+			f.landAll()
 			f.mergeCounters()
 			if atSync != nil {
 				atSync(now)
@@ -174,30 +204,57 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 			next = next.Add(interval)
 		}
 	}
+	f.landAll()
 	f.mergeCounters()
 }
 
-// drainStaging moves every staged cross-shard arrival onto its
-// destination engine. Runs between epochs on the coordinating
-// goroutine; arrival-band keys make the heap insertion order
-// irrelevant, but shards are drained in id order anyway so the pass is
-// fully deterministic.
-func (f *Fabric) drainStaging() {
+// waiting returns the row of arrivals that src staged for shard dst in
+// the last epoch run and that dst has not landed yet.
+func (f *Fabric) waiting(src *shardState, dst int) *stagingRow {
+	return &src.out[1-f.parity][dst]
+}
+
+// InboundAt implements sim.Inbox: the earliest arrival staged for the
+// shard and not landed yet. It reads one word per source shard, never the
+// arrivals.
+func (f *Fabric) InboundAt(shard int) (at sim.Time, ok bool) {
 	for _, src := range f.shards {
-		for di, q := range src.out {
-			if len(q) == 0 {
-				continue
-			}
-			dst := f.shards[di]
-			dst.staged += uint64(len(q))
-			for _, s := range q {
-				dst.eng.ScheduleArrival(s.at, s.key, s.fn, s.a, s.b, s.i)
-			}
-			for i := range q {
-				q[i] = stagedArrival{} // drop packet references
-			}
-			src.out[di] = q[:0]
+		if r := f.waiting(src, shard); len(r.q) > 0 && (!ok || r.first < at) {
+			at, ok = r.first, true
 		}
+	}
+	return at, ok
+}
+
+// Land implements sim.Inbox: it moves every arrival the previous epoch
+// staged for the shard onto the shard's engine, source shards in id order
+// (arrival-band keys make the heap insertion order irrelevant, but this
+// keeps the pass fully deterministic), and hands the rows' backing arrays
+// back. The group calls it on the shard's own goroutine as its epoch
+// starts, so the rows of different destinations empty side by side.
+func (f *Fabric) Land(shard int) {
+	dst := f.shards[shard]
+	for _, src := range f.shards {
+		row := f.waiting(src, shard)
+		if len(row.q) == 0 {
+			continue
+		}
+		dst.staged += uint64(len(row.q))
+		for i := range row.q {
+			s := &row.q[i]
+			dst.eng.ScheduleArrival(s.at, s.key, s.fn, s.a, s.b, s.i)
+			*s = stagedArrival{} // drop packet references
+		}
+		row.q = row.q[:0]
+	}
+}
+
+// landAll empties staging from the coordinator, between epochs: the rows
+// of the epoch that just ran have no next epoch to land them before a
+// sync point's callback or RunSynced's caller looks at the fabric.
+func (f *Fabric) landAll() {
+	for i := range f.shards {
+		f.Land(i)
 	}
 }
 
@@ -243,7 +300,7 @@ type ShardStats struct {
 	Shard      int
 	Events     uint64 // events executed on the shard's engine
 	Pending    int    // events still queued (0 after a drained run)
-	Staged     uint64 // cross-shard arrivals drained into this shard
+	Staged     uint64 // cross-shard arrivals landed on this shard
 	Dispatched uint64 // epochs the shard had work inside the window
 	Skipped    uint64 // epochs the shard was idle and only advanced its clock
 	// Critical counts the events the shard executed in the epochs where no
@@ -284,7 +341,7 @@ func (f *Fabric) Epochs() uint64 { return f.grp.Epochs() }
 func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
 
 // ShardOfHost returns the shard owning host h.
-func (f *Fabric) ShardOfHost(h int) int { return f.hosts[h].sh.id }
+func (f *Fabric) ShardOfHost(h int) int { return int(f.part.HostShard[h]) }
 
 // HostEngine returns the engine host h's events run on. Protocol code
 // reaches it through Host.Engine; fault installers use this form.

@@ -1,21 +1,25 @@
 package sim
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Group runs several engines as the shards of one conservatively
 // parallel simulation. Each epoch every shard advances to the same
-// barrier time; between epochs the caller drains cross-shard staging
-// queues (see netsim) and computes the next barrier from the shards'
-// earliest pending events plus the lookahead window.
+// barrier time; between epochs the caller computes the next barrier from
+// the shards' earliest pending events — queued on an engine or still
+// waiting in the Inbox — plus the lookahead window.
 //
 // Shard 0 always runs on the caller's goroutine; shards 1..n-1 each get
 // a persistent worker goroutine fed by a one-slot channel. An epoch sends
 // the barrier time to every worker with pending work, runs shard 0, and
-// waits on a WaitGroup. The send happens-before the worker's receive and
-// each worker's Done happens-before the coordinator's Wait returning, so
-// between epochs the workers are quiescent and the coordinator owns every
-// engine: it reads NextAt to size the window and drains staging queues
-// into them without further synchronization.
+// waits on a WaitGroup; Each sends a function the same way, which is how
+// per-shard set-up runs on the goroutine that will run the shard. The send
+// happens-before the worker's receive and each worker's Done
+// happens-before the coordinator's Wait returning, so between calls the
+// workers are quiescent and the coordinator owns every engine: it reads
+// NextAt to size the window without further synchronization.
 //
 // A Group of one engine degenerates to plain serial execution with no
 // goroutines and no channels, so the serial path pays nothing.
@@ -26,7 +30,8 @@ type Group struct {
 	engines []*Engine //ckpt:skip member engines capture their own EngineStates
 	closed  bool      //ckpt:skip lifecycle flag; a restored Group starts fresh
 
-	work []chan Time //ckpt:skip live channels, rebuilt by NewGroup
+	work  []chan shardWork //ckpt:skip live channels, rebuilt by NewGroup
+	inbox Inbox            //ckpt:skip cross-shard queue wiring, re-registered by its owner; empty at every capture point
 	//lint:ignore simgoroutine Group IS the sanctioned concurrency primitive; this joins its own epoch workers
 	wg sync.WaitGroup //ckpt:skip goroutine join state, rebuilt by NewGroup
 
@@ -45,6 +50,38 @@ type Group struct {
 	// take the next epoch's differences from.
 	critical []uint64
 	events   []uint64
+
+	// wall meters, on a clock the caller hands in (SetClock), how long the
+	// shard goroutines have had work: the time inside Each and RunEpoch.
+	// What a run's wall time has beyond it ran on one goroutine.
+	wall struct { //ckpt:skip host-side timing on the caller's clock, not simulation state
+		now    func() time.Duration
+		shared time.Duration
+	}
+}
+
+// shardWork is one hand-off to a shard's worker: run fn for the shard, or,
+// fn being nil, the shard's epoch up to until.
+type shardWork struct {
+	until Time
+	fn    func(shard int)
+}
+
+// Inbox is a set of per-shard queues of events that one shard produced for
+// another during an epoch and that are not on the destination engine yet
+// (netsim's staging rows). A group that has one counts the waiting events
+// as pending — in NextAt and in the idle-skip test of RunEpoch — and has
+// every shard land its own at the start of its epoch run, on the shard's
+// goroutine, so the hand-over costs the coordinator nothing.
+type Inbox interface {
+	// InboundAt returns the earliest time of an event waiting for the
+	// shard, or false when none waits. Called by the coordinator for a
+	// shard that is not running: between epochs, or before its hand-off.
+	InboundAt(shard int) (Time, bool)
+	// Land schedules the shard's waiting events on its engine and empties
+	// its queues. Called on the shard's goroutine as its epoch starts, or
+	// between the coordinator's hand-offs for a shard the epoch skips.
+	Land(shard int)
 }
 
 // NewGroup builds a group over engines. The slice must be non-empty; the
@@ -60,19 +97,23 @@ func NewGroup(engines []*Engine) *Group {
 		skipped:    make([]uint64, len(engines)),
 		critical:   make([]uint64, len(engines)),
 		events:     make([]uint64, len(engines)),
-		work:       make([]chan Time, len(engines)-1),
+		work:       make([]chan shardWork, len(engines)-1),
 	}
 	for i, eng := range engines {
 		g.events[i] = eng.Events()
 	}
 	for i := range g.work {
-		ch := make(chan Time, 1)
+		ch := make(chan shardWork, 1)
 		g.work[i] = ch
-		eng := engines[i+1]
+		shard := i + 1
 		//lint:ignore simgoroutine Group's persistent epoch workers are the one sanctioned fabric spawn point
 		go func() {
-			for t := range ch {
-				eng.Run(t)
+			for w := range ch {
+				if w.fn != nil {
+					w.fn(shard)
+				} else {
+					g.run(shard, w.until)
+				}
 				g.wg.Done()
 			}
 		}()
@@ -86,28 +127,102 @@ func (g *Group) N() int { return len(g.engines) }
 // Engine returns shard i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
+// SetInbox registers the queues of cross-shard events the group's epochs
+// deliver. Without one the group runs its engines and nothing else.
+func (g *Group) SetInbox(in Inbox) { g.inbox = in }
+
+// SetClock has the group meter its shared stretches on now, a monotonic
+// wall clock (experiments.WallTimer's; internal/ code reads no other).
+// Only the run that reports a serial share is handed one (`-run scale`);
+// without one nothing is timed and no epoch reads a clock.
+func (g *Group) SetClock(now func() time.Duration) { g.wall.now = now }
+
+// SharedWall returns the wall time spent so far inside Each and RunEpoch —
+// the stretches in which every shard's goroutine had work to pick up. A
+// run's wall time minus this is what it spent on one goroutine.
+func (g *Group) SharedWall() time.Duration { return g.wall.shared }
+
+// clockIn and clockOut bracket a shared stretch. A group of one engine
+// has none: everything it does runs on the caller's goroutine.
+func (g *Group) clockIn() time.Duration {
+	if g.wall.now == nil || len(g.work) == 0 {
+		return 0
+	}
+	return g.wall.now()
+}
+
+func (g *Group) clockOut(in time.Duration) {
+	if g.wall.now != nil && len(g.work) != 0 {
+		g.wall.shared += g.wall.now() - in
+	}
+}
+
+// Each runs fn(i) for every shard i on the goroutine that runs shard i's
+// epochs — shard 0 on the caller's — and returns when all have finished.
+// It is how set-up that touches only one shard's engine and devices
+// (wiring, protocol start, flow injection) runs in parallel on the
+// goroutines that already exist; with one engine it is a plain call. The
+// group must be idle, as for RunEpoch.
+func (g *Group) Each(fn func(shard int)) {
+	in := g.clockIn()
+	g.wg.Add(len(g.work))
+	for _, ch := range g.work {
+		ch <- shardWork{fn: fn}
+	}
+	fn(0)
+	g.wg.Wait()
+	g.clockOut(in)
+}
+
+// run is one shard's epoch: land what other shards queued for it, then
+// execute up to the barrier.
+func (g *Group) run(shard int, until Time) {
+	if g.inbox != nil {
+		g.inbox.Land(shard)
+	}
+	g.engines[shard].Run(until)
+}
+
+// nextAt returns the time of shard i's earliest pending event, on its
+// engine or waiting in the inbox.
+func (g *Group) nextAt(i int) (Time, bool) {
+	at, ok := g.engines[i].NextAt()
+	if g.inbox != nil {
+		if in, has := g.inbox.InboundAt(i); has && (!ok || in < at) {
+			return in, true
+		}
+	}
+	return at, ok
+}
+
 // RunEpoch advances every shard to until and blocks until all have
 // arrived at the barrier. With one shard it is exactly Engine.Run.
 //
 // Shards with no event inside the window are not dispatched: the
 // coordinator advances their clock inline (SkipTo) instead of paying a
-// barrier crossing for a no-op epoch.
+// barrier crossing for a no-op epoch, and lands whatever waits for them
+// beyond the barrier itself — nobody else touches a skipped shard's
+// engine or inbox during the epoch.
 //
 //lint:hotpath epoch barrier; 0-alloc contract of BenchmarkGroupEpoch
 func (g *Group) RunEpoch(until Time) {
+	in := g.clockIn()
 	g.epochs++
 	for i, ch := range g.work {
-		eng := g.engines[i+1]
-		if at, ok := eng.NextAt(); !ok || at > until {
-			eng.SkipTo(until)
-			g.skipped[i+1]++
+		shard := i + 1
+		if at, ok := g.nextAt(shard); !ok || at > until {
+			if g.inbox != nil {
+				g.inbox.Land(shard)
+			}
+			g.engines[shard].SkipTo(until)
+			g.skipped[shard]++
 			continue
 		}
-		g.dispatched[i+1]++
+		g.dispatched[shard]++
 		g.wg.Add(1)
-		ch <- until
+		ch <- shardWork{until: until}
 	}
-	g.engines[0].Run(until)
+	g.run(0, until)
 	g.dispatched[0]++
 	g.wg.Wait()
 
@@ -120,6 +235,7 @@ func (g *Group) RunEpoch(until Time) {
 		g.events[i] = n
 	}
 	g.critical[top] += most
+	g.clockOut(in)
 }
 
 // Close shuts down the worker goroutines. The group must be idle (no
@@ -172,14 +288,14 @@ func (g *Group) Skipped(i int) uint64 { return g.skipped[i] }
 // and Events over that sum bounds the speedup of a core per shard.
 func (g *Group) Critical(i int) uint64 { return g.critical[i] }
 
-// NextAt returns the earliest pending event time across shards, or
-// false when every shard's queue is empty. Only meaningful between
-// epochs.
+// NextAt returns the earliest pending event time across shards — events
+// waiting in the inbox included — or false when nothing is pending
+// anywhere. Only meaningful between epochs.
 func (g *Group) NextAt() (Time, bool) {
 	var min Time
 	ok := false
-	for _, e := range g.engines {
-		if at, has := e.NextAt(); has && (!ok || at < min) {
+	for i := range g.engines {
+		if at, has := g.nextAt(i); has && (!ok || at < min) {
 			min, ok = at, true
 		}
 	}

@@ -180,22 +180,60 @@ func TestGroupCriticalPath(t *testing.T) {
 // barrierTrial is everything observable about one run of the random
 // program that a Group and a plain sequential loop must agree on:
 // per-shard execution order, the shared clock, the event total and the
-// number of epochs.
+// number of epochs — and, between two grouped drivers, which epochs each
+// shard was dispatched in.
 type barrierTrial struct {
-	orders [][]string
-	epochs uint64
-	events uint64
-	now    Time
+	orders     [][]string
+	epochs     uint64
+	events     uint64
+	now        Time
+	dispatched []uint64
+}
+
+// The drivers of runBarrierTrial.
+const (
+	trialSequential = iota // the reference: every engine run to each barrier by a plain loop
+	trialGrouped           // Group.RunEpoch; cross-shard events scheduled by the coordinator between epochs
+	trialInbox             // Group.RunEpoch; cross-shard events wait in an Inbox and the group lands them
+)
+
+// trialInboxQueues is a minimal Inbox: per shard, the scheduling calls
+// waiting to be made on its engine and the earliest time among them.
+type trialInboxQueues struct {
+	waiting [][]func()
+	first   []Time
+}
+
+func (in *trialInboxQueues) put(shard int, at Time, schedule func()) {
+	if len(in.waiting[shard]) == 0 || at < in.first[shard] {
+		in.first[shard] = at
+	}
+	in.waiting[shard] = append(in.waiting[shard], schedule)
+}
+
+func (in *trialInboxQueues) InboundAt(shard int) (Time, bool) {
+	return in.first[shard], len(in.waiting[shard]) > 0
+}
+
+// Land runs on the shard's goroutine (or the coordinator's for a skipped
+// shard) and touches only the shard's own row.
+func (in *trialInboxQueues) Land(shard int) {
+	for _, schedule := range in.waiting[shard] {
+		schedule()
+	}
+	in.waiting[shard] = in.waiting[shard][:0]
 }
 
 // runBarrierTrial drives a randomized schedule — initial events, event
-// chains scheduled from inside callbacks, and cross-shard scheduling
-// between epochs (the staging-drain pattern) — either through a Group or,
-// as the reference, through the same engines run one after the other to
-// each barrier by a plain loop. Everything is a pure function of
-// (shards, seed): epoch windows derive from the engines' NextAt, so the
-// rng stream stays aligned across the two drivers.
-func runBarrierTrial(grouped bool, shards int, seed int64) barrierTrial {
+// chains scheduled from inside callbacks, and events one shard hands
+// another between epochs (netsim's staging pattern) — through a Group,
+// with the handed-over events either scheduled by the coordinator or left
+// in an Inbox for the group to land, or, as the reference, through the
+// same engines run one after the other to each barrier by a plain loop.
+// Everything is a pure function of (shards, seed): epoch windows derive
+// from the group's NextAt, which counts what waits in the inbox, so the
+// rng stream stays aligned across the drivers.
+func runBarrierTrial(mode, shards int, seed int64) barrierTrial {
 	engines := make([]*Engine, shards)
 	for i := range engines {
 		engines[i] = NewEngine(int64(100 + i))
@@ -204,6 +242,10 @@ func runBarrierTrial(grouped bool, shards int, seed int64) barrierTrial {
 	// reference driver uses them too; it never calls RunEpoch.
 	g := NewGroup(engines)
 	defer g.Close()
+	inbox := &trialInboxQueues{waiting: make([][]func(), shards), first: make([]Time, shards)}
+	if mode == trialInbox {
+		g.SetInbox(inbox)
+	}
 
 	orders := make([][]string, shards)
 	var sched func(i int, at Time, tag, chain int)
@@ -232,42 +274,54 @@ func runBarrierTrial(grouped bool, shards int, seed int64) barrierTrial {
 			break
 		}
 		until := at.Add(lookahead - 1)
-		if grouped {
-			g.RunEpoch(until)
-		} else {
+		if mode == trialSequential {
 			for _, eng := range engines {
 				eng.Run(until)
 			}
+		} else {
+			g.RunEpoch(until)
 		}
 		epochs++
-		// Cross-shard scheduling between epochs, like netsim's staging
-		// drain. Bounded so the run terminates.
+		// An event handed to another shard between epochs, like netsim's
+		// staged arrivals: often beyond the next barrier, so an idle
+		// destination is skipped while it waits. Bounded so the run
+		// terminates.
 		if epochs <= 200 && rng.Intn(3) == 0 {
-			dst := rng.Intn(shards)
-			sched(dst, g.Now().Add(Duration(1+rng.Intn(50))), 50000+int(epochs), 0)
+			dst, at, tag := rng.Intn(shards), g.Now().Add(Duration(1+rng.Intn(50))), 50000+int(epochs)
+			if mode == trialInbox {
+				inbox.put(dst, at, func() { sched(dst, at, tag, 0) })
+			} else {
+				sched(dst, at, tag, 0)
+			}
 		}
 		if epochs > 1_000_000 {
 			panic("runaway barrier trial")
 		}
 	}
-	if grouped {
+	dispatched := make([]uint64, shards)
+	if mode != trialSequential {
 		for i := 0; i < shards; i++ {
 			if g.Dispatched(i)+g.Skipped(i) != g.Epochs() || g.Epochs() != epochs {
 				panic(fmt.Sprintf("shard %d dispatched %d + skipped %d of %d epochs (%d driven)",
 					i, g.Dispatched(i), g.Skipped(i), g.Epochs(), epochs))
 			}
+			dispatched[i] = g.Dispatched(i)
 		}
 	}
-	return barrierTrial{orders: orders, epochs: epochs, events: g.Events(), now: g.Now()}
+	return barrierTrial{orders: orders, epochs: epochs, events: g.Events(), now: g.Now(), dispatched: dispatched}
 }
 
 // TestGroupBarrierEquivalence is the randomized equivalence property for
 // the epoch barrier: for identical schedules, an N-shard Group and the
 // same engines stepped sequentially to each barrier produce identical
 // per-shard execution orders, clocks, event totals and epoch counts — at
-// every shard count, with fewer, as many and more Ps than shards. The
-// trial itself checks that every shard was dispatched or idle-skipped in
-// every epoch.
+// every shard count, with fewer, as many and more Ps than shards, and
+// whether the events shards hand each other are scheduled by the
+// coordinator between epochs or wait in an Inbox that each shard lands as
+// its epoch starts. The two grouped drivers must also dispatch and
+// idle-skip every shard in the same epochs: a shard is skipped while what
+// waits for it lies beyond the barrier, and still gets it. The trial
+// itself checks that every shard was dispatched or skipped in every epoch.
 func TestGroupBarrierEquivalence(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -275,30 +329,86 @@ func TestGroupBarrierEquivalence(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				for trial := 0; trial < 6; trial++ {
 					seed := int64(shards*1000 + trial)
-					name := fmt.Sprintf("procs=%d shards=%d seed=%d", procs, shards, seed)
-					want := runBarrierTrial(false, shards, seed)
-					got := runBarrierTrial(true, shards, seed)
-					if got.epochs != want.epochs || got.events != want.events || got.now != want.now {
-						t.Errorf("%s: epochs/events/now = %d/%d/%d, sequential %d/%d/%d",
-							name, got.epochs, got.events, got.now, want.epochs, want.events, want.now)
-						return
-					}
-					for i := 0; i < shards; i++ {
-						if len(got.orders[i]) != len(want.orders[i]) {
-							t.Errorf("%s: shard %d ran %d events, sequential ran %d",
-								name, i, len(got.orders[i]), len(want.orders[i]))
+					want := runBarrierTrial(trialSequential, shards, seed)
+					grouped := runBarrierTrial(trialGrouped, shards, seed)
+					for mode, got := range map[string]barrierTrial{"grouped": grouped, "inbox": runBarrierTrial(trialInbox, shards, seed)} {
+						name := fmt.Sprintf("procs=%d shards=%d seed=%d %s", procs, shards, seed, mode)
+						if got.epochs != want.epochs || got.events != want.events || got.now != want.now {
+							t.Errorf("%s: epochs/events/now = %d/%d/%d, sequential %d/%d/%d",
+								name, got.epochs, got.events, got.now, want.epochs, want.events, want.now)
 							return
 						}
-						for k := range want.orders[i] {
-							if got.orders[i][k] != want.orders[i][k] {
-								t.Errorf("%s: shard %d diverges at %d: %s vs %s",
-									name, i, k, got.orders[i][k], want.orders[i][k])
+						for i := 0; i < shards; i++ {
+							if got.dispatched[i] != grouped.dispatched[i] {
+								t.Errorf("%s: shard %d dispatched in %d epochs, %d with the coordinator scheduling",
+									name, i, got.dispatched[i], grouped.dispatched[i])
 								return
+							}
+							if len(got.orders[i]) != len(want.orders[i]) {
+								t.Errorf("%s: shard %d ran %d events, sequential ran %d",
+									name, i, len(got.orders[i]), len(want.orders[i]))
+								return
+							}
+							for k := range want.orders[i] {
+								if got.orders[i][k] != want.orders[i][k] {
+									t.Errorf("%s: shard %d diverges at %d: %s vs %s",
+										name, i, k, got.orders[i][k], want.orders[i][k])
+									return
+								}
 							}
 						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestGroupEach: fn runs once for every shard, the shards' calls are in
+// flight together (each waits for the next shard's to start, which one
+// goroutine running them in turn could never satisfy), everything a call
+// wrote is the coordinator's to read when Each returns, and the same
+// goroutines go on to run epochs. A group of one runs fn inline.
+func TestGroupEach(t *testing.T) {
+	underWatchdog(t, groupWatchdog, func() {
+		const shards = 4
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine(1)
+		}
+		g := NewGroup(engines)
+		defer g.Close()
+
+		for round := 0; round < 50; round++ {
+			started := make([]chan struct{}, shards)
+			for i := range started {
+				started[i] = make(chan struct{})
+			}
+			calls := make([]int, shards) // calls[i] is written by shard i's call only
+			g.Each(func(shard int) {
+				close(started[shard])
+				select {
+				case <-started[(shard+1)%shards]:
+				case <-time.After(groupWatchdog / 2):
+					t.Errorf("round %d: shard %d's call never saw shard %d's start", round, shard, (shard+1)%shards)
+				}
+				calls[shard]++
+				engines[shard].Schedule(engines[shard].Now().Add(1), func() { calls[shard]++ })
+			})
+			g.RunEpoch(g.Now().Add(1))
+			for i, n := range calls {
+				if n != 2 {
+					t.Errorf("round %d: shard %d counted %d, want one call and one event", round, i, n)
+				}
+			}
+		}
+	})
+
+	single := NewGroup([]*Engine{NewEngine(1)})
+	defer single.Close()
+	ran := -1
+	single.Each(func(shard int) { ran = shard })
+	if ran != 0 {
+		t.Errorf("a group of one ran fn for shard %d, want 0", ran)
 	}
 }
