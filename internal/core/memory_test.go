@@ -144,12 +144,15 @@ func mallocsIn(fn func()) uint64 {
 }
 
 // TestIdleHostAllocs: a host costs memory when something addresses it, not
-// before. Start allocates nothing per host beyond the event of its stage
-// timer (taken from the engine's free list here, so nothing at all); a
-// fabric of hosts with no flows runs whole matching cycles — all 2r+1
-// stages of every host, from the very first — without a single
-// allocation; and hosts whose demand came and went are back to allocating
-// nothing per epoch, their maps and buffers cleared in place.
+// before. Start allocates nothing per host; a fabric of hosts with no
+// flows runs whole matching cycles — all 2r+1 stages of every host, from
+// the very first — without allocating per host; and hosts whose demand
+// came and went are back to allocating nothing per epoch, their maps and
+// buffers cleared in place. The stage ticks ride the shard's lanes
+// (clocks), the first on the zero-delay lane and every later one on the
+// stage lane: each lane's ring is made once for the shard, when the first
+// tick lands on it, and holds every host's tick from then on — one object
+// of set-up per lane, where anything per host would be eight.
 func TestIdleHostAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop packets, so malloc counts do not hold")
@@ -160,22 +163,14 @@ func TestIdleHostAllocs(t *testing.T) {
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 	col := stats.NewCollector(0)
 	protos := Attach(fab, DefaultConfig(), col)
+	const ringOnce = 1
 
-	// Fill the engine's free list and grow its heap once, so that the only
-	// objects Start could still allocate are its own.
-	var warm []sim.Timer
-	for i := 0; i < 4*len(protos); i++ {
-		warm = append(warm, eng.Schedule(1, func() {}))
-	}
-	for _, tm := range warm {
-		tm.Cancel()
-	}
 	if n := mallocsIn(func() {
 		for h, p := range protos {
 			p.Start(fab.Host(h))
 		}
-	}); n != 0 {
-		t.Errorf("Start allocated %d objects over %d hosts, want none beyond the recycled timer events", n, len(protos))
+	}); n > ringOnce {
+		t.Errorf("Start allocated %d objects over %d hosts, want at most the zero-delay lane's ring", n, len(protos))
 	}
 	if eng.Pending() != len(protos) {
 		t.Fatalf("%d events pending after Start, want one stage timer per host (%d)", eng.Pending(), len(protos))
@@ -189,8 +184,12 @@ func TestIdleHostAllocs(t *testing.T) {
 		if ticks := eng.Events() - before; ticks < uint64(protos[0].tm.stages*len(protos)) {
 			t.Fatalf("idle cycle %d ran %d events, want all %d stages on each of %d hosts", i, ticks, protos[0].tm.stages, len(protos))
 		}
-		if n != 0 {
-			t.Errorf("idle cycle %d allocated %d objects over %d hosts, want 0", i, n, len(protos))
+		want := uint64(0)
+		if i == 0 {
+			want = ringOnce // the stage lane's ring
+		}
+		if n > want {
+			t.Errorf("idle cycle %d allocated %d objects over %d hosts, want at most %d", i, n, len(protos), want)
 		}
 	}
 

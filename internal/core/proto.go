@@ -24,6 +24,7 @@ type Proto struct {
 
 	host *netsim.Host //ckpt:skip attachment wiring, re-established by Attach
 	eng  *sim.Engine  //ckpt:skip attachment wiring, re-established by Attach
+	clk  *clocks      //ckpt:skip lane wiring, shared by the shard's hosts and re-established by Attach or Start
 	rng  *rand.Rand   //ckpt:skip aliases the host's stream; its position is captured as Host draws
 	id   int          //ckpt:skip topology identity, re-established by Attach
 
@@ -47,14 +48,29 @@ func (cfg Config) validate() {
 	}
 }
 
+// clocks are the lanes (sim.Lane) of one shard's engine that dcPIM's
+// fixed-interval events ride, under the keys AfterFunc would give them:
+// the stage tick re-arms stageLen after it runs, the pacer mtuTime after
+// it runs, and a kicked pacer — or a first tick due at once — goes on the
+// zero-delay lane.
+type clocks struct {
+	stage, pace, now *sim.Lane
+}
+
+// newClocks resolves the clocks of h's shard.
+func newClocks(h *netsim.Host, tm *timing) clocks {
+	return clocks{stage: h.Lane(tm.stageLen), pace: h.Lane(tm.mtuTime), now: h.Lane(0)}
+}
+
 // Attach creates a dcPIM instance on every host of the fabric, all sharing
 // cfg and one derived timing, and returns them. The instances are one
 // allocation and the senders' per-round grant bookkeeping (r entries per
 // host, pointer-free) another: a host gets an element and a window of the
 // slabs, filled in place on its own shard's goroutine
-// (Fabric.ForEachHost). Each instance records into col's child collector
-// for its host's shard, so completions never contend across shards;
-// col's readers merge the children deterministically.
+// (Fabric.ForEachHost), and the clocks its shard's first host resolved.
+// Each instance records into col's child collector for its host's shard,
+// so completions never contend across shards; col's readers merge the
+// children deterministically.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	cfg.validate()
 	tm := deriveTiming(cfg, fab.Topology())
@@ -62,6 +78,7 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	slab := make([]Proto, n)
 	protos := make([]*Proto, n)
 	rounds := make([]roundState, n*r)
+	clk := make([]clocks, fab.NumShards())
 	// The child collectors are made here, on one goroutine — up to the last
 	// shard that has a host, as a serial fill would leave them (a snapshot
 	// counts them); the fill below only looks them up.
@@ -75,7 +92,12 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	fab.ForEachHost(func(h int) {
 		p := &slab[h]
 		p.cfg, p.tm = cfg, &tm
-		p.col = col.ForShard(fab.ShardOfHost(h))
+		shard := fab.ShardOfHost(h)
+		p.col = col.ForShard(shard)
+		if clk[shard].stage == nil {
+			clk[shard] = newClocks(fab.Host(h), &tm)
+		}
+		p.clk = &clk[shard]
 		p.snd.rounds = rounds[h*r : h*r : (h+1)*r]
 		protos[h] = p
 		fab.AttachProtocol(h, p)
@@ -85,7 +107,9 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 
 // Start implements netsim.Protocol: launches the per-stage ticker driving
 // the matching state machine. An instance made by a bare New derives its
-// timing from the host's topology here; Attach has already shared one.
+// timing and resolves its clocks here; Attach has already shared them.
+// A first tick due now rides the zero-delay lane, under the key
+// ScheduleFunc would have given it; only a skewed one is queued.
 func (p *Proto) Start(h *netsim.Host) {
 	p.host = h
 	p.eng = h.Engine()
@@ -95,6 +119,10 @@ func (p *Proto) Start(h *netsim.Host) {
 		tm := deriveTiming(p.cfg, h.Topo())
 		p.tm = &tm
 	}
+	if p.clk == nil {
+		clk := newClocks(h, p.tm)
+		p.clk = &clk
+	}
 	p.snd.init(p)
 	p.rcv.init(p)
 	p.epoch = -1 // first onStage call (tick 0) opens epoch 0
@@ -102,7 +130,11 @@ func (p *Proto) Start(h *netsim.Host) {
 	if p.cfg.MaxClockSkew > 0 {
 		start = start.Add(sim.Duration(p.rng.Int63n(int64(p.cfg.MaxClockSkew))))
 	}
-	p.eng.ScheduleFunc(start, onStageFunc, p, nil, 0)
+	if start == p.eng.Now() {
+		p.clk.now.After(onStageFunc, p, nil, 0)
+	} else {
+		p.eng.ScheduleFunc(start, onStageFunc, p, nil, 0)
+	}
 }
 
 // onStageFunc is the stage ticker's argument-form trampoline: the event
@@ -149,7 +181,7 @@ func (p *Proto) onStage() {
 		p.snd.grantStage(matchEpoch, round)
 	}
 	p.tick++
-	p.eng.AfterFunc(p.tm.stageLen, onStageFunc, p, nil, 0)
+	p.clk.stage.After(onStageFunc, p, nil, 0)
 }
 
 // OnFlowArrival implements netsim.Protocol (sender role).

@@ -191,14 +191,7 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 		// full data RTT, recover through the matching path (§3.2). Held in
 		// recoverTimer so recycling can cancel it before the record is
 		// reused.
-		//lint:ignore hotalloc one closure per short-flow admission, not per packet; it needs f and fires at most once
-		f.recoverTimer = r.p.eng.After(r.p.tm.dataRTT, func() {
-			if !f.done {
-				f.eligible = true
-				r.addPlanned(f.src, f.demandBytes())
-				r.resumeLoop(f.src)
-			}
-		})
+		f.recoverTimer = r.p.eng.AfterFunc(r.p.tm.dataRTT, recoverFunc, r, f, 0)
 	} else {
 		f.eligible = true
 		r.addPlanned(f.src, f.demandBytes())
@@ -207,6 +200,20 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 		r.resumeLoop(f.src)
 	}
 	return f
+}
+
+// recoverFunc is the short-flow recovery timer's argument-form
+// trampoline.
+func recoverFunc(a, b any, _ int) { a.(*receiver).recoverShort(b.(*recvFlow)) }
+
+// recoverShort makes a short flow still incomplete one data RTT after
+// its admission eligible for matching.
+func (r *receiver) recoverShort(f *recvFlow) {
+	if !f.done {
+		f.eligible = true
+		r.addPlanned(f.src, f.demandBytes())
+		r.resumeLoop(f.src)
+	}
 }
 
 // addPlanned adds late-arriving demand into the in-progress matching.

@@ -112,7 +112,7 @@ func (s *sender) flowArrival(fl workload.Flow) {
 		// late fire would probe whatever flow reuses the record.
 		txAll := sim.TransmissionTime(int(f.size)+f.npkts*packet.HeaderSize,
 			s.p.host.LineRate())
-		f.burstTimer = s.p.eng.After(txAll+s.p.tm.mtuTime, func() { s.maybeFinish(f) })
+		f.burstTimer = s.p.eng.AfterFunc(txAll+s.p.tm.mtuTime, maybeFinishFunc, s, f, 0)
 	}
 }
 
@@ -125,8 +125,15 @@ func (s *sender) sendNotification(f *sendFlow) {
 	s.p.send(n)
 	// Retransmit until acknowledged (§3.5). The period leaves slack above
 	// one cRTT so an in-flight ack from the farthest host wins the race.
-	f.notifTimer = s.p.eng.After(s.p.tm.ctrlRTT*2, func() { s.sendNotification(f) })
+	f.notifTimer = s.p.eng.AfterFunc(s.p.tm.ctrlRTT*2, sendNotificationFunc, s, f, 0)
 }
+
+// sendNotificationFunc and maybeFinishFunc are the per-flow timers'
+// argument-form trampolines: the event carries the sender and the flow,
+// so arming a timer allocates no closure.
+func sendNotificationFunc(a, b any, _ int) { a.(*sender).sendNotification(b.(*sendFlow)) }
+
+func maybeFinishFunc(a, b any, _ int) { a.(*sender).maybeFinish(b.(*sendFlow)) }
 
 func (s *sender) onNotificationAck(pkt *packet.Packet) {
 	f := s.flows[pkt.Flow]
@@ -177,7 +184,7 @@ func (s *sender) maybeFinish(f *sendFlow) {
 	fin.FlowSize = f.size
 	s.p.send(fin)
 	f.finSent = true
-	f.finTimer = s.p.eng.After(s.p.tm.ctrlRTT*2, func() { s.maybeFinish(f) })
+	f.finTimer = s.p.eng.AfterFunc(s.p.tm.ctrlRTT*2, maybeFinishFunc, s, f, 0)
 }
 
 func (s *sender) onFinishReceiver(pkt *packet.Packet) {
@@ -218,11 +225,11 @@ func (s *sender) kickPacer() {
 	// token inside its own OnPacket delivery, which the packet ownership
 	// contract forbids (the fabric still touches the packet after OnPacket
 	// returns).
-	s.p.eng.AfterFunc(0, paceFunc, s, nil, 0)
+	s.p.clk.now.After(paceFunc, s, nil, 0)
 }
 
 // paceFunc is the pacer's argument-form trampoline (no method value per
-// tick).
+// tick). Both of the pacer's delays are fixed, so it rides lanes.
 func paceFunc(a, _ any, _ int) { a.(*sender).pace() }
 
 // pace runs every MTU transmission time while tokens are queued: it sends
@@ -235,7 +242,7 @@ func (s *sender) pace() {
 	}
 	// Let short flows and control drain first; retry one MTU later.
 	if s.p.host.NICQueuedBytes() >= 2*packet.MTU {
-		s.p.eng.AfterFunc(s.p.tm.mtuTime, paceFunc, s, nil, 0)
+		s.p.clk.pace.After(paceFunc, s, nil, 0)
 		return
 	}
 	tok := s.popValidToken()
@@ -254,7 +261,7 @@ func (s *sender) pace() {
 	if f.sentCnt == f.npkts {
 		s.maybeFinish(f)
 	}
-	s.p.eng.AfterFunc(s.p.tm.mtuTime, paceFunc, s, nil, 0)
+	s.p.clk.pace.After(paceFunc, s, nil, 0)
 }
 
 // popValidToken discards expired tokens (older than the previous epoch's

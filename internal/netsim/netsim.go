@@ -11,8 +11,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
@@ -447,16 +449,45 @@ func (f *Fabric) Inject(tr *workload.Trace) {
 	f.grp.Each(func(shard int) { f.injectShard(shard, tr) })
 }
 
-// injectShard walks the trace and schedules the flows one shard's hosts
-// send, on its engine. Every shard makes the walk, so a flow of another
-// shard costs it the flow's record and one entry of the partition's dense
-// host table, never the Host.
+// injectKey is one flow's arrival event: its key and its trace index.
+type injectKey struct {
+	at  sim.Time
+	seq uint64
+	i   int
+}
+
+// injectShard puts the flows one shard's hosts send on a time lane of its
+// own (sim.Engine.NewTimeLane), its ring sized once for them. Each flow
+// keeps the key a schedule in trace order gives it — its arrival and the
+// next band-0 seq, reserved walking the trace — and the lane takes them
+// sorted by that key, which is the order they run in: a trace sorted by
+// arrival is already, any other is sorted here. Every shard makes the
+// walk, so a flow of another shard costs it the flow's record and one
+// entry of the partition's dense host table, never the Host.
 func (f *Fabric) injectShard(shard int, tr *workload.Trace) {
 	eng := f.shards[shard].eng
+	owner := f.part.HostShard
+	n := 0
 	for i := range tr.Flows {
-		if src := tr.Flows[i].Src; int(f.part.HostShard[src]) == shard {
-			eng.ScheduleFunc(tr.Flows[i].Arrival, injectFlow, &f.hosts[src], tr, i)
+		if int(owner[tr.Flows[i].Src]) == shard {
+			n++
 		}
+	}
+	if n == 0 {
+		return
+	}
+	keys := make([]injectKey, 0, n)
+	for i := range tr.Flows {
+		if int(owner[tr.Flows[i].Src]) == shard {
+			keys = append(keys, injectKey{tr.Flows[i].Arrival, eng.ReserveSeq(), i})
+		}
+	}
+	slices.SortFunc(keys, func(x, y injectKey) int {
+		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.seq, y.seq))
+	})
+	lane := eng.NewTimeLane(n)
+	for _, k := range keys {
+		lane.AtReserved(k.at, k.seq, injectFlow, &f.hosts[tr.Flows[k.i].Src], tr, k.i)
 	}
 }
 
@@ -483,6 +514,12 @@ func (h *Host) ID() int { return h.id }
 // engine; the fabric-wide engine when single-shard). Protocols must
 // schedule all their timers here.
 func (h *Host) Engine() *sim.Engine { return h.sh.eng }
+
+// Lane returns the lane of delay d on the host's engine (sim.Lane), shared
+// with every device and protocol of the host's shard that schedules with
+// that delay. A protocol resolves its fixed-interval clocks once per shard
+// at set-up: a lookup scans the shard's handful of lanes.
+func (h *Host) Lane(d sim.Duration) *sim.Lane { return h.sh.lane(d) }
 
 // Rng returns the host's private deterministic random stream. Protocols
 // must draw here rather than from Engine().Rand(): per-host streams make

@@ -42,9 +42,10 @@ type shardState struct {
 	staged   uint64          // cross-shard arrivals landed ON this shard
 
 	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
-	// host stack, the switch traversal, and serialization + propagation of
-	// an MTU or a header on each kind of link this shard's ports drive.
-	// The packets in flight are engine state, captured there.
+	// host stack, the switch traversal, serialization + propagation of an
+	// MTU or a header on each kind of link this shard's ports drive, and
+	// the protocol clocks asked for through Host.Lane. The events in
+	// flight are engine state, captured there.
 	hostLane *sim.Lane   //ckpt:skip lane wiring, re-established by construction
 	swLane   *sim.Lane   //ckpt:skip lane wiring, re-established by construction
 	lanes    []shardLane //ckpt:skip lane wiring, re-established by construction

@@ -20,7 +20,8 @@
 package homa
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
@@ -89,6 +90,7 @@ type Proto struct {
 	rx map[uint64]*rxState
 
 	granting bool
+	cands    []*rxState // grantCandidates' buffer, reused every grant tick
 
 	credits []*packet.Packet // queued grants awaiting transmission
 	pacing  bool
@@ -233,10 +235,18 @@ func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
 	// Loss detection: if the flow stalls, return granted-unreceived seqs
 	// to the needed pool and re-grant them as scheduled packets. This is
 	// Homa's timeout path and Aeolus's recovery path in one.
-	f.checker = p.eng.After(3*p.dataRTT/2, func() { p.checkProgress(f) })
+	f.checker = p.eng.AfterFunc(3*p.dataRTT/2, checkProgressFunc, p, f, 0)
 	p.kickGranter()
 	return f
 }
+
+// The timers' argument-form trampolines: the event carries the host (and
+// the flow), so arming a timer or re-arming a tick allocates nothing.
+func checkProgressFunc(a, b any, _ int) { a.(*Proto).checkProgress(b.(*rxState)) }
+
+func grantTickFunc(a, _ any, _ int) { a.(*Proto).grantTick() }
+
+func spendCreditFunc(a, _ any, _ int) { a.(*Proto).spendCredit() }
 
 func (p *Proto) checkProgress(f *rxState) {
 	if f.Done {
@@ -255,7 +265,7 @@ func (p *Proto) checkProgress(f *rxState) {
 		f.RevertStale(f.Npkts)
 		p.kickGranter()
 	}
-	f.checker = p.eng.After(3*p.dataRTT/2, func() { p.checkProgress(f) })
+	f.checker = p.eng.AfterFunc(3*p.dataRTT/2, checkProgressFunc, p, f, 0)
 }
 
 func (p *Proto) onNotification(pkt *packet.Packet) {
@@ -344,13 +354,13 @@ func (p *Proto) grantTick() {
 		p.granting = false
 		return
 	}
-	p.eng.After(p.mtuTime, p.grantTick)
+	p.eng.AfterFunc(p.mtuTime, grantTickFunc, p, nil, 0)
 }
 
 // grantCandidates returns incomplete flows with grantable work, SRPT
-// ordered.
+// ordered, in a buffer the next call reuses.
 func (p *Proto) grantCandidates() []*rxState {
-	var cands []*rxState
+	cands := p.cands[:0]
 	//lint:deterministic filtered collect; the sort below totally orders by (remaining, flow id)
 	for _, f := range p.rx {
 		if f.Done || f.NeededCnt() <= 0 {
@@ -358,12 +368,10 @@ func (p *Proto) grantCandidates() []*rxState {
 		}
 		cands = append(cands, f)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Remaining() != cands[j].Remaining() {
-			return cands[i].Remaining() < cands[j].Remaining()
-		}
-		return cands[i].ID < cands[j].ID
+	slices.SortFunc(cands, func(x, y *rxState) int {
+		return cmp.Or(cmp.Compare(x.Remaining(), y.Remaining()), cmp.Compare(x.ID, y.ID))
 	})
+	p.cands = cands
 	return cands
 }
 
@@ -385,7 +393,7 @@ func (p *Proto) onGrant(g *packet.Packet) {
 		// Deferred one event: spending now could release g inside its own
 		// OnPacket, which the packet ownership contract forbids (the
 		// fabric still touches the packet after OnPacket returns).
-		p.eng.After(0, p.spendCredit)
+		p.eng.AfterFunc(0, spendCreditFunc, p, nil, 0)
 	}
 }
 
@@ -397,7 +405,7 @@ func (p *Proto) spendCredit() {
 		return
 	}
 	if p.host.NICQueuedBytes() >= 2*packet.MTU {
-		p.eng.After(p.mtuTime, p.spendCredit)
+		p.eng.AfterFunc(p.mtuTime, spendCreditFunc, p, nil, 0)
 		return
 	}
 	// Pick the credit whose flow has the fewest remaining bytes.
@@ -432,7 +440,7 @@ func (p *Proto) spendCredit() {
 	seq := g.Seq
 	packet.Release(g) // spent
 	p.sendData(f, seq, prio, false)
-	p.eng.After(p.mtuTime, p.spendCredit)
+	p.eng.AfterFunc(p.mtuTime, spendCreditFunc, p, nil, 0)
 }
 
 // DiagState exposes granter state for diagnostics: whether the grant loop

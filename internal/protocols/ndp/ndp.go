@@ -163,9 +163,15 @@ func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
 	// Stall detector: NDP relies on trimmed headers for loss signals, but
 	// whole-packet losses (e.g. of headers under extreme load) need a
 	// timeout: re-pull anything outstanding.
-	f.checker = p.eng.After(3*p.dataRTT, func() { p.checkStall(f) })
+	f.checker = p.eng.AfterFunc(3*p.dataRTT, checkStallFunc, p, f, 0)
 	return f
 }
+
+// The timers' argument-form trampolines: the event carries the host (and
+// the flow), so arming a timer or re-arming a tick allocates nothing.
+func checkStallFunc(a, b any, _ int) { a.(*Proto).checkStall(b.(*rxState)) }
+
+func pullTickFunc(a, _ any, _ int) { a.(*Proto).pullTick() }
 
 func (p *Proto) checkStall(f *rxState) {
 	if f.Done {
@@ -184,7 +190,7 @@ func (p *Proto) checkStall(f *rxState) {
 			}
 		}
 	}
-	f.checker = p.eng.After(3*p.dataRTT, func() { p.checkStall(f) })
+	f.checker = p.eng.AfterFunc(3*p.dataRTT, checkStallFunc, p, f, 0)
 }
 
 // enqueuePullNack NACKs seq to the sender (so it rejoins the retransmit
@@ -285,7 +291,7 @@ func (p *Proto) pullTick() {
 		pull := packet.NewControl(packet.Pull, p.id, ref.src, ref.flow)
 		p.ins.pulls.Inc()
 		p.host.Send(pull)
-		p.eng.After(p.mtuTime, p.pullTick)
+		p.eng.AfterFunc(p.mtuTime, pullTickFunc, p, nil, 0)
 		return
 	}
 	p.pulling = false

@@ -57,9 +57,9 @@ func (e *Engine) CaptureState() EngineState {
 		Draws:  e.src.Draws(),
 	}
 	st.Pending = make([]EventRecord, 0, e.Pending())
-	add := func(evs []*event) {
-		for _, t := range evs {
-			st.Pending = append(st.Pending, EventRecord{At: t.at, Seq: t.seq})
+	add := func(q []hent) {
+		for _, h := range q {
+			st.Pending = append(st.Pending, EventRecord{At: h.at, Seq: h.seq})
 		}
 	}
 	add(e.q)
@@ -127,19 +127,19 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	// Build scratch queues. Records arrive sorted by (At, Seq); a sorted
 	// array is already a valid min-heap, so band assignment is the only
 	// work.
-	var q, qa []*event
+	var q, qa []hent
 	for _, rec := range st.Pending {
 		fn, ok := rebind(rec)
 		if !ok {
 			return fmt.Errorf("sim: restore: no rebinding for event at=%d seq=%#x", rec.At, rec.Seq)
 		}
-		t := &event{eng: e, at: rec.At, seq: rec.Seq, fn: fn, idx: -1}
+		h := hent{at: rec.At, seq: rec.Seq, ev: &event{eng: e, fn: fn}}
 		if rec.Seq&arrivalBand != 0 {
-			t.idx = int32(len(qa))
-			qa = append(qa, t)
+			h.ev.idx = int32(len(qa))
+			qa = append(qa, h)
 		} else {
-			t.idx = int32(len(q))
-			q = append(q, t)
+			h.ev.idx = int32(len(q))
+			q = append(q, h)
 		}
 	}
 

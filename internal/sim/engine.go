@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+	"unsafe"
+)
 
 // Engine is a deterministic discrete-event simulator. Events are executed
 // in non-decreasing timestamp order; events scheduled for the same instant
@@ -29,13 +33,16 @@ type Engine struct {
 	// compares keys against. Run and SkipTo leave it at ordEnd: every key
 	// at the horizon has passed.
 	ord uint64
-	q   []*event // 4-ary min-heap by (at, seq), band-0 events only
-	qa  []*event // arrival-band events (ScheduleArrival), same order
-	// lanes hold constant-delay events of either band by value (lane.go);
-	// fronts[i] caches lanes[i]'s head key (laneIdle when empty) so the
-	// drain loop finds the earliest lane without touching the rings.
+	q   []hent // 4-ary min-heap by (at, seq), band-0 events only
+	qa  []hent // arrival-band events (ScheduleArrival), same order
+	// lanes hold events of either band by value (lane.go); fronts[i]
+	// caches lanes[i]'s head key (laneIdle when empty, and past the last
+	// lane up to a power of two), and win is a winner tree over fronts
+	// whose root win[1] is the lane with the least head key, so the drain
+	// loop finds the earliest lane without scanning them or their rings.
 	lanes  []*Lane
 	fronts []EventRecord //ckpt:skip derived: the head key of each lane, which is captured
+	win    []int32       //ckpt:skip derived: the order of the captured lane heads
 	laneN  int           //ckpt:skip derived: total records across lanes, which are captured
 	seq    uint64
 	seed   int64           //ckpt:skip construction input; the RNG position is captured as Draws
@@ -59,16 +66,15 @@ var maxFreeEvents = 1 << 15
 // event is one scheduled callback. Events are owned by the engine: when
 // one fires or is cancelled it returns to the free list and its gen is
 // bumped, which atomically invalidates every outstanding Timer handle.
-// Checkpoints capture an event as its execution-order key (at, seq) only:
-// the callback fields hold Go closures, which cannot be serialized, and
-// the location fields are physical layout that EngineState normalizes
-// away (see checkpoint.go). Restore rebinds callbacks via RebindFunc.
+// An event's execution-order key lives in its heap slot (hent), which is
+// what checkpoints capture: the callback fields hold Go closures, which
+// cannot be serialized, and the location fields are physical layout that
+// EngineState normalizes away (see checkpoint.go). Restore rebinds
+// callbacks via RebindFunc.
 type event struct {
 	eng *Engine //ckpt:skip owner back-pointer, re-established when the restored engine re-allocates events
-	at  Time
-	seq uint64
-	gen uint32 //ckpt:skip timer-invalidation stamp; outstanding Timers cannot outlive a restore
-	idx int32  //ckpt:skip heap slot, physical layout normalized away by EngineState
+	gen uint32  //ckpt:skip timer-invalidation stamp; outstanding Timers cannot outlive a restore
+	idx int32   //ckpt:skip heap slot, physical layout normalized away by EngineState
 
 	// Exactly one of fn / fnArgs is set. The argument form lets hot paths
 	// (one event per packet hop) schedule a package-level function plus
@@ -79,6 +85,29 @@ type event struct {
 	fn     func()                //ckpt:skip closure, rebound by RebindFunc on restore
 
 	next *event //ckpt:skip free-list link, physical layout normalized away by EngineState
+}
+
+// hent is one heap slot: an event's (at, seq) key held inline beside the
+// event it orders, so the sifts compare slots without dereferencing the
+// scattered events. Only a slot that moves touches its event, to update
+// the idx that Cancel finds it by.
+type hent struct {
+	at  Time
+	seq uint64
+	ev  *event //ckpt:skip callback holder; the slot's key is what EngineState captures
+}
+
+// before is the heap order — earlier time first, scheduling order as the
+// tie-break — as a 0 or 1 computed without a branch: the borrow of the
+// 128-bit subtraction (at1, seq1) − (at2, seq2), the time the high word
+// with its sign bit flipped so that it compares unsigned. Picking the
+// least of a node's children (siftDown) or of two lanes (Engine.lesser)
+// with it costs no mispredicted branch, which the data-dependent
+// comparisons otherwise would about half the time.
+func before(at1 Time, seq1 uint64, at2 Time, seq2 uint64) uint64 {
+	_, b := bits.Sub64(seq1, seq2, 0)
+	_, b = bits.Sub64(uint64(at1)^1<<63, uint64(at2)^1<<63, b)
+	return b
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -96,9 +125,10 @@ type Timer struct {
 func (t Timer) Active() bool { return t.ev != nil && t.ev.gen == t.gen }
 
 // At returns the time the timer fires, or 0 if it is no longer active.
+// An active timer's event sits in the band-0 heap, at its idx.
 func (t Timer) At() Time {
 	if t.Active() {
-		return t.ev.at
+		return t.ev.eng.q[t.ev.idx].at
 	}
 	return 0
 }
@@ -116,7 +146,21 @@ func (t Timer) Cancel() {
 // seeded with seed.
 func NewEngine(seed int64) *Engine {
 	src := NewCountingSource(seed)
-	return &Engine{seed: seed, src: src, rng: rand.New(src)}
+	p := &paddedEngine{Engine: Engine{seed: seed, src: src, rng: rand.New(src)}}
+	return &p.Engine
+}
+
+// cacheLine is the unit of memory two cores contend for.
+const cacheLine = 64
+
+// paddedEngine rounds an Engine up to whole cache lines. The engines of a
+// sharded run are made one after another and run side by side on
+// different cores; were an Engine's size not a multiple of the line, one
+// engine's tail would share a line with the next one's head, where every
+// event writes now and ord.
+type paddedEngine struct {
+	Engine
+	_ [(cacheLine - unsafe.Sizeof(Engine{})%cacheLine) % cacheLine]byte
 }
 
 // Now returns the current simulated time.
@@ -197,12 +241,9 @@ func (e *Engine) push(at Time) *event {
 // (ScheduleReserved inserts keys reserved earlier).
 func (e *Engine) insert(at Time, seq uint64) *event {
 	t := e.alloc()
-	t.at = at
-	t.seq = seq
-	t.idx = int32(len(e.q))
 	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
-	e.q = append(e.q, t)
-	siftUp(e.q, int(t.idx))
+	e.q = append(e.q, hent{at, seq, t})
+	siftUp(e.q, len(e.q)-1)
 	return t
 }
 
@@ -235,14 +276,11 @@ func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), 
 		panic("sim: scheduling event in the past")
 	}
 	t := e.alloc()
-	t.at = at
-	t.seq = arrivalBand | key
-	t.idx = int32(len(e.qa))
-	//lint:ignore hotalloc arrival-heap growth is amortized to the peak in-flight arrival count; the backing array is reused for the rest of the run
-	e.qa = append(e.qa, t)
-	siftUp(e.qa, int(t.idx))
 	t.fnArgs = fn
 	t.a, t.b, t.i = a, b, i
+	//lint:ignore hotalloc arrival-heap growth is amortized to the peak in-flight arrival count; the backing array is reused for the rest of the run
+	e.qa = append(e.qa, hent{at, arrivalBand | key, t})
+	siftUp(e.qa, len(e.qa)-1)
 }
 
 // Schedule runs fn at absolute time at.
@@ -345,19 +383,19 @@ const (
 func (e *Engine) next() (src int, at Time) {
 	src, at = srcNone, laneIdle.At
 	seq := laneIdle.Seq
-	for i := range e.fronts {
-		if f := &e.fronts[i]; f.At < at || (f.At == at && f.Seq < seq) {
-			src, at, seq = i, f.At, f.Seq
+	if len(e.win) > 0 {
+		if i := e.win[1]; e.fronts[i] != laneIdle {
+			src, at, seq = int(i), e.fronts[i].At, e.fronts[i].Seq
 		}
 	}
 	if len(e.qa) > 0 {
-		if t := e.qa[0]; t.at < at || (t.at == at && t.seq < seq) {
-			src, at, seq = srcArrival, t.at, t.seq
+		if h := &e.qa[0]; h.at < at || (h.at == at && h.seq < seq) {
+			src, at, seq = srcArrival, h.at, h.seq
 		}
 	}
 	if len(e.q) > 0 {
-		if t := e.q[0]; t.at < at || (t.at == at && t.seq < seq) {
-			src, at = srcMain, t.at
+		if h := &e.q[0]; h.at < at || (h.at == at && h.seq < seq) {
+			src, at = srcMain, h.at
 		}
 	}
 	return src, at
@@ -372,17 +410,20 @@ func (e *Engine) exec(src int) {
 	var fn func()
 	switch src {
 	case srcMain, srcArrival:
-		var t *event
+		var h hent
 		if src == srcMain {
-			t = popRoot(&e.q)
+			h = popRoot(&e.q)
 		} else {
-			t = popRoot(&e.qa)
+			h = popRoot(&e.qa)
 		}
-		r = laneRec{at: t.at, seq: t.seq, fn: t.fnArgs, a: t.a, b: t.b, i: t.i}
+		t := h.ev
+		r = laneRec{at: h.at, seq: h.seq, fn: t.fnArgs, a: t.a, b: t.b, i: t.i}
 		fn = t.fn
 		e.recycle(t)
 	default:
-		r = e.lanes[src].pop()
+		l := e.lanes[src]
+		r = l.pop()
+		e.setFront(src, l.front())
 	}
 	e.now = r.at
 	e.ord = r.seq + 1
@@ -451,99 +492,86 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// eventLess is the heap order: earlier time first, scheduling order as the
-// tie-break.
-func eventLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// popRoot removes and returns a heap's minimum event without recycling
-// it (Step still needs its fields).
-func popRoot(qp *[]*event) *event {
+// popRoot removes and returns a heap's minimum slot; its event is not
+// recycled (exec still needs its fields).
+func popRoot(qp *[]hent) hent {
 	q := *qp
-	t := q[0]
+	h := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
+	q[n] = hent{}
 	*qp = q[:n]
 	if n > 0 {
 		q[0] = last
-		last.idx = 0
 		siftDown(q[:n], 0)
 	}
-	return t
+	return h
 }
 
 // remove deletes an arbitrary queued event (cancellation) and recycles
 // it. Only band-0 events can be cancelled: ScheduleArrival returns no
 // Timer, so arrival events never come through here.
 func (e *Engine) remove(t *event) {
-	heapRemove(&e.q, t)
+	heapRemove(&e.q, int(t.idx))
 	e.recycle(t)
 }
 
-// heapRemove deletes an arbitrary event from a (time, seq) heap.
-func heapRemove(qp *[]*event, t *event) {
+// heapRemove deletes slot i from a (time, seq) heap.
+func heapRemove(qp *[]hent, i int) {
 	q := *qp
-	i := int(t.idx)
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
+	q[n] = hent{}
 	*qp = q[:n]
 	if i != n {
 		q = q[:n]
 		q[i] = last
-		last.idx = int32(i)
 		siftUp(q, i)
-		if int(last.idx) == i {
+		if int(last.ev.idx) == i {
 			siftDown(q, i)
 		}
 	}
 }
 
 // siftUp restores the heap above index i (4-ary: parent of i is (i-1)/4).
-func siftUp(q []*event, i int) {
-	t := q[i]
+func siftUp(q []hent, i int) {
+	h := q[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		pt := q[p]
-		if !eventLess(t, pt) {
+		if before(h.at, h.seq, q[p].at, q[p].seq) == 0 {
 			break
 		}
-		q[i] = pt
-		pt.idx = int32(i)
+		q[i] = q[p]
+		q[i].ev.idx = int32(i)
 		i = p
 	}
-	q[i] = t
-	t.idx = int32(i)
+	q[i] = h
+	h.ev.idx = int32(i)
 }
 
 // siftDown restores the heap below index i (4-ary: children 4i+1..4i+4).
-func siftDown(q []*event, i int) {
+// The four children's keys sit side by side in the slots, so choosing the
+// least reads one or two cache lines, no event, and takes no branch.
+func siftDown(q []hent, i int) {
 	n := len(q)
-	t := q[i]
+	h := q[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m, mt := c, q[c]
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
+		m := c
+		hi := min(c+4, n)
 		for j := c + 1; j < hi; j++ {
-			if eventLess(q[j], mt) {
-				m, mt = j, q[j]
-			}
+			m ^= (m ^ j) & -int(before(q[j].at, q[j].seq, q[m].at, q[m].seq))
 		}
-		if !eventLess(mt, t) {
+		if before(q[m].at, q[m].seq, h.at, h.seq) == 0 {
 			break
 		}
-		q[i] = mt
-		mt.idx = int32(i)
+		q[i] = q[m]
+		q[i].ev.idx = int32(i)
 		i = m
 	}
-	q[i] = t
-	t.idx = int32(i)
+	q[i] = h
+	h.ev.idx = int32(i)
 }

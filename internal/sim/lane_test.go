@@ -7,7 +7,8 @@ import (
 
 // TestLaneEquivalence is the property behind lanes: where an event is
 // stored is invisible. A random program that routes a random subset of its
-// constant-delay schedules through Lane.After / Lane.Arrive executes the
+// constant-delay schedules through Lane.After / Lane.Arrive, and of its
+// non-decreasing absolute-time schedules through Lane.At, executes the
 // identical (time, seq) sequence, allocates the identical sequence
 // numbers, and shows the identical Pending, NextAt and captured pending
 // set after every driver action — Run, Step and SkipTo interleaved — as
@@ -89,6 +90,59 @@ func TestLaneTieOrder(t *testing.T) {
 	}
 	if e.Pending() != 0 || e.Now() != 11 {
 		t.Errorf("drained to pending %d at %d, want 0 at 11", e.Pending(), e.Now())
+	}
+}
+
+// TestLaneAtOrder: a time lane takes records in key order only — a
+// record behind its tail panics, at an earlier instant or under a smaller
+// reserved seq of the same one — and never from the clock's past; a lane
+// is filled by delay or by At, never both. Keys reserved in one order and
+// handed over in another (AtReserved) run in key order, and a drained
+// time lane lets its ring go.
+func TestLaneAtOrder(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	e := NewEngine(1)
+	var got []int
+	rec := func(_, _ any, i int) { got = append(got, i) }
+	tl := e.NewTimeLane(3)
+	if len(tl.buf) != laneMinSlots {
+		t.Errorf("a time lane sized for 3 records has %d slots, want %d", len(tl.buf), laneMinSlots)
+	}
+
+	s0, s1, s2 := e.ReserveSeq(), e.ReserveSeq(), e.ReserveSeq()
+	// Reserved in the order 0, 1, 2 and handed over by key: (5, s1) first.
+	tl.AtReserved(5, s1, rec, nil, nil, 1)
+	tl.AtReserved(7, s0, rec, nil, nil, 0)
+	tl.AtReserved(7, s2, rec, nil, nil, 2)
+	mustPanic("a smaller seq at the tail's instant", func() { tl.AtReserved(7, s1, rec, nil, nil, 9) })
+	mustPanic("an instant before the tail's", func() { tl.At(6, rec, nil, nil, 9) })
+	tl.At(7, rec, nil, nil, 3) // same instant, fresh seq: follows the tail
+	tl.At(9, rec, nil, nil, 4)
+	mustPanic("After on a time lane", func() { tl.After(rec, nil, nil, 9) })
+	mustPanic("Arrive on a time lane", func() { tl.Arrive(1, rec, nil, nil, 9) })
+	mustPanic("At on a delay lane", func() { e.NewLane(2).At(10, rec, nil, nil, 9) })
+	e.AfterFunc(7, rec, nil, nil, 5) // (7, a seq after every record above)
+
+	e.RunAll()
+	if want := []int{1, 0, 2, 3, 5, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ran %v, want %v", got, want)
+	}
+	if tl.buf != nil {
+		t.Errorf("a drained time lane still holds its %d-slot ring", len(tl.buf))
+	}
+	mustPanic("At before the clock", func() { tl.At(8, rec, nil, nil, 9) })
+	tl.At(9, rec, nil, nil, 6) // the clock's own instant is not the past
+	e.RunAll()
+	if got[len(got)-1] != 6 {
+		t.Errorf("a time lane refilled after draining did not run its record")
 	}
 }
 

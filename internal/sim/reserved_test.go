@@ -38,7 +38,9 @@ type reservedRun struct {
 // inside traced steps, so two runs that execute them in the same order
 // draw the same program. With lanes set, a random subset of the schedules
 // whose delay is one of the small constants goes through Lane.After /
-// Lane.Arrive instead of AfterFunc / ScheduleArrival; which ones is drawn
+// Lane.Arrive instead of AfterFunc / ScheduleArrival, and a random subset
+// of its timeline — absolute times that never decrease, as a trace's
+// arrivals — through Lane.At instead of ScheduleFunc; which ones is drawn
 // from a stream of its own, so the program does not change.
 func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 	var out reservedRun
@@ -74,6 +76,17 @@ func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 			lane[d].Arrive(key, fn, nil, nil, u)
 		} else {
 			e.ScheduleArrival(e.now.Add(d), key, fn, nil, nil, u)
+		}
+	}
+	timeLane := e.NewTimeLane(0)
+	var last Time // the timeline's latest instant
+	timeline := func(d Duration, fn func(a, b any, i int), u int) {
+		last = max(last, e.now).Add(d)
+		if lanes && pick.Intn(3) != 0 {
+			out.laneEvents++
+			timeLane.At(last, fn, nil, nil, u)
+		} else {
+			e.ScheduleFunc(last, fn, nil, nil, u)
 		}
 	}
 
@@ -144,9 +157,12 @@ func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 		for n := 1 + rng.Intn(2); n > 0 && budget > 0; n-- {
 			budget--
 			v := rng.Intn(len(units))
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(8) {
+			case 0, 1:
 				arrive(delay(), uint64(budget), kick, v)
-			} else {
+			case 2:
+				timeline(delay(), kick, v)
+			default:
 				after(delay(), kick, v)
 			}
 		}
@@ -154,6 +170,7 @@ func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 
 	for u := range units {
 		after(delay(), kick, u)
+		timeline(delay(), kick, u)
 	}
 	// Interleave bounded runs with single steps and idle skips so that
 	// execution resumes from the position each of them leaves. The driver
