@@ -298,7 +298,7 @@ func TestTokenWindowInvariant(t *testing.T) {
 			if p.snd.reserved < 0 {
 				t.Fatalf("host %d negative reserved grant budget", p.id)
 			}
-			if p.rcv.used > p.cfg.Channels {
+			if p.rcv.used > p.sh.cfg.Channels {
 				t.Fatalf("host %d accepted %d > k channels", p.id, p.rcv.used)
 			}
 		}
@@ -320,10 +320,10 @@ func TestChannelBudgetsRespected(t *testing.T) {
 			for _, ch := range p.rcv.matchedNow {
 				tot += ch
 			}
-			if tot > p.cfg.Channels {
-				t.Fatalf("host %d matched %d channels in a phase (k=%d)", p.id, tot, p.cfg.Channels)
+			if tot > p.sh.cfg.Channels {
+				t.Fatalf("host %d matched %d channels in a phase (k=%d)", p.id, tot, p.sh.cfg.Channels)
 			}
-			if p.snd.committed > p.cfg.Channels {
+			if p.snd.committed > p.sh.cfg.Channels {
 				t.Fatalf("host %d sender committed %d > k", p.id, p.snd.committed)
 			}
 		}

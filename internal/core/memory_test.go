@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
@@ -176,13 +177,13 @@ func TestIdleHostAllocs(t *testing.T) {
 		t.Fatalf("%d events pending after Start, want one stage timer per host (%d)", eng.Pending(), len(protos))
 	}
 
-	epoch := protos[0].tm.epochLen
+	epoch := protos[0].sh.epochLen
 	cycle := func() { eng.Run(eng.Now().Add(epoch)) }
 	for i := 0; i < 3; i++ {
 		before := eng.Events()
 		n := mallocsIn(cycle)
-		if ticks := eng.Events() - before; ticks < uint64(protos[0].tm.stages*len(protos)) {
-			t.Fatalf("idle cycle %d ran %d events, want all %d stages on each of %d hosts", i, ticks, protos[0].tm.stages, len(protos))
+		if ticks := eng.Events() - before; ticks < uint64(protos[0].sh.stages*len(protos)) {
+			t.Fatalf("idle cycle %d ran %d events, want all %d stages on each of %d hosts", i, ticks, protos[0].sh.stages, len(protos))
 		}
 		want := uint64(0)
 		if i == 0 {
@@ -217,5 +218,15 @@ func TestIdleHostAllocs(t *testing.T) {
 		if n := mallocsIn(cycle); n != 0 {
 			t.Errorf("cycle %d after the demand went allocated %d objects over %d hosts, want 0", i, n, len(protos))
 		}
+	}
+}
+
+// TestProtoLayout bounds the bytes one host's dcPIM instance costs in the
+// Attach slab (DESIGN.md §13.1): 8,192 of them at k=32. What every host
+// holds alike — Config, timing, telemetry — sits behind the one shared
+// pointer; a field that is the same on every host belongs there too.
+func TestProtoLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Proto{}); sz > 360 {
+		t.Errorf("Proto is %d bytes, want <= 360", sz)
 	}
 }

@@ -58,13 +58,13 @@ func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
 		schedBytes:        reg.Counter("core/sched_bytes"),
 		matchedChannels:   reg.Gauge("core/matched_channels"),
 	}
-	rounds := ps[0].cfg.Rounds
+	rounds := ps[0].sh.cfg.Rounds
 	ins.roundAccepts = make([]*metrics.Counter, rounds)
 	for r := 0; r < rounds; r++ {
 		ins.roundAccepts[r] = reg.Counter(fmt.Sprintf("core/match/round%d_accepted_channels", r))
 	}
 	for _, p := range ps {
-		p.ins = ins
+		p.sh.ins = ins
 	}
 }
 

@@ -17,10 +17,8 @@ import (
 // wiring and configuration the resuming run reconstructs through the same
 // deterministic setup before Restore runs.
 type Proto struct {
-	cfg Config           //ckpt:skip construction input, supplied again by the resuming run
-	tm  *timing          //ckpt:skip derived from cfg and the topology; one value shared by every host Attach wires
+	sh  *shared          //ckpt:skip construction input and what derives from it; one value shared by every host Attach wires
 	col *stats.Collector //ckpt:skip collector wiring; the Collector captures its own state
-	ins instruments      //ckpt:skip optional telemetry wiring, re-registered at setup
 
 	host *netsim.Host //ckpt:skip attachment wiring, re-established by Attach
 	eng  *sim.Engine  //ckpt:skip attachment wiring, re-established by Attach
@@ -35,11 +33,21 @@ type Proto struct {
 	rcv receiver
 }
 
+// shared is what every host of one fabric holds alike: the Config, the
+// timing derived from it and the topology, and the telemetry. Attach makes
+// one for the fabric; a bare New makes one per instance, its timing
+// derived in Start.
+type shared struct {
+	cfg Config
+	ins instruments
+	timing
+}
+
 // New returns an unattached dcPIM host protocol. The same Config and
 // Collector are normally shared across all hosts of a fabric (see Attach).
 func New(cfg Config, col *stats.Collector) *Proto {
 	cfg.validate()
-	return &Proto{cfg: cfg, col: col}
+	return &Proto{sh: &shared{cfg: cfg}, col: col}
 }
 
 func (cfg Config) validate() {
@@ -73,7 +81,7 @@ func newClocks(h *netsim.Host, tm *timing) clocks {
 // children deterministically.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	cfg.validate()
-	tm := deriveTiming(cfg, fab.Topology())
+	sh := &shared{cfg: cfg, timing: deriveTiming(cfg, fab.Topology())}
 	n, r := fab.Topology().NumHosts, cfg.Rounds
 	slab := make([]Proto, n)
 	protos := make([]*Proto, n)
@@ -91,11 +99,11 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	col.ForShard(last)
 	fab.ForEachHost(func(h int) {
 		p := &slab[h]
-		p.cfg, p.tm = cfg, &tm
+		p.sh = sh
 		shard := fab.ShardOfHost(h)
 		p.col = col.ForShard(shard)
 		if clk[shard].stage == nil {
-			clk[shard] = newClocks(fab.Host(h), &tm)
+			clk[shard] = newClocks(fab.Host(h), &sh.timing)
 		}
 		p.clk = &clk[shard]
 		p.snd.rounds = rounds[h*r : h*r : (h+1)*r]
@@ -115,20 +123,19 @@ func (p *Proto) Start(h *netsim.Host) {
 	p.eng = h.Engine()
 	p.rng = h.Rng()
 	p.id = h.ID()
-	if p.tm == nil {
-		tm := deriveTiming(p.cfg, h.Topo())
-		p.tm = &tm
+	if p.sh.stages == 0 {
+		p.sh.timing = deriveTiming(p.sh.cfg, h.Topo())
 	}
 	if p.clk == nil {
-		clk := newClocks(h, p.tm)
+		clk := newClocks(h, &p.sh.timing)
 		p.clk = &clk
 	}
 	p.snd.init(p)
 	p.rcv.init(p)
 	p.epoch = -1 // first onStage call (tick 0) opens epoch 0
 	start := sim.Time(0)
-	if p.cfg.MaxClockSkew > 0 {
-		start = start.Add(sim.Duration(p.rng.Int63n(int64(p.cfg.MaxClockSkew))))
+	if p.sh.cfg.MaxClockSkew > 0 {
+		start = start.Add(sim.Duration(p.rng.Int63n(int64(p.sh.cfg.MaxClockSkew))))
 	}
 	if start == p.eng.Now() {
 		p.clk.now.After(onStageFunc, p, nil, 0)
@@ -152,14 +159,14 @@ func (p *Proto) Timing() struct {
 		StageLen, EpochLen sim.Duration
 		ChannelBytes       int64
 		ShortThresh        int64
-	}{p.tm.stageLen, p.tm.epochLen, p.tm.channelBytes, p.tm.shortThresh}
+	}{p.sh.stageLen, p.sh.epochLen, p.sh.channelBytes, p.sh.shortThresh}
 }
 
 // onStage fires every stage length; stage index cycles through the 2r+1
 // stages of the pipelined matching phase. Each host uses only its local
 // clock (§3.5 asynchronous design).
 func (p *Proto) onStage() {
-	stage := int(p.tick % int64(p.tm.stages))
+	stage := int(p.tick % int64(p.sh.stages))
 	if stage == 0 {
 		p.epoch++
 		p.snd.onEpochStart(p.epoch)
@@ -173,7 +180,7 @@ func (p *Proto) onStage() {
 		if round > 0 {
 			p.rcv.acceptStage(matchEpoch, round-1)
 		}
-		if round < p.cfg.Rounds {
+		if round < p.sh.cfg.Rounds {
 			p.rcv.requestStage(matchEpoch, round)
 		}
 	} else {

@@ -135,7 +135,7 @@ func (r *receiver) rounds() int {
 	if r.matchEpoch == 0 {
 		return 0
 	}
-	return r.p.cfg.Rounds
+	return r.p.sh.cfg.Rounds
 }
 
 // wake makes the receiver's maps and grant buffers, once, before the
@@ -147,7 +147,7 @@ func (r *receiver) wake() {
 	if r.flows != nil {
 		return
 	}
-	r.grantBuf = make([][]*packet.Packet, r.p.cfg.Rounds)
+	r.grantBuf = make([][]*packet.Packet, r.p.sh.cfg.Rounds)
 	r.flows = make(map[uint64]*recvFlow)
 	r.bySender = make(map[int][]*recvFlow)
 	r.doneFlows = make(map[uint64]struct{})
@@ -178,7 +178,7 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 	n := packet.PacketsForBytes(pkt.FlowSize)
 	f := r.newRecvFlow()
 	f.id, f.src, f.size, f.arrival = pkt.Flow, pkt.Src, pkt.FlowSize, pkt.SentAt
-	f.npkts, f.short = n, pkt.FlowSize <= r.p.tm.shortThresh
+	f.npkts, f.short = n, pkt.FlowSize <= r.p.sh.shortThresh
 	f.state = f.state.grow(n)
 	f.untokenedCnt = n
 	r.flows[f.id] = f
@@ -191,7 +191,7 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 		// full data RTT, recover through the matching path (§3.2). Held in
 		// recoverTimer so recycling can cancel it before the record is
 		// reused.
-		f.recoverTimer = r.p.eng.AfterFunc(r.p.tm.dataRTT, recoverFunc, r, f, 0)
+		f.recoverTimer = r.p.eng.AfterFunc(r.p.sh.dataRTT, recoverFunc, r, f, 0)
 	} else {
 		f.eligible = true
 		r.addPlanned(f.src, f.demandBytes())
@@ -244,7 +244,7 @@ func (r *receiver) onData(d *packet.Packet) {
 	}
 	if f.state.get(d.Seq) == seqTokened {
 		f.outstanding--
-		r.p.ins.tokensOutstanding.Add(-1)
+		r.p.sh.ins.tokensOutstanding.Add(-1)
 	} else {
 		f.untokenedCnt--
 	}
@@ -311,8 +311,8 @@ func (r *receiver) onEpochStart(e int64) {
 			f.state.set(int(tr.seq), seqUntokened)
 			f.untokenedCnt++
 			f.outstanding--
-			r.p.ins.tokensReverted.Inc()
-			r.p.ins.tokensOutstanding.Add(-1)
+			r.p.sh.ins.tokensReverted.Inc()
+			r.p.sh.ins.tokensOutstanding.Add(-1)
 			f.retx = append(f.retx, tr.seq)
 		}
 	}
@@ -328,7 +328,7 @@ func (r *receiver) onEpochStart(e int64) {
 	for _, ch := range r.matchedNow {
 		total += ch
 	}
-	r.p.ins.matchedChannels.Add(int64(total - r.matchedTotal))
+	r.p.sh.ins.matchedChannels.Add(int64(total - r.matchedTotal))
 	r.matchedTotal = total
 	clear(r.loops)
 	for _, src := range sortedKeys(r.matchedNow) {
@@ -338,7 +338,7 @@ func (r *receiver) onEpochStart(e int64) {
 		}
 		l := &tokenLoop{
 			src: src, channels: ch, epoch: e,
-			interval: sim.Duration(int64(r.p.tm.mtuTime) * int64(r.p.cfg.Channels) / int64(ch)),
+			interval: sim.Duration(int64(r.p.sh.mtuTime) * int64(r.p.sh.cfg.Channels) / int64(ch)),
 		}
 		r.loops[src] = l
 		r.fireLoop(l)
@@ -348,7 +348,7 @@ func (r *receiver) onEpochStart(e int64) {
 // window returns the token window for a flow whose sender holds ch
 // channels: 1 BDP scaled by the matched share (§3.4).
 func (r *receiver) window(ch int) int {
-	w := r.p.tm.windowPkts * ch / r.p.cfg.Channels
+	w := r.p.sh.windowPkts * ch / r.p.sh.cfg.Channels
 	if w < 1 {
 		w = 1
 	}
@@ -407,15 +407,15 @@ func (r *receiver) issueToken(l *tokenLoop, f *recvFlow, seq int) {
 	f.state.set(seq, seqTokened)
 	f.untokenedCnt--
 	f.outstanding++
-	r.p.ins.tokensIssued.Inc()
-	r.p.ins.tokensOutstanding.Add(1)
+	r.p.sh.ins.tokensIssued.Inc()
+	r.p.sh.ins.tokensOutstanding.Add(1)
 	//lint:ignore hotalloc the tokened FIFO is bounded by the BDP window and recycleRecvFlow keeps its backing array, so appends reuse capacity after warmup
 	f.tokened = append(f.tokened, tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
 
 	tok := packet.NewControl(packet.Token, r.p.id, f.src, f.id)
 	tok.Seq = seq
 	tok.Epoch = l.epoch
-	tok.Count = int(prioForRemaining(f.remaining(), r.p.tm.bdp))
+	tok.Count = int(prioForRemaining(f.remaining(), r.p.sh.bdp))
 	tok.CumAck = f.receivedCnt
 	r.p.send(tok)
 }
@@ -446,7 +446,7 @@ func (r *receiver) requestStage(epoch int64, round int) {
 		clear(r.matchedNext)
 		r.computePlanned()
 	}
-	free := r.p.cfg.Channels - r.used
+	free := r.p.sh.cfg.Channels - r.used
 	if free <= 0 {
 		return
 	}
@@ -457,7 +457,7 @@ func (r *receiver) requestStage(epoch int64, round int) {
 		if bytes <= 0 {
 			continue
 		}
-		want := int((bytes + r.p.tm.channelBytes - 1) / r.p.tm.channelBytes)
+		want := int((bytes + r.p.sh.channelBytes - 1) / r.p.sh.channelBytes)
 		if want > free {
 			want = free
 		}
@@ -485,7 +485,7 @@ func (r *receiver) computePlanned() {
 			sum += f.demandBytes()
 		}
 		if ch := r.matchedNow[src]; ch > 0 {
-			sum -= int64(ch) * r.p.tm.channelBytes
+			sum -= int64(ch) * r.p.sh.channelBytes
 		}
 		if sum > 0 {
 			r.planned[src] = sum
@@ -533,7 +533,7 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 	if len(grants) == 0 {
 		return
 	}
-	if round == 0 && r.p.cfg.FCTRound {
+	if round == 0 && r.p.sh.cfg.FCTRound {
 		sort.SliceStable(grants, func(i, j int) bool {
 			return grants[i].Remaining < grants[j].Remaining
 		})
@@ -541,7 +541,7 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 		rng := r.p.rng
 		rng.Shuffle(len(grants), func(i, j int) { grants[i], grants[j] = grants[j], grants[i] })
 	}
-	free := r.p.cfg.Channels - r.used
+	free := r.p.sh.cfg.Channels - r.used
 	for _, g := range grants {
 		if free <= 0 {
 			break
@@ -555,11 +555,11 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 		acc.Round = round
 		acc.Epoch = epoch
 		r.p.send(acc)
-		r.p.ins.roundAccept(round, take)
+		r.p.sh.ins.roundAccept(round, take)
 		r.used += take
 		free -= take
 		r.matchedNext[g.Src] += take
-		r.planned[g.Src] -= int64(take) * r.p.tm.channelBytes
+		r.planned[g.Src] -= int64(take) * r.p.sh.channelBytes
 	}
 	for _, g := range grants {
 		packet.Release(g) // drained this round, accepted or not

@@ -86,7 +86,7 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	s.flows = map[uint64]*sendFlow{9: f}
 	s.dataEpoch = 5
 	// Advance the engine clock past epoch 5's grace window.
-	eng.Run(sim.Time(sim.Duration(6) * p.tm.epochLen))
+	eng.Run(sim.Time(sim.Duration(6) * p.sh.epochLen))
 
 	old := packet.NewControl(packet.Token, 1, 0, 9)
 	old.Epoch = 3 // two epochs stale: dead
@@ -186,7 +186,7 @@ func TestMultiEpochFlow(t *testing.T) {
 		t.Fatal("multi-epoch flow did not complete")
 	}
 	// It must have spanned several epochs.
-	tm := protos[0].tm
+	tm := protos[0].sh
 	if col.Records()[0].FCT() < 5*tm.epochLen {
 		t.Fatalf("4MB flow finished in %v — faster than line rate allows?", col.Records()[0].FCT())
 	}

@@ -75,7 +75,7 @@ func (f *sendFlow) remainingBytes() int64 {
 // A bare New gets its per-round bookkeeping here.
 func (s *sender) init(p *Proto) {
 	s.p = p
-	if r := p.cfg.Rounds; cap(s.rounds) != r {
+	if r := p.sh.cfg.Rounds; cap(s.rounds) != r {
 		s.rounds = make([]roundState, 0, r)
 	}
 }
@@ -85,7 +85,7 @@ func (s *sender) init(p *Proto) {
 //
 //lint:coldpath runs once per host that is ever asked for a grant
 func (s *sender) wake() {
-	s.rtsBuf = make([][]*packet.Packet, s.p.cfg.Rounds)
+	s.rtsBuf = make([][]*packet.Packet, s.p.sh.cfg.Rounds)
 }
 
 // flowArrival starts a new outgoing flow: notify the receiver and, for
@@ -94,7 +94,7 @@ func (s *sender) flowArrival(fl workload.Flow) {
 	f := s.newSendFlow()
 	f.id, f.dst, f.size, f.arrival = fl.ID, fl.Dst, fl.Size, fl.Arrival
 	f.npkts = packet.PacketsForBytes(fl.Size)
-	f.short = fl.Size <= s.p.tm.shortThresh
+	f.short = fl.Size <= s.p.sh.shortThresh
 	f.sent = f.sent.grow(f.npkts)
 	if s.flows == nil {
 		s.flows = make(map[uint64]*sendFlow)
@@ -112,7 +112,7 @@ func (s *sender) flowArrival(fl workload.Flow) {
 		// late fire would probe whatever flow reuses the record.
 		txAll := sim.TransmissionTime(int(f.size)+f.npkts*packet.HeaderSize,
 			s.p.host.LineRate())
-		f.burstTimer = s.p.eng.AfterFunc(txAll+s.p.tm.mtuTime, maybeFinishFunc, s, f, 0)
+		f.burstTimer = s.p.eng.AfterFunc(txAll+s.p.sh.mtuTime, maybeFinishFunc, s, f, 0)
 	}
 }
 
@@ -125,7 +125,7 @@ func (s *sender) sendNotification(f *sendFlow) {
 	s.p.send(n)
 	// Retransmit until acknowledged (§3.5). The period leaves slack above
 	// one cRTT so an in-flight ack from the farthest host wins the race.
-	f.notifTimer = s.p.eng.AfterFunc(s.p.tm.ctrlRTT*2, sendNotificationFunc, s, f, 0)
+	f.notifTimer = s.p.eng.AfterFunc(s.p.sh.ctrlRTT*2, sendNotificationFunc, s, f, 0)
 }
 
 // sendNotificationFunc and maybeFinishFunc are the per-flow timers'
@@ -156,9 +156,9 @@ func (s *sender) transmitData(f *sendFlow, seq int, prio uint8) {
 	// (including short-flow recovery, re-admitted at data priorities) is
 	// scheduled.
 	if prio == packet.PrioShort {
-		s.p.ins.unschedBytes.Add(int64(d.Size))
+		s.p.sh.ins.unschedBytes.Add(int64(d.Size))
 	} else {
-		s.p.ins.schedBytes.Add(int64(d.Size))
+		s.p.sh.ins.schedBytes.Add(int64(d.Size))
 	}
 	if !f.sent.get(seq) {
 		f.sent.set(seq)
@@ -184,7 +184,7 @@ func (s *sender) maybeFinish(f *sendFlow) {
 	fin.FlowSize = f.size
 	s.p.send(fin)
 	f.finSent = true
-	f.finTimer = s.p.eng.AfterFunc(s.p.tm.ctrlRTT*2, maybeFinishFunc, s, f, 0)
+	f.finTimer = s.p.eng.AfterFunc(s.p.sh.ctrlRTT*2, maybeFinishFunc, s, f, 0)
 }
 
 func (s *sender) onFinishReceiver(pkt *packet.Packet) {
@@ -268,7 +268,7 @@ func (s *sender) pace() {
 // grace window, §3.2) and returns the next usable one.
 func (s *sender) popValidToken() *packet.Packet {
 	now := s.p.eng.Now()
-	graceEnd := sim.Time(int64(s.p.tm.epochLen) * s.dataEpoch).Add(s.p.tm.grace)
+	graceEnd := sim.Time(int64(s.p.sh.epochLen) * s.dataEpoch).Add(s.p.sh.grace)
 	for len(s.tokens) > 0 {
 		tok := s.tokens[0]
 		s.tokens = s.tokens[1:]
@@ -325,7 +325,7 @@ func (s *sender) onEpochStart(e int64) {
 // Stale requests (wrong epoch or a round whose grant stage has passed) are
 // dropped — the multi-round design absorbs the loss (§3.3).
 func (s *sender) onRTS(rts *packet.Packet) {
-	if rts.Epoch != s.matchEpoch || rts.Round < 0 || rts.Round >= s.p.cfg.Rounds {
+	if rts.Epoch != s.matchEpoch || rts.Round < 0 || rts.Round >= s.p.sh.cfg.Rounds {
 		return
 	}
 	if s.rtsBuf == nil {
@@ -379,14 +379,14 @@ func (s *sender) grantStage(epoch int64, round int) {
 	if len(reqs) == 0 {
 		return
 	}
-	free := s.p.cfg.Channels - s.committed - s.reserved
+	free := s.p.sh.cfg.Channels - s.committed - s.reserved
 	if free <= 0 {
 		for _, r := range reqs {
 			packet.Release(r)
 		}
 		return
 	}
-	if round == 0 && s.p.cfg.FCTRound {
+	if round == 0 && s.p.sh.cfg.FCTRound {
 		sort.SliceStable(reqs, func(i, j int) bool {
 			return reqs[i].Remaining < reqs[j].Remaining
 		})

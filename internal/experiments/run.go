@@ -399,6 +399,7 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	if spec.Metrics != nil {
 		interval = spec.Metrics.sampleInterval(spec.Horizon)
 		smp = metrics.NewSampler(engines[0], reg, interval)
+		smp.Reserve(int(spec.Horizon/interval) + 1)
 	}
 	if spec.Checkpoint != nil && spec.Checkpoint.Journal {
 		for _, eng := range engines {

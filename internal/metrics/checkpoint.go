@@ -22,9 +22,10 @@ func (s *Sampler) CaptureState(enc *checkpoint.Encoder) {
 	enc.U32(uint32(len(s.cols)))
 	enc.U32(uint32(len(s.times)))
 	h := uint64(checkpoint.FoldInit)
+	n := len(s.cols)
 	for i, t := range s.times {
 		h = checkpoint.Fold(h, uint64(t))
-		for _, v := range s.rows[i] {
+		for _, v := range s.vals[i*n : (i+1)*n] {
 			h = checkpoint.Fold(h, math.Float64bits(v))
 		}
 	}

@@ -150,6 +150,40 @@ func TestHistogramSummaryOrdering(t *testing.T) {
 	}
 }
 
+// TestSamplerTickAllocs: a tick appends its row to the sampler's one slab
+// of values, so over many ticks the only allocations are that slab's and
+// the time column's growth — none per tick on average — where a row per
+// tick would cost one each; a sampler reserved for its ticks allocates
+// nothing at all.
+func TestSamplerTickAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		ticks    int
+		reserved bool
+	}{{4000, false}, {100, true}} {
+		r := NewRegistry()
+		c := r.Counter("a/pkts")
+		g := r.Gauge("b/depth")
+		r.GaugeFunc("c/load", func() float64 { return 0.5 })
+		s := NewSampler(sim.NewEngine(1), r, sim.Microsecond)
+		if tc.reserved {
+			s.Reserve(tc.ticks + 1) // AllocsPerRun adds a warm-up call
+		}
+		tick := sim.Time(0)
+		allocs := testing.AllocsPerRun(tc.ticks, func() {
+			c.Inc()
+			g.Set(int64(tick))
+			s.SampleAt(tick)
+			tick++
+		})
+		if allocs != 0 {
+			t.Errorf("reserved %v: a sampler tick made %v allocations on average, want 0", tc.reserved, allocs)
+		}
+		if got := s.row(s.Len() - 1); got[0] != float64(s.Len()) || got[1] != float64(s.Len()-1) || got[2] != 0.5 {
+			t.Errorf("reserved %v: last row = %v, want [%d %d 0.5]", tc.reserved, got, s.Len(), s.Len()-1)
+		}
+	}
+}
+
 // TestSamplerCadence drives a sampler off the sim engine and checks tick
 // count, column sorting, and that snapshots see gauge updates made by
 // interleaved simulation events.

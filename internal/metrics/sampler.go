@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"io"
+	"slices"
 	"strconv"
 
 	"dcpim/internal/sim"
@@ -23,8 +24,11 @@ type Sampler struct {
 	interval sim.Duration
 	cols     []column
 	times    []sim.Time
-	rows     [][]float64
-	started  bool //ckpt:skip lifecycle flag; the resuming run re-arms sampling through its own Start/SampleAt
+	// vals holds the rows back to back: row i is vals[i*len(cols) :
+	// (i+1)*len(cols)], so a tick appends to one slab instead of making a
+	// row.
+	vals    []float64
+	started bool //ckpt:skip lifecycle flag; the resuming run re-arms sampling through its own Start/SampleAt
 }
 
 // NewSampler builds a sampler over reg's current instruments. Returns
@@ -70,12 +74,29 @@ func (s *Sampler) SampleAt(t sim.Time) {
 	if s == nil {
 		return
 	}
-	row := make([]float64, len(s.cols))
 	for i := range s.cols {
-		row[i] = s.cols[i].read()
+		s.vals = append(s.vals, s.cols[i].read())
 	}
 	s.times = append(s.times, t)
-	s.rows = append(s.rows, row)
+}
+
+// Reserve sizes the sampler for ticks snapshots in all, so a run whose
+// length is known up front fills one slab instead of re-growing it: a
+// large slice grows by a quarter at a time, so a slab grown tick by tick
+// allocates and copies several times its final size. No-op on a nil
+// receiver.
+func (s *Sampler) Reserve(ticks int) {
+	if s == nil || ticks <= len(s.times) {
+		return
+	}
+	s.times = slices.Grow(s.times, ticks-len(s.times))
+	s.vals = slices.Grow(s.vals, (ticks-len(s.times))*len(s.cols))
+}
+
+// row returns snapshot i's values, one per column.
+func (s *Sampler) row(i int) []float64 {
+	n := len(s.cols)
+	return s.vals[i*n : (i+1)*n]
 }
 
 // Len returns the number of snapshots taken (0 for nil).
@@ -117,7 +138,7 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	for i, t := range s.times {
 		buf = buf[:0]
 		buf = strconv.AppendInt(buf, int64(t), 10)
-		for _, v := range s.rows[i] {
+		for _, v := range s.row(i) {
 			buf = append(buf, ',')
 			buf = appendValue(buf, v)
 		}

@@ -114,7 +114,7 @@ func (f *Fabric) AuditErrors() []string {
 func (o *outPort) auditQueued(a *auditor) int64 {
 	var n int64
 	for pr := range o.q {
-		for p := o.q[pr].head; p != nil; p = p.QNext {
+		for p := o.first(pr); p != nil; p = o.next(pr, p) {
 			n++
 			if _, ok := a.live[p]; !ok {
 				a.fail("audit: queued packet not owned by fabric (released while buffered): %v", p)

@@ -94,7 +94,7 @@ func captureCounters(enc *checkpoint.Encoder, c *Counters) {
 // The class lists are intrusive (packet.Packet.QNext), so the count takes
 // one walk and the content a second; the links themselves, the tail
 // pointers and the non-empty mask are physical layout and deliberately
-// excluded.
+// excluded. A clean port writes zeros for the three fault values.
 func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	enc.I64(o.queuedBytes)
 	enc.I64(o.maxQueued)
@@ -111,17 +111,18 @@ func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	}
 	enc.Bool(o.paused)
 	enc.Bool(o.down)
-	enc.F64(o.lossRate)
-	enc.F64(o.burstRate)
-	enc.I64(int64(o.burstUntil))
+	lf := o.sh.faults[o] // zero for a clean port
+	enc.F64(lf.lossRate)
+	enc.F64(lf.burstRate)
+	enc.I64(int64(lf.burstUntil))
 	enc.U64(o.arrSeq)
-	for pr := 0; pr < packet.NumPriorities; pr++ {
+	for pr := range o.q {
 		n := uint32(0)
-		for p := o.q[pr].head; p != nil; p = p.QNext {
+		for p := o.first(pr); p != nil; p = o.next(pr, p) {
 			n++
 		}
 		enc.U32(n)
-		for p := o.q[pr].head; p != nil; p = p.QNext {
+		for p := o.first(pr); p != nil; p = o.next(pr, p) {
 			capturePacket(enc, p)
 			enc.I64(int64(p.QIn))
 		}

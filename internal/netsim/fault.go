@@ -45,14 +45,18 @@ func (f *Fabric) HostDown(h int) bool { return f.hosts[h].nic.down }
 // Counters.FaultDrops. Rate 0 restores a clean link.
 func (f *Fabric) SetLinkLossRate(sw, pt int, rate float64) {
 	o := &f.switches[sw].ports[pt]
-	o.setLoss(rate, o.burstRate, o.burstUntil)
+	lf := o.sh.faults[o]
+	lf.lossRate = rate
+	o.setLoss(lf)
 }
 
 // SetHostLossRate is SetLinkLossRate for host h's NIC (the host→ToR
 // direction of a degraded access link).
 func (f *Fabric) SetHostLossRate(h int, rate float64) {
 	o := f.hosts[h].nic
-	o.setLoss(rate, o.burstRate, o.burstUntil)
+	lf := o.sh.faults[o]
+	lf.lossRate = rate
+	o.setLoss(lf)
 }
 
 // SetLossBurst installs a transient loss window on switch sw's port pt:
@@ -60,13 +64,17 @@ func (f *Fabric) SetHostLossRate(h int, rate float64) {
 // than any persistent degrade already present).
 func (f *Fabric) SetLossBurst(sw, pt int, until sim.Time, rate float64) {
 	o := &f.switches[sw].ports[pt]
-	o.setLoss(o.lossRate, rate, until)
+	lf := o.sh.faults[o]
+	lf.burstRate, lf.burstUntil = rate, until
+	o.setLoss(lf)
 }
 
 // SetHostLossBurst is SetLossBurst for host h's NIC.
 func (f *Fabric) SetHostLossBurst(h int, until sim.Time, rate float64) {
 	o := f.hosts[h].nic
-	o.setLoss(o.lossRate, rate, until)
+	lf := o.sh.faults[o]
+	lf.burstRate, lf.burstUntil = rate, until
+	o.setLoss(lf)
 }
 
 // RebootSwitch takes switch sw out of service: every output port goes

@@ -52,7 +52,7 @@ func inject(f *Fabric, h int, p *packet.Packet, at sim.Time, after func()) {
 		for _, o := range f.obs {
 			o.PacketInjected(h, p)
 		}
-		host.nic.enqueue(p)
+		host.nic.enqueue(p, &host.rng)
 		if after != nil {
 			after()
 		}

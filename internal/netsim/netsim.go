@@ -295,9 +295,10 @@ func (w *wiring) lookahead() sim.Duration {
 // a peer on another shard is only ever taken the address of, and asked
 // about through the partition.
 //
-// Ports are initialised in place (the slab is zeroed; a 320-byte literal
-// per port would be built and copied) and wired to their far end, so a
-// delivery event never goes back to the port that sent the packet.
+// Ports are initialised in place (the slab is zeroed; a literal per port
+// would be built and copied), given their shard's class for the link they
+// drive, and wired to their far end, so a delivery event never goes back
+// to the port that sent the packet.
 // Directed boundary links carry their stable id: their delivery is the
 // fused forward at the peer switch, a SwitchDelay further out —
 // intra-shard on the port's own engine, cross-shard via staging (no lanes
@@ -315,8 +316,6 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 	s := f.shards[shard]
 	t, cfg := f.topo, &f.cfg
 	seed := f.eng.Seed()
-	var classBuf [8]laneClass // a fabric has a handful; more spill to the heap
-	classes := classBuf[:0]
 	for i, owner := range f.part.SwitchShard {
 		if int(owner) != shard {
 			continue
@@ -341,26 +340,26 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		for pi := range sw.Ports {
 			p := &sw.Ports[pi]
 			o := &d.ports[pi]
-			o.sh, o.rng, o.owner = s, &d.rng, d
-			o.rate, o.delay, o.capacity = p.Rate, p.Delay, cfg.PortBufferBytes
+			o.sh, o.owner = s, d
 			if p.ToHost {
 				o.peerHost = &f.hosts[p.Peer]
-				classes = o.wireLanes(0, classes)
+				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, 0)
 				continue
 			}
 			o.peerSw = &f.switches[p.Peer]
 			o.peerIn = int32(p.PeerPort)
 			if !p.Boundary {
-				classes = o.wireLanes(0, classes)
+				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, 0)
 				continue
 			}
 			o.boundary = true
 			o.linkID = linkID
 			linkID++
 			if int(f.part.SwitchShard[p.Peer]) == shard {
-				classes = o.wireLanes(t.SwitchDelay, classes)
+				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, t.SwitchDelay)
 				continue
 			}
+			o.class = s.portClass(portClass{rate: p.Rate, delay: p.Delay, capacity: cfg.PortBufferBytes})
 			cross := p.Delay
 			if !cfg.EnablePFC {
 				cross += sim.TransmissionTime(packet.HeaderSize, p.Rate) + t.SwitchDelay
@@ -381,12 +380,26 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		host.src.Seed(deviceSeed(seed, 2, h))
 		host.rng = *rand.New(&host.src)
 		nic := host.nic
-		nic.sh, nic.rng = s, &host.rng
-		nic.rate, nic.delay, nic.capacity = up.Rate, up.Delay, cfg.HostQueueBytes
+		nic.sh = s
+		nic.class = s.wireClass(up.Rate, up.Delay, cfg.HostQueueBytes, 0)
 		nic.peerSw = &f.switches[t.HostSwitch[h]]
 		nic.peerIn = int32(t.HostPort[h])
-		classes = nic.wireLanes(0, classes)
 	}
+}
+
+// wireClass returns the class of a port on this shard driving a link of
+// the given rate and delay with the given budget, whose deliveries ride
+// lanes: serialization plus propagation of each fixed size, plus extra
+// (the peer's SwitchDelay on a fused boundary link). The lanes are asked
+// for MTU first, port by port, so each engine creates them in the same
+// order at every shard count.
+func (s *shardState) wireClass(rate float64, delay sim.Duration, capacity int64, extra sim.Duration) *portClass {
+	latency := delay + extra
+	return s.portClass(portClass{
+		rate: rate, delay: delay, capacity: capacity,
+		laneMTU: s.lane(sim.TransmissionTime(packet.MTU, rate) + latency),
+		laneHdr: s.lane(sim.TransmissionTime(packet.HeaderSize, rate) + latency),
+	})
 }
 
 // Engine returns the event engine driving the fabric.
@@ -531,7 +544,7 @@ func (h *Host) Rng() *rand.Rand { return &h.rng }
 func (h *Host) Topo() *topo.Topology { return h.sh.fab.topo }
 
 // LineRate returns the host's access link rate in bits per second.
-func (h *Host) LineRate() float64 { return h.nic.rate }
+func (h *Host) LineRate() float64 { return h.nic.class.rate }
 
 // NICQueuedBytes returns the bytes currently queued in the NIC, which
 // window/pacing protocols use to avoid building local queues.
@@ -552,7 +565,8 @@ func (h *Host) Send(p *packet.Packet) {
 
 //lint:hotpath one event per injected packet; 0-alloc contract of BenchmarkFabricForwarding
 func hostEnqueue(a, b any, _ int) {
-	a.(*Host).nic.enqueue(b.(*packet.Packet))
+	h := a.(*Host)
+	h.nic.enqueue(b.(*packet.Packet), &h.rng)
 }
 
 // deliver passes a packet up the receive stack to the protocol.

@@ -8,33 +8,27 @@ import (
 	"dcpim/internal/sim"
 )
 
-// pktFIFO is one priority class of a port: an intrusive singly linked
-// list through packet.Packet.QNext, both ends nil while the class is
-// empty.
-type pktFIFO struct {
-	head *packet.Packet
-	tail *packet.Packet //ckpt:skip derived: the last packet of the walk from head, which is captured
-}
-
 // outPort models one transmit side of a full-duplex link: eight
 // strict-priority FIFO queues sharing a byte budget, a serializing
-// transmitter, and the attached link's rate and propagation delay.
-// A port belongs either to a switch (owner set) or to a host NIC.
-// A port's checkpoint (outPort.captureState) covers the dynamic plane:
-// queues, byte counts, PFC/fault state, and the boundary arrival
+// transmitter, and the attached link's class (rate, propagation delay,
+// budget, lanes). A port belongs either to a switch (owner set) or to a
+// host NIC. A port's checkpoint (outPort.captureState) covers the dynamic
+// plane: queues, byte counts, PFC/fault state, and the boundary arrival
 // sequence. Link parameters and device wiring are static topology,
 // re-created identically by building the fabric before restore.
 //
 // Ports live in one slab per fabric (Fabric.ports) and the field order is
 // the memory layout (DESIGN.md §8.4): everything a packet hop touches —
-// enqueueAt → push → tryTransmit → armWake — comes first and fits two
-// cache lines, the class lists take the next two, and static or rare
-// fields sit in the tail. TestPortLayout guards the split; a new field
-// goes in the tail unless every hop reads it.
+// enqueueAt → push → tryTransmit → armWake — comes first, the class
+// lists follow, and the boundary link's identity closes it. What only a
+// faulty link reads lives in its shard's side table (shardState.faults).
+// TestPortLayout guards the split; a new field shared by every port of a
+// kind of link goes in portClass, and any other new field needs a
+// measurement that every hop pays for it.
 type outPort struct {
 	sh          *shardState //ckpt:skip shard wiring, re-established by construction
+	class       *portClass  //ckpt:skip static link parameters and lane wiring, re-established by construction
 	queuedBytes int64
-	capacity    int64 //ckpt:skip static link parameter from topology
 	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
 
@@ -64,18 +58,9 @@ type outPort struct {
 	// id and a per-link sequence, so its execution order is identical at
 	// every shard count.
 	boundary bool //ckpt:skip static topology attribute (topo.Port.Boundary)
-	faulty   bool //ckpt:skip derived: lossRate > 0 || burstRate > 0, so a clean link never reads the cold tail
-
-	rate  float64      //ckpt:skip static link parameter from topology
-	delay sim.Duration //ckpt:skip static link parameter from topology
-
-	// Lanes for the two packet sizes that make up nearly all traffic: the
-	// delivery of a full MTU or a bare header fires a delay fixed by the
-	// link, so it needs no priority queue (sim.Lane). Any other size is
-	// scheduled by the engine, and so is every cross-shard delivery: a port
-	// whose peer sits on another shard has no lanes.
-	laneMTU *sim.Lane //ckpt:skip lane wiring, re-established by construction
-	laneHdr *sim.Lane //ckpt:skip lane wiring, re-established by construction
+	// faulty says the port has an entry in its shard's fault table, so a
+	// clean link never looks there.
+	faulty bool //ckpt:skip derived: the port has a shardState.faults entry, whose values are captured
 
 	// The far end of the link, so the delivery event goes straight to the
 	// receiving device: a host (peerHost), or port peerIn of a switch
@@ -84,66 +69,67 @@ type outPort struct {
 	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
 	owner    *swDev //ckpt:skip device wiring, re-established by construction
 
-	q [packet.NumPriorities]pktFIFO
+	// q[pr] is the tail of class pr: a circular list through
+	// packet.Packet.QNext, so the head is q[pr].QNext; nil while the class
+	// is empty. Walk it with first and next.
+	q [packet.NumPriorities]*packet.Packet
 
-	// Cold tail: injected fault parameters (lossRate is a persistent
-	// degraded-link drop probability; burstRate applies instead while the
-	// clock is before burstUntil), the stream they draw from, and the
-	// boundary link's identity. Data and PFC frames on the same directed
-	// link share arrSeq.
-	rng        *rand.Rand //ckpt:skip aliases the owning device's stream; its position is captured there
+	// The boundary link's identity and sequence. Data and PFC frames on
+	// the same directed link share arrSeq.
+	linkID uint64 //ckpt:skip derived from the directed link identity at construction
+	arrSeq uint64
+}
+
+// portClass is what every port of a shard driving the same kind of link
+// shares: the link's rate and propagation delay, the port's byte budget,
+// and the lanes for the two packet sizes that make up nearly all traffic.
+// The delivery of a full MTU or a bare header fires a delay fixed by the
+// link, so it needs no priority queue (sim.Lane). Any other size is
+// scheduled by the engine, and so is every cross-shard delivery: a class
+// for ports whose peer sits on another shard has no lanes. A shard's
+// classes are found by their whole value (shardState.portClass), so two
+// ports share one exactly when they agree on everything in it.
+type portClass struct {
+	rate             float64
+	delay            sim.Duration
+	capacity         int64
+	laneMTU, laneHdr *sim.Lane
+}
+
+// linkFault is a faulty port's entry in its shard's fault table: a
+// persistent degraded-link drop probability (lossRate), and burstRate,
+// which applies instead while the clock is before burstUntil.
+type linkFault struct {
 	lossRate   float64
 	burstRate  float64
 	burstUntil sim.Time
-	linkID     uint64 //ckpt:skip derived from the directed link identity at construction
-	arrSeq     uint64
 }
 
-// laneClass is the pair of lanes shared by every port of a shard with one
-// link rate and one fixed latency behind the serialization.
-type laneClass struct {
-	rate     float64
-	latency  sim.Duration
-	mtu, hdr *sim.Lane
-}
-
-// wireLanes resolves the port's lanes on its shard: serialization plus
-// propagation of each fixed size, plus extra (the peer's SwitchDelay on a
-// fused boundary link). A fabric's ports fall into a handful of (rate,
-// latency) classes, so the shard's wiring pass keeps the ones it has met
-// in classes and works the two delays out once per class, not per port;
-// a new class asks the shard for its lanes MTU first, as every port did,
-// and is returned appended.
-func (o *outPort) wireLanes(extra sim.Duration, classes []laneClass) []laneClass {
-	latency := o.delay + extra
-	for i := range classes {
-		if c := &classes[i]; c.rate == o.rate && c.latency == latency {
-			o.laneMTU, o.laneHdr = c.mtu, c.hdr
-			return classes
-		}
+// setLoss installs the port's injected loss parameters in its shard's
+// fault table — or takes it out when all three are zero — and the flag
+// that says whether there is an entry to look up.
+func (o *outPort) setLoss(lf linkFault) {
+	if o.faulty = lf != (linkFault{}); !o.faulty {
+		delete(o.sh.faults, o)
+		return
 	}
-	o.laneMTU = o.sh.lane(sim.TransmissionTime(packet.MTU, o.rate) + latency)
-	o.laneHdr = o.sh.lane(sim.TransmissionTime(packet.HeaderSize, o.rate) + latency)
-	return append(classes, laneClass{o.rate, latency, o.laneMTU, o.laneHdr})
-}
-
-// setLoss installs the port's injected loss parameters and the flag that
-// says whether faultDrop has anything to do.
-func (o *outPort) setLoss(lossRate, burstRate float64, burstUntil sim.Time) {
-	o.lossRate, o.burstRate, o.burstUntil = lossRate, burstRate, burstUntil
-	o.faulty = lossRate > 0 || burstRate > 0
+	if o.sh.faults == nil {
+		o.sh.faults = make(map[*outPort]linkFault)
+	}
+	o.sh.faults[o] = lf
 }
 
 // faultDrop applies injected link faults (degrade / loss burst) at enqueue
 // time and reports whether the packet was consumed. Faulty links draw from
-// the owning device's seeded stream, so runs stay deterministic at any
-// shard count; clean links draw nothing.
-func (o *outPort) faultDrop(p *packet.Packet) bool {
-	r := o.lossRate
-	if o.burstRate > r && o.sh.eng.Now() < o.burstUntil {
-		r = o.burstRate
+// rng, the owning device's seeded stream, so runs stay deterministic at
+// any shard count; clean links draw nothing.
+func (o *outPort) faultDrop(p *packet.Packet, rng *rand.Rand) bool {
+	lf := o.sh.faults[o]
+	r := lf.lossRate
+	if lf.burstRate > r && o.sh.eng.Now() < lf.burstUntil {
+		r = lf.burstRate
 	}
-	if r <= 0 || o.rng.Float64() >= r {
+	if r <= 0 || rng.Float64() >= r {
 		return false
 	}
 	o.sh.counters.FaultDrops++
@@ -152,12 +138,13 @@ func (o *outPort) faultDrop(p *packet.Packet) bool {
 }
 
 // enqueue is the host-NIC entry point: plain drop-tail, no dataplane
-// features (a host never trims or marks its own packets).
-func (o *outPort) enqueue(p *packet.Packet) {
-	if o.faulty && o.faultDrop(p) {
+// features (a host never trims or marks its own packets). rng is the
+// host's stream.
+func (o *outPort) enqueue(p *packet.Packet, rng *rand.Rand) {
+	if o.faulty && o.faultDrop(p, rng) {
 		return
 	}
-	if o.queuedBytes+int64(p.Size) > o.capacity {
+	if o.queuedBytes+int64(p.Size) > o.class.capacity {
 		o.sh.counters.HostDrops++
 		o.sh.fab.dropped(p)
 		return
@@ -165,16 +152,17 @@ func (o *outPort) enqueue(p *packet.Packet) {
 	o.push(p, -1)
 }
 
-// enqueueAt is the switch entry point, applying Aeolus selective dropping,
-// NDP trimming, ECN marking, and drop-tail in that order, then PFC
-// accounting for the ingress the packet came through.
+// enqueueAt is the entry point for sw, the switch that owns the port,
+// applying Aeolus selective dropping, NDP trimming, ECN marking, and
+// drop-tail in that order, then PFC accounting for the ingress the packet
+// came through. Random and injected loss draw from sw's stream.
 func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 	fab := o.sh.fab
 	cfg := &fab.cfg
-	if o.faulty && o.faultDrop(p) {
+	if o.faulty && o.faultDrop(p, &sw.rng) {
 		return
 	}
-	if cfg.RandomLossRate > 0 && o.rng.Float64() < cfg.RandomLossRate {
+	if cfg.RandomLossRate > 0 && sw.rng.Float64() < cfg.RandomLossRate {
 		if p.Kind == packet.Data {
 			o.sh.counters.DataDrops++
 		} else {
@@ -205,7 +193,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 		}
 		isData = false
 	}
-	if o.queuedBytes+int64(p.Size) > o.capacity {
+	if o.queuedBytes+int64(p.Size) > o.class.capacity {
 		if p.Kind == packet.Data {
 			o.sh.counters.DataDrops++
 		} else {
@@ -234,14 +222,14 @@ func (o *outPort) push(p *packet.Packet, in int) {
 		pr = packet.NumPriorities - 1
 	}
 	p.QIn = int32(in)
-	q := &o.q[pr]
 	if bit := uint8(1) << pr; o.nonEmpty&bit == 0 {
 		o.nonEmpty |= bit
-		q.head = p
+		p.QNext = p
 	} else {
-		q.tail.QNext = p
+		tail := o.q[pr]
+		p.QNext, tail.QNext = tail.QNext, p
 	}
-	q.tail = p
+	o.q[pr] = p
 	o.nQueued++
 	o.queuedBytes += int64(p.Size)
 	if o.queuedBytes > o.maxQueued {
@@ -259,17 +247,41 @@ func (o *outPort) pop() (*packet.Packet, int) {
 		return nil, 0
 	}
 	pr := bits.TrailingZeros8(o.nonEmpty)
-	q := &o.q[pr]
-	p := q.head
-	if q.head = p.QNext; q.head == nil {
-		q.tail = nil
+	tail := o.q[pr]
+	p := tail.QNext
+	if p == tail {
+		o.q[pr] = nil
 		o.nonEmpty &^= 1 << pr
+	} else {
+		tail.QNext = p.QNext
 	}
 	in := int(p.QIn)
 	p.QNext, p.QIn = nil, 0
 	o.nQueued--
 	o.queuedBytes -= int64(p.Size)
 	return p, in
+}
+
+// first returns the head of class pr, nil when it is empty. With next it
+// is the one way to walk a class in FIFO order without unlinking:
+//
+//	for p := o.first(pr); p != nil; p = o.next(pr, p)
+//
+// A packet recycled while buffered has a zero link, which ends the walk
+// early (the auditor counts on that).
+func (o *outPort) first(pr int) *packet.Packet {
+	if o.q[pr] == nil {
+		return nil
+	}
+	return o.q[pr].QNext
+}
+
+// next returns the packet behind p in class pr, nil after the tail.
+func (o *outPort) next(pr int, p *packet.Packet) *packet.Packet {
+	if p == o.q[pr] {
+		return nil
+	}
+	return p.QNext
 }
 
 // tryTransmit starts serializing the next packet if the port is idle, not
@@ -296,7 +308,8 @@ func (o *outPort) tryTransmit() {
 		o.owner.checkResume(in)
 	}
 
-	tx := sim.TransmissionTime(p.Size, o.rate)
+	c := o.class
+	tx := sim.TransmissionTime(p.Size, c.rate)
 	o.txBytes += int64(p.Size)
 	if p.CollectINT {
 		//lint:ignore hotalloc packet.Release keeps the INT backing array, so a recycled packet appends into capacity it already grew
@@ -304,7 +317,7 @@ func (o *outPort) tryTransmit() {
 			QueueBytes: o.queuedBytes,
 			TxBytes:    o.txBytes,
 			Timestamp:  o.sh.eng.Now(),
-			RateBps:    o.rate,
+			RateBps:    c.rate,
 		})
 	}
 	// The completion's place in the execution order is fixed here, where
@@ -315,9 +328,9 @@ func (o *outPort) tryTransmit() {
 	var lane *sim.Lane
 	switch p.Size {
 	case packet.MTU:
-		lane = o.laneMTU
+		lane = c.laneMTU
 	case packet.HeaderSize:
-		lane = o.laneHdr
+		lane = c.laneHdr
 	}
 	switch {
 	case o.boundary:
@@ -330,7 +343,7 @@ func (o *outPort) tryTransmit() {
 			lane.Arrive(key, swForward, o.peerSw, p, int(o.peerIn))
 			break
 		}
-		at := eng.Now().Add(tx + o.delay + o.sh.fab.topo.SwitchDelay)
+		at := eng.Now().Add(tx + c.delay + o.sh.fab.topo.SwitchDelay)
 		if peer := o.peerSw.sh; peer == o.sh {
 			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, int(o.peerIn))
 		} else {
@@ -340,13 +353,13 @@ func (o *outPort) tryTransmit() {
 		if lane != nil {
 			lane.After(arriveAtHost, o.peerHost, p, 0)
 		} else {
-			eng.AfterFunc(tx+o.delay, arriveAtHost, o.peerHost, p, 0)
+			eng.AfterFunc(tx+c.delay, arriveAtHost, o.peerHost, p, 0)
 		}
 	default:
 		if lane != nil {
 			lane.After(arriveAtSwitch, o.peerSw, p, int(o.peerIn))
 		} else {
-			eng.AfterFunc(tx+o.delay, arriveAtSwitch, o.peerSw, p, int(o.peerIn))
+			eng.AfterFunc(tx+c.delay, arriveAtSwitch, o.peerSw, p, int(o.peerIn))
 		}
 	}
 }

@@ -272,18 +272,93 @@ func TestAuditCatchesReleaseWhileBuffered(t *testing.T) {
 	}
 }
 
+// TestClassListsAgainstModel drives the tail-keyed class lists alone —
+// push, pop and drain on all eight classes (priorities ≥ 8 clamp to the
+// lowest), the transmitter held down so nothing leaves on its own —
+// against one slice per class. Classes run down to empty and refill all
+// the time, so the one-packet list, a tail that is its own head, is
+// crossed both ways. Every pop must return the model's strict-priority
+// head with its ingress and no link left on it, and after every step the
+// port's capture must equal the model's encoding, which pins each class's
+// walk (first/next) in FIFO order.
+func TestClassListsAgainstModel(t *testing.T) {
+	f := New(sim.NewEngine(1), topo.SmallLeafSpine().Build(), Config{Spray: true})
+	o := &f.switches[0].ports[0]
+	o.down = true
+	sizes := []int{packet.MTU, packet.HeaderSize, 700}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &portModel{down: true, ingress: make([]int64, 4)}
+		o.maxQueued = 0 // the port is empty again; its high-water mark starts over with the model's
+		pop := func(step int, op string) bool {
+			t.Helper()
+			want, ok := m.pop()
+			p, in := o.pop()
+			if !ok {
+				if p != nil {
+					t.Fatalf("seed %d step %d (%s): popped %v from a port the model says is empty", seed, step, op, p)
+				}
+				return false
+			}
+			if p != want.p || in != want.in {
+				t.Fatalf("seed %d step %d (%s): popped %v from ingress %d, model's head is %v from %d", seed, step, op, p, in, want.p, want.in)
+			}
+			if !unlinked(p) {
+				t.Fatalf("seed %d step %d (%s): popped packet still linked", seed, step, op)
+			}
+			packet.Release(p)
+			return true
+		}
+		for step := 0; step < 3000; step++ {
+			op := "push"
+			switch r := rng.Intn(20); {
+			case r < 10:
+				p := packet.NewData(1, 0, uint64(step), step, sizes[rng.Intn(len(sizes))], uint8(rng.Intn(11)))
+				in := rng.Intn(len(m.ingress))
+				m.capacity = m.queuedBytes + int64(p.Size)
+				m.enqueue(p, in)
+				o.push(p, in)
+			case r < 19:
+				op = "pop"
+				pop(step, op)
+			default:
+				op = "drain"
+				for pop(step, op) {
+				}
+			}
+			if bits := o.nonEmpty; int(o.nQueued) != m.count() || o.queuedBytes != m.queuedBytes {
+				t.Fatalf("seed %d step %d (%s): port holds %d packets, %d bytes, mask %08b; model %d, %d",
+					seed, step, op, o.nQueued, o.queuedBytes, bits, m.count(), m.queuedBytes)
+			}
+			for pr := range m.q {
+				if empty := o.nonEmpty&(1<<pr) == 0; empty != (len(m.q[pr]) == 0) || empty != (o.q[pr] == nil) {
+					t.Fatalf("seed %d step %d (%s): class %d mask bit and tail disagree with the model's %d packets", seed, step, op, pr, len(m.q[pr]))
+				}
+			}
+			var got, want checkpoint.Encoder
+			o.captureState(&got)
+			m.encode(&want, o)
+			if !bytes.Equal(got.Data(), want.Data()) {
+				t.Fatalf("seed %d step %d (%s): captured classes differ from the model's", seed, step, op)
+			}
+		}
+		for pop(0, "final drain") {
+		}
+	}
+}
+
 // TestPortLayout guards the memory layout the forwarding path was sized
 // for (DESIGN.md §8.4). A hop's first touch of a port is a cache miss at
 // 8192 hosts, so everything enqueueAt → push → tryTransmit → armWake reads
-// or writes must stay inside the first two cache lines, and the port
-// inside five: a field added without thought would push a hot one out, or
-// grow every one of a fabric's ports (49,152 at k=32). New fields go
-// behind q, in the cold tail, unless every hop needs them — then something
-// else has to leave the prefix.
+// or writes besides the class lists must stay inside the first two cache
+// lines, and the port inside 176 bytes: a field added without thought
+// would push a hot one out, or grow every one of a fabric's ports (49,152
+// at k=32). A field every port of a kind of link shares goes in
+// portClass; any other needs something else to leave.
 func TestPortLayout(t *testing.T) {
 	var o outPort
-	if sz := unsafe.Sizeof(o); sz > 320 {
-		t.Errorf("outPort is %d bytes, want <= 320", sz)
+	if sz := unsafe.Sizeof(o); sz > 176 {
+		t.Errorf("outPort is %d bytes, want <= 176", sz)
 	}
 	// owner is the last hot field; the class lists follow it.
 	if off := unsafe.Offsetof(o.owner); off >= 128 {
@@ -298,8 +373,9 @@ func TestPortLayout(t *testing.T) {
 }
 
 // TestNewShardedAllocatesSlabs: building a fabric costs a fixed number of
-// allocations — the slabs, the shard, its lanes — not one per port, switch
-// or host. The k=8 FatTree has 128 hosts, 80 switches and 640 switch ports.
+// allocations — the slabs, the shard, its lanes and port classes — not one
+// per port, switch or host. The k=8 FatTree has 128 hosts, 80 switches and
+// 640 switch ports.
 func TestNewShardedAllocatesSlabs(t *testing.T) {
 	tp := topo.FatTreeK(8).Build()
 	part, err := topo.MakePartition(tp, 1)
@@ -310,10 +386,10 @@ func TestNewShardedAllocatesSlabs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		NewSharded(sim.NewGroup([]*sim.Engine{sim.NewEngine(1)}), tp, cfg, part)
 	})
-	// Measured 39 at k=8 and at k=16: engine and group, one shard with its
-	// lanes, five slabs, and the per-switch offset table and per-shard
-	// result the shards' wiring passes share (35 before they had any). One
-	// allocation per switch alone would add 80.
+	// Measured 44 at k=8 and at k=16: engine and group, one shard with its
+	// lanes and its port-class slab, five slabs, and the
+	// per-switch offset table and per-shard result the shards' wiring
+	// passes share. One allocation per switch alone would add 80.
 	if allocs > 48 {
 		t.Errorf("NewSharded on a k=8 FatTree made %.0f allocations, want a constant (<= 48), not one per device", allocs)
 	}

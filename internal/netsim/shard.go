@@ -49,6 +49,34 @@ type shardState struct {
 	hostLane *sim.Lane   //ckpt:skip lane wiring, re-established by construction
 	swLane   *sim.Lane   //ckpt:skip lane wiring, re-established by construction
 	lanes    []shardLane //ckpt:skip lane wiring, re-established by construction
+
+	// classes is the slab of the shard's port classes (portClass), a
+	// handful per shard. It is never grown in place, so a port's class
+	// pointer stays valid.
+	classes []portClass //ckpt:skip static link parameters and lane wiring, re-established by construction
+
+	// faults holds the injected loss parameters of the shard's faulty
+	// ports (outPort.setLoss), nil until the first. Only the shard's own
+	// goroutine writes it, and nothing ranges over it.
+	faults map[*outPort]linkFault
+}
+
+// portClass returns the shard's class equal to c, adding it on first
+// request. A full slab is replaced, not grown: the ports keep the old one
+// alive, and a class met again after that is added a second time, which
+// costs 40 bytes and changes nothing (no topology here has more than
+// eight classes on a shard).
+func (s *shardState) portClass(c portClass) *portClass {
+	for i := range s.classes {
+		if s.classes[i] == c {
+			return &s.classes[i]
+		}
+	}
+	if len(s.classes) == cap(s.classes) {
+		s.classes = make([]portClass, 0, 8)
+	}
+	s.classes = append(s.classes, c)
+	return &s.classes[len(s.classes)-1]
 }
 
 // shardLane indexes one of the shard's lanes by its delay.

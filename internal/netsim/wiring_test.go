@@ -62,7 +62,7 @@ func portWiring(o *outPort) string {
 		owner = fmt.Sprintf("sw%d", o.owner.spec.ID)
 	}
 	return fmt.Sprintf("shard %d %s -> %s rate %g delay %v cap %d boundary %v link %d mtu %s hdr %s",
-		o.sh.id, owner, peer, o.rate, o.delay, o.capacity, o.boundary, o.linkID, lane(o.laneMTU), lane(o.laneHdr))
+		o.sh.id, owner, peer, o.class.rate, o.class.delay, o.class.capacity, o.boundary, o.linkID, lane(o.class.laneMTU), lane(o.class.laneHdr))
 }
 
 func describeWiring(f *Fabric) wiredFabric {

@@ -149,12 +149,12 @@ type Packet struct {
 	keep bool //ckpt:skip transient ownership flag, false for every packet at rest in a captured queue
 
 	// Queue linkage, owned by the fabric while the packet is buffered in a
-	// port (netsim's intrusive per-class FIFOs) and zero at every other
-	// time: QNext is the packet behind this one in its class, QIn the
-	// ingress port it arrived through (-1 when not applicable). Protocols
-	// never read or write them.
+	// port (netsim's intrusive per-class lists) and zero at every other
+	// time: QNext is the packet behind this one in its class (the class's
+	// tail links back to its head), QIn the ingress port it arrived
+	// through (-1 when not applicable). Protocols never read or write them.
 	QIn   int32
-	QNext *Packet
+	QNext *Packet //ckpt:skip physical link: a port captures each class as its packets in walk order
 }
 
 // pool recycles packets across the whole process. Packets carry no
