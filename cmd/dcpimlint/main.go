@@ -5,14 +5,13 @@
 //
 //	go run ./cmd/dcpimlint ./...
 //
-// Findings are silenced inline with `//lint:ignore <analyzer> <reason>`
-// (or the analyzer-specific forms //lint:deterministic, //ckpt:skip,
-// //lint:coldpath); the reason is always mandatory. `-fix` prints, for
-// each finding, the exact directive that would accept it — a dry run:
-// nothing is edited. `-json` emits machine-readable findings for CI
-// artifacts, and `-factcache <dir>` reuses per-package facts across runs
-// (entries invalidate on any change to the package, its module-internal
-// dependencies, or the analyzer set).
+// Each finding prints with the directive that would accept it
+// (`accept with: //lint:ignore <analyzer> <reason>`, or the
+// analyzer-specific forms //lint:deterministic, //ckpt:skip,
+// //lint:coldpath); the reason is always mandatory, and nothing is
+// edited. `-json` emits the findings as JSON for CI artifacts. Exit
+// status: 0 clean, 1 findings, 2 usage or load error — including a
+// pattern that matches no package of the module.
 package main
 
 import (
@@ -28,9 +27,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings and run stats as JSON on stdout")
-	fix := flag.Bool("fix", false, "dry run: print each finding with the directive that would accept it")
-	factCache := flag.String("factcache", "", "directory for the on-disk fact cache (empty disables caching)")
+	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dcpimlint [flags] [packages]\n")
 		flag.PrintDefaults()
@@ -48,12 +45,17 @@ func main() {
 	if *only != "" {
 		analyzers = analyzers[:0:0]
 		for _, name := range strings.Split(*only, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
+			if name = strings.TrimSpace(name); name == "" {
+				continue
+			}
+			a := analysis.ByName(name)
 			if a == nil {
-				fmt.Fprintf(os.Stderr, "dcpimlint: unknown analyzer %q (use -list)\n", name)
-				os.Exit(2)
+				fail(fmt.Errorf("unknown analyzer %q (use -list)", name))
 			}
 			analyzers = append(analyzers, a)
+		}
+		if len(analyzers) == 0 {
+			fail(fmt.Errorf("-only %q names no analyzer", *only))
 		}
 	}
 
@@ -63,50 +65,39 @@ func main() {
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpimlint: %v\n", err)
-		os.Exit(2)
+		fail(err)
 	}
-	res, err := analysis.RunModule(wd, analyzers, analysis.Options{CacheDir: *factCache}, patterns...)
+	diags, err := analysis.RunDir(wd, analyzers, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpimlint: %v\n", err)
-		os.Exit(2)
+		fail(err)
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		out := struct {
 			Findings []analysis.Diagnostic `json:"findings"`
-			Stats    analysis.Stats        `json:"stats"`
-		}{Findings: res.Diags, Stats: res.Stats}
+		}{Findings: diags}
 		if out.Findings == nil {
 			out.Findings = []analysis.Diagnostic{} // emit [], not null
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "\t")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpimlint: %v\n", err)
-			os.Exit(2)
+			fail(err)
 		}
-	case *fix:
-		for _, d := range res.Diags {
+	} else {
+		for _, d := range diags {
 			fmt.Println(d)
 			if d.Suggest != "" {
 				fmt.Printf("\taccept with: %s\n", d.Suggest)
 			}
 		}
-		if n := len(res.Diags); n > 0 {
-			fmt.Printf("%d finding(s); directives above are suggestions — review each reason before pasting\n", n)
-		}
-	default:
-		for _, d := range res.Diags {
-			fmt.Println(d)
-		}
 	}
-	if *factCache != "" && !*jsonOut {
-		fmt.Fprintf(os.Stderr, "dcpimlint: %d package(s) analyzed, %d from fact cache\n",
-			res.Stats.Analyzed, res.Stats.Cached)
-	}
-	if len(res.Diags) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "dcpimlint: %v\n", err)
+	os.Exit(2)
 }

@@ -56,15 +56,9 @@ type Analyzer struct {
 	// (not findings) and aborts the whole run.
 	Run func(*Pass) error
 
-	// FactTypes lists prototypes of every fact type Run exports, so the
-	// runner can decode them from the on-disk fact cache. Each must be a
-	// pointer to a JSON-serializable struct.
-	FactTypes []Fact
-
-	// Finish, if non-nil, runs once per analysis run after every package
-	// (analyzed or loaded from the fact cache), with access to all
-	// exported facts. Diagnostics reported here must carry a resolved
-	// Position (facts store Pos for exactly this purpose).
+	// Finish, if non-nil, runs once per analysis run after every package,
+	// with access to all exported facts. Diagnostics reported here must
+	// carry a resolved Position (facts store Pos for exactly this purpose).
 	Finish func(*FinishPass) error
 }
 
@@ -109,7 +103,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) bool {
 	if !ok {
 		return false
 	}
-	p.run.store.put(p.Analyzer.Name, p.Pkg.Path(), key, f)
+	p.run.store.put(p.Analyzer.Name, key, f)
 	return true
 }
 
@@ -127,7 +121,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 
 // ExportPackageFact exports a fact about the package being analyzed.
 func (p *Pass) ExportPackageFact(f Fact) {
-	p.run.store.put(p.Analyzer.Name, p.Pkg.Path(), p.Pkg.Path(), f)
+	p.run.store.put(p.Analyzer.Name, p.Pkg.Path(), f)
 }
 
 // ImportPackageFact copies the fact of f's type about the package with
@@ -137,8 +131,8 @@ func (p *Pass) ImportPackageFact(path string, f Fact) bool {
 }
 
 // A FinishPass gives an analyzer's Finish hook a module-wide view of its
-// facts. Diagnostics must set Position (there is no FileSet here: facts
-// may come from the cache, with no syntax loaded at all).
+// facts. Diagnostics must set Position: there is no FileSet here, only
+// the Pos values facts carry.
 type FinishPass struct {
 	Analyzer *Analyzer
 
@@ -177,8 +171,8 @@ type Diagnostic struct {
 	Position token.Position `json:"position"`
 
 	// Suggest is the copy-paste directive that would accept this finding
-	// (`dcpimlint -fix` prints it). Analyzers may set it; the runner
-	// fills a default //lint:ignore form when empty.
+	// (dcpimlint prints it under the finding). Analyzers may set it; the
+	// runner fills a default //lint:ignore form when empty.
 	Suggest string `json:"suggest,omitempty"`
 }
 

@@ -38,15 +38,14 @@ var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc: "fields managed via sync/atomic must never be read or written " +
 		"plainly outside the containing struct's construction",
-	Run:       runAtomicField,
-	FactTypes: []Fact{(*AtomicFieldFact)(nil)},
+	Run: runAtomicField,
 }
 
 // AtomicFieldFact marks one struct field as managed by pointer-style
 // sync/atomic calls. Pos is the marking call site, quoted in diagnostics
 // so the reader can see why the field is off-limits.
 type AtomicFieldFact struct {
-	Pos Pos `json:"pos"`
+	Pos Pos
 }
 
 func (*AtomicFieldFact) AFact() {}

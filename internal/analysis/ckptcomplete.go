@@ -42,9 +42,8 @@ var CkptComplete = &Analyzer{
 	Name: "ckptcomplete",
 	Doc: "every field of a struct read by a CaptureState/encode path must be " +
 		"covered by that path or carry //ckpt:skip <reason>",
-	Run:       runCkptComplete,
-	FactTypes: []Fact{(*CkptStructFact)(nil), (*CkptPkgFact)(nil)},
-	Finish:    finishCkptComplete,
+	Run:    runCkptComplete,
+	Finish: finishCkptComplete,
 }
 
 // checkpointPkg is the encoder package whose *Encoder parameter marks a
@@ -53,17 +52,17 @@ const checkpointPkg = modulePath + "/internal/checkpoint"
 
 // CkptField describes one field of a checkpoint-relevant struct.
 type CkptField struct {
-	Name   string `json:"name"`
-	Pos    Pos    `json:"pos"`
-	Skip   bool   `json:"skip,omitempty"`   // //ckpt:skip present
-	Reason string `json:"reason,omitempty"` // its mandatory reason
+	Name   string
+	Pos    Pos
+	Skip   bool   // //ckpt:skip present
+	Reason string // its mandatory reason
 }
 
 // CkptStructFact lists the fields of one named struct type, exported by
 // its declaring package so capture-path coverage anywhere in the module
 // can be diffed against the authoritative definition.
 type CkptStructFact struct {
-	Fields []CkptField `json:"fields"`
+	Fields []CkptField
 }
 
 func (*CkptStructFact) AFact() {}
@@ -73,9 +72,9 @@ func (*CkptStructFact) AFact() {}
 type CkptPkgFact struct {
 	// Checked maps struct key → position of the capture function that
 	// checks it (for the diagnostic's "checked at" context).
-	Checked map[string]Pos `json:"checked,omitempty"`
+	Checked map[string]Pos
 	// Covered maps struct key → sorted field names read on a capture path.
-	Covered map[string][]string `json:"covered,omitempty"`
+	Covered map[string][]string
 }
 
 func (*CkptPkgFact) AFact() {}

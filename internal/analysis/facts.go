@@ -11,8 +11,7 @@ package analysis
 //     type-checks each package against compiler export data, so the same
 //     dependency object has a different identity in every importing
 //     package; a stable textual key ("pkg#Name", "pkg#T.Method",
-//     "pkg#T#field") makes facts identity-free, serializable, and
-//     cacheable on disk between runs.
+//     "pkg#T#field") makes facts identity-free.
 //   - Packages are analyzed in dependency order (load.go topo-sorts), so
 //     by the time a package runs, every fact its module-internal imports
 //     exported is present — the same guarantee x/tools drivers give.
@@ -22,12 +21,11 @@ package analysis
 //     facts. x/tools has no equivalent; our runner owns the whole module,
 //     so it can.
 //
-// Facts must be JSON-serializable pointers to structs and are treated as
-// immutable once exported: importing copies the value, but deep state
-// (slices, maps) is shared — do not mutate an imported fact.
+// Facts must be pointers to structs and are treated as immutable once
+// exported: importing copies the value, but deep state (slices, maps) is
+// shared — do not mutate an imported fact.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -38,16 +36,15 @@ import (
 
 // A Fact is a datum exported by the analysis of one package for the
 // analyses of other packages (or the Finish pass). Implementations must
-// be pointers to JSON-serializable structs; AFact is a marker.
+// be pointers to structs; AFact is a marker.
 type Fact interface{ AFact() }
 
-// Pos is a serializable source position. Facts carry Pos instead of
-// token.Pos because fact consumers (Finish hooks, cached runs) may not
-// have the exporting package's FileSet — or any FileSet at all.
+// Pos is a resolved source position. Facts carry Pos instead of
+// token.Pos because fact consumers (Finish hooks) have no FileSet.
 type Pos struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 // MakePos converts a resolved token.Position.
@@ -154,66 +151,24 @@ func buildKeyIndex(pkg *types.Package) map[types.Object]string {
 type factKey struct {
 	analyzer string
 	object   string
-	typ      string
+	typ      reflect.Type
 }
 
-// storedFact is the serialized form, for the on-disk fact cache.
-type storedFact struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// factStore holds every fact exported during one run, plus the registry
-// of concrete fact types (from Analyzer.FactTypes) used to decode cached
-// facts back into their Go types.
-type factStore struct {
-	types map[string]reflect.Type // fact type name → struct type
-	m     map[factKey]Fact
-	byPkg map[string][]factKey // exporting package → keys, for the cache
-}
-
-func newFactStore(analyzers []*Analyzer) (*factStore, error) {
-	s := &factStore{
-		types: make(map[string]reflect.Type),
-		m:     make(map[factKey]Fact),
-		byPkg: make(map[string][]factKey),
-	}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			if t == nil || t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-				return nil, fmt.Errorf("analyzer %s: fact type %T must be a pointer to a struct", a.Name, f)
-			}
-			name := t.Elem().Name()
-			if prev, ok := s.types[name]; ok && prev != t.Elem() {
-				return nil, fmt.Errorf("fact type name %q registered twice with different types", name)
-			}
-			s.types[name] = t.Elem()
-		}
-	}
-	return s, nil
-}
-
-func factTypeName(f Fact) string { return reflect.TypeOf(f).Elem().Name() }
+// factStore holds every fact exported during one run.
+type factStore map[factKey]Fact
 
 // put records a fact. Re-exporting the same (analyzer, object, type)
 // overwrites: marker facts from several packages coexist naturally, and
 // data facts follow the convention that only one package (the declaring
 // one) exports them.
-func (s *factStore) put(analyzer, exportingPkg, object string, f Fact) {
-	k := factKey{analyzer, object, factTypeName(f)}
-	if _, dup := s.m[k]; !dup {
-		s.byPkg[exportingPkg] = append(s.byPkg[exportingPkg], k)
-	}
-	s.m[k] = f
+func (s factStore) put(analyzer, object string, f Fact) {
+	s[factKey{analyzer, object, reflect.TypeOf(f)}] = f
 }
 
 // get copies the fact for (analyzer, object, type-of-into) into into and
 // reports whether one was found.
-func (s *factStore) get(analyzer, object string, into Fact) bool {
-	f, ok := s.m[factKey{analyzer, object, factTypeName(into)}]
+func (s factStore) get(analyzer, object string, into Fact) bool {
+	f, ok := s[factKey{analyzer, object, reflect.TypeOf(into)}]
 	if !ok {
 		return false
 	}
@@ -231,10 +186,10 @@ type KeyedFact struct {
 // all returns every fact of example's dynamic type exported under
 // analyzer, sorted by object key for deterministic iteration. objectOnly
 // selects object facts (keys containing "#") vs package facts.
-func (s *factStore) all(analyzer string, example Fact, objectOnly bool) []KeyedFact {
-	typ := factTypeName(example)
+func (s factStore) all(analyzer string, example Fact, objectOnly bool) []KeyedFact {
+	typ := reflect.TypeOf(example)
 	var out []KeyedFact
-	for k, f := range s.m {
+	for k, f := range s {
 		if k.analyzer != analyzer || k.typ != typ {
 			continue
 		}
@@ -245,47 +200,4 @@ func (s *factStore) all(analyzer string, example Fact, objectOnly bool) []KeyedF
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
 	return out
-}
-
-// encodePkg serializes every fact exported by one package, for its cache
-// entry. Deterministic: sorted by (analyzer, object, type).
-func (s *factStore) encodePkg(pkg string) ([]storedFact, error) {
-	keys := append([]factKey(nil), s.byPkg[pkg]...)
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		if a.object != b.object {
-			return a.object < b.object
-		}
-		return a.typ < b.typ
-	})
-	out := make([]storedFact, 0, len(keys))
-	for _, k := range keys {
-		data, err := json.Marshal(s.m[k])
-		if err != nil {
-			return nil, fmt.Errorf("marshaling fact %v: %w", k, err)
-		}
-		out = append(out, storedFact{Analyzer: k.analyzer, Object: k.object, Type: k.typ, Data: data})
-	}
-	return out, nil
-}
-
-// installStored decodes a cache entry's facts into the store, attributed
-// to pkg. An unregistered fact type means the cache predates the current
-// analyzer set; the caller treats that as a miss.
-func (s *factStore) installStored(pkg string, recs []storedFact) error {
-	for _, rec := range recs {
-		t, ok := s.types[rec.Type]
-		if !ok {
-			return fmt.Errorf("cached fact type %q is not registered", rec.Type)
-		}
-		f := reflect.New(t).Interface().(Fact)
-		if err := json.Unmarshal(rec.Data, f); err != nil {
-			return fmt.Errorf("decoding cached fact %s/%s: %w", rec.Analyzer, rec.Object, err)
-		}
-		s.put(rec.Analyzer, pkg, rec.Object, f)
-	}
-	return nil
 }

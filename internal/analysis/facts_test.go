@@ -11,7 +11,7 @@ import (
 
 // testMarkFact is a minimal fact for the mechanism tests.
 type testMarkFact struct {
-	Tag string `json:"tag"`
+	Tag string
 }
 
 func (*testMarkFact) AFact() {}
@@ -22,9 +22,8 @@ func (*testMarkFact) AFact() {}
 // of whose imports carries the package fact. Running it over a two-package
 // module pins the whole export → topo-order → import chain.
 var factProbe = &Analyzer{
-	Name:      "factprobe",
-	Doc:       "test-only: round-trips facts across packages",
-	FactTypes: []Fact{(*testMarkFact)(nil)},
+	Name: "factprobe",
+	Doc:  "test-only: round-trips facts across packages",
 	Run: func(pass *Pass) error {
 		pass.ExportPackageFact(&testMarkFact{Tag: "pkg:" + pass.Pkg.Path()})
 		if fn, ok := pass.Pkg.Scope().Lookup("Marked").(*types.Func); ok {
@@ -124,91 +123,6 @@ func TestFactFlowAcrossPackages(t *testing.T) {
 		if !hasDiag(diags, want) {
 			t.Errorf("missing diagnostic %q in %v", want, diags)
 		}
-	}
-}
-
-// TestFactCache pins the on-disk cache: a second identical run serves
-// every package from disk with identical diagnostics; editing only the
-// dependent re-analyzes just it — with the dependency's facts installed
-// from the cache, which the cross-package diagnostic proves — and editing
-// the dependency invalidates (via the chained fingerprint) its dependents
-// too.
-func TestFactCache(t *testing.T) {
-	dir := factModule(t)
-	cache := filepath.Join(t.TempDir(), "factcache")
-	opts := Options{CacheDir: cache}
-	probe := []*Analyzer{factProbe}
-
-	run := func(label string, wantAnalyzed, wantCached int) *Result {
-		t.Helper()
-		res, err := RunModule(dir, probe, opts, "./b")
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if res.Stats.Analyzed != wantAnalyzed || res.Stats.Cached != wantCached {
-			t.Fatalf("%s: stats = %+v, want analyzed=%d cached=%d",
-				label, res.Stats, wantAnalyzed, wantCached)
-		}
-		if !hasDiag(res.Diags, "call to marked function (obj:factmod/a)") {
-			t.Fatalf("%s: cross-package diagnostic missing: %v", label, res.Diags)
-		}
-		return res
-	}
-
-	cold := run("cold run", 2, 0)
-	warm := run("warm run", 0, 2)
-	if len(cold.Diags) != len(warm.Diags) {
-		t.Fatalf("cached diagnostics diverge: cold %v vs warm %v", cold.Diags, warm.Diags)
-	}
-	for i := range cold.Diags {
-		if cold.Diags[i].Message != warm.Diags[i].Message {
-			t.Errorf("diag %d diverges: %q vs %q", i, cold.Diags[i].Message, warm.Diags[i].Message)
-		}
-	}
-
-	// Edit only b: a stays cached, b re-analyzes against a's facts as
-	// installed from disk — if installStored dropped them, the run()
-	// helper's cross-package diagnostic check fails here.
-	bPath := filepath.Join(dir, "b", "b.go")
-	bSrc, err := os.ReadFile(bPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bPath, append(bSrc, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	run("b edited", 1, 1)
-	run("b cached again", 0, 2)
-
-	// Edit a: its own entry and — through the chained fingerprint — b's
-	// must both go stale, even though b's bytes are unchanged.
-	aPath := filepath.Join(dir, "a", "a.go")
-	aSrc, err := os.ReadFile(aPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(aPath, append(aSrc, []byte("\n// edited dep\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	run("a edited", 2, 0)
-}
-
-// TestFactCacheSchemaMismatch pins that entries from a different analyzer
-// set miss rather than poison the run.
-func TestFactCacheSchemaMismatch(t *testing.T) {
-	dir := factModule(t)
-	cache := filepath.Join(t.TempDir(), "factcache")
-	if _, err := RunModule(dir, []*Analyzer{factProbe}, Options{CacheDir: cache}, "./b"); err != nil {
-		t.Fatal(err)
-	}
-	// A different analyzer selection changes the fingerprint: everything
-	// re-analyzes instead of hitting the probe's entries.
-	res, err := RunModule(dir, []*Analyzer{MapRange}, Options{CacheDir: cache}, "./b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Cached != 0 || res.Stats.Analyzed != 2 {
-		t.Fatalf("stats = %+v, want a full re-analysis on analyzer-set change", res.Stats)
 	}
 }
 

@@ -44,24 +44,23 @@ var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "//lint:hotpath functions and their static in-module callees must " +
 		"not contain allocation sites",
-	Run:       runHotAlloc,
-	FactTypes: []Fact{(*AllocProfileFact)(nil)},
-	Finish:    finishHotAlloc,
+	Run:    runHotAlloc,
+	Finish: finishHotAlloc,
 }
 
 // AllocSite is one syntactic allocation inside a function.
 type AllocSite struct {
-	Pos  Pos    `json:"pos"`
-	What string `json:"what"`
+	Pos  Pos
+	What string
 }
 
 // AllocProfileFact is one function's hot-path profile: markings,
 // allocation sites, and static in-module call edges.
 type AllocProfileFact struct {
-	Hot    bool        `json:"hot,omitempty"`
-	Cold   bool        `json:"cold,omitempty"`
-	Allocs []AllocSite `json:"allocs,omitempty"`
-	Calls  []string    `json:"calls,omitempty"` // callee fact keys, sorted
+	Hot    bool
+	Cold   bool
+	Allocs []AllocSite
+	Calls  []string // callee fact keys, sorted
 }
 
 func (*AllocProfileFact) AFact() {}

@@ -9,13 +9,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"hash/fnv"
 	"io"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 )
 
 // A Package is one type-checked package ready for analysis: the loaded
@@ -23,7 +24,6 @@ import (
 // analyzers need.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
@@ -34,14 +34,6 @@ type Package struct {
 	// their analyses can export facts; their own diagnostics are
 	// discarded.
 	Target bool
-
-	// ModImports lists the package's module-internal imports — the edges
-	// facts flow along.
-	ModImports []string
-
-	// SrcHash is an FNV-1a hash over the package's source files, the
-	// per-package half of the fact cache fingerprint.
-	SrcHash uint64
 }
 
 // listedPackage mirrors the subset of `go list -json` output the loader
@@ -53,45 +45,28 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	Imports    []string
+	Match      []string
 	Standard   bool
 	DepOnly    bool
 	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
 }
 
-// pkgSpec is the pre-type-check description of one module-internal
-// package: enough to fingerprint it (for the fact cache) without parsing
-// it, and to parse + type-check it on demand.
-type pkgSpec struct {
-	path       string
-	dir        string
-	target     bool
-	files      []string // absolute paths
-	src        [][]byte // file contents, read once for hashing and parsing
-	modImports []string // imports inside the module, topo edges
-	hash       uint64   // FNV-1a over file names and contents
-}
-
-// A Module is the loaded view of one Go module: every module-internal
-// package in the dependency closure of the matched patterns, in
-// topological order (dependencies first), with type-checking deferred
-// until Check so cached packages never pay for it. Dependencies outside
-// the module (the standard library) are imported from compiler export
-// data, never from source.
-type Module struct {
-	Dir     string
-	fset    *token.FileSet
-	conf    types.Config
-	specs   []*pkgSpec
-	byPath  map[string]*pkgSpec
-	checked map[string]*Package
-}
-
-// LoadModule resolves patterns relative to dir (a directory inside the
-// target module) via `go list -export -deps`, reads and hashes the source
-// of every module-internal package in the closure, and returns them
-// topologically sorted. No parsing or type-checking happens yet.
-func LoadModule(dir string, patterns ...string) (*Module, error) {
+// Load resolves patterns relative to dir (a directory inside the target
+// module) via `go list -export -deps`, then parses and type-checks the
+// matched packages plus their module-internal dependency closure, in
+// topological order (dependencies first, lexicographic among ready
+// packages, so fact and diagnostic production is deterministic). Matched
+// packages have Target set; dependency-only packages participate in
+// analysis for their facts but their diagnostics are discarded by Run.
+// Dependencies outside the module (the standard library) are imported
+// from compiler export data, never from source. A pattern that matches
+// no package of the module is an error, so a mistyped or out-of-module
+// pattern cannot pass the gate by analyzing nothing.
+//
+// Test files are host-side code and are not loaded; the determinism
+// contracts guard the simulation path, which lives in package GoFiles.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -110,12 +85,8 @@ func LoadModule(dir string, patterns ...string) (*Module, error) {
 	}
 
 	exports := make(map[string]string)
-	m := &Module{
-		Dir:     dir,
-		fset:    token.NewFileSet(),
-		byPath:  make(map[string]*pkgSpec),
-		checked: make(map[string]*Package),
-	}
+	byPath := make(map[string]*listedPackage)
+	matched := make(map[string]bool)
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -130,89 +101,95 @@ func LoadModule(dir string, patterns ...string) (*Module, error) {
 		if !internal || p.Name == "" {
 			continue
 		}
-		spec := &pkgSpec{path: p.ImportPath, dir: p.Dir, target: !p.DepOnly}
-		h := fnv.New64a()
-		for _, name := range p.GoFiles {
-			full := filepath.Join(p.Dir, name)
-			src, err := os.ReadFile(full)
-			if err != nil {
-				return nil, fmt.Errorf("reading %s: %w", full, err)
+		byPath[p.ImportPath] = p
+		if !p.DepOnly {
+			for _, m := range p.Match {
+				matched[m] = true
 			}
-			io.WriteString(h, name)
-			h.Write([]byte{0})
-			h.Write(src)
-			h.Write([]byte{0})
-			spec.files = append(spec.files, full)
-			spec.src = append(spec.src, src)
 		}
-		spec.hash = h.Sum64()
-		spec.modImports = p.Imports // filtered to module-internal below
-		m.byPath[p.ImportPath] = spec
+	}
+	for _, pat := range patterns {
+		if !matched[cleanPattern(pat)] {
+			return nil, fmt.Errorf("pattern %s matched no package of the module in %s", pat, dir)
+		}
 	}
 
-	// Keep only module-internal import edges, then topo-sort
-	// (dependencies first, lexicographic among ready packages, so the
-	// analysis order — and with it fact and diagnostic production — is
-	// deterministic).
-	for _, spec := range m.byPath {
+	// Keep only module-internal import edges: the edges facts flow along.
+	for _, p := range byPath {
 		var mod []string
-		for _, imp := range spec.modImports {
-			if _, ok := m.byPath[imp]; ok {
+		for _, imp := range p.Imports {
+			if _, ok := byPath[imp]; ok {
 				mod = append(mod, imp)
 			}
 		}
-		sort.Strings(mod)
-		spec.modImports = mod
+		p.Imports = mod
 	}
-	m.specs, err = topoSort(m.byPath)
+	order, err := topoSort(byPath)
 	if err != nil {
 		return nil, err
 	}
 
-	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	m.conf = types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+	fset := token.NewFileSet()
+	conf := &types.Config{
+		Importer: importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+			f, ok := exports[ip]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", ip)
+			}
+			return os.Open(f)
+		}),
+		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
-	return m, nil
+	pkgs := make([]*Package, 0, len(order))
+	for _, p := range order {
+		pkg, err := check(fset, conf, p)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
-func topoSort(byPath map[string]*pkgSpec) ([]*pkgSpec, error) {
+// cleanPattern puts a pattern in the canonical form `go list` reports in
+// Match: path-cleaned, with a leading "./" preserved.
+func cleanPattern(p string) string {
+	if !strings.HasPrefix(p, "./") {
+		return path.Clean(p)
+	}
+	if p = "./" + path.Clean(p); p == "./." {
+		return "."
+	}
+	return p
+}
+
+func topoSort(byPath map[string]*listedPackage) ([]*listedPackage, error) {
 	indeg := make(map[string]int, len(byPath))
 	rdeps := make(map[string][]string, len(byPath))
-	for path, spec := range byPath {
-		indeg[path] += 0
-		for _, imp := range spec.modImports {
-			indeg[path]++
-			rdeps[imp] = append(rdeps[imp], path)
+	for ip, p := range byPath {
+		indeg[ip] += 0
+		for _, imp := range p.Imports {
+			indeg[ip]++
+			rdeps[imp] = append(rdeps[imp], ip)
 		}
 	}
 	var ready []string
-	for path, d := range indeg {
+	for ip, d := range indeg {
 		if d == 0 {
-			ready = append(ready, path)
+			ready = append(ready, ip)
 		}
 	}
 	sort.Strings(ready)
-	var out []*pkgSpec
+	var out []*listedPackage
 	for len(ready) > 0 {
-		path := ready[0]
+		ip := ready[0]
 		ready = ready[1:]
-		out = append(out, byPath[path])
-		var woke []string
-		for _, rd := range rdeps[path] {
+		out = append(out, byPath[ip])
+		for _, rd := range rdeps[ip] {
 			if indeg[rd]--; indeg[rd] == 0 {
-				woke = append(woke, rd)
+				ready = append(ready, rd)
 			}
 		}
-		sort.Strings(woke)
-		ready = append(ready, woke...)
 		sort.Strings(ready)
 	}
 	if len(out) != len(byPath) {
@@ -221,22 +198,14 @@ func topoSort(byPath map[string]*pkgSpec) ([]*pkgSpec, error) {
 	return out, nil
 }
 
-// Check parses and type-checks one package by import path, memoized.
-// Test files are host-side code and are not loaded; the determinism
-// contracts guard the simulation path, which lives in package GoFiles.
-func (m *Module) Check(path string) (*Package, error) {
-	if pkg, ok := m.checked[path]; ok {
-		return pkg, nil
-	}
-	spec, ok := m.byPath[path]
-	if !ok {
-		return nil, fmt.Errorf("package %s not loaded", path)
-	}
+// check parses and type-checks one listed package.
+func check(fset *token.FileSet, conf *types.Config, p *listedPackage) (*Package, error) {
 	var files []*ast.File
-	for i, name := range spec.files {
-		f, err := parser.ParseFile(m.fset, name, spec.src[i], parser.ParseComments)
+	for _, name := range p.GoFiles {
+		full := filepath.Join(p.Dir, name)
+		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", name, err)
+			return nil, fmt.Errorf("parse %s: %w", full, err)
 		}
 		files = append(files, f)
 	}
@@ -248,44 +217,18 @@ func (m *Module) Check(path string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	tpkg, err := m.conf.Check(spec.path, m.fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", spec.path, err)
+		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 	}
-	pkg := &Package{
-		ImportPath: spec.path,
-		Dir:        spec.dir,
-		Fset:       m.fset,
+	return &Package{
+		ImportPath: p.ImportPath,
+		Fset:       fset,
 		Syntax:     files,
 		Types:      tpkg,
 		TypesInfo:  info,
-		Target:     spec.target,
-		ModImports: spec.modImports,
-		SrcHash:    spec.hash,
-	}
-	m.checked[path] = pkg
-	return pkg, nil
-}
-
-// Load type-checks the packages matched by patterns plus their
-// module-internal dependency closure, in topological order (dependencies
-// first). Matched packages have Target set; dependency-only packages
-// participate in analysis for their facts but their diagnostics are
-// discarded by Run.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	m, err := LoadModule(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*Package, 0, len(m.specs))
-	for _, spec := range m.specs {
-		pkg, err := m.Check(spec.path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
+		Target:     !p.DepOnly,
+	}, nil
 }
 
 // goList runs `go list -e -export -json -deps patterns...` in dir and

@@ -1,45 +1,12 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"hash/fnv"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
-
-// factCacheSchema versions the on-disk fact cache format and the fact
-// semantics baked into the analyzers. Bump it whenever either changes;
-// stale entries are silently recomputed.
-const factCacheSchema = 1
-
-// Options configures a module analysis run.
-type Options struct {
-	// CacheDir enables the on-disk fact cache: per-package entries keyed
-	// by a fingerprint over the package's sources, its module-internal
-	// dependencies' fingerprints, and the analyzer set. A package whose
-	// fingerprint matches is not parsed, type-checked, or analyzed — its
-	// facts, suppressions, and diagnostics come from the cache. Empty
-	// disables caching.
-	CacheDir string
-}
-
-// Stats reports how much work a run did (and the cache saved).
-type Stats struct {
-	Analyzed int // packages parsed, type-checked, and analyzed
-	Cached   int // packages served entirely from the fact cache
-}
-
-// Result is the outcome of RunModule.
-type Result struct {
-	Diags []Diagnostic
-	Stats Stats
-}
 
 // runner carries one analysis run's shared state: the fact store, the
 // lazily built object-key indexes, and the module-wide suppression table
@@ -47,29 +14,34 @@ type Result struct {
 // suppression must see every package's directives).
 type runner struct {
 	analyzers []*Analyzer
-	store     *factStore
+	store     factStore
 	keys      keyIndex
 	sup       suppressions
 }
 
-func newRunner(analyzers []*Analyzer) (*runner, error) {
-	store, err := newFactStore(analyzers)
-	if err != nil {
-		return nil, err
+// newRunner keeps the first occurrence of each analyzer, so a repeated
+// one cannot report every finding twice.
+func newRunner(analyzers []*Analyzer) *runner {
+	r := &runner{
+		store: make(factStore),
+		keys:  make(keyIndex),
+		sup:   make(suppressions),
 	}
-	return &runner{
-		analyzers: analyzers,
-		store:     store,
-		keys:      make(keyIndex),
-		sup:       make(suppressions),
-	}, nil
+	seen := make(map[*Analyzer]bool)
+	for _, a := range analyzers {
+		if !seen[a] {
+			seen[a] = true
+			r.analyzers = append(r.analyzers, a)
+		}
+	}
+	return r
 }
 
 // runPackage analyzes one package: collects its suppression directives
 // (merging them into the module-wide table), runs every analyzer, and
 // returns the package's surviving diagnostics — whether they are kept
 // depends on the package being a target, which the caller decides.
-func (r *runner) runPackage(pkg *Package) ([]Diagnostic, suppressions, error) {
+func (r *runner) runPackage(pkg *Package) ([]Diagnostic, error) {
 	sup, diags := collectSuppressions(pkg)
 	r.mergeSup(sup)
 	for _, a := range r.analyzers {
@@ -90,10 +62,10 @@ func (r *runner) runPackage(pkg *Package) ([]Diagnostic, suppressions, error) {
 			}
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
 		}
 	}
-	return diags, sup, nil
+	return diags, nil
 }
 
 // finish runs every analyzer's Finish hook over the completed fact store.
@@ -141,8 +113,8 @@ func (r *runner) mergeSup(sup suppressions) {
 	}
 }
 
-// fillSuggest gives every finding a copy-paste acceptance directive for
-// `dcpimlint -fix`, unless the analyzer set a more specific one (e.g.
+// fillSuggest gives every finding a copy-paste acceptance directive,
+// which dcpimlint prints under it, unless the analyzer set a more specific one (e.g.
 // ckptcomplete suggests //ckpt:skip).
 func fillSuggest(d *Diagnostic) {
 	if d.Suggest == "" && d.Analyzer != "lintdirective" {
@@ -157,15 +129,12 @@ func fillSuggest(d *Diagnostic) {
 // dependencies present, topologically ordered) for cross-package facts to
 // flow correctly. A malformed suppression directive (missing reason) is
 // reported as a diagnostic from the pseudo-analyzer "lintdirective" so it
-// cannot hide a finding silently.
+// cannot hide a finding silently. An analyzer listed twice runs once.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	r, err := newRunner(analyzers)
-	if err != nil {
-		return nil, err
-	}
+	r := newRunner(analyzers)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		pkgDiags, _, err := r.runPackage(pkg)
+		pkgDiags, err := r.runPackage(pkg)
 		if err != nil {
 			return nil, err
 		}
@@ -184,69 +153,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // RunDir loads patterns relative to dir and runs analyzers over the result.
 func RunDir(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	res, err := RunModule(dir, analyzers, Options{}, patterns...)
+	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return res.Diags, nil
-}
-
-// RunModule is the full pipeline with fact-cache support: packages whose
-// fingerprint matches a cache entry are skipped entirely (no parse, no
-// type-check, no analyzer run) — their facts, suppression directives, and
-// diagnostics are installed from disk instead.
-func RunModule(dir string, analyzers []*Analyzer, opts Options, patterns ...string) (*Result, error) {
-	m, err := LoadModule(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newRunner(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	sig := analyzerSig(analyzers)
-	fps := make(map[string]uint64, len(m.specs))
-	for _, spec := range m.specs {
-		fp := fingerprint(sig, spec, fps)
-		fps[spec.path] = fp
-		if opts.CacheDir != "" {
-			if entry, ok := readCacheEntry(opts.CacheDir, spec.path, fp); ok {
-				if err := r.store.installStored(spec.path, entry.Facts); err == nil {
-					r.mergeSup(entry.suppressions())
-					if spec.target {
-						res.Diags = append(res.Diags, entry.Diags...)
-					}
-					res.Stats.Cached++
-					continue
-				}
-			}
-		}
-		pkg, err := m.Check(spec.path)
-		if err != nil {
-			return nil, err
-		}
-		diags, sup, err := r.runPackage(pkg)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Analyzed++
-		if spec.target {
-			res.Diags = append(res.Diags, diags...)
-		}
-		if opts.CacheDir != "" {
-			if err := writeCacheEntry(opts.CacheDir, spec.path, fp, r.store, sup, diags); err != nil {
-				return nil, fmt.Errorf("writing fact cache for %s: %w", spec.path, err)
-			}
-		}
-	}
-	fdiags, err := r.finish()
-	if err != nil {
-		return nil, err
-	}
-	res.Diags = append(res.Diags, fdiags...)
-	sortDiags(res.Diags)
-	return res, nil
+	return Run(pkgs, analyzers)
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -263,118 +174,6 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-// analyzerSig hashes the analyzer set (and the fact schema) into the
-// cache fingerprint, so runs with different -only selections or analyzer
-// versions never share entries.
-func analyzerSig(analyzers []*Analyzer) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "schema=%d", factCacheSchema)
-	for _, a := range analyzers {
-		io.WriteString(h, a.Name)
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-// fingerprint keys one package's cache entry: analyzer set, the package's
-// own sources, and — transitively, via the chained dep fingerprints — the
-// sources of everything it imports inside the module. Any edit to a
-// dependency therefore invalidates its dependents' entries (the
-// stale-fact test in facts_test.go pins this).
-func fingerprint(sig uint64, spec *pkgSpec, deps map[string]uint64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%x/%s/%x", sig, spec.path, spec.hash)
-	for _, imp := range spec.modImports {
-		fmt.Fprintf(h, "/%s=%x", imp, deps[imp])
-	}
-	return h.Sum64()
-}
-
-// cacheEntry is one package's serialized analysis output.
-type cacheEntry struct {
-	Schema      int          `json:"schema"`
-	Fingerprint string       `json:"fingerprint"`
-	Package     string       `json:"package"`
-	Facts       []storedFact `json:"facts,omitempty"`
-	Sups        []cachedSup  `json:"suppressions,omitempty"`
-	Diags       []Diagnostic `json:"diagnostics,omitempty"`
-}
-
-type cachedSup struct {
-	File  string   `json:"file"`
-	Line  int      `json:"line"`
-	Names []string `json:"names"`
-}
-
-func (e *cacheEntry) suppressions() suppressions {
-	sup := make(suppressions, len(e.Sups))
-	for _, s := range e.Sups {
-		names := make(map[string]bool, len(s.Names))
-		for _, n := range s.Names {
-			names[n] = true
-		}
-		sup[suppressionKey{s.File, s.Line}] = names
-	}
-	return sup
-}
-
-func cachePath(dir, pkgPath string) string {
-	return filepath.Join(dir, strings.ReplaceAll(pkgPath, "/", "_")+".facts.json")
-}
-
-func readCacheEntry(dir, pkgPath string, fp uint64) (*cacheEntry, bool) {
-	data, err := os.ReadFile(cachePath(dir, pkgPath))
-	if err != nil {
-		return nil, false
-	}
-	entry := new(cacheEntry)
-	if err := json.Unmarshal(data, entry); err != nil {
-		return nil, false
-	}
-	if entry.Schema != factCacheSchema || entry.Package != pkgPath ||
-		entry.Fingerprint != fmt.Sprintf("%016x", fp) {
-		return nil, false
-	}
-	return entry, true
-}
-
-func writeCacheEntry(dir, pkgPath string, fp uint64, store *factStore, sup suppressions, diags []Diagnostic) error {
-	facts, err := store.encodePkg(pkgPath)
-	if err != nil {
-		return err
-	}
-	entry := &cacheEntry{
-		Schema:      factCacheSchema,
-		Fingerprint: fmt.Sprintf("%016x", fp),
-		Package:     pkgPath,
-		Facts:       facts,
-		Diags:       diags,
-	}
-	keys := make([]suppressionKey, 0, len(sup))
-	for k := range sup {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return keys[i].file < keys[j].file || (keys[i].file == keys[j].file && keys[i].line < keys[j].line)
-	})
-	for _, k := range keys {
-		names := make([]string, 0, len(sup[k]))
-		for n := range sup[k] {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		entry.Sups = append(entry.Sups, cachedSup{File: k.file, Line: k.line, Names: names})
-	}
-	data, err := json.MarshalIndent(entry, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(cachePath(dir, pkgPath), data, 0o644)
 }
 
 // suppressionKey identifies one line of one file.

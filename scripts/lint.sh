@@ -3,7 +3,7 @@
 # prints an explicit summary of what ran, so a skipped checker is
 # visible instead of a silent gap.
 #
-#   go vet       — always
+#   go vet       — always, in the root module and in bench/e2e
 #   dcpimlint    — always (the in-repo analyzer suite; JSON artifact to
 #                  $DCPIMLINT_JSON when set)
 #   staticcheck  — pinned version; installed on demand when the module
@@ -62,6 +62,8 @@ ensure_tool() {
 }
 
 run_checker "go vet" go vet ./...
+# bench/e2e is a module of its own, so the root ./... never reaches it.
+run_checker "go vet (bench/e2e)" bash -c 'cd bench/e2e && go vet ./...'
 
 if [[ -n "${DCPIMLINT_JSON:-}" ]]; then
     mkdir -p "$(dirname "${DCPIMLINT_JSON}")"
