@@ -1,17 +1,17 @@
-// Command dcpimlint runs the repo's determinism, ownership, checkpoint,
-// and hot-path analyzers (internal/analysis, DESIGN.md §12, §17) over the
-// given package patterns and exits nonzero on any unsuppressed finding,
-// so CI can gate on it:
+// Command dcpimlint runs the repo's determinism, ownership and hot-path
+// analyzers (internal/analysis, DESIGN.md §12, §17) over the given
+// package patterns and exits nonzero on any unsuppressed finding, so CI
+// can gate on it:
 //
 //	go run ./cmd/dcpimlint ./...
 //
 // Each finding prints with the directive that would accept it
 // (`accept with: //lint:ignore <analyzer> <reason>`, or the
-// analyzer-specific forms //lint:deterministic, //ckpt:skip,
-// //lint:coldpath); the reason is always mandatory, and nothing is
-// edited. `-json` emits the findings as JSON for CI artifacts. Exit
-// status: 0 clean, 1 findings, 2 usage or load error — including a
-// pattern that matches no package of the module.
+// analyzer-specific forms //lint:deterministic, //lint:coldpath); the
+// reason is always mandatory, and nothing is edited. `-json` emits the
+// findings as JSON for CI artifacts. Exit status: 0 clean, 1 findings,
+// 2 usage or load error — including a pattern that matches no package
+// of the module.
 package main
 
 import (

@@ -1,14 +1,13 @@
 // Package analysis implements dcpimlint: a suite of static analyzers that
-// machine-enforce the simulator's determinism, ownership, checkpoint, and
-// hot-path contracts (DESIGN.md §12, §17). The headline invariant — same
+// machine-enforce the simulator's determinism, ownership, and hot-path
+// contracts (DESIGN.md §12, §17). The headline invariant — same
 // seed ⇒ byte-identical digests, counters, and CSV/JSON artifacts at any
 // shard count — rests on conventions that code review alone cannot hold:
 // seeded *rand.Rand streams instead of the global math/rand functions, no
 // wall-clock reads inside internal/, deterministic iteration over maps
 // that feed digests or metrics, the packet.Keep/ReleaseUnlessKept
 // ownership contract, concurrency confined to sim.Group/experiments.RunMany,
-// complete field coverage on every checkpoint capture path, exclusive
-// sync/atomic discipline on fields it manages, and allocation-free
+// exclusive sync/atomic discipline on fields it manages, and allocation-free
 // //lint:hotpath call graphs. Each rule here is an Analyzer; cmd/dcpimlint
 // runs them all and CI gates on a clean exit.
 //
@@ -26,10 +25,10 @@
 //
 // placed at the end of the offending line or alone on the line directly
 // above it. The reason is mandatory; an ignore directive without one is
-// itself a diagnostic. Three analyzers honor additional directives:
-// //lint:deterministic <reason> (maprange), //ckpt:skip <reason>
-// (ckptcomplete), and //lint:hotpath <reason> / //lint:coldpath <reason>
-// (hotalloc). See CONTRIBUTING.md for the full directive reference.
+// itself a diagnostic. Two analyzers honor additional directives:
+// //lint:deterministic <reason> (maprange), and //lint:hotpath <reason> /
+// //lint:coldpath <reason> (hotalloc). See CONTRIBUTING.md for the full
+// directive reference.
 package analysis
 
 import (
@@ -188,7 +187,6 @@ func Analyzers() []*Analyzer {
 		MapRange,
 		PacketOwn,
 		SimGoroutine,
-		CkptComplete,
 		AtomicField,
 		HotAlloc,
 	}

@@ -26,13 +26,6 @@ func TestSimGoroutine(t *testing.T) {
 	RunFixtures(t, "testdata/src", SimGoroutine, "./internal/core")
 }
 
-func TestCkptComplete(t *testing.T) {
-	// Both the capturing package and the dependency declaring the struct
-	// are targets: ckptcomplete's Finish reports at field declarations,
-	// which for captureWire sit in ckptfix/types.
-	RunFixtures(t, "testdata/src", CkptComplete, "./internal/ckptfix/...")
-}
-
 func TestAtomicField(t *testing.T) {
 	RunFixtures(t, "testdata/src", AtomicField, "./internal/atomicfix/...")
 }

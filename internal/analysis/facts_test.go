@@ -125,20 +125,3 @@ func TestFactFlowAcrossPackages(t *testing.T) {
 		}
 	}
 }
-
-// TestCkptSkipReasonRequired pins the mandatory-reason rule for the
-// //ckpt:skip directive (reported by ckptcomplete itself, in the package
-// owning the directive).
-func TestCkptSkipReasonRequired(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module factmod\n\ngo 1.21\n",
-		"a/a.go": "package a\n\ntype T struct {\n\t//ckpt:skip\n\tX int\n}\n",
-	})
-	diags, err := RunDir(dir, []*Analyzer{CkptComplete}, "./a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasDiag(diags, "//ckpt:skip directive needs a reason") {
-		t.Errorf("reasonless //ckpt:skip not reported: %v", diags)
-	}
-}

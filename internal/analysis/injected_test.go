@@ -93,19 +93,6 @@ func requireFinding(t *testing.T, dir, pattern, analyzer, substr string) {
 	t.Fatalf("no %s finding containing %q; got %d findings: %v", analyzer, substr, len(diags), diags)
 }
 
-// TestInjectedCkptViolation deletes one field-write from
-// core.Proto.CaptureState: ckptcomplete must flag Proto.epoch.
-func TestInjectedCkptViolation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the core dependency closure")
-	}
-	dir := copyRepo(t)
-	inject(t, dir, "internal/core/checkpoint.go",
-		"\tenc.I64(p.epoch)\n", "")
-	requireFinding(t, dir, "./internal/core", "ckptcomplete",
-		"field dcpim/internal/core.Proto.epoch is reachable from the capture path")
-}
-
 // TestInjectedAtomicViolation adds one plain read of a typed atomic that
 // every shard of a run adds to — a metrics counter's value: atomicfield
 // must flag it.

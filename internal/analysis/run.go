@@ -114,8 +114,8 @@ func (r *runner) mergeSup(sup suppressions) {
 }
 
 // fillSuggest gives every finding a copy-paste acceptance directive,
-// which dcpimlint prints under it, unless the analyzer set a more specific one (e.g.
-// ckptcomplete suggests //ckpt:skip).
+// which dcpimlint prints under it, unless the analyzer set a more
+// specific one (hotalloc also offers //lint:coldpath).
 func fillSuggest(d *Diagnostic) {
 	if d.Suggest == "" && d.Analyzer != "lintdirective" {
 		d.Suggest = fmt.Sprintf("//lint:ignore %s <why this is safe>", d.Analyzer)

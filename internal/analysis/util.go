@@ -151,13 +151,12 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// directiveLines maps every line of f covered by the named //lint: or
-// //ckpt: directive to its reason, using the shared placement convention:
-// a directive covers its own line, plus the line below when it stands
+// directiveLines maps every line of f covered by the named //lint:
+// directive to its reason, using the shared placement convention: a
+// directive covers its own line, plus the line below when it stands
 // alone. Reasonless directives are included (reason "") — the caller
 // decides whether to report them; collectSuppressions already reports
-// reasonless //lint: forms, and ckptcomplete reports reasonless
-// //ckpt:skip itself.
+// reasonless //lint: forms.
 func directiveLines(fset *token.FileSet, f *ast.File, name string, parse func(text string) (string, string, bool)) map[int]string {
 	covered := make(map[int]bool)
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -1,26 +1,24 @@
-// Package checkpoint defines the versioned binary snapshot format for
-// full simulation state. A Snapshot is a set of named, length-prefixed
-// sections — one per simulation layer (engines, fabric, protocol cores,
-// statistics, telemetry) — behind a fixed header and in front of a
-// trailing checksum, so a file is either read back whole and verified or
-// rejected with a typed error; nothing is ever applied partially.
+// Package checkpoint defines the versioned binary snapshot format. A
+// Snapshot is a set of named, length-prefixed sections behind a fixed
+// header and in front of a trailing checksum, so a file is either read
+// back whole and verified or rejected with a typed error; nothing is
+// ever applied partially.
 //
-// Every layer serializes its state canonically (map keys sorted, physical
-// layouts like heap array order or free lists normalized away), which
-// gives the format its central property: two runs of the same build are
-// in the same state at time T if and only if their snapshots at T are
-// byte-identical. That makes a snapshot simultaneously a durability
-// artifact (experiments.Resume) and the repo's strongest correctness
-// oracle — resume-equivalence proofs and replay bisection
-// (experiments.Bisect) are both byte comparisons over this format. See
-// DESIGN.md §14.
+// Snapshots are assertions, not restorable state: the experiment runner
+// writes each engine's pending event keys, clock and RNG position, the
+// per-host delivered-stream digests and, optionally, per-engine journals
+// of executed event keys, all canonically (physical layouts normalized
+// away). Two runs whose snapshots at T are byte-identical have the same
+// pending events, RNG positions and delivered streams there — and, with
+// journals, executed the same events — which is what verified replay
+// (experiments.Resume) and replay bisection (experiments.Bisect)
+// compare. See DESIGN.md §14.
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Magic identifies a dcPIM checkpoint stream; the trailing digit is the
@@ -31,7 +29,7 @@ const Magic = "DCPIMCK1"
 // section contains or how it is encoded MUST bump this — Read rejects
 // mismatched versions with a VersionError rather than misinterpreting
 // bytes. Versioning rules are spelled out in DESIGN.md §14.
-const Version uint32 = 4
+const Version uint32 = 5
 
 // Meta identifies what a snapshot is of: the format version, the run's
 // identity (protocol, seed, topology and spec hashes, execution shape)
@@ -292,8 +290,7 @@ func fold(b []byte) uint64 {
 const FoldInit = fnvOffset
 
 // Fold mixes one 64-bit word into an FNV-1a 64 hash, byte by byte.
-// Capture code uses it to compress unbounded histories (completed-flow id
-// sets, sampled rows) into fixed-size state assertions.
+// Snapshot metadata uses it to fingerprint a run's topology and spec.
 func Fold(h, w uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= w & 0xff
@@ -322,23 +319,8 @@ type Encoder struct {
 // Data returns the encoded bytes (aliased, not copied).
 func (e *Encoder) Data() []byte { return e.buf }
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Raw appends b verbatim with no length prefix.
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// Bool appends one byte, 0 or 1.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
 
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) {
@@ -353,10 +335,6 @@ func (e *Encoder) U64(v uint64) {
 
 // I64 appends a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// F64 appends a float64 by its IEEE-754 bit pattern. Bit-exact: equal
-// states encode equal bytes, including negative zero and NaN payloads.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
@@ -401,24 +379,6 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads one byte as a bool; any value above 1 is corruption.
-func (d *Decoder) Bool() bool {
-	v := d.U8()
-	if v > 1 && d.err == nil {
-		d.err = &CorruptError{Detail: fmt.Sprintf("bool byte %#02x", v)}
-	}
-	return v == 1
-}
-
 // U32 reads a little-endian uint32.
 func (d *Decoder) U32() uint32 {
 	b := d.take(4)
@@ -440,9 +400,6 @@ func (d *Decoder) U64() uint64 {
 
 // I64 reads a little-endian int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 reads a float64 bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {

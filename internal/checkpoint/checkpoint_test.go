@@ -16,7 +16,7 @@ func sampleSnapshot() *Snapshot {
 	}}
 	s.AddSection("engine/0", []byte{1, 2, 3, 4, 5})
 	s.AddSection("engine/1", nil)
-	s.AddSection("fabric", bytes.Repeat([]byte{0xaa, 0x55}, 300))
+	s.AddSection("digest", bytes.Repeat([]byte{0xaa, 0x55}, 300))
 	return s
 }
 
@@ -182,8 +182,8 @@ func TestCompare(t *testing.T) {
 	b.Sections[2].Data[7] ^= 0x10
 	if err := Compare(a, b); !errors.As(err, &de) {
 		t.Fatalf("payload mismatch: got %v", err)
-	} else if de.Section != "fabric" || de.Offset != 7 {
-		t.Fatalf("divergence localized to %q@%d, want fabric@7", de.Section, de.Offset)
+	} else if de.Section != "digest" || de.Offset != 7 {
+		t.Fatalf("divergence localized to %q@%d, want digest@7", de.Section, de.Offset)
 	}
 
 	b = sampleSnapshot()
@@ -195,24 +195,13 @@ func TestCompare(t *testing.T) {
 
 func TestEncoderDecoderPrimitives(t *testing.T) {
 	var e Encoder
-	e.U8(0xab)
-	e.Bool(true)
-	e.Bool(false)
 	e.U32(0xdeadbeef)
 	e.U64(0x0123456789abcdef)
 	e.I64(-42)
-	e.F64(math.Copysign(0, -1))
-	e.F64(math.Inf(1))
 	e.String("héllo")
 	e.Bytes([]byte{9, 8, 7})
 
 	d := NewDecoder(e.Data())
-	if v := d.U8(); v != 0xab {
-		t.Fatalf("U8 = %#x", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round-trip")
-	}
 	if v := d.U32(); v != 0xdeadbeef {
 		t.Fatalf("U32 = %#x", v)
 	}
@@ -221,12 +210,6 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	}
 	if v := d.I64(); v != -42 {
 		t.Fatalf("I64 = %d", v)
-	}
-	if v := d.F64(); !math.Signbit(v) || v != 0 {
-		t.Fatalf("F64 -0.0 = %v", v)
-	}
-	if v := d.F64(); !math.IsInf(v, 1) {
-		t.Fatalf("F64 +Inf = %v", v)
 	}
 	if v := d.String(); v != "héllo" {
 		t.Fatalf("String = %q", v)

@@ -12,19 +12,15 @@ import (
 
 // Proto is one host's dcPIM instance: it plays both the sender and the
 // receiver role simultaneously. It implements netsim.Protocol.
-// Proto's checkpoint (core/checkpoint.go) captures the protocol state
-// machine — tick, epoch, and both role halves. The fields below it are
-// wiring and configuration the resuming run reconstructs through the same
-// deterministic setup before Restore runs.
 type Proto struct {
-	sh  *shared          //ckpt:skip construction input and what derives from it; one value shared by every host Attach wires
-	col *stats.Collector //ckpt:skip collector wiring; the Collector captures its own state
+	sh  *shared // one value shared by every host Attach wires
+	col *stats.Collector
 
-	host *netsim.Host //ckpt:skip attachment wiring, re-established by Attach
-	eng  *sim.Engine  //ckpt:skip attachment wiring, re-established by Attach
-	clk  *clocks      //ckpt:skip lane wiring, shared by the shard's hosts and re-established by Attach or Start
-	rng  *rand.Rand   //ckpt:skip aliases the host's stream; its position is captured as Host draws
-	id   int          //ckpt:skip topology identity, re-established by Attach
+	host *netsim.Host
+	eng  *sim.Engine
+	clk  *clocks    // lanes shared by the shard's hosts
+	rng  *rand.Rand // aliases the host's stream
+	id   int
 
 	tick  int64 // stage ticks elapsed
 	epoch int64 // current epoch (data phase) index

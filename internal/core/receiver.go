@@ -28,7 +28,7 @@ type recvFlow struct {
 	tokened      []tokenRef // FIFO of issued tokens (lazy cleanup)
 	retx         []int32    // reverted seqs awaiting re-admission
 	nextNew      int        // lowest never-tokened seq
-	senderIdx    int        //ckpt:skip position in the derived bySender index, rebuilt with it
+	senderIdx    int        // position in the bySender index
 	outstanding  int        // live tokens (sent, data not received)
 	untokenedCnt int
 	receivedCnt  int
@@ -91,7 +91,7 @@ type tokenLoop struct {
 // RTS, accepts grants, clocks tokens to matched senders, and detects and
 // recovers losses.
 type receiver struct {
-	p *Proto //ckpt:skip owner back-pointer, re-established by Attach
+	p *Proto
 
 	// Every map below is nil until the host's first flow or grant (wake):
 	// most hosts of a large fabric never receive, and reading a nil map is
@@ -103,13 +103,13 @@ type receiver struct {
 	// so the token loop's per-fire scan walks a dense array. Every fold
 	// over it is order-insensitive or id-tie-broken, so the slice's
 	// mutation order cannot leak into the packet stream.
-	bySender map[int][]*recvFlow //ckpt:skip derived index over flows, rebuilt from the captured flow records
+	bySender map[int][]*recvFlow // index over flows
 	// doneFlows remembers completed flow ids forever: duplicates and
 	// finish retransmissions must keep resolving as "done" after the flow
 	// record itself has been recycled. One map entry per completed flow
 	// is the irreducible long-run cost.
 	doneFlows map[uint64]struct{}
-	freeFlows []*recvFlow //ckpt:skip recycled-record free list, not logical state
+	freeFlows []*recvFlow // recycled records
 
 	// Matching state for epoch matchEpoch. grantBuf has a slot per round
 	// (rounds) and, like the maps, is nil until wake.

@@ -13,10 +13,10 @@ import (
 // short flows immediately, and runs the notification/finish reliability
 // timers.
 type sender struct {
-	p *Proto //ckpt:skip owner back-pointer, re-established by Attach
+	p *Proto
 
 	flows     map[uint64]*sendFlow // nil until the host's first flow
-	freeFlows []*sendFlow          //ckpt:skip recycled-record free list, not logical state
+	freeFlows []*sendFlow          // recycled records
 
 	// Token queue (FIFO as issued by receivers, which already order their
 	// token streams by SRPT).

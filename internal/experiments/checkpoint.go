@@ -15,16 +15,17 @@ import (
 	"dcpim/internal/workload"
 )
 
-// Checkpoint/restore orchestration (DESIGN.md §14). Engines hold Go
-// closures, so a snapshot cannot be deserialized back into a live run;
-// instead it is a complete canonical assertion of simulation state, and
-// Resume is a verified replay: rebuild the run from its spec, advance to
-// the snapshot time, prove the re-captured state byte-identical to the
-// snapshot, then continue. That makes every checkpoint double as a
-// correctness oracle, and makes two builds' snapshot streams bisectable
-// to the first diverging event (Bisect).
+// Checkpoint orchestration (DESIGN.md §14). Engines hold Go closures, so
+// a snapshot cannot be deserialized back into a live run. It is an
+// assertion instead: each engine's pending event keys, clock and RNG
+// position, the per-host delivered-stream digests and, optionally, the
+// keys of every event executed since the last snapshot. Resume is a
+// verified replay: rebuild the run from its spec, advance to the
+// snapshot time, prove the re-captured snapshot byte-identical, then
+// continue. Two builds' snapshot streams bisect to the first diverging
+// event (Bisect).
 
-// CheckpointSpec asks Run for periodic full-state snapshots.
+// CheckpointSpec asks Run for periodic snapshots.
 type CheckpointSpec struct {
 	// Every is the snapshot cadence in simulated time (must be > 0).
 	// Snapshots land at Every, 2·Every, … up to the horizon.
@@ -150,11 +151,11 @@ func checkCompat(spec RunSpec, m checkpoint.Meta) error {
 	return nil
 }
 
-// capture serializes the complete simulation state at time at. Pure
-// reads — engines, fabric, collector and sampler are only walked — so a
+// capture records the run's state at time at: each engine's
+// EngineState, the per-host delivered-stream digests and, when enabled,
+// each engine's journal since the last capture. Pure reads, so a
 // capturing run stays byte-identical to a non-capturing one. Section
-// order is fixed: engines, group, fabric, stats, digest, metrics, then
-// per-engine journals when enabled.
+// order is fixed: engines, digest, then journals.
 func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 	ck := rs.spec.Checkpoint
 	snap := &checkpoint.Snapshot{Meta: checkpoint.Meta{
@@ -176,31 +177,12 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 		encodeEngineState(&e, eng.CaptureState())
 		snap.AddSection(fmt.Sprintf("engine/%d", i), e.Data())
 	}
-	var ge checkpoint.Encoder
-	gs := rs.grp.CaptureState()
-	ge.U64(gs.Epochs)
-	for _, per := range [][]uint64{gs.Dispatched, gs.Skipped, gs.Critical, gs.Events} {
-		ge.U32(uint32(len(per)))
-		for _, v := range per {
-			ge.U64(v)
-		}
-	}
-	snap.AddSection("group", ge.Data())
-	var fe checkpoint.Encoder
-	rs.fab.CaptureState(&fe)
-	snap.AddSection("fabric", fe.Data())
-	var se checkpoint.Encoder
-	rs.col.CaptureState(&se)
-	snap.AddSection("stats", se.Data())
 	var de checkpoint.Encoder
 	de.U32(uint32(len(rs.hostDigests)))
 	for _, d := range rs.hostDigests {
 		de.U64(d)
 	}
 	snap.AddSection("digest", de.Data())
-	var me checkpoint.Encoder
-	rs.smp.CaptureState(&me)
-	snap.AddSection("metrics", me.Data())
 	if ck.Journal {
 		for i, eng := range rs.engines {
 			var e checkpoint.Encoder
@@ -334,6 +316,9 @@ type BisectReport struct {
 	Event *EventDivergence
 }
 
+// errNoDivergence is Bisect's refusal when two streams agree.
+var errNoDivergence = errors.New("experiments: snapshot streams agree at every common checkpoint — nothing to bisect")
+
 // Bisect binary-searches two snapshot streams for the first diverging
 // snapshot, then scans that snapshot's journals for the first diverging
 // event. Determinism makes divergence monotone — once state differs it
@@ -347,7 +332,7 @@ func Bisect(ref, got []*checkpoint.Snapshot) (BisectReport, error) {
 		return BisectReport{}, errors.New("experiments: bisect needs at least one snapshot on each side")
 	}
 	if checkpoint.Compare(ref[n-1], got[n-1]) == nil {
-		return BisectReport{}, errors.New("experiments: snapshot streams agree at every common checkpoint — nothing to bisect")
+		return BisectReport{}, errNoDivergence
 	}
 	lo, hi := 0, n-1
 	for lo < hi {
@@ -509,9 +494,12 @@ func ResumeFile(o Options, path string, w io.Writer) error {
 }
 
 // BisectDirs reads the snapshot streams two runs wrote into dirA and
-// dirB (same spec, typically different builds) and localizes their first
-// divergence to a snapshot window and, when journals are present, to a
-// single executed event.
+// dirB (same specs, typically different builds) and, label by label,
+// localizes each stream's first divergence to a snapshot window and,
+// when journals are present, to a single executed event. A directory
+// may hold several runs' streams (a figure writes one per cell); every
+// label must be present on both sides. When no label diverges it returns
+// an error saying the streams agree.
 func BisectDirs(dirA, dirB string, w io.Writer) error {
 	ref, err := readSnapshotDir(dirA)
 	if err != nil {
@@ -521,11 +509,39 @@ func BisectDirs(dirA, dirB string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "bisecting %d vs %d snapshots\n", len(ref), len(got))
-	rep, err := Bisect(ref, got)
-	if err != nil {
-		return err
+	// Both lists are sorted by label, so the first index where they
+	// disagree holds a label the other side lacks: the smaller one.
+	for k := 0; k < len(ref) || k < len(got); k++ {
+		switch {
+		case k == len(got) || (k < len(ref) && ref[k].label < got[k].label):
+			return fmt.Errorf("experiments: label %s has snapshots in %s but none in %s", ref[k].label, dirA, dirB)
+		case k == len(ref) || got[k].label < ref[k].label:
+			return fmt.Errorf("experiments: label %s has snapshots in %s but none in %s", got[k].label, dirB, dirA)
+		}
 	}
+	diverged := 0
+	for k, r := range ref {
+		g := got[k]
+		rep, err := Bisect(r.snaps, g.snaps)
+		if err != nil {
+			if !errors.Is(err, errNoDivergence) {
+				return fmt.Errorf("label %s: %w", r.label, err)
+			}
+			fmt.Fprintf(w, "label %s: %d vs %d snapshots, no divergence\n", r.label, len(r.snaps), len(g.snaps))
+			continue
+		}
+		diverged++
+		fmt.Fprintf(w, "label %s: %d vs %d snapshots, diverges\n", r.label, len(r.snaps), len(g.snaps))
+		printBisectReport(w, rep, dirA, dirB)
+	}
+	if diverged == 0 {
+		return fmt.Errorf("%d label(s): %w", len(ref), errNoDivergence)
+	}
+	return nil
+}
+
+// printBisectReport writes one label's localized divergence.
+func printBisectReport(w io.Writer, rep BisectReport, dirA, dirB string) {
 	fmt.Fprintf(w, "first diverging snapshot: index %d, window (%v, %v]\n",
 		rep.FirstBad, rep.WindowStart, rep.WindowEnd)
 	if rep.Section != "" {
@@ -546,12 +562,17 @@ func BisectDirs(dirA, dirB string, w io.Writer) error {
 		fmt.Fprintf(w, "first diverging event: engine %d event %d — (t=%v seq=%#x) vs (t=%v seq=%#x)\n",
 			ev.Engine, ev.Index, ev.RefAt, ev.RefSeq, ev.GotAt, ev.GotSeq)
 	}
-	return nil
 }
 
-// readSnapshotDir loads every *.dcpimck file in dir, ordered by snapshot
-// index.
-func readSnapshotDir(dir string) ([]*checkpoint.Snapshot, error) {
+// snapshotStream is one run's snapshots, ordered by index.
+type snapshotStream struct {
+	label string
+	snaps []*checkpoint.Snapshot
+}
+
+// readSnapshotDir loads every *.dcpimck file in dir into one stream per
+// Meta.Label, sorted by label.
+func readSnapshotDir(dir string) ([]snapshotStream, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.dcpimck"))
 	if err != nil {
 		return nil, err
@@ -559,7 +580,6 @@ func readSnapshotDir(dir string) ([]*checkpoint.Snapshot, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("experiments: no *.dcpimck snapshots in %s", dir)
 	}
-	sort.Strings(paths)
 	snaps := make([]*checkpoint.Snapshot, 0, len(paths))
 	for _, p := range paths {
 		f, err := os.Open(p)
@@ -573,6 +593,17 @@ func readSnapshotDir(dir string) ([]*checkpoint.Snapshot, error) {
 		}
 		snaps = append(snaps, s)
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Meta.Index < snaps[j].Meta.Index })
-	return snaps, nil
+	sort.Slice(snaps, func(i, j int) bool {
+		a, b := snaps[i].Meta, snaps[j].Meta
+		return a.Label < b.Label || (a.Label == b.Label && a.Index < b.Index)
+	})
+	var streams []snapshotStream
+	for _, s := range snaps {
+		if n := len(streams); n == 0 || streams[n-1].label != s.Meta.Label {
+			streams = append(streams, snapshotStream{label: s.Meta.Label})
+		}
+		last := &streams[len(streams)-1]
+		last.snaps = append(last.snaps, s)
+	}
+	return streams, nil
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,6 +226,62 @@ func TestBisectLocalizesInjectedDivergence(t *testing.T) {
 	}
 	if ev.RefAt == ev.GotAt && ev.RefSeq == ev.GotSeq && !ev.RefMissing && !ev.GotMissing {
 		t.Error("event divergence does not actually differ")
+	}
+}
+
+// TestBisectDirsByLabel: two directories that each hold two runs'
+// snapshot streams, one of which differs by the 1µs fault shift of
+// TestBisectLocalizesInjectedDivergence. BisectDirs must bisect each
+// label on its own, name the diverging one and localize its divergence
+// to the perturbed event; a label present on one side only is an error
+// that names it.
+func TestBisectDirsByLabel(t *testing.T) {
+	const every = 250 * sim.Microsecond
+	write := func(dir string, perturb bool) {
+		for _, withFaults := range []bool{false, true} {
+			spec := goldenSpec(t, DCPIM, withFaults)
+			label := "golden-clean"
+			if withFaults {
+				label = "golden-faulted"
+				if perturb {
+					spec.Faults.Events[1].At = spec.Faults.Events[1].At.Add(sim.Microsecond)
+				}
+			}
+			spec.Checkpoint = &CheckpointSpec{Every: every, Dir: dir, Label: label, Journal: true}
+			RunCheckpointed(spec)
+		}
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	write(dirA, false)
+	write(dirB, true)
+	var out bytes.Buffer
+	if err := BisectDirs(dirA, dirB, &out); err != nil {
+		t.Fatalf("BisectDirs: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"label golden-clean: 8 vs 8 snapshots, no divergence\n",
+		"label golden-faulted: 8 vs 8 snapshots, diverges\n" +
+			"first diverging snapshot: index 0, window (0.000us, 250.000us]\n",
+		"first diverging event: engine 0 event ",
+		"(t=60.000us ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("BisectDirs output lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	clean, err := filepath.Glob(filepath.Join(dirB, "golden-clean.*"))
+	if err != nil || len(clean) == 0 {
+		t.Fatalf("no golden-clean snapshots in %s (%v)", dirB, err)
+	}
+	for _, p := range clean {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = BisectDirs(dirA, dirB, &out)
+	if err == nil || !strings.Contains(err.Error(), "label golden-clean has snapshots in "+dirA+" but none in "+dirB) {
+		t.Errorf("BisectDirs with a label on one side only: err = %v, want one naming golden-clean", err)
 	}
 }
 

@@ -322,9 +322,9 @@ func TestAutoShardsInvariant(t *testing.T) {
 // TestShardedSetupInvariant: every registered protocol is attached,
 // started and fed its trace with each shard working on its own goroutine,
 // and what that leaves at t = 0 — every engine's pending keys and RNG
-// position, the fabric with each host's protocol state, the collector —
-// is the same snapshot whether one, two or four Ps ran the shards, build
-// after build; a short run from there delivers the serial run's packets.
+// position — and every engine's state and journal after a short run
+// from there are the same whether one, two or four Ps ran the shards,
+// build after build; the short run delivers the serial run's packets.
 // It is the only place the baselines' Start methods run side by side, so
 // CI also runs it under the race detector. The 432-host FatTree is the
 // smallest topology that shards itself (12 shards).
@@ -343,24 +343,28 @@ func TestShardedSetupInvariant(t *testing.T) {
 		spec := RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
 			Horizon: horizon + horizon/2, Seed: 10, Digest: true,
-			Checkpoint: &CheckpointSpec{Every: horizon},
+			Checkpoint: &CheckpointSpec{Every: horizon, Journal: true},
 		}
 		serial := spec
 		serial.Shards, serial.Checkpoint = 1, nil
 		want := Run(serial).Digest
-		var first *checkpoint.Snapshot
+		end := sim.Time(spec.Horizon)
+		var first [2]*checkpoint.Snapshot // at t = 0, and at the end with the run's journals
 		for _, procs := range []int{1, 2, 4} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				for rep := 0; rep < 2; rep++ {
 					rs := newRunState(spec, nil)
-					snap := rs.capture(0, 0)
-					if first == nil {
-						first = snap
-					} else if err := checkpoint.Compare(first, snap); err != nil {
-						t.Errorf("%s procs=%d build %d: set-up differs from the first build: %v", proto, procs, rep, err)
+					snaps := [2]*checkpoint.Snapshot{rs.capture(0, 0)}
+					rs.runTo(end)
+					snaps[1] = rs.capture(end, 1)
+					for i, what := range []string{"set-up", "short run (end state, journals)"} {
+						if first[i] == nil {
+							first[i] = snaps[i]
+						} else if err := checkpoint.Compare(first[i], snaps[i]); err != nil {
+							t.Errorf("%s procs=%d build %d: %s differs from the first build: %v", proto, procs, rep, what, err)
+						}
 					}
-					rs.runTo(sim.Time(spec.Horizon))
 					if got := rs.result().Digest; got != want {
 						t.Errorf("%s procs=%d build %d: digest %#016x, serial %#016x", proto, procs, rep, got, want)
 					}

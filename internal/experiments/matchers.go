@@ -18,9 +18,8 @@ import (
 // The matchers experiment compares every registered matcher head-to-head
 // on the same demand graphs: convergence rounds, control bytes per
 // matched byte, and matching size relative to M* (converged PIM), over
-// ports up to 10^5 × sparse/dense graphs × communication budgets. It is
-// ROADMAP item 3 — the paper's theory core turned into a research
-// instrument.
+// ports up to 10^5 × sparse/dense graphs × communication budgets: the
+// paper's theory core turned into a research instrument (DESIGN.md §15).
 
 // MatcherSweepConfig enumerates one sweep. Every cell — one (graph kind,
 // ports, matcher, budget, trial) tuple — is a pure function of its

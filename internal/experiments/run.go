@@ -162,7 +162,7 @@ type RunSpec struct {
 	// resilience experiment scripts link failures, loss bursts, switch
 	// reboots and host pauses against every protocol identically.
 	Faults *faults.Schedule
-	// Checkpoint, when set, snapshots the full simulation state every
+	// Checkpoint, when set, snapshots engine state and digests every
 	// Checkpoint.Every of simulated time (Run then routes through
 	// RunCheckpointed). Capture is pure reads at barrier sync points, so
 	// results are byte-identical with and without it.

@@ -20,7 +20,7 @@ import (
 // events read state but never mutate it, draw no randomness, and
 // therefore leave the simulated packet stream untouched.
 type Sampler struct {
-	eng      *sim.Engine //ckpt:skip engine wiring, re-established by the resuming run's setup
+	eng      *sim.Engine
 	interval sim.Duration
 	cols     []column
 	times    []sim.Time
@@ -28,7 +28,7 @@ type Sampler struct {
 	// (i+1)*len(cols)], so a tick appends to one slab instead of making a
 	// row.
 	vals    []float64
-	started bool //ckpt:skip lifecycle flag; the resuming run re-arms sampling through its own Start/SampleAt
+	started bool
 }
 
 // NewSampler builds a sampler over reg's current instruments. Returns

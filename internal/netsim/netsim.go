@@ -99,29 +99,25 @@ type Protocol interface {
 }
 
 // Fabric is an instantiated network: topology + devices + configuration.
-// Its checkpoint (netsim/checkpoint.go) captures the dynamic plane —
-// shard counters, port queues, device fault state, protocol state —
-// while topology and execution wiring are reconstructed by building the
-// same fabric again before Restore.
 type Fabric struct {
-	eng  *sim.Engine    //ckpt:skip shard 0's engine, captured through shardState
-	topo *topo.Topology //ckpt:skip static topology, rebuilt by construction before restore
-	cfg  Config         //ckpt:skip construction input, supplied again by the resuming run
+	eng  *sim.Engine // shard 0's engine
+	topo *topo.Topology
+	cfg  Config
 
 	// Sharded execution state (see shard.go). A fabric built with New has
 	// one shard whose engine is eng and whose counters alias Counters, so
 	// the serial path is unchanged.
-	grp    *sim.Group      //ckpt:skip execution wiring, rebuilt by Shard; its counters are captured separately
-	part   *topo.Partition //ckpt:skip which shard owns which device; construction input, supplied again by the resuming run
+	grp    *sim.Group
+	part   *topo.Partition // which shard owns which device
 	shards []*shardState
 	// lookahead is the epoch window, derived by NewSharded from what can
 	// cross the cut; barrier is the end of the epoch in flight, which every
 	// staged arrival must land after (shardState.stage).
-	lookahead sim.Duration //ckpt:skip derived from topology, partition and Config.EnablePFC at construction
-	barrier   sim.Time     //ckpt:skip equals the group clock between epochs, where every capture happens
+	lookahead sim.Duration
+	barrier   sim.Time
 	// parity selects the staging rows the epoch in flight appends to
 	// (shardState.out); the coordinator flips it between epochs.
-	parity int //ckpt:skip staging is empty at every capture point, so which half fills next is not state
+	parity int
 
 	// The device plane is flat (DESIGN.md §8.4): one slab per kind, built
 	// by NewSharded and never resized, so devices are addressed by index
@@ -130,23 +126,23 @@ type Fabric struct {
 	// swDev.ports is a window of it — then one NIC per host.
 	hosts    []Host
 	switches []swDev
-	ports    []outPort //ckpt:skip captured through the switch windows and host NICs that partition it
+	ports    []outPort // the switch windows and host NICs partition it
 
 	// Counters aggregates across shards. Always current single-shard;
 	// with several shards it is recomputed at every barrier and when Run
 	// returns, so read it between runs, not from inside event callbacks.
-	Counters Counters //ckpt:skip aggregate view, recomputed from the captured per-shard counters
+	Counters Counters
 
 	// audit, when non-nil, tracks every packet the fabric owns and flags
 	// leaks, double-frees, and counter mismatches (see EnableAudit). It
 	// receives events as one of the observers but keeps a direct
 	// reference for AuditVerify/AuditErrors.
-	audit *auditor //ckpt:skip debugging instrumentation, re-enabled by the resuming run if wanted
+	audit *auditor
 
 	// obs fans packet-lifecycle events out to every registered Observer
 	// (tracing, auditing, digests, metrics probes). Empty for
 	// uninstrumented runs, which keeps the hot path allocation-free.
-	obs []Observer //ckpt:skip observer wiring, re-registered at setup
+	obs []Observer
 }
 
 // New builds a single-shard fabric over the topology: everything runs on
@@ -512,12 +508,12 @@ func injectFlow(a, b any, i int) {
 // Host is one end host: a protocol instance plus a NIC egress queue. Hosts
 // are elements of Fabric.hosts and own their random stream by value.
 type Host struct {
-	id    int         //ckpt:skip topology identity, re-established by construction
-	sh    *shardState //ckpt:skip shard wiring, re-established by construction
-	nic   *outPort    // this host's element of Fabric.ports
+	id    int
+	sh    *shardState
+	nic   *outPort // this host's element of Fabric.ports
 	proto Protocol
-	src   sim.CountingSource // rng's source, counted for checkpointing
-	rng   rand.Rand          //ckpt:skip rebuilt from the host seed + captured src draws
+	src   sim.CountingSource // rng's source, seeded on its first draw
+	rng   rand.Rand
 }
 
 // ID returns the host id.
@@ -608,21 +604,21 @@ func hostDeliver(a, b any, _ int) {
 // first and is held by value, so a forward dereferences the device and
 // nothing behind it.
 type swDev struct {
-	sh       *shardState //ckpt:skip shard wiring, re-established by construction
-	ports    []outPort   // this switch's window of Fabric.ports
-	numHosts int         //ckpt:skip copy of topo.Topology.NumHosts
+	sh       *shardState
+	ports    []outPort // this switch's window of Fabric.ports
+	numHosts int       // copy of topo.Topology.NumHosts
 	// rule is a copy of spec.Rule; DownDiv == 0 (no valid rule has it)
 	// marks a table-routed switch, which goes through spec.Routes.
-	rule  topo.RouteRule //ckpt:skip static topology, rebuilt by construction
-	spray bool           //ckpt:skip copy of Config.Spray
+	rule  topo.RouteRule
+	spray bool // copy of Config.Spray
 
 	// down marks a rebooting switch: arrivals are discarded (FaultDrops)
 	// until RestoreSwitch brings the forwarding plane back.
 	down bool
 
-	src  sim.CountingSource // rng's source, counted for checkpointing
-	rng  rand.Rand          //ckpt:skip rebuilt from the switch seed + captured src draws
-	spec *topo.Switch       //ckpt:skip static topology, rebuilt by construction
+	src  sim.CountingSource // rng's source, seeded on its first draw
+	rng  rand.Rand
+	spec *topo.Switch
 
 	// ingressBytes tracks, per ingress port, bytes currently buffered in
 	// this switch that arrived through that port (PFC accounting). Index

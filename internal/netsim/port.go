@@ -12,10 +12,7 @@ import (
 // strict-priority FIFO queues sharing a byte budget, a serializing
 // transmitter, and the attached link's class (rate, propagation delay,
 // budget, lanes). A port belongs either to a switch (owner set) or to a
-// host NIC. A port's checkpoint (outPort.captureState) covers the dynamic
-// plane: queues, byte counts, PFC/fault state, and the boundary arrival
-// sequence. Link parameters and device wiring are static topology,
-// re-created identically by building the fabric before restore.
+// host NIC.
 //
 // Ports live in one slab per fabric (Fabric.ports) and the field order is
 // the memory layout (DESIGN.md §8.4): everything a packet hop touches —
@@ -26,8 +23,8 @@ import (
 // kind of link goes in portClass, and any other new field needs a
 // measurement that every hop pays for it.
 type outPort struct {
-	sh          *shardState //ckpt:skip shard wiring, re-established by construction
-	class       *portClass  //ckpt:skip static link parameters and lane wiring, re-established by construction
+	sh          *shardState
+	class       *portClass // static link parameters and lane wiring
 	queuedBytes int64
 	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
@@ -42,9 +39,9 @@ type outPort struct {
 	// ahead.
 	busyUntil sim.Time
 	busySeq   uint64
-	nQueued   int32 //ckpt:skip derived: the packet count of the class lists, which are captured
-	peerIn    int32 //ckpt:skip peer wiring, re-established by construction
-	nonEmpty  uint8 //ckpt:skip derived: bit pr is set while class pr's list holds a packet
+	nQueued   int32 // packets across the class lists
+	peerIn    int32
+	nonEmpty  uint8 // bit pr is set while class pr's list holds a packet
 	paused    bool
 	busy      bool
 	wakeArmed bool
@@ -57,17 +54,17 @@ type outPort struct {
 	// tx+delay+SwitchDelay ahead with a key built from the directed link
 	// id and a per-link sequence, so its execution order is identical at
 	// every shard count.
-	boundary bool //ckpt:skip static topology attribute (topo.Port.Boundary)
+	boundary bool // topo.Port.Boundary
 	// faulty says the port has an entry in its shard's fault table, so a
 	// clean link never looks there.
-	faulty bool //ckpt:skip derived: the port has a shardState.faults entry, whose values are captured
+	faulty bool // the port has a shardState.faults entry
 
 	// The far end of the link, so the delivery event goes straight to the
 	// receiving device: a host (peerHost), or port peerIn of a switch
 	// (peerSw).
-	peerHost *Host  //ckpt:skip peer wiring, re-established by construction
-	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
-	owner    *swDev //ckpt:skip device wiring, re-established by construction
+	peerHost *Host
+	peerSw   *swDev
+	owner    *swDev
 
 	// q[pr] is the tail of class pr: a circular list through
 	// packet.Packet.QNext, so the head is q[pr].QNext; nil while the class
@@ -76,7 +73,7 @@ type outPort struct {
 
 	// The boundary link's identity and sequence. Data and PFC frames on
 	// the same directed link share arrSeq.
-	linkID uint64 //ckpt:skip derived from the directed link identity at construction
+	linkID uint64 // derived from the directed link identity
 	arrSeq uint64
 }
 
@@ -389,8 +386,7 @@ func portTxDone(a, _ any, _ int) {
 
 // checkPause sends a PFC pause upstream when an ingress's buffered bytes
 // cross the pause watermark. The first call on a switch opens its window
-// of the fabric's pause-flag slab: until then len(paused) is 0, which is
-// also what the checkpoint records.
+// of the fabric's pause-flag slab: until then len(paused) is 0.
 func (d *swDev) checkPause(in int) {
 	d.paused = d.paused[:cap(d.paused)]
 	if d.paused[in] || d.ingressBytes[in] < d.sh.fab.cfg.PFCPause {

@@ -34,11 +34,11 @@ import (
 // shardState is the per-shard slice of the fabric: engine, disjoint
 // counters, and outbound staging queues.
 type shardState struct {
-	id       int             //ckpt:skip shard ordinal, re-established by construction
-	fab      *Fabric         //ckpt:skip owner back-pointer, re-established by construction
-	eng      *sim.Engine     //ckpt:skip engine wiring; EngineStates are captured by the checkpoint driver
+	id       int
+	fab      *Fabric
+	eng      *sim.Engine
 	counters *Counters       // aliases Fabric.Counters when single-shard
-	out      [2][]stagingRow //ckpt:skip barrier staging queues by epoch parity then destination, empty at every capture point (synced barrier)
+	out      [2][]stagingRow // barrier staging queues by epoch parity then destination
 	staged   uint64          // cross-shard arrivals landed ON this shard
 
 	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
@@ -46,14 +46,14 @@ type shardState struct {
 	// MTU or a header on each kind of link this shard's ports drive, and
 	// the protocol clocks asked for through Host.Lane. The events in
 	// flight are engine state, captured there.
-	hostLane *sim.Lane   //ckpt:skip lane wiring, re-established by construction
-	swLane   *sim.Lane   //ckpt:skip lane wiring, re-established by construction
-	lanes    []shardLane //ckpt:skip lane wiring, re-established by construction
+	hostLane *sim.Lane
+	swLane   *sim.Lane
+	lanes    []shardLane
 
 	// classes is the slab of the shard's port classes (portClass), a
 	// handful per shard. It is never grown in place, so a port's class
 	// pointer stays valid.
-	classes []portClass //ckpt:skip static link parameters and lane wiring, re-established by construction
+	classes []portClass // static link parameters and lane wiring
 
 	// faults holds the injected loss parameters of the shard's faulty
 	// ports (outPort.setLoss), nil until the first. Only the shard's own

@@ -1,34 +1,39 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
-	"dcpim/internal/checkpoint"
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
 
-// tickProto is a protocol whose Start does what dcPIM's does to an engine:
-// it schedules a timer on its host's shard, so the order in which hosts
-// start decides the sequence numbers an engine hands out.
+// tickProto is a protocol whose Start does what dcPIM's does to an engine
+// and a stream: it schedules a timer on its host's shard, so the order in
+// which hosts start decides the sequence numbers an engine hands out, and
+// draws from its host's stream a host-dependent number of times.
 type tickProto struct{ sink }
 
 func (p *tickProto) Start(h *Host) {
 	p.sink.Start(h)
 	h.Engine().Schedule(sim.Time(1+h.ID()%5), func() {})
+	for i := 0; i < h.ID()%3; i++ {
+		h.Rng().Int63()
+	}
 }
 
 // wiredFabric is everything set-up leaves behind that a later event could
-// see: the checkpoint view of the fabric, every port's static wiring, the
-// epoch window, and the keys each engine has pending.
+// see: each shard's counters, each switch's state (down flag, RNG draws,
+// ingress bytes and PFC flags), each host's RNG draws, every port's
+// static wiring, the epoch window, and the keys each engine has pending.
 type wiredFabric struct {
-	state     []byte
+	shards    []string
+	switches  []string
+	hostDraws []uint64
 	ports     []string
 	lookahead sim.Duration
 	pending   [][]sim.EventRecord
@@ -66,9 +71,18 @@ func portWiring(o *outPort) string {
 }
 
 func describeWiring(f *Fabric) wiredFabric {
-	var enc checkpoint.Encoder
-	f.CaptureState(&enc)
-	w := wiredFabric{state: enc.Data(), lookahead: f.Lookahead()}
+	w := wiredFabric{lookahead: f.Lookahead()}
+	for _, s := range f.shards {
+		w.shards = append(w.shards, fmt.Sprintf("counters %+v staged %d", *s.counters, s.staged))
+	}
+	for i := range f.switches {
+		d := &f.switches[i]
+		w.switches = append(w.switches, fmt.Sprintf("down %v draws %d ingress %v paused %v",
+			d.down, d.src.Draws(), d.ingressBytes, d.paused))
+	}
+	for i := range f.hosts {
+		w.hostDraws = append(w.hostDraws, f.hosts[i].src.Draws())
+	}
 	for i := range f.ports {
 		w.ports = append(w.ports, portWiring(&f.ports[i]))
 	}
@@ -84,10 +98,26 @@ func (w wiredFabric) diff(o wiredFabric) string {
 	switch {
 	case w.lookahead != o.lookahead:
 		return fmt.Sprintf("lookahead %v vs %v", w.lookahead, o.lookahead)
-	case !bytes.Equal(w.state, o.state):
-		return "captured fabric state differs"
-	case len(w.ports) != len(o.ports):
-		return fmt.Sprintf("%d ports vs %d", len(w.ports), len(o.ports))
+	case len(w.shards) != len(o.shards) || len(w.switches) != len(o.switches) ||
+		len(w.hostDraws) != len(o.hostDraws) || len(w.ports) != len(o.ports):
+		return fmt.Sprintf("%d shards, %d switches, %d hosts, %d ports vs %d, %d, %d, %d",
+			len(w.shards), len(w.switches), len(w.hostDraws), len(w.ports),
+			len(o.shards), len(o.switches), len(o.hostDraws), len(o.ports))
+	}
+	for i := range w.shards {
+		if w.shards[i] != o.shards[i] {
+			return fmt.Sprintf("shard %d: %s vs %s", i, w.shards[i], o.shards[i])
+		}
+	}
+	for i := range w.switches {
+		if w.switches[i] != o.switches[i] {
+			return fmt.Sprintf("switch %d: %s vs %s", i, w.switches[i], o.switches[i])
+		}
+	}
+	for i := range w.hostDraws {
+		if w.hostDraws[i] != o.hostDraws[i] {
+			return fmt.Sprintf("host %d: %d RNG draws vs %d", i, w.hostDraws[i], o.hostDraws[i])
+		}
 	}
 	for i := range w.ports {
 		if w.ports[i] != o.ports[i] {
@@ -111,8 +141,9 @@ func (w wiredFabric) diff(o wiredFabric) string {
 // TestShardedWiringEquivalence: building, starting and injecting a sharded
 // fabric with every shard working on its own goroutine leaves exactly what
 // running the same per-shard steps one after another, shard 0 first,
-// leaves — captured state, every port's lanes, link id and far end, the
-// epoch window and every engine's pending keys — with fewer, as many and
+// leaves — shard counters, switch state, every device's RNG draws, every
+// port's lanes, link id and far end, the epoch window and every engine's
+// pending keys — with fewer, as many and
 // more Ps than there are busy shards, with PFC on (the bare-delay window)
 // and off.
 func TestShardedWiringEquivalence(t *testing.T) {

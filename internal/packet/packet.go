@@ -146,7 +146,7 @@ type Packet struct {
 	SentAt     sim.Time // when the source host handed the packet to its NIC
 	PauseClass uint8    // priority class a Pause/Resume applies to
 
-	keep bool //ckpt:skip transient ownership flag, false for every packet at rest in a captured queue
+	keep bool // transient ownership flag, false for every packet at rest in a queue
 
 	// Queue linkage, owned by the fabric while the packet is buffered in a
 	// port (netsim's intrusive per-class lists) and zero at every other
@@ -154,7 +154,7 @@ type Packet struct {
 	// tail links back to its head), QIn the ingress port it arrived
 	// through (-1 when not applicable). Protocols never read or write them.
 	QIn   int32
-	QNext *Packet //ckpt:skip physical link: a port captures each class as its packets in walk order
+	QNext *Packet
 }
 
 // pool recycles packets across the whole process. Packets carry no

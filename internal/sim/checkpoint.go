@@ -1,25 +1,20 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
 
 // Checkpoint support. Events hold Go closures, which cannot be
-// serialized; what CAN be captured exactly is everything that determines
-// future execution order and randomness — the clock, the sequence
-// allocator, the (time, seq) key of every pending event, and the RNG
-// position. CaptureState returns that as plain data; the checkpoint file
-// format lives in internal/checkpoint, and the experiment runner
-// (experiments.Resume) reconstructs closures by re-running the
-// deterministic setup and replaying to the snapshot time, verifying the
-// captured state byte-for-byte on arrival. RestoreState covers the other
-// direction for callers that CAN rebind callbacks (round-trip tests, and
-// any future self-describing event kinds): it rebuilds the queues from a
-// captured state, all-or-nothing. Lanes hold ordinary pending events —
-// where an event is stored is physical layout — so capture lists their
-// records with the queues' and restore puts every record in a queue.
+// serialized; what CAN be captured exactly is everything that orders
+// future execution and randomness — the clock, the sequence allocator,
+// the (time, seq) key of every pending event, and the RNG position.
+// CaptureState returns that as plain data; the checkpoint file format
+// lives in internal/checkpoint, and the experiment runner
+// (experiments.Resume) re-runs the deterministic setup, replays to the
+// snapshot time and compares what it captures there with the snapshot.
+// Lanes hold ordinary pending events — where an event is stored is
+// physical layout — so capture lists their records with the queues'.
 
 // EventRecord is the execution-order key of one event: its timestamp and
 // its full seq word (band bit included, so band-1 arrival keys are
@@ -77,9 +72,6 @@ func (e *Engine) CaptureState() EngineState {
 	return st
 }
 
-// Draws returns the number of values the engine's RNG has consumed.
-func (e *Engine) Draws() uint64 { return e.src.Draws() }
-
 // StartJournal begins recording the (At, Seq) key of every executed
 // event. Used by checkpoint bisection to name the first diverging event;
 // costs one slice append per event while on, nothing while off.
@@ -96,96 +88,9 @@ func (e *Engine) TakeJournal() []EventRecord {
 	return j
 }
 
-// RebindFunc reconstructs the callback for one captured pending event.
-// Returning false aborts the restore (the caller cannot rebind that
-// event) with the engine untouched.
-type RebindFunc func(EventRecord) (func(), bool)
-
-// RestoreState rebuilds the engine from a captured state. All-or-nothing:
-// the state is validated and the replacement queues are built in scratch
-// storage first, and the engine is only mutated after every step has
-// succeeded — a failed restore leaves it exactly as it was (FuzzRestoreState
-// asserts this). Lanes are left empty: every restored record goes to a
-// heap, which is legal because where an event is stored never affects the
-// (time, seq) order it runs in.
-func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
-	// Validate before touching anything.
-	var prev EventRecord
-	for i, rec := range st.Pending {
-		if rec.At < st.Now {
-			return fmt.Errorf("sim: restore: pending event %d at %d before clock %d", i, rec.At, st.Now)
-		}
-		if rec.Seq&arrivalBand == 0 && rec.Seq >= st.Seq {
-			return fmt.Errorf("sim: restore: pending event %d seq %d not yet allocated (next seq %d)", i, rec.Seq, st.Seq)
-		}
-		if i > 0 && !(prev.At < rec.At || (prev.At == rec.At && prev.Seq < rec.Seq)) {
-			return fmt.Errorf("sim: restore: pending events not strictly ordered at %d", i)
-		}
-		prev = rec
-	}
-
-	// Build scratch queues. Records arrive sorted by (At, Seq); a sorted
-	// array is already a valid min-heap, so band assignment is the only
-	// work.
-	var q, qa []hent
-	for _, rec := range st.Pending {
-		fn, ok := rebind(rec)
-		if !ok {
-			return fmt.Errorf("sim: restore: no rebinding for event at=%d seq=%#x", rec.At, rec.Seq)
-		}
-		h := hent{at: rec.At, seq: rec.Seq, ev: &event{eng: e, fn: fn}}
-		if rec.Seq&arrivalBand != 0 {
-			h.ev.idx = int32(len(qa))
-			qa = append(qa, h)
-		} else {
-			h.ev.idx = int32(len(q))
-			q = append(q, h)
-		}
-	}
-
-	// Commit.
-	e.now = st.Now
-	e.ord = st.Ord
-	e.seq = st.Seq
-	e.nEvent = st.Events
-	e.q, e.qa = q, qa
-	for _, l := range e.lanes {
-		l.reset()
-	}
-	e.free, e.freeN = nil, 0
-	e.src = NewCountingSource(e.seed)
-	e.rng = rand.New(e.src)
-	e.src.Skip(st.Draws)
-	return nil
-}
-
-// GroupState is a snapshot of a shard group's barrier counters. The
-// engines themselves are captured individually; this is the only state
-// the Group adds on top.
-type GroupState struct {
-	Epochs     uint64
-	Dispatched []uint64
-	Skipped    []uint64
-	Critical   []uint64
-	Events     []uint64 // per engine, at the last barrier
-}
-
-// CaptureState snapshots the group's barrier counters. Only meaningful
-// between epochs (when the coordinator owns every engine).
-func (g *Group) CaptureState() GroupState {
-	return GroupState{
-		Epochs:     g.epochs,
-		Dispatched: append([]uint64(nil), g.dispatched...),
-		Skipped:    append([]uint64(nil), g.skipped...),
-		Critical:   append([]uint64(nil), g.critical...),
-		Events:     append([]uint64(nil), g.events...),
-	}
-}
-
 // CountingSource is a deterministic rand.Source64 that counts how many
 // values have been drawn, making the RNG position part of capturable
-// state: a restored component reconstructs its source from the same seed
-// and Skips to the recorded count. Wrapping does not change the stream —
+// state. Wrapping does not change the stream —
 // both Int63 and Uint64 advance the underlying generator exactly one
 // step, as they do unwrapped.
 //
@@ -238,12 +143,4 @@ func (c *CountingSource) Seed(seed int64) {
 // Draws returns the number of values drawn so far.
 func (c *CountingSource) Draws() uint64 {
 	return c.n
-}
-
-// Skip advances the stream by n draws (used when restoring to a captured
-// position).
-func (c *CountingSource) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.Uint64()
-	}
 }

@@ -41,19 +41,19 @@ type Engine struct {
 	// whose root win[1] is the lane with the least head key, so the drain
 	// loop finds the earliest lane without scanning them or their rings.
 	lanes  []*Lane
-	fronts []EventRecord //ckpt:skip derived: the head key of each lane, which is captured
-	win    []int32       //ckpt:skip derived: the order of the captured lane heads
-	laneN  int           //ckpt:skip derived: total records across lanes, which are captured
+	fronts []EventRecord
+	win    []int32
+	laneN  int // total records across lanes
 	seq    uint64
-	seed   int64           //ckpt:skip construction input; the RNG position is captured as Draws
+	seed   int64
 	src    *CountingSource // rng's source, counted so RNG position is checkpointable
-	rng    *rand.Rand      //ckpt:skip rebuilt from seed + captured Draws on restore
-	nEvent uint64          // total events executed, for instrumentation
-	free   *event          //ckpt:skip recycled-event free list, physical layout normalized away by EngineState
-	freeN  int             //ckpt:skip free-list length, same normalization as free
+	rng    *rand.Rand
+	nEvent uint64 // total events executed, for instrumentation
+	free   *event // recycled-event free list
+	freeN  int
 
-	journalOn bool          //ckpt:skip bisection instrumentation, re-armed by StartJournal after resume
-	journal   []EventRecord //ckpt:skip bisection instrumentation, not simulation state
+	journalOn bool
+	journal   []EventRecord
 }
 
 // maxFreeEvents bounds the event free list. A transient event burst
@@ -67,24 +67,22 @@ var maxFreeEvents = 1 << 15
 // one fires or is cancelled it returns to the free list and its gen is
 // bumped, which atomically invalidates every outstanding Timer handle.
 // An event's execution-order key lives in its heap slot (hent), which is
-// what checkpoints capture: the callback fields hold Go closures, which
-// cannot be serialized, and the location fields are physical layout that
-// EngineState normalizes away (see checkpoint.go). Restore rebinds
-// callbacks via RebindFunc.
+// what checkpoints capture (EngineState, checkpoint.go); the callback is
+// a Go closure and is never serialized.
 type event struct {
-	eng *Engine //ckpt:skip owner back-pointer, re-established when the restored engine re-allocates events
-	gen uint32  //ckpt:skip timer-invalidation stamp; outstanding Timers cannot outlive a restore
-	idx int32   //ckpt:skip heap slot, physical layout normalized away by EngineState
+	eng *Engine
+	gen uint32 // timer-invalidation stamp
+	idx int32  // heap slot
 
 	// Exactly one of fn / fnArgs is set. The argument form lets hot paths
 	// (one event per packet hop) schedule a package-level function plus
 	// its arguments without allocating a closure.
-	fnArgs func(a, b any, i int) //ckpt:skip closure, rebound by RebindFunc on restore
-	a, b   any                   //ckpt:skip closure arguments, rebound with fnArgs
-	i      int                   //ckpt:skip closure argument, rebound with fnArgs
-	fn     func()                //ckpt:skip closure, rebound by RebindFunc on restore
+	fnArgs func(a, b any, i int)
+	a, b   any
+	i      int
+	fn     func()
 
-	next *event //ckpt:skip free-list link, physical layout normalized away by EngineState
+	next *event // free-list link
 }
 
 // hent is one heap slot: an event's (at, seq) key held inline beside the
@@ -94,7 +92,7 @@ type event struct {
 type hent struct {
 	at  Time
 	seq uint64
-	ev  *event //ckpt:skip callback holder; the slot's key is what EngineState captures
+	ev  *event
 }
 
 // before is the heap order — earlier time first, scheduling order as the

@@ -23,17 +23,14 @@ import (
 //
 // A Group of one engine degenerates to plain serial execution with no
 // goroutines and no channels, so the serial path pays nothing.
-// A Group checkpoint (GroupState) carries only the barrier counters that
-// equivalence tests compare; the worker machinery below is live goroutine
-// state, rebuilt from scratch when the resumed run constructs its Group.
 type Group struct {
-	engines []*Engine //ckpt:skip member engines capture their own EngineStates
-	closed  bool      //ckpt:skip lifecycle flag; a restored Group starts fresh
+	engines []*Engine
+	closed  bool
 
-	work  []chan shardWork //ckpt:skip live channels, rebuilt by NewGroup
-	inbox Inbox            //ckpt:skip cross-shard queue wiring, re-registered by its owner; empty at every capture point
+	work  []chan shardWork
+	inbox Inbox // cross-shard queues, registered by their owner
 	//lint:ignore simgoroutine Group IS the sanctioned concurrency primitive; this joins its own epoch workers
-	wg sync.WaitGroup //ckpt:skip goroutine join state, rebuilt by NewGroup
+	wg sync.WaitGroup
 
 	// Barrier-overhead counters, maintained unconditionally (a few slice
 	// increments per shard per epoch — noise against an epoch's barrier
@@ -54,7 +51,7 @@ type Group struct {
 	// wall meters, on a clock the caller hands in (SetClock), how long the
 	// shard goroutines have had work: the time inside Each and RunEpoch.
 	// What a run's wall time has beyond it ran on one goroutine.
-	wall struct { //ckpt:skip host-side timing on the caller's clock, not simulation state
+	wall struct {
 		now    func() time.Duration
 		shared time.Duration
 	}

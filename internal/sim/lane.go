@@ -23,9 +23,9 @@ import "math"
 // for events that never are: per-hop fabric latencies, fixed-interval
 // protocol clocks, trace injection.
 type Lane struct {
-	eng *Engine  //ckpt:skip owner back-pointer, re-established when the rebuilt engine's owner calls NewLane
-	d   Duration //ckpt:skip construction input (timed for a NewTimeLane), supplied again by the resuming run
-	id  int      //ckpt:skip position in Engine.lanes, fixed by construction order
+	eng *Engine  // owner
+	d   Duration // the constant delay; timed for a NewTimeLane
+	id  int      // position in Engine.lanes
 
 	// buf is a power-of-two ring holding n records from head, strictly
 	// increasing in (at, seq). Allocated on first use: an engine may own
@@ -40,9 +40,9 @@ type Lane struct {
 type laneRec struct {
 	at   Time
 	seq  uint64
-	fn   func(a, b any, i int) //ckpt:skip closure, rebound by RebindFunc on restore
-	a, b any                   //ckpt:skip closure arguments, rebound with fn
-	i    int                   //ckpt:skip closure argument, rebound with fn
+	fn   func(a, b any, i int)
+	a, b any
+	i    int
 }
 
 // laneMinSlots is a lane's first ring size.
@@ -255,13 +255,4 @@ func (l *Lane) front() EventRecord {
 	}
 	h := &l.buf[l.head]
 	return EventRecord{At: h.at, Seq: h.seq}
-}
-
-// reset drops every record (RestoreState: restored events go to the
-// queues).
-func (l *Lane) reset() {
-	clear(l.buf)
-	l.eng.laneN -= l.n
-	l.head, l.n = 0, 0
-	l.eng.setFront(l.id, laneIdle)
 }

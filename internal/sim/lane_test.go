@@ -183,66 +183,24 @@ func TestLaneRingGrowth(t *testing.T) {
 	}
 }
 
-// TestLaneRestoreState: restoring over an engine whose lanes hold events
-// empties them — every restored record goes to a queue — and the restored
-// engine replays exactly what the source goes on to execute.
-func TestLaneRestoreState(t *testing.T) {
-	src := NewEngine(3)
-	la, lb := src.NewLane(40), src.NewLane(7)
+// TestLaneCaptureState: a capture lists lane records with the queues'
+// records, in the order the engine goes on to execute them.
+func TestLaneCaptureState(t *testing.T) {
+	e := NewEngine(3)
+	la, lb := e.NewLane(40), e.NewLane(7)
 	nop := func(_, _ any, _ int) {}
 	for i := 0; i < 50; i++ {
 		la.After(nop, nil, nil, 0)
 		lb.Arrive(uint64(100-i), nop, nil, nil, 0)
-		src.AfterFunc(Duration(i%9), nop, nil, nil, 0)
+		e.AfterFunc(Duration(i%9), nop, nil, nil, 0)
 		if i%10 == 9 {
-			src.Run(src.Now().Add(3))
+			e.Run(e.Now().Add(3))
 		}
 	}
 	if la.n == 0 || lb.n == 0 {
 		t.Fatalf("test left a lane empty (%d, %d)", la.n, lb.n)
 	}
-	st := src.CaptureState()
-	if len(st.Pending) != src.Pending() {
-		t.Fatalf("captured %d records of %d pending", len(st.Pending), src.Pending())
-	}
-
-	// The target has lane events of its own, which the restore replaces.
-	dst := NewEngine(3)
-	dl := dst.NewLane(5)
-	dl.After(nop, nil, nil, 0)
-	dl.Arrive(1, nop, nil, nil, 0)
-	var got []EventRecord
-	err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-		return func() { got = append(got, rec) }, true
-	})
-	if err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	if dl.n != 0 || dst.laneN != 0 || dst.fronts[dl.id] != laneIdle {
-		t.Fatalf("lane holds %d records after restore (engine counts %d)", dl.n, dst.laneN)
-	}
-	if dst.Pending() != len(st.Pending) {
-		t.Fatalf("restored engine has %d pending, want %d", dst.Pending(), len(st.Pending))
-	}
-	src.StartJournal()
-	src.RunAll()
-	dst.RunAll()
-	want := src.TakeJournal()
-	if len(got) != len(want) {
-		t.Fatalf("restored engine ran %d events, source %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: restored %+v, source %+v", i, got[i], want[i])
-		}
-	}
-	// The emptied lane is usable again.
-	ran := false
-	dl.After(func(_, _ any, _ int) { ran = true }, nil, nil, 0)
-	dst.RunAll()
-	if !ran {
-		t.Errorf("lane event scheduled after a restore did not run")
-	}
+	requireDrainsAsCaptured(t, e)
 }
 
 // TestLaneGroupDispatch: a shard whose only pending event sits in a lane

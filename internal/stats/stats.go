@@ -56,7 +56,7 @@ type Collector struct {
 
 	// shards holds the per-shard child collectors on the root; index 0 is
 	// the root itself. Empty for single-shard runs.
-	shards []*Collector //ckpt:skip sharding structure, rebuilt by ForShard; each child captures its own state
+	shards []*Collector // per-shard children, built by ForShard
 }
 
 // NewCollector returns a collector with the given utilization bin width
