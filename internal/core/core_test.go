@@ -323,7 +323,7 @@ func TestChannelBudgetsRespected(t *testing.T) {
 			if tot > p.sh.cfg.Channels {
 				t.Fatalf("host %d matched %d channels in a phase (k=%d)", p.id, tot, p.sh.cfg.Channels)
 			}
-			if p.snd.committed > p.sh.cfg.Channels {
+			if int(p.snd.committed) > p.sh.cfg.Channels {
 				t.Fatalf("host %d sender committed %d > k", p.id, p.snd.committed)
 			}
 		}

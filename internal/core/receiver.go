@@ -24,12 +24,12 @@ type recvFlow struct {
 	npkts   int
 	short   bool
 
-	state        twoBits    // 2 bits per packet: seqUntokened/Tokened/Received (slab.go)
-	tokened      []tokenRef // FIFO of issued tokens (lazy cleanup)
-	retx         []int32    // reverted seqs awaiting re-admission
-	nextNew      int        // lowest never-tokened seq
-	senderIdx    int        // position in the bySender index
-	outstanding  int        // live tokens (sent, data not received)
+	state        twoBits        // 2 bits per packet: seqUntokened/Tokened/Received (slab.go)
+	tokened      fifo[tokenRef] // issued tokens, oldest first (lazy cleanup)
+	retx         fifo[int32]    // reverted seqs awaiting re-admission
+	nextNew      int            // lowest never-tokened seq
+	senderIdx    int            // position in the bySender index
+	outstanding  int            // live tokens (sent, data not received)
 	untokenedCnt int
 	receivedCnt  int
 	receivedByte int64
@@ -62,11 +62,11 @@ func (f *recvFlow) demandBytes() int64 {
 
 // nextCandidate returns the lowest seq needing a token, or -1.
 func (f *recvFlow) nextCandidate() int {
-	for len(f.retx) > 0 {
-		if s := int(f.retx[0]); f.state.get(s) == seqUntokened {
+	for f.retx.len() > 0 {
+		if s := int(f.retx.front()); f.state.get(s) == seqUntokened {
 			return s
 		}
-		f.retx = f.retx[1:]
+		f.retx.pop()
 	}
 	for f.nextNew < f.npkts && f.state.get(f.nextNew) != seqUntokened {
 		f.nextNew++
@@ -302,9 +302,8 @@ func (r *receiver) onEpochStart(e int64) {
 		if f.done {
 			continue
 		}
-		for len(f.tokened) > 0 && int64(f.tokened[0].epoch) < e {
-			tr := f.tokened[0]
-			f.tokened = f.tokened[1:]
+		for f.tokened.len() > 0 && int64(f.tokened.front().epoch) < e {
+			tr := f.tokened.pop()
 			if f.state.get(int(tr.seq)) != seqTokened {
 				continue // already received
 			}
@@ -313,7 +312,7 @@ func (r *receiver) onEpochStart(e int64) {
 			f.outstanding--
 			r.p.sh.ins.tokensReverted.Inc()
 			r.p.sh.ins.tokensOutstanding.Add(-1)
-			f.retx = append(f.retx, tr.seq)
+			f.retx.push(tr.seq)
 		}
 	}
 	// Swap in the matching computed during the previous epoch.
@@ -401,16 +400,15 @@ func (r *receiver) fireLoop(l *tokenLoop) {
 func fireLoopFunc(a, b any, _ int) { a.(*receiver).fireLoop(b.(*tokenLoop)) }
 
 func (r *receiver) issueToken(l *tokenLoop, f *recvFlow, seq int) {
-	if len(f.retx) > 0 && int(f.retx[0]) == seq {
-		f.retx = f.retx[1:]
+	if f.retx.len() > 0 && int(f.retx.front()) == seq {
+		f.retx.pop()
 	}
 	f.state.set(seq, seqTokened)
 	f.untokenedCnt--
 	f.outstanding++
 	r.p.sh.ins.tokensIssued.Inc()
 	r.p.sh.ins.tokensOutstanding.Add(1)
-	//lint:ignore hotalloc the tokened FIFO is bounded by the BDP window and recycleRecvFlow keeps its backing array, so appends reuse capacity after warmup
-	f.tokened = append(f.tokened, tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
+	f.tokened.push(tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
 
 	tok := packet.NewControl(packet.Token, r.p.id, f.src, f.id)
 	tok.Seq = seq

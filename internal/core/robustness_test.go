@@ -95,14 +95,16 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	cur := packet.NewControl(packet.Token, 1, 0, 9)
 	cur.Epoch = 5
 	s.dataEpoch = 5
-	s.tokens = []*packet.Packet{old, prev, cur}
+	for _, tok := range []*packet.Packet{old, prev, cur} {
+		s.tokens.push(tok)
+	}
 
 	got := s.popValidToken()
 	if got != cur {
 		t.Fatalf("popValidToken = %v, want the current-epoch token", got)
 	}
-	if len(s.tokens) != 0 {
-		t.Fatalf("stale tokens left in queue: %d", len(s.tokens))
+	if s.tokens.len() != 0 {
+		t.Fatalf("stale tokens left in queue: %d", s.tokens.len())
 	}
 }
 
@@ -121,7 +123,7 @@ func TestRecvFlowCandidateOrder(t *testing.T) {
 	}
 	// A reverted seq jumps the queue.
 	f.state.set(1, seqUntokened)
-	f.retx = append(f.retx, 1)
+	f.retx.push(1)
 	if s := f.nextCandidate(); s != 1 {
 		t.Fatalf("candidate %d, want reverted 1", s)
 	}

@@ -20,7 +20,7 @@ type sender struct {
 
 	// Token queue (FIFO as issued by receivers, which already order their
 	// token streams by SRPT).
-	tokens []*packet.Packet
+	tokens fifo[*packet.Packet]
 	pacing bool
 
 	// Matching state for epoch matchEpoch (the data phase being built).
@@ -29,8 +29,8 @@ type sender struct {
 	// clears in place. rtsBuf has a slot per round in step with it, but is
 	// nil until the host's first request: a sender nobody asks holds none.
 	matchEpoch int64
-	committed  int          // channels accepted so far
-	reserved   int          // channels granted but not yet resolved
+	committed  int32        // channels accepted so far (int32: the pair fits the word the token queue's head took)
+	reserved   int32        // channels granted but not yet resolved
 	rounds     []roundState // per-round grant bookkeeping
 	rtsBuf     [][]*packet.Packet
 
@@ -174,7 +174,7 @@ func (s *sender) maybeFinish(f *sendFlow) {
 	if f.done || f.sentCnt < f.npkts {
 		return
 	}
-	for _, t := range s.tokens {
+	for _, t := range s.tokens.live() {
 		if t.Flow == f.id {
 			return // still owe admitted data
 		}
@@ -211,8 +211,7 @@ func (s *sender) onToken(tok *packet.Packet) {
 	// New admissions supersede the finish cycle (retransmissions).
 	f.finTimer.Cancel()
 	tok.Keep()
-	//lint:ignore hotalloc the token FIFO is bounded by the receiver's BDP window per flow; onEpochStart's in-place compaction keeps the backing array, so appends reuse capacity after warmup
-	s.tokens = append(s.tokens, tok)
+	s.tokens.push(tok)
 	s.kickPacer()
 }
 
@@ -236,7 +235,7 @@ func paceFunc(a, _ any, _ int) { a.(*sender).pace() }
 // one token's data packet per tick, yielding to short-flow bursts already
 // occupying the NIC (§3.2 sender-side logic).
 func (s *sender) pace() {
-	if len(s.tokens) == 0 {
+	if s.tokens.len() == 0 {
 		s.pacing = false
 		return
 	}
@@ -269,9 +268,8 @@ func (s *sender) pace() {
 func (s *sender) popValidToken() *packet.Packet {
 	now := s.p.eng.Now()
 	graceEnd := sim.Time(int64(s.p.sh.epochLen) * s.dataEpoch).Add(s.p.sh.grace)
-	for len(s.tokens) > 0 {
-		tok := s.tokens[0]
-		s.tokens = s.tokens[1:]
+	for s.tokens.len() > 0 {
+		tok := s.tokens.pop()
 		switch {
 		case tok.Epoch >= s.dataEpoch:
 			// Current (or, with clock skew, upcoming) phase: usable.
@@ -307,16 +305,17 @@ func (s *sender) onEpochStart(e int64) {
 	}
 	// Tokens from before the previous epoch can never become valid again;
 	// drop them eagerly so the queue stays short.
-	live := s.tokens[:0]
-	for _, t := range s.tokens {
+	live, n := s.tokens.live(), 0
+	for _, t := range live {
 		if t.Epoch >= e-1 {
-			live = append(live, t)
+			live[n] = t
+			n++
 		} else {
 			packet.Release(t)
 		}
 	}
-	s.tokens = live
-	if len(s.tokens) > 0 {
+	s.tokens.truncate(n)
+	if n > 0 {
 		s.kickPacer()
 	}
 }
@@ -343,11 +342,11 @@ func (s *sender) onAccept(acc *packet.Packet) {
 	if acc.Epoch != s.matchEpoch || acc.Round < 0 || acc.Round >= len(s.rounds) {
 		return
 	}
-	s.committed += acc.Channels
+	s.committed += int32(acc.Channels)
 	rs := &s.rounds[acc.Round]
 	rs.accepted += acc.Channels
 	if !rs.released {
-		s.reserved -= acc.Channels
+		s.reserved -= int32(acc.Channels)
 	}
 }
 
@@ -363,7 +362,7 @@ func (s *sender) grantStage(epoch int64, round int) {
 	if round > 0 {
 		rs := &s.rounds[round-1]
 		if !rs.released {
-			s.reserved -= rs.granted - rs.accepted
+			s.reserved -= int32(rs.granted - rs.accepted)
 			rs.released = true
 		}
 	}
@@ -379,7 +378,7 @@ func (s *sender) grantStage(epoch int64, round int) {
 	if len(reqs) == 0 {
 		return
 	}
-	free := s.p.sh.cfg.Channels - s.committed - s.reserved
+	free := s.p.sh.cfg.Channels - int(s.committed) - int(s.reserved)
 	if free <= 0 {
 		for _, r := range reqs {
 			packet.Release(r)
@@ -412,7 +411,7 @@ func (s *sender) grantStage(epoch int64, round int) {
 		g.Remaining = s.minRemainingTo(r.Src)
 		s.p.send(g)
 		free -= give
-		s.reserved += give
+		s.reserved += int32(give)
 		s.rounds[round].granted += give
 	}
 	for _, r := range reqs {

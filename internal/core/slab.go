@@ -29,6 +29,61 @@ func (b bitset) grow(n int) bitset {
 func (b bitset) get(i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 
+// fifo is a first-in, first-out queue that keeps its backing array. A pop
+// advances head rather than reslicing the front away (x = x[1:] strands
+// the popped slots, so append reallocates once the tail reaches the end
+// however short the queue is), and a push that finds the array full
+// slides the live entries down first when at least half of it has been
+// popped. The array therefore grows only while the queue itself does,
+// to at most four times its longest length, and a queue at steady length
+// allocates nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest entry; the queue must not be empty.
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+// live returns the queued entries, oldest first, in place.
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return x
+}
+
+func (q *fifo[T]) push(x T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	//lint:ignore hotalloc grows only while the queue's length does: pops leave their slots to later pushes (fifo)
+	q.buf = append(q.buf, x)
+}
+
+// truncate keeps the n oldest entries, for a caller that compacted
+// live() in place.
+func (q *fifo[T]) truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+	if n == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// reset empties the queue, keeping its array.
+func (q *fifo[T]) reset() { q.truncate(0) }
+
 // twoBits is a packed 2-bit-per-entry vector (receiver-side seq states:
 // seqUntokened/seqTokened/seqReceived).
 type twoBits []uint64
@@ -109,7 +164,9 @@ func (r *receiver) newRecvFlow() *recvFlow {
 //lint:coldpath runs once per flow completion; the free-list append reuses capacity after warmup
 func (r *receiver) recycleRecvFlow(f *recvFlow) {
 	f.recoverTimer.Cancel()
-	state, tokened, retx := f.state, f.tokened[:0], f.retx[:0]
+	f.tokened.reset()
+	f.retx.reset()
+	state, tokened, retx := f.state, f.tokened, f.retx
 	*f = recvFlow{state: state, tokened: tokened, retx: retx}
 	r.freeFlows = append(r.freeFlows, f)
 }

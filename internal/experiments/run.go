@@ -205,8 +205,10 @@ type RunResult struct {
 	// set-up alone (partition, fabric, protocols, trace), and Serial the
 	// part of Wall spent outside sim.Group's Each and RunEpoch — on one
 	// goroutine, whatever the shard count. Serial over Wall is what
-	// Amdahl's law charges a sharded run.
-	Wall, Wire, Serial time.Duration
+	// Amdahl's law charges a sharded run. Overhead is Σ over epochs of
+	// the epoch's wall time minus its busiest shard's (ShardStats.Busy
+	// holds each shard's): what the barrier itself cost.
+	Wall, Wire, Serial, Overhead time.Duration
 
 	// MetricsCSV / MetricsJSON hold the sampled time series and the
 	// end-of-run report when RunSpec.Metrics is set (nil otherwise).
@@ -464,6 +466,7 @@ func (rs *runState) result() RunResult {
 	if rs.clock != nil {
 		res.Wall, res.Wire = rs.clock(), rs.wire
 		res.Serial = res.Wall - rs.grp.SharedWall()
+		res.Overhead = rs.grp.EpochOverhead()
 	}
 	return res
 }

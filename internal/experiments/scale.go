@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -45,6 +46,13 @@ type ScaleResult struct {
 	// box, unlike Critical.
 	WireS      float64 `json:"wire_s"`
 	SerialFrac float64 `json:"serial_frac"`
+	// BusyMS is each shard's wall time inside its epochs
+	// (ShardStats.Busy) and OverheadMS Σ over epochs of the epoch's wall
+	// time minus its busiest shard's (RunResult.Overhead): where a sharded
+	// stretch's time went, shard by shard and to the barrier. Clock
+	// readings like WireS; absent when serial or not metered.
+	BusyMS     []float64 `json:"busy_ms,omitempty"`
+	OverheadMS float64   `json:"epoch_overhead_ms"`
 }
 
 // bound renders events / critical events: what the cell's epochs allow a
@@ -78,6 +86,15 @@ func (r ScaleResult) serialLabel() string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%% %.1f/%.1f/%.1fx", 100*r.SerialFrac, r.amdahl(4), r.amdahl(8), r.amdahl(16))
+}
+
+// busyLabel renders the busiest shard's busy time and the epochs'
+// overhead, in milliseconds, to sit beside serialLabel on a row.
+func (r ScaleResult) busyLabel() string {
+	if len(r.BusyMS) == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f/%.1f", slices.Max(r.BusyMS), r.OverheadMS)
 }
 
 // shardsLabel is the row's shards column: the count, marked when it was
@@ -233,8 +250,8 @@ func RunScale(o Options, w io.Writer) error {
 	var rows []ScaleResult
 	fmt.Fprintf(w, "sweep pool: %d workers; GOMAXPROCS %d of %d CPUs (%s)\n",
 		o.EffectiveWorkers(), machine.GOMAXPROCS, machine.NumCPU, machine.CPU)
-	fmt.Fprintf(w, "%6s %5s %7s %10s %8s %9s %12s %7s %8s %7s %21s  %s\n",
-		"hosts", "load", "shards", "wall_ms", "wire_ms", "events", "events/s", "flows", "skipped", "bound", "serial amdahl@4/8/16", "digest")
+	fmt.Fprintf(w, "%6s %5s %7s %10s %8s %9s %12s %7s %8s %7s %21s %13s  %s\n",
+		"hosts", "load", "shards", "wall_ms", "wire_ms", "events", "events/s", "flows", "skipped", "bound", "serial amdahl@4/8/16", "busy/ovh_ms", "digest")
 	for _, hosts := range hostSet {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
@@ -283,7 +300,7 @@ func RunScale(o Options, w io.Writer) error {
 				ran := len(res.ShardStats)
 				row := ScaleResult{
 					Hosts: hosts, Load: load, Shards: ran, Auto: ran != shards, Procs: machine.GOMAXPROCS,
-					WallMS:       float64(wall.Microseconds()) / 1000,
+					WallMS:       ms(wall),
 					Events:       res.Events,
 					EventsPerSec: float64(res.Events) / wall.Seconds(),
 					Flows:        res.Started,
@@ -297,15 +314,19 @@ func RunScale(o Options, w io.Writer) error {
 				}
 				if ran > 1 && res.Wall > 0 {
 					row.SerialFrac = res.Serial.Seconds() / res.Wall.Seconds()
+					row.OverheadMS = ms(res.Overhead)
+					for _, s := range res.ShardStats {
+						row.BusyMS = append(row.BusyMS, ms(s.Busy))
+					}
 				}
 				rows = append(rows, row)
 				mark := ""
 				if resumed {
 					mark = " (resumed)"
 				}
-				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %8.1f %9d %12.0f %7d %7.1f%% %7s %21s  %s%s\n",
+				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %8.1f %9d %12.0f %7d %7.1f%% %7s %21s %13s  %s%s\n",
 					hosts, load, row.shardsLabel(), row.WallMS, 1000*row.WireS, row.Events,
-					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.serialLabel(), row.Digest, mark)
+					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.serialLabel(), row.busyLabel(), row.Digest, mark)
 			}
 		}
 	}
@@ -324,6 +345,9 @@ func RunScale(o Options, w io.Writer) error {
 	}
 	return nil
 }
+
+// ms renders a clock reading in milliseconds, to the microsecond.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // printScaleSpeedups condenses the campaign into the figure the grid is
 // for: per (hosts, load), events/sec of the best explicit count and of

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"time"
 
 	"dcpim/internal/sim"
 )
@@ -321,10 +322,10 @@ func (f *Fabric) NumShards() int { return len(f.shards) }
 // that quantify barrier overhead: how many epochs the shard actually had
 // work in (versus idle-skipped at the barrier), how many events it
 // executed, how many of them bounded an epoch, and how many cross-shard
-// arrivals were staged into it. All are plain counters maintained
-// unconditionally (their upkeep is noise against an epoch's channel
-// round-trip); they are only formatted when a caller opts in via
-// RegisterShardMetrics or reads them here.
+// arrivals were staged into it, and, in a metered run, how long it was
+// busy. The counters are maintained unconditionally (their upkeep is
+// noise against an epoch's hand-off); they are only formatted when a
+// caller opts in via RegisterShardMetrics or reads them here.
 type ShardStats struct {
 	Shard      int
 	Events     uint64 // events executed on the shard's engine
@@ -337,6 +338,10 @@ type ShardStats struct {
 	// total events over that sum is the speedup a core per shard and a free
 	// barrier would give, a count that repeats exactly for a seed.
 	Critical uint64
+	// Busy is the wall time the shard spent inside its epochs, landing
+	// its arrivals and running its engine: a clock reading, zero unless
+	// the run is metered (sim.Group.SetClock).
+	Busy time.Duration
 }
 
 // ShardStats returns per-shard barrier-overhead counters, indexed by
@@ -352,6 +357,7 @@ func (f *Fabric) ShardStats() []ShardStats {
 			Dispatched: f.grp.Dispatched(i),
 			Skipped:    f.grp.Skipped(i),
 			Critical:   f.grp.Critical(i),
+			Busy:       f.grp.Busy(i),
 		}
 	}
 	return out

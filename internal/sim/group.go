@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,25 +13,46 @@ import (
 // waiting in the Inbox — plus the lookahead window.
 //
 // Shard 0 always runs on the caller's goroutine; shards 1..n-1 each get
-// a persistent worker goroutine fed by a one-slot channel. An epoch sends
-// the barrier time to every worker with pending work, runs shard 0, and
-// waits on a WaitGroup; Each sends a function the same way, which is how
-// per-shard set-up runs on the goroutine that will run the shard. The send
-// happens-before the worker's receive and each worker's Done
-// happens-before the coordinator's Wait returning, so between calls the
+// a persistent worker goroutine fed through a mailbox. An epoch posts the
+// barrier time to every worker with pending work, runs shard 0, and waits
+// for the posted workers to finish; Each posts a function the same way,
+// which is how per-shard set-up runs on the goroutine that will run the
+// shard. A post happens-before the worker takes it and each finish
+// happens-before the coordinator's wait returning, so between calls the
 // workers are quiescent and the coordinator owns every engine: it reads
 // NextAt to size the window without further synchronization.
 //
+// A goroutine that runs out of work at a hand-off — a worker waiting for
+// its next post, the coordinator waiting for its workers — polls for up to
+// spinBound before it blocks, but only in a group that fits its cores
+// (spinSlots); every other group blocks at once. Either way the wait ends
+// on the same post or finish, so epochs, event order and every count are
+// the same (DESIGN.md §11.2).
+//
 // A Group of one engine degenerates to plain serial execution with no
-// goroutines and no channels, so the serial path pays nothing.
+// goroutines and no mailboxes, so the serial path pays nothing.
 type Group struct {
+	// Read by the workers, written only while the group is idle.
 	engines []*Engine
-	closed  bool
-
-	work  []chan shardWork
-	inbox Inbox // cross-shard queues, registered by their owner
-	//lint:ignore simgoroutine Group IS the sanctioned concurrency primitive; this joins its own epoch workers
-	wg sync.WaitGroup
+	spin    bool      // holds spinSlots for every shard: hand-offs poll before they park
+	boxes   []mailbox // one per worker: boxes[i] feeds shard i+1
+	inbox   Inbox     // cross-shard queues, registered by their owner
+	now     func() time.Duration
+	// The coordinator's end of the hand-offs: posts counts every one so
+	// far and finished the ones done. A coordinator about to block stores
+	// in waiting the count it waits for and looks at finished once more;
+	// the finish that brings finished to the count in waiting claims it
+	// back and sends on wake. Every worker writes finished and the
+	// coordinator polls it, so it has a cache line to itself (128 bytes:
+	// the adjacent-line prefetcher moves lines in pairs); posts is the
+	// coordinator's alone.
+	waiting  atomic.Uint64
+	wake     chan struct{}
+	_        [128]byte
+	finished atomic.Uint64
+	_        [128]byte
+	posts    uint64
+	closed   bool
 
 	// Barrier-overhead counters, maintained unconditionally (a few slice
 	// increments per shard per epoch — noise against an epoch's barrier
@@ -48,20 +70,102 @@ type Group struct {
 	critical []uint64
 	events   []uint64
 
-	// wall meters, on a clock the caller hands in (SetClock), how long the
-	// shard goroutines have had work: the time inside Each and RunEpoch.
-	// What a run's wall time has beyond it ran on one goroutine.
+	// wall meters, on the clock now the caller hands in (SetClock), how
+	// long the shard goroutines have had work (shared: the time inside
+	// Each and RunEpoch), how long each shard was busy inside its epochs,
+	// and what the epochs took beyond their busiest shard. What a run's
+	// wall time has beyond shared ran on one goroutine.
 	wall struct {
-		now    func() time.Duration
-		shared time.Duration
+		shared   time.Duration
+		overhead time.Duration
+		busy     []time.Duration // per shard, summed over epochs
 	}
 }
 
+// mailbox is one worker's end of the hand-off. The coordinator writes
+// work and then bumps seq, the number of posts so far; the worker, having
+// taken some, waits for the next. A worker about to block stores in parked
+// the number of the post it waits for and looks at seq once more; a
+// coordinator that finds its post's number in parked after the bump claims
+// it back (CompareAndSwap to 0) and sends on wake. Both sides write before
+// they read, so at least one sees the other, and the number keeps a post
+// from claiming a later wait (DESIGN.md §11.2). Each part sits on lines
+// of its own: a spinning worker polls seq, which only a post writes, and a
+// post reads parked, which only a worker about to block writes.
+type mailbox struct {
+	seq  atomic.Uint64
+	work shardWork
+	wake chan struct{}
+	_    [128]byte
+	// Written by the worker: parked as it blocks, read by every post;
+	// busy, the shard's busy time inside its epochs, in a metered run
+	// only, and read by the coordinator after each epoch.
+	parked atomic.Uint64
+	_      [128]byte
+	busy   time.Duration
+	_      [128]byte
+}
+
+// Polling at a hand-off: spinYield polls between yields of the P, and
+// spinBound of host time before the poller blocks. The bound covers an
+// epoch's imbalance between shards and the coordinator's work between
+// epochs on the fabrics that shard (hundreds of microseconds), and a
+// group left idle — between set-up steps, or after its last epoch — stops
+// burning its cores long before anyone could notice.
+const (
+	spinYield = 1 << 12
+	spinBound = 2 * time.Millisecond
+)
+
+// spinSlots counts the Ps that spinning groups hold, process-wide. A group
+// spins only if all its shards fit beside the groups already spinning, so
+// concurrent groups (RunMany) never poll more goroutines than there are
+// Ps; a group that does not fit — wider than GOMAXPROCS, or beside others
+// — blocks at every hand-off, where polling measured slower.
+var spinSlots atomic.Int64
+
+// reserveSpin takes n slots if they fit under GOMAXPROCS.
+func reserveSpin(n int) bool {
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		held := spinSlots.Load()
+		if held+int64(n) > procs {
+			return false
+		}
+		if spinSlots.CompareAndSwap(held, held+int64(n)) {
+			return true
+		}
+	}
+}
+
+// spinner paces one bounded poll: more reports whether to poll again,
+// yielding the P every spinYield polls and reading the clock only there,
+// so a post that arrives within the first spinYield polls costs no clock
+// read at all.
+type spinner struct {
+	polls    int
+	deadline time.Time
+}
+
+func (s *spinner) more() bool {
+	if s.polls++; s.polls%spinYield != 0 {
+		return true
+	}
+	runtime.Gosched()
+	//lint:ignore wallclock the spin bound is host time by nature; it bounds CPU burnt waiting and never reaches simulated time
+	now := time.Now()
+	if s.deadline.IsZero() {
+		s.deadline = now.Add(spinBound)
+	}
+	return now.Before(s.deadline)
+}
+
 // shardWork is one hand-off to a shard's worker: run fn for the shard, or,
-// fn being nil, the shard's epoch up to until.
+// fn being nil, the shard's epoch up to until; quit ends the worker.
 type shardWork struct {
 	until Time
 	fn    func(shard int)
+	quit  bool
 }
 
 // Inbox is a set of per-shard queues of events that one shard produced for
@@ -88,34 +192,114 @@ func NewGroup(engines []*Engine) *Group {
 	if len(engines) == 0 {
 		panic("sim: empty engine group")
 	}
+	n := len(engines)
 	g := &Group{
 		engines:    engines,
-		dispatched: make([]uint64, len(engines)),
-		skipped:    make([]uint64, len(engines)),
-		critical:   make([]uint64, len(engines)),
-		events:     make([]uint64, len(engines)),
-		work:       make([]chan shardWork, len(engines)-1),
+		spin:       n > 1 && reserveSpin(n),
+		boxes:      make([]mailbox, n-1),
+		wake:       make(chan struct{}, 1),
+		dispatched: make([]uint64, n),
+		skipped:    make([]uint64, n),
+		critical:   make([]uint64, n),
+		events:     make([]uint64, n),
 	}
+	g.wall.busy = make([]time.Duration, n)
 	for i, eng := range engines {
 		g.events[i] = eng.Events()
 	}
-	for i := range g.work {
-		ch := make(chan shardWork, 1)
-		g.work[i] = ch
+	for i := range g.boxes {
+		box := &g.boxes[i]
+		box.wake = make(chan struct{}, 1)
 		shard := i + 1
 		//lint:ignore simgoroutine Group's persistent epoch workers are the one sanctioned fabric spawn point
-		go func() {
-			for w := range ch {
-				if w.fn != nil {
-					w.fn(shard)
-				} else {
-					g.run(shard, w.until)
-				}
-				g.wg.Done()
-			}
-		}()
+		go g.work(shard, box)
 	}
 	return g
+}
+
+// work is shard's worker: it takes one post at a time and finishes it.
+func (g *Group) work(shard int, box *mailbox) {
+	for taken := uint64(0); ; {
+		g.await(box, taken)
+		taken++
+		chaos()
+		w := box.work
+		switch {
+		case w.quit:
+			g.finish()
+			return
+		case w.fn != nil:
+			w.fn(shard)
+		default:
+			if busy := g.run(shard, w.until); busy != 0 {
+				box.busy += busy
+			}
+		}
+		g.finish()
+	}
+}
+
+// await returns once box holds a post beyond the taken ones.
+func (g *Group) await(box *mailbox, taken uint64) {
+	next := taken + 1
+	for s := (spinner{}); box.seq.Load() != next; {
+		if g.spin && s.more() {
+			continue
+		}
+		chaos()
+		box.parked.Store(next)
+		// The re-check: a post that bumped seq before parked was set did
+		// not see it, and sends no wake-up.
+		if box.seq.Load() == next && box.parked.CompareAndSwap(next, 0) {
+			return
+		}
+		// Blocked, or the coordinator claimed parked first: either way its
+		// wake-up is on the way.
+		<-box.wake
+		return
+	}
+}
+
+// post hands w to box's worker. The worker must have finished its
+// previous post.
+func (g *Group) post(box *mailbox, w shardWork) {
+	g.posts++
+	box.work = w
+	n := box.seq.Add(1)
+	chaos()
+	if box.parked.Load() == n && box.parked.CompareAndSwap(n, 0) {
+		box.wake <- struct{}{}
+	}
+}
+
+// finish reports a post done; the last one a blocked coordinator waits
+// for wakes it.
+func (g *Group) finish() {
+	chaos()
+	if n := g.finished.Add(1); g.waiting.Load() == n && g.waiting.CompareAndSwap(n, 0) {
+		g.wake <- struct{}{}
+	}
+}
+
+// wait returns once every posted worker has finished.
+func (g *Group) wait() {
+	posts := g.posts
+	for s := (spinner{}); g.finished.Load() != posts; {
+		if g.spin && s.more() {
+			continue
+		}
+		chaos()
+		g.waiting.Store(posts)
+		// The re-check: a finish that reached posts before waiting was set
+		// did not see it, and sends no wake-up.
+		if g.finished.Load() == posts && g.waiting.CompareAndSwap(posts, 0) {
+			return
+		}
+		// Blocked, or the last finish claimed waiting first: either way
+		// its wake-up is on the way.
+		<-g.wake
+		return
+	}
 }
 
 // N returns the number of shards.
@@ -128,30 +312,43 @@ func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 // deliver. Without one the group runs its engines and nothing else.
 func (g *Group) SetInbox(in Inbox) { g.inbox = in }
 
-// SetClock has the group meter its shared stretches on now, a monotonic
-// wall clock (experiments.WallTimer's; internal/ code reads no other).
-// Only the run that reports a serial share is handed one (`-run scale`);
-// without one nothing is timed and no epoch reads a clock.
-func (g *Group) SetClock(now func() time.Duration) { g.wall.now = now }
+// SetClock has the group meter its shared stretches, each shard's busy
+// time and the epochs' overhead on now, a monotonic wall clock
+// (experiments.WallTimer's; internal/ code reads no other). Only a metered
+// run is handed one (`-run scale`); without one nothing is timed and no
+// epoch reads a clock. now is called from every shard's goroutine.
+func (g *Group) SetClock(now func() time.Duration) { g.now = now }
 
 // SharedWall returns the wall time spent so far inside Each and RunEpoch —
 // the stretches in which every shard's goroutine had work to pick up. A
 // run's wall time minus this is what it spent on one goroutine.
 func (g *Group) SharedWall() time.Duration { return g.wall.shared }
 
+// Busy returns the wall time shard i spent inside its epochs — landing
+// what waited for it and running its engine — when metered.
+func (g *Group) Busy(i int) time.Duration { return g.wall.busy[i] }
+
+// EpochOverhead returns Σ over epochs of the epoch's wall time minus its
+// busiest shard's busy time, when metered: what the barrier itself cost
+// (hand-offs, wake-ups, the coordinator's skip and count work).
+func (g *Group) EpochOverhead() time.Duration { return g.wall.overhead }
+
 // clockIn and clockOut bracket a shared stretch. A group of one engine
 // has none: everything it does runs on the caller's goroutine.
 func (g *Group) clockIn() time.Duration {
-	if g.wall.now == nil || len(g.work) == 0 {
+	if g.now == nil || len(g.boxes) == 0 {
 		return 0
 	}
-	return g.wall.now()
+	return g.now()
 }
 
-func (g *Group) clockOut(in time.Duration) {
-	if g.wall.now != nil && len(g.work) != 0 {
-		g.wall.shared += g.wall.now() - in
+func (g *Group) clockOut(in time.Duration) time.Duration {
+	if g.now == nil || len(g.boxes) == 0 {
+		return 0
 	}
+	out := g.now()
+	g.wall.shared += out - in
+	return out - in
 }
 
 // Each runs fn(i) for every shard i on the goroutine that runs shard i's
@@ -162,22 +359,29 @@ func (g *Group) clockOut(in time.Duration) {
 // group must be idle, as for RunEpoch.
 func (g *Group) Each(fn func(shard int)) {
 	in := g.clockIn()
-	g.wg.Add(len(g.work))
-	for _, ch := range g.work {
-		ch <- shardWork{fn: fn}
+	for i := range g.boxes {
+		g.post(&g.boxes[i], shardWork{fn: fn})
 	}
 	fn(0)
-	g.wg.Wait()
+	g.wait()
 	g.clockOut(in)
 }
 
 // run is one shard's epoch: land what other shards queued for it, then
-// execute up to the barrier.
-func (g *Group) run(shard int, until Time) {
+// execute up to the barrier. It returns how long that took when metered.
+func (g *Group) run(shard int, until Time) time.Duration {
+	var in time.Duration
+	if g.now != nil {
+		in = g.now()
+	}
 	if g.inbox != nil {
 		g.inbox.Land(shard)
 	}
 	g.engines[shard].Run(until)
+	if g.now == nil {
+		return 0
+	}
+	return g.now() - in
 }
 
 // nextAt returns the time of shard i's earliest pending event, on its
@@ -205,7 +409,7 @@ func (g *Group) nextAt(i int) (Time, bool) {
 func (g *Group) RunEpoch(until Time) {
 	in := g.clockIn()
 	g.epochs++
-	for i, ch := range g.work {
+	for i := range g.boxes {
 		shard := i + 1
 		if at, ok := g.nextAt(shard); !ok || at > until {
 			if g.inbox != nil {
@@ -216,12 +420,11 @@ func (g *Group) RunEpoch(until Time) {
 			continue
 		}
 		g.dispatched[shard]++
-		g.wg.Add(1)
-		ch <- shardWork{until: until}
+		g.post(&g.boxes[i], shardWork{until: until})
 	}
-	g.run(0, until)
+	busy0 := g.run(0, until)
 	g.dispatched[0]++
-	g.wg.Wait()
+	g.wait()
 
 	top, most := 0, uint64(0)
 	for i, eng := range g.engines {
@@ -232,18 +435,39 @@ func (g *Group) RunEpoch(until Time) {
 		g.events[i] = n
 	}
 	g.critical[top] += most
-	g.clockOut(in)
+	if epoch := g.clockOut(in); epoch != 0 {
+		g.meter(epoch, busy0)
+	}
 }
 
-// Close shuts down the worker goroutines. The group must be idle (no
-// epoch in flight). Safe to call more than once.
+// meter books one metered epoch: each shard's busy time (a worker's
+// running total is in its mailbox, shard 0's is busy0) and the epoch's
+// wall time beyond its busiest shard.
+func (g *Group) meter(epoch, busy0 time.Duration) {
+	g.wall.busy[0] += busy0
+	most := busy0
+	for i := range g.boxes {
+		d := g.boxes[i].busy - g.wall.busy[i+1]
+		g.wall.busy[i+1] = g.boxes[i].busy
+		most = max(most, d)
+	}
+	g.wall.overhead += epoch - most
+}
+
+// Close shuts down the worker goroutines, returning once each has taken
+// its last post, and hands back the group's spin slots. The group must
+// be idle (no epoch in flight). Safe to call more than once.
 func (g *Group) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
-	for _, ch := range g.work {
-		close(ch)
+	for i := range g.boxes {
+		g.post(&g.boxes[i], shardWork{quit: true})
+	}
+	g.wait()
+	if g.spin {
+		spinSlots.Add(-int64(len(g.engines)))
 	}
 }
 

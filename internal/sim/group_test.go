@@ -106,39 +106,148 @@ func TestGroupCrossScheduling(t *testing.T) {
 	})
 }
 
-// TestGroupShardsOverlap proves two shards of one epoch are in flight at
-// the same time: each runs an event that cannot finish until the other's
-// has started. A barrier that runs the shards one after the other on the
-// coordinator can never complete the exchange.
+// TestGroupShardsOverlap proves the shards of one epoch are in flight at
+// the same time: each runs an event that cannot finish until every other
+// shard's has started. A barrier that runs the shards one after the other
+// on the coordinator can never complete the exchange. It runs at 1–8
+// shards on 1, 2 and 4 Ps, so groups that poll at their hand-offs (as
+// many shards as Ps, or fewer) and groups that block at once both meet.
 func TestGroupShardsOverlap(t *testing.T) {
-	a, b := NewEngine(1), NewEngine(2)
-	g := NewGroup([]*Engine{a, b})
-	defer g.Close()
-
 	const patience = 5 * time.Second
-	ab, ba := make(chan struct{}), make(chan struct{})
-	var metA, metB bool // each written by its own shard's event only
-	a.Schedule(1, func() {
-		select {
-		case ab <- struct{}{}:
-			<-ba
-			metA = true
-		case <-time.After(patience):
+	for _, procs := range []int{1, 2, 4} {
+		for shards := 1; shards <= 8; shards++ {
+			underWatchdog(t, groupWatchdog, func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				engines := make([]*Engine, shards)
+				started := make([]chan struct{}, shards)
+				met := make([]bool, shards) // met[i] is written by shard i's event only
+				for i := range engines {
+					engines[i] = NewEngine(int64(i + 1))
+					started[i] = make(chan struct{})
+				}
+				g := NewGroup(engines)
+				defer g.Close()
+				for i, eng := range engines {
+					eng.Schedule(1, func() {
+						close(started[i])
+						timeout := time.After(patience)
+						for _, other := range started {
+							select {
+							case <-other:
+							case <-timeout:
+								return
+							}
+						}
+						met[i] = true
+					})
+				}
+				g.RunEpoch(1)
+				for i, ok := range met {
+					if !ok {
+						t.Errorf("procs=%d shards=%d: shard %d never saw every shard start within %v: the epoch ran them one after the other",
+							procs, shards, i, patience)
+					}
+				}
+			})
 		}
-	})
-	b.Schedule(1, func() {
-		select {
-		case <-ab:
-			ba <- struct{}{}
-			metB = true
-		case <-time.After(patience):
-		}
-	})
-	g.RunEpoch(1)
-	if !metA || !metB {
-		t.Fatalf("shards never met within %v (shard 0 %v, shard 1 %v): the epoch ran them one after the other",
-			patience, metA, metB)
 	}
+}
+
+// TestGroupSpinReservation: a group polls at its hand-offs only while its
+// shards fit beside the groups already polling, so two concurrent groups
+// never poll more goroutines than there are Ps; a group wider than
+// GOMAXPROCS never polls, a group of one has no hand-offs, and Close hands
+// the slots back. A group that blocks at once still runs its epochs.
+func TestGroupSpinReservation(t *testing.T) {
+	underWatchdog(t, groupWatchdog, func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		if held := spinSlots.Load(); held != 0 {
+			t.Errorf("%d spin slots held before the test: a group was not closed", held)
+			return
+		}
+		group := func(shards int) *Group {
+			engines := make([]*Engine, shards)
+			for i := range engines {
+				engines[i] = NewEngine(1)
+				engines[i].Schedule(1, func() {})
+			}
+			return NewGroup(engines)
+		}
+		first, second, wide, single := group(3), group(2), group(5), group(1)
+		if !first.spin || second.spin || wide.spin || single.spin {
+			t.Errorf("polling: 3 shards %v, 2 beside them %v, 5 shards %v, 1 shard %v; want true, false, false, false",
+				first.spin, second.spin, wide.spin, single.spin)
+		}
+		if held := spinSlots.Load(); held != 3 {
+			t.Errorf("%d spin slots held, want 3", held)
+		}
+		for _, g := range []*Group{first, second, wide, single} {
+			g.RunEpoch(1)
+			if g.Events() != uint64(g.N()) {
+				t.Errorf("%d shards ran %d events, want %d", g.N(), g.Events(), g.N())
+			}
+		}
+		first.Close()
+		first.Close() // idempotent: hands the slots back once
+		third := group(4)
+		if !third.spin {
+			t.Errorf("4 shards on 4 Ps after the first group closed do not poll")
+		}
+		for _, g := range []*Group{second, wide, single, third} {
+			g.Close()
+		}
+		if held := spinSlots.Load(); held != 0 {
+			t.Errorf("%d spin slots held after every group closed, want 0", held)
+		}
+	})
+}
+
+// TestGroupSpinParks: a polling group left idle blocks within the spin
+// bound — the worker waiting for its next post, and the coordinator
+// waiting for a worker that is still busy — and a post or finish wakes it
+// from there.
+func TestGroupSpinParks(t *testing.T) {
+	underWatchdog(t, groupWatchdog, func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		a, b := NewEngine(1), NewEngine(1)
+		g := NewGroup([]*Engine{a, b})
+		defer g.Close()
+		if !g.spin {
+			t.Errorf("2 shards on 2 Ps do not poll")
+			return
+		}
+		// Generous against the bound: a loaded machine, or -race, slows the
+		// poll loop, but not by a factor of a hundred.
+		const limit = 100 * spinBound
+		within := func(what string, parked func() bool) {
+			start := time.Now()
+			for !parked() {
+				if time.Since(start) > limit {
+					t.Errorf("%s still polling after %v (bound %v)", what, limit, spinBound)
+					return
+				}
+				time.Sleep(spinBound / 4)
+			}
+		}
+
+		b.Schedule(1, func() {})
+		g.RunEpoch(1)
+		within("idle worker", func() bool { return g.boxes[0].parked.Load() != 0 })
+
+		// Shard 1's event outlasts the bound; the coordinator, done with
+		// shard 0 at once, blocks for it.
+		release := make(chan struct{})
+		b.Schedule(2, func() { <-release })
+		a.Schedule(2, func() {})
+		go func() {
+			within("coordinator", func() bool { return g.waiting.Load() != 0 })
+			close(release)
+		}()
+		g.RunEpoch(2)
+		if g.Events() != 3 || g.Now() != 2 {
+			t.Errorf("events %d at %v after waking, want 3 at 2", g.Events(), g.Now())
+		}
+	})
 }
 
 // TestGroupCriticalPath pins the clock-free critical path: each epoch
@@ -322,7 +431,7 @@ func runBarrierTrial(mode, shards int, seed int64) barrierTrial {
 // itself checks that every shard was dispatched or skipped in every epoch.
 func TestGroupBarrierEquivalence(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 2, 4, 8} {
+		for shards := 1; shards <= 8; shards++ {
 			underWatchdog(t, groupWatchdog, func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				for trial := 0; trial < 6; trial++ {

@@ -98,10 +98,11 @@ func (c FatTreeConfig) Build() *Topology {
 
 	t.Switches = make([]*Switch, numEdge+numAgg+numCore)
 
+	// Every switch has k ports, allocated once up front.
 	// Edge switches: ports [0,half) hosts, [half,k) aggs.
 	for pod := 0; pod < k; pod++ {
 		for i := 0; i < half; i++ {
-			sw := &Switch{ID: edgeID(pod, i)}
+			sw := &Switch{ID: edgeID(pod, i), Ports: make([]Port, 0, k)}
 			for h := 0; h < half; h++ {
 				host := (pod*half+i)*half + h
 				sw.Ports = append(sw.Ports, Port{
@@ -121,7 +122,7 @@ func (c FatTreeConfig) Build() *Topology {
 	// Aggregation switches: ports [0,half) edges, [half,k) cores.
 	for pod := 0; pod < k; pod++ {
 		for j := 0; j < half; j++ {
-			sw := &Switch{ID: aggID(pod, j)}
+			sw := &Switch{ID: aggID(pod, j), Ports: make([]Port, 0, k)}
 			for i := 0; i < half; i++ {
 				sw.Ports = append(sw.Ports, link(edgeID(pod, i), half+j))
 			}
@@ -135,7 +136,7 @@ func (c FatTreeConfig) Build() *Topology {
 	}
 	// Core switches: port p connects down to pod p's agg (ci/half).
 	for ci := 0; ci < numCore; ci++ {
-		sw := &Switch{ID: coreID(ci)}
+		sw := &Switch{ID: coreID(ci), Ports: make([]Port, 0, k)}
 		j := ci / half
 		x := ci % half
 		for pod := 0; pod < k; pod++ {

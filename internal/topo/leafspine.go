@@ -91,9 +91,11 @@ func (c LeafSpineConfig) Build() *Topology {
 		maxPathSwitches: 3, // leaf, spine, leaf
 	}
 
-	// Switch ids: leaves 0..Racks-1, spines Racks..Racks+Spines-1.
+	// Switch ids: leaves 0..Racks-1, spines Racks..Racks+Spines-1. Each
+	// switch's ports are allocated once, at their final count.
+	t.Switches = make([]*Switch, 0, c.Racks+c.Spines)
 	for l := 0; l < c.Racks; l++ {
-		sw := &Switch{ID: l}
+		sw := &Switch{ID: l, Ports: make([]Port, 0, c.HostsPerRack+c.Spines)}
 		// Downlinks: ports 0..HostsPerRack-1.
 		for h := 0; h < c.HostsPerRack; h++ {
 			host := l*c.HostsPerRack + h
@@ -116,7 +118,7 @@ func (c LeafSpineConfig) Build() *Topology {
 		t.Switches = append(t.Switches, sw)
 	}
 	for s := 0; s < c.Spines; s++ {
-		sw := &Switch{ID: c.Racks + s}
+		sw := &Switch{ID: c.Racks + s, Ports: make([]Port, 0, c.Racks)}
 		// Port l connects down to leaf l.
 		for l := 0; l < c.Racks; l++ {
 			sw.Ports = append(sw.Ports, Port{
