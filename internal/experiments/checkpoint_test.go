@@ -312,11 +312,11 @@ const fixturePath = "testdata/ckpt-fattree16.dcpimck"
 // means checkpoint files written by earlier builds no longer resume: if
 // the behavior change is deliberate, regenerate with
 //
-//	DCPIM_REGEN_CKPT=1 go test ./internal/experiments -run TestGoldenCheckpointFixture
+//	DCPIM_REGEN=1 go test ./internal/experiments -run TestGoldenCheckpointFixture
 //
 // and bump checkpoint.Version if the byte format itself changed.
 func TestGoldenCheckpointFixture(t *testing.T) {
-	if os.Getenv("DCPIM_REGEN_CKPT") != "" {
+	if os.Getenv("DCPIM_REGEN") != "" {
 		_, snaps := RunCheckpointed(fixtureSpec())
 		if len(snaps) != 4 {
 			t.Fatalf("fixture run took %d snapshots, want 4", len(snaps))

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,32 +16,76 @@ import (
 // time: 8–16 host topologies and 5–10% horizons.
 func quick() Options { return Options{Seed: 1, Scale: 0.08, Hosts: 8} }
 
+// quickCase is one input of TestAllExperimentsRunQuick: an experiment at
+// the options its quick run uses, compared against testdata/quick/<name>.txt.
+type quickCase struct {
+	name string
+	e    Experiment
+	o    Options
+}
+
+// quickCases lists every experiment at its quick options.
+func quickCases() []quickCase {
+	var cases []quickCase
+	for _, e := range All() {
+		o := quick()
+		switch e.ID {
+		case "fig4a":
+			o.Hosts = 0 // needs 3 racks; use the full topology briefly
+			o.Scale = 0.3
+		case "fig7":
+			o.Scale = 0.05
+		}
+		cases = append(cases, quickCase{e.ID, e, o})
+	}
+	return cases
+}
+
+// TestAllExperimentsRunQuick runs every experiment at quick scale and
+// compares its printed report with the golden file
+// testdata/quick/<name>.txt, so a change to any figure's numbers or
+// layout shows up as a text diff. scale is exempt from the comparison:
+// its columns are wall-clock readings. If a change to the output is
+// deliberate, regenerate the golden files with
+//
+//	DCPIM_REGEN=1 go test ./internal/experiments -run TestAllExperimentsRunQuick
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs are not short")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
+	for _, c := range quickCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			watchdog(t, 2*time.Minute) // scale and ckpt run sharded fabrics
 			var buf bytes.Buffer
-			o := quick()
-			if e.ID == "fig4a" {
-				o.Hosts = 0 // needs 3 racks; use the full topology briefly
-				o.Scale = 0.3
-			}
-			if e.ID == "fig7" {
-				o.Scale = 0.05
-			}
-			if err := e.Run(o, &buf); err != nil {
-				t.Fatalf("%s: %v\noutput:\n%s", e.ID, err, buf.String())
+			if err := c.e.Run(c.o, &buf); err != nil {
+				t.Fatalf("%s: %v\noutput:\n%s", c.name, err, buf.String())
 			}
 			out := buf.String()
 			if len(out) < 100 {
-				t.Fatalf("%s: suspiciously short output:\n%s", e.ID, out)
+				t.Fatalf("%s: suspiciously short output:\n%s", c.name, out)
 			}
 			if strings.Contains(out, "NaN") {
-				t.Fatalf("%s: NaN in output:\n%s", e.ID, out)
+				t.Fatalf("%s: NaN in output:\n%s", c.name, out)
+			}
+			if c.e.ID == "scale" {
+				return
+			}
+			path := filepath.Join("testdata", "quick", c.name+".txt")
+			if os.Getenv("DCPIM_REGEN") != "" {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("golden output missing (see regeneration note above): %v", err)
+			}
+			if !bytes.Equal(want, buf.Bytes()) {
+				t.Errorf("%s: output differs from %s:\n%s\nwant:\n%s", c.name, path, out, want)
 			}
 		})
 	}
