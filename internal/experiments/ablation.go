@@ -6,7 +6,6 @@ import (
 
 	"dcpim/internal/core"
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 	"dcpim/internal/workload"
 )
 
@@ -23,43 +22,26 @@ func RunAblation(o Options, w io.Writer) error {
 	tp := leafSpineFor(o.Hosts)
 	horizon := o.scaled(1 * sim.Millisecond)
 	const load = 0.54
-
-	specFor := func(cfg core.Config) RunSpec {
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: load,
-			Dist: workload.WebSearch(), Horizon: horizon, Seed: o.Seed,
-		}.Generate()
-		c := cfg
-		return RunSpec{
-			Protocol: DCPIM, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 61, Shards: o.Shards, DcPIM: &c,
-		}
-	}
-	summarize := func(res RunResult) (short, medium, all stats.Summary) {
-		bdp := tp.BDP()
-		short = stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size <= bdp })
-		medium = stats.Summarize(res.Records, func(r stats.FlowRecord) bool {
-			return r.Size > bdp && r.Size <= 16*bdp
-		})
-		all = stats.Summarize(res.Records, nil)
-		return short, medium, all
-	}
+	tr := allToAll(tp, workload.WebSearch(), load, horizon, o.Seed)
+	bdp := tp.BDP()
 
 	fcts := []bool{true, false}
 	fracs := []float64{0.5, 1.0, 2.0}
-	var specs []RunSpec
+	var cells []cell
 	for _, fct := range fcts {
-		cfg := core.DefaultConfig()
-		cfg.FCTRound = fct
-		specs = append(specs, specFor(cfg))
+		cells = append(cells, dcpimCell(fmt.Sprintf("ablation-fct-%v", fct), tr, func(c *core.Config) { c.FCTRound = fct }))
 	}
-	bdp := tp.BDP()
 	for _, frac := range fracs {
-		cfg := core.DefaultConfig()
-		cfg.WindowBytes = int64(frac * float64(bdp))
-		specs = append(specs, specFor(cfg))
+		cells = append(cells, dcpimCell(fmt.Sprintf("ablation-window%.1f", frac), tr, func(c *core.Config) {
+			c.WindowBytes = int64(frac * float64(bdp))
+		}))
 	}
-	results := RunMany(specs, o.workers())
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 61}
+	results := fig.run(o, cells)
+	row := func(tbl *table, label string, res RunResult) {
+		c := sizeClasses(res, bdp)
+		tbl.add(label, c.short.Mean, c.short.P99, c.medium.Mean, c.medium.P99, c.all.Mean)
+	}
 
 	fmt.Fprintf(w, "dcPIM design ablations, WebSearch at load %.2f (horizon %v)\n", load, horizon)
 
@@ -70,16 +52,14 @@ func RunAblation(o Options, w io.Writer) error {
 		if !fct {
 			label = "random (sizes unknown)"
 		}
-		s, m, a := summarize(results[i])
-		tbl.add(label, s.Mean, s.P99, m.Mean, m.P99, a.Mean)
+		row(tbl, label, results[i])
 	}
 	tbl.write(w)
 
 	fmt.Fprintf(w, "\n-- token window (§3.2): fraction of one BDP --\n")
 	tbl = newTable("window", "short-mean", "short-p99", "medium-mean", "medium-p99", "all-mean")
 	for i, frac := range fracs {
-		s, m, a := summarize(results[len(fcts)+i])
-		tbl.add(fmt.Sprintf("%.1f BDP", frac), s.Mean, s.P99, m.Mean, m.P99, a.Mean)
+		row(tbl, fmt.Sprintf("%.1f BDP", frac), results[len(fcts)+i])
 	}
 	tbl.write(w)
 

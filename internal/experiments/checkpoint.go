@@ -396,12 +396,8 @@ func firstEventDivergence(a, b *checkpoint.Snapshot) *EventDivergence {
 // arguments deterministically.
 func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, dir string) RunSpec {
 	tp := fatTreeFor(hosts)
-	tr := workload.AllToAllConfig{
-		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
-		Dist: workload.IMC10(), Horizon: horizon * 2 / 3, Seed: seed,
-	}.Generate()
 	return RunSpec{
-		Protocol: DCPIM, Topo: tp, Trace: tr,
+		Protocol: DCPIM, Topo: tp, Trace: allToAll(tp, workload.IMC10(), 0.5, horizon*2/3, seed),
 		Horizon: horizon, Seed: seed, Shards: shards,
 		Digest: true,
 		Checkpoint: &CheckpointSpec{

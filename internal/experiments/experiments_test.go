@@ -24,7 +24,8 @@ type quickCase struct {
 	o    Options
 }
 
-// quickCases lists every experiment at its quick options.
+// quickCases lists every experiment at its quick options, plus fig7 at
+// a scale where no protocol completes a long flow.
 func quickCases() []quickCase {
 	var cases []quickCase
 	for _, e := range All() {
@@ -38,7 +39,10 @@ func quickCases() []quickCase {
 		}
 		cases = append(cases, quickCase{e.ID, e, o})
 	}
-	return cases
+	fig7, _ := ByID("fig7")
+	o := quick()
+	o.Scale = 0.02
+	return append(cases, quickCase{"fig7-scale0.02", fig7, o})
 }
 
 // TestAllExperimentsRunQuick runs every experiment at quick scale and
@@ -173,7 +177,7 @@ func TestSteadyUtilizationWindow(t *testing.T) {
 	}.Generate()
 	res2 := Run(RunSpec{Protocol: DCPIM, Topo: tp, Trace: tr2,
 		Horizon: 3 * sim.Millisecond, Seed: 8})
-	if !sustains(res2, 0.5, 2*sim.Millisecond) {
+	if res2.Utilization() < 0.90 || res2.Completion() < 0.90 {
 		t.Fatalf("dcPIM does not sustain load 0.5: util=%.2f completion=%.2f",
 			res2.Utilization(), res2.Completion())
 	}

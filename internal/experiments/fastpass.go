@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 	"dcpim/internal/workload"
 )
 
@@ -19,21 +18,11 @@ func RunFastpass(o Options, w io.Writer) error {
 	horizon := o.scaled(1 * sim.Millisecond)
 	fmt.Fprintf(w, "§5: dcPIM vs Fastpass, IMC10 all-to-all at load 0.5 (horizon %v)\n\n", horizon)
 	tbl := newTable("protocol", "short-mean", "short-p99", "all-mean", "completed", "drops")
-	for _, proto := range []string{DCPIM, Fastpass} {
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
-			Dist: workload.IMC10(), Horizon: horizon, Seed: o.Seed,
-		}.Generate()
-		res := Run(RunSpec{
-			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 51, Shards: o.Shards,
-		})
-		short := stats.Summarize(res.Records, func(r stats.FlowRecord) bool {
-			return r.Size <= tp.BDP()
-		})
-		all := stats.Summarize(res.Records, nil)
-		tbl.add(proto, short.Mean, short.P99, all.Mean,
-			fmt.Sprintf("%d/%d", res.Col.Completed(), res.Started), res.Counters.DataDrops)
+	tr := allToAll(tp, workload.IMC10(), 0.5, horizon, o.Seed)
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 51}
+	for _, res := range fig.run(o, perProtocol("fastpass", []string{DCPIM, Fastpass}, tr)) {
+		c := sizeClasses(res, tp.BDP())
+		tbl.add(res.Protocol, c.short.Mean, c.short.P99, c.all.Mean, completed(res), res.Counters.DataDrops)
 	}
 	tbl.write(w)
 	fmt.Fprintln(w, "\npaper (§5): Fastpass short flows are ≥2x from optimal at mean and tail; dcPIM ≈1")

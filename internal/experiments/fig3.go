@@ -9,24 +9,10 @@ import (
 	"dcpim/internal/workload"
 )
 
-// loadSpec generates an all-to-all trace at the given load on the default
-// topology and describes one protocol run over it, with 50% drain time
-// past the trace horizon. Sweeps batch these through RunMany.
-func loadSpec(o Options, proto string, dist workload.SizeDist, load float64, horizon sim.Duration) RunSpec {
-	tp := leafSpineFor(o.Hosts)
-	tr := workload.AllToAllConfig{
-		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: load,
-		Dist: dist, Horizon: horizon, Seed: o.Seed,
-	}.Generate()
-	return RunSpec{
-		Protocol: proto, Topo: tp, Trace: tr,
-		Horizon: horizon + horizon/2, Seed: o.Seed + 77, Shards: o.Shards,
-	}
-}
-
-// loadRun executes loadSpec immediately (single-run call sites).
-func loadRun(o Options, proto string, dist workload.SizeDist, load float64, horizon sim.Duration) RunResult {
-	return Run(loadSpec(o, proto, dist, load, horizon))
+// fig3 is the shared shape of Figure 3's runs: the evaluation leaf-spine
+// at the requested scale, with 50% drain time past the trace horizon.
+func fig3(o Options, horizon sim.Duration) figure {
+	return figure{topo: leafSpineFor(o.Hosts), horizon: horizon + horizon/2, seed: o.Seed + 77}
 }
 
 // RunFig3a reproduces Figure 3(a): the maximum load each protocol
@@ -36,6 +22,7 @@ func loadRun(o Options, proto string, dist workload.SizeDist, load float64, hori
 // then NDP.
 func RunFig3a(o Options, w io.Writer) error {
 	horizon := o.scaled(2 * sim.Millisecond)
+	fig := fig3(o, horizon)
 	// The IMC10 tail (flows to ~21 MB) needs tens of milliseconds of
 	// warm-up before raw throughput is stationary; for the sustainability
 	// search we truncate flow sizes at 1 MB (≈14 BDP — still firmly in
@@ -47,7 +34,7 @@ func RunFig3a(o Options, w io.Writer) error {
 	tbl := newTable("protocol", "max-load", "capped-util@max", "probes")
 	// All protocols bisect the same starting interval, so they need the
 	// same number of probes and the searches advance in lockstep: each
-	// iteration probes every protocol's midpoint as one RunMany batch.
+	// iteration probes every protocol's midpoint as one batch of cells.
 	// Per-protocol trajectories are unchanged from a serial search.
 	type search struct {
 		lo, hi, utilAt float64
@@ -58,14 +45,16 @@ func RunFig3a(o Options, w io.Writer) error {
 		ss[i] = search{lo: 0.40, hi: 0.96}
 	}
 	for ss[0].hi-ss[0].lo > 0.03 {
-		specs := make([]RunSpec, len(Comparators))
+		cells := make([]cell, len(Comparators))
 		for i, proto := range Comparators {
 			load := (ss[i].lo + ss[i].hi) / 2
-			specs[i] = loadSpec(o, proto, dist, load, horizon)
-			specs[i].Metrics = o.metrics(fmt.Sprintf("fig3a-%s-load%.3f", proto, load))
-			specs[i].Checkpoint = o.checkpoint(fmt.Sprintf("fig3a-%s-load%.3f", proto, load))
+			cells[i] = cell{
+				label:    fmt.Sprintf("fig3a-%s-load%.3f", proto, load),
+				protocol: proto,
+				trace:    allToAll(fig.topo, dist, load, horizon, o.Seed),
+			}
 		}
-		for i, res := range RunMany(specs, o.workers()) {
+		for i, res := range fig.run(o, cells) {
 			s := &ss[i]
 			mid := (s.lo + s.hi) / 2
 			s.probes++
@@ -101,25 +90,14 @@ func fig3Workloads() []workload.SizeDist {
 // 0.6 for each workload × protocol.
 func RunFig3b(o Options, w io.Writer) error {
 	horizon := o.scaled(2 * sim.Millisecond)
+	fig := fig3(o, horizon)
 	fmt.Fprintf(w, "Figure 3(b): mean slowdown across all flows at load 0.6 (horizon %v)\n\n", horizon)
 	tbl := newTable("workload", "protocol", "mean", "p99", "completed")
 	dists := fig3Workloads()
-	var specs []RunSpec
-	for _, dist := range dists {
-		for _, proto := range Comparators {
-			spec := loadSpec(o, proto, dist, 0.6, horizon)
-			spec.Metrics = o.metrics(fmt.Sprintf("fig3b-%s-%s", dist.Name(), proto))
-			spec.Checkpoint = o.checkpoint(fmt.Sprintf("fig3b-%s-%s", dist.Name(), proto))
-			specs = append(specs, spec)
-		}
-	}
-	results := RunMany(specs, o.workers())
-	for di, dist := range dists {
-		for pi, proto := range Comparators {
-			res := results[di*len(Comparators)+pi]
-			s := stats.Summarize(res.Records, nil)
-			tbl.add(dist.Name(), proto, s.Mean, s.P99, fmt.Sprintf("%d/%d", res.Col.Completed(), res.Started))
-		}
+	results := fig.run(o, workloadCells("fig3b", fig.topo, dists, Comparators, 0.6, horizon, o.Seed))
+	for i, res := range results {
+		s := stats.Summarize(res.Records, nil)
+		tbl.add(dists[i/len(Comparators)].Name(), res.Protocol, s.Mean, s.P99, completed(res))
 	}
 	tbl.write(w)
 	fmt.Fprintln(w, "\npaper: dcPIM lowest mean slowdown; Homa Aeolus close; NDP worst")
@@ -133,49 +111,11 @@ func RunFig3b(o Options, w io.Writer) error {
 // and 1.1–1.9 / 2–5.8 for HPCC.
 func RunFig3cde(o Options, w io.Writer) error {
 	horizon := o.scaled(2 * sim.Millisecond)
-	tp := leafSpineFor(o.Hosts)
-	buckets := stats.DefaultBuckets(tp.BDP())
+	fig := fig3(o, horizon)
 	fmt.Fprintf(w, "Figure 3(c-e): slowdown by flow size at load 0.6 (horizon %v)\n", horizon)
 	dists := fig3Workloads()
-	var specs []RunSpec
-	for _, dist := range dists {
-		for _, proto := range Comparators {
-			specs = append(specs, loadSpec(o, proto, dist, 0.6, horizon))
-		}
-	}
-	results := RunMany(specs, o.workers())
-	for di, dist := range dists {
-		fmt.Fprintf(w, "\n-- workload %s --\n", dist.Name())
-		tbl := newTable(append([]string{"protocol", "metric"}, bucketLabels(buckets)...)...)
-		for pi, proto := range Comparators {
-			res := results[di*len(Comparators)+pi]
-			bs := stats.BucketSlowdowns(res.Records, buckets)
-			mean := []any{proto, "mean"}
-			tail := []any{proto, "p99"}
-			for _, b := range bs {
-				mean = append(mean, cell(b.Summary.Count, b.Summary.Mean))
-				tail = append(tail, cell(b.Summary.Count, b.Summary.P99))
-			}
-			tbl.add(mean...)
-			tbl.add(tail...)
-		}
-		tbl.write(w)
-	}
+	results := fig.run(o, workloadCells("fig3cde", fig.topo, dists, Comparators, 0.6, horizon, o.Seed))
+	writeBucketTables(w, fig.topo.BDP(), dists, results)
 	fmt.Fprintln(w, "\npaper: dcPIM short-flow mean 1.03-1.04, p99 1.09-1.16; medium flows pay the matching latency")
 	return nil
-}
-
-func bucketLabels(bs []stats.SizeBucket) []string {
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Label
-	}
-	return out
-}
-
-func cell(count int, v float64) string {
-	if count == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", v)
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dcpim/internal/matching"
-	"dcpim/internal/packet"
 	"dcpim/internal/sim"
 	"dcpim/internal/stats"
 	"dcpim/internal/workload"
@@ -48,17 +47,10 @@ func RunFig4a(o Options, w io.Writer) error {
 		Horizon: horizon, Seed: o.Seed,
 	}.Generate()
 	incast := workload.IncastConfig{
-		Senders: others, Receivers: receivers[:1], Fanin: 50,
+		Senders: others, Receivers: receivers[:1], Fanin: min(50, len(others)),
 		BurstSize: 128 << 10, Interval: 100 * sim.Microsecond,
 		Bursts: 6, Horizon: horizon, Seed: o.Seed + 1,
 	}.Generate()
-	if len(others) < 50 {
-		incast = workload.IncastConfig{
-			Senders: others, Receivers: receivers[:1], Fanin: len(others),
-			BurstSize: 128 << 10, Interval: 100 * sim.Microsecond,
-			Bursts: 6, Horizon: horizon, Seed: o.Seed + 1,
-		}.Generate()
-	}
 	trace := workload.Merge(shuffle, incast)
 
 	fmt.Fprintf(w, "Figure 4(a): bursty microbenchmark — receiver-rack utilization over time (horizon %v)\n\n", horizon)
@@ -68,15 +60,11 @@ func RunFig4a(o Options, w io.Writer) error {
 		header = append(header, fmt.Sprintf("%dus", (b+1)*50))
 	}
 	tbl := newTable(header...)
-	for _, proto := range fig4aProtocols {
-		res := Run(RunSpec{
-			Protocol: proto, Topo: tp, Trace: trace,
-			Horizon: horizon, Seed: o.Seed + 9, Shards: o.Shards, BinWidth: 50 * sim.Microsecond,
-			Metrics: o.metrics("fig4a-" + proto),
-		})
+	fig := figure{topo: tp, horizon: horizon, seed: o.Seed + 9, bin: 50 * sim.Microsecond}
+	for _, res := range fig.run(o, perProtocol("fig4a", fig4aProtocols, trace)) {
 		// Normalize by the 16 loaded receiver downlinks, not all hosts.
 		series := res.Col.UtilizationSeries(hpr, tp.HostRate)
-		row := []any{proto}
+		row := []any{res.Protocol}
 		for b := 0; b < bins; b++ {
 			if b < len(series) {
 				row = append(row, series[b])
@@ -102,18 +90,11 @@ func RunFig4b(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "Figure 4(b): all flows of size BDP+1 = %d bytes, load 0.6 (horizon %v)\n\n", size, horizon)
 	tbl := newTable("protocol", "mean-slowdown", "p99-slowdown", "completed")
-	for _, proto := range fig4aProtocols {
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
-			Dist:    workload.FixedDist{Size: size, Tag: "BDP+1"},
-			Horizon: horizon, Seed: o.Seed,
-		}.Generate()
-		res := Run(RunSpec{
-			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 5, Shards: o.Shards,
-		})
+	tr := allToAll(tp, workload.FixedDist{Size: size, Tag: "BDP+1"}, 0.6, horizon, o.Seed)
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 5}
+	for _, res := range fig.run(o, perProtocol("fig4b", fig4aProtocols, tr)) {
 		s := stats.Summarize(res.Records, nil)
-		tbl.add(proto, s.Mean, s.P99, fmt.Sprintf("%d/%d", res.Col.Completed(), res.Started))
+		tbl.add(res.Protocol, s.Mean, s.P99, completed(res))
 	}
 	tbl.write(w)
 	fmt.Fprintln(w, "\npaper: HPCC wins mean and slightly wins tail here (dcPIM's worst case); NDP/Homa Aeolus worse")
@@ -135,14 +116,11 @@ func RunFig4c(o Options, w io.Writer) error {
 	tr := workload.DenseTMConfig{Hosts: tp.NumHosts, FlowSize: flowSize, Horizon: horizon}.Generate()
 
 	tbl := newTable("protocol", "util(steady)", "util(100-300us)", "drops", "trims", "pfc-pauses")
-	for _, proto := range fig4aProtocols {
-		res := Run(RunSpec{
-			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon, Seed: o.Seed + 3, Shards: o.Shards,
-		})
+	fig := figure{topo: tp, horizon: horizon, seed: o.Seed + 3}
+	for _, res := range fig.run(o, perProtocol("fig4c", fig4aProtocols, tr)) {
 		steady := steadyUtilization(res, horizon/2, horizon)
 		early := steadyUtilization(res, 100*sim.Microsecond, 300*sim.Microsecond)
-		tbl.add(proto, steady, early, res.Counters.DataDrops, res.Counters.Trims, res.Counters.PFCPauses)
+		tbl.add(res.Protocol, steady, early, res.Counters.DataDrops, res.Counters.Trims, res.Counters.PFCPauses)
 	}
 	tbl.write(w)
 
@@ -163,6 +141,5 @@ func RunFig4c(o Options, w io.Writer) error {
 	dm, dst := bounded.Match(dg, rand.New(rand.NewSource(o.Seed+11)))
 	fmt.Fprintf(w, "Measured dcpim matcher (registry, r=4) on the dense graph: %d/%d matched (%.1f%%) in %d rounds\n",
 		dm.Size(), n, 100*float64(dm.Size())/float64(n), dst.Rounds)
-	_ = packet.MTU
 	return nil
 }

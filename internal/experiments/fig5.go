@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
-	"dcpim/internal/topo"
-	"dcpim/internal/workload"
 )
 
 // RunFig5ab reproduces Figure 5(a,b): the 2:1 oversubscribed leaf-spine
@@ -22,39 +19,10 @@ func RunFig5ab(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "Figure 5(a,b): oversubscribed (2:1) leaf-spine at load 0.5 (horizon %v)\n", horizon)
 	fmt.Fprintln(w, "(Homa Aeolus omitted, as in the paper)")
-	buckets := stats.DefaultBuckets(tp.BDP())
 	dists := fig3Workloads()
-	var specs []RunSpec
-	for _, dist := range dists {
-		for _, proto := range protos {
-			tr := workload.AllToAllConfig{
-				Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
-				Dist: dist, Horizon: horizon, Seed: o.Seed,
-			}.Generate()
-			specs = append(specs, RunSpec{
-				Protocol: proto, Topo: tp, Trace: tr,
-				Horizon: horizon + horizon/2, Seed: o.Seed + 13, Shards: o.Shards,
-			})
-		}
-	}
-	results := RunMany(specs, o.workers())
-	for di, dist := range dists {
-		fmt.Fprintf(w, "\n-- workload %s --\n", dist.Name())
-		tbl := newTable(append([]string{"protocol", "metric"}, bucketLabels(buckets)...)...)
-		for pi, proto := range protos {
-			res := results[di*len(protos)+pi]
-			bs := stats.BucketSlowdowns(res.Records, buckets)
-			mean := []any{proto, "mean"}
-			tail := []any{proto, "p99"}
-			for _, b := range bs {
-				mean = append(mean, cell(b.Summary.Count, b.Summary.Mean))
-				tail = append(tail, cell(b.Summary.Count, b.Summary.P99))
-			}
-			tbl.add(mean...)
-			tbl.add(tail...)
-		}
-		tbl.write(w)
-	}
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 13}
+	results := fig.run(o, workloadCells("fig5ab", tp, dists, protos, 0.5, horizon, o.Seed))
+	writeBucketTables(w, tp.BDP(), dists, results)
 	fmt.Fprintln(w, "\npaper: same trend as Figure 3 — dcPIM's token clocking handles core congestion")
 	return nil
 }
@@ -70,39 +38,9 @@ func RunFig5cd(o Options, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "Figure 5(c,d): FatTree %s at load 0.6 (horizon %v)\n", tp.Name, horizon)
-	buckets := stats.DefaultBuckets(tp.BDP())
-	var specs []RunSpec
-	for _, dist := range dists {
-		for _, proto := range Comparators {
-			tr := workload.AllToAllConfig{
-				Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
-				Dist: dist, Horizon: horizon, Seed: o.Seed,
-			}.Generate()
-			specs = append(specs, RunSpec{
-				Protocol: proto, Topo: tp, Trace: tr,
-				Horizon: horizon + horizon/2, Seed: o.Seed + 21, Shards: o.Shards,
-			})
-		}
-	}
-	results := RunMany(specs, o.workers())
-	for di, dist := range dists {
-		fmt.Fprintf(w, "\n-- workload %s --\n", dist.Name())
-		tbl := newTable(append([]string{"protocol", "metric"}, bucketLabels(buckets)...)...)
-		for pi, proto := range Comparators {
-			res := results[di*len(Comparators)+pi]
-			bs := stats.BucketSlowdowns(res.Records, buckets)
-			mean := []any{proto, "mean"}
-			tail := []any{proto, "p99"}
-			for _, b := range bs {
-				mean = append(mean, cell(b.Summary.Count, b.Summary.Mean))
-				tail = append(tail, cell(b.Summary.Count, b.Summary.P99))
-			}
-			tbl.add(mean...)
-			tbl.add(tail...)
-		}
-		tbl.write(w)
-	}
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 21}
+	results := fig.run(o, workloadCells("fig5cd", tp, dists, Comparators, 0.6, horizon, o.Seed))
+	writeBucketTables(w, tp.BDP(), dists, results)
 	fmt.Fprintln(w, "\npaper: same trend as Figure 3; matching-phase length set by the longest cRTT is hidden by pipelining")
-	_ = topo.DefaultFatTree
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"dcpim/internal/core"
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 	"dcpim/internal/workload"
 )
 
@@ -20,78 +19,53 @@ func RunFig6(o Options, w io.Writer) error {
 	horizon := o.scaled(1 * sim.Millisecond)
 	const load = 0.54
 	tp := leafSpineFor(o.Hosts)
-	dist := workload.IMC10()
-
-	specFor := func(cfg core.Config) RunSpec {
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: load,
-			Dist: dist, Horizon: horizon, Seed: o.Seed,
-		}.Generate()
-		c := cfg
-		return RunSpec{
-			Protocol: DCPIM, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 31, Shards: o.Shards, DcPIM: &c,
-		}
-	}
-	summarize := func(res RunResult) (util float64, short, all stats.Summary) {
-		util = steadyUtilization(res, horizon/2, horizon) / load
-		short = stats.Summarize(res.Records, func(r stats.FlowRecord) bool {
-			return r.Size <= tp.BDP()
-		})
-		all = stats.Summarize(res.Records, nil)
-		return
-	}
+	tr := allToAll(tp, workload.IMC10(), load, horizon, o.Seed)
 
 	// All three sweeps are independent probes of one parameter each; run
 	// them as a single batch and print from the ordered results.
 	rounds := []int{1, 2, 4, 6, 8}
 	channels := []int{1, 2, 4, 8}
 	betas := []float64{1.0, 1.1, 1.3, 2.0, 3.0}
-	var specs []RunSpec
+	var cells []cell
 	for _, r := range rounds {
-		cfg := core.DefaultConfig()
-		cfg.Rounds = r
-		specs = append(specs, specFor(cfg))
+		cells = append(cells, dcpimCell(fmt.Sprintf("fig6-r%d", r), tr, func(c *core.Config) { c.Rounds = r }))
 	}
 	for _, k := range channels {
-		cfg := core.DefaultConfig()
-		cfg.Channels = k
-		specs = append(specs, specFor(cfg))
+		cells = append(cells, dcpimCell(fmt.Sprintf("fig6-k%d", k), tr, func(c *core.Config) { c.Channels = k }))
 	}
 	for _, b := range betas {
-		cfg := core.DefaultConfig()
-		cfg.Beta = b
-		specs = append(specs, specFor(cfg))
+		cells = append(cells, dcpimCell(fmt.Sprintf("fig6-beta%.1f", b), tr, func(c *core.Config) { c.Beta = b }))
 	}
-	results := RunMany(specs, o.workers())
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 31}
+	results := fig.run(o, cells)
+	row := func(tbl *table, param any, res RunResult) {
+		c := sizeClasses(res, tp.BDP())
+		tbl.add(param, steadyUtilization(res, horizon/2, horizon)/load, c.short.Mean, c.short.P99, c.all.Mean)
+	}
 
 	fmt.Fprintf(w, "Figure 6: dcPIM sensitivity at load %.2f (horizon %v)\n", load, horizon)
 
 	fmt.Fprintf(w, "\n-- rounds r (k=4, β=1.3) --\n")
 	tbl := newTable("r", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, r := range rounds {
-		util, short, all := summarize(results[i])
-		tbl.add(r, util, short.Mean, short.P99, all.Mean)
+		row(tbl, r, results[i])
 	}
 	tbl.write(w)
 
 	fmt.Fprintf(w, "\n-- channels k (r=4, β=1.3) --\n")
 	tbl = newTable("k", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, k := range channels {
-		util, short, all := summarize(results[len(rounds)+i])
-		tbl.add(k, util, short.Mean, short.P99, all.Mean)
+		row(tbl, k, results[len(rounds)+i])
 	}
 	tbl.write(w)
 
 	fmt.Fprintf(w, "\n-- slack β (r=4, k=4) --\n")
 	tbl = newTable("beta", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, b := range betas {
-		util, short, all := summarize(results[len(rounds)+len(channels)+i])
-		tbl.add(b, util, short.Mean, short.P99, all.Mean)
+		row(tbl, b, results[len(rounds)+len(channels)+i])
 	}
 	tbl.write(w)
 
 	fmt.Fprintln(w, "\npaper: 1→2 rounds has the largest effect; k=2-4 best; β irrelevant beyond 1.1")
-	_ = sim.Microsecond
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
@@ -24,43 +23,27 @@ func RunFig7(o Options, w io.Writer) error {
 	protos := []string{DCPIM, DCTCP, Cubic}
 
 	fmt.Fprintf(w, "Figure 7: 32-host 10G testbed, %s, load 0.5 (horizon %v)\n\n", dist.Name(), horizon)
-	buckets := stats.DefaultBuckets(tp.BDP())
-	tbl := newTable(append([]string{"protocol", "metric"}, bucketLabels(buckets)...)...)
-	type agg struct{ shortMean, shortP99, longMean float64 }
-	results := map[string]agg{}
-	for _, proto := range protos {
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
-			Dist: dist, Horizon: horizon, Seed: o.Seed,
-		}.Generate()
-		res := Run(RunSpec{
-			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 41, Shards: o.Shards,
-			BinWidth: 100 * sim.Microsecond,
-		})
-		bs := stats.BucketSlowdowns(res.Records, buckets)
-		mean := []any{proto, "mean"}
-		tail := []any{proto, "p99"}
-		for _, b := range bs {
-			mean = append(mean, cell(b.Summary.Count, b.Summary.Mean))
-			tail = append(tail, cell(b.Summary.Count, b.Summary.P99))
-		}
-		tbl.add(mean...)
-		tbl.add(tail...)
-		short := stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size <= tp.BDP() })
-		long := stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size > 16*tp.BDP() })
-		results[proto] = agg{short.Mean, short.P99, long.Mean}
-	}
-	tbl.write(w)
+	tr := allToAll(tp, dist, 0.5, horizon, o.Seed)
+	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 41, bin: 100 * sim.Microsecond}
+	results := fig.run(o, perProtocol("fig7", protos, tr))
+	bucketTable(tp.BDP(), results).write(w)
 
-	d := results[DCPIM]
+	d := sizeClasses(results[0], tp.BDP())
 	fmt.Fprintf(w, "\nshort-flow advantage of dcPIM (paper: 21-43x mean, 34-76x p99):\n")
-	for _, proto := range protos[1:] {
-		r := results[proto]
-		if d.shortMean > 0 && d.shortP99 > 0 {
-			fmt.Fprintf(w, "  vs %-6s mean %.1fx, p99 %.1fx; long-flow mean slowdown ratio %.2fx\n",
-				proto, r.shortMean/d.shortMean, r.shortP99/d.shortP99, r.longMean/d.longMean)
-		}
+	for _, res := range results[1:] {
+		r := sizeClasses(res, tp.BDP())
+		fmt.Fprintf(w, "  vs %-6s mean %s, p99 %s; long-flow mean slowdown ratio %s\n", res.Protocol,
+			ratio(r.short.Mean, d.short.Mean, 1), ratio(r.short.P99, d.short.P99, 1), ratio(r.long.Mean, d.long.Mean, 2))
 	}
 	return nil
+}
+
+// ratio renders a over b as a factor to prec decimals, or "-" when either
+// side summarizes an empty size class (stats.Summarize gives an empty
+// class a zero summary).
+func ratio(a, b float64, prec int) string {
+	if a == 0 || b == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.*fx", prec, a/b)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,5 +173,68 @@ func TestMetricsAcrossProtocols(t *testing.T) {
 		if !found {
 			t.Errorf("%s: no populated instrument under %q", proto, prefixes[proto])
 		}
+	}
+}
+
+// TestEveryFigureWritesPerCellArtifacts: each figure's quick run under
+// -metrics and -checkpoint writes one CSV series, one JSON report and a
+// snapshot stream per cell, under a label no other cell of the figure
+// shares.
+func TestEveryFigureWritesPerCellArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure once more")
+	}
+	cells := map[string]int{
+		"fig3a": 5 * len(Comparators), // five bisection probes per protocol
+		"fig3b": 3 * len(Comparators), "fig3cde": 3 * len(Comparators),
+		"fig4a": 4, "fig4b": 4, "fig4c": 4,
+		"fig5ab": 3 * 3, "fig5cd": len(Comparators), // quick fig5cd runs IMC10 only
+		"fig6": 5 + 4 + 5, "fig7": 3, "fastpass": 2, "ablation": 2 + 3,
+		"faults": 4 * len(Comparators),
+	}
+	for _, c := range quickCases() {
+		want, ok := cells[c.name]
+		if !ok {
+			continue
+		}
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			o := c.o
+			o.MetricsDir, o.CheckpointDir = dir, dir
+			o.CheckpointEvery = 40 * sim.Microsecond
+			if err := c.e.Run(o, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			stems := func(pattern string) map[string]bool {
+				paths, err := filepath.Glob(filepath.Join(dir, pattern))
+				if err != nil {
+					t.Fatal(err)
+				}
+				set := map[string]bool{}
+				for _, p := range paths {
+					// <label>.csv, <label>.json, <label>.ck<index>.dcpimck
+					stem := strings.TrimSuffix(filepath.Base(p), filepath.Ext(p))
+					if filepath.Ext(p) == ".dcpimck" {
+						stem = strings.TrimSuffix(stem, filepath.Ext(stem))
+					}
+					set[stem] = true
+				}
+				return set
+			}
+			csvs, reports := stems("*.csv"), stems("*.json")
+			if len(csvs) != want || len(reports) != want {
+				t.Fatalf("%d CSV series and %d JSON reports, want one each for %d cells", len(csvs), len(reports), want)
+			}
+			snaps := stems("*.dcpimck")
+			for label := range csvs {
+				if !reports[label] || !snaps[label] {
+					t.Errorf("cell %s: report %v, snapshots %v", label, reports[label], snaps[label])
+				}
+			}
+			if len(snaps) != want {
+				t.Errorf("%d snapshot labels, want %d", len(snaps), want)
+			}
+		})
 	}
 }

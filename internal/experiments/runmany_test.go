@@ -13,10 +13,15 @@ import (
 // and loads.
 func someSpecs() []RunSpec {
 	o := quick()
+	tp := leafSpineFor(o.Hosts)
+	horizon := 150 * sim.Microsecond
 	var specs []RunSpec
 	for i, proto := range []string{DCPIM, HomaAeolus, NDP, HPCC, DCPIM, HomaAeolus} {
 		load := 0.4 + 0.05*float64(i)
-		specs = append(specs, loadSpec(o, proto, workload.IMC10(), load, 150*sim.Microsecond))
+		specs = append(specs, RunSpec{
+			Protocol: proto, Topo: tp, Trace: allToAll(tp, workload.IMC10(), load, horizon, o.Seed),
+			Horizon: horizon + horizon/2, Seed: o.Seed + 77,
+		})
 	}
 	return specs
 }

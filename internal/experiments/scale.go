@@ -256,10 +256,7 @@ func RunScale(o Options, w io.Writer) error {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
 		for _, load := range loads {
-			tr := workload.AllToAllConfig{
-				Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: load,
-				Dist: workload.WebSearch(), Horizon: horizon, Seed: o.Seed,
-			}.Generate()
+			tr := allToAll(tp, workload.WebSearch(), load, horizon, o.Seed)
 			var groupDigest uint64
 			haveDigest := false
 			for _, shards := range shardsFor(hosts) {

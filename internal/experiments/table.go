@@ -81,16 +81,3 @@ func steadyUtilization(res RunResult, from, to sim.Duration) float64 {
 	}
 	return sum / float64(hi-lo)
 }
-
-// sustains reports whether the protocol kept up with the offered load.
-// Runs include 50% drain time past the trace horizon; a protocol that
-// keeps its backlog bounded delivers ≳95% of offered bytes (the remainder
-// is the undeliverable heavy tail arriving near the horizon), while one
-// that cannot sustain the load leaves a growing backlog and lands well
-// below. Completion guards against protocols that move bytes but strand
-// flows.
-func sustains(res RunResult, load float64, traceHorizon sim.Duration) bool {
-	_ = load
-	_ = traceHorizon
-	return res.Utilization() >= 0.90 && res.Completion() >= 0.90
-}
