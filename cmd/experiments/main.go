@@ -1,7 +1,10 @@
 // Command experiments regenerates the dcPIM paper's evaluation artifacts
 // (every table and figure of §4), plus extensions such as the fault
 // resilience grid. Each experiment prints the rows or series the paper
-// plots.
+// plots. A figure is a list of cells, one simulation each; -metrics and
+// -checkpoint write every cell's files under its own label. To run one
+// simulation of your own, build an experiments.RunSpec and call
+// experiments.Run or RunMany (see ExampleRunMany).
 //
 // Usage:
 //
@@ -15,8 +18,7 @@
 //	experiments -run faults               # scripted link/switch/host faults
 //	experiments -run matchers             # matcher lab: registry-wide sweep
 //	experiments -run matchers -matchers pim,budget-pim -metrics out/
-//	experiments -benchjson bench/         # machine-readable substrate benchmarks
-//	experiments -run fig3a -metrics out/  # per-run CSV series + JSON reports
+//	experiments -run fig3a -metrics out/  # per-cell CSV series + JSON reports
 //	experiments -run fig3b -cpuprofile cpu.pprof
 //	experiments -run ckpt -checkpoint 100us -checkpoint-dir ck/   # periodic snapshots
 //	experiments -resume ck/ckpt-fattree-128-seed1.ck0002.dcpimck  # verified replay + continue
@@ -49,10 +51,8 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsDir = flag.String("metrics", "", "write per-run telemetry (CSV time series + JSON report) into this directory")
-		benchjson  = flag.String("benchjson", "", "run the substrate benchmark suite and write BENCH_<name>.json files into this directory, then exit")
-		benchcheck = flag.String("benchcheck", "", "re-run the substrate benchmarks against the baseline BENCH_*.json files in this directory and exit nonzero on a >10% ns/op regression")
 		matchers   = flag.String("matchers", "", "restrict the matchers experiment to these comma-separated registered matchers (empty = all)")
-		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot instrumented runs every this much simulated time (e.g. 100us); pair with -checkpoint-dir to keep the files")
+		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot every figure's runs every this much simulated time (e.g. 100us); pair with -checkpoint-dir to keep the files")
 		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory")
 		resume     = flag.String("resume", "", "resume (verified replay) a ckpt-experiment snapshot file to its horizon, then exit")
 		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
@@ -61,21 +61,6 @@ func main() {
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "-shards %d: want 0 (auto), 1 (serial) or a shard count\n", *shards)
 		os.Exit(2)
-	}
-
-	if *benchjson != "" {
-		if err := experiments.WriteBenchJSON(*benchjson, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchcheck != "" {
-		if err := experiments.CheckBenchJSON(*benchcheck, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list || (*run == "" && *resume == "" && *bisect == "") {

@@ -70,11 +70,11 @@ type Options struct {
 	// counters, digests and sampled metrics are byte-identical at any
 	// value; only wall-clock time changes. See DESIGN.md §11.
 	Shards int
-	// MetricsDir, when non-empty, enables the telemetry layer on
-	// instrumented experiments: each labeled run writes its sampled CSV
-	// series and JSON report under this directory.
+	// MetricsDir, when non-empty, enables the telemetry layer on every
+	// figure's runs: each cell writes its sampled CSV series and JSON
+	// report under this directory, named by the cell's label.
 	MetricsDir string
-	// CheckpointEvery, when positive, snapshots every instrumented run at
+	// CheckpointEvery, when positive, snapshots every figure's runs at
 	// this simulated-time cadence (see internal/checkpoint). Snapshots are
 	// pure reads taken at barrier sync points, so the simulated packet
 	// stream — and every digest — is unchanged.

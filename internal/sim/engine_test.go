@@ -627,3 +627,52 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineHold is the classic hold-model queue benchmark at a
+// fixed population: `pending` events are live at all times, and each pop
+// schedules one replacement. Six pending events per host model 128, 1024
+// and 4096 hosts. The delay mix mirrors dcPIM's event stream — dominated
+// by sub-µs per-packet serialization and control timers, with a tail of
+// epoch-scale (tens of µs) matching and retransmission timers — so most
+// pushes land near the front of the heap. Deep_1M adds a 1-in-64
+// far-future tail (up to 80 ms) at 10⁶ pending, far beyond anything a
+// fabric run queues. One op = one Step.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		pending int
+		farTail bool
+	}{
+		{"128h", 768, false},
+		{"1024h", 6144, false},
+		{"4096h", 24576, false},
+		{"Deep_1M", 1_000_000, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			eng := NewEngine(int64(c.pending))
+			rng := eng.Rand()
+			delay := func() Duration {
+				switch {
+				case c.farTail && rng.Intn(64) == 0:
+					return Duration(1 + rng.Int63n(int64(80*Millisecond)))
+				case rng.Intn(16) == 0:
+					return Duration(1 + rng.Int63n(int64(40*Microsecond)))
+				default:
+					return Duration(1 + rng.Int63n(int64(800*Nanosecond)))
+				}
+			}
+			var hold func()
+			hold = func() { eng.After(delay(), hold) }
+			for i := 0; i < c.pending; i++ {
+				eng.After(delay(), hold)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !eng.Step() {
+					b.Fatal("hold population drained")
+				}
+			}
+		})
+	}
+}

@@ -519,3 +519,38 @@ func TestGroupEach(t *testing.T) {
 		t.Errorf("a group of one ran fn for shard %d, want 0", ran)
 	}
 }
+
+// BenchmarkGroupEpoch measures raw epoch-barrier overhead: a 4-engine
+// group where `busy` engines each execute exactly one event per epoch
+// (the rest idle-skip). One op = one RunEpoch. solo is the window in
+// which only the coordinator's shard has work (no crossing); all4 sends
+// to and joins three workers.
+func BenchmarkGroupEpoch(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		busy int
+	}{{"solo", 1}, {"all4", 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			engines := make([]*Engine, 4)
+			for i := range engines {
+				engines[i] = NewEngine(int64(i + 1))
+			}
+			g := NewGroup(engines)
+			defer g.Close()
+			const step = Microsecond
+			for i := 0; i < c.busy; i++ {
+				eng := engines[i]
+				var tick func()
+				tick = func() { eng.After(step, tick) }
+				eng.After(step, tick)
+			}
+			b.ResetTimer()
+			until := Time(0)
+			for i := 0; i < b.N; i++ {
+				until = until.Add(step)
+				g.RunEpoch(until)
+			}
+		})
+	}
+}

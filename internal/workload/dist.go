@@ -179,20 +179,6 @@ func (d FixedDist) Name() string {
 	return fmt.Sprintf("Fixed(%dB)", d.Size)
 }
 
-// ByName returns a built-in distribution by its report name.
-func ByName(name string) (SizeDist, error) {
-	switch name {
-	case "IMC10", "imc10":
-		return IMC10(), nil
-	case "WebSearch", "websearch":
-		return WebSearch(), nil
-	case "DataMining", "datamining":
-		return DataMining(), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown distribution %q", name)
-	}
-}
-
 // TruncatedDist caps another distribution's samples at Max bytes. The
 // sustainable-load experiment uses it to bound time-to-stationarity:
 // untruncated heavy tails need tens of milliseconds of simulated warm-up

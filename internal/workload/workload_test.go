@@ -29,17 +29,17 @@ func TestNewEmpiricalValidation(t *testing.T) {
 }
 
 func TestBuiltinsLoad(t *testing.T) {
-	for _, name := range []string{"IMC10", "WebSearch", "DataMining"} {
-		d, err := ByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, c := range []struct {
+		name string
+		d    *EmpiricalDist
+	}{{"IMC10", IMC10()}, {"WebSearch", WebSearch()}, {"DataMining", DataMining()}} {
+		name, d := c.name, c.d
+		if d.Name() != name {
+			t.Errorf("%s: reports name %q", name, d.Name())
 		}
 		if d.Mean() <= 0 {
 			t.Fatalf("%s: non-positive mean", name)
 		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown distribution accepted")
 	}
 }
 
