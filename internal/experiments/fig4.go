@@ -11,10 +11,6 @@ import (
 	"dcpim/internal/workload"
 )
 
-// fig4aProtocols: the microbenchmarks compare dcPIM against the three
-// simulated baselines.
-var fig4aProtocols = []string{DCPIM, HomaAeolus, NDP, HPCC}
-
 // RunFig4a reproduces Figure 4(a): 16 senders in one rack run an
 // all-to-all shuffle to 16 receivers in another rack, while every 100 µs
 // for the first 600 µs, 50 other hosts send a 128 KB incast to one of the
@@ -61,7 +57,7 @@ func RunFig4a(o Options, w io.Writer) error {
 	}
 	tbl := newTable(header...)
 	fig := figure{topo: tp, horizon: horizon, seed: o.Seed + 9, bin: 50 * sim.Microsecond}
-	for _, res := range fig.run(o, perProtocol("fig4a", fig4aProtocols, trace)) {
+	for _, res := range fig.run(o, perProtocol("fig4a", Comparators, trace)) {
 		// Normalize by the 16 loaded receiver downlinks, not all hosts.
 		series := res.Col.UtilizationSeries(hpr, tp.HostRate)
 		row := []any{res.Protocol}
@@ -92,7 +88,7 @@ func RunFig4b(o Options, w io.Writer) error {
 	tbl := newTable("protocol", "mean-slowdown", "p99-slowdown", "completed")
 	tr := allToAll(tp, workload.FixedDist{Size: size, Tag: "BDP+1"}, 0.6, horizon, o.Seed)
 	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 5}
-	for _, res := range fig.run(o, perProtocol("fig4b", fig4aProtocols, tr)) {
+	for _, res := range fig.run(o, perProtocol("fig4b", Comparators, tr)) {
 		s := stats.Summarize(res.Records, nil)
 		tbl.add(res.Protocol, s.Mean, s.P99, completed(res))
 	}
@@ -117,7 +113,7 @@ func RunFig4c(o Options, w io.Writer) error {
 
 	tbl := newTable("protocol", "util(steady)", "util(100-300us)", "drops", "trims", "pfc-pauses")
 	fig := figure{topo: tp, horizon: horizon, seed: o.Seed + 3}
-	for _, res := range fig.run(o, perProtocol("fig4c", fig4aProtocols, tr)) {
+	for _, res := range fig.run(o, perProtocol("fig4c", Comparators, tr)) {
 		steady := steadyUtilization(res, horizon/2, horizon)
 		early := steadyUtilization(res, 100*sim.Microsecond, 300*sim.Microsecond)
 		tbl.add(res.Protocol, steady, early, res.Counters.DataDrops, res.Counters.Trims, res.Counters.PFCPauses)
