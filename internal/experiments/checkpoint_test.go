@@ -44,6 +44,111 @@ func assertRunsEqual(t *testing.T, what string, want, got RunResult) {
 	}
 }
 
+// assertStreamsEqual requires two snapshot streams to Compare equal at
+// every index.
+func assertStreamsEqual(t *testing.T, what string, want, got []*checkpoint.Snapshot) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d snapshots, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if err := checkpoint.Compare(want[i], got[i]); err != nil {
+			t.Errorf("%s: snapshot %d: %v", what, i, err)
+		}
+	}
+}
+
+// TestCheckpointStreamsReproduce is the checkpoint property proof, stated
+// as stream comparisons: at a randomized cadence, across shard counts,
+// with and without a fault schedule, a checkpointed run equals a plain
+// (never-checkpointed) run in every observable — capture is pure reads —
+// and a second checkpointed run of the same spec gives a stream that
+// Compares equal to the first at every index.
+func TestCheckpointStreamsReproduce(t *testing.T) {
+	watchdog(t, 2*time.Minute)
+	rng := rand.New(rand.NewSource(20260808))
+	for _, withFaults := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			every := sim.Duration(int64(2*sim.Millisecond) / int64(3+rng.Intn(4)))
+			t.Run(fmt.Sprintf("faults=%v/shards=%d", withFaults, shards), func(t *testing.T) {
+				prep := func(withCk bool) RunSpec {
+					spec := goldenSpec(t, DCPIM, withFaults)
+					spec.Shards = shards
+					spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
+					if withCk {
+						spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
+					}
+					return spec
+				}
+				plain := Run(prep(false))
+				ckRes, snaps := RunCheckpointed(prep(true))
+				assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
+				if len(snaps) == 0 {
+					t.Fatalf("no snapshots at cadence %v", every)
+				}
+				_, again := RunCheckpointed(prep(true))
+				assertStreamsEqual(t, "second checkpointed run", snaps, again)
+			})
+		}
+	}
+}
+
+// TestCheckpointAutoShards is the stream property for a run that requested
+// no shard count, on the smallest topology the default shards (the
+// 432-host FatTree): its snapshots carry the resolved count, a run that
+// spells that count out reproduces the stream, and a serial run's stream
+// diverges at snapshot 0 (it has one engine section, not one per shard).
+func TestCheckpointAutoShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 432-host runs")
+	}
+	watchdog(t, 2*time.Minute)
+	tp := fatTreeFor(432)
+	auto := topo.AutoShards(tp)
+	if auto < 2 {
+		t.Fatalf("AutoShards(%s) = %d: the test needs a topology the default shards", tp.Name, auto)
+	}
+	horizon := 30 * sim.Microsecond
+	tr := workload.AllToAllConfig{
+		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
+		Dist: workload.WebSearch(), Horizon: horizon * 2 / 3, Seed: 11,
+	}.Generate()
+	prep := func(shards int, withCk bool) RunSpec {
+		spec := RunSpec{
+			Protocol: DCPIM, Topo: tp, Trace: tr, Horizon: horizon, Seed: 12,
+			Shards: shards, Digest: true,
+			Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "ckpt-auto"},
+		}
+		if withCk {
+			spec.Checkpoint = &CheckpointSpec{Every: horizon / 4, Journal: true}
+		}
+		return spec
+	}
+	plain := Run(prep(0, false))
+	ckRes, snaps := RunCheckpointed(prep(0, true))
+	assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
+	if len(snaps) < 2 {
+		t.Fatalf("%d snapshots, want at least 2", len(snaps))
+	}
+	for _, s := range snaps {
+		if s.Meta.Shards != auto {
+			t.Errorf("snapshot %d: Meta.Shards = %d, want the resolved count %d", s.Meta.Index, s.Meta.Shards, auto)
+		}
+	}
+	spelled, again := RunCheckpointed(prep(auto, true))
+	assertRunsEqual(t, fmt.Sprintf("Shards=%d vs plain", auto), plain, spelled)
+	assertStreamsEqual(t, fmt.Sprintf("Shards=%d", auto), snaps, again)
+
+	_, serial := RunCheckpointed(prep(1, true))
+	rep, err := Bisect(snaps, serial)
+	if err != nil {
+		t.Fatalf("bisect against the serial stream: %v", err)
+	}
+	if rep.FirstBad != 0 {
+		t.Errorf("serial stream first diverges at snapshot %d, want 0", rep.FirstBad)
+	}
+}
+
 // TestResumeEquivalence is the resume-equivalence property proof:
 // checkpoint at a randomized mid-run cadence, resume from a randomized
 // snapshot, and require every observable — digest, records, counters,
@@ -157,6 +262,26 @@ func TestResumeEquivalenceAuto(t *testing.T) {
 	var ce *checkpoint.CompatError
 	if !errors.As(err, &ce) || ce.Field != "shards" {
 		t.Fatalf("resume under Shards=1: want CompatError on shards, got %v", err)
+	}
+}
+
+// TestWrongSpecDivergesAtSnapshotZero: a run under a different seed is a
+// different run, and its stream says so at the first snapshot — the
+// comparison that tells a stored stream from one of another spec.
+func TestWrongSpecDivergesAtSnapshotZero(t *testing.T) {
+	run := func(seedDelta int64) []*checkpoint.Snapshot {
+		spec := goldenSpec(t, DCPIM, false)
+		spec.Seed += seedDelta
+		spec.Checkpoint = &CheckpointSpec{Every: 500 * sim.Microsecond}
+		_, snaps := RunCheckpointed(spec)
+		return snaps
+	}
+	rep, err := Bisect(run(0), run(1))
+	if err != nil {
+		t.Fatalf("bisect of two seeds: %v", err)
+	}
+	if rep.FirstBad != 0 {
+		t.Errorf("streams of two seeds first diverge at snapshot %d, want 0", rep.FirstBad)
 	}
 }
 
@@ -299,10 +424,20 @@ func TestBisectNoDivergence(t *testing.T) {
 	}
 }
 
-// fixtureSpec pins the golden snapshot fixture's run: the canonical
-// ckpt-experiment spec at committed parameters (16-host FatTree).
-func fixtureSpec() RunSpec {
-	return ckptSpec(7, 16, 200*sim.Microsecond, 50*sim.Microsecond, 0, "")
+// fixtureSpec pins the golden snapshot fixture's run: dcPIM on a FatTree
+// of the given size, IMC10 all-to-all at load 0.5, journaled snapshots
+// every 50 µs of a 200 µs horizon (the fixture is the 16-host run's).
+func fixtureSpec(hosts int) RunSpec {
+	tp := fatTreeFor(hosts)
+	horizon := 200 * sim.Microsecond
+	return RunSpec{
+		Protocol: DCPIM, Topo: tp, Trace: allToAll(tp, workload.IMC10(), 0.5, horizon*2/3, 7),
+		Horizon: horizon, Seed: 7, Digest: true,
+		Checkpoint: &CheckpointSpec{
+			Every: 50 * sim.Microsecond, Journal: true,
+			Label: fmt.Sprintf("ckpt-%s-seed7", tp.Name),
+		},
+	}
 }
 
 const fixturePath = "testdata/ckpt-fattree16.dcpimck"
@@ -317,7 +452,7 @@ const fixturePath = "testdata/ckpt-fattree16.dcpimck"
 // and bump checkpoint.Version if the byte format itself changed.
 func TestGoldenCheckpointFixture(t *testing.T) {
 	if os.Getenv("DCPIM_REGEN") != "" {
-		_, snaps := RunCheckpointed(fixtureSpec())
+		_, snaps := RunCheckpointed(fixtureSpec(16))
 		if len(snaps) != 4 {
 			t.Fatalf("fixture run took %d snapshots, want 4", len(snaps))
 		}
@@ -342,8 +477,18 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 		t.Fatalf("golden fixture unreadable: %v", err)
 	}
 
+	t.Run("reproduces", func(t *testing.T) {
+		_, snaps := RunCheckpointed(fixtureSpec(16))
+		if len(snaps) != 4 {
+			t.Fatalf("fresh run took %d snapshots, want 4", len(snaps))
+		}
+		if err := checkpoint.Compare(snaps[1], snap); err != nil {
+			t.Fatalf("a fresh run no longer reproduces the fixture — the event stream or capture format changed (see regeneration note): %v", err)
+		}
+	})
+
 	t.Run("resume", func(t *testing.T) {
-		res, post, err := Resume(fixtureSpec(), snap)
+		res, post, err := Resume(fixtureSpec(16), snap)
 		if err != nil {
 			t.Fatalf("golden fixture no longer resumes — the event stream or capture format changed (see regeneration note): %v", err)
 		}
@@ -358,7 +503,7 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 	t.Run("version-mismatch", func(t *testing.T) {
 		bad := *snap
 		bad.Meta.Version = checkpoint.Version + 1
-		_, _, err := Resume(fixtureSpec(), &bad)
+		_, _, err := Resume(fixtureSpec(16), &bad)
 		var ve *checkpoint.VersionError
 		if !errors.As(err, &ve) {
 			t.Fatalf("want VersionError, got %v", err)
