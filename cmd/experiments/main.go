@@ -20,9 +20,11 @@
 //	experiments -run matchers -matchers pim,budget-pim -metrics out/
 //	experiments -run fig3a -metrics out/  # per-cell CSV series + JSON reports
 //	experiments -run fig3b -cpuprofile cpu.pprof
-//	experiments -run ckpt -checkpoint 100us -checkpoint-dir ck/   # periodic snapshots
-//	experiments -resume ck/ckpt-fattree-128-seed1.ck0002.dcpimck  # verified replay + continue
+//	experiments -run fig3b -checkpoint 100us -checkpoint-dir ckA/  # per-cell snapshot streams
 //	experiments -bisect ckA,ckB           # first diverging event between two snapshot dirs
+//
+// Snapshots are assertions, not restore points: to check a stored stream,
+// run the same command into a fresh directory and -bisect the two.
 package main
 
 import (
@@ -54,7 +56,6 @@ func main() {
 		matchers   = flag.String("matchers", "", "restrict the matchers experiment to these comma-separated registered matchers (empty = all)")
 		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot every figure's runs every this much simulated time (e.g. 100us); pair with -checkpoint-dir to keep the files")
 		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory")
-		resume     = flag.String("resume", "", "resume (verified replay) a ckpt-experiment snapshot file to its horizon, then exit")
 		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
 	)
 	flag.Parse()
@@ -63,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *list || (*run == "" && *resume == "" && *bisect == "") {
+	if *list || (*run == "" && *bisect == "") {
 		fmt.Println("experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-9s %s\n", e.ID, e.Title)
@@ -117,13 +118,6 @@ func main() {
 		}
 		if err := experiments.BisectDirs(dirs[0], dirs[1], os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "bisect: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *resume != "" {
-		if err := experiments.ResumeFile(opts, *resume, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -10,14 +10,15 @@
 // of executed event keys, all canonically (physical layouts normalized
 // away). Two runs whose snapshots at T are byte-identical have the same
 // pending events, RNG positions and delivered streams there — and, with
-// journals, executed the same events — which is what verified replay
-// (experiments.Resume) and replay bisection (experiments.Bisect)
-// compare. See DESIGN.md §14.
+// journals, executed the same events. Nothing is ever restored from a
+// snapshot; two streams are compared (Compare, experiments.Bisect). See
+// DESIGN.md §14.
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 )
 
@@ -29,25 +30,23 @@ const Magic = "DCPIMCK1"
 // section contains or how it is encoded MUST bump this — Read rejects
 // mismatched versions with a VersionError rather than misinterpreting
 // bytes. Versioning rules are spelled out in DESIGN.md §14.
-const Version uint32 = 5
+const Version uint32 = 6
 
 // Meta identifies what a snapshot is of: the format version, the run's
-// identity (protocol, seed, topology and spec hashes, execution shape)
-// and the snapshot's position in the run. Restore-side compatibility
-// checks compare these before any section is interpreted.
+// identity (protocol, seed, host and shard counts) and the snapshot's
+// position in the run. It labels a snapshot for people and for
+// BisectDirs' grouping; Compare reads only TimePs.
 type Meta struct {
 	Version   uint32
 	Label     string // run label (file stem; informational)
 	Protocol  string
 	Seed      int64
-	Hosts     int    // topology host count
-	Shards    int    // resolved shard count (≥ 1)
-	TopoHash  uint64 // fingerprint of the topology shape
-	SpecHash  uint64 // fingerprint of the full run spec (trace, faults, horizon)
-	HorizonPs int64  // run horizon, picoseconds
-	TimePs    int64  // simulation time this snapshot was taken at
-	Index     int    // snapshot ordinal within the run (0-based)
-	EveryPs   int64  // checkpoint cadence, picoseconds
+	Hosts     int   // topology host count
+	Shards    int   // resolved shard count (≥ 1)
+	HorizonPs int64 // run horizon, picoseconds
+	TimePs    int64 // simulation time this snapshot was taken at
+	Index     int   // snapshot ordinal within the run (0-based)
+	EveryPs   int64 // checkpoint cadence, picoseconds
 }
 
 // Section is one named chunk of serialized state. Section order within a
@@ -79,11 +78,10 @@ func (s *Snapshot) Section(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// Typed error taxonomy. Restore paths distinguish these: a version or
-// compatibility error means "wrong snapshot for this build/spec" (fail
-// loudly, nothing to repair), corruption means the bytes themselves are
-// damaged, and divergence means a verified replay did not reproduce the
-// captured state — the one that turns checkpoints into a correctness
+// Typed error taxonomy. A version error means "written by another
+// format" (fail loudly, nothing to repair), corruption means the bytes
+// themselves are damaged, and divergence means two streams that should
+// agree do not — the one that turns checkpoints into a correctness
 // oracle.
 var (
 	// ErrBadMagic reports a stream that is not a dcPIM checkpoint.
@@ -105,18 +103,6 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("checkpoint: format version %d, this build reads %d", e.Got, e.Want)
 }
 
-// CompatError reports a snapshot that parsed cleanly but belongs to a
-// different run: wrong topology, spec, shard count, or protocol.
-type CompatError struct {
-	Field     string
-	Got, Want string
-}
-
-func (e *CompatError) Error() string {
-	return fmt.Sprintf("checkpoint: incompatible snapshot: %s is %s, this run has %s",
-		e.Field, e.Got, e.Want)
-}
-
 // CorruptError reports structurally invalid content inside a frame that
 // passed the checksum (impossible lengths, out-of-range values).
 type CorruptError struct {
@@ -126,8 +112,8 @@ type CorruptError struct {
 func (e *CorruptError) Error() string { return "checkpoint: corrupt snapshot: " + e.Detail }
 
 // DivergenceError reports the first point where two snapshots of the
-// same nominal state disagree — either a failed resume-equivalence proof
-// or the bisection target between two builds.
+// same nominal state disagree: a stored stream a fresh run does not
+// reproduce, or the bisection target between two builds.
 type DivergenceError struct {
 	Section string // diverging section name ("" = section list shape)
 	Offset  int    // first differing byte within the section (-1 = length/name)
@@ -144,9 +130,9 @@ func (e *DivergenceError) Error() string {
 
 // Compare returns nil when the two snapshots capture identical state,
 // or a *DivergenceError naming the first differing section. Meta fields
-// that identify the build or spec (SpecHash, Label) are deliberately NOT
-// compared: bisection compares snapshots across builds, where those
-// legitimately differ. Time and shape must agree.
+// other than the time (Label, say) are deliberately NOT compared: two
+// streams of one spec may be labeled differently. A different spec shows
+// up in the sections themselves. Time and shape must agree.
 func Compare(a, b *Snapshot) error {
 	if a.Meta.TimePs != b.Meta.TimePs {
 		return &DivergenceError{Detail: fmt.Sprintf("times %d vs %d ps", a.Meta.TimePs, b.Meta.TimePs)}
@@ -187,8 +173,6 @@ func (s *Snapshot) Checkpoint(w io.Writer) error {
 	e.I64(s.Meta.Seed)
 	e.I64(int64(s.Meta.Hosts))
 	e.I64(int64(s.Meta.Shards))
-	e.U64(s.Meta.TopoHash)
-	e.U64(s.Meta.SpecHash)
 	e.I64(s.Meta.HorizonPs)
 	e.I64(s.Meta.TimePs)
 	e.I64(int64(s.Meta.Index))
@@ -198,7 +182,7 @@ func (s *Snapshot) Checkpoint(w io.Writer) error {
 		e.String(sec.Name)
 		e.Bytes(sec.Data)
 	}
-	e.U64(fold(e.buf))
+	e.U64(checksum(e.buf))
 	_, err := w.Write(e.buf)
 	return err
 }
@@ -231,7 +215,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	d := Decoder{buf: body}
 	d.off = len(Magic)
 	if got := uint64(sum[0]) | uint64(sum[1])<<8 | uint64(sum[2])<<16 | uint64(sum[3])<<24 |
-		uint64(sum[4])<<32 | uint64(sum[5])<<40 | uint64(sum[6])<<48 | uint64(sum[7])<<56; got != fold(body) {
+		uint64(sum[4])<<32 | uint64(sum[5])<<40 | uint64(sum[6])<<48 | uint64(sum[7])<<56; got != checksum(body) {
 		return nil, ErrChecksum
 	}
 	if v := d.U32(); v != Version {
@@ -247,8 +231,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	s.Meta.Seed = d.I64()
 	s.Meta.Hosts = int(d.I64())
 	s.Meta.Shards = int(d.I64())
-	s.Meta.TopoHash = d.U64()
-	s.Meta.SpecHash = d.U64()
 	s.Meta.HorizonPs = d.I64()
 	s.Meta.TimePs = d.I64()
 	s.Meta.Index = int(d.I64())
@@ -270,44 +252,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// FNV-1a 64 over a byte stream — the same fold the experiment digests
-// use, chosen for stability across Go versions.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fold(b []byte) uint64 {
-	h := fnvOffset
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// FoldInit is the initial value for incremental word folds (FNV-1a 64).
-const FoldInit = fnvOffset
-
-// Fold mixes one 64-bit word into an FNV-1a 64 hash, byte by byte.
-// Snapshot metadata uses it to fingerprint a run's topology and spec.
-func Fold(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= w & 0xff
-		h *= fnvPrime
-		w >>= 8
-	}
-	return h
-}
-
-// FoldBytes mixes a byte slice into an FNV-1a 64 hash (the incremental
-// form of the file checksum's fold).
-func FoldBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+// checksum is FNV-1a 64 over a byte stream, stable across Go versions.
+func checksum(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Encoder appends little-endian primitives to a growing buffer. The zero

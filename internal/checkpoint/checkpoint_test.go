@@ -11,7 +11,6 @@ func sampleSnapshot() *Snapshot {
 	s := &Snapshot{Meta: Meta{
 		Version: Version, Label: "fig3a-dcpim-load0.500", Protocol: "dcpim",
 		Seed: 99, Hosts: 16, Shards: 4,
-		TopoHash: 0xdeadbeefcafe, SpecHash: 0x1234567890ab,
 		HorizonPs: 2_000_000_000, TimePs: 1_000_000_000, Index: 3, EveryPs: 250_000_000,
 	}}
 	s.AddSection("engine/0", []byte{1, 2, 3, 4, 5})
@@ -134,7 +133,7 @@ func TestReadErrorTaxonomy(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			e.String("")
 		}
-		for i := 0; i < 9; i++ {
+		for i := 0; i < 7; i++ {
 			e.I64(0)
 		}
 		_ = s
@@ -152,7 +151,7 @@ func TestReadErrorTaxonomy(t *testing.T) {
 // reseal rewrites b's trailing checksum to match its body, emulating a
 // writer that produced the (possibly hostile) body legitimately.
 func reseal(b []byte) {
-	sum := fold(b[:len(b)-8])
+	sum := checksum(b[:len(b)-8])
 	for i := 0; i < 8; i++ {
 		b[len(b)-8+i] = byte(sum >> (8 * i))
 	}
@@ -165,10 +164,9 @@ func TestCompare(t *testing.T) {
 	}
 
 	b := sampleSnapshot()
-	b.Meta.SpecHash++ // build-identity fields are excluded from Compare
-	b.Meta.Label = "other"
+	b.Meta.Label = "other" // only the time is compared of Meta
 	if err := Compare(a, b); err != nil {
-		t.Fatalf("spec-hash difference should not diverge: %v", err)
+		t.Fatalf("label difference should not diverge: %v", err)
 	}
 
 	b = sampleSnapshot()
@@ -227,19 +225,6 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	}
 	if v := d.String(); v != "" {
 		t.Fatalf("read after latched error: %q", v)
-	}
-}
-
-func TestFoldMatchesByteFold(t *testing.T) {
-	// Fold(word) must equal folding the word's little-endian bytes — the
-	// invariant that lets capture code mix words while files mix bytes.
-	w := uint64(0x1122334455667788)
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(w >> (8 * i))
-	}
-	if Fold(FoldInit, w) != fold(b[:]) {
-		t.Fatal("Fold(word) != fold(bytes)")
 	}
 }
 

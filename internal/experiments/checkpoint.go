@@ -4,26 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/sim"
-	"dcpim/internal/topo"
-	"dcpim/internal/workload"
 )
 
 // Checkpoint orchestration (DESIGN.md §14). Engines hold Go closures, so
 // a snapshot cannot be deserialized back into a live run. It is an
 // assertion instead: each engine's pending event keys, clock and RNG
 // position, the per-host delivered-stream digests and, optionally, the
-// keys of every event executed since the last snapshot. Resume is a
-// verified replay: rebuild the run from its spec, advance to the
-// snapshot time, prove the re-captured snapshot byte-identical, then
-// continue. Two builds' snapshot streams bisect to the first diverging
-// event (Bisect).
+// keys of every event executed since the last snapshot. Snapshot streams
+// are compared, never resumed from: Compare checks one pair, and Bisect
+// (BisectDirs, -bisect) takes two streams of the same spec — a stored
+// one and a fresh one, or two builds' — to the first diverging event.
 
 // CheckpointSpec asks Run for periodic snapshots.
 type CheckpointSpec struct {
@@ -51,105 +47,11 @@ func (c *CheckpointSpec) label(spec RunSpec) string {
 	return sanitizeLabel(l)
 }
 
-// RunCheckpointed executes the run in cadence-sized windows, capturing a
-// snapshot at each boundary. The event stream is identical to Run's —
-// windows only bound how far engines advance between captures, and
-// capture itself is pure reads — so the RunResult is byte-identical to
-// an uncheckpointed run of the same spec.
-func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) {
-	ck := spec.Checkpoint
-	if ck == nil || ck.Every <= 0 {
-		panic("experiments: RunCheckpointed requires spec.Checkpoint with Every > 0")
-	}
-	rs := newRunState(spec, nil)
-	defer rs.close()
-	horizon := sim.Time(spec.Horizon)
-	var snaps []*checkpoint.Snapshot
-	idx := 0
-	for t := sim.Time(0).Add(ck.Every); t <= horizon; t = t.Add(ck.Every) {
-		rs.runTo(t)
-		snap := rs.capture(t, idx)
-		snaps = append(snaps, snap)
-		writeSnapshot(ck, snap)
-		idx++
-	}
-	rs.runTo(horizon)
-	return rs.result(), snaps
-}
-
-// Resume is the verified-replay restore: it checks the snapshot is
-// compatible with spec (typed CompatError/VersionError otherwise),
-// rebuilds the run, replays to the snapshot time with the same window
-// schedule RunCheckpointed used, proves the re-captured state
-// byte-identical to the snapshot (DivergenceError otherwise), and
-// continues to the horizon. It returns the completed result and the
-// snapshots taken after the resume point — byte-identical to the ones
-// the uninterrupted run would have produced.
-func Resume(spec RunSpec, snap *checkpoint.Snapshot) (RunResult, []*checkpoint.Snapshot, error) {
-	ck := spec.Checkpoint
-	if ck == nil || ck.Every <= 0 {
-		return RunResult{}, nil, &checkpoint.CompatError{
-			Field: "checkpoint cadence", Got: "none", Want: "spec.Checkpoint with Every > 0"}
-	}
-	if snap.Meta.Version != checkpoint.Version {
-		return RunResult{}, nil, &checkpoint.VersionError{Got: snap.Meta.Version, Want: checkpoint.Version}
-	}
-	if err := checkCompat(spec, snap.Meta); err != nil {
-		return RunResult{}, nil, err
-	}
-	rs := newRunState(spec, nil)
-	defer rs.close()
-	horizon := sim.Time(spec.Horizon)
-	at := sim.Time(snap.Meta.TimePs)
-	var replayed *checkpoint.Snapshot
-	idx := 0
-	for t := sim.Time(0).Add(ck.Every); t <= at; t = t.Add(ck.Every) {
-		rs.runTo(t)
-		replayed = rs.capture(t, idx)
-		idx++
-	}
-	if replayed == nil || replayed.Meta.TimePs != snap.Meta.TimePs {
-		return RunResult{}, nil, &checkpoint.CompatError{
-			Field: "snapshot time",
-			Got:   fmt.Sprintf("%d ps", snap.Meta.TimePs),
-			Want:  fmt.Sprintf("a positive multiple of cadence %d ps", int64(ck.Every)),
-		}
-	}
-	if err := checkpoint.Compare(replayed, snap); err != nil {
-		return RunResult{}, nil, fmt.Errorf("experiments: resume replay does not reproduce snapshot %d: %w",
-			snap.Meta.Index, err)
-	}
-	var post []*checkpoint.Snapshot
-	for t := at.Add(ck.Every); t <= horizon; t = t.Add(ck.Every) {
-		rs.runTo(t)
-		s := rs.capture(t, idx)
-		post = append(post, s)
-		writeSnapshot(ck, s)
-		idx++
-	}
-	rs.runTo(horizon)
-	return rs.result(), post, nil
-}
-
-// checkCompat rejects snapshots that belong to a different run than
-// spec describes. Field order is most-specific-message first.
-func checkCompat(spec RunSpec, m checkpoint.Meta) error {
-	for _, c := range []struct{ field, got, want string }{
-		{"protocol", m.Protocol, spec.Protocol},
-		{"seed", fmt.Sprint(m.Seed), fmt.Sprint(spec.Seed)},
-		{"hosts", fmt.Sprint(m.Hosts), fmt.Sprint(spec.Topo.NumHosts)},
-		{"topology hash", fmt.Sprintf("%#016x", m.TopoHash), fmt.Sprintf("%#016x", topoHash(spec.Topo))},
-		{"spec hash", fmt.Sprintf("%#016x", m.SpecHash), fmt.Sprintf("%#016x", specHash(spec))},
-		{"shards", fmt.Sprint(m.Shards), fmt.Sprint(spec.shards())},
-		{"horizon", fmt.Sprintf("%d ps", m.HorizonPs), fmt.Sprintf("%d ps", int64(spec.Horizon))},
-		{"cadence", fmt.Sprintf("%d ps", m.EveryPs), fmt.Sprintf("%d ps", int64(spec.Checkpoint.Every))},
-	} {
-		if c.got != c.want {
-			return &checkpoint.CompatError{Field: c.field, Got: c.got, Want: c.want}
-		}
-	}
-	return nil
-}
+// RunCheckpointed is Run that also returns the snapshots it captured, one
+// per multiple of spec.Checkpoint.Every up to the horizon (none when
+// spec.Checkpoint is nil). The RunResult is byte-identical to an
+// uncheckpointed run of the same spec.
+func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) { return run(spec, nil) }
 
 // capture records the run's state at time at: each engine's
 // EngineState, the per-host delivered-stream digests and, when enabled,
@@ -165,8 +67,6 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 		Seed:      rs.spec.Seed,
 		Hosts:     rs.spec.Topo.NumHosts,
 		Shards:    len(rs.engines),
-		TopoHash:  topoHash(rs.spec.Topo),
-		SpecHash:  specHash(rs.spec),
 		HorizonPs: int64(rs.spec.Horizon),
 		TimePs:    int64(at),
 		Index:     idx,
@@ -252,40 +152,6 @@ func writeSnapshot(ck *CheckpointSpec, snap *checkpoint.Snapshot) {
 	if err := f.Close(); err != nil {
 		panic(fmt.Sprintf("experiments: writing checkpoint: %v", err))
 	}
-}
-
-// topoHash fingerprints the topology shape a snapshot was taken on:
-// name, sizes, rates, delays and per-switch port counts.
-func topoHash(t *topo.Topology) uint64 {
-	h := checkpoint.FoldBytes(checkpoint.FoldInit, []byte(t.Name))
-	h = checkpoint.Fold(h, uint64(t.NumHosts))
-	h = checkpoint.Fold(h, math.Float64bits(t.HostRate))
-	h = checkpoint.Fold(h, uint64(t.HostDelay))
-	h = checkpoint.Fold(h, uint64(t.SwitchDelay))
-	h = checkpoint.Fold(h, uint64(len(t.Switches)))
-	for _, sw := range t.Switches {
-		h = checkpoint.Fold(h, uint64(len(sw.Ports)))
-	}
-	return h
-}
-
-// specHash fingerprints everything else that determines the event
-// stream: protocol, seed, horizon, bin width, every trace flow, and the
-// fault schedule. Two specs with equal topo- and spec-hashes replay
-// identically, which is what lets Resume trust a snapshot.
-func specHash(spec RunSpec) uint64 {
-	h := checkpoint.FoldBytes(checkpoint.FoldInit, []byte(spec.Protocol))
-	h = checkpoint.Fold(h, uint64(spec.Seed))
-	h = checkpoint.Fold(h, uint64(spec.Horizon))
-	h = checkpoint.Fold(h, uint64(spec.BinWidth))
-	h = checkpoint.Fold(h, uint64(len(spec.Trace.Flows)))
-	for _, fl := range spec.Trace.Flows {
-		h = checkpoint.Fold(h, fl.ID)
-		h = checkpoint.Fold(h, uint64(uint32(fl.Src))<<32|uint64(uint32(fl.Dst)))
-		h = checkpoint.Fold(h, uint64(fl.Size))
-		h = checkpoint.Fold(h, uint64(fl.Arrival))
-	}
-	return checkpoint.Fold(h, spec.Faults.Fingerprint())
 }
 
 // EventDivergence names the first executed event on which two journaled
@@ -387,106 +253,6 @@ func firstEventDivergence(a, b *checkpoint.Snapshot) *EventDivergence {
 			return ev
 		}
 	}
-}
-
-// ckptSpec is the canonical checkpoint-experiment run: dcPIM on a
-// FatTree sized by hosts, IMC10 all-to-all at load 0.5, snapshots with
-// journals every `every`. ResumeFile reconstructs this spec from a
-// snapshot's meta alone, so every parameter must derive from the
-// arguments deterministically.
-func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, dir string) RunSpec {
-	tp := fatTreeFor(hosts)
-	return RunSpec{
-		Protocol: DCPIM, Topo: tp, Trace: allToAll(tp, workload.IMC10(), 0.5, horizon*2/3, seed),
-		Horizon: horizon, Seed: seed, Shards: shards,
-		Digest: true,
-		Checkpoint: &CheckpointSpec{
-			Every: every, Dir: dir, Journal: true,
-			Label: fmt.Sprintf("ckpt-%s-seed%d", tp.Name, seed),
-		},
-	}
-}
-
-// ckptSpecFromMeta rebuilds the canonical run a ckpt-experiment snapshot
-// came from. Resume's spec-hash check then proves the reconstruction
-// exact (snapshots from other experiments fail it with a CompatError).
-func ckptSpecFromMeta(o Options, m checkpoint.Meta) RunSpec {
-	return ckptSpec(m.Seed, m.Hosts, sim.Duration(m.HorizonPs), sim.Duration(m.EveryPs),
-		m.Shards, o.CheckpointDir)
-}
-
-// RunCkpt is the checkpoint/restore acceptance experiment: run the
-// canonical spec with periodic snapshots, resume from the middle one,
-// and require the resumed run — digest, event count, and every
-// post-resume snapshot — to be byte-identical to the uninterrupted run.
-func RunCkpt(o Options, w io.Writer) error {
-	horizon := o.scaled(600 * sim.Microsecond)
-	every := o.CheckpointEvery
-	if every <= 0 {
-		every = horizon / 4
-	}
-	if every <= 0 {
-		every = sim.Microsecond
-	}
-	spec := ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, o.CheckpointDir)
-	fmt.Fprintf(w, "checkpoint run: %s on %s, %d flows, horizon %v, snapshot every %v\n",
-		spec.Protocol, spec.Topo.Name, len(spec.Trace.Flows), sim.Time(0).Add(horizon), every)
-	res, snaps := RunCheckpointed(spec)
-	fmt.Fprintf(w, "uninterrupted: digest=%#016x events=%d snapshots=%d\n", res.Digest, res.Events, len(snaps))
-	if len(snaps) == 0 {
-		return fmt.Errorf("no snapshots taken (horizon %v, cadence %v)", sim.Time(0).Add(horizon), every)
-	}
-	mid := snaps[len(snaps)/2]
-	res2, post, err := Resume(ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, ""), mid)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "resumed from snapshot %d (t=%v): replay verified, digest=%#016x events=%d\n",
-		mid.Meta.Index, sim.Time(mid.Meta.TimePs), res2.Digest, res2.Events)
-	if res2.Digest != res.Digest {
-		return fmt.Errorf("resumed digest %#016x != uninterrupted %#016x", res2.Digest, res.Digest)
-	}
-	if res2.Events != res.Events {
-		return fmt.Errorf("resumed event count %d != uninterrupted %d", res2.Events, res.Events)
-	}
-	want := snaps[len(snaps)/2+1:]
-	if len(post) != len(want) {
-		return fmt.Errorf("resumed run took %d post-resume snapshots, uninterrupted took %d", len(post), len(want))
-	}
-	for i := range post {
-		if err := checkpoint.Compare(want[i], post[i]); err != nil {
-			return fmt.Errorf("post-resume snapshot %d: %w", want[i].Meta.Index, err)
-		}
-	}
-	fmt.Fprintf(w, "resume equivalence: digest, %d events and %d post-resume snapshots byte-identical\n",
-		res.Events, len(post))
-	return nil
-}
-
-// ResumeFile loads one ckpt-experiment snapshot file and resumes it:
-// verified replay to the snapshot time, then on to the horizon. The run
-// spec is rebuilt from the snapshot's own metadata; o supplies only
-// output settings (CheckpointDir for post-resume snapshot files).
-func ResumeFile(o Options, path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	snap, err := checkpoint.Read(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	spec := ckptSpecFromMeta(o, snap.Meta)
-	res, post, err := Resume(spec, snap)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "resumed %s from t=%v (snapshot %d of label %s)\n",
-		filepath.Base(path), sim.Time(snap.Meta.TimePs), snap.Meta.Index, snap.Meta.Label)
-	fmt.Fprintf(w, "replay verified byte-identical; ran to horizon %v\n", res.End)
-	fmt.Fprintf(w, "digest=%#016x events=%d post-resume snapshots=%d\n", res.Digest, res.Events, len(post))
-	return nil
 }
 
 // BisectDirs reads the snapshot streams two runs wrote into dirA and

@@ -60,7 +60,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, c := range quickCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			watchdog(t, 2*time.Minute) // scale and ckpt run sharded fabrics
+			watchdog(t, 2*time.Minute) // scale runs sharded fabrics
 			var buf bytes.Buffer
 			if err := c.e.Run(c.o, &buf); err != nil {
 				t.Fatalf("%s: %v\noutput:\n%s", c.name, err, buf.String())
@@ -102,8 +102,8 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("bogus id found")
 	}
-	if len(All()) != 17 {
-		t.Fatalf("experiments = %d, want 17", len(All()))
+	if len(All()) != 16 {
+		t.Fatalf("experiments = %d, want 16", len(All()))
 	}
 }
 

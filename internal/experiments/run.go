@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"time"
 
+	"dcpim/internal/checkpoint"
 	"dcpim/internal/core"
 	"dcpim/internal/faults"
 	"dcpim/internal/metrics"
@@ -268,32 +269,53 @@ func (r RunResult) Completion() float64 {
 // which one ran. Panics when the topology cannot be cut into that many
 // shards (topo.MaxShards gives the limit).
 //
-// When spec.Checkpoint is set the run routes through RunCheckpointed,
-// which advances in cadence-sized windows and snapshots at each
-// boundary; results are byte-identical either way.
-func Run(spec RunSpec) RunResult { return runClocked(spec, nil) }
+// When spec.Checkpoint is set the run advances in cadence-sized windows
+// and snapshots at each boundary (RunCheckpointed returns the
+// snapshots); results are byte-identical either way.
+func Run(spec RunSpec) RunResult {
+	res, _ := run(spec, nil)
+	return res
+}
 
-// runClocked is Run, metered on clock when it is not nil: a WallTimer the
-// caller started as it called, on which the result's Wall, Wire and Serial
-// are read. A checkpointed run is not metered.
+// runClocked is Run, metered on clock: a WallTimer the caller started as
+// it called, on which the result's Wall, Wire and Serial are read.
 func runClocked(spec RunSpec, clock func() time.Duration) RunResult {
-	if spec.Checkpoint != nil {
-		res, _ := RunCheckpointed(spec)
-		return res
+	res, _ := run(spec, clock)
+	return res
+}
+
+// run is the one run driver behind Run, RunCheckpointed and runClocked:
+// it wires spec, advances to the horizon and folds the result, metered
+// on clock when that is not nil. With spec.Checkpoint set it stops at
+// each multiple of Checkpoint.Every on the way, captures a snapshot
+// there, and writes it to Checkpoint.Dir when that is set.
+func run(spec RunSpec, clock func() time.Duration) (RunResult, []*checkpoint.Snapshot) {
+	ck := spec.Checkpoint
+	if ck != nil && ck.Every <= 0 {
+		panic("experiments: spec.Checkpoint needs Every > 0")
 	}
 	rs := newRunState(spec, clock)
 	defer rs.close()
-	rs.runTo(sim.Time(spec.Horizon))
-	return rs.result()
+	horizon := sim.Time(spec.Horizon)
+	var snaps []*checkpoint.Snapshot
+	if ck != nil {
+		for t := sim.Time(0).Add(ck.Every); t <= horizon; t = t.Add(ck.Every) {
+			rs.runTo(t)
+			snap := rs.capture(t, len(snaps))
+			writeSnapshot(ck, snap)
+			snaps = append(snaps, snap)
+		}
+	}
+	rs.runTo(horizon)
+	return rs.result(), snaps
 }
 
 // runState is one simulation mid-flight: the wired fabric, engines,
-// collector and sampler, paused at a barrier sync point. Run drives it
-// to the horizon in one call; the checkpoint paths (RunCheckpointed,
-// Resume) drive it window by window, capturing snapshots between
-// windows. Window placement never changes execution order — engines run
-// events strictly in (time, seq) order and windows only bound how far —
-// so both drivers produce byte-identical results.
+// collector and sampler, paused at a barrier sync point. run drives it
+// to the horizon, in one call or, when checkpointing, window by window
+// with a snapshot between windows. Window placement never changes
+// execution order — engines run events strictly in (time, seq) order and
+// windows only bound how far — so both produce byte-identical results.
 type runState struct {
 	spec        RunSpec
 	engines     []*sim.Engine
@@ -309,10 +331,9 @@ type runState struct {
 }
 
 // shards resolves the spec's shard count — the one place the zero value
-// is read as auto. Everything that needs the count (wiring, checkpoint
-// compatibility, snapshot metadata via len(engines), reports via
-// len(ShardStats)) comes through here, and it is a function of the spec
-// alone, never of the machine.
+// is read as auto. Everything that needs the count (wiring, snapshot
+// metadata via len(engines), reports via len(ShardStats)) comes through
+// here, and it is a function of the spec alone, never of the machine.
 func (spec RunSpec) shards() int {
 	if spec.Shards == 0 {
 		return topo.AutoShards(spec.Topo)
@@ -527,7 +548,6 @@ func All() []Experiment {
 		{"ablation", "dcPIM design ablations: FCT round on/off, token window sizing", RunAblation},
 		{"faults", "Fault resilience: FCT and completion vs fault intensity", RunFaults},
 		{"scale", "Hyperscale campaign: hosts × load × shards", RunScale},
-		{"ckpt", "Checkpoint/restore: periodic snapshots, verified resume equivalence", RunCkpt},
 		{"matchers", "Matcher lab: registry-wide matcher-vs-matcher sweep (rounds, control bytes, size vs M*)", RunMatchers},
 	}
 }

@@ -8,11 +8,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
-	"dcpim/internal/checkpoint"
 	"dcpim/internal/sim"
 	"dcpim/internal/workload"
 )
@@ -32,7 +30,6 @@ type ScaleResult struct {
 	Completed    int64   `json:"completed"`
 	Epochs       uint64  `json:"epochs"`
 	SkippedPct   float64 `json:"skipped_pct"`
-	Resumed      bool    `json:"resumed,omitempty"` // cell restored from a snapshot
 	Digest       string  `json:"digest"`
 	// Critical is Σ over epochs of the most events any one shard executed
 	// (0 when serial). Events over it bounds the cell's speedup on a core
@@ -41,8 +38,7 @@ type ScaleResult struct {
 	// WireS is the cell's set-up wall time (RunResult.Wire) and SerialFrac
 	// the share of its whole wall time spent outside the shard goroutines
 	// (RunResult.Serial / Wall; 0 when serial, where the question does not
-	// arise, and both 0 for a checkpointed cell, which is not metered).
-	// Both are clock readings: they vary run to run and with the
+	// arise). Both are clock readings: they vary run to run and with the
 	// box, unlike Critical.
 	WireS      float64 `json:"wire_s"`
 	SerialFrac float64 `json:"serial_frac"`
@@ -50,7 +46,7 @@ type ScaleResult struct {
 	// (ShardStats.Busy) and OverheadMS Σ over epochs of the epoch's wall
 	// time minus its busiest shard's (RunResult.Overhead): where a sharded
 	// stretch's time went, shard by shard and to the barrier. Clock
-	// readings like WireS; absent when serial or not metered.
+	// readings like WireS; absent when serial.
 	BusyMS     []float64 `json:"busy_ms,omitempty"`
 	OverheadMS float64   `json:"epoch_overhead_ms"`
 }
@@ -146,57 +142,10 @@ func scaleMachine() ScaleMachine {
 }
 
 // scaleCellLabel names one campaign cell's snapshot files. Every axis
-// that changes the run (or its snapshot metadata) is in the name, so a
-// resumed cell can only ever pick up its own snapshots.
+// that changes the run is in the name, so each cell's stream has a label
+// of its own and -bisect compares two campaigns cell by cell.
 func scaleCellLabel(hosts int, load float64, shards int) string {
 	return fmt.Sprintf("scale-h%d-l%02d-s%d", hosts, int(load*100), shards)
-}
-
-// latestSnapshot returns the highest-index snapshot of one cell label in
-// dir, or nil when the cell has none (first run, or checkpointing off).
-func latestSnapshot(dir, label string) *checkpoint.Snapshot {
-	if dir == "" {
-		return nil
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, label+".ck*.dcpimck"))
-	if err != nil || len(paths) == 0 {
-		return nil
-	}
-	sort.Strings(paths)
-	f, err := os.Open(paths[len(paths)-1])
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	snap, err := checkpoint.Read(f)
-	if err != nil {
-		return nil
-	}
-	return snap
-}
-
-// runScaleCell executes one campaign cell, honoring the checkpoint
-// options: with a cadence set the run snapshots as it goes, and when the
-// cell's own latest snapshot already exists in CheckpointDir — an
-// interrupted earlier campaign — the cell resumes from it (verified
-// replay, DESIGN.md §14) instead of starting cold. A snapshot that fails
-// to resume (stale build, changed grid) is reported and the cell runs
-// fresh; the campaign never wedges on leftover files. clock is the
-// caller's timer of the cell; a cell run without checkpoints is metered on
-// it (runClocked).
-func runScaleCell(spec RunSpec, w io.Writer, clock func() time.Duration) (RunResult, bool) {
-	if spec.Checkpoint == nil {
-		return runClocked(spec, clock), false
-	}
-	if snap := latestSnapshot(spec.Checkpoint.Dir, spec.Checkpoint.Label); snap != nil {
-		res, _, err := Resume(spec, snap)
-		if err == nil {
-			return res, true
-		}
-		fmt.Fprintf(w, "  (snapshot %s.ck%04d not resumable — %v — running fresh)\n",
-			snap.Meta.Label, snap.Meta.Index, err)
-	}
-	return Run(spec), false
 }
 
 // RunScale is the hyperscale campaign (DESIGN.md §13.2): it sweeps the
@@ -217,8 +166,7 @@ func runScaleCell(spec RunSpec, w io.Writer, clock func() time.Duration) (RunRes
 // (-scale < 1) keep only the low-load point. With -metrics DIR set, the
 // machine-readable rows land in DIR/BENCH_scale.json under a machine
 // stamp; with -checkpoint/-checkpoint-dir set each cell snapshots at the
-// cadence and an interrupted campaign resumes cells from their latest
-// snapshots.
+// cadence under its own label.
 func RunScale(o Options, w io.Writer) error {
 	hostSet := []int{128, 432, 1024, 8192}
 	if o.Hosts != 0 {
@@ -272,7 +220,7 @@ func RunScale(o Options, w io.Writer) error {
 					}
 				}
 				elapsed := WallTimer()
-				res, resumed := runScaleCell(spec, w, elapsed)
+				res := runClocked(spec, elapsed)
 				wall := elapsed()
 				if !haveDigest {
 					groupDigest, haveDigest = res.Digest, true
@@ -304,7 +252,6 @@ func RunScale(o Options, w io.Writer) error {
 					Completed:    res.Col.Completed(),
 					Epochs:       epochs,
 					SkippedPct:   skippedPct,
-					Resumed:      resumed,
 					Digest:       fmt.Sprintf("%#016x", res.Digest),
 					Critical:     critical,
 					WireS:        res.Wire.Seconds(),
@@ -317,13 +264,9 @@ func RunScale(o Options, w io.Writer) error {
 					}
 				}
 				rows = append(rows, row)
-				mark := ""
-				if resumed {
-					mark = " (resumed)"
-				}
-				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %8.1f %9d %12.0f %7d %7.1f%% %7s %21s %13s  %s%s\n",
+				fmt.Fprintf(w, "%6d %5.1f %7s %10.1f %8.1f %9d %12.0f %7d %7.1f%% %7s %21s %13s  %s\n",
 					hosts, load, row.shardsLabel(), row.WallMS, 1000*row.WireS, row.Events,
-					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.serialLabel(), row.busyLabel(), row.Digest, mark)
+					row.EventsPerSec, row.Flows, row.SkippedPct, row.bound(), row.serialLabel(), row.busyLabel(), row.Digest)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -87,6 +88,30 @@ func Test8192HostDigest(t *testing.T) {
 			t.Errorf("shards=%d digest %#016x, want golden %#016x (see regeneration note)",
 				shards, res.Digest, golden8192Digest)
 		}
+	}
+}
+
+// TestCheckpointedCellIsMetered: a checkpointed campaign cell runs
+// through the one run driver with its clock, so its Wall and Wire are
+// read as for any other cell — and its snapshot files are still written.
+func TestCheckpointedCellIsMetered(t *testing.T) {
+	tp := fatTreeFor(16)
+	horizon := 40 * sim.Microsecond
+	dir := t.TempDir()
+	spec := RunSpec{
+		Protocol: DCPIM, Topo: tp, Trace: allToAll(tp, workload.WebSearch(), 0.3, horizon, 1),
+		Horizon: horizon + horizon/2, Seed: 8, Digest: true,
+		Checkpoint: &CheckpointSpec{
+			Every: 20 * sim.Microsecond, Dir: dir, Label: scaleCellLabel(16, 0.3, 0), Journal: true,
+		},
+	}
+	res := runClocked(spec, WallTimer())
+	if res.Wall <= 0 || res.Wire <= 0 {
+		t.Errorf("checkpointed cell not metered: Wall %v, Wire %v", res.Wall, res.Wire)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.dcpimck"))
+	if err != nil || len(files) != 3 {
+		t.Errorf("%d snapshot files (%v), want 3 (at 20, 40 and 60 µs)", len(files), err)
 	}
 }
 

@@ -41,9 +41,7 @@ func oversubFor(hosts int) *topo.Topology {
 // k=4 (16 hosts) for quick runs, k=8 (128), k=12 (432, the scale grid's
 // first auto-sharded rung), the paper's k=16 (1024, also the 0-default),
 // then the hyperscale rungs — k=32 (8192) and the 3-tier k=48-class tree
-// (27648). The mapping is monotone in hosts and is part of the checkpoint
-// contract: ckptSpecFromMeta rebuilds specs from a snapshot's host count
-// through this function.
+// (27648). The mapping is monotone in hosts.
 func fatTreeFor(hosts int) *topo.Topology {
 	switch {
 	case hosts != 0 && hosts <= 16:

@@ -10,9 +10,9 @@ import (
 // future execution and randomness — the clock, the sequence allocator,
 // the (time, seq) key of every pending event, and the RNG position.
 // CaptureState returns that as plain data; the checkpoint file format
-// lives in internal/checkpoint, and the experiment runner
-// (experiments.Resume) re-runs the deterministic setup, replays to the
-// snapshot time and compares what it captures there with the snapshot.
+// lives in internal/checkpoint. Nothing restores it: the experiment
+// runner compares the snapshot streams of two runs (experiments.Bisect),
+// which agree exactly when the runs executed identically.
 // Lanes hold ordinary pending events — where an event is stored is
 // physical layout — so capture lists their records with the queues'.
 
