@@ -154,10 +154,9 @@ type RunSpec struct {
 	Trace    *workload.Trace
 	Horizon  sim.Duration // total run time (trace horizon + drain)
 	Seed     int64
-	Shards   int            // fabric shard count: 0 = auto (topo.AutoShards), 1 = serial
-	BinWidth sim.Duration   // utilization series bin (0 = 10 µs)
-	DcPIM    *core.Config   // optional dcPIM parameter override
-	Fabric   *netsim.Config // optional fabric override
+	Shards   int          // fabric shard count: 0 = auto (topo.AutoShards), 1 = serial
+	BinWidth sim.Duration // utilization series bin (0 = 10 µs)
+	DcPIM    *core.Config // optional dcPIM parameter override
 
 	// Faults, when set, is installed on the fabric before the run: the
 	// resilience experiment scripts link failures, loss bursts, switch
@@ -365,25 +364,17 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	col := stats.NewCollector(bin)
 
 	desc := protocols.MustLookup(spec.Protocol)
-	fc := desc.FabricConfig()
-	if spec.Fabric != nil {
-		fc = *spec.Fabric
-	}
-	fab := netsim.NewSharded(grp, spec.Topo, fc, part)
+	fab := netsim.NewSharded(grp, spec.Topo, desc.FabricConfig(), part)
 
 	var reg *metrics.Registry
 	if spec.Metrics != nil {
 		reg = metrics.NewRegistry()
 		fab.RegisterMetrics(reg)
 	}
-	var protoCfg any
-	if spec.DcPIM != nil {
-		protoCfg = spec.DcPIM
-	}
 	desc.Attach(fab, protocols.AttachOptions{
 		Collector:   col,
 		Metrics:     reg,
-		ProtoConfig: protoCfg,
+		ProtoConfig: spec.DcPIM, // a nil *core.Config selects dcPIM's defaults
 	})
 
 	// The digest folds each host's delivered-packet stream separately —

@@ -5,17 +5,13 @@ import (
 	"dcpim/internal/protocols"
 )
 
-// Register Fastpass. ProtoConfig accepts a Config override.
+// Register Fastpass.
 func init() {
 	protocols.Register(protocols.Descriptor{
 		Name:         "fastpass",
 		FabricConfig: FabricConfig,
 		Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-			cfg := Config{}
-			if c, ok := opts.ProtoConfig.(Config); ok {
-				cfg = c
-			}
-			Attach(f, cfg, opts.Collector)
+			Attach(f, Config{}, opts.Collector)
 		},
 	})
 }

@@ -32,19 +32,14 @@ func RegisterMetrics(ps []*Proto, reg *metrics.Registry, prefix string) {
 	}
 }
 
-// Register classic Homa and the Aeolus variant. ProtoConfig accepts a
-// Config override.
+// Register classic Homa and the Aeolus variant.
 func init() {
 	register := func(name string, def func() Config) {
 		protocols.Register(protocols.Descriptor{
 			Name:         name,
 			FabricConfig: func() netsim.Config { return def().FabricConfig() },
 			Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-				cfg := def()
-				if c, ok := opts.ProtoConfig.(Config); ok {
-					cfg = c
-				}
-				RegisterMetrics(Attach(f, cfg, opts.Collector), opts.Metrics, name)
+				RegisterMetrics(Attach(f, def(), opts.Collector), opts.Metrics, name)
 			},
 		})
 	}

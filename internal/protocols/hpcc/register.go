@@ -28,17 +28,13 @@ func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
 	}
 }
 
-// Register HPCC. ProtoConfig accepts a Config override.
+// Register HPCC.
 func init() {
 	protocols.Register(protocols.Descriptor{
 		Name:         "hpcc",
 		FabricConfig: func() netsim.Config { return DefaultConfig().FabricConfig() },
 		Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-			cfg := DefaultConfig()
-			if c, ok := opts.ProtoConfig.(Config); ok {
-				cfg = c
-			}
-			RegisterMetrics(Attach(f, cfg, opts.Collector), opts.Metrics)
+			RegisterMetrics(Attach(f, DefaultConfig(), opts.Collector), opts.Metrics)
 		},
 	})
 }

@@ -30,17 +30,13 @@ func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
 	}
 }
 
-// Register NDP. ProtoConfig accepts a Config override.
+// Register NDP.
 func init() {
 	protocols.Register(protocols.Descriptor{
 		Name:         "ndp",
 		FabricConfig: func() netsim.Config { return Config{}.FabricConfig() },
 		Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-			cfg := Config{}
-			if c, ok := opts.ProtoConfig.(Config); ok {
-				cfg = c
-			}
-			RegisterMetrics(Attach(f, cfg, opts.Collector), opts.Metrics)
+			RegisterMetrics(Attach(f, Config{}, opts.Collector), opts.Metrics)
 		},
 	})
 }

@@ -7,17 +7,13 @@ import (
 )
 
 // Register pHost. Proto aliases homa.Proto, so the engine's instruments
-// apply under the "phost" prefix. ProtoConfig accepts a Config override.
+// apply under the "phost" prefix.
 func init() {
 	protocols.Register(protocols.Descriptor{
 		Name:         "phost",
 		FabricConfig: FabricConfig,
 		Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-			cfg := Config{}
-			if c, ok := opts.ProtoConfig.(Config); ok {
-				cfg = c
-			}
-			homa.RegisterMetrics(Attach(f, cfg, opts.Collector), opts.Metrics, "phost")
+			homa.RegisterMetrics(Attach(f, Config{}, opts.Collector), opts.Metrics, "phost")
 		},
 	})
 }

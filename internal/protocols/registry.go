@@ -29,8 +29,8 @@ type AttachOptions struct {
 	// cost.
 	Metrics *metrics.Registry
 	// ProtoConfig optionally overrides the protocol's default
-	// configuration. Each descriptor documents the concrete type it
-	// accepts (e.g. *core.Config for "dcpim"); nil selects defaults.
+	// configuration. Only "dcpim" reads it, as a *core.Config (what
+	// RunSpec.DcPIM carries); every other protocol attaches its defaults.
 	ProtoConfig any
 }
 
