@@ -118,17 +118,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 	return p.run.store.get(p.Analyzer.Name, key, f)
 }
 
-// ExportPackageFact exports a fact about the package being analyzed.
-func (p *Pass) ExportPackageFact(f Fact) {
-	p.run.store.put(p.Analyzer.Name, p.Pkg.Path(), f)
-}
-
-// ImportPackageFact copies the fact of f's type about the package with
-// the given import path into f and reports whether one was found.
-func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	return p.run.store.get(p.Analyzer.Name, path, f)
-}
-
 // A FinishPass gives an analyzer's Finish hook a module-wide view of its
 // facts. Diagnostics must set Position: there is no FileSet here, only
 // the Pos values facts carry.
@@ -142,22 +131,10 @@ type FinishPass struct {
 	run *runner
 }
 
-// ObjectFact copies the fact of f's type about the object with the given
-// key into f and reports whether one was found.
-func (fp *FinishPass) ObjectFact(key string, f Fact) bool {
-	return fp.run.store.get(fp.Analyzer.Name, key, f)
-}
-
 // AllObjectFacts returns every object fact of example's type exported by
 // this analyzer, sorted by object key.
 func (fp *FinishPass) AllObjectFacts(example Fact) []KeyedFact {
-	return fp.run.store.all(fp.Analyzer.Name, example, true)
-}
-
-// AllPackageFacts returns every package fact of example's type exported
-// by this analyzer, sorted by package path.
-func (fp *FinishPass) AllPackageFacts(example Fact) []KeyedFact {
-	return fp.run.store.all(fp.Analyzer.Name, example, false)
+	return fp.run.store.all(fp.Analyzer.Name, example)
 }
 
 // A Diagnostic is one finding at one position.

@@ -1,9 +1,9 @@
 package analysis
 
 // facts.go implements the cross-package fact mechanism (DESIGN.md §17):
-// a package's analysis can export typed facts about its objects (or about
-// the package as a whole), and analyses of downstream packages — or a
-// module-wide Finish pass — import them. The design follows
+// a package's analysis can export typed facts about its objects, and
+// analyses of downstream packages — or a module-wide Finish pass — import
+// them. The design follows
 // golang.org/x/tools/go/analysis facts, adapted to this module's zero-dep
 // loader:
 //
@@ -147,7 +147,7 @@ func buildKeyIndex(pkg *types.Package) map[types.Object]string {
 }
 
 // factKey identifies one fact: which analyzer exported it, about which
-// object (or package: keys without "#"), of which fact type.
+// object, of which fact type.
 type factKey struct {
 	analyzer string
 	object   string
@@ -176,24 +176,19 @@ func (s factStore) get(analyzer, object string, into Fact) bool {
 	return true
 }
 
-// A KeyedFact pairs a fact with the key of the object (or package) it
-// describes.
+// A KeyedFact pairs a fact with the key of the object it describes.
 type KeyedFact struct {
 	Object string
 	Fact   Fact
 }
 
 // all returns every fact of example's dynamic type exported under
-// analyzer, sorted by object key for deterministic iteration. objectOnly
-// selects object facts (keys containing "#") vs package facts.
-func (s factStore) all(analyzer string, example Fact, objectOnly bool) []KeyedFact {
+// analyzer, sorted by object key for deterministic iteration.
+func (s factStore) all(analyzer string, example Fact) []KeyedFact {
 	typ := reflect.TypeOf(example)
 	var out []KeyedFact
 	for k, f := range s {
 		if k.analyzer != analyzer || k.typ != typ {
-			continue
-		}
-		if strings.Contains(k.object, "#") != objectOnly {
 			continue
 		}
 		out = append(out, KeyedFact{Object: k.object, Fact: f})

@@ -17,24 +17,16 @@ type testMarkFact struct {
 func (*testMarkFact) AFact() {}
 
 // factProbe exports a testMarkFact on every package-level function named
-// Marked (plus a package fact on every package), and reports a diagnostic
-// at every call to a function carrying the fact and in every package one
-// of whose imports carries the package fact. Running it over a two-package
-// module pins the whole export → topo-order → import chain.
+// Marked and reports a diagnostic at every call to a function carrying
+// the fact. Running it over a two-package module pins the whole export →
+// topo-order → import chain.
 var factProbe = &Analyzer{
 	Name: "factprobe",
 	Doc:  "test-only: round-trips facts across packages",
 	Run: func(pass *Pass) error {
-		pass.ExportPackageFact(&testMarkFact{Tag: "pkg:" + pass.Pkg.Path()})
 		if fn, ok := pass.Pkg.Scope().Lookup("Marked").(*types.Func); ok {
 			if !pass.ExportObjectFact(fn, &testMarkFact{Tag: "obj:" + pass.Pkg.Path()}) {
 				return nil
-			}
-		}
-		for _, imp := range pass.Pkg.Imports() {
-			var pf testMarkFact
-			if pass.ImportPackageFact(imp.Path(), &pf) {
-				pass.Reportf(pass.Files[0].Pos(), "import carries package fact %s", pf.Tag)
 			}
 		}
 		for _, f := range pass.Files {
@@ -58,12 +50,8 @@ var factProbe = &Analyzer{
 	},
 	Finish: func(fp *FinishPass) error {
 		for _, kf := range fp.AllObjectFacts((*testMarkFact)(nil)) {
-			var mf testMarkFact
-			if !fp.ObjectFact(kf.Object, &mf) {
-				return nil
-			}
 			fp.Report(Diagnostic{
-				Message:  "finish sees fact on " + kf.Object,
+				Message:  "finish sees fact " + kf.Fact.(*testMarkFact).Tag + " on " + kf.Object,
 				Position: Pos{File: "finish", Line: 1, Col: 1}.Position(),
 			})
 		}
@@ -106,9 +94,9 @@ func hasDiag(diags []Diagnostic, substr string) bool {
 }
 
 // TestFactFlowAcrossPackages pins the mechanism end to end: package a
-// exports an object fact and a package fact; package b — type-checked
-// against a's export data, so with different object identities — imports
-// both; the Finish pass enumerates them.
+// exports an object fact; package b — type-checked against a's export
+// data, so with different object identities — imports it; the Finish
+// pass enumerates it.
 func TestFactFlowAcrossPackages(t *testing.T) {
 	dir := factModule(t)
 	diags, err := RunDir(dir, []*Analyzer{factProbe}, "./b")
@@ -117,8 +105,7 @@ func TestFactFlowAcrossPackages(t *testing.T) {
 	}
 	for _, want := range []string{
 		"call to marked function (obj:factmod/a)",
-		"import carries package fact pkg:factmod/a",
-		"finish sees fact on factmod/a#Marked",
+		"finish sees fact obj:factmod/a on factmod/a#Marked",
 	} {
 		if !hasDiag(diags, want) {
 			t.Errorf("missing diagnostic %q in %v", want, diags)
