@@ -163,8 +163,8 @@ type RunSpec struct {
 	// reboots and host pauses against every protocol identically.
 	Faults *faults.Schedule
 	// Checkpoint, when set, snapshots engine state and digests every
-	// Checkpoint.Every of simulated time (Run then routes through
-	// RunCheckpointed). Capture is pure reads at barrier sync points, so
+	// Checkpoint.Every of simulated time (RunCheckpointed returns the
+	// snapshots). Capture is pure reads at barrier sync points, so
 	// results are byte-identical with and without it.
 	Checkpoint *CheckpointSpec
 	// Digest, when set, folds every delivered packet (time, host, and
