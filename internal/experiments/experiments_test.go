@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -147,10 +148,19 @@ func TestRunSpecTCPVariants(t *testing.T) {
 	}
 }
 
+// TestUnknownProtocolPanics: an unknown name panics, and the message
+// lists every protocol a RunSpec may name.
 func TestUnknownProtocolPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("unknown protocol accepted")
+		}
+		msg := fmt.Sprint(r)
+		for _, name := range []string{DCPIM, Homa, HomaAeolus, PHost, NDP, HPCC, DCTCP, Cubic, Fastpass} {
+			if !strings.Contains(msg, name) {
+				t.Errorf("panic %q does not name protocol %q", msg, name)
+			}
 		}
 	}()
 	tp := leafSpineFor(8)
