@@ -373,10 +373,11 @@ func TestGoodputMatchesOffered(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
+	fab := netsim.New(sim.NewEngine(1), topo.SmallLeafSpine().Build(), netsim.Config{Spray: true})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted invalid config")
+		if r := recover(); r != "core: invalid dcPIM config" {
+			t.Fatalf("Attach with zero rounds: recovered %v, want the config panic", r)
 		}
 	}()
-	New(Config{Rounds: 0, Channels: 1, Beta: 1}, stats.NewCollector(0))
+	Attach(fab, Config{Rounds: 0, Channels: 1, Beta: 1}, stats.NewCollector(0))
 }

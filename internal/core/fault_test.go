@@ -19,9 +19,12 @@ import (
 // flow once connectivity returns, and the conservation auditor must see
 // no leaked or double-freed packets on the new fault paths.
 
+// usAt is the instant x µs into the run.
+func usAt(x int64) sim.Time { return sim.Time(x) * sim.Time(sim.Microsecond) }
+
 // faultScenario runs an 8-host all-to-all workload under a fault
 // schedule and asserts full completion and a clean audit.
-func faultScenario(t *testing.T, seed int64, text string, drain sim.Duration) {
+func faultScenario(t *testing.T, seed int64, drain sim.Duration, events ...faults.Event) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
@@ -29,10 +32,7 @@ func faultScenario(t *testing.T, seed int64, text string, drain sim.Duration) {
 	col := stats.NewCollector(0)
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
-	sched, err := faults.ParseSchedule(text)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := &faults.Schedule{Events: events}
 	if err := sched.Validate(tp); err != nil {
 		t.Fatal(err)
 	}
@@ -59,41 +59,46 @@ func faultScenario(t *testing.T, seed int64, text string, drain sim.Duration) {
 // finish: tokens issued into the dark interval revert at epoch starts
 // and are re-issued after restore.
 func TestDarkDownlinkMultiEpoch(t *testing.T) {
-	faultScenario(t, 11, "linkdown sw=0 port=0 at=30us dur=100us", 30*sim.Millisecond)
+	faultScenario(t, 11, 30*sim.Millisecond,
+		faults.Event{Kind: faults.LinkDown, Switch: 0, Port: 0, At: usAt(30), Dur: 100 * sim.Microsecond})
 }
 
 // A core (spine→leaf) link flapping twice. Spraying keeps using the dead
 // spine from the other direction, so data and control on that path park
 // until restore.
 func TestCoreLinkFlaps(t *testing.T) {
-	faultScenario(t, 12,
-		"linkdown sw=2 port=0 at=20us dur=60us\nlinkdown sw=2 port=1 at=150us dur=60us",
-		30*sim.Millisecond)
+	faultScenario(t, 12, 30*sim.Millisecond,
+		faults.Event{Kind: faults.LinkDown, Switch: 2, Port: 0, At: usAt(20), Dur: 60 * sim.Microsecond},
+		faults.Event{Kind: faults.LinkDown, Switch: 2, Port: 1, At: usAt(150), Dur: 60 * sim.Microsecond})
 }
 
 // A cold ToR reboot destroys every parked packet of rack 0 — data,
 // tokens, grants, finish handshakes — and blackholes arrivals for 50 µs.
 func TestToRRebootColdRecovery(t *testing.T) {
-	faultScenario(t, 13, "reboot sw=0 at=40us dur=50us drain=drop", 40*sim.Millisecond)
+	faultScenario(t, 13, 40*sim.Millisecond,
+		faults.Event{Kind: faults.SwitchReboot, Switch: 0, At: usAt(40), Dur: 50 * sim.Microsecond, Drain: faults.DrainDrop})
 }
 
 // A persistently degraded core link (5% loss for a long window) must
 // behave no worse than the i.i.d. random-loss case.
 func TestDegradedCoreLinkRecovery(t *testing.T) {
-	faultScenario(t, 14, "degrade sw=3 port=1 at=10us rate=0.05 dur=300us", 30*sim.Millisecond)
+	faultScenario(t, 14, 30*sim.Millisecond,
+		faults.Event{Kind: faults.LinkDegrade, Switch: 3, Port: 1, At: usAt(10), Rate: 0.05, Dur: 300 * sim.Microsecond})
 }
 
 // A host pausing mid-transfer (VM migration blackout): its own sends park
 // in the NIC; inbound tokens keep arriving and expire harmlessly.
 func TestHostPauseRecovery(t *testing.T) {
-	faultScenario(t, 15, "hostpause host=3 at=25us dur=80us", 30*sim.Millisecond)
+	faultScenario(t, 15, 30*sim.Millisecond,
+		faults.Event{Kind: faults.HostPause, Host: 3, At: usAt(25), Dur: 80 * sim.Microsecond})
 }
 
 // A total-loss burst across both directions of a downlink — unlike
 // linkdown, packets are destroyed rather than parked, exercising token
 // expiry and retransmission instead of plain buffering.
 func TestLossBurstRecovery(t *testing.T) {
-	faultScenario(t, 16, "burst sw=1 port=0 at=30us dur=40us rate=1.0", 30*sim.Millisecond)
+	faultScenario(t, 16, 30*sim.Millisecond,
+		faults.Event{Kind: faults.LossBurst, Switch: 1, Port: 0, At: usAt(30), Dur: 40 * sim.Microsecond, Rate: 1})
 }
 
 // Compound worst case: a generated intensity-3 schedule (flaps, bursts,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"dcpim/internal/metrics"
-	"dcpim/internal/netsim"
-	"dcpim/internal/protocols"
 )
 
 // instruments is the optional telemetry of a dcPIM run, shared by every
@@ -66,20 +64,4 @@ func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
 	for _, p := range ps {
 		p.sh.ins = ins
 	}
-}
-
-// Register dcPIM with the protocol registry. ProtoConfig accepts a
-// *Config override (RunSpec.DcPIM plumbs through it).
-func init() {
-	protocols.Register(protocols.Descriptor{
-		Name:         "dcpim",
-		FabricConfig: func() netsim.Config { return netsim.Config{Spray: true} },
-		Attach: func(f *netsim.Fabric, opts protocols.AttachOptions) {
-			cfg := DefaultConfig()
-			if c, ok := opts.ProtoConfig.(*Config); ok && c != nil {
-				cfg = *c
-			}
-			RegisterMetrics(Attach(f, cfg, opts.Collector), opts.Metrics)
-		},
-	})
 }

@@ -31,19 +31,11 @@ type Proto struct {
 
 // shared is what every host of one fabric holds alike: the Config, the
 // timing derived from it and the topology, and the telemetry. Attach makes
-// one for the fabric; a bare New makes one per instance, its timing
-// derived in Start.
+// one for the fabric.
 type shared struct {
 	cfg Config
 	ins instruments
 	timing
-}
-
-// New returns an unattached dcPIM host protocol. The same Config and
-// Collector are normally shared across all hosts of a fabric (see Attach).
-func New(cfg Config, col *stats.Collector) *Proto {
-	cfg.validate()
-	return &Proto{sh: &shared{cfg: cfg}, col: col}
 }
 
 func (cfg Config) validate() {
@@ -110,22 +102,14 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 }
 
 // Start implements netsim.Protocol: launches the per-stage ticker driving
-// the matching state machine. An instance made by a bare New derives its
-// timing and resolves its clocks here; Attach has already shared them.
-// A first tick due now rides the zero-delay lane, under the key
+// the matching state machine, on the timing and clocks Attach shared. A
+// first tick due now rides the zero-delay lane, under the key
 // ScheduleFunc would have given it; only a skewed one is queued.
 func (p *Proto) Start(h *netsim.Host) {
 	p.host = h
 	p.eng = h.Engine()
 	p.rng = h.Rng()
 	p.id = h.ID()
-	if p.sh.stages == 0 {
-		p.sh.timing = deriveTiming(p.sh.cfg, h.Topo())
-	}
-	if p.clk == nil {
-		clk := newClocks(h, &p.sh.timing)
-		p.clk = &clk
-	}
 	p.snd.init(p)
 	p.rcv.init(p)
 	p.epoch = -1 // first onStage call (tick 0) opens epoch 0
@@ -144,19 +128,6 @@ func (p *Proto) Start(h *netsim.Host) {
 // carries the instance, so neither Start nor a tick allocates a method
 // value.
 func onStageFunc(a, _ any, _ int) { a.(*Proto).onStage() }
-
-// Timing exposes derived protocol timing (tests and experiments).
-func (p *Proto) Timing() struct {
-	StageLen, EpochLen sim.Duration
-	ChannelBytes       int64
-	ShortThresh        int64
-} {
-	return struct {
-		StageLen, EpochLen sim.Duration
-		ChannelBytes       int64
-		ShortThresh        int64
-	}{p.sh.stageLen, p.sh.epochLen, p.sh.channelBytes, p.sh.shortThresh}
-}
 
 // onStage fires every stage length; stage index cycles through the 2r+1
 // stages of the pipelined matching phase. Each host uses only its local

@@ -10,7 +10,6 @@ import (
 
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/faults"
-	"dcpim/internal/protocols"
 	"dcpim/internal/sim"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
@@ -18,11 +17,14 @@ import (
 
 // goldenFaults is the fixed schedule for the golden digest run: one
 // multi-epoch dark downlink, a total-loss burst, and a cold spine reboot.
-const goldenFaults = `
-linkdown sw=0 port=1 at=40us dur=90us
-burst sw=1 port=2 at=60us dur=30us rate=1.0
-reboot sw=2 at=100us dur=50us drain=drop
-`
+func goldenFaults() []faults.Event {
+	us := sim.Time(sim.Microsecond)
+	return []faults.Event{
+		{Kind: faults.LinkDown, Switch: 0, Port: 1, At: 40 * us, Dur: 90 * sim.Microsecond},
+		{Kind: faults.LossBurst, Switch: 1, Port: 2, At: 60 * us, Dur: 30 * sim.Microsecond, Rate: 1},
+		{Kind: faults.SwitchReboot, Switch: 2, At: 100 * us, Dur: 50 * sim.Microsecond, Drain: faults.DrainDrop},
+	}
+}
 
 // goldenSpec builds the fixed-seed digest run. Every call constructs a
 // fresh trace and topology so serial and parallel executions share
@@ -39,10 +41,7 @@ func goldenSpec(t *testing.T, proto string, withFaults bool) RunSpec {
 		Horizon: 2 * sim.Millisecond, Seed: 99, Digest: true,
 	}
 	if withFaults {
-		sched, err := faults.ParseSchedule(goldenFaults)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sched := &faults.Schedule{Events: goldenFaults()}
 		if err := sched.Validate(tp); err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +318,7 @@ func TestAutoShardsInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedSetupInvariant: every registered protocol is attached,
+// TestShardedSetupInvariant: every transport of the table is attached,
 // started and fed its trace with each shard working on its own goroutine,
 // and what that leaves at t = 0 — every engine's pending keys and RNG
 // position — and every engine's state and journal after a short run
@@ -339,7 +338,8 @@ func TestShardedSetupInvariant(t *testing.T) {
 		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
 		Dist: workload.WebSearch(), Horizon: horizon, Seed: 9,
 	}.Generate()
-	for _, proto := range protocols.Names() {
+	for _, row := range transports {
+		proto := row.name
 		spec := RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
 			Horizon: horizon + horizon/2, Seed: 10, Digest: true,

@@ -6,9 +6,11 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"math/bits"
 	"runtime"
+	"strings"
 	"time"
 
 	"dcpim/internal/checkpoint"
@@ -17,21 +19,16 @@ import (
 	"dcpim/internal/metrics"
 	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
-	"dcpim/internal/protocols"
+	"dcpim/internal/protocols/fastpass"
+	"dcpim/internal/protocols/homa"
+	"dcpim/internal/protocols/hpcc"
+	"dcpim/internal/protocols/ndp"
+	"dcpim/internal/protocols/phost"
+	"dcpim/internal/protocols/tcp"
 	"dcpim/internal/sim"
 	"dcpim/internal/stats"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
-
-	// Each protocol package self-registers with the protocol registry in
-	// its init; core registers "dcpim" the same way. Blank imports pull
-	// every comparator into the binary.
-	_ "dcpim/internal/protocols/fastpass"
-	_ "dcpim/internal/protocols/homa"
-	_ "dcpim/internal/protocols/hpcc"
-	_ "dcpim/internal/protocols/ndp"
-	_ "dcpim/internal/protocols/phost"
-	_ "dcpim/internal/protocols/tcp"
 )
 
 // Protocol names usable in RunSpec.
@@ -49,6 +46,66 @@ const (
 
 // Comparators is the paper's simulation protocol set (Figures 3–5).
 var Comparators = []string{DCPIM, HomaAeolus, NDP, HPCC}
+
+// transport is one protocol a RunSpec may name: the fabric it expects and
+// how it attaches. attach installs it on every host, recording into col,
+// and registers its instruments on reg (none when reg is nil) under the
+// row's name as the prefix — dcPIM's under "core". Only dcPIM reads cfg; a
+// nil cfg selects its defaults.
+type transport struct {
+	name   string
+	fabric netsim.Config
+	attach func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, cfg *core.Config)
+}
+
+// transports is every protocol Run accepts, in the order an unknown
+// name's panic lists them.
+var transports = []transport{
+	{DCPIM, netsim.Config{Spray: true}, func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, cfg *core.Config) {
+		c := core.DefaultConfig()
+		if cfg != nil {
+			c = *cfg
+		}
+		core.RegisterMetrics(core.Attach(fab, c, col), reg)
+	}},
+	{HomaAeolus, homa.AeolusConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		homa.RegisterMetrics(homa.Attach(fab, homa.AeolusConfig(), col), reg, HomaAeolus)
+	}},
+	{Homa, homa.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		homa.RegisterMetrics(homa.Attach(fab, homa.DefaultConfig(), col), reg, Homa)
+	}},
+	{NDP, ndp.Config{}.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		ndp.RegisterMetrics(ndp.Attach(fab, ndp.Config{}, col), reg)
+	}},
+	{HPCC, hpcc.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		hpcc.RegisterMetrics(hpcc.Attach(fab, hpcc.DefaultConfig(), col), reg)
+	}},
+	{PHost, phost.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		homa.RegisterMetrics(phost.Attach(fab, phost.Config{}, col), reg, PHost)
+	}},
+	{DCTCP, tcp.DCTCPConfig(0).FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(0), col), reg, DCTCP)
+	}},
+	{Cubic, tcp.CubicConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		tcp.RegisterMetrics(tcp.Attach(fab, tcp.CubicConfig(), col), reg, Cubic)
+	}},
+	{Fastpass, fastpass.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *metrics.Registry, _ *core.Config) {
+		fastpass.Attach(fab, fastpass.Config{}, col)
+	}},
+}
+
+// transportNamed resolves a RunSpec's protocol; an unknown name panics
+// with the known ones.
+func transportNamed(name string) transport {
+	names := make([]string, len(transports))
+	for i, t := range transports {
+		if t.name == name {
+			return t
+		}
+		names[i] = t.name
+	}
+	panic(fmt.Sprintf("experiments: unknown protocol %q (known: %s)", name, strings.Join(names, ", ")))
+}
 
 // Options tunes experiment execution.
 type Options struct {
@@ -88,9 +145,6 @@ type Options struct {
 	// internal/matching's registry and DESIGN.md §15).
 	Matchers string
 }
-
-// DefaultOptions returns full-fidelity settings.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
 
 func (o Options) scaled(d sim.Duration) sim.Duration {
 	if o.Scale <= 0 {
@@ -257,8 +311,7 @@ func (r RunResult) Completion() float64 {
 }
 
 // Run executes one simulation to its horizon and collects results. The
-// protocol is resolved through the registry (protocols.MustLookup), so
-// any self-registered protocol name works here.
+// protocol is any name in the transports table.
 //
 // More than one shard (Spec.Shards > 1, or 0 on a topology whose auto
 // count is) runs the fabric as barrier-synchronized shards, one engine
@@ -363,19 +416,15 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	}
 	col := stats.NewCollector(bin)
 
-	desc := protocols.MustLookup(spec.Protocol)
-	fab := netsim.NewSharded(grp, spec.Topo, desc.FabricConfig(), part)
+	tr := transportNamed(spec.Protocol)
+	fab := netsim.NewSharded(grp, spec.Topo, tr.fabric, part)
 
 	var reg *metrics.Registry
 	if spec.Metrics != nil {
 		reg = metrics.NewRegistry()
 		fab.RegisterMetrics(reg)
 	}
-	desc.Attach(fab, protocols.AttachOptions{
-		Collector:   col,
-		Metrics:     reg,
-		ProtoConfig: spec.DcPIM, // a nil *core.Config selects dcPIM's defaults
-	})
+	tr.attach(fab, col, reg, spec.DcPIM)
 
 	// The digest folds each host's delivered-packet stream separately —
 	// deliveries for one host all run on its shard's engine, so the
@@ -412,7 +461,7 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	interval := sim.Duration(0)
 	if spec.Metrics != nil {
 		interval = spec.Metrics.sampleInterval(spec.Horizon)
-		smp = metrics.NewSampler(engines[0], reg, interval)
+		smp = metrics.NewSampler(reg, interval)
 		smp.Reserve(int(spec.Horizon/interval) + 1)
 	}
 	if spec.Checkpoint != nil && spec.Checkpoint.Journal {

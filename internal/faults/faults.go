@@ -6,9 +6,8 @@
 // byte-identical under experiments.RunMany at any worker count and at
 // any fabric shard count.
 //
-// Schedules come from three places: literal Go values (tests), the text
-// format parsed by ParseSchedule (experiment scripts), and the seeded
-// Generate (resilience grids parameterized by intensity).
+// A schedule is either a literal []Event (tests) or the seeded Generate
+// (the resilience grid, parameterized by intensity).
 package faults
 
 import (
@@ -69,13 +68,6 @@ const (
 	DrainKeep
 )
 
-func (d DrainPolicy) String() string {
-	if d == DrainKeep {
-		return "keep"
-	}
-	return "drop"
-}
-
 // Event is one fault on the timeline. Link events name the transmit side
 // (Switch, Port) of a full-duplex link; the installer applies them to
 // both directions, resolving the reverse side through the topology.
@@ -123,7 +115,7 @@ func (ev *Event) check(i int) error {
 	if ev.Kind.needsDur() && ev.Dur == 0 {
 		return fmt.Errorf("event %d (%s): duration required", i, ev.Kind)
 	}
-	if ev.Rate < 0 || ev.Rate > 1 {
+	if !(ev.Rate >= 0 && ev.Rate <= 1) { // NaN fails both
 		return fmt.Errorf("event %d (%s): rate %v outside [0, 1]", i, ev.Kind, ev.Rate)
 	}
 	if (ev.Kind == LinkDegrade || ev.Kind == LossBurst) && ev.Rate == 0 {

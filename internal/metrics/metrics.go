@@ -232,7 +232,7 @@ func sortByName(nv []NameValue) {
 
 // columns returns the sampled instruments (counters, gauges, computed
 // gauges — histograms summarize at end of run instead) as named read
-// functions, sorted by name. The Sampler freezes this set at Start.
+// functions, sorted by name. NewSampler freezes this set.
 func (r *Registry) columns() []column {
 	if r == nil {
 		return nil

@@ -33,11 +33,11 @@ func TestNilInstruments(t *testing.T) {
 		t.Error("nil histogram not inert")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })
-	if s := NewSampler(nil, r, sim.Microsecond); s != nil {
+	if s := NewSampler(r, sim.Microsecond); s != nil {
 		t.Error("sampler over nil registry should be nil")
 	}
 	var s *Sampler
-	s.Start()
+	s.SampleAt(0)
 	var buf bytes.Buffer
 	if err := s.WriteCSV(&buf); err != nil || buf.Len() != 0 {
 		t.Error("nil sampler wrote output")
@@ -164,7 +164,7 @@ func TestSamplerTickAllocs(t *testing.T) {
 		c := r.Counter("a/pkts")
 		g := r.Gauge("b/depth")
 		r.GaugeFunc("c/load", func() float64 { return 0.5 })
-		s := NewSampler(sim.NewEngine(1), r, sim.Microsecond)
+		s := NewSampler(r, sim.Microsecond)
 		if tc.reserved {
 			s.Reserve(tc.ticks + 1) // AllocsPerRun adds a warm-up call
 		}
@@ -184,8 +184,9 @@ func TestSamplerTickAllocs(t *testing.T) {
 	}
 }
 
-// TestSamplerCadence drives a sampler off the sim engine and checks tick
-// count, column sorting, and that snapshots see gauge updates made by
+// TestSamplerCadence samples at every interval boundary the engine is run
+// to, as the run driver does at its sync points, and checks tick count,
+// column sorting, and that snapshots see gauge updates made by
 // interleaved simulation events.
 func TestSamplerCadence(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -201,9 +202,11 @@ func TestSamplerCadence(t *testing.T) {
 			c.Add(2)
 		})
 	}
-	s := NewSampler(eng, r, 2*sim.Microsecond)
-	s.Start()
-	eng.Run(sim.Time(10 * sim.Microsecond))
+	s := NewSampler(r, 2*sim.Microsecond)
+	for at := sim.Time(0); at <= sim.Time(10*sim.Microsecond); at = at.Add(s.Interval()) {
+		eng.Run(at)
+		s.SampleAt(at)
+	}
 
 	// Ticks at 0,2,...,10 µs inclusive.
 	if s.Len() != 6 {

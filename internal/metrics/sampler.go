@@ -9,61 +9,36 @@ import (
 )
 
 // Sampler snapshots a registry's sampled instruments (counters, gauges,
-// computed gauges) on a fixed simulation-clock cadence. Because ticks are
-// simulation events — never wall-clock timers — and reads are pure, the
-// recorded series is a deterministic function of the run: serial and
-// parallel executions of the same seed produce byte-identical CSV.
+// computed gauges) on a fixed simulation-clock cadence. Its driver calls
+// SampleAt at each multiple of the interval with every shard quiescent
+// (netsim.Fabric.RunSynced), never from a wall-clock timer, and reads
+// are pure, so the recorded series is a deterministic function of the
+// run: serial, parallel and sharded executions of the same seed produce
+// byte-identical CSV, and the simulated packet stream is untouched.
 //
-// The column set is frozen at Start (register every instrument before
-// starting the sampler). Ticks self-reschedule, so driving the engine
-// with Run(horizon) stops sampling at the horizon naturally; sampler
-// events read state but never mutate it, draw no randomness, and
-// therefore leave the simulated packet stream untouched.
+// The column set is frozen at NewSampler: register every instrument
+// before building the sampler.
 type Sampler struct {
-	eng      *sim.Engine
 	interval sim.Duration
 	cols     []column
 	times    []sim.Time
 	// vals holds the rows back to back: row i is vals[i*len(cols) :
 	// (i+1)*len(cols)], so a tick appends to one slab instead of making a
 	// row.
-	vals    []float64
-	started bool
+	vals []float64
 }
 
 // NewSampler builds a sampler over reg's current instruments. Returns
 // nil when reg is nil — a nil Sampler no-ops — so callers can wire it
 // unconditionally.
-func NewSampler(eng *sim.Engine, reg *Registry, interval sim.Duration) *Sampler {
+func NewSampler(reg *Registry, interval sim.Duration) *Sampler {
 	if reg == nil {
 		return nil
 	}
 	if interval <= 0 {
 		panic("metrics: sampler interval must be positive")
 	}
-	return &Sampler{eng: eng, interval: interval, cols: reg.columns()}
-}
-
-// Start takes the first snapshot at the current simulation time and
-// schedules the rest as self-rescheduling engine events. Call after all
-// instruments are registered and before running the engine. No-op on a
-// nil receiver or second call.
-//
-// Sharded runs must NOT Start the sampler: its ticks would run on one
-// shard's engine while other shards mutate instruments. Drive it with
-// SampleAt from barrier sync points instead (netsim.Fabric.RunSynced),
-// which also works single-shard and produces the same rows.
-func (s *Sampler) Start() {
-	if s == nil || s.started {
-		return
-	}
-	s.started = true
-	s.tick()
-}
-
-func (s *Sampler) tick() {
-	s.SampleAt(s.eng.Now())
-	s.eng.After(s.interval, s.tick)
+	return &Sampler{interval: interval, cols: reg.columns()}
 }
 
 // SampleAt takes one snapshot stamped with time t. Callers sample at

@@ -442,20 +442,3 @@ func (p *Proto) spendCredit() {
 	p.sendData(f, seq, prio, false)
 	p.eng.AfterFunc(p.mtuTime, spendCreditFunc, p, nil, 0)
 }
-
-// DiagState exposes granter state for diagnostics: whether the grant loop
-// is active, how many flows still have grantable work, and the total
-// outstanding (credited, unreceived) packets.
-func (p *Proto) DiagState() (granting bool, candidates, outstanding int) {
-	//lint:deterministic commutative counts and sums over per-flow state
-	for _, f := range p.rx {
-		if f.Done {
-			continue
-		}
-		if f.NeededCnt() > 0 {
-			candidates++
-		}
-		outstanding += f.Outstanding
-	}
-	return p.granting, candidates, outstanding
-}

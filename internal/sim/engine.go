@@ -68,19 +68,19 @@ var maxFreeEvents = 1 << 15
 // bumped, which atomically invalidates every outstanding Timer handle.
 // An event's execution-order key lives in its heap slot (hent), which is
 // what checkpoints capture (EngineState, checkpoint.go); the callback is
-// a Go closure and is never serialized.
+// a Go func value and is never serialized.
 type event struct {
 	eng *Engine
 	gen uint32 // timer-invalidation stamp
 	idx int32  // heap slot
 
-	// Exactly one of fn / fnArgs is set. The argument form lets hot paths
-	// (one event per packet hop) schedule a package-level function plus
-	// its arguments without allocating a closure.
-	fnArgs func(a, b any, i int)
-	a, b   any
-	i      int
-	fn     func()
+	// fn runs with the event's arguments, so hot paths (one event per
+	// packet hop) schedule a package-level function plus its arguments
+	// without allocating a closure. Schedule and After queue a closure as
+	// callFunc with the closure in a.
+	fn   func(a, b any, i int)
+	a, b any
+	i    int
 
 	next *event // free-list link
 }
@@ -212,7 +212,6 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(t *event) {
 	t.gen++
 	t.fn = nil
-	t.fnArgs = nil
 	t.a, t.b = nil, nil
 	t.i = 0
 	t.idx = -1
@@ -274,7 +273,7 @@ func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), 
 		panic("sim: scheduling event in the past")
 	}
 	t := e.alloc()
-	t.fnArgs = fn
+	t.fn = fn
 	t.a, t.b, t.i = a, b, i
 	//lint:ignore hotalloc arrival-heap growth is amortized to the peak in-flight arrival count; the backing array is reused for the rest of the run
 	e.qa = append(e.qa, hent{at, arrivalBand | key, t})
@@ -283,18 +282,17 @@ func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), 
 
 // Schedule runs fn at absolute time at.
 func (e *Engine) Schedule(at Time, fn func()) Timer {
-	t := e.push(at)
-	t.fn = fn
-	return Timer{ev: t, gen: t.gen}
+	return e.ScheduleFunc(at, callFunc, fn, nil, 0)
 }
 
 // After runs fn d after the current time.
 func (e *Engine) After(d Duration, fn func()) Timer {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.Schedule(e.now.Add(d), fn)
+	return e.AfterFunc(d, callFunc, fn, nil, 0)
 }
+
+// callFunc runs the closure Schedule or After queued in a. A func value
+// is pointer-shaped, so carrying it as an any does not allocate.
+func callFunc(a, _ any, _ int) { a.(func())() }
 
 // AfterFunc runs fn(a, b, i) d after the current time. Unlike After it
 // captures the arguments in the event itself rather than in a closure, so
@@ -308,7 +306,7 @@ func (e *Engine) AfterFunc(d Duration, fn func(a, b any, i int), a, b any, i int
 		panic("sim: negative delay")
 	}
 	t := e.push(e.now.Add(d))
-	t.fnArgs = fn
+	t.fn = fn
 	t.a, t.b, t.i = a, b, i
 	return Timer{ev: t, gen: t.gen}
 }
@@ -353,7 +351,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func(a, b any, i int),
 		panic("sim: reserved key is not ahead of the executing event")
 	}
 	t := e.insert(at, seq)
-	t.fnArgs = fn
+	t.fn = fn
 	t.a, t.b, t.i = a, b, i
 }
 
@@ -363,7 +361,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func(a, b any, i int),
 // a closure per event.
 func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int) Timer {
 	t := e.push(at)
-	t.fnArgs = fn
+	t.fn = fn
 	t.a, t.b, t.i = a, b, i
 	return Timer{ev: t, gen: t.gen}
 }
@@ -405,7 +403,6 @@ func (e *Engine) next() (src int, at Time) {
 // the time it executes.
 func (e *Engine) exec(src int) {
 	var r laneRec
-	var fn func()
 	switch src {
 	case srcMain, srcArrival:
 		var h hent
@@ -415,8 +412,7 @@ func (e *Engine) exec(src int) {
 			h = popRoot(&e.qa)
 		}
 		t := h.ev
-		r = laneRec{at: h.at, seq: h.seq, fn: t.fnArgs, a: t.a, b: t.b, i: t.i}
-		fn = t.fn
+		r = laneRec{at: h.at, seq: h.seq, fn: t.fn, a: t.a, b: t.b, i: t.i}
 		e.recycle(t)
 	default:
 		l := e.lanes[src]
@@ -430,11 +426,7 @@ func (e *Engine) exec(src int) {
 		//lint:ignore hotalloc opt-in replay journal, off on every measured path; the guard above keeps default runs alloc-free
 		e.journal = append(e.journal, EventRecord{At: r.at, Seq: r.seq})
 	}
-	if r.fn != nil {
-		r.fn(r.a, r.b, r.i)
-	} else {
-		fn()
-	}
+	r.fn(r.a, r.b, r.i)
 }
 
 // Step executes the next pending event, if any, and reports whether one
