@@ -59,28 +59,6 @@ func (p Pos) Position() token.Position {
 
 func (p Pos) String() string { return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col) }
 
-// StructKey returns the fact key of a named type: "pkgpath#Name".
-// Returns "" for universe types (error) and other unkeyable types.
-func StructKey(named *types.Named) string {
-	obj := named.Origin().Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "#" + obj.Name()
-}
-
-// FieldKey returns the fact key of one field of a named struct type:
-// "pkgpath#Type#field". The "#" separator cannot occur in identifiers or
-// import paths, so keys never collide; the second "#" distinguishes
-// fields from methods ("pkgpath#Type.method").
-func FieldKey(named *types.Named, field string) string {
-	sk := StructKey(named)
-	if sk == "" {
-		return ""
-	}
-	return sk + "#" + field
-}
-
 // prettyKey renders an object key for diagnostics: "pkg#T#f" → "pkg.T.f".
 func prettyKey(key string) string {
 	return strings.ReplaceAll(key, "#", ".")

@@ -100,15 +100,6 @@ func (f *Fabric) EnableAudit() {
 	}
 }
 
-// AuditErrors returns the ownership violations recorded so far, nil when
-// the audit is clean or disabled.
-func (f *Fabric) AuditErrors() []string {
-	if f.audit == nil {
-		return nil
-	}
-	return f.audit.errs
-}
-
 // auditQueued returns the number of packets buffered in port o, and
 // checks each against the auditor's live set.
 func (o *outPort) auditQueued(a *auditor) int64 {

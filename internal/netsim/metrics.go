@@ -85,34 +85,6 @@ func (f *Fabric) RegisterMetrics(reg *metrics.Registry) {
 	f.AddObserver(mo)
 }
 
-// RegisterShardMetrics exposes the barrier-overhead counters — epochs,
-// per-shard dispatched/skipped epochs, executed events, the share of them
-// on the critical path, and staged cross-shard arrivals — as gauges on
-// reg. Deliberately NOT part of RegisterMetrics: these series depend on
-// the shard count by construction, and the standard metric set must stay
-// byte-identical across shard counts (TestShardedByteIdentity). Opt in
-// from shard-profiling runs only. No-op when reg is nil.
-func (f *Fabric) RegisterShardMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("netsim/shard/epochs", func() float64 { return float64(f.Epochs()) })
-	for i := range f.shards {
-		s := f.shards[i]
-		id := s.id
-		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/events", id),
-			func() float64 { return float64(s.eng.Events()) })
-		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/staged_in", id),
-			func() float64 { return float64(s.staged) })
-		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/epochs_dispatched", id),
-			func() float64 { return float64(f.grp.Dispatched(id)) })
-		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/epochs_skipped", id),
-			func() float64 { return float64(f.grp.Skipped(id)) })
-		reg.GaugeFunc(fmt.Sprintf("netsim/shard%d/critical_events", id),
-			func() float64 { return float64(f.grp.Critical(id)) })
-	}
-}
-
 // metricsObserver folds packet-lifecycle events into counters so the
 // Sampler can expose drops and throughput as time series rather than
 // end-of-run totals.

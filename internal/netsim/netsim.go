@@ -136,7 +136,7 @@ type Fabric struct {
 	// audit, when non-nil, tracks every packet the fabric owns and flags
 	// leaks, double-frees, and counter mismatches (see EnableAudit). It
 	// receives events as one of the observers but keeps a direct
-	// reference for AuditVerify/AuditErrors.
+	// reference for AuditVerify.
 	audit *auditor
 
 	// obs fans packet-lifecycle events out to every registered Observer

@@ -325,7 +325,7 @@ func (f *Fabric) NumShards() int { return len(f.shards) }
 // arrivals were staged into it, and, in a metered run, how long it was
 // busy. The counters are maintained unconditionally (their upkeep is
 // noise against an epoch's hand-off); they are only formatted when a
-// caller opts in via RegisterShardMetrics or reads them here.
+// caller reads them here.
 type ShardStats struct {
 	Shard      int
 	Events     uint64 // events executed on the shard's engine

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dcpim/internal/metrics"
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
 	"dcpim/internal/topo"
@@ -263,9 +262,8 @@ func TestShardedBoundaryFirstInstant(t *testing.T) {
 // at least one window, so a run takes at most horizon/window + 1 of them
 // however busy it is — and a busy one takes about that many. The
 // barrier-overhead counters must add up on the way: every shard is
-// dispatched or skipped in every epoch, the critical path lies between
-// the busiest shard's events and the total, and the opt-in gauges read
-// the same numbers.
+// dispatched or skipped in every epoch, and the critical path lies
+// between the busiest shard's events and the total.
 func TestWindowBoundsEpochs(t *testing.T) {
 	tp := topo.SmallFatTree().Build()
 	const horizon = 100 * sim.Microsecond
@@ -273,8 +271,6 @@ func TestWindowBoundsEpochs(t *testing.T) {
 		underWatchdog(t, shardWatchdog, func() {
 			f, _, closeGroup := shardedFabric(t, tp, shards, Config{Spray: true})
 			defer closeGroup()
-			reg := metrics.NewRegistry()
-			f.RegisterShardMetrics(reg)
 			n := tp.NumHosts
 			for h := 0; h < n; h++ {
 				h, host := h, f.Host(h)
@@ -308,18 +304,6 @@ func TestWindowBoundsEpochs(t *testing.T) {
 			}
 			if critical < busiest || critical > events {
 				t.Errorf("shards=%d: critical path %d events, want within [%d busiest shard, %d total]", shards, critical, busiest, events)
-			}
-			var gaugeEpochs, gaugeCritical float64
-			for _, g := range reg.GaugeValues() {
-				switch {
-				case g.Name == "netsim/shard/epochs":
-					gaugeEpochs = g.Value
-				case strings.HasSuffix(g.Name, "/critical_events"):
-					gaugeCritical += g.Value
-				}
-			}
-			if gaugeEpochs != float64(epochs) || gaugeCritical != float64(critical) {
-				t.Errorf("shards=%d: gauges read %v epochs, %v critical events; counters %d, %d", shards, gaugeEpochs, gaugeCritical, epochs, critical)
 			}
 		})
 	}

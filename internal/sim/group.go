@@ -56,8 +56,8 @@ type Group struct {
 
 	// Barrier-overhead counters, maintained unconditionally (a few slice
 	// increments per shard per epoch — noise against an epoch's barrier
-	// crossing) and surfaced only through opt-in telemetry
-	// (netsim.RegisterShardMetrics), so default runs format nothing.
+	// crossing) and surfaced only through netsim.Fabric.ShardStats, so
+	// default runs format nothing.
 	epochs     uint64   // barriers executed
 	dispatched []uint64 // per shard: epochs it had work inside the window
 	skipped    []uint64 // per shard: epochs it was idle and only advanced its clock

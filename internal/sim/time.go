@@ -63,9 +63,6 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fus", d.Microseconds(
 // FromSeconds converts floating-point seconds to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s*1e12 + 0.5) }
 
-// FromMicroseconds converts floating-point microseconds to a Duration.
-func FromMicroseconds(us float64) Duration { return Duration(us*1e6 + 0.5) }
-
 // TransmissionTime returns the time to serialize size bytes onto a link of
 // rateBps bits per second.
 func TransmissionTime(sizeBytes int, rateBps float64) Duration {
