@@ -41,7 +41,11 @@ import (
 	"dcpim/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(runMain()) }
+
+// runMain does the work of main and returns the exit code, so the deferred
+// profile writers run on every path, a failing run's included.
+func runMain() (code int) {
 	var (
 		run        = flag.String("run", "", "experiment id to run, or 'all'")
 		list       = flag.Bool("list", false, "list experiments")
@@ -61,7 +65,7 @@ func main() {
 	flag.Parse()
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "-shards %d: want 0 (auto), 1 (serial) or a shard count\n", *shards)
-		os.Exit(2)
+		return 2
 	}
 
 	if *list || (*run == "" && *bisect == "") {
@@ -72,33 +76,41 @@ func main() {
 		if *run == "" {
 			fmt.Println("\nrun one with: experiments -run <id>   (or -run all)")
 		}
-		return
+		return 0
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memprofile); err != nil {
+				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "checkpoint-dir: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -114,13 +126,13 @@ func main() {
 		dirs := strings.SplitN(*bisect, ",", 2)
 		if len(dirs) != 2 {
 			fmt.Fprintln(os.Stderr, "-bisect wants two snapshot directories: dirA,dirB")
-			os.Exit(2)
+			return 2
 		}
 		if err := experiments.BisectDirs(dirs[0], dirs[1], os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "bisect: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	var todo []experiments.Experiment
 	if *run == "all" {
@@ -129,7 +141,7 @@ func main() {
 		e, ok := experiments.ByID(*run)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *run)
-			os.Exit(2)
+			return 2
 		}
 		todo = []experiments.Experiment{e}
 	}
@@ -156,22 +168,23 @@ func main() {
 		elapsed := experiments.WallTimer()
 		if err := e.Run(opts, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("(%s wall time)\n", elapsed().Round(time.Millisecond))
 	}
+	return 0
+}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
+// writeHeapProfile writes a heap profile, after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
