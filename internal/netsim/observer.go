@@ -3,10 +3,9 @@ package netsim
 import "dcpim/internal/packet"
 
 // Observer watches the fabric's packet lifecycle. It is the single
-// attachment surface for instrumentation: tracing (trace.Attach), the
-// packet-conservation auditor (EnableAudit), delivered-stream digests and
-// metrics probes all register through AddObserver and receive the same
-// fan-out, replacing the earlier per-purpose hook fields.
+// attachment surface for instrumentation: the packet-conservation
+// auditor (EnableAudit), delivered-stream digests and metrics probes all
+// register through AddObserver and receive the same fan-out.
 //
 // Callbacks run synchronously at the fabric's ownership transition
 // points. Observers must copy whatever they need from the packet — the
