@@ -96,9 +96,6 @@ func TestSteadyStateBytesPerFlow(t *testing.T) {
 // tick — 3.8 per packet with sender.pace — which is what this catches.
 const mallocsPerPacedPacketBudget = 3.0
 
-// raceEnabled is set by race_test.go when the race detector is on.
-var raceEnabled bool
-
 // TestPacerMallocsPerPacket runs one 4 MB flow to warm the slabs, pools
 // and free lists, then counts mallocs over a second identical flow: the
 // token-clocked data phase must not allocate per pacing tick.
