@@ -2,8 +2,8 @@
 // simulation involved. It reruns Figure 1's 4×4 PIM example, then
 // demonstrates Theorem 1 numerically: on sparse graphs, a constant number
 // of rounds reaches almost the converged matching size, independent of n.
-// All matchers are resolved through the matcher registry — the same
-// interface cmd/pimlab and `experiments -run matchers` drive.
+// Every matcher is resolved by name from internal/matching's table, the
+// same one `experiments -run matchers` sweeps.
 package main
 
 import (

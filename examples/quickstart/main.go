@@ -57,5 +57,5 @@ func main() {
 			r.ID, r.Src, r.Dst, r.Size, r.FCT(), r.Optimal, r.Slowdown())
 	}
 	fmt.Printf("\ncompleted %d/%d flows, %d bytes delivered, %d simulation events\n",
-		col.Completed(), col.Started(), col.DeliveredBytes(), eng.Events())
+		col.Completed(), len(flows), col.DeliveredBytes(), eng.Events())
 }

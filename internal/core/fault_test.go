@@ -43,8 +43,8 @@ func faultScenario(t *testing.T, seed int64, drain sim.Duration, events ...fault
 	}.Generate()
 	fab.Inject(tr)
 	eng.Run(sim.Time(drain))
-	if col.Completed() != col.Started() {
-		t.Errorf("completed %d/%d flows", col.Completed(), col.Started())
+	if col.Completed() != int64(len(tr.Flows)) {
+		t.Errorf("completed %d/%d flows", col.Completed(), len(tr.Flows))
 	}
 	if col.DeliveredBytes() != tr.OfferedBytes {
 		t.Errorf("delivered %d of %d bytes", col.DeliveredBytes(), tr.OfferedBytes)
@@ -122,9 +122,9 @@ func TestGeneratedFaultStorm(t *testing.T) {
 	}.Generate()
 	fab.Inject(tr)
 	eng.Run(sim.Time(60 * sim.Millisecond))
-	if col.Completed() != col.Started() {
+	if col.Completed() != int64(len(tr.Flows)) {
 		t.Errorf("completed %d/%d flows under fault storm (fault drops %d)",
-			col.Completed(), col.Started(), fab.Counters.FaultDrops)
+			col.Completed(), len(tr.Flows), fab.Counters.FaultDrops)
 	}
 	if errs := fab.AuditVerify(); len(errs) != 0 {
 		t.Errorf("conservation audit:\n%s", strings.Join(errs, "\n"))

@@ -160,7 +160,6 @@ func (p *Proto) onStage() {
 
 // OnFlowArrival implements netsim.Protocol (sender role).
 func (p *Proto) OnFlowArrival(f workload.Flow) {
-	p.col.FlowStarted()
 	p.snd.flowArrival(f)
 }
 

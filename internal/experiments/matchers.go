@@ -15,29 +15,34 @@ import (
 	"dcpim/internal/matching"
 )
 
-// The matchers experiment compares every registered matcher head-to-head
+// The matchers experiment compares every matcher in the table head-to-head
 // on the same demand graphs: convergence rounds, control bytes per
 // matched byte, and matching size relative to M* (converged PIM), over
 // ports up to 10^5 × sparse/dense graphs × communication budgets: the
 // paper's theory core turned into a research instrument (DESIGN.md §15).
 
-// MatcherSweepConfig enumerates one sweep. Every cell — one (graph kind,
+// matcherDegree is the sparse graphs' average sender degree δ̄.
+const matcherDegree float64 = 4
+
+// matcherBudgetFracs are the per-round budgets, as fractions of an
+// unconstrained round, that budgeted matchers are swept over.
+var matcherBudgetFracs = []float64{0.25, 0.05}
+
+// matcherSweepConfig enumerates one sweep. Every cell — one (graph kind,
 // ports, matcher, budget, trial) tuple — is a pure function of its
 // indices and Seed, so the sweep is byte-identical at any worker count.
-type MatcherSweepConfig struct {
-	Matchers    []string  // registry names, run in the given order
-	SparsePorts []int     // sparse-graph sizes (n per side)
-	DensePorts  []int     // dense-graph sizes (complete bipartite)
-	Degree      float64   // sparse average sender degree δ̄
-	BudgetFracs []float64 // per-round budgets as fractions of an unconstrained round (budgeted matchers only)
+type matcherSweepConfig struct {
+	Matchers    []string // table names, run in the given order
+	SparsePorts []int    // sparse-graph sizes (n per side)
+	DensePorts  []int    // dense-graph sizes (complete bipartite)
 	Trials      int
 	Seed        int64
 	Workers     int
 }
 
-// MatcherRow is one sweep cell's result — the machine-readable schema
+// matcherRow is one sweep cell's result — the machine-readable schema
 // behind matchers.csv and BENCH_matchers.json.
-type MatcherRow struct {
+type matcherRow struct {
 	Matcher         string  `json:"matcher"`
 	Graph           string  `json:"graph"` // "sparse" or "dense"
 	Ports           int     `json:"ports"`
@@ -70,21 +75,24 @@ type matcherCell struct {
 	trial      int
 }
 
-// MatcherSweep runs every cell on a forEachIndex worker pool and returns
+// matcherSweep runs every cell on a forEachIndex worker pool and returns
 // rows in enumeration order (graph kind → ports → matcher/budget config
 // → trial). Each cell rebuilds its graph from a seed derived only from
 // the cell's indices, runs the matcher with an independent derived seed,
-// and compares against M* (the registry's "pim" matcher) computed on the
+// and compares against M* (the table's "pim" matcher) computed on the
 // same graph — so rows are pure functions of (Config, cell index) and
 // the sweep is byte-identical at any Workers value.
-func MatcherSweep(cfg MatcherSweepConfig) ([]MatcherRow, error) {
-	// Resolve matcher constructors up front so an unknown name fails
-	// before any work runs.
+func matcherSweep(cfg matcherSweepConfig) ([]matcherRow, error) {
+	// Resolve matcher constructors up front so an unknown name, or no
+	// name at all, fails before any work runs.
+	if len(cfg.Matchers) == 0 {
+		return nil, fmt.Errorf("matchers: no matcher named (known: %v)", matching.Names())
+	}
 	descs := make(map[string]matching.Descriptor, len(cfg.Matchers))
 	for _, name := range cfg.Matchers {
 		d, ok := matching.Lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("matchers: unknown matcher %q (registered: %v)", name, matching.Names())
+			return nil, fmt.Errorf("matchers: unknown matcher %q (known: %v)", name, matching.Names())
 		}
 		descs[name] = d
 	}
@@ -99,10 +107,8 @@ func MatcherSweep(cfg MatcherSweepConfig) ([]MatcherRow, error) {
 	for _, name := range cfg.Matchers {
 		cfgs = append(cfgs, cfgEntry{name, 0})
 		if descs[name].Budgeted {
-			for _, f := range cfg.BudgetFracs {
-				if f > 0 {
-					cfgs = append(cfgs, cfgEntry{name, f})
-				}
+			for _, f := range matcherBudgetFracs {
+				cfgs = append(cfgs, cfgEntry{name, f})
 			}
 		}
 	}
@@ -126,7 +132,7 @@ func MatcherSweep(cfg MatcherSweepConfig) ([]MatcherRow, error) {
 		}
 	}
 
-	rows := make([]MatcherRow, len(cells))
+	rows := make([]matcherRow, len(cells))
 	errs := make([]error, len(cells))
 	forEachIndex(len(cells), cfg.Workers, func(i int) {
 		rows[i], errs[i] = runMatcherCell(cfg, cells[i], descs[cells[i].matcher])
@@ -140,7 +146,7 @@ func MatcherSweep(cfg MatcherSweepConfig) ([]MatcherRow, error) {
 }
 
 // runMatcherCell executes one cell: graph, M* reference, matcher run.
-func runMatcherCell(cfg MatcherSweepConfig, c matcherCell, d matching.Descriptor) (MatcherRow, error) {
+func runMatcherCell(cfg matcherSweepConfig, c matcherCell, d matching.Descriptor) (matcherRow, error) {
 	// Seeds derive from the cell's grid coordinates only — not the cell's
 	// position in the flattened slice — so adding matchers or budgets
 	// leaves other cells' graphs unchanged.
@@ -149,13 +155,13 @@ func runMatcherCell(cfg MatcherSweepConfig, c matcherCell, d matching.Descriptor
 	if c.kind == "dense" {
 		g = matching.DenseGraph(c.ports, c.ports)
 	} else {
-		g = matching.SparseRandomGraph(rand.New(rand.NewSource(gseed)), c.ports, c.ports, cfg.Degree)
+		g = matching.SparseRandomGraph(rand.New(rand.NewSource(gseed)), c.ports, c.ports, matcherDegree)
 	}
 
 	// M* — converged PIM on this graph, the paper's reference point.
 	ref, err := matching.MustLookup("pim").New(matching.Options{})
 	if err != nil {
-		return MatcherRow{}, err
+		return matcherRow{}, err
 	}
 	mStarM, _ := ref.Match(g, rand.New(rand.NewSource(gseed+13)))
 	mStar := mStarM.Size()
@@ -168,11 +174,11 @@ func runMatcherCell(cfg MatcherSweepConfig, c matcherCell, d matching.Descriptor
 	}
 	m, err := d.New(matching.Options{BudgetBits: float64(budgetBits)})
 	if err != nil {
-		return MatcherRow{}, err
+		return matcherRow{}, err
 	}
 	got, st := m.Match(g, rand.New(rand.NewSource(gseed+7919*int64(c.cfgIdx+1))))
 	if !got.Valid(g) {
-		return MatcherRow{}, fmt.Errorf("matchers: %s returned invalid matching on %s n=%d trial=%d",
+		return matcherRow{}, fmt.Errorf("matchers: %s returned invalid matching on %s n=%d trial=%d",
 			c.matcher, c.kind, c.ports, c.trial)
 	}
 
@@ -182,7 +188,7 @@ func runMatcherCell(cfg MatcherSweepConfig, c matcherCell, d matching.Descriptor
 			maxRound = b
 		}
 	}
-	row := MatcherRow{
+	row := matcherRow{
 		Matcher: c.matcher, Graph: c.kind, Ports: c.ports,
 		Degree:     g.AvgDegree(),
 		BudgetFrac: c.budgetFrac, BudgetBits: budgetBits,
@@ -198,9 +204,9 @@ func runMatcherCell(cfg MatcherSweepConfig, c matcherCell, d matching.Descriptor
 	return row, nil
 }
 
-// WriteMatcherCSV writes sweep rows in the stable column order the
+// writeMatcherCSV writes sweep rows in the stable column order the
 // golden determinism test digests.
-func WriteMatcherCSV(w io.Writer, rows []MatcherRow) error {
+func writeMatcherCSV(w io.Writer, rows []matcherRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"matcher", "graph", "ports", "degree", "budget_frac", "budget_bits",
@@ -234,11 +240,11 @@ func WriteMatcherCSV(w io.Writer, rows []MatcherRow) error {
 	return cw.Error()
 }
 
-// FormatMatcherTable renders sweep rows as an aligned text table,
+// formatMatcherTable renders sweep rows as an aligned text table,
 // aggregating trials per (matcher, graph, ports, budget) configuration
 // in first-seen order (cells enumerate trials innermost, so
 // configurations appear in sweep order).
-func FormatMatcherTable(w io.Writer, rows []MatcherRow) {
+func formatMatcherTable(w io.Writer, rows []matcherRow) {
 	type aggKey struct {
 		matcher, graph string
 		ports          int
@@ -286,9 +292,9 @@ func FormatMatcherTable(w io.Writer, rows []MatcherRow) {
 // matcherDigest folds the canonical CSV rendering of the rows with
 // FNV-1a — the digest the golden determinism test pins across -parallel
 // 1/4/8.
-func matcherDigest(rows []MatcherRow) (uint64, error) {
+func matcherDigest(rows []matcherRow) (uint64, error) {
 	var buf bytes.Buffer
-	if err := WriteMatcherCSV(&buf, rows); err != nil {
+	if err := writeMatcherCSV(&buf, rows); err != nil {
 		return 0, err
 	}
 	h := fnvOffset
@@ -301,13 +307,11 @@ func matcherDigest(rows []MatcherRow) (uint64, error) {
 // defaultMatcherSweep resolves the sweep grid from experiment Options:
 // the full campaign by default (sparse up to 10^5 ports), a small grid
 // under quick/smoke settings.
-func defaultMatcherSweep(o Options) MatcherSweepConfig {
-	cfg := MatcherSweepConfig{
+func defaultMatcherSweep(o Options) matcherSweepConfig {
+	cfg := matcherSweepConfig{
 		Matchers:    matching.Names(),
 		SparsePorts: []int{1024, 16384, 100_000},
 		DensePorts:  []int{256, 1024},
-		Degree:      4,
-		BudgetFracs: []float64{0.25, 0.05},
 		Trials:      3,
 		Seed:        o.Seed,
 		Workers:     o.workers(),
@@ -339,22 +343,21 @@ func defaultMatcherSweep(o Options) MatcherSweepConfig {
 	return cfg
 }
 
-// RunMatchers is the `-run matchers` experiment: the registry-wide
+// RunMatchers is the `-run matchers` experiment: the table-wide
 // matcher-vs-matcher sweep. It prints a per-configuration table
 // (averaged over trials), the sweep digest, and — with -metrics DIR —
 // writes DIR/matchers.csv (every trial row) plus
 // DIR/BENCH_matchers.json for CI archiving.
 func RunMatchers(o Options, w io.Writer) error {
 	cfg := defaultMatcherSweep(o)
-	fmt.Fprintf(w, "Matcher lab: %v\n", cfg.Matchers)
-	fmt.Fprintf(w, "sparse n=%v (δ̄=%.0f), dense n=%v, budgets %v of an unconstrained round, %d trials\n\n",
-		cfg.SparsePorts, cfg.Degree, cfg.DensePorts, cfg.BudgetFracs, cfg.Trials)
-
-	rows, err := MatcherSweep(cfg)
+	rows, err := matcherSweep(cfg)
 	if err != nil {
 		return err
 	}
-	FormatMatcherTable(w, rows)
+	fmt.Fprintf(w, "Matcher lab: %v\n", cfg.Matchers)
+	fmt.Fprintf(w, "sparse n=%v (δ̄=%.0f), dense n=%v, budgets %v of an unconstrained round, %d trials\n\n",
+		cfg.SparsePorts, matcherDegree, cfg.DensePorts, matcherBudgetFracs, cfg.Trials)
+	formatMatcherTable(w, rows)
 
 	digest, err := matcherDigest(rows)
 	if err != nil {
@@ -367,7 +370,7 @@ func RunMatchers(o Options, w io.Writer) error {
 			return err
 		}
 		var buf bytes.Buffer
-		if err := WriteMatcherCSV(&buf, rows); err != nil {
+		if err := writeMatcherCSV(&buf, rows); err != nil {
 			return err
 		}
 		csvPath := filepath.Join(o.MetricsDir, "matchers.csv")

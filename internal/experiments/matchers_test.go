@@ -17,15 +17,13 @@ import (
 //	go test ./internal/experiments -run TestMatcherSweepGoldenDigest -v
 const goldenMatcherDigest uint64 = 0x0f539d1274ea359f
 
-// matcherQuick is the canonical smoke config: every registered matcher,
+// matcherQuick is the canonical smoke config: every matcher in the table,
 // small sparse+dense grid, two budgets for budgeted matchers.
-func matcherQuick(workers int) MatcherSweepConfig {
-	return MatcherSweepConfig{
+func matcherQuick(workers int) matcherSweepConfig {
+	return matcherSweepConfig{
 		Matchers:    matching.Names(),
 		SparsePorts: []int{64, 256},
 		DensePorts:  []int{32},
-		Degree:      4,
-		BudgetFracs: []float64{0.25, 0.05},
 		Trials:      2,
 		Seed:        1,
 		Workers:     workers,
@@ -37,7 +35,7 @@ func matcherQuick(workers int) MatcherSweepConfig {
 func TestMatcherSweepGoldenDigest(t *testing.T) {
 	var ref uint64
 	for _, workers := range []int{1, 4, 8} {
-		rows, err := MatcherSweep(matcherQuick(workers))
+		rows, err := matcherSweep(matcherQuick(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +83,7 @@ func TestMatchersOutputParallelInvariant(t *testing.T) {
 // promise: valid matchers, budget rows only for budgeted matchers,
 // per-round bits within budget, size_vs_mstar in [0, ~1].
 func TestMatcherSweepRowInvariants(t *testing.T) {
-	rows, err := MatcherSweep(matcherQuick(0))
+	rows, err := matcherSweep(matcherQuick(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +93,7 @@ func TestMatcherSweepRowInvariants(t *testing.T) {
 	for _, r := range rows {
 		d, ok := matching.Lookup(r.Matcher)
 		if !ok {
-			t.Fatalf("row names unregistered matcher %q", r.Matcher)
+			t.Fatalf("row names unknown matcher %q", r.Matcher)
 		}
 		if r.BudgetFrac > 0 && !d.Budgeted {
 			t.Fatalf("non-budgeted %s has budget row", r.Matcher)
@@ -113,25 +111,37 @@ func TestMatcherSweepRowInvariants(t *testing.T) {
 	}
 }
 
-// Unknown matcher names fail loudly, listing the registry.
+// Unknown matcher names fail loudly, listing the table; so does a
+// -matchers list that names no matcher at all.
 func TestMatcherSweepUnknownMatcher(t *testing.T) {
 	cfg := matcherQuick(1)
 	cfg.Matchers = []string{"pim", "bogus"}
-	_, err := MatcherSweep(cfg)
+	_, err := matcherSweep(cfg)
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want unknown-matcher error, got %v", err)
+	}
+
+	o := quick()
+	o.Matchers = " , "
+	var out bytes.Buffer
+	err = RunMatchers(o, &out)
+	if err == nil || !strings.Contains(err.Error(), "budget-pim") {
+		t.Fatalf("want an error listing the matchers for an empty list, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected sweep printed a report:\n%s", out.String())
 	}
 }
 
 // The CSV writer emits one header plus one line per row with the
 // documented column count.
 func TestWriteMatcherCSVShape(t *testing.T) {
-	rows, err := MatcherSweep(matcherQuick(1))
+	rows, err := matcherSweep(matcherQuick(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteMatcherCSV(&buf, rows); err != nil {
+	if err := writeMatcherCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

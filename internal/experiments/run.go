@@ -141,8 +141,9 @@ type Options struct {
 	// (<label>.ck<index>.dcpimck) of checkpointed runs.
 	CheckpointDir string
 	// Matchers restricts the `matchers` experiment to a comma-separated
-	// list of registered matcher names (empty = all registered; see
-	// internal/matching's registry and DESIGN.md §15).
+	// list of matcher names (empty = every row of internal/matching's
+	// table; see DESIGN.md §15). A list that names no matcher, such as
+	// ",", is an error.
 	Matchers string
 }
 

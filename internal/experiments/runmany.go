@@ -35,7 +35,7 @@ func RunMany(specs []RunSpec, workers int) []RunResult {
 
 // forEachIndex invokes fn(i) for every i in [0, n) on a pool of workers
 // goroutines (<= 0 means GOMAXPROCS; <= 1 is a plain serial loop). It is
-// the execution core of RunMany and MatcherSweep: fn must be a pure
+// the execution core of RunMany and matcherSweep: fn must be a pure
 // function of i writing only to its own slot, which makes the result
 // independent of the worker count and scheduling — parallelism changes
 // wall-clock time only.

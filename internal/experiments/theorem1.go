@@ -26,11 +26,8 @@ func RunTheorem1(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "Theorem 1 validation: n=%d random bipartite graphs, %d trials/row\n\n", n, trials)
 	tbl := newTable("avg-degree", "rounds", "measured M/M*", "theorem bound", "holds")
-	// Matchers come from the registry rather than hardwired calls:
 	// "pim" is the converged M* reference, "dcpim" the bounded-round
-	// Theorem 1 regime. The adapters replay the exact RNG streams of the
-	// old ConvergedPIM/PIM calls, so this table is byte-identical to the
-	// pre-registry output.
+	// Theorem 1 regime.
 	mStarMatcher, err := matching.MustLookup("pim").New(matching.Options{})
 	if err != nil {
 		return err

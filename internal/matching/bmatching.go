@@ -154,9 +154,6 @@ func runOnlineB(g *Graph, o Options, rng *rand.Rand) (*Matching, Stats) {
 			}
 		}
 		st.note(msgs, matched)
-		if o.OnRound != nil {
-			o.OnRound(epoch, matched)
-		}
 		if !changed && epoch > 0 {
 			st.Converged = true
 			break
@@ -165,20 +162,4 @@ func runOnlineB(g *Graph, o Options, rng *rand.Rand) (*Matching, Stats) {
 	st.MatchedChannels = matched
 	st.K = k
 	return cm.Project(g), st
-}
-
-func init() {
-	Register(Descriptor{
-		Name: "online-bmatch",
-		Doc:  "online dynamic b-matching with rent-or-buy reconfiguration amortization (arXiv 2006.10692)",
-		New: func(o Options) (Matcher, error) {
-			o = o.withDefaults(DefaultK)
-			if err := o.Validate(); err != nil {
-				return nil, err
-			}
-			return matcherFunc(func(g *Graph, rng *rand.Rand) (*Matching, Stats) {
-				return runOnlineB(g, o, rng)
-			}), nil
-		},
-	})
 }

@@ -144,20 +144,3 @@ func runBudgetPIM(g *Graph, o Options, rng *rand.Rand) (*Matching, Stats) {
 	}
 	return m, st
 }
-
-func init() {
-	Register(Descriptor{
-		Name:     "budget-pim",
-		Doc:      "PIM with request fan-out truncated to a per-round communication budget (arXiv 2604.10744)",
-		Budgeted: true,
-		New: func(o Options) (Matcher, error) {
-			o, err := newUnit(o)
-			if err != nil {
-				return nil, err
-			}
-			return matcherFunc(func(g *Graph, rng *rand.Rand) (*Matching, Stats) {
-				return runBudgetPIM(g, o, rng)
-			}), nil
-		},
-	})
-}

@@ -71,8 +71,8 @@ func (m *ChannelMatching) Valid(g *Graph) bool {
 // Project collapses the b-matching onto a unit Matching on g: each
 // sender is paired with the neighbor it holds the most channels toward
 // (ties to the lower receiver index), subject to one-to-one feasibility,
-// processing senders in index order. Deterministic; used by the registry
-// adapters so every matcher yields a comparable *Matching.
+// processing senders in index order. Deterministic; the b-matcher rows
+// use it so every matcher yields a comparable *Matching.
 func (m *ChannelMatching) Project(g *Graph) *Matching {
 	um := &Matching{
 		SenderOf:   fillNeg(g.Receivers),
@@ -102,20 +102,20 @@ type channelReq struct {
 	want int
 }
 
-// ChannelMatch runs dcPIM's multi-channel matching (§3.4) for o.Rounds
+// channelMatch runs dcPIM's multi-channel matching (§3.4) for o.Rounds
 // rounds with o.K channels per host. Receivers request channels from
 // senders they have demand for; senders grant within their free budget;
 // receivers accept within theirs. If o.Remaining is set, the first round
 // orders grant and accept choices by smallest remaining bytes (the
 // FCT-optimizing round); all other choices are uniform random.
 //
-// Options are taken literally (no registry defaulting): Rounds = 0 runs
-// zero rounds. Invalid options (o.Validate() != nil) panic — a direct
-// call with k < 1 or a NaN budget is a programmer error; the registry's
-// New returns it as an error instead.
-func ChannelMatch(g *Graph, o Options, rng *rand.Rand) *ChannelMatching {
+// Options are taken literally (no defaulting): Rounds = 0 runs zero
+// rounds. Invalid options (o.Validate() != nil) panic — the "dcpim-k"
+// row's New returns them as an error before this core is reached. When
+// st is non-nil it accumulates per-round accounting, as in runPIM.
+func channelMatch(g *Graph, o Options, rng *rand.Rand, st *Stats) *ChannelMatching {
 	if err := o.Validate(); err != nil {
-		panic(fmt.Sprintf("matching: ChannelMatch: %v", err))
+		panic(fmt.Sprintf("matching: channelMatch: %v", err))
 	}
 	k := o.K
 	m := &ChannelMatching{
@@ -128,7 +128,7 @@ func ChannelMatch(g *Graph, o Options, rng *rand.Rand) *ChannelMatching {
 	if demand == nil {
 		demand = func(int, int) int { return k }
 	}
-	matched := 0 // running TotalChannels, kept incrementally for OnRound
+	matched := 0 // running TotalChannels, kept incrementally for st
 
 	for round := 0; round < o.Rounds; round++ {
 		srpt := round == 0 && o.Remaining != nil
@@ -161,8 +161,8 @@ func ChannelMatch(g *Graph, o Options, rng *rand.Rand) *ChannelMatching {
 			}
 		}
 		if !active {
-			if o.stats != nil {
-				o.stats.Converged = true
+			if st != nil {
+				st.Converged = true
 			}
 			break
 		}
@@ -219,16 +219,13 @@ func ChannelMatch(g *Graph, o Options, rng *rand.Rand) *ChannelMatching {
 				free -= take
 			}
 		}
-		if o.stats != nil {
-			o.stats.note(reqMsgs+grantMsgs+acceptMsgs, matched)
-		}
-		if o.OnRound != nil {
-			o.OnRound(round, matched)
+		if st != nil {
+			st.note(reqMsgs+grantMsgs+acceptMsgs, matched)
 		}
 	}
-	if o.stats != nil {
-		o.stats.MatchedChannels = matched
-		o.stats.K = k
+	if st != nil {
+		st.MatchedChannels = matched
+		st.K = k
 	}
 	return m
 }

@@ -5,12 +5,11 @@
 // in internal/core realizes the same logic with control packets and stage
 // timers.
 //
-// Beyond the fixed algorithms, the package hosts a self-registering
-// matcher registry (Register/MustLookup, mirroring internal/protocols):
-// every variant — classic PIM, dcPIM's bounded-round matcher, the greedy
-// maximal reference, the multi-channel b-matcher, communication-budget
-// matching (arXiv 2604.10744) and online dynamic b-matching
-// (arXiv 2006.10692) — is a Matcher resolved by name with validated
+// Every algorithm is reached through one table of matchers, resolved by
+// name (Lookup/MustLookup/Names): classic PIM, dcPIM's bounded-round
+// matcher, the greedy maximal reference, the multi-channel b-matcher,
+// communication-budget matching (arXiv 2604.10744) and online dynamic
+// b-matching (arXiv 2006.10692). Each is a Matcher built from validated
 // Options, returning a Matching plus convergence/communication Stats.
 package matching
 
@@ -187,8 +186,7 @@ func (m *Matching) Valid(g *Graph) bool {
 	return true
 }
 
-// runPIM is the shared three-stage PIM loop behind PIM, PIMRounds,
-// ConvergedPIM, RoundsToMaximal and the registry's pim/dcpim matchers:
+// runPIM is the three-stage PIM loop behind the pim and dcpim rows:
 // unmatched senders request every unmatched neighbor, each unmatched
 // receiver grants one request uniformly at random, and each sender
 // accepts one received grant uniformly at random. When st is non-nil it
@@ -258,22 +256,6 @@ func runPIM(g *Graph, rounds int, rng *rand.Rand, st *Stats) *Matching {
 	return m
 }
 
-// PIM runs the classic three-stage protocol for the given number of
-// rounds.
-func PIM(g *Graph, rounds int, rng *rand.Rand) *Matching {
-	return runPIM(g, rounds, rng, nil)
-}
-
-// PIMRounds runs PIM like PIM but additionally returns the cumulative
-// matching size after each completed round — the per-round trajectory
-// Theorem 1 bounds (sizes[i] is the size after round i). Rounds skipped
-// by early convergence are not reported, so len(sizes) ≤ rounds.
-func PIMRounds(g *Graph, rounds int, rng *rand.Rand) (*Matching, []int) {
-	var st Stats
-	m := runPIM(g, rounds, rng, &st)
-	return m, st.RoundSizes
-}
-
 // convergenceRounds is the round budget that makes PIM non-convergence
 // vanishingly unlikely on an n-port graph: PIM resolves ≥ 3/4 of requests
 // per round in expectation, so 4·log₂(n)+8 rounds suffice, and the
@@ -286,18 +268,12 @@ func convergenceRounds(g *Graph) int {
 	return 4*int(math.Ceil(math.Log2(float64(n+1)))) + 8
 }
 
-// ConvergedPIM runs PIM until it reaches a maximal matching (PIM always
-// converges; ~log n rounds in expectation). This is the paper's M*.
-func ConvergedPIM(g *Graph, rng *rand.Rand) *Matching {
-	return runPIM(g, convergenceRounds(g), rng, nil)
-}
-
-// MaximalMatch returns a deterministic greedy maximal matching: each
+// maximalMatch returns a deterministic greedy maximal matching: each
 // sender in index order takes its first still-free neighbor. Like every
 // maximal matching it is a ≥1/2 approximation of the maximum matching —
-// the registry's centralized M* reference (zero control-plane cost, no
+// the maximal row's centralized reference (zero control-plane cost, no
 // randomness).
-func MaximalMatch(g *Graph) *Matching {
+func maximalMatch(g *Graph) *Matching {
 	m := &Matching{
 		SenderOf:   fillNeg(g.Receivers),
 		ReceiverOf: fillNeg(g.Senders),
@@ -331,33 +307,4 @@ func fillNeg(n int) []int {
 		xs[i] = -1
 	}
 	return xs
-}
-
-// MaxMaximalRounds caps RoundsToMaximal. PIM provably matches at least
-// one pair per active round (some receiver grants, some sender accepts),
-// so min(senders, receivers) rounds always suffice — and on any graph it
-// converges in O(log n) rounds with overwhelming probability. A run that
-// is still active after this many rounds indicates a pathological or
-// corrupted graph rather than slow convergence, and RoundsToMaximal
-// reports it as an error instead of spinning unbounded.
-const MaxMaximalRounds = 4096
-
-// RoundsToMaximal runs PIM until the matching is maximal and returns how
-// many rounds it took — the quantity PIM's classic ~log n analysis bounds
-// and Theorem 1 sidesteps. Useful for convergence studies (cmd/pimlab).
-// If the run is still not maximal after MaxMaximalRounds it returns the
-// executed round count and a non-nil error.
-func RoundsToMaximal(g *Graph, rng *rand.Rand) (int, error) {
-	return roundsToMaximalCapped(g, rng, MaxMaximalRounds)
-}
-
-// roundsToMaximalCapped is RoundsToMaximal with an explicit cap, split
-// out so tests can exercise the guard without a 4096-round pathology.
-func roundsToMaximalCapped(g *Graph, rng *rand.Rand, cap int) (int, error) {
-	var st Stats
-	runPIM(g, cap, rng, &st)
-	if !st.Converged {
-		return st.Rounds, fmt.Errorf("matching: not maximal after %d rounds (cap %d): pathological graph?", st.Rounds, cap)
-	}
-	return st.Rounds, nil
 }

@@ -52,7 +52,7 @@ func TestPIMFigure1Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		m := ConvergedPIM(g, rand.New(rand.NewSource(seed)))
+		m := runPIM(g, convergenceRounds(g), rand.New(rand.NewSource(seed)), nil)
 		if !m.Valid(g) {
 			t.Fatal("invalid matching")
 		}
@@ -64,7 +64,7 @@ func TestPIMFigure1Example(t *testing.T) {
 
 func TestPIMZeroRounds(t *testing.T) {
 	g := DenseGraph(3, 3)
-	m := PIM(g, 0, rand.New(rand.NewSource(1)))
+	m := runPIM(g, 0, rand.New(rand.NewSource(1)), nil)
 	if m.Size() != 0 || !m.Valid(g) {
 		t.Fatal("0-round PIM must be an empty valid matching")
 	}
@@ -77,7 +77,7 @@ func TestPIMPerfectMatchingOnPermutation(t *testing.T) {
 		adj[i] = []int{(i * 7) % 64}
 	}
 	g, _ := NewGraph(64, 64, adj)
-	m := PIM(g, 1, rand.New(rand.NewSource(2)))
+	m := runPIM(g, 1, rand.New(rand.NewSource(2)), nil)
 	if m.Size() != 64 {
 		t.Fatalf("permutation matching size = %d, want 64", m.Size())
 	}
@@ -88,7 +88,7 @@ func TestPIMMaximality(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		g := RandomGraph(rng, 100, 100, 3)
-		m := ConvergedPIM(g, rng)
+		m := runPIM(g, convergenceRounds(g), rng, nil)
 		if !m.Valid(g) {
 			t.Fatal("invalid matching")
 		}
@@ -126,13 +126,13 @@ func TestTheorem1Bound(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(100_000*c + trial)))
 			g := RandomGraph(rng, n, n, avgDeg)
-			mStar := ConvergedPIM(g, rand.New(rand.NewSource(int64(trial+1)))).Size()
+			mStar := runPIM(g, convergenceRounds(g), rand.New(rand.NewSource(int64(trial+1))), nil).Size()
 			if mStar == 0 {
 				continue
 			}
 			alpha := float64(n) / float64(mStar)
 			bound := TheoremBound(g.AvgDegree(), alpha, r) * float64(mStar)
-			m := PIM(g, r, rng)
+			m := runPIM(g, r, rng, nil)
 			if !m.Valid(g) {
 				t.Fatalf("config %d trial %d: invalid matching", c, trial)
 			}
@@ -178,7 +178,7 @@ func TestPIMMonotoneProperty(t *testing.T) {
 		g := RandomGraph(rand.New(rand.NewSource(seed)), n, n, d)
 		prev := 0
 		for r := 0; r <= 6; r++ {
-			m := PIM(g, r, rand.New(rand.NewSource(seed+7)))
+			m := runPIM(g, r, rand.New(rand.NewSource(seed+7)), nil)
 			if !m.Valid(g) {
 				return false
 			}
@@ -199,7 +199,7 @@ func TestPIMMonotoneProperty(t *testing.T) {
 func TestChannelMatchBasics(t *testing.T) {
 	g := DenseGraph(4, 4)
 	rng := rand.New(rand.NewSource(5))
-	m := ChannelMatch(g, Options{Rounds: 4, K: 4}, rng)
+	m := channelMatch(g, Options{Rounds: 4, K: 4}, rng, nil)
 	if !m.Valid(g) {
 		t.Fatal("invalid channel matching")
 	}
@@ -216,9 +216,9 @@ func TestChannelMatchBasics(t *testing.T) {
 func TestChannelMatchRespectsDemand(t *testing.T) {
 	g := DenseGraph(3, 3)
 	rng := rand.New(rand.NewSource(8))
-	m := ChannelMatch(g, Options{Rounds: 6, K: 4,
+	m := channelMatch(g, Options{Rounds: 6, K: 4,
 		Demand: func(s, r int) int { return 1 },
-	}, rng)
+	}, rng, nil)
 	if !m.Valid(g) {
 		t.Fatal("invalid")
 	}
@@ -241,11 +241,11 @@ func TestChannelMatchK1EquivalentToPIM(t *testing.T) {
 	// sizes should be comparable (both maximal-ish on sparse graphs).
 	rng := rand.New(rand.NewSource(11))
 	g := RandomGraph(rng, 80, 80, 3)
-	m := ChannelMatch(g, Options{Rounds: 16, K: 1}, rng)
+	m := channelMatch(g, Options{Rounds: 16, K: 1}, rng, nil)
 	if !m.Valid(g) {
 		t.Fatal("invalid")
 	}
-	pim := ConvergedPIM(g, rand.New(rand.NewSource(12)))
+	pim := runPIM(g, convergenceRounds(g), rand.New(rand.NewSource(12)), nil)
 	if float64(m.TotalChannels()) < 0.8*float64(pim.Size()) {
 		t.Fatalf("k=1 channel matching %d far below PIM %d", m.TotalChannels(), pim.Size())
 	}
@@ -258,9 +258,9 @@ func TestChannelMatchSRPTFirstRound(t *testing.T) {
 	remaining := []int64{500, 100}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := ChannelMatch(g, Options{Rounds: 1, K: 1,
+		m := channelMatch(g, Options{Rounds: 1, K: 1,
 			Remaining: func(s, r int) int64 { return remaining[s] },
-		}, rng)
+		}, rng, nil)
 		if m.Channels[[2]int{1, 0}] != 1 {
 			t.Fatalf("seed %d: SRPT round did not pick the shorter flow", seed)
 		}
@@ -277,7 +277,7 @@ func TestChannelMatchBudgetProperty(t *testing.T) {
 		d := float64(dRaw%6) + 0.5
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGraph(rng, n, n, d)
-		m := ChannelMatch(g, Options{Rounds: rounds, K: k}, rng)
+		m := channelMatch(g, Options{Rounds: rounds, K: k}, rng, nil)
 		return m.Valid(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -291,8 +291,8 @@ func TestChannelMatchUtilizationSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := RandomGraph(rng, 144, 144, 4)
 	// With unlimited demand, k does not change effective capacity much.
-	m4 := ChannelMatch(g, Options{Rounds: 4, K: 4}, rng)
-	m1 := ChannelMatch(g, Options{Rounds: 4, K: 1}, rand.New(rand.NewSource(21)))
+	m4 := channelMatch(g, Options{Rounds: 4, K: 4}, rng, nil)
+	m1 := channelMatch(g, Options{Rounds: 4, K: 1}, rand.New(rand.NewSource(21)), nil)
 	if m4.EffectiveSize() < 0.85*m1.EffectiveSize() {
 		t.Fatalf("k=4 effective %v ≪ k=1 effective %v", m4.EffectiveSize(), m1.EffectiveSize())
 	}
@@ -301,12 +301,12 @@ func TestChannelMatchUtilizationSparse(t *testing.T) {
 	// matching size but each pair only fills 1/k of the phase). Model this
 	// by comparing matched *demand-limited* capacity: with demand 1 and
 	// k=4, hosts match up to 4 distinct peers, quadrupling admitted pairs.
-	d1k4 := ChannelMatch(g, Options{Rounds: 4, K: 4,
+	d1k4 := channelMatch(g, Options{Rounds: 4, K: 4,
 		Demand: func(s, r int) int { return 1 },
-	}, rand.New(rand.NewSource(22)))
-	d1k1 := ChannelMatch(g, Options{Rounds: 4, K: 1,
+	}, rand.New(rand.NewSource(22)), nil)
+	d1k1 := channelMatch(g, Options{Rounds: 4, K: 1,
 		Demand: func(s, r int) int { return 1 },
-	}, rand.New(rand.NewSource(22)))
+	}, rand.New(rand.NewSource(22)), nil)
 	if d1k4.TotalChannels() < 2*d1k1.TotalChannels() {
 		t.Fatalf("demand-1: k=4 matched %d pairs, k=1 matched %d — expected ≥2× gain",
 			d1k4.TotalChannels(), d1k1.TotalChannels())
@@ -316,28 +316,33 @@ func TestChannelMatchUtilizationSparse(t *testing.T) {
 // PIM's classic property: convergence in O(log n) rounds. On sparse
 // graphs it converges even faster — always within a small multiple of
 // log2(n), and the count matches what Theorem 1 predicts matters (the
-// residual active set shrinks 4x per round).
+// residual active set shrinks 4x per round). The pim row reports it as
+// Stats.Rounds with Converged set.
 func TestRoundsToMaximal(t *testing.T) {
+	pim, err := MustLookup("pim").New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{64, 256, 1024} {
 		for _, deg := range []float64{2, 8} {
 			g := RandomGraph(rng, n, n, deg)
-			rounds, err := RoundsToMaximal(g, rng)
-			if err != nil {
-				t.Fatalf("n=%d deg=%.0f: %v", n, deg, err)
+			_, st := pim.Match(g, rng)
+			if !st.Converged {
+				t.Fatalf("n=%d deg=%.0f: not maximal after %d rounds", n, deg, st.Rounds)
 			}
 			logN := math.Ilogb(float64(n)) + 1
-			if rounds > 3*logN {
-				t.Errorf("n=%d deg=%.0f: %d rounds to maximal, > 3·log2(n)=%d", n, deg, rounds, 3*logN)
+			if st.Rounds > 3*logN {
+				t.Errorf("n=%d deg=%.0f: %d rounds to maximal, > 3·log2(n)=%d", n, deg, st.Rounds, 3*logN)
 			}
-			if rounds < 1 && g.Edges() > 0 {
-				t.Errorf("n=%d: converged in %d rounds with edges present", n, rounds)
+			if st.Rounds < 1 && g.Edges() > 0 {
+				t.Errorf("n=%d: converged in %d rounds with edges present", n, st.Rounds)
 			}
 		}
 	}
 	// Empty graph converges immediately.
 	empty, _ := NewGraph(3, 3, [][]int{{}, {}, {}})
-	if r, err := RoundsToMaximal(empty, rng); err != nil || r != 0 {
-		t.Errorf("empty graph rounds = %d err = %v", r, err)
+	if _, st := pim.Match(empty, rng); !st.Converged || st.Rounds != 0 {
+		t.Errorf("empty graph: rounds = %d converged = %v", st.Rounds, st.Converged)
 	}
 }

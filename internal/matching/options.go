@@ -5,21 +5,17 @@ import (
 	"math"
 )
 
-// Options is the one validated tuning struct shared by every matcher,
-// replacing the old per-call (rounds, k, rng, ChannelOptions) parameter
-// sprawl. Zero values mean "matcher default" when resolved through the
-// registry (New applies withDefaults before Validate); direct callers of
-// ChannelMatch get the literal values and must pass a complete struct.
+// Options is the one validated tuning struct shared by every matcher.
+// Zero values mean "matcher default": a row's New applies withDefaults
+// before Validate.
 type Options struct {
-	// Rounds is the round budget. Through the registry, 0 selects the
-	// matcher's default (the convergence budget 4·log₂(n)+8 for
-	// round-based matchers). Negative is rejected.
+	// Rounds is the round budget. 0 selects the matcher's default (the
+	// convergence budget 4·log₂(n)+8 for round-based matchers). Negative
+	// is rejected.
 	Rounds int
 	// K is the per-node channel count for b-matchers (dcpim-k,
-	// online-bmatch). Through the registry, 0 selects the matcher
-	// default; unit matchers force K=1. K<1 after defaulting is
-	// rejected — the old ChannelMatch silently accepted it and returned
-	// a degenerate empty matching.
+	// online-bmatch). 0 selects the matcher default: DefaultK for
+	// b-matchers, 1 for unit matchers. K<1 after defaulting is rejected.
 	K int
 	// BudgetBits is the per-round communication budget in bits for
 	// budgeted matchers (budget-pim): total request+grant+accept bits in
@@ -28,7 +24,7 @@ type Options struct {
 	BudgetBits float64
 	// ReconfigCost is the online b-matcher's rent-or-buy threshold α: an
 	// edge must be demanded α times before the matcher pays to add it
-	// (arXiv 2006.10692). Through the registry, 0 selects the default.
+	// (arXiv 2006.10692). 0 selects DefaultReconfigCost.
 	ReconfigCost int
 	// Demand returns how many channels sender s needs toward receiver r
 	// (≥1; capped at K). Nil means "as many as possible" (K).
@@ -37,20 +33,12 @@ type Options struct {
 	// FCT-optimizing first round (§3.5): lower sorts first. Nil disables
 	// the FCT round (all rounds pick uniformly at random).
 	Remaining func(s, r int) int64
-	// OnRound, if non-nil, is invoked after every completed round with
-	// the 0-based round index and the cumulative number of matched
-	// pairs/channels. Rounds skipped by early convergence do not fire.
-	OnRound func(round, matched int)
-
-	// stats, when non-nil, receives per-round accounting. Set by the
-	// registry adapters; accumulation never draws from the RNG.
-	stats *Stats
 }
 
 // Validate rejects option combinations no matcher can honor: negative
 // round budgets, channel counts below 1, and NaN/negative/infinite
-// communication budgets. It does not apply defaults — use the registry's
-// New (or withDefaults) for that.
+// communication budgets. It does not apply defaults — a row's New (or
+// withDefaults) does that.
 func (o Options) Validate() error {
 	if o.Rounds < 0 {
 		return fmt.Errorf("matching: Rounds = %d, must be ≥ 0", o.Rounds)
@@ -73,7 +61,7 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Matcher defaults, applied by the registry when the corresponding
+// Matcher defaults, applied by a row's New when the corresponding
 // Options field is zero.
 const (
 	// DefaultK is the channel count dcPIM runs with (§3.4).

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Randomized property grid over every registered matcher: each must
+// Randomized property grid over every matcher in the table: each must
 // return a Valid matching on arbitrary graphs, report internally
 // consistent Stats, and — when budgeted — keep every round's control
 // bits within the stated budget (the budget-pim construction has zero

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -28,22 +29,33 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndIncomplete(t *testing.T) {
-	mustPanic := func(name string, d Descriptor) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", name)
-			}
-		}()
-		Register(d)
+// checkTable reports the first row of ds that breaks the table's rules:
+// a name, a constructor, and names strictly sorted (hence unique).
+func checkTable(ds []Descriptor) error {
+	for i, d := range ds {
+		if d.Name == "" || d.New == nil {
+			return fmt.Errorf("row %d: incomplete descriptor %+v", i, d)
+		}
+		if i > 0 && ds[i-1].Name >= d.Name {
+			return fmt.Errorf("row %d: %q after %q: names not unique and sorted", i, d.Name, ds[i-1].Name)
+		}
 	}
-	ok := MustLookup("pim") // a complete descriptor to clone from
-	dup := ok
-	mustPanic("duplicate name", dup)
-	mustPanic("empty name", Descriptor{Doc: "d", New: ok.New})
-	mustPanic("empty doc", Descriptor{Name: "x-incomplete", New: ok.New})
-	mustPanic("nil constructor", Descriptor{Name: "x-incomplete", Doc: "d"})
+	return nil
+}
+
+func TestRegisterRejectsDuplicatesAndIncomplete(t *testing.T) {
+	if err := checkTable(matchers); err != nil {
+		t.Fatal(err)
+	}
+	dup := append([]Descriptor{}, matchers...)
+	dup = append(dup, matchers[len(matchers)-1])
+	noNew := append([]Descriptor{}, matchers...)
+	noNew[0].New = nil
+	for name, ds := range map[string][]Descriptor{"duplicate row": dup, "nil constructor": noNew} {
+		if checkTable(ds) == nil {
+			t.Errorf("%s: table check passed", name)
+		}
+	}
 }
 
 func TestMustLookupUnknownPanicsWithNames(t *testing.T) {
@@ -53,7 +65,7 @@ func TestMustLookupUnknownPanicsWithNames(t *testing.T) {
 			t.Fatal("MustLookup did not panic on unknown name")
 		}
 		if msg, _ := r.(string); !strings.Contains(msg, "pim") {
-			t.Fatalf("panic message does not list registered matchers: %v", r)
+			t.Fatalf("panic message does not list the matchers: %v", r)
 		}
 	}()
 	MustLookup("no-such-matcher")
@@ -61,7 +73,7 @@ func TestMustLookupUnknownPanicsWithNames(t *testing.T) {
 
 func TestLookupUnknown(t *testing.T) {
 	if _, ok := Lookup("no-such-matcher"); ok {
-		t.Fatal("Lookup found a matcher that was never registered")
+		t.Fatal("Lookup found a matcher that is not in the table")
 	}
 }
 
@@ -89,7 +101,7 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: Validate rejected %+v: %v", i, o, err)
 		}
 	}
-	// Registry constructors surface the same rejections as errors.
+	// Every row's constructor surfaces the same rejections as errors.
 	for _, name := range Names() {
 		if _, err := MustLookup(name).New(Options{Rounds: -1}); err == nil {
 			t.Errorf("%s: New accepted Rounds=-1", name)
@@ -103,33 +115,33 @@ func TestOptionsValidate(t *testing.T) {
 func TestChannelMatchPanicsOnInvalidOptions(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ChannelMatch accepted K=0")
+			t.Fatal("channelMatch accepted K=0")
 		}
 	}()
-	ChannelMatch(DenseGraph(2, 2), Options{Rounds: 1, K: 0}, rand.New(rand.NewSource(1)))
+	channelMatch(DenseGraph(2, 2), Options{Rounds: 1, K: 0}, rand.New(rand.NewSource(1)), nil)
 }
 
-// Adapters must replay the exact RNG streams of the direct entry points:
-// the registry is a re-expression, not a reimplementation.
+// Each row must replay the exact RNG stream of the core it wraps under
+// the same seed: the table is a re-expression, not a reimplementation.
 func TestAdaptersMatchDirectCalls(t *testing.T) {
 	g := RandomGraph(rand.New(rand.NewSource(4)), 96, 96, 3)
+	sameMatching := func(name string, got, want *Matching) {
+		t.Helper()
+		for s, r := range want.ReceiverOf {
+			if got.ReceiverOf[s] != r {
+				t.Fatalf("%s row diverged from its core at sender %d", name, s)
+			}
+		}
+	}
 
 	pim, err := MustLookup("pim").New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, st := pim.Match(g, rand.New(rand.NewSource(7)))
-	want := ConvergedPIM(g, rand.New(rand.NewSource(7)))
-	if got.Size() != want.Size() {
-		t.Fatalf("pim adapter size %d != ConvergedPIM %d", got.Size(), want.Size())
-	}
-	for s, r := range want.ReceiverOf {
-		if got.ReceiverOf[s] != r {
-			t.Fatalf("pim adapter diverged from ConvergedPIM at sender %d", s)
-		}
-	}
+	sameMatching("pim", got, runPIM(g, convergenceRounds(g), rand.New(rand.NewSource(7)), nil))
 	if !st.Converged {
-		t.Error("pim adapter did not report convergence on a sparse graph")
+		t.Error("pim row did not report convergence on a sparse graph")
 	}
 	if st.Msgs <= 0 || st.ControlBits != st.Msgs*ControlMsgBits {
 		t.Errorf("pim stats inconsistent: msgs=%d bits=%d", st.Msgs, st.ControlBits)
@@ -140,10 +152,7 @@ func TestAdaptersMatchDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	bm, bst := bounded.Match(g, rand.New(rand.NewSource(9)))
-	ref := PIM(g, 3, rand.New(rand.NewSource(9)))
-	if bm.Size() != ref.Size() {
-		t.Fatalf("dcpim adapter size %d != PIM(3) %d", bm.Size(), ref.Size())
-	}
+	sameMatching("dcpim", bm, runPIM(g, 3, rand.New(rand.NewSource(9)), nil))
 	if bst.Rounds > 3 {
 		t.Fatalf("dcpim ran %d rounds with budget 3", bst.Rounds)
 	}
@@ -156,25 +165,40 @@ func TestAdaptersMatchDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm, mst := max.Match(g, rand.New(rand.NewSource(11)))
-	dref := MaximalMatch(g)
-	if mm.Size() != dref.Size() || mst.Msgs != 0 || !mst.Converged {
-		t.Fatalf("maximal adapter: size %d (want %d), msgs %d, converged %v",
-			mm.Size(), dref.Size(), mst.Msgs, mst.Converged)
+	sameMatching("maximal", mm, maximalMatch(g))
+	if mst.Msgs != 0 || !mst.Converged {
+		t.Fatalf("maximal row: msgs %d, converged %v", mst.Msgs, mst.Converged)
+	}
+
+	kMatcher, err := MustLookup("dcpim-k").New(Options{Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	km, kst := kMatcher.Match(g, rand.New(rand.NewSource(13)))
+	cm := channelMatch(g, Options{Rounds: 4, K: DefaultK}, rand.New(rand.NewSource(13)), nil)
+	sameMatching("dcpim-k", km, cm.Project(g))
+	if kst.MatchedChannels != cm.TotalChannels() || kst.K != DefaultK {
+		t.Fatalf("dcpim-k row: %d channels at K=%d, core matched %d", kst.MatchedChannels, kst.K, cm.TotalChannels())
 	}
 }
 
+// The pim row's round budget is always enough to converge; a dcpim row
+// whose budget runs out first reports Converged = false.
 func TestRoundsToMaximalCap(t *testing.T) {
-	// A graph with edges always converges, so force the error path with a
-	// cap of zero rounds.
 	g := DenseGraph(4, 4)
-	if _, err := roundsToMaximalCapped(g, rand.New(rand.NewSource(1)), 0); err == nil {
-		t.Fatal("cap 0 on a non-empty graph must error")
+	pim, err := MustLookup("pim").New(Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r, err := RoundsToMaximal(g, rand.New(rand.NewSource(1))); err != nil || r < 1 {
-		t.Fatalf("RoundsToMaximal on K4,4: rounds=%d err=%v", r, err)
+	if _, st := pim.Match(g, rand.New(rand.NewSource(1))); !st.Converged || st.Rounds < 1 {
+		t.Fatalf("pim on K4,4: rounds=%d converged=%v", st.Rounds, st.Converged)
 	}
-	if MaxMaximalRounds < 1024 {
-		t.Fatalf("MaxMaximalRounds = %d implausibly small", MaxMaximalRounds)
+	one, err := MustLookup("dcpim").New(Options{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st := one.Match(g, rand.New(rand.NewSource(1))); st.Converged || st.Rounds != 1 {
+		t.Fatalf("dcpim with 1 round on K4,4: rounds=%d converged=%v", st.Rounds, st.Converged)
 	}
 }
 
@@ -207,7 +231,7 @@ func TestSparseRandomGraphDegree(t *testing.T) {
 
 func TestChannelMatchingProject(t *testing.T) {
 	g := RandomGraph(rand.New(rand.NewSource(6)), 40, 40, 4)
-	cm := ChannelMatch(g, Options{Rounds: 8, K: 4}, rand.New(rand.NewSource(8)))
+	cm := channelMatch(g, Options{Rounds: 8, K: 4}, rand.New(rand.NewSource(8)), nil)
 	um := cm.Project(g)
 	if !um.Valid(g) {
 		t.Fatal("projected matching invalid")

@@ -5,17 +5,22 @@ import (
 	"testing"
 )
 
-// PIMRounds must agree with PIM on the final matching (same RNG stream)
-// and report a nondecreasing per-round size trajectory ending at the
-// final size.
+// The dcpim row's Stats.RoundSizes is the per-round trajectory Theorem 1
+// bounds: one entry per executed round, nondecreasing, ending at the
+// final matching size.
 func TestPIMRoundsTrajectory(t *testing.T) {
 	g := RandomGraph(rand.New(rand.NewSource(7)), 32, 32, 4)
-	m, sizes := PIMRounds(g, 6, rand.New(rand.NewSource(9)))
+	dcpim, err := MustLookup("dcpim").New(Options{Rounds: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, st := dcpim.Match(g, rand.New(rand.NewSource(9)))
 	if !m.Valid(g) {
 		t.Fatal("invalid matching")
 	}
-	if len(sizes) == 0 {
-		t.Fatal("no rounds reported")
+	sizes := st.RoundSizes
+	if len(sizes) == 0 || len(sizes) != st.Rounds || st.Rounds > 6 {
+		t.Fatalf("%d round sizes for %d rounds (budget 6)", len(sizes), st.Rounds)
 	}
 	for i := 1; i < len(sizes); i++ {
 		if sizes[i] < sizes[i-1] {
@@ -25,53 +30,31 @@ func TestPIMRoundsTrajectory(t *testing.T) {
 	if sizes[len(sizes)-1] != m.Size() {
 		t.Fatalf("last round size %d != final %d", sizes[len(sizes)-1], m.Size())
 	}
-
-	ref := PIM(g, 6, rand.New(rand.NewSource(9)))
-	if ref.Size() != m.Size() {
-		t.Fatalf("PIMRounds size %d != PIM size %d under the same seed", m.Size(), ref.Size())
-	}
-	for s, r := range ref.ReceiverOf {
-		if m.ReceiverOf[s] != r {
-			t.Fatalf("sender %d matched to %d, PIM says %d", s, m.ReceiverOf[s], r)
-		}
-	}
 }
 
-// OnRound fires once per executed round with a cumulative, nondecreasing
-// channel count ending at TotalChannels, and convergence-skipped rounds
-// never fire.
+// The dcpim-k row records one cumulative, nondecreasing channel count
+// per executed round, ending at MatchedChannels; convergence-skipped
+// rounds record nothing.
 func TestChannelMatchOnRound(t *testing.T) {
 	g := RandomGraph(rand.New(rand.NewSource(3)), 24, 24, 3)
-	var rounds []int
-	var counts []int
-	m := ChannelMatch(g, Options{Rounds: 8, K: 4,
-		OnRound: func(round, matched int) {
-			rounds = append(rounds, round)
-			counts = append(counts, matched)
-		},
-	}, rand.New(rand.NewSource(5)))
+	dk, err := MustLookup("dcpim-k").New(Options{Rounds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, st := dk.Match(g, rand.New(rand.NewSource(5)))
 	if !m.Valid(g) {
-		t.Fatal("invalid b-matching")
+		t.Fatal("invalid projected matching")
 	}
-	if len(rounds) == 0 || len(rounds) > 8 {
-		t.Fatalf("OnRound fired %d times", len(rounds))
+	counts := st.RoundSizes
+	if len(counts) == 0 || len(counts) > 8 || len(counts) != st.Rounds {
+		t.Fatalf("%d round sizes for %d rounds (budget 8)", len(counts), st.Rounds)
 	}
-	for i, r := range rounds {
-		if r != i {
-			t.Fatalf("round indices %v not consecutive from 0", rounds)
-		}
-		if i > 0 && counts[i] < counts[i-1] {
+	for i := 1; i < len(counts); i++ {
+		if counts[i] < counts[i-1] {
 			t.Fatalf("matched channels decreased: %v", counts)
 		}
 	}
-	if last := counts[len(counts)-1]; last != m.TotalChannels() {
-		t.Fatalf("final OnRound count %d != TotalChannels %d", last, m.TotalChannels())
-	}
-
-	// The callback must not perturb the matching: same seed, no callback.
-	ref := ChannelMatch(g, Options{Rounds: 8, K: 4}, rand.New(rand.NewSource(5)))
-	if ref.TotalChannels() != m.TotalChannels() {
-		t.Fatalf("OnRound changed the outcome: %d vs %d channels",
-			m.TotalChannels(), ref.TotalChannels())
+	if last := counts[len(counts)-1]; last != st.MatchedChannels {
+		t.Fatalf("final round count %d != MatchedChannels %d", last, st.MatchedChannels)
 	}
 }

@@ -118,7 +118,6 @@ func (p *Proto) Start(h *netsim.Host) {
 // OnFlowArrival reports the demand to the arbiter; nothing is sent until
 // an allocation returns (the Fastpass tax on short flows).
 func (p *Proto) OnFlowArrival(fl workload.Flow) {
-	p.col.FlowStarted()
 	f := flowtrack.NewTx(fl.ID, fl.Dst, fl.Size, fl.Arrival)
 	p.tx[f.ID] = f
 

@@ -178,7 +178,6 @@ func (p *Proto) schedPrio(rank int) uint8 {
 // OnFlowArrival implements netsim.Protocol: notify, then blast the
 // unscheduled prefix.
 func (p *Proto) OnFlowArrival(fl workload.Flow) {
-	p.col.FlowStarted()
 	f := flowtrack.NewTx(fl.ID, fl.Dst, fl.Size, fl.Arrival)
 	p.tx[f.ID] = f
 

@@ -124,7 +124,6 @@ func (p *Proto) Start(h *netsim.Host) {
 // OnFlowArrival opens the flow at a full BDP window (line rate in the
 // first RTT — HPCC's low-latency start).
 func (p *Proto) OnFlowArrival(fl workload.Flow) {
-	p.col.FlowStarted()
 	f := &txState{
 		Tx: flowtrack.NewTx(fl.ID, fl.Dst, fl.Size, fl.Arrival),
 		w:  float64(p.bdp), wc: float64(p.bdp),

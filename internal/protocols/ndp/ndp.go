@@ -110,7 +110,6 @@ func (p *Proto) Start(h *netsim.Host) {
 
 // OnFlowArrival blasts the first window; the rest is pull-clocked.
 func (p *Proto) OnFlowArrival(fl workload.Flow) {
-	p.col.FlowStarted()
 	f := &txState{Tx: flowtrack.NewTx(fl.ID, fl.Dst, fl.Size, fl.Arrival)}
 	p.tx[f.ID] = f
 

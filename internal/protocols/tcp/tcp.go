@@ -136,7 +136,6 @@ func (p *Proto) Start(h *netsim.Host) {
 
 // OnFlowArrival implements netsim.Protocol.
 func (p *Proto) OnFlowArrival(fl workload.Flow) {
-	p.col.FlowStarted()
 	f := &txState{
 		Tx:     flowtrack.NewTx(fl.ID, fl.Dst, fl.Size, fl.Arrival),
 		cc:     p.cfg.NewCC(),

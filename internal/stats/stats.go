@@ -48,7 +48,6 @@ func (r FlowRecord) Slowdown() float64 {
 // order at every shard count.
 type Collector struct {
 	records   []FlowRecord
-	started   int64
 	delivered int64 // unique payload bytes confirmed delivered
 
 	binWidth sim.Duration
@@ -96,9 +95,6 @@ func (c *Collector) each(f func(*Collector)) {
 	}
 }
 
-// FlowStarted counts an injected flow (denominator for completion checks).
-func (c *Collector) FlowStarted() { c.started++ }
-
 // FlowDone records a completed flow.
 func (c *Collector) FlowDone(r FlowRecord) { c.records = append(c.records, r) }
 
@@ -116,13 +112,6 @@ func (c *Collector) Delivered(t sim.Time, bytes int64) {
 		c.bins = append(c.bins, 0)
 	}
 	c.bins[bin] += bytes
-}
-
-// Started returns the number of injected flows across all shards.
-func (c *Collector) Started() int64 {
-	var n int64
-	c.each(func(s *Collector) { n += s.started })
-	return n
 }
 
 // Completed returns the number of completed flows across all shards.

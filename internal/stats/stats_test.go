@@ -130,11 +130,13 @@ func TestCollectorUtilization(t *testing.T) {
 
 func TestCollectorCounts(t *testing.T) {
 	c := NewCollector(0)
-	c.FlowStarted()
-	c.FlowStarted()
+	if c.Completed() != 0 {
+		t.Fatalf("fresh collector completed=%d", c.Completed())
+	}
 	c.FlowDone(rec(10, 5, 5))
-	if c.Started() != 2 || c.Completed() != 1 {
-		t.Fatalf("started=%d completed=%d", c.Started(), c.Completed())
+	c.FlowDone(rec(20, 5, 5))
+	if c.Completed() != 2 {
+		t.Fatalf("completed=%d, want 2", c.Completed())
 	}
 	// binWidth 0: Delivered must not panic or allocate bins.
 	c.Delivered(100, 5)
