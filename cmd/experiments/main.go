@@ -53,7 +53,7 @@ func runMain() (code int) {
 		scale      = flag.Float64("scale", 1, "horizon scale factor (1 = paper fidelity)")
 		hosts      = flag.Int("hosts", 0, "topology size override (0 = paper size)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations in sweeps (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-		shards     = flag.Int("shards", 0, "split each fabric into this many barrier-synchronized shards (0 = auto: serial below 256 hosts, one shard per pod or rack above; 1 = serial); output is identical at any setting")
+		shards     = flag.Int("shards", 0, "split each fabric into this many barrier-synchronized shards (0 = auto: one shard per 64 hosts, at most one per pod or rack, serial below 128 hosts; 1 = serial); output is identical at any setting")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsDir = flag.String("metrics", "", "write per-run telemetry (CSV time series + JSON report) into this directory")

@@ -96,10 +96,10 @@ func TestCheckpointStreamsReproduce(t *testing.T) {
 }
 
 // TestCheckpointAutoShards is the stream property for a run that requested
-// no shard count, on the smallest topology the default shards (the
-// 432-host FatTree): its snapshots carry the resolved count, a run that
-// spells that count out reproduces the stream, and a serial run's stream
-// diverges at snapshot 0 (it has one engine section, not one per shard).
+// no shard count, on the 432-host FatTree (6 shards): its snapshots carry
+// the resolved count, a run that spells that count out reproduces the
+// stream, and a serial run's stream diverges at snapshot 0 (it has one
+// engine section, not one per shard).
 func TestCheckpointAutoShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 432-host runs")

@@ -271,49 +271,71 @@ func TestFaultsOutputParallelInvariant(t *testing.T) {
 	}
 }
 
-// TestAutoShardsInvariant is the default's equivalence proof at the size
-// where the default changes: the 1024-host FatTree with no count requested
-// runs on topo.AutoShards shards (len(ShardStats) says so) and produces
-// the digest, counters, flow records and sampled metrics of the serial
-// and of the explicit 2-shard run, for a receiver-driven, a trimming and
-// a PFC-lossless protocol (HPCC keeps the bare-propagation window).
+// TestAutoShardsInvariant is the default's equivalence proof on the
+// smallest fabric it shards and on the size it was first measured at:
+// the 144-host leaf-spine (2 shards) and the 1024-host FatTree (16) with
+// no count requested run on topo.AutoShards shards (len(ShardStats) says
+// so) and produce the digest, counters, flow records and sampled metrics
+// of the serial and of the explicit 2-shard run — on the leaf-spine for
+// every protocol of the paper's comparison, on the FatTree for a
+// receiver-driven, a trimming and a PFC-lossless one. HPCC keeps the
+// bare-propagation window of 200 ns.
 func TestAutoShardsInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine 1024-host runs")
+		t.Skip("seventeen 144- and 1024-host runs")
 	}
 	watchdog(t, 3*time.Minute)
-	tp := fatTreeFor(1024)
-	horizon := 20 * sim.Microsecond
-	tr := workload.AllToAllConfig{
-		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
-		Dist: workload.WebSearch(), Horizon: horizon, Seed: 5,
-	}.Generate()
-	auto := topo.AutoShards(tp)
-	if auto < 2 {
-		t.Fatalf("AutoShards(%s) = %d: the test needs a topology the default shards", tp.Name, auto)
-	}
-	for _, proto := range []string{DCPIM, NDP, HPCC} {
-		run := func(shards int) RunResult {
-			return Run(RunSpec{
-				Protocol: proto, Topo: tp, Trace: tr,
-				Horizon: horizon + horizon/2, Seed: 6, Shards: shards, Digest: true,
-				Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "auto"},
-			})
+	for _, fc := range []struct {
+		tp     *topo.Topology
+		dist   workload.SizeDist
+		auto   int
+		protos []string
+	}{
+		{topo.DefaultLeafSpine().Build(), workload.IMC10(), 2, Comparators},
+		{fatTreeFor(1024), workload.WebSearch(), 16, []string{DCPIM, NDP, HPCC}},
+	} {
+		tp := fc.tp
+		horizon := 20 * sim.Microsecond
+		tr := workload.AllToAllConfig{
+			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
+			Dist: fc.dist, Horizon: horizon, Seed: 5,
+		}.Generate()
+		if auto := topo.AutoShards(tp); auto != fc.auto {
+			t.Fatalf("AutoShards(%s) = %d, want %d", tp.Name, auto, fc.auto)
 		}
-		serial := run(1)
-		if serial.Digest == 0 || serial.Col.Completed() == 0 {
-			t.Fatalf("%s: serial run delivered nothing (digest %#x, %d flows completed)",
-				proto, serial.Digest, serial.Col.Completed())
-		}
-		for _, tc := range []struct{ shards, ran int }{{0, auto}, {1, 1}, {2, 2}} {
-			res := serial
-			if tc.shards != 1 {
-				res = run(tc.shards)
+		for _, proto := range fc.protos {
+			spec := func(shards int) RunSpec {
+				return RunSpec{
+					Protocol: proto, Topo: tp, Trace: tr,
+					Horizon: horizon + horizon/2, Seed: 6, Shards: shards, Digest: true,
+					Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "auto"},
+				}
 			}
-			if got := len(res.ShardStats); got != tc.ran {
-				t.Errorf("%s Shards=%d: ran on %d shards, want %d", proto, tc.shards, got, tc.ran)
+			if proto == HPCC {
+				rs := newRunState(spec(0), nil)
+				if got, want := rs.fab.Lookahead(), 200*sim.Nanosecond; got != want {
+					t.Errorf("%s %s: auto window %v, want the bare propagation %v", tp.Name, proto, got, want)
+				}
+				rs.close()
 			}
-			assertRunsEqual(t, fmt.Sprintf("%s Shards=%d vs serial", proto, tc.shards), serial, res)
+			serial := Run(spec(1))
+			if serial.Digest == 0 || serial.Col.Completed() == 0 {
+				t.Fatalf("%s %s: serial run delivered nothing (digest %#x, %d flows completed)",
+					tp.Name, proto, serial.Digest, serial.Col.Completed())
+			}
+			for _, tc := range []struct{ shards, ran int }{{0, fc.auto}, {1, 1}, {2, 2}} {
+				if tc.shards == 2 && fc.auto == 2 {
+					continue // the auto row already ran on 2 shards
+				}
+				res := serial
+				if tc.shards != 1 {
+					res = Run(spec(tc.shards))
+				}
+				if got := len(res.ShardStats); got != tc.ran {
+					t.Errorf("%s %s Shards=%d: ran on %d shards, want %d", tp.Name, proto, tc.shards, got, tc.ran)
+				}
+				assertRunsEqual(t, fmt.Sprintf("%s %s Shards=%d vs serial", tp.Name, proto, tc.shards), serial, res)
+			}
 		}
 	}
 }
@@ -325,8 +347,8 @@ func TestAutoShardsInvariant(t *testing.T) {
 // from there are the same whether one, two or four Ps ran the shards,
 // build after build; the short run delivers the serial run's packets.
 // It is the only place the baselines' Start methods run side by side, so
-// CI also runs it under the race detector. The 432-host FatTree is the
-// smallest topology that shards itself (12 shards).
+// CI also runs it under the race detector. The 432-host FatTree shards
+// itself 6 ways, more than the Ps it runs on.
 func TestShardedSetupInvariant(t *testing.T) {
 	watchdog(t, 3*time.Minute)
 	tp := fatTreeFor(432)

@@ -123,10 +123,11 @@ type Options struct {
 	Workers int
 	// Shards splits every fabric into this many barrier-synchronized
 	// shards along topology boundary links: 0 = auto (the topology's own
-	// count, topo.AutoShards — serial below 256 hosts, one shard per pod
-	// or rack above), 1 = serial, n > 1 as given. Collector output,
-	// counters, digests and sampled metrics are byte-identical at any
-	// value; only wall-clock time changes. See DESIGN.md §11.
+	// count, topo.AutoShards — one shard per 64 hosts, at most one per pod
+	// or rack, serial below 128 hosts), 1 = serial, n > 1 as given.
+	// Collector output, counters, digests and sampled metrics are
+	// byte-identical at any value; only wall-clock time changes. See
+	// DESIGN.md §11.
 	Shards int
 	// MetricsDir, when non-empty, enables the telemetry layer on every
 	// figure's runs: each cell writes its sampled CSV series and JSON
@@ -163,8 +164,9 @@ func (o Options) scaled(d sim.Duration) sim.Duration {
 // engine goroutines). The floor is clamped to one worker so sweeps
 // always make progress even when a single simulation is wider than the
 // machine. Auto (Shards 0) leaves the pool alone: its count depends on
-// each spec's topology, and a sweep of auto-sharded runs measured no
-// worse oversubscribed than serial (DESIGN.md §11.5).
+// each spec's topology, and a sweep of auto-sharded runs measured level
+// with serial at 432 and 1024 hosts and at most a few percent slower at
+// 144, where halving the pool was slower still (DESIGN.md §11.5).
 func (o Options) workers() int {
 	w := o.Workers
 	if w <= 0 {

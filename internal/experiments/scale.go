@@ -188,9 +188,9 @@ func RunScale(o Options, w io.Writer) error {
 		case hosts >= 1024:
 			return []int{1, 8, 16, 64, 0}
 		case hosts >= 256:
-			return []int{1, 4, 12, 0}
+			return []int{1, 4, 6, 12, 0}
 		default:
-			return []int{1, 4, 8, 0}
+			return []int{1, 2, 4, 8, 0}
 		}
 	}
 	machine := scaleMachine()

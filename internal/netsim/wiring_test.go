@@ -345,7 +345,7 @@ func TestSkippedShardReceivesLateArrivals(t *testing.T) {
 // returns — the points where callers sample, capture and resume — on two
 // shards and on the topology's own count, with and without an interval,
 // and across successive windows as the checkpoint drivers call it. The
-// 432-host FatTree is the smallest that shards itself.
+// 432-host FatTree shards itself 6 ways.
 func TestStagingEmptyAtSyncPoints(t *testing.T) {
 	tp := topo.FatTreeK(12).Build()
 	auto := topo.AutoShards(tp)

@@ -36,25 +36,26 @@ func MaxShards(t *Topology) int {
 	return len(components(t))
 }
 
-// autoShardHosts is where AutoShards starts cutting. Below it a fabric's
-// working set sits in cache and its epochs are too thin to repay the
-// barrier: two cores run the 128-host FatTree and the 144-host leaf-spine
-// at 0.85–0.9× sharded, the 250-, 288- and 432-host fabrics at 1.2–1.5×,
-// and on one core the cost up there is 2–8% until locality turns it into
-// a gain near 600 hosts (the `-run scale` grid and DESIGN.md §11.5).
-const autoShardHosts = 256
+// autoShardFloor is the fewest hosts AutoShards gives a shard. Below it
+// a shard's epochs are too thin to repay the barrier; at it the 144-host
+// leaf-spine runs on two whole-rack shards 1.3–1.5× faster than serial on
+// two cores and level with serial on one, while one shard per rack there
+// gains less and costs a fifth more memory in a sweep (DESIGN.md §11.5).
+const autoShardFloor = 64
 
-// AutoShards is the shard count a run takes when none is requested: 1
-// below autoShardHosts hosts, otherwise one shard per host-bearing
-// partition unit (a pod of a fat-tree, a rack of a leaf-spine) — 16 for
-// the k=16 FatTree, 32 for k=32 — with MakePartition's LPT spreading the
-// switch-only units over them. It is a pure function of the topology and
-// never looks at the machine: epoch counts, ShardStats and checkpoint
-// compatibility must not depend on where a run happens, and more shards
-// than cores costs nothing measurable on the channel barrier. A cut that
-// would leave no lookahead (a zero-delay boundary link) stays serial.
+// AutoShards is the shard count a run takes when none is requested: one
+// shard per autoShardFloor hosts, capped at the host-bearing partition
+// units (a pod of a fat-tree, a rack of a leaf-spine) — 2 for the
+// 144-host leaf-spine, 16 for the k=16 FatTree, 32 for k=32 — with
+// MakePartition's LPT placing whole units and spreading the switch-only
+// ones over the shards. Fewer than two is serial. It is a pure function
+// of the topology and never looks at the machine: epoch counts,
+// ShardStats and checkpoint compatibility must not depend on where a run
+// happens. A cut that would leave no lookahead (a zero-delay boundary
+// link) stays serial.
 func AutoShards(t *Topology) int {
-	if t.NumHosts < autoShardHosts {
+	n := t.NumHosts / autoShardFloor
+	if n < 2 {
 		return 1
 	}
 	for _, sw := range t.Switches {
@@ -65,16 +66,16 @@ func AutoShards(t *Topology) int {
 		}
 	}
 	hostsOn := hostsPerSwitch(t)
-	n := 0
+	units := 0
 	for _, unit := range components(t) {
 		for _, sw := range unit {
 			if hostsOn[sw] > 0 {
-				n++
+				units++
 				break
 			}
 		}
 	}
-	return n
+	return min(n, units)
 }
 
 // hostsPerSwitch counts the hosts attached to each switch.

@@ -3,6 +3,7 @@ package topo
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -140,13 +141,14 @@ func TestMakePartitionInvariants(t *testing.T) {
 }
 
 // TestAutoShards pins the default shard count of the stock topologies:
-// serial below the host threshold, one shard per pod or rack above it,
-// always a count MakePartition accepts with every host-bearing shard
-// holding exactly one unit's hosts — and the same answer whatever the
-// machine looks like.
+// one shard per 64 hosts, capped at the pods or racks, serial below two —
+// always a count MakePartition accepts, every shard holding whole units
+// with host counts within one unit of each other, and the same answer
+// whatever the machine looks like.
 func TestAutoShards(t *testing.T) {
 	wide := DefaultLeafSpine()
-	wide.Racks = 18 // 288 hosts
+	wide.Racks = 18
+	wide.Name = "leafspine-288"
 	dead := DefaultFatTree()
 	dead.PropDelay = 0
 	cases := []struct {
@@ -155,13 +157,13 @@ func TestAutoShards(t *testing.T) {
 	}{
 		{SmallLeafSpine().Build(), 1},
 		{SmallFatTree().Build(), 1},
-		{FatTreeK(8).Build(), 1},          // 128 hosts
-		{DefaultLeafSpine().Build(), 1},   // 144 hosts
-		{FatTreeK(10).Build(), 1},         // 250 hosts, just under
-		{wide.Build(), 18},                // one per rack
-		{FatTreeK(12).Build(), 12},        // 432 hosts
-		{DefaultFatTree().Build(), 16},    // one per pod
-		{HyperscaleFatTree().Build(), 32}, // 8192 hosts
+		{FatTreeK(8).Build(), 2},          // 128 hosts: the floor, 8 pods
+		{DefaultLeafSpine().Build(), 2},   // 144 hosts: racks 5 + 4
+		{FatTreeK(10).Build(), 3},         // 250 hosts
+		{wide.Build(), 4},                 // 288 hosts, 18 racks
+		{FatTreeK(12).Build(), 6},         // 432 hosts, 12 pods
+		{DefaultFatTree().Build(), 16},    // 1024 hosts: one per pod
+		{HyperscaleFatTree().Build(), 32}, // 8192 hosts: one per pod
 		{dead.Build(), 1},                 // no lookahead across the cut
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -181,14 +183,27 @@ func TestAutoShards(t *testing.T) {
 				t.Errorf("%s: auto count %d does not partition: %v", c.topo.Name, got, err)
 				continue
 			}
+			// Whole units: a unit's switches (and so its hosts) share a
+			// shard. unit is the largest unit's host count.
+			hostsOn := hostsPerSwitch(c.topo)
+			unit := 0
+			for _, u := range components(c.topo) {
+				n := 0
+				for _, sw := range u {
+					n += hostsOn[sw]
+					if p.ShardOfSwitch(sw) != p.ShardOfSwitch(u[0]) {
+						t.Errorf("%s: unit of sw%d split across shards", c.topo.Name, u[0])
+					}
+				}
+				unit = max(unit, n)
+			}
 			hosts := make([]int, got)
 			for h := 0; h < c.topo.NumHosts; h++ {
 				hosts[p.ShardOfHost(h)]++
 			}
-			for k, n := range hosts {
-				if n != c.topo.NumHosts/got {
-					t.Errorf("%s: shard %d of %d holds %d hosts, want %d", c.topo.Name, k, got, n, c.topo.NumHosts/got)
-				}
+			lo, hi := slices.Min(hosts), slices.Max(hosts)
+			if hi-lo > unit {
+				t.Errorf("%s: shards hold %d to %d hosts, more than one unit (%d) apart", c.topo.Name, lo, hi, unit)
 			}
 		}
 	}
