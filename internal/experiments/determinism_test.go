@@ -99,22 +99,50 @@ func TestGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestPerProtocol ensures digesting works for every
-// comparator (the fault grid runs them all) and that faults change the
-// stream while reruns do not.
+// goldenPerTransport pins goldenSpec's clean and faulted digests for
+// every row of the transports table, so a refactor of any baseline that
+// moves its packet stream fails here by name. dcPIM's pair is the golden
+// pair above; regenerate the rest the same way.
+var goldenPerTransport = map[string][2]uint64{
+	DCPIM:      {goldenDigestClean, goldenDigestFaulted},
+	HomaAeolus: {0x16c0ff598a7d3407, 0x9b58b3afa0127f5d},
+	Homa:       {0xa0d6ae970e962384, 0xc7b5a4323276b099},
+	NDP:        {0x6d45649ef3990d5f, 0x101de7773fb80f5a},
+	HPCC:       {0x5348fd6d00b2b713, 0xebc265a478a536ee},
+	PHost:      {0x244f4ddd12d6722e, 0x6e8b923150b8686f},
+	DCTCP:      {0x0db33f7645a33bad, 0x73e9cd8dc5ce3091},
+	Cubic:      {0xd91224b1850367dd, 0xd33372d2f40354b4},
+	Fastpass:   {0x8cd320e16f42ce4d, 0xb2aa2652edbe1f8b},
+}
+
+// TestGoldenDigestPerProtocol locks every transport's clean and faulted
+// delivered stream to goldenPerTransport, and requires that faults change
+// the stream while reruns do not.
 func TestGoldenDigestPerProtocol(t *testing.T) {
 	if testing.Short() {
-		t.Skip("comparator digest sweep")
+		t.Skip("per-transport digest sweep")
 	}
-	for _, proto := range Comparators {
-		clean := Run(goldenSpec(t, proto, false))
-		again := Run(goldenSpec(t, proto, false))
-		faulted := Run(goldenSpec(t, proto, true))
+	if len(goldenPerTransport) != len(transports) {
+		t.Fatalf("%d pinned transports, %d in the table", len(goldenPerTransport), len(transports))
+	}
+	for _, tr := range transports {
+		want, ok := goldenPerTransport[tr.name]
+		if !ok {
+			t.Errorf("%s: no pinned digests", tr.name)
+			continue
+		}
+		clean := Run(goldenSpec(t, tr.name, false))
+		again := Run(goldenSpec(t, tr.name, false))
+		faulted := Run(goldenSpec(t, tr.name, true))
 		if clean.Digest != again.Digest {
-			t.Errorf("%s: rerun digest %#x != %#x", proto, again.Digest, clean.Digest)
+			t.Errorf("%s: rerun digest %#x != %#x", tr.name, again.Digest, clean.Digest)
 		}
 		if clean.Digest == faulted.Digest {
-			t.Errorf("%s: fault schedule did not change delivered stream (%#x)", proto, clean.Digest)
+			t.Errorf("%s: fault schedule did not change delivered stream (%#x)", tr.name, clean.Digest)
+		}
+		if clean.Digest != want[0] || faulted.Digest != want[1] {
+			t.Errorf("%s: digests clean %#016x faulted %#016x, want %#016x %#016x",
+				tr.name, clean.Digest, faulted.Digest, want[0], want[1])
 		}
 	}
 }
