@@ -41,9 +41,6 @@ type Config struct {
 	Channels int
 	// Beta is the per-stage slack multiplier on cRTT/2 (§3.3).
 	Beta float64
-	// ShortFlowBytes is the bypass threshold; flows of at most this many
-	// payload bytes skip matching. 0 selects 1 BDP.
-	ShortFlowBytes int64
 	// FCTRound enables the first-round smallest-remaining-flow
 	// optimization (§3.5).
 	FCTRound bool
@@ -75,8 +72,7 @@ type timing struct {
 	dataRTT  sim.Duration
 	grace    sim.Duration // token grace past phase end: cRTT/2
 
-	bdp          int64 // bytes
-	shortThresh  int64
+	bdp          int64 // bytes; also the short-flow bypass threshold
 	windowPkts   int   // token window in packets
 	channelBytes int64 // bytes one channel carries in one data phase
 }
@@ -87,10 +83,6 @@ func deriveTiming(cfg Config, t *topo.Topology) timing {
 	stages := 2*cfg.Rounds + 1
 	epoch := stage * sim.Duration(stages)
 	bdp := t.BDP()
-	short := cfg.ShortFlowBytes
-	if short == 0 {
-		short = bdp
-	}
 	window := cfg.WindowBytes
 	if window == 0 {
 		window = bdp
@@ -109,7 +101,6 @@ func deriveTiming(cfg Config, t *topo.Topology) timing {
 		dataRTT:      t.DataRTT(),
 		grace:        ctrlRTT / 2,
 		bdp:          bdp,
-		shortThresh:  short,
 		windowPkts:   wpkts,
 		channelBytes: chanBytes,
 	}

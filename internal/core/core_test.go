@@ -46,9 +46,9 @@ func TestTimingDerivation(t *testing.T) {
 	if us := tm.epochLen.Microseconds(); us < 29.5 || us > 31.5 {
 		t.Fatalf("epoch = %.2fus, want ≈30.4us", us)
 	}
-	// Short-flow threshold defaults to 1 BDP = 72.5 KB.
-	if tm.shortThresh < 71000 || tm.shortThresh > 74000 {
-		t.Fatalf("short threshold = %d, want ≈72500", tm.shortThresh)
+	// The short-flow threshold is 1 BDP = 72.5 KB.
+	if tm.bdp < 71000 || tm.bdp > 74000 {
+		t.Fatalf("short threshold = %d, want ≈72500", tm.bdp)
 	}
 	if tm.windowPkts < 45 || tm.windowPkts > 55 {
 		t.Fatalf("window = %d packets, want ≈50", tm.windowPkts)

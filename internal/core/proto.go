@@ -75,9 +75,10 @@ func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	protos := make([]*Proto, n)
 	rounds := make([]roundState, n*r)
 	clk := make([]clocks, fab.NumShards())
-	// The child collectors are made here, on one goroutine — up to the last
-	// shard that has a host, as a serial fill would leave them (a snapshot
-	// counts them); the fill below only looks them up.
+	// The child collectors are made here, on one goroutine, up to the last
+	// shard that has a host: ForEachHost runs the fill below on the shard
+	// goroutines side by side, and ForShard grows its child list on first
+	// use, so the fill may only look them up.
 	last := 0
 	for h := 0; h < n; h++ {
 		if s := fab.ShardOfHost(h); s > last {

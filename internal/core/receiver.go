@@ -178,7 +178,7 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 	n := packet.PacketsForBytes(pkt.FlowSize)
 	f := r.newRecvFlow()
 	f.id, f.src, f.size, f.arrival = pkt.Flow, pkt.Src, pkt.FlowSize, pkt.SentAt
-	f.npkts, f.short = n, pkt.FlowSize <= r.p.sh.shortThresh
+	f.npkts, f.short = n, pkt.FlowSize <= r.p.sh.bdp
 	f.state = f.state.grow(n)
 	f.untokenedCnt = n
 	r.flows[f.id] = f

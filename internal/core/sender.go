@@ -94,7 +94,7 @@ func (s *sender) flowArrival(fl workload.Flow) {
 	f := s.newSendFlow()
 	f.id, f.dst, f.size, f.arrival = fl.ID, fl.Dst, fl.Size, fl.Arrival
 	f.npkts = packet.PacketsForBytes(fl.Size)
-	f.short = fl.Size <= s.p.sh.shortThresh
+	f.short = fl.Size <= s.p.sh.bdp
 	f.sent = f.sent.grow(f.npkts)
 	if s.flows == nil {
 		s.flows = make(map[uint64]*sendFlow)

@@ -270,6 +270,36 @@ func TestBisectNoDivergence(t *testing.T) {
 	}
 }
 
+// TestCheckpointDigestWithoutRunDigest: a checkpointed run folds the
+// per-host delivered-stream digests whether or not RunSpec.Digest is set
+// (figure cells never set it), so every snapshot's digest section holds
+// one word per host, equal to a Digest run's, and bisection sees a
+// divergent delivered byte at the snapshot where it lands.
+func TestCheckpointDigestWithoutRunDigest(t *testing.T) {
+	spec := fixtureSpec(16)
+	want := 4 + 8*spec.Topo.NumHosts
+	_, withDigest := RunCheckpointed(spec)
+	spec = fixtureSpec(16)
+	spec.Digest = false
+	res, without := RunCheckpointed(spec)
+	if res.Digest != 0 {
+		t.Errorf("RunResult.Digest = %#x without RunSpec.Digest, want 0", res.Digest)
+	}
+	if len(without) != len(withDigest) || len(without) == 0 {
+		t.Fatalf("%d snapshots without Digest, %d with", len(without), len(withDigest))
+	}
+	for i := range without {
+		got, _ := without[i].Section("digest")
+		ref, _ := withDigest[i].Section("digest")
+		if len(got) != want {
+			t.Errorf("snapshot %d: digest section is %d bytes, want %d (%d hosts)", i, len(got), want, spec.Topo.NumHosts)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("snapshot %d: digest section differs from the Digest run's", i)
+		}
+	}
+}
+
 // fixtureSpec pins the golden snapshot fixture's run: dcPIM on a FatTree
 // of the given size, IMC10 all-to-all at load 0.5, journaled snapshots
 // every 50 µs of a 200 µs horizon (the fixture is the 16-host run's).

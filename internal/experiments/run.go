@@ -74,23 +74,23 @@ var transports = []transport{
 	{Homa, homa.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
 		homa.RegisterMetrics(homa.Attach(fab, homa.DefaultConfig(), col), reg, Homa)
 	}},
-	{NDP, ndp.Config{}.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		ndp.RegisterMetrics(ndp.Attach(fab, ndp.Config{}, col), reg)
+	{NDP, ndp.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		ndp.RegisterMetrics(ndp.Attach(fab, col), reg)
 	}},
-	{HPCC, hpcc.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		hpcc.RegisterMetrics(hpcc.Attach(fab, hpcc.DefaultConfig(), col), reg)
+	{HPCC, hpcc.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		hpcc.RegisterMetrics(hpcc.Attach(fab, col), reg)
 	}},
 	{PHost, phost.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		homa.RegisterMetrics(phost.Attach(fab, phost.Config{}, col), reg, PHost)
+		homa.RegisterMetrics(phost.Attach(fab, col), reg, PHost)
 	}},
-	{DCTCP, tcp.DCTCPConfig(0).FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(0), col), reg, DCTCP)
+	{DCTCP, tcp.DCTCPConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
+		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(), col), reg, DCTCP)
 	}},
 	{Cubic, tcp.CubicConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
 		tcp.RegisterMetrics(tcp.Attach(fab, tcp.CubicConfig(), col), reg, Cubic)
 	}},
 	{Fastpass, fastpass.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *metrics.Registry, _ *core.Config) {
-		fastpass.Attach(fab, fastpass.Config{}, col)
+		fastpass.Attach(fab, col)
 	}},
 }
 
@@ -433,9 +433,10 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	// deliveries for one host all run on its shard's engine, so the
 	// per-host fold is race-free and ordered by simulation time — then
 	// combines the host digests in host-id order at the end. Both levels
-	// are independent of shard count.
+	// are independent of shard count. A checkpointed run folds them too:
+	// every snapshot carries them, Digest or not.
 	var hostDigests []uint64
-	if spec.Digest {
+	if spec.Digest || spec.Checkpoint != nil {
 		hostDigests = make([]uint64, spec.Topo.NumHosts)
 		for i := range hostDigests {
 			hostDigests[i] = fnvOffset

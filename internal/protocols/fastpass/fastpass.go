@@ -24,14 +24,10 @@ import (
 	"dcpim/internal/workload"
 )
 
-// Config tunes the Fastpass deployment.
-type Config struct {
-	// ArbiterHost is the host co-located with the arbiter (default 0).
-	ArbiterHost int
-	// BatchSlots is the number of MTU timeslots allocated per matching
-	// (0 = 8).
-	BatchSlots int
-}
+const (
+	arbiterHost = 0 // the host co-located with the arbiter
+	batchSlots  = 8 // MTU timeslots allocated per matching
+)
 
 // FabricConfig returns the netsim configuration Fastpass expects: ECMP
 // (the real system also assigns paths; conflict-free allocations make
@@ -47,10 +43,9 @@ type demand struct {
 	nextSeq int // next seq to allocate
 }
 
-// Proto is one host's Fastpass instance; the instance on ArbiterHost also
+// Proto is one host's Fastpass instance; the instance on arbiterHost also
 // runs the arbiter.
 type Proto struct {
-	cfg Config
 	col *stats.Collector
 
 	host *netsim.Host
@@ -63,7 +58,7 @@ type Proto struct {
 	tx map[uint64]*flowtrack.Tx
 	rx map[uint64]*rxState
 
-	// Arbiter state (ArbiterHost only).
+	// Arbiter state (arbiterHost only).
 	demands map[uint64]*demand
 	order   []uint64 // demand ids, kept sorted lazily
 
@@ -81,22 +76,19 @@ type rxState struct {
 	*flowtrack.Rx
 }
 
-// New returns an unattached Fastpass host.
-func New(cfg Config, col *stats.Collector) *Proto {
-	if cfg.BatchSlots == 0 {
-		cfg.BatchSlots = 8
-	}
-	return &Proto{cfg: cfg, col: col,
+// newProto returns an unattached Fastpass host.
+func newProto(col *stats.Collector) *Proto {
+	return &Proto{col: col,
 		tx: make(map[uint64]*flowtrack.Tx),
 		rx: make(map[uint64]*rxState),
 	}
 }
 
 // Attach installs Fastpass on every host of the fabric.
-func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
+func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i] = newProto(col.ForShard(fab.ShardOfHost(i)))
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps
@@ -109,7 +101,7 @@ func (p *Proto) Start(h *netsim.Host) {
 	p.id = h.ID()
 	p.mtuTime = sim.TransmissionTime(packet.MTU, h.LineRate())
 	p.ctlRTT = h.Topo().CtrlRTT()
-	if p.id == p.cfg.ArbiterHost {
+	if p.id == arbiterHost {
 		p.demands = make(map[uint64]*demand)
 		p.eng.Schedule(0, p.arbiterTick)
 	}
@@ -130,7 +122,7 @@ func (p *Proto) OnFlowArrival(fl workload.Flow) {
 }
 
 func (p *Proto) reportDemand(f *flowtrack.Tx) {
-	rts := packet.NewControl(packet.RTS, p.id, p.cfg.ArbiterHost, f.ID)
+	rts := packet.NewControl(packet.RTS, p.id, arbiterHost, f.ID)
 	rts.FlowSize = f.Size
 	rts.Count = f.Dst // carry the true destination; the packet goes to the arbiter
 	rts.Remaining = int64(f.Npkts-f.SentCnt) * packet.PayloadSize
@@ -179,9 +171,9 @@ func (p *Proto) onDemand(rts *packet.Packet) {
 
 // arbiterTick runs once per batch of timeslots: greedy SRPT matching over
 // backlogged pairs, one sender per receiver and vice versa, each matched
-// pair allocated up to BatchSlots packets.
+// pair allocated up to batchSlots packets.
 func (p *Proto) arbiterTick() {
-	defer p.eng.After(p.mtuTime*sim.Duration(p.cfg.BatchSlots), p.arbiterTick)
+	defer p.eng.After(p.mtuTime*batchSlots, p.arbiterTick)
 	if len(p.demands) == 0 {
 		return
 	}
@@ -211,7 +203,7 @@ func (p *Proto) arbiterTick() {
 		}
 		srcBusy[d.src] = true
 		dstBusy[d.dst] = true
-		n := p.cfg.BatchSlots
+		n := batchSlots
 		if n > d.remain {
 			n = d.remain
 		}

@@ -16,7 +16,7 @@ func runFastpass(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed in
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
 	col := stats.NewCollector(0)
-	Attach(fab, Config{}, col)
+	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
 	eng.Run(sim.Time(horizon))

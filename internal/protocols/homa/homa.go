@@ -37,10 +37,8 @@ type Config struct {
 	// recovery; the fabric should set AeolusThresholdBytes alongside.
 	Aeolus bool
 	// Overcommit is the number of senders a receiver keeps granted in
-	// parallel (Homa's overcommitment degree). 0 selects 2.
+	// parallel (Homa's overcommitment degree), at least 1.
 	Overcommit int
-	// UnschedBytes is the unscheduled prefix per flow. 0 selects 1 BDP.
-	UnschedBytes int64
 	// FlatPriority collapses all data to one priority class (used by the
 	// pHost-like configuration; control stays at priority 0).
 	FlatPriority bool
@@ -81,10 +79,9 @@ type Proto struct {
 	eng  *sim.Engine
 	id   int
 
-	unschedPkts int
-	windowPkts  int
-	mtuTime     sim.Duration
-	dataRTT     sim.Duration
+	windowPkts int // 1 BDP: the unscheduled prefix and the grant window
+	mtuTime    sim.Duration
+	dataRTT    sim.Duration
 
 	tx map[uint64]*flowtrack.Tx
 	rx map[uint64]*rxState
@@ -102,11 +99,8 @@ type rxState struct {
 	checker      sim.Timer
 }
 
-// New returns an unattached Homa host.
-func New(cfg Config, col *stats.Collector) *Proto {
-	if cfg.Overcommit == 0 {
-		cfg.Overcommit = 2
-	}
+// newProto returns an unattached Homa host.
+func newProto(cfg Config, col *stats.Collector) *Proto {
 	return &Proto{cfg: cfg, col: col,
 		tx: make(map[uint64]*flowtrack.Tx),
 		rx: make(map[uint64]*rxState),
@@ -117,7 +111,7 @@ func New(cfg Config, col *stats.Collector) *Proto {
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i] = newProto(cfg, col.ForShard(fab.ShardOfHost(i)))
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps
@@ -128,13 +122,7 @@ func (p *Proto) Start(h *netsim.Host) {
 	p.host = h
 	p.eng = h.Engine()
 	p.id = h.ID()
-	bdp := h.Topo().BDP()
-	unsched := p.cfg.UnschedBytes
-	if unsched == 0 {
-		unsched = bdp
-	}
-	p.unschedPkts = packet.PacketsForBytes(unsched)
-	p.windowPkts = packet.PacketsForBytes(bdp)
+	p.windowPkts = packet.PacketsForBytes(h.Topo().BDP())
 	p.mtuTime = sim.TransmissionTime(packet.MTU, h.LineRate())
 	p.dataRTT = h.Topo().DataRTT()
 }
@@ -186,7 +174,7 @@ func (p *Proto) OnFlowArrival(fl workload.Flow) {
 	p.host.Send(n)
 
 	prio := p.unschedPrio(f.Size)
-	for seq := 0; seq < f.Npkts && seq < p.unschedPkts; seq++ {
+	for seq := 0; seq < f.Npkts && seq < p.windowPkts; seq++ {
 		// Aeolus guarantees the first unscheduled packet is never
 		// selectively dropped (the "probe" the receiver schedules from).
 		p.sendData(f, seq, prio, seq > 0)
@@ -228,7 +216,7 @@ func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
 	f := &rxState{Rx: flowtrack.NewRx(pkt), lastProgress: p.eng.Now()}
 	p.rx[pkt.Flow] = f
 	// The unscheduled prefix is in flight without grants.
-	for seq := 0; seq < f.Npkts && seq < p.unschedPkts; seq++ {
+	for seq := 0; seq < f.Npkts && seq < p.windowPkts; seq++ {
 		f.SkipGrant(seq)
 	}
 	// Loss detection: if the flow stalls, return granted-unreceived seqs

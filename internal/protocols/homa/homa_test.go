@@ -56,8 +56,8 @@ func TestUnloadedLongFlow(t *testing.T) {
 }
 
 func TestPriorityLayouts(t *testing.T) {
-	classic := New(DefaultConfig(), stats.NewCollector(0))
-	aeolus := New(AeolusConfig(), stats.NewCollector(0))
+	classic := newProto(DefaultConfig(), stats.NewCollector(0))
+	aeolus := newProto(AeolusConfig(), stats.NewCollector(0))
 	// Give both window parameters without a fabric.
 	classic.windowPkts = 50
 	aeolus.windowPkts = 50

@@ -16,22 +16,16 @@ import (
 	"dcpim/internal/workload"
 )
 
-// Config tunes the HPCC host.
-type Config struct {
-	// Eta is the target utilization η (0 = 0.95).
-	Eta float64
-	// MaxStage is the additive-increase stage limit (0 = 5).
-	MaxStage int
-	// WAIBytes is the additive increase per update (0 = MTU).
-	WAIBytes int64
-}
-
-// DefaultConfig returns the HPCC paper's parameters.
-func DefaultConfig() Config { return Config{Eta: 0.95, MaxStage: 5, WAIBytes: packet.MTU} }
+// The HPCC paper's window-update parameters.
+const (
+	eta      = 0.95       // target utilization η
+	maxStage = 5          // additive-increase stages before multiplicative alignment
+	wai      = packet.MTU // additive increase W_AI per update, bytes
+)
 
 // FabricConfig returns the netsim configuration HPCC expects: per-flow
 // ECMP (INT needs consistent paths) and PFC for losslessness.
-func (c Config) FabricConfig() netsim.Config {
+func FabricConfig() netsim.Config {
 	// HPCC runs over lossless RoCE fabrics: PFC watermarks with real
 	// headroom behind them. Table 1 allows the 16 MB shared-switch-buffer
 	// configuration; with 2 MB per port and 400 KB per-ingress pause
@@ -48,7 +42,6 @@ func (c Config) FabricConfig() netsim.Config {
 
 // Proto is one host's HPCC instance.
 type Proto struct {
-	cfg Config
 	col *stats.Collector
 	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
 
@@ -85,28 +78,19 @@ type rxState struct {
 	cum int // contiguous received prefix
 }
 
-// New returns an unattached HPCC host.
-func New(cfg Config, col *stats.Collector) *Proto {
-	if cfg.Eta == 0 {
-		cfg.Eta = 0.95
-	}
-	if cfg.MaxStage == 0 {
-		cfg.MaxStage = 5
-	}
-	if cfg.WAIBytes == 0 {
-		cfg.WAIBytes = packet.MTU
-	}
-	return &Proto{cfg: cfg, col: col,
+// newProto returns an unattached HPCC host.
+func newProto(col *stats.Collector) *Proto {
+	return &Proto{col: col,
 		tx: make(map[uint64]*txState),
 		rx: make(map[uint64]*rxState),
 	}
 }
 
 // Attach installs HPCC on every host of the fabric.
-func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
+func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i] = newProto(col.ForShard(fab.ShardOfHost(i)))
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps
@@ -291,9 +275,8 @@ func (p *Proto) measureInflight(f *txState, hops []packet.INTHop) float64 {
 // computeWind is HPCC's window update: multiplicative alignment toward
 // η when over target or out of probe stages, additive probe otherwise.
 func (p *Proto) computeWind(f *txState, u float64, updateWc bool) {
-	wai := float64(p.cfg.WAIBytes)
-	if u >= p.cfg.Eta || f.incStage >= p.cfg.MaxStage {
-		ratio := u / p.cfg.Eta
+	if u >= eta || f.incStage >= maxStage {
+		ratio := u / eta
 		if ratio < 0.01 {
 			ratio = 0.01
 		}

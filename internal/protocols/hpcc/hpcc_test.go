@@ -17,10 +17,9 @@ func runHPCC(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64)
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
-	cfg := DefaultConfig()
-	fab := netsim.New(eng, tp, cfg.FabricConfig())
+	fab := netsim.New(eng, tp, FabricConfig())
 	col := stats.NewCollector(0)
-	Attach(fab, cfg, col)
+	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
 	eng.Run(sim.Time(horizon))
@@ -94,13 +93,12 @@ func TestIncastTriggersPFC(t *testing.T) {
 	// reliably crosses them — this exercises the pause/resume machinery.
 	eng := sim.NewEngine(4)
 	tp := topo.SmallLeafSpine().Build()
-	cfg := DefaultConfig()
-	fc := cfg.FabricConfig()
+	fc := FabricConfig()
 	fc.PFCPause = 40 << 10
 	fc.PFCResume = 20 << 10
 	fab := netsim.New(eng, tp, fc)
 	col := stats.NewCollector(0)
-	Attach(fab, cfg, col)
+	Attach(fab, col)
 	fab.Start()
 	fab.Inject(&workload.Trace{Flows: flows})
 	eng.Run(sim.Time(10 * sim.Millisecond))
@@ -118,7 +116,7 @@ func TestIncastTriggersPFC(t *testing.T) {
 func TestWindowReactsToCongestion(t *testing.T) {
 	// Direct unit test of the update rule: high measured utilization
 	// shrinks the window below the reference; low utilization grows it.
-	p := New(DefaultConfig(), stats.NewCollector(0))
+	p := newProto(stats.NewCollector(0))
 	p.bdp = 72_500
 	p.baseRTT = 6 * sim.Microsecond
 	f := &txState{Tx: mkTx(1), w: 72_500, wc: 72_500}
@@ -133,7 +131,7 @@ func TestWindowReactsToCongestion(t *testing.T) {
 	}
 	// After maxStage probes, multiplicative alignment kicks in even at
 	// low U (fast ramp): W = Wc/(U/η) ≫ Wc.
-	f2.incStage = p.cfg.MaxStage
+	f2.incStage = maxStage
 	p.computeWind(f2, 0.3, true)
 	if f2.w < 1.5*40_000 {
 		t.Fatalf("MI ramp missing: %.0f", f2.w)

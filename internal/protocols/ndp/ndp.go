@@ -15,31 +15,21 @@ import (
 	"dcpim/internal/workload"
 )
 
-// Config tunes the NDP host.
-type Config struct {
-	// InitialWindowBytes is the blind first window (0 = 1 BDP).
-	InitialWindowBytes int64
-	// TrimQueuePkts is the switch queue depth, in full packets, beyond
-	// which data is trimmed (0 = 8, the paper's setting for NDP).
-	TrimQueuePkts int
-}
+// trimQueuePkts is the switch queue depth, in full packets, beyond which
+// data is trimmed: the NDP paper's setting.
+const trimQueuePkts = 8
 
 // FabricConfig returns the netsim configuration NDP requires: spraying and
 // aggressive trimming at shallow queues.
-func (c Config) FabricConfig() netsim.Config {
-	q := c.TrimQueuePkts
-	if q == 0 {
-		q = 8
-	}
+func FabricConfig() netsim.Config {
 	return netsim.Config{
 		Spray:              true,
-		TrimThresholdBytes: int64(q) * packet.MTU,
+		TrimThresholdBytes: trimQueuePkts * packet.MTU,
 	}
 }
 
 // Proto is one host's NDP instance.
 type Proto struct {
-	cfg Config
 	col *stats.Collector
 	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
 
@@ -47,7 +37,7 @@ type Proto struct {
 	eng  *sim.Engine
 	id   int
 
-	initPkts int
+	initPkts int // the blind first window: 1 BDP
 	mtuTime  sim.Duration
 	dataRTT  sim.Duration
 
@@ -76,19 +66,19 @@ type rxState struct {
 	checker sim.Timer
 }
 
-// New returns an unattached NDP host.
-func New(cfg Config, col *stats.Collector) *Proto {
-	return &Proto{cfg: cfg, col: col,
+// newProto returns an unattached NDP host.
+func newProto(col *stats.Collector) *Proto {
+	return &Proto{col: col,
 		tx: make(map[uint64]*txState),
 		rx: make(map[uint64]*rxState),
 	}
 }
 
 // Attach installs NDP on every host of the fabric.
-func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
+func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i] = newProto(col.ForShard(fab.ShardOfHost(i)))
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps
@@ -99,11 +89,7 @@ func (p *Proto) Start(h *netsim.Host) {
 	p.host = h
 	p.eng = h.Engine()
 	p.id = h.ID()
-	win := p.cfg.InitialWindowBytes
-	if win == 0 {
-		win = h.Topo().BDP()
-	}
-	p.initPkts = packet.PacketsForBytes(win)
+	p.initPkts = packet.PacketsForBytes(h.Topo().BDP())
 	p.mtuTime = sim.TransmissionTime(packet.MTU, h.LineRate())
 	p.dataRTT = h.Topo().DataRTT()
 }

@@ -14,10 +14,9 @@ func runNDP(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64) 
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
-	cfg := Config{}
-	fab := netsim.New(eng, tp, cfg.FabricConfig())
+	fab := netsim.New(eng, tp, FabricConfig())
 	col := stats.NewCollector(0)
-	Attach(fab, cfg, col)
+	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
 	eng.Run(sim.Time(horizon))

@@ -13,32 +13,12 @@ import (
 	"dcpim/internal/stats"
 )
 
-// Config tunes the pHost host.
-type Config struct {
-	// FreeBytes is the uncredited first window (0 = 1 BDP).
-	FreeBytes int64
-}
-
 // Proto is one host's pHost instance.
 type Proto = homa.Proto
 
-// New returns an unattached pHost host.
-func New(cfg Config, col *stats.Collector) *Proto {
-	return homa.New(homa.Config{
-		Overcommit:   1,
-		UnschedBytes: cfg.FreeBytes,
-		FlatPriority: true,
-	}, col)
-}
-
 // Attach installs pHost on every host of the fabric.
-func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
-	ps := make([]*Proto, fab.Topology().NumHosts)
-	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
-		fab.AttachProtocol(i, ps[i])
-	}
-	return ps
+func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
+	return homa.Attach(fab, homa.Config{Overcommit: 1, FlatPriority: true}, col)
 }
 
 // FabricConfig returns the netsim configuration pHost expects (per-packet

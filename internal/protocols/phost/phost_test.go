@@ -17,7 +17,7 @@ func runPHost(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
 	col := stats.NewCollector(0)
-	Attach(fab, Config{}, col)
+	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
 	eng.Run(sim.Time(horizon))
@@ -47,7 +47,7 @@ func TestFlatPriority(t *testing.T) {
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
 	col := stats.NewCollector(0)
-	Attach(fab, Config{}, col)
+	Attach(fab, col)
 	fab.Start()
 	prios := map[uint8]bool{}
 	fab.AddObserver(netsim.ObserverFuncs{Delivered: func(host int, p *packet.Packet) {

@@ -20,6 +20,12 @@ import (
 // MSS is the sender's segment payload size.
 const MSS = packet.PayloadSize
 
+const (
+	initialWindow = 10 * MSS // bytes, every flow's first window
+	dctcpK        = 65       // DCTCP's ECN marking threshold, packets
+	dctcpG        = 1.0 / 16 // DCTCP's α gain g
+)
+
 // CongestionControl is the pluggable window policy. Windows are in bytes.
 type CongestionControl interface {
 	// Init is called once per flow with the initial window.
@@ -40,19 +46,14 @@ type Config struct {
 	// ECNThreshold configures the fabric's marking threshold in bytes
 	// (DCTCP); 0 disables marking.
 	ECNThreshold int64
-	// InitialWindow in bytes (0 = 10 MSS).
-	InitialWindow int64
 }
 
-// DCTCPConfig returns a DCTCP deployment: ECN marking at K packets and the
-// DCTCP alpha controller.
-func DCTCPConfig(kPackets int) Config {
-	if kPackets == 0 {
-		kPackets = 65
-	}
+// DCTCPConfig returns a DCTCP deployment: ECN marking at dctcpK packets
+// and the DCTCP alpha controller.
+func DCTCPConfig() Config {
 	return Config{
-		NewCC:        func() CongestionControl { return NewDCTCP(0.0625) },
-		ECNThreshold: int64(kPackets) * packet.MTU,
+		NewCC:        func() CongestionControl { return NewDCTCP() },
+		ECNThreshold: dctcpK * packet.MTU,
 	}
 }
 
@@ -103,13 +104,10 @@ type rxState struct {
 	cum int
 }
 
-// New returns an unattached TCP host.
-func New(cfg Config, col *stats.Collector) *Proto {
+// newProto returns an unattached TCP host.
+func newProto(cfg Config, col *stats.Collector) *Proto {
 	if cfg.NewCC == nil {
 		panic("tcp: Config.NewCC is required")
-	}
-	if cfg.InitialWindow == 0 {
-		cfg.InitialWindow = 10 * MSS
 	}
 	return &Proto{cfg: cfg, col: col,
 		tx: make(map[uint64]*txState),
@@ -121,7 +119,7 @@ func New(cfg Config, col *stats.Collector) *Proto {
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
-		ps[i] = New(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i] = newProto(cfg, col.ForShard(fab.ShardOfHost(i)))
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps
@@ -143,7 +141,7 @@ func (p *Proto) OnFlowArrival(fl workload.Flow) {
 		srtt:   p.host.Topo().DataRTT(),
 		rto:    4 * p.host.Topo().DataRTT(),
 	}
-	f.cc.Init(float64(p.cfg.InitialWindow))
+	f.cc.Init(initialWindow)
 	p.tx[f.ID] = f
 	p.trySend(f)
 	p.armRTO(f)
@@ -302,7 +300,6 @@ func (p *Proto) onAck(ack *packet.Packet) {
 // DCTCP tracks the fraction of ECN-marked acknowledgements per window and
 // scales the window by α/2 once per RTT (Alizadeh et al., SIGCOMM 2010).
 type DCTCP struct {
-	g        float64
 	alpha    float64
 	cwnd     float64
 	ssthresh float64
@@ -313,9 +310,9 @@ type DCTCP struct {
 	sawMark     bool
 }
 
-// NewDCTCP returns the DCTCP controller with gain g.
-func NewDCTCP(g float64) *DCTCP {
-	return &DCTCP{g: g, ssthresh: math.MaxFloat64}
+// NewDCTCP returns the DCTCP controller, with gain dctcpG.
+func NewDCTCP() *DCTCP {
+	return &DCTCP{ssthresh: math.MaxFloat64}
 }
 
 // Init implements CongestionControl.
@@ -336,7 +333,7 @@ func (d *DCTCP) OnAck(acked int64, ecn bool, now sim.Time, rtt sim.Duration) {
 		// and cut once if anything was marked.
 		if d.ackedBytes > 0 {
 			frac := float64(d.markedBytes) / float64(d.ackedBytes)
-			d.alpha = (1-d.g)*d.alpha + d.g*frac
+			d.alpha = (1-dctcpG)*d.alpha + dctcpG*frac
 		}
 		if d.sawMark {
 			d.cwnd *= 1 - d.alpha/2

@@ -47,7 +47,7 @@ func TestCubicLongFlowUnloaded(t *testing.T) {
 }
 
 func TestDCTCPLongFlowUnloaded(t *testing.T) {
-	col, _ := runTCP(t, DCTCPConfig(65), oneFlow(5_000_000), 50*sim.Millisecond, 2)
+	col, _ := runTCP(t, DCTCPConfig(), oneFlow(5_000_000), 50*sim.Millisecond, 2)
 	if col.Completed() != 1 {
 		t.Fatal("flow not completed")
 	}
@@ -64,7 +64,7 @@ func TestDCTCPKeepsQueuesShorterThanCubic(t *testing.T) {
 		{ID: 1, Src: 1, Dst: 0, Size: 8_000_000, Arrival: 0},
 		{ID: 2, Src: 2, Dst: 0, Size: 8_000_000, Arrival: 0},
 	}
-	dctcpCol, dctcpFab := runTCP(t, DCTCPConfig(65), &workload.Trace{Flows: flows}, 100*sim.Millisecond, 3)
+	dctcpCol, dctcpFab := runTCP(t, DCTCPConfig(), &workload.Trace{Flows: flows}, 100*sim.Millisecond, 3)
 	cubicCol, cubicFab := runTCP(t, CubicConfig(), &workload.Trace{Flows: flows}, 100*sim.Millisecond, 3)
 	if dctcpCol.Completed() != 2 || cubicCol.Completed() != 2 {
 		t.Fatalf("completions: dctcp %d, cubic %d", dctcpCol.Completed(), cubicCol.Completed())
@@ -131,7 +131,7 @@ func TestShortFlowsSlowedByLongFlows(t *testing.T) {
 }
 
 func TestDCTCPAlphaConverges(t *testing.T) {
-	d := NewDCTCP(0.0625)
+	d := NewDCTCP()
 	d.Init(100 * MSS)
 	rtt := 8 * sim.Microsecond
 	now := sim.Time(0)
@@ -175,10 +175,10 @@ func TestCubicWindowCurve(t *testing.T) {
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New accepted nil NewCC")
+			t.Fatal("newProto accepted nil NewCC")
 		}
 	}()
-	New(Config{}, stats.NewCollector(0))
+	newProto(Config{}, stats.NewCollector(0))
 }
 
 func TestDeterminism(t *testing.T) {
@@ -189,8 +189,8 @@ func TestDeterminism(t *testing.T) {
 			Dist: workload.IMC10(), Horizon: 2 * sim.Millisecond, Seed: 11,
 		}.Generate()
 	}
-	a, _ := runTCP(t, DCTCPConfig(65), mk(), 10*sim.Millisecond, 12)
-	b, _ := runTCP(t, DCTCPConfig(65), mk(), 10*sim.Millisecond, 12)
+	a, _ := runTCP(t, DCTCPConfig(), mk(), 10*sim.Millisecond, 12)
+	b, _ := runTCP(t, DCTCPConfig(), mk(), 10*sim.Millisecond, 12)
 	if a.Completed() != b.Completed() || a.DeliveredBytes() != b.DeliveredBytes() {
 		t.Fatal("non-deterministic TCP run")
 	}
