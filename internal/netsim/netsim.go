@@ -512,7 +512,7 @@ type Host struct {
 	sh    *shardState
 	nic   *outPort // this host's element of Fabric.ports
 	proto Protocol
-	src   sim.CountingSource // rng's source, seeded on its first draw
+	src   sim.CountingSource // rng's source; builds no table before its 274th draw
 	rng   rand.Rand
 }
 
@@ -616,7 +616,7 @@ type swDev struct {
 	// until RestoreSwitch brings the forwarding plane back.
 	down bool
 
-	src  sim.CountingSource // rng's source, seeded on its first draw
+	src  sim.CountingSource // rng's source; builds no table before its 274th draw
 	rng  rand.Rand
 	spec *topo.Switch
 

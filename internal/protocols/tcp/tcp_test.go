@@ -81,6 +81,24 @@ func TestDCTCPKeepsQueuesShorterThanCubic(t *testing.T) {
 	}
 }
 
+func TestDCTCPIncastMarkCount(t *testing.T) {
+	// Eight senders open 10-MSS windows into one host at once: 80
+	// packets reach its downlink together, so the queue crosses the
+	// 65-packet marking threshold from the first round trip on. The mark
+	// count is pinned: a threshold of 64 packets gives 480, 66 gives 478.
+	var flows []workload.Flow
+	for src := 1; src <= 8; src++ {
+		flows = append(flows, workload.Flow{ID: uint64(src), Src: src, Dst: 0, Size: 100_000, Arrival: 0})
+	}
+	col, fab := runTCP(t, DCTCPConfig(), &workload.Trace{Flows: flows}, 100*sim.Millisecond, 6)
+	if col.Completed() != int64(len(flows)) {
+		t.Fatalf("completed %d/%d", col.Completed(), len(flows))
+	}
+	if got := fab.Counters.ECNMarks; got != 479 {
+		t.Fatalf("ECN marks %d, want 479", got)
+	}
+}
+
 func TestFastRetransmitRecoversLoss(t *testing.T) {
 	// Force drops with a shallow buffer: flows must still complete
 	// (via dup-ack fast retransmit and RTO).

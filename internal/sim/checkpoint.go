@@ -90,37 +90,45 @@ func (e *Engine) TakeJournal() []EventRecord {
 
 // CountingSource is a deterministic rand.Source64 that counts how many
 // values have been drawn, making the RNG position part of capturable
-// state. Wrapping does not change the stream —
-// both Int63 and Uint64 advance the underlying generator exactly one
-// step, as they do unwrapped.
+// state. Its stream is rand.NewSource(seed)'s, value for value: Int63 and
+// Uint64 each take one step, as they do on that source.
 //
-// The generator is seeded on the first draw, not at construction: seeding
-// math/rand's source fills a 4.9 KB table, every host and switch owns a
-// stream, and most never draw (a core switch routes without randomness, a
-// dcPIM host draws only to shuffle several candidates). Draws() == 0
-// therefore means no generator exists yet.
+// Every host and switch owns a stream, and most draw few values or none
+// (a core switch routes without randomness, a dcPIM host draws only to
+// shuffle several candidates), while math/rand's source fills a 4.9 KB
+// register when seeded. So the first 273 draws are computed from two
+// 4-byte cursors instead (lazyrand.go), and only a stream that draws a
+// 274th value builds the source and replays its prefix. The cursors also
+// encode the seed, which keeps the struct at 32 bytes. Draws() counts the
+// same either way.
 type CountingSource struct {
-	seed int64
-	src  rand.Source64 // nil until the first draw
-	n    uint64
+	src       rand.Source64 // nil until the stream outlives its lazy prefix
+	n         uint64
+	feed, tap uint32 // lazy cursors (lazyrand.go); zero where none applies
 }
 
 // NewCountingSource returns a counting source over rand.NewSource(seed).
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{seed: seed}
+	c := &CountingSource{}
+	c.Seed(seed)
+	return c
 }
 
-// start builds the generator for the stream's first draw.
+// materialise builds the source and replays the draws taken lazily.
 //
-//lint:coldpath runs once per stream; every later draw finds the generator built
-func (c *CountingSource) start() {
-	c.src = rand.NewSource(c.seed).(rand.Source64)
+//lint:coldpath runs at most once per stream; every later draw finds the source built
+func (c *CountingSource) materialise() {
+	src := rand.NewSource(seedOf(c.feed, c.n)).(rand.Source64)
+	for i := uint64(0); i < c.n; i++ {
+		src.Uint64()
+	}
+	c.src = src
 }
 
 // Int63 draws one value.
 func (c *CountingSource) Int63() int64 {
 	if c.src == nil {
-		c.start()
+		return int64(c.unbuilt() &^ (1 << 63))
 	}
 	c.n++
 	return c.src.Int63()
@@ -129,15 +137,29 @@ func (c *CountingSource) Int63() int64 {
 // Uint64 draws one value.
 func (c *CountingSource) Uint64() uint64 {
 	if c.src == nil {
-		c.start()
+		return c.unbuilt()
 	}
+	c.n++
+	return c.src.Uint64()
+}
+
+// unbuilt draws one value while the source is not built: from the
+// cursors during the lazy prefix, after it by building the source.
+func (c *CountingSource) unbuilt() uint64 {
+	if c.n < regTap && c.feed != 0 {
+		k := c.n
+		c.n++
+		return (word(&c.feed) ^ cooked[regFeed-1-k]) + (word(&c.tap) ^ cooked[regLen-1-k])
+	}
+	c.materialise()
 	c.n++
 	return c.src.Uint64()
 }
 
 // Seed reseeds the source and resets the draw count.
 func (c *CountingSource) Seed(seed int64) {
-	c.seed, c.src, c.n = seed, nil, 0
+	c.src, c.n = nil, 0
+	c.feed, c.tap = cursors(seed)
 }
 
 // Draws returns the number of values drawn so far.
