@@ -58,13 +58,19 @@ func runMain() (code int) {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsDir = flag.String("metrics", "", "write per-run telemetry (CSV time series + JSON report) into this directory")
 		matchers   = flag.String("matchers", "", "restrict the matchers experiment to these comma-separated registered matchers (empty = all)")
-		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot every figure's runs every this much simulated time (e.g. 100us); pair with -checkpoint-dir to keep the files")
-		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory")
+		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot every figure's runs every this much simulated time (e.g. 100us); needs -checkpoint-dir")
+		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory; needs -checkpoint")
 		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
 	)
 	flag.Parse()
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "-shards %d: want 0 (auto), 1 (serial) or a shard count\n", *shards)
+		return 2
+	}
+	// A cadence with nowhere to write captures every snapshot and throws
+	// it away; a directory with no cadence stays empty.
+	if *ckptEvery < 0 || (*ckptEvery > 0) != (*ckptDir != "") {
+		fmt.Fprintln(os.Stderr, "-checkpoint <cadence> and -checkpoint-dir <dir> go together: a positive cadence takes the snapshots, the directory keeps them")
 		return 2
 	}
 

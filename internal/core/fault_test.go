@@ -28,7 +28,8 @@ func faultScenario(t *testing.T, seed int64, drain sim.Duration, events ...fault
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true, Audit: true})
+	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+	fab.EnableAudit()
 	col := stats.NewCollector(0)
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
@@ -106,7 +107,8 @@ func TestLossBurstRecovery(t *testing.T) {
 func TestGeneratedFaultStorm(t *testing.T) {
 	eng := sim.NewEngine(17)
 	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true, Audit: true})
+	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+	fab.EnableAudit()
 	col := stats.NewCollector(0)
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()

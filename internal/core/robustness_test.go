@@ -19,10 +19,16 @@ func TestRandomLossRecovery(t *testing.T) {
 	for _, lossRate := range []float64{0.001, 0.01} {
 		eng := sim.NewEngine(5)
 		tp := topo.SmallLeafSpine().Build()
-		fab := netsim.New(eng, tp, netsim.Config{
-			Spray:          true,
-			RandomLossRate: lossRate,
-		})
+		fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+		lossEverywhere(fab, lossRate)
+		var dataDrops, ctrlDrops int
+		fab.AddObserver(netsim.ObserverFuncs{Dropped: func(p *packet.Packet) {
+			if p.Kind == packet.Data {
+				dataDrops++
+			} else {
+				ctrlDrops++
+			}
+		}})
 		col := stats.NewCollector(0)
 		Attach(fab, DefaultConfig(), col)
 		fab.Start()
@@ -33,9 +39,8 @@ func TestRandomLossRecovery(t *testing.T) {
 		fab.Inject(tr)
 		// Generous drain: recovery paths take several epochs.
 		eng.Run(sim.Time(20 * sim.Millisecond))
-		if fab.Counters.CtrlDrops == 0 || fab.Counters.DataDrops == 0 {
-			t.Fatalf("loss %.3f: premise broken (ctrl=%d data=%d drops)",
-				lossRate, fab.Counters.CtrlDrops, fab.Counters.DataDrops)
+		if ctrlDrops == 0 || dataDrops == 0 {
+			t.Fatalf("loss %.3f: premise broken (ctrl=%d data=%d drops)", lossRate, ctrlDrops, dataDrops)
 		}
 		if col.Completed() != int64(len(tr.Flows)) {
 			t.Errorf("loss %.3f: completed %d/%d flows", lossRate, col.Completed(), len(tr.Flows))
@@ -47,6 +52,16 @@ func TestRandomLossRecovery(t *testing.T) {
 	}
 }
 
+// lossEverywhere drops each packet, data and control alike, at every
+// switch hop with probability rate, through the per-port fault table.
+func lossEverywhere(fab *netsim.Fabric, rate float64) {
+	for sw, d := range fab.Topology().Switches {
+		for pt := range d.Ports {
+			fab.SetLinkLossRate(sw, pt, rate)
+		}
+	}
+}
+
 // A lost accept leaves sender and receiver disagreeing (§3.5): the
 // receiver clocks tokens anyway and the sender honors them, so data still
 // flows. We simulate by injecting heavy control loss and confirming long
@@ -54,7 +69,8 @@ func TestRandomLossRecovery(t *testing.T) {
 func TestLongFlowUnderControlLoss(t *testing.T) {
 	eng := sim.NewEngine(7)
 	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true, RandomLossRate: 0.02})
+	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+	lossEverywhere(fab, 0.02)
 	col := stats.NewCollector(0)
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()

@@ -69,15 +69,11 @@ func (f *sendFlow) remainingBytes() int64 {
 	return int64(f.npkts-f.sentCnt) * packet.PayloadSize
 }
 
-// init binds the sender to its host. It allocates nothing for a host
-// Attach made: the per-round bookkeeping is already there, the flow map
-// waits for the first flow and the request buffers for the first request.
-// A bare New gets its per-round bookkeeping here.
+// init binds the sender to its host. It allocates nothing: Attach has
+// already carved the per-round bookkeeping, the flow map waits for the
+// first flow and the request buffers for the first request.
 func (s *sender) init(p *Proto) {
 	s.p = p
-	if r := p.sh.cfg.Rounds; cap(s.rounds) != r {
-		s.rounds = make([]roundState, 0, r)
-	}
 }
 
 // wake makes the request buffers, one per round, on the host's first

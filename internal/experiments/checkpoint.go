@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -54,83 +55,30 @@ func (c *CheckpointSpec) label(spec RunSpec) string {
 func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) { return run(spec, nil) }
 
 // capture records the run's state at time at: each engine's
-// EngineState, the per-host delivered-stream digests and, when enabled,
-// each engine's journal since the last capture. Pure reads, so a
-// capturing run stays byte-identical to a non-capturing one. Section
-// order is fixed: engines, digest, then journals.
+// EngineState, a copy of the per-host delivered-stream digests (the run
+// keeps folding into rs.hostDigests) and, when enabled, each engine's
+// journal since the last capture. Pure reads, so a capturing run stays
+// byte-identical to a non-capturing one.
 func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 	ck := rs.spec.Checkpoint
-	snap := &checkpoint.Snapshot{Meta: checkpoint.Meta{
-		Version:   checkpoint.Version,
-		Label:     ck.label(rs.spec),
-		Protocol:  rs.spec.Protocol,
-		Seed:      rs.spec.Seed,
-		Hosts:     rs.spec.Topo.NumHosts,
-		Shards:    len(rs.engines),
-		HorizonPs: int64(rs.spec.Horizon),
-		TimePs:    int64(at),
-		Index:     idx,
-		EveryPs:   int64(ck.Every),
-	}}
+	snap := &checkpoint.Snapshot{
+		Meta: checkpoint.Meta{
+			Label: ck.label(rs.spec), Protocol: rs.spec.Protocol, Seed: rs.spec.Seed,
+			HorizonPs: int64(rs.spec.Horizon), TimePs: int64(at), Index: idx, EveryPs: int64(ck.Every),
+		},
+		Engines: make([]sim.EngineState, len(rs.engines)),
+		Digests: append([]uint64(nil), rs.hostDigests...),
+	}
 	for i, eng := range rs.engines {
-		var e checkpoint.Encoder
-		encodeEngineState(&e, eng.CaptureState())
-		snap.AddSection(fmt.Sprintf("engine/%d", i), e.Data())
+		snap.Engines[i] = eng.CaptureState()
 	}
-	var de checkpoint.Encoder
-	de.U32(uint32(len(rs.hostDigests)))
-	for _, d := range rs.hostDigests {
-		de.U64(d)
-	}
-	snap.AddSection("digest", de.Data())
 	if ck.Journal {
+		snap.Journals = make([][]sim.EventRecord, len(rs.engines))
 		for i, eng := range rs.engines {
-			var e checkpoint.Encoder
-			encodeJournal(&e, eng.TakeJournal())
-			snap.AddSection(fmt.Sprintf("journal/%d", i), e.Data())
+			snap.Journals[i] = eng.TakeJournal()
 		}
 	}
 	return snap
-}
-
-func encodeEngineState(e *checkpoint.Encoder, st sim.EngineState) {
-	e.I64(int64(st.Now))
-	e.U64(st.Ord)
-	e.U64(st.Seq)
-	e.U64(st.Events)
-	e.U64(st.Draws)
-	e.U32(uint32(len(st.Pending)))
-	for _, rec := range st.Pending {
-		e.I64(int64(rec.At))
-		e.U64(rec.Seq)
-	}
-}
-
-func encodeJournal(e *checkpoint.Encoder, j []sim.EventRecord) {
-	e.U32(uint32(len(j)))
-	for _, rec := range j {
-		e.I64(int64(rec.At))
-		e.U64(rec.Seq)
-	}
-}
-
-// decodeJournal parses a journal section; nil on malformed data (journal
-// sections are advisory bisection data, not load-bearing state).
-func decodeJournal(b []byte) []sim.EventRecord {
-	d := checkpoint.NewDecoder(b)
-	n := int(d.U32())
-	if d.Err() != nil || n > d.Remaining()/16 {
-		return nil
-	}
-	out := make([]sim.EventRecord, 0, n)
-	for i := 0; i < n; i++ {
-		rec := sim.EventRecord{At: sim.Time(d.I64()), Seq: d.U64()}
-		if d.Err() != nil {
-			return nil
-		}
-		out = append(out, rec)
-	}
-	return out
 }
 
 // writeSnapshot emits one snapshot file under ck.Dir (no-op when unset).
@@ -140,16 +88,13 @@ func writeSnapshot(ck *CheckpointSpec, snap *checkpoint.Snapshot) {
 	if ck.Dir == "" {
 		return
 	}
-	path := filepath.Join(ck.Dir, fmt.Sprintf("%s.ck%04d.dcpimck", snap.Meta.Label, snap.Meta.Index))
-	f, err := os.Create(path)
+	var buf bytes.Buffer
+	err := snap.Checkpoint(&buf)
+	if err == nil {
+		path := filepath.Join(ck.Dir, fmt.Sprintf("%s.ck%04d.dcpimck", snap.Meta.Label, snap.Meta.Index))
+		err = os.WriteFile(path, buf.Bytes(), 0o666)
+	}
 	if err != nil {
-		panic(fmt.Sprintf("experiments: writing checkpoint: %v", err))
-	}
-	if err := snap.Checkpoint(f); err != nil {
-		f.Close()
-		panic(fmt.Sprintf("experiments: writing checkpoint: %v", err))
-	}
-	if err := f.Close(); err != nil {
 		panic(fmt.Sprintf("experiments: writing checkpoint: %v", err))
 	}
 }
@@ -174,8 +119,9 @@ type BisectReport struct {
 	FirstBad    int      // index of the first diverging snapshot
 	WindowStart sim.Time // last agreeing snapshot time (0 = run start)
 	WindowEnd   sim.Time // time of the first diverging snapshot
-	Section     string   // first diverging section ("" = snapshot shape)
-	Detail      string
+	// Section, Field and Detail name the first diverging field of that
+	// snapshot, as checkpoint.DivergenceError does.
+	Section, Field, Detail string
 	// Event is the first diverging executed event, when both snapshot
 	// streams carry journals; nil when they don't or when event keys
 	// agree (a same-events, different-state build difference).
@@ -215,28 +161,19 @@ func Bisect(ref, got []*checkpoint.Snapshot) (BisectReport, error) {
 	}
 	var de *checkpoint.DivergenceError
 	if errors.As(checkpoint.Compare(ref[lo], got[lo]), &de) {
-		rep.Section, rep.Detail = de.Section, de.Detail
+		rep.Section, rep.Field, rep.Detail = de.Section, de.Field, de.Detail
 	}
 	rep.Event = firstEventDivergence(ref[lo], got[lo])
 	return rep, nil
 }
 
-// firstEventDivergence walks the per-engine journal sections of the
-// first diverging snapshot pair and returns the earliest event-key
-// mismatch, or nil when journals are absent or agree.
+// firstEventDivergence walks the per-engine journals of the first
+// diverging snapshot pair and returns the earliest event-key mismatch,
+// or nil when journals are absent or agree.
 func firstEventDivergence(a, b *checkpoint.Snapshot) *EventDivergence {
-	for e := 0; ; e++ {
-		name := fmt.Sprintf("journal/%d", e)
-		ra, oka := a.Section(name)
-		rb, okb := b.Section(name)
-		if !oka || !okb {
-			return nil
-		}
-		ja, jb := decodeJournal(ra), decodeJournal(rb)
-		limit := len(ja)
-		if len(jb) < limit {
-			limit = len(jb)
-		}
+	for e := 0; e < len(a.Journals) && e < len(b.Journals); e++ {
+		ja, jb := a.Journals[e], b.Journals[e]
+		limit := min(len(ja), len(jb))
 		for i := 0; i < limit; i++ {
 			if ja[i] != jb[i] {
 				return &EventDivergence{Engine: e, Index: i,
@@ -253,6 +190,7 @@ func firstEventDivergence(a, b *checkpoint.Snapshot) *EventDivergence {
 			return ev
 		}
 	}
+	return nil
 }
 
 // BisectDirs reads the snapshot streams two runs wrote into dirA and
@@ -307,13 +245,11 @@ func printBisectReport(w io.Writer, rep BisectReport, dirA, dirB string) {
 	fmt.Fprintf(w, "first diverging snapshot: index %d, window (%v, %v]\n",
 		rep.FirstBad, rep.WindowStart, rep.WindowEnd)
 	if rep.Section != "" {
-		fmt.Fprintf(w, "first diverging section: %s (%s)\n", rep.Section, rep.Detail)
-	} else if rep.Detail != "" {
-		fmt.Fprintf(w, "snapshots diverge in shape: %s\n", rep.Detail)
+		fmt.Fprintf(w, "first diverging field: %s %s: %s\n", rep.Section, rep.Field, rep.Detail)
 	}
 	switch ev := rep.Event; {
 	case ev == nil:
-		fmt.Fprintln(w, "no event-key divergence (journals absent or identical); the section above localizes the state difference")
+		fmt.Fprintln(w, "no event-key divergence (journals absent or identical); the field above localizes the state difference")
 	case ev.GotMissing:
 		fmt.Fprintf(w, "first diverging event: engine %d event %d — %s has (t=%v seq=%#x), %s has none\n",
 			ev.Engine, ev.Index, dirA, ev.RefAt, ev.RefSeq, dirB)

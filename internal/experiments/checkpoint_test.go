@@ -133,8 +133,8 @@ func TestCheckpointAutoShards(t *testing.T) {
 		t.Fatalf("%d snapshots, want at least 2", len(snaps))
 	}
 	for _, s := range snaps {
-		if s.Meta.Shards != auto {
-			t.Errorf("snapshot %d: Meta.Shards = %d, want the resolved count %d", s.Meta.Index, s.Meta.Shards, auto)
+		if len(s.Engines) != auto {
+			t.Errorf("snapshot %d: %d engines, want the resolved count %d", s.Meta.Index, len(s.Engines), auto)
 		}
 	}
 	spelled, again := RunCheckpointed(prep(auto, true))
@@ -232,7 +232,8 @@ func TestBisectDirsByLabel(t *testing.T) {
 	for _, want := range []string{
 		"label golden-clean: 8 vs 8 snapshots, no divergence\n",
 		"label golden-faulted: 8 vs 8 snapshots, diverges\n" +
-			"first diverging snapshot: index 0, window (0.000us, 250.000us]\n",
+			"first diverging snapshot: index 0, window (0.000us, 250.000us]\n" +
+			"first diverging field: engine/0 ",
 		"first diverging event: engine 0 event ",
 		"(t=60.000us ",
 	} {
@@ -277,7 +278,6 @@ func TestBisectNoDivergence(t *testing.T) {
 // divergent delivered byte at the snapshot where it lands.
 func TestCheckpointDigestWithoutRunDigest(t *testing.T) {
 	spec := fixtureSpec(16)
-	want := 4 + 8*spec.Topo.NumHosts
 	_, withDigest := RunCheckpointed(spec)
 	spec = fixtureSpec(16)
 	spec.Digest = false
@@ -289,13 +289,12 @@ func TestCheckpointDigestWithoutRunDigest(t *testing.T) {
 		t.Fatalf("%d snapshots without Digest, %d with", len(without), len(withDigest))
 	}
 	for i := range without {
-		got, _ := without[i].Section("digest")
-		ref, _ := withDigest[i].Section("digest")
-		if len(got) != want {
-			t.Errorf("snapshot %d: digest section is %d bytes, want %d (%d hosts)", i, len(got), want, spec.Topo.NumHosts)
+		got, ref := without[i].Digests, withDigest[i].Digests
+		if len(got) != spec.Topo.NumHosts {
+			t.Errorf("snapshot %d: %d digests, want one per host (%d)", i, len(got), spec.Topo.NumHosts)
 		}
-		if !bytes.Equal(got, ref) {
-			t.Errorf("snapshot %d: digest section differs from the Digest run's", i)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("snapshot %d: digests differ from the Digest run's", i)
 		}
 	}
 }
@@ -364,11 +363,25 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 		}
 	})
 
+	// The writer, not only the state, is pinned: a fresh run's snapshot 1
+	// encodes to the fixture's bytes, so streams stored by earlier builds
+	// of this format version still bisect against new ones.
+	t.Run("writes-fixture-bytes", func(t *testing.T) {
+		_, snaps := RunCheckpointed(fixtureSpec(16))
+		var buf bytes.Buffer
+		if err := snaps[1].Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("fresh snapshot 1 encodes to %d bytes that differ from the %d-byte fixture (see regeneration note)", buf.Len(), len(raw))
+		}
+	})
+
 	// A file another format version wrote, with a checksum valid over its
 	// own bytes, gets the typed refusal rather than a misreading.
 	t.Run("version-mismatch", func(t *testing.T) {
 		mut := append([]byte(nil), raw...)
-		v := len(checkpoint.Magic)
+		v := len("DCPIMCK1") // the version word follows the magic
 		mut[v]++
 		h := fnv.New64a()
 		h.Write(mut[:len(mut)-8])

@@ -92,7 +92,7 @@ func (a *auditor) drop(p *packet.Packet) {
 }
 
 // EnableAudit turns on the packet-conservation auditor. Call before any
-// traffic is injected; Config.Audit does the same at construction.
+// traffic is injected.
 func (f *Fabric) EnableAudit() {
 	if f.audit == nil {
 		f.audit = &auditor{live: make(map[*packet.Packet]struct{})}

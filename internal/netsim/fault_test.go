@@ -85,27 +85,6 @@ func TestDropSiteCounters(t *testing.T) {
 			},
 		},
 		{
-			name: "random-loss",
-			cfg:  Config{Spray: true, RandomLossRate: 0.3},
-			run: func(f *Fabric) int64 {
-				for src := 1; src < 8; src++ {
-					for i := 0; i < 10; i++ {
-						f.Host(src).Send(packet.NewData(src, 0, uint64(src), i, mtu, packet.PrioShort))
-						f.Host(src).Send(packet.NewControl(packet.Token, src, 0, uint64(src)))
-					}
-				}
-				return 140
-			},
-			want: func(t *testing.T, c Counters) {
-				if c.DataDrops == 0 || c.CtrlDrops == 0 {
-					t.Errorf("random loss spared a class: %+v", c)
-				}
-				if c.AeolusDrops+c.HostDrops+c.FaultDrops != 0 {
-					t.Errorf("random loss leaked into other counters: %+v", c)
-				}
-			},
-		},
-		{
 			name: "aeolus-selective",
 			cfg:  Config{Spray: true, AeolusThresholdBytes: 3 * mtu},
 			run: func(f *Fabric) int64 {

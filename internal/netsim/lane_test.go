@@ -35,7 +35,8 @@ func runMixedSizes(t *testing.T, shards int) uint64 {
 	}
 	grp := sim.NewGroup(engines)
 	defer grp.Close()
-	f := NewSharded(grp, tp, Config{Spray: true, Audit: true}, part)
+	f := NewSharded(grp, tp, Config{Spray: true}, part)
+	f.EnableAudit()
 	sinks := make([]*sink, tp.NumHosts)
 	for i := range sinks {
 		sinks[i] = &sink{}

@@ -52,12 +52,6 @@ type Config struct {
 	// HostQueueBytes bounds the NIC egress queue. 0 means effectively
 	// unbounded (protocols are trusted to pace themselves).
 	HostQueueBytes int64
-	// RandomLossRate drops each packet (data AND control) at each switch
-	// enqueue with this probability — failure injection for protocol
-	// robustness tests. 0 disables.
-	RandomLossRate float64
-	// Audit enables the packet-conservation auditor (see EnableAudit).
-	Audit bool
 }
 
 // DefaultPortBuffer is the paper's per-port buffer (Table 1).
@@ -69,8 +63,8 @@ const DefaultPortBuffer = 500 << 10
 // auditor checks). Trims and ECNMarks are not drops: a trimmed or marked
 // packet is still delivered.
 type Counters struct {
-	DataDrops      int64 // data lost to drop-tail or random loss at switch ports
-	CtrlDrops      int64 // control lost to drop-tail or random loss at switch ports
+	DataDrops      int64 // data lost to drop-tail at switch ports
+	CtrlDrops      int64 // control lost to drop-tail at switch ports
 	Trims          int64
 	AeolusDrops    int64 // unscheduled data selectively dropped (Aeolus)
 	ECNMarks       int64
@@ -215,9 +209,6 @@ func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partitio
 	}
 	if n > 1 {
 		grp.SetInbox(f)
-	}
-	if cfg.Audit {
-		f.EnableAudit()
 	}
 
 	// One slab per kind of state; every device gets a window or an element.

@@ -427,16 +427,26 @@ func TestFabricDeterminism(t *testing.T) {
 	}
 }
 
+// lossEverywhere drops each packet at every switch hop with probability
+// rate, through the per-port fault table.
+func lossEverywhere(f *Fabric, rate float64) {
+	for sw, d := range f.Topology().Switches {
+		for pt := range d.Ports {
+			f.SetLinkLossRate(sw, pt, rate)
+		}
+	}
+}
+
 func TestRandomLossInjection(t *testing.T) {
-	cfg := Config{Spray: true, RandomLossRate: 0.2}
-	f, sinks := buildFabric(t, topo.SmallLeafSpine(), cfg)
+	f, sinks := buildFabric(t, topo.SmallLeafSpine(), Config{Spray: true})
+	lossEverywhere(f, 0.2)
 	const n = 500
 	for i := 0; i < n; i++ {
 		f.Host(0).Send(packet.NewData(0, 7, uint64(i), 0, packet.MTU, packet.PrioShort))
 	}
 	f.Engine().RunAll()
 	got := len(sinks[7].received)
-	drops := f.Counters.DataDrops
+	drops := f.Counters.FaultDrops
 	if got+int(drops) != n {
 		t.Fatalf("conservation: delivered %d + dropped %d != %d", got, drops, n)
 	}

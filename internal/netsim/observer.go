@@ -20,8 +20,8 @@ type Observer interface {
 	// OnPacket, after delivery counters update.
 	PacketDelivered(host int, p *packet.Packet)
 	// PacketDropped fires at every drop site — switch and NIC drop-tail,
-	// Aeolus selective drops, random loss, and injected faults — after
-	// the drop counters update and before the packet is recycled.
+	// Aeolus selective drops and injected faults — after the drop
+	// counters update and before the packet is recycled.
 	PacketDropped(p *packet.Packet)
 	// PacketTrimmed fires when a data packet is trimmed to a header
 	// (NDP). Trimmed packets are still delivered, so a trim is not a

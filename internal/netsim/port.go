@@ -152,20 +152,11 @@ func (o *outPort) enqueue(p *packet.Packet, rng *rand.Rand) {
 // enqueueAt is the entry point for sw, the switch that owns the port,
 // applying Aeolus selective dropping, NDP trimming, ECN marking, and
 // drop-tail in that order, then PFC accounting for the ingress the packet
-// came through. Random and injected loss draw from sw's stream.
+// came through. Injected loss draws from sw's stream.
 func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 	fab := o.sh.fab
 	cfg := &fab.cfg
 	if o.faulty && o.faultDrop(p, &sw.rng) {
-		return
-	}
-	if cfg.RandomLossRate > 0 && sw.rng.Float64() < cfg.RandomLossRate {
-		if p.Kind == packet.Data {
-			o.sh.counters.DataDrops++
-		} else {
-			o.sh.counters.CtrlDrops++
-		}
-		fab.dropped(p)
 		return
 	}
 	isData := p.Kind == packet.Data && !p.Trimmed

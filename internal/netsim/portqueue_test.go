@@ -249,7 +249,8 @@ func TestPortQueueAgainstModel(t *testing.T) {
 // the fabric still holds zeroes its queue link with everything else, which
 // cuts the class list behind it. The conservation auditor must say so.
 func TestAuditCatchesReleaseWhileBuffered(t *testing.T) {
-	f := New(sim.NewEngine(1), topo.SmallLeafSpine().Build(), Config{Spray: true, Audit: true})
+	f := New(sim.NewEngine(1), topo.SmallLeafSpine().Build(), Config{Spray: true})
+	f.EnableAudit()
 	for i := 0; i < f.Topology().NumHosts; i++ {
 		f.AttachProtocol(i, &sink{})
 	}

@@ -88,8 +88,8 @@ func shardedFabric(t *testing.T, tp *topo.Topology, shards int, cfg Config) (*Fa
 		engines[i] = sim.NewEngine(1)
 	}
 	grp := sim.NewGroup(engines)
-	cfg.Audit = true
 	f := NewSharded(grp, tp, cfg, part)
+	f.EnableAudit()
 	sinks := make([]*sink, tp.NumHosts)
 	for i := range sinks {
 		sinks[i] = &sink{}
