@@ -1,34 +1,31 @@
-// Package analysis implements dcpimlint: a suite of static analyzers that
-// machine-enforce the simulator's determinism, ownership, and hot-path
-// contracts (DESIGN.md §12, §17). The headline invariant — same
-// seed ⇒ byte-identical digests, counters, and CSV/JSON artifacts at any
-// shard count — rests on conventions that code review alone cannot hold:
-// seeded *rand.Rand streams instead of the global math/rand functions, no
-// wall-clock reads inside internal/, deterministic iteration over maps
-// that feed digests or metrics, the packet.Keep/ReleaseUnlessKept
-// ownership contract, concurrency confined to sim.Group/experiments.RunMany,
-// exclusive sync/atomic discipline on fields it manages, and allocation-free
-// //lint:hotpath call graphs. Each rule here is an Analyzer; cmd/dcpimlint
-// runs them all and CI gates on a clean exit.
+// Package analysis implements dcpimlint, the static check behind the
+// simulator's zero-allocation hot paths (DESIGN.md §17). The one analyzer
+// is hotalloc: a function marked //lint:hotpath, plus everything it
+// statically calls inside the module, must contain no allocation sites.
+// A benchmark only measures the call tree it happens to run, so a new
+// allocation in a rarely taken branch passes every runtime test; hotalloc
+// sees it. The determinism and ownership contracts are held by tests
+// instead — golden digests at every shard count and the race legs
+// (DESIGN.md §12). cmd/dcpimlint runs the suite and CI gates on a clean
+// exit.
 //
 // The Analyzer/Pass/Diagnostic surface is an API-compatible subset of
 // golang.org/x/tools/go/analysis, reimplemented locally on the standard
 // library (go/ast, go/types, go list) so the module keeps zero external
-// dependencies and the linter builds offline. Cross-package rules ride on
-// a fact mechanism (facts.go) modeled on x/tools facts, extended with a
-// module-wide Finish pass. If the repo ever vendors x/tools, the
-// single-package analyzers port by changing only the import path.
+// dependencies and the linter builds offline. hotalloc's cross-package
+// call graph rides on a fact mechanism (facts.go) modeled on x/tools
+// facts, extended with a module-wide Finish pass.
 //
-// Suppression syntax, shared by every analyzer:
+// The suite reads three directives, each with a mandatory reason:
 //
-//	//lint:ignore <analyzer> <reason>
+//	//lint:ignore hotalloc <reason>
+//	//lint:hotpath <reason>
+//	//lint:coldpath <reason>
 //
-// placed at the end of the offending line or alone on the line directly
-// above it. The reason is mandatory; an ignore directive without one is
-// itself a diagnostic. Two analyzers honor additional directives:
-// //lint:deterministic <reason> (maprange), and //lint:hotpath <reason> /
-// //lint:coldpath <reason> (hotalloc). See CONTRIBUTING.md for the full
-// directive reference.
+// An ignore sits at the end of the offending line or alone on the line
+// directly above it; the markers sit in a function's doc comment. Any
+// other //lint: comment, or one without a reason, is itself a diagnostic
+// ("lintdirective"). See CONTRIBUTING.md for the directive reference.
 package analysis
 
 import (
@@ -46,9 +43,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:ignore directives. It must be a valid Go identifier.
 	Name string
-
-	// Doc is the one-paragraph help text shown by `dcpimlint -list`.
-	Doc string
 
 	// Run applies the rule to one type-checked package. Diagnostics go
 	// through pass.Report; the error return is for analysis failures
@@ -139,42 +133,23 @@ func (fp *FinishPass) AllObjectFacts(example Fact) []KeyedFact {
 
 // A Diagnostic is one finding at one position.
 type Diagnostic struct {
-	Pos     token.Pos `json:"-"`
-	Message string    `json:"message"`
+	Pos     token.Pos
+	Message string
 
 	// Filled in by the runner (Finish hooks set Position themselves).
-	Analyzer string         `json:"analyzer"`
-	Position token.Position `json:"position"`
+	Analyzer string
+	Position token.Position
 
-	// Suggest is the copy-paste directive that would accept this finding
-	// (dcpimlint prints it under the finding). Analyzers may set it; the
-	// runner fills a default //lint:ignore form when empty.
-	Suggest string `json:"suggest,omitempty"`
+	// Suggest, when set, is the copy-paste directive that would accept
+	// this finding; dcpimlint prints it under the finding.
+	Suggest string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Position, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the full dcpimlint suite in reporting order.
+// Analyzers returns the dcpimlint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		GlobalRand,
-		Wallclock,
-		MapRange,
-		PacketOwn,
-		SimGoroutine,
-		AtomicField,
-		HotAlloc,
-	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{HotAlloc}
 }

@@ -46,7 +46,11 @@ func RunFixtures(t TB, dir string, a *Analyzer, patterns ...string) {
 		re  *regexp.Regexp
 		hit bool
 	}
-	wants := make(map[suppressionKey][]*expectation)
+	type lineKey struct {
+		file string
+		line int
+	}
+	wants := make(map[lineKey][]*expectation)
 	for _, pkg := range pkgs {
 		// Dependency packages are loaded for their facts only; their own
 		// diagnostics are discarded by Run, so their comments carry no
@@ -74,7 +78,7 @@ func RunFixtures(t TB, dir string, a *Analyzer, patterns ...string) {
 								pkg.Fset.Position(c.Pos()), pattern, err)
 						}
 						pos := pkg.Fset.Position(c.Pos())
-						key := suppressionKey{pos.Filename, pos.Line}
+						key := lineKey{pos.Filename, pos.Line}
 						wants[key] = append(wants[key], &expectation{re: re})
 					}
 				}
@@ -83,7 +87,7 @@ func RunFixtures(t TB, dir string, a *Analyzer, patterns ...string) {
 	}
 
 	for _, d := range diags {
-		key := suppressionKey{d.Position.Filename, d.Position.Line}
+		key := lineKey{d.Position.Filename, d.Position.Line}
 		matched := false
 		for _, w := range wants[key] {
 			if !w.hit && w.re.MatchString(d.Message) {

@@ -15,11 +15,11 @@ package analysis
 //   - Packages are analyzed in dependency order (load.go topo-sorts), so
 //     by the time a package runs, every fact its module-internal imports
 //     exported is present — the same guarantee x/tools drivers give.
-//   - Analyzers that need a view wider than the import DAG (e.g. "was
-//     this field EVER accessed atomically, anywhere?") declare a Finish
-//     hook, which runs once after every package and can enumerate all
-//     facts. x/tools has no equivalent; our runner owns the whole module,
-//     so it can.
+//   - Analyzers that need a view wider than the import DAG (e.g. "is
+//     this allocation reachable from any hot root, in any package?")
+//     declare a Finish hook, which runs once after every package and
+//     can enumerate all facts. x/tools has no equivalent; our runner owns
+//     the whole module, so it can.
 //
 // Facts must be pointers to structs and are treated as immutable once
 // exported: importing copies the value, but deep state (slices, maps) is

@@ -22,7 +22,6 @@ func (*testMarkFact) AFact() {}
 // topo-order → import chain.
 var factProbe = &Analyzer{
 	Name: "factprobe",
-	Doc:  "test-only: round-trips facts across packages",
 	Run: func(pass *Pass) error {
 		if fn, ok := pass.Pkg.Scope().Lookup("Marked").(*types.Func); ok {
 			if !pass.ExportObjectFact(fn, &testMarkFact{Tag: "obj:" + pass.Pkg.Path()}) {

@@ -41,9 +41,7 @@ import (
 // interfaces or function values are not resolvable statically and are not
 // traversed — the benchmarks still cover those.
 var HotAlloc = &Analyzer{
-	Name: "hotalloc",
-	Doc: "//lint:hotpath functions and their static in-module callees must " +
-		"not contain allocation sites",
+	Name:   "hotalloc",
 	Run:    runHotAlloc,
 	Finish: finishHotAlloc,
 }
@@ -68,8 +66,8 @@ func (*AllocProfileFact) AFact() {}
 func runHotAlloc(pass *Pass) error {
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
-		hotLines := directiveLines(pass.Fset, f, "hotpath", parseDirective)
-		coldLines := directiveLines(pass.Fset, f, "coldpath", parseDirective)
+		hotLines := directiveLines(pass.Fset, f, "hotpath")
+		coldLines := directiveLines(pass.Fset, f, "coldpath")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

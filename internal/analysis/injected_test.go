@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// These tests are TestRepoClean's negative counterpart: each copies the
-// module into a temp dir, injects one representative violation, and
-// asserts the matching analyzer reports it — i.e. `dcpimlint ./...` would
-// exit 1. Together with TestRepoClean (zero findings on the real tree)
-// they pin both directions of the contract: the suite stays quiet on
-// clean code and a single regression of each rule is caught.
+// TestInjectedHotAllocViolation is TestRepoClean's negative counterpart:
+// it copies the module into a temp dir, injects one representative
+// violation, and asserts hotalloc reports it — i.e. `dcpimlint ./...`
+// would exit 1. Together with TestRepoClean (zero findings on the real
+// tree) it pins both directions of the contract: the suite stays quiet
+// on clean code and a single regression is caught.
 
 // copyRepo copies the module's go.mod and every .go file (minus testdata
 // fixtures, which carry their own module) into a temp dir.
@@ -91,21 +91,6 @@ func requireFinding(t *testing.T, dir, pattern, analyzer, substr string) {
 		}
 	}
 	t.Fatalf("no %s finding containing %q; got %d findings: %v", analyzer, substr, len(diags), diags)
-}
-
-// TestInjectedAtomicViolation adds one plain read of a typed atomic that
-// every shard of a run adds to — a metrics counter's value: atomicfield
-// must flag it.
-func TestInjectedAtomicViolation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the metrics package")
-	}
-	dir := copyRepo(t)
-	inject(t, dir, "internal/metrics/metrics.go",
-		"// Inc adds one.",
-		"func (c *Counter) injectedPeek() int64 {\n\tv := c.v\n\treturn v.Load()\n}\n\n// Inc adds one.")
-	requireFinding(t, dir, "./internal/metrics", "atomicfield",
-		"field v has atomic type sync/atomic.Int64")
 }
 
 // TestInjectedHotAllocViolation adds one append to the body of the

@@ -64,8 +64,8 @@ type listedPackage struct {
 // no package of the module is an error, so a mistyped or out-of-module
 // pattern cannot pass the gate by analyzing nothing.
 //
-// Test files are host-side code and are not loaded; the determinism
-// contracts guard the simulation path, which lives in package GoFiles.
+// Test files are host-side code and are not loaded; the hot paths live
+// in package GoFiles.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -2,8 +2,9 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -43,7 +44,7 @@ func newRunner(analyzers []*Analyzer) *runner {
 // depends on the package being a target, which the caller decides.
 func (r *runner) runPackage(pkg *Package) ([]Diagnostic, error) {
 	sup, diags := collectSuppressions(pkg)
-	r.mergeSup(sup)
+	maps.Copy(r.sup, sup)
 	for _, a := range r.analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -56,7 +57,6 @@ func (r *runner) runPackage(pkg *Package) ([]Diagnostic, error) {
 		pass.Report = func(d Diagnostic) {
 			d.Analyzer = a.Name
 			d.Position = pkg.Fset.Position(d.Pos)
-			fillSuggest(&d)
 			if !sup.suppresses(a.Name, d.Position) {
 				diags = append(diags, d)
 			}
@@ -81,7 +81,6 @@ func (r *runner) finish() ([]Diagnostic, error) {
 		fp := &FinishPass{Analyzer: a, run: r}
 		fp.Report = func(d Diagnostic) {
 			d.Analyzer = a.Name
-			fillSuggest(&d)
 			if r.sup.suppresses(a.Name, d.Position) {
 				return
 			}
@@ -100,28 +99,6 @@ func (r *runner) finish() ([]Diagnostic, error) {
 	return out, nil
 }
 
-func (r *runner) mergeSup(sup suppressions) {
-	for key, names := range sup {
-		dst := r.sup[key]
-		if dst == nil {
-			dst = make(map[string]bool, len(names))
-			r.sup[key] = dst
-		}
-		for name := range names {
-			dst[name] = true
-		}
-	}
-}
-
-// fillSuggest gives every finding a copy-paste acceptance directive,
-// which dcpimlint prints under it, unless the analyzer set a more
-// specific one (hotalloc also offers //lint:coldpath).
-func fillSuggest(d *Diagnostic) {
-	if d.Suggest == "" && d.Analyzer != "lintdirective" {
-		d.Suggest = fmt.Sprintf("//lint:ignore %s <why this is safe>", d.Analyzer)
-	}
-}
-
 // Run applies every analyzer to every package, resolves positions,
 // filters suppressed findings and non-target packages' findings, runs the
 // Finish phase over the accumulated facts, and returns the survivors
@@ -129,7 +106,8 @@ func fillSuggest(d *Diagnostic) {
 // dependencies present, topologically ordered) for cross-package facts to
 // flow correctly. A malformed suppression directive (missing reason) is
 // reported as a diagnostic from the pseudo-analyzer "lintdirective" so it
-// cannot hide a finding silently. An analyzer listed twice runs once.
+// cannot hide a finding silently, and so is a stale one (see
+// collectSuppressions). An analyzer listed twice runs once.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	r := newRunner(analyzers)
 	var diags []Diagnostic
@@ -176,81 +154,63 @@ func sortDiags(diags []Diagnostic) {
 	})
 }
 
-// suppressionKey identifies one line of one file.
-type suppressionKey struct {
-	file string
-	line int
+// directives are the //lint: forms the suite reads, each followed by a
+// reason.
+var directives = []string{"//lint:ignore " + HotAlloc.Name, "//lint:hotpath", "//lint:coldpath"}
+
+// A suppression is one analyzer silenced on one line of one file.
+type suppression struct {
+	file     string
+	line     int
+	analyzer string
 }
 
-// suppressions maps file:line to the set of analyzer names silenced there.
-// The special name "deterministic" (from //lint:deterministic) silences
-// maprange only.
-type suppressions map[suppressionKey]map[string]bool
+// suppressions is the set of lines each //lint:ignore directive covers.
+type suppressions map[suppression]bool
 
 func (s suppressions) suppresses(analyzer string, pos token.Position) bool {
-	names := s[suppressionKey{pos.Filename, pos.Line}]
-	if names[analyzer] {
-		return true
-	}
-	return analyzer == "maprange" && names["deterministic"]
+	return s[suppression{pos.Filename, pos.Line, analyzer}]
 }
 
 // collectSuppressions scans every comment in pkg for lint directives. A
 // directive covers its own line and, when it stands alone on a line, the
 // line directly below — so it can trail the offending statement or sit
-// immediately above it. Directives with no reason are returned as
-// diagnostics instead of taking effect. The hotpath/coldpath marker
-// directives are parsed here only for reason enforcement; hotalloc reads
-// them from function doc comments itself.
+// immediately above it. Every //lint: comment must be one of
+// directives, with a reason; any other, such as one left behind by a deleted
+// analyzer, comes back as a diagnostic and takes no effect. The
+// hotpath/coldpath markers are checked here only; hotalloc reads them
+// from function doc comments itself.
 func collectSuppressions(pkg *Package) (suppressions, []Diagnostic) {
 	sup := make(suppressions)
 	var bad []Diagnostic
 	for _, f := range pkg.Syntax {
-		// Lines that contain non-comment code, to distinguish trailing
-		// directives from standalone ones.
-		codeLines := make(map[int]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				return false
-			}
-			if _, ok := n.(*ast.Comment); ok {
-				return false
-			}
-			if _, ok := n.(*ast.CommentGroup); ok {
-				return false
-			}
-			codeLines[pkg.Fset.Position(n.Pos()).Line] = true
-			return true
-		})
+		code := codeLines(pkg.Fset, f)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				name, reason, ok := parseDirective(c.Text)
+				keyword, analyzer, reason, ok := parseDirective(c.Text)
 				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				if reason == "" {
+				report := func(format string, args ...any) {
 					bad = append(bad, Diagnostic{
 						Pos:      c.Pos(),
-						Message:  fmt.Sprintf("//lint:%s directive needs a reason", name),
+						Message:  fmt.Sprintf(format, args...),
 						Analyzer: "lintdirective",
 						Position: pos,
 					})
-					continue
 				}
-				if name == "hotpath" || name == "coldpath" {
-					continue // markers, not suppressions; hotalloc consumes them
-				}
-				lines := []int{pos.Line}
-				if !codeLines[pos.Line] {
-					lines = append(lines, pos.Line+1)
-				}
-				for _, line := range lines {
-					key := suppressionKey{pos.Filename, line}
-					if sup[key] == nil {
-						sup[key] = make(map[string]bool)
+				directive := strings.TrimSpace("//lint:" + keyword + " " + analyzer)
+				switch {
+				case !slices.Contains(directives, directive):
+					report("unknown directive %s: dcpimlint reads only %s", directive, strings.Join(directives, ", "))
+				case reason == "":
+					report("%s directive needs a reason", directive)
+				case keyword == "ignore":
+					sup[suppression{pos.Filename, pos.Line, analyzer}] = true
+					if !code[pos.Line] {
+						sup[suppression{pos.Filename, pos.Line + 1, analyzer}] = true
 					}
-					sup[key][name] = true
 				}
 			}
 		}
@@ -258,33 +218,21 @@ func collectSuppressions(pkg *Package) (suppressions, []Diagnostic) {
 	return sup, bad
 }
 
-// parseDirective recognizes the //lint: directive family:
-// "//lint:ignore <name> <reason>" returns the target analyzer name;
-// "//lint:deterministic <reason>" returns "deterministic" (maprange
-// only); "//lint:hotpath <reason>" and "//lint:coldpath <reason>" return
-// "hotpath"/"coldpath" — markers for the hotalloc analyzer rather than
-// suppressions, but parsed here so the mandatory-reason rule covers them
-// too.
-func parseDirective(text string) (name, reason string, ok bool) {
-	for _, kw := range [...]string{"deterministic", "hotpath", "coldpath"} {
-		if strings.HasPrefix(text, "//lint:"+kw) {
-			rest := strings.TrimPrefix(text, "//lint:"+kw)
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				return "", "", false
-			}
-			return kw, strings.TrimSpace(rest), true
-		}
+// parseDirective splits a //lint: comment into its keyword ("ignore",
+// "hotpath", "coldpath", or any other word, which is stale), the
+// analyzer an ignore names, and the reason that follows. ok is false
+// for every comment that does not begin with //lint:.
+func parseDirective(text string) (keyword, analyzer, reason string, ok bool) {
+	rest, ok := strings.CutPrefix(text, "//lint:")
+	if !ok {
+		return "", "", "", false
 	}
-	if strings.HasPrefix(text, "//lint:ignore") {
-		rest := strings.TrimPrefix(text, "//lint:ignore")
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			return "", "", false
-		}
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			return "ignore", "", true // malformed: no analyzer, no reason
-		}
-		return fields[0], strings.Join(fields[1:], " "), true
+	fields := strings.Fields(rest)
+	if len(fields) > 0 {
+		keyword, fields = fields[0], fields[1:]
 	}
-	return "", "", false
+	if keyword == "ignore" && len(fields) > 0 {
+		analyzer, fields = fields[0], fields[1:]
+	}
+	return keyword, analyzer, strings.Join(fields, " "), true
 }

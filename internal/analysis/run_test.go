@@ -31,15 +31,15 @@ func TestPatternMatchingNothingFails(t *testing.T) {
 // TestRepeatedAnalyzerRunsOnce pins that listing an analyzer twice does
 // not report each of its findings twice.
 func TestRepeatedAnalyzerRunsOnce(t *testing.T) {
-	once, err := RunDir("testdata/src", []*Analyzer{GlobalRand}, "./globalrand")
+	once, err := RunDir("testdata/src", []*Analyzer{HotAlloc}, "./internal/hotfix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := RunDir("testdata/src", []*Analyzer{GlobalRand, GlobalRand}, "./globalrand")
+	twice, err := RunDir("testdata/src", []*Analyzer{HotAlloc, HotAlloc}, "./internal/hotfix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(once) == 0 || !reflect.DeepEqual(once, twice) {
-		t.Errorf("{GlobalRand, GlobalRand} gave %d findings, {GlobalRand} gave %d", len(twice), len(once))
+		t.Errorf("{HotAlloc, HotAlloc} gave %d findings, {HotAlloc} gave %d", len(twice), len(once))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -19,24 +20,26 @@ func parseFixtureSimple(t *testing.T, src string) *Package {
 
 func TestParseDirective(t *testing.T) {
 	cases := []struct {
-		text         string
-		name, reason string
-		ok           bool
+		text                      string
+		keyword, analyzer, reason string
+		ok                        bool
 	}{
-		{"//lint:ignore maprange commutative sum", "maprange", "commutative sum", true},
-		{"//lint:ignore maprange", "maprange", "", true},
-		{"//lint:ignore", "ignore", "", true},
-		{"//lint:deterministic int sum", "deterministic", "int sum", true},
-		{"//lint:deterministic", "deterministic", "", true},
-		{"//lint:ignored not a directive", "", "", false},
-		{"// plain comment", "", "", false},
-		{"//lint:deterministically nope", "", "", false},
+		{"//lint:ignore hotalloc pre-grown capacity", "ignore", "hotalloc", "pre-grown capacity", true},
+		{"//lint:ignore hotalloc", "ignore", "hotalloc", "", true},
+		{"//lint:ignore", "ignore", "", "", true},
+		{"//lint:hotpath per-packet handler", "hotpath", "", "per-packet handler", true},
+		{"//lint:coldpath", "coldpath", "", "", true},
+		{"//lint:deterministic int sum", "deterministic", "", "int sum", true},
+		{"//lint:ignored not a directive", "ignored", "", "not a directive", true},
+		{"//lint:", "", "", "", true},
+		{"// plain comment", "", "", "", false},
+		{"// see //lint:hotpath", "", "", "", false},
 	}
 	for _, c := range cases {
-		name, reason, ok := parseDirective(c.text)
-		if name != c.name || reason != c.reason || ok != c.ok {
-			t.Errorf("parseDirective(%q) = %q, %q, %v; want %q, %q, %v",
-				c.text, name, reason, ok, c.name, c.reason, c.ok)
+		keyword, analyzer, reason, ok := parseDirective(c.text)
+		if keyword != c.keyword || analyzer != c.analyzer || reason != c.reason || ok != c.ok {
+			t.Errorf("parseDirective(%q) = %q, %q, %q, %v; want %q, %q, %q, %v",
+				c.text, keyword, analyzer, reason, ok, c.keyword, c.analyzer, c.reason, c.ok)
 		}
 	}
 }
@@ -45,29 +48,28 @@ func TestCollectSuppressions(t *testing.T) {
 	src := `package p
 
 func f() {
-	//lint:ignore wallclock standalone covers the next line
+	//lint:ignore hotalloc standalone covers the next line
 	x := 1
-	y := 2 //lint:ignore maprange trailing covers its own line
+	y := 2 //lint:ignore hotalloc trailing covers its own line
 	_ = x
 	_ = y
-	//lint:ignore simgoroutine
+	//lint:ignore hotalloc
 	_ = 3
 }
 `
 	pkg := parseFixtureSimple(t, src)
 	sup, bad := collectSuppressions(pkg)
 
-	if !sup.suppresses("wallclock", token.Position{Filename: "fixture.go", Line: 5}) {
+	if !sup.suppresses("hotalloc", token.Position{Filename: "fixture.go", Line: 5}) {
 		t.Errorf("standalone directive should cover the following line")
 	}
-	if !sup.suppresses("maprange", token.Position{Filename: "fixture.go", Line: 6}) {
+	if !sup.suppresses("hotalloc", token.Position{Filename: "fixture.go", Line: 6}) {
 		t.Errorf("trailing directive should cover its own line")
 	}
-	if sup.suppresses("wallclock", token.Position{Filename: "fixture.go", Line: 6}) {
+	if sup.suppresses("hotalloc", token.Position{Filename: "fixture.go", Line: 7}) {
 		t.Errorf("directive must not leak to unrelated lines")
 	}
-	// //lint:deterministic suppresses maprange only.
-	if sup.suppresses("globalrand", token.Position{Filename: "fixture.go", Line: 5}) {
+	if sup.suppresses("factprobe", token.Position{Filename: "fixture.go", Line: 5}) {
 		t.Errorf("directive must be analyzer-specific")
 	}
 	if len(bad) != 1 {
@@ -77,30 +79,44 @@ func f() {
 		t.Errorf("malformed directive diagnostic = %v; want lintdirective at line 9", bad[0])
 	}
 	// The reasonless directive must not take effect.
-	if sup.suppresses("simgoroutine", token.Position{Filename: "fixture.go", Line: 10}) {
+	if sup.suppresses("hotalloc", token.Position{Filename: "fixture.go", Line: 10}) {
 		t.Errorf("directive without a reason must not suppress")
 	}
 }
 
-func TestDeterministicSuppressesMapRangeOnly(t *testing.T) {
+// TestUnknownDirectivesAreFindings pins that a //lint: comment the suite
+// does not read — one left behind by a deleted analyzer, or a misspelt
+// analyzer name — is a finding and suppresses nothing, even with a reason.
+func TestUnknownDirectivesAreFindings(t *testing.T) {
 	src := `package p
 
+//lint:hotpath a marker the suite reads
 func f() {
-	//lint:deterministic order-insensitive fold
-	x := 1
-	_ = x
+	//lint:ignore wallclock x
+	_ = 1
+	//lint:deterministic x
+	_ = 2
+	//lint:ignore hotaloc x
+	_ = 3
+	_ = 4 //lint:ignore hotalloc an ignore the suite reads
 }
+
+//lint:coldpath a marker the suite reads
+func g() {}
 `
 	pkg := parseFixtureSimple(t, src)
 	sup, bad := collectSuppressions(pkg)
-	if len(bad) != 0 {
-		t.Fatalf("unexpected malformed directives: %v", bad)
+	wantLines := []int{5, 7, 9}
+	if len(bad) != len(wantLines) {
+		t.Fatalf("got %d directive diagnostics, want %d (lines %v): %v", len(bad), len(wantLines), wantLines, bad)
 	}
-	pos := token.Position{Filename: "fixture.go", Line: 5}
-	if !sup.suppresses("maprange", pos) {
-		t.Errorf("//lint:deterministic should suppress maprange")
+	for i, d := range bad {
+		if d.Analyzer != "lintdirective" || d.Position.Line != wantLines[i] ||
+			!strings.Contains(d.Message, "unknown directive") {
+			t.Errorf("diagnostic %d = %v; want an unknown-directive finding at line %d", i, d, wantLines[i])
+		}
 	}
-	if sup.suppresses("wallclock", pos) {
-		t.Errorf("//lint:deterministic must not suppress other analyzers")
+	if len(sup) != 1 || !sup.suppresses("hotalloc", token.Position{Filename: "fixture.go", Line: 11}) {
+		t.Errorf("suppressions = %v; want only hotalloc at line 11", sup)
 	}
 }

@@ -297,7 +297,6 @@ func (r *receiver) onEpochStart(e int64) {
 	// re-enter the demand pool and are re-admitted at the window start
 	// when the sender is next matched (§3.2 loss recovery). Per-flow state
 	// is independent, so map order is harmless here.
-	//lint:deterministic per-flow reverts touch disjoint state; counters are commutative sums
 	for _, f := range r.flows {
 		if f.done {
 			continue
@@ -316,14 +315,15 @@ func (r *receiver) onEpochStart(e int64) {
 		}
 	}
 	// Swap in the matching computed during the previous epoch.
-	//lint:deterministic cancel is idempotent per loop; heap extraction order is keyed by (time,seq), not removal order
+	// Map order is harmless: the queue orders events by (time, seq), not
+	// by the order they were cancelled in.
 	for _, l := range r.loops {
 		l.timer.Cancel()
 	}
 	r.matchedNow, r.matchedNext = r.matchedNext, r.matchedNow
 	clear(r.matchedNext)
 	total := 0
-	//lint:deterministic int sum: map order cannot affect the result
+	// An int sum: map order cannot affect it.
 	for _, ch := range r.matchedNow {
 		total += ch
 	}
@@ -473,7 +473,7 @@ func (r *receiver) requestStage(epoch int64, round int) {
 // bookkeeping).
 func (r *receiver) computePlanned() {
 	clear(r.planned)
-	//lint:deterministic builds a map keyed per sender; consumers iterate it via sortedKeys
+	// Builds a map keyed per sender; consumers iterate it via sortedKeys.
 	for src, flows := range r.bySender {
 		var sum int64
 		for _, f := range flows {

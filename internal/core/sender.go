@@ -419,7 +419,7 @@ func (s *sender) grantStage(epoch int64, round int) {
 // unfinished flows to dst (SRPT key for the receiver's accept choice).
 func (s *sender) minRemainingTo(dst int) int64 {
 	best := int64(1) << 62
-	//lint:deterministic min fold over int64 remaining: order-insensitive
+	// A min fold: map order cannot affect it.
 	for _, f := range s.flows {
 		if f.dst != dst || f.done {
 			continue

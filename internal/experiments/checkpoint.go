@@ -52,7 +52,9 @@ func (c *CheckpointSpec) label(spec RunSpec) string {
 // per multiple of spec.Checkpoint.Every up to the horizon (none when
 // spec.Checkpoint is nil). The RunResult is byte-identical to an
 // uncheckpointed run of the same spec.
-func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) { return run(spec, nil) }
+func RunCheckpointed(spec RunSpec) (RunResult, []*checkpoint.Snapshot) {
+	return run(spec, nil, true)
+}
 
 // capture records the run's state at time at: each engine's
 // EngineState, a copy of the per-host delivered-stream digests (the run

@@ -414,3 +414,47 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 		}
 	})
 }
+
+// TestRunKeepsSnapshotsOnlyWhenAsked pins that a checkpointed Run writes
+// every snapshot to Checkpoint.Dir without holding on to them: run
+// returns no slice unless RunCheckpointed asks for one, and the files
+// and digest match those of a run that keeps its snapshots.
+func TestRunKeepsSnapshotsOnlyWhenAsked(t *testing.T) {
+	dropped, kept := fixtureSpec(16), fixtureSpec(16)
+	dropped.Checkpoint.Dir, kept.Checkpoint.Dir = t.TempDir(), t.TempDir()
+	res := Run(dropped)
+	keptRes, snaps := RunCheckpointed(kept)
+	if want := int(dropped.Horizon / dropped.Checkpoint.Every); len(snaps) != want {
+		t.Fatalf("RunCheckpointed kept %d snapshots, want %d", len(snaps), want)
+	}
+	if res.Digest != keptRes.Digest {
+		t.Errorf("digest %x without kept snapshots, %x with", res.Digest, keptRes.Digest)
+	}
+	if _, none := run(fixtureSpec(16), nil, false); none != nil {
+		t.Errorf("run returned %d snapshots it was not asked to keep", len(none))
+	}
+
+	files, err := os.ReadDir(dropped.Checkpoint.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(snaps) {
+		t.Fatalf("Run wrote %d snapshot files, want %d", len(files), len(snaps))
+	}
+	for i, f := range files {
+		if want := fmt.Sprintf("%s.ck%04d.dcpimck", snaps[i].Meta.Label, i); f.Name() != want {
+			t.Errorf("file %d is %s, want %s", i, f.Name(), want)
+		}
+		got, err := os.ReadFile(filepath.Join(dropped.Checkpoint.Dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(kept.Checkpoint.Dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs between a run that keeps its snapshots and one that does not", f.Name())
+		}
+	}
+}

@@ -328,14 +328,14 @@ func (r RunResult) Completion() float64 {
 // and snapshots at each boundary (RunCheckpointed returns the
 // snapshots); results are byte-identical either way.
 func Run(spec RunSpec) RunResult {
-	res, _ := run(spec, nil)
+	res, _ := run(spec, nil, false)
 	return res
 }
 
 // runClocked is Run, metered on clock: a WallTimer the caller started as
 // it called, on which the result's Wall, Wire and Serial are read.
 func runClocked(spec RunSpec, clock func() time.Duration) RunResult {
-	res, _ := run(spec, clock)
+	res, _ := run(spec, clock, false)
 	return res
 }
 
@@ -343,8 +343,10 @@ func runClocked(spec RunSpec, clock func() time.Duration) RunResult {
 // it wires spec, advances to the horizon and folds the result, metered
 // on clock when that is not nil. With spec.Checkpoint set it stops at
 // each multiple of Checkpoint.Every on the way, captures a snapshot
-// there, and writes it to Checkpoint.Dir when that is set.
-func run(spec RunSpec, clock func() time.Duration) (RunResult, []*checkpoint.Snapshot) {
+// there, and writes it to Checkpoint.Dir when that is set; it returns
+// the snapshots only when keep is set, so a long run does not hold them
+// all until it ends.
+func run(spec RunSpec, clock func() time.Duration, keep bool) (RunResult, []*checkpoint.Snapshot) {
 	ck := spec.Checkpoint
 	if ck != nil && ck.Every <= 0 {
 		panic("experiments: spec.Checkpoint needs Every > 0")
@@ -354,11 +356,15 @@ func run(spec RunSpec, clock func() time.Duration) (RunResult, []*checkpoint.Sna
 	horizon := sim.Time(spec.Horizon)
 	var snaps []*checkpoint.Snapshot
 	if ck != nil {
+		idx := 0
 		for t := sim.Time(0).Add(ck.Every); t <= horizon; t = t.Add(ck.Every) {
 			rs.runTo(t)
-			snap := rs.capture(t, len(snaps))
+			snap := rs.capture(t, idx)
+			idx++
 			writeSnapshot(ck, snap)
-			snaps = append(snaps, snap)
+			if keep {
+				snaps = append(snaps, snap)
+			}
 		}
 	}
 	rs.runTo(horizon)

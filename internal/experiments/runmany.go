@@ -53,11 +53,10 @@ func forEachIndex(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	//lint:ignore simgoroutine forEachIndex is the sanctioned sweep-level worker pool; each worker owns whole cells
+	// Each worker owns whole cells: pool workers never share a fabric or RNG.
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//lint:ignore simgoroutine pool workers never share a fabric or RNG; parallelism is across independent cells
 		go func() {
 			defer wg.Done()
 			for {

@@ -18,7 +18,7 @@ type ChannelMatching struct {
 // TotalChannels returns the number of matched channels.
 func (m *ChannelMatching) TotalChannels() int {
 	n := 0
-	//lint:deterministic int sum: map order cannot affect the result
+	// An int sum: map order cannot affect it.
 	for _, c := range m.Channels {
 		n += c
 	}
@@ -36,7 +36,7 @@ func (m *ChannelMatching) EffectiveSize() float64 {
 func (m *ChannelMatching) Valid(g *Graph) bool {
 	su := make([]int, g.Senders)
 	ru := make([]int, g.Receivers)
-	//lint:deterministic per-edge budget accumulation and validity AND: order-insensitive
+	// Per-edge budget sums and an AND of checks: map order cannot affect them.
 	for key, c := range m.Channels {
 		s, r := key[0], key[1]
 		if c <= 0 || s < 0 || s >= g.Senders || r < 0 || r >= g.Receivers {

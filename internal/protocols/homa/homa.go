@@ -348,7 +348,7 @@ func (p *Proto) grantTick() {
 // ordered, in a buffer the next call reuses.
 func (p *Proto) grantCandidates() []*rxState {
 	cands := p.cands[:0]
-	//lint:deterministic filtered collect; the sort below totally orders by (remaining, flow id)
+	// Map order is harmless: the sort below totally orders by (remaining, flow id).
 	for _, f := range p.rx {
 		if f.Done || f.NeededCnt() <= 0 {
 			continue

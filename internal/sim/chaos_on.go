@@ -29,7 +29,7 @@ func chaos() {
 	h ^= h >> 29
 	switch r := h % 1024; {
 	case r == 1023:
-		//lint:ignore wallclock a groupchaos build perturbs the host schedule on purpose; it never reaches simulated time
+		// Perturbs the host schedule on purpose; it never reaches simulated time.
 		time.Sleep(time.Duration(1+(h>>10)%20) * time.Microsecond)
 	case r >= 768:
 		for i := uint64(0); i < 1000+(h>>10)%4000; i++ {

@@ -152,7 +152,8 @@ func (s *spinner) more() bool {
 		return true
 	}
 	runtime.Gosched()
-	//lint:ignore wallclock the spin bound is host time by nature; it bounds CPU burnt waiting and never reaches simulated time
+	// The spin bound is host time by nature: it bounds CPU burnt waiting
+	// and never reaches simulated time.
 	now := time.Now()
 	if s.deadline.IsZero() {
 		s.deadline = now.Add(spinBound)
@@ -211,7 +212,6 @@ func NewGroup(engines []*Engine) *Group {
 		box := &g.boxes[i]
 		box.wake = make(chan struct{}, 1)
 		shard := i + 1
-		//lint:ignore simgoroutine Group's persistent epoch workers are the one sanctioned fabric spawn point
 		go g.work(shard, box)
 	}
 	return g

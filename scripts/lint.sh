@@ -4,8 +4,9 @@
 # visible instead of a silent gap.
 #
 #   go vet       — always, in the root module and in bench/e2e
-#   dcpimlint    — always (the in-repo analyzer suite; JSON artifact to
-#                  $DCPIMLINT_JSON when set)
+#   dcpimlint    — always (the in-repo hot-path allocation check; each
+#                  finding prints with its `accept with:` directive, and
+#                  the gate is its exit status)
 #   staticcheck  — pinned version; installed on demand when the module
 #                  proxy is reachable
 #   govulncheck  — pinned version; needs the network for the vuln DB
@@ -65,19 +66,7 @@ run_checker "go vet" go vet ./...
 # bench/e2e is a module of its own, so the root ./... never reaches it.
 run_checker "go vet (bench/e2e)" bash -c 'cd bench/e2e && go vet ./...'
 
-if [[ -n "${DCPIMLINT_JSON:-}" ]]; then
-    mkdir -p "$(dirname "${DCPIMLINT_JSON}")"
-    echo "=== dcpimlint (JSON artifact: ${DCPIMLINT_JSON})"
-    if go run ./cmd/dcpimlint -json ./... >"${DCPIMLINT_JSON}"; then
-        ran+=("dcpimlint")
-    else
-        failed+=("dcpimlint")
-    fi
-    # Human-readable echo of the findings for the log.
-    go run ./cmd/dcpimlint ./... || true
-else
-    run_checker "dcpimlint" go run ./cmd/dcpimlint ./...
-fi
+run_checker "dcpimlint" go run ./cmd/dcpimlint ./...
 
 if ensure_tool staticcheck "honnef.co/go/tools/cmd/staticcheck@${STATICCHECK_VERSION}"; then
     run_checker "staticcheck" staticcheck ./...
