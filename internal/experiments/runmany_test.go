@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"dcpim/internal/sim"
+	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
 
@@ -48,6 +50,41 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		if s.Col.DeliveredBytes() != p.Col.DeliveredBytes() {
 			t.Errorf("run %d (%s): delivered bytes differ: %d vs %d",
 				i, s.Protocol, s.Col.DeliveredBytes(), p.Col.DeliveredBytes())
+		}
+	}
+}
+
+// TestRunManyShardedMatchesSerial runs the baselines of the paper's
+// comparison on the auto-sharded 144-host leaf-spine through a pool of two
+// workers, so two 2-shard groups run at once and each hand-off of one
+// polls or parks depending on whether the other is open. Every run must
+// equal the same spec run alone: flow records, counters and digest.
+func TestRunManyShardedMatchesSerial(t *testing.T) {
+	watchdog(t, 2*time.Minute)
+	tp := topo.DefaultLeafSpine().Build()
+	horizon := 30 * sim.Microsecond
+	tr := allToAll(tp, workload.IMC10(), 0.6, horizon, 3)
+	var specs []RunSpec
+	for _, proto := range []string{HomaAeolus, NDP, HPCC} {
+		specs = append(specs, RunSpec{
+			Protocol: proto, Topo: tp, Trace: tr,
+			Horizon: horizon + horizon/2, Seed: 4, Digest: true,
+		})
+	}
+	for i, res := range RunMany(specs, 2) {
+		alone := Run(specs[i])
+		if len(res.ShardStats) != 2 || alone.Digest == 0 || len(alone.Records) == 0 {
+			t.Fatalf("%s: ran on %d shards, digest %#x, %d flow records; want 2 shards and flows delivered",
+				res.Protocol, len(res.ShardStats), alone.Digest, len(alone.Records))
+		}
+		if res.Digest != alone.Digest {
+			t.Errorf("%s: digest %#x in the pool, %#x alone", res.Protocol, res.Digest, alone.Digest)
+		}
+		if res.Counters != alone.Counters {
+			t.Errorf("%s: counters %+v in the pool, %+v alone", res.Protocol, res.Counters, alone.Counters)
+		}
+		if !reflect.DeepEqual(res.Records, alone.Records) {
+			t.Errorf("%s: flow records differ between the pool and the run alone", res.Protocol)
 		}
 	}
 }

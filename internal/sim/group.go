@@ -24,17 +24,17 @@ import (
 //
 // A goroutine that runs out of work at a hand-off — a worker waiting for
 // its next post, the coordinator waiting for its workers — polls for up to
-// spinBound before it blocks, but only in a group that fits its cores
-// (spinSlots); every other group blocks at once. Either way the wait ends
-// on the same post or finish, so epochs, event order and every count are
-// the same (DESIGN.md §11.2).
+// spinBound before it blocks, but only while the shards of every open
+// group fit the cores (polls); otherwise it blocks at once. Either way the
+// wait ends on the same post or finish, so epochs, event order and every
+// count are the same (DESIGN.md §11.2).
 //
 // A Group of one engine degenerates to plain serial execution with no
 // goroutines and no mailboxes, so the serial path pays nothing.
 type Group struct {
 	// Read by the workers, written only while the group is idle.
 	engines []*Engine
-	spin    bool      // holds spinSlots for every shard: hand-offs poll before they park
+	procs   int64     // GOMAXPROCS at NewGroup: the cores polls measures openShards against
 	boxes   []mailbox // one per worker: boxes[i] feeds shard i+1
 	inbox   Inbox     // cross-shard queues, registered by their owner
 	now     func() time.Duration
@@ -117,26 +117,21 @@ const (
 	spinBound = 2 * time.Millisecond
 )
 
-// spinSlots counts the Ps that spinning groups hold, process-wide. A group
-// spins only if all its shards fit beside the groups already spinning, so
-// concurrent groups (RunMany) never poll more goroutines than there are
-// Ps; a group that does not fit — wider than GOMAXPROCS, or beside others
-// — blocks at every hand-off, where polling measured slower.
-var spinSlots atomic.Int64
-
-// reserveSpin takes n slots if they fit under GOMAXPROCS.
-func reserveSpin(n int) bool {
-	procs := int64(runtime.GOMAXPROCS(0))
-	for {
-		held := spinSlots.Load()
-		if held+int64(n) > procs {
-			return false
-		}
-		if spinSlots.CompareAndSwap(held, held+int64(n)) {
-			return true
-		}
-	}
+// openShards counts the shards of every open group of more than one
+// shard, process-wide: NewGroup adds them and Close takes them back. A
+// hand-off polls only while they all fit the cores, so concurrent groups
+// (RunMany) never poll more goroutines than there are Ps; a group wider
+// than GOMAXPROCS, or beside others that fill the cores, blocks at once,
+// where polling measured slower. Every hand-off reads the count and only
+// opening and closing write it, so it has a line of its own.
+var openShards struct {
+	_ [128]byte
+	n atomic.Int64
+	_ [128]byte
 }
+
+// polls reports whether a hand-off that starts now polls before it blocks.
+func (g *Group) polls() bool { return openShards.n.Load() <= g.procs }
 
 // spinner paces one bounded poll: more reports whether to poll again,
 // yielding the P every spinYield polls and reading the clock only there,
@@ -196,7 +191,7 @@ func NewGroup(engines []*Engine) *Group {
 	n := len(engines)
 	g := &Group{
 		engines:    engines,
-		spin:       n > 1 && reserveSpin(n),
+		procs:      int64(runtime.GOMAXPROCS(0)),
 		boxes:      make([]mailbox, n-1),
 		wake:       make(chan struct{}, 1),
 		dispatched: make([]uint64, n),
@@ -205,6 +200,9 @@ func NewGroup(engines []*Engine) *Group {
 		events:     make([]uint64, n),
 	}
 	g.wall.busy = make([]time.Duration, n)
+	if n > 1 {
+		openShards.n.Add(int64(n))
+	}
 	for i, eng := range engines {
 		g.events[i] = eng.Events()
 	}
@@ -242,8 +240,9 @@ func (g *Group) work(shard int, box *mailbox) {
 // await returns once box holds a post beyond the taken ones.
 func (g *Group) await(box *mailbox, taken uint64) {
 	next := taken + 1
+	spin := g.polls()
 	for s := (spinner{}); box.seq.Load() != next; {
-		if g.spin && s.more() {
+		if spin && s.more() {
 			continue
 		}
 		chaos()
@@ -284,8 +283,9 @@ func (g *Group) finish() {
 // wait returns once every posted worker has finished.
 func (g *Group) wait() {
 	posts := g.posts
+	spin := g.polls()
 	for s := (spinner{}); g.finished.Load() != posts; {
-		if g.spin && s.more() {
+		if spin && s.more() {
 			continue
 		}
 		chaos()
@@ -455,7 +455,7 @@ func (g *Group) meter(epoch, busy0 time.Duration) {
 }
 
 // Close shuts down the worker goroutines, returning once each has taken
-// its last post, and hands back the group's spin slots. The group must
+// its last post, and takes its shards out of openShards. The group must
 // be idle (no epoch in flight). Safe to call more than once.
 func (g *Group) Close() {
 	if g.closed {
@@ -466,8 +466,8 @@ func (g *Group) Close() {
 		g.post(&g.boxes[i], shardWork{quit: true})
 	}
 	g.wait()
-	if g.spin {
-		spinSlots.Add(-int64(len(g.engines)))
+	if n := len(g.engines); n > 1 {
+		openShards.n.Add(-int64(n))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -153,51 +154,76 @@ func TestGroupShardsOverlap(t *testing.T) {
 	}
 }
 
-// TestGroupSpinReservation: a group polls at its hand-offs only while its
-// shards fit beside the groups already polling, so two concurrent groups
-// never poll more goroutines than there are Ps; a group wider than
-// GOMAXPROCS never polls, a group of one has no hand-offs, and Close hands
-// the slots back. A group that blocks at once still runs its epochs.
-func TestGroupSpinReservation(t *testing.T) {
+// TestGroupSpinFitsCores: a hand-off polls only while the shards of every
+// open group of more than one fit GOMAXPROCS, and the rule is read at each
+// hand-off, not decided once per group: a 3-shard group on 4 Ps polls
+// alone, parks while a 2-shard group is open beside it, and polls again
+// once that one closes. A group as wide as the Ps polls alone, a wider
+// one never polls, a group of one has no hand-offs and is not counted,
+// and a second Close takes nothing back twice. A group that parks still
+// runs its epochs.
+func TestGroupSpinFitsCores(t *testing.T) {
 	underWatchdog(t, groupWatchdog, func() {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		if held := spinSlots.Load(); held != 0 {
-			t.Errorf("%d spin slots held before the test: a group was not closed", held)
+		if open := openShards.n.Load(); open != 0 {
+			t.Errorf("%d shards open before the test: a group was not closed", open)
 			return
 		}
 		group := func(shards int) *Group {
 			engines := make([]*Engine, shards)
 			for i := range engines {
 				engines[i] = NewEngine(1)
-				engines[i].Schedule(1, func() {})
+				engines[i].Schedule(Time(i+1), func() {})
 			}
 			return NewGroup(engines)
 		}
-		first, second, wide, single := group(3), group(2), group(5), group(1)
-		if !first.spin || second.spin || wide.spin || single.spin {
-			t.Errorf("polling: 3 shards %v, 2 beside them %v, 5 shards %v, 1 shard %v; want true, false, false, false",
-				first.spin, second.spin, wide.spin, single.spin)
-		}
-		if held := spinSlots.Load(); held != 3 {
-			t.Errorf("%d spin slots held, want 3", held)
-		}
-		for _, g := range []*Group{first, second, wide, single} {
-			g.RunEpoch(1)
-			if g.Events() != uint64(g.N()) {
-				t.Errorf("%d shards ran %d events, want %d", g.N(), g.Events(), g.N())
+		epoch := func(g *Group, until Time) {
+			g.RunEpoch(until)
+			if want := uint64(min(g.N(), int(until))); g.Events() != want {
+				t.Errorf("%d shards ran %d events by %v, want %d", g.N(), g.Events(), until, want)
 			}
 		}
-		first.Close()
-		first.Close() // idempotent: hands the slots back once
-		third := group(4)
-		if !third.spin {
-			t.Errorf("4 shards on 4 Ps after the first group closed do not poll")
+		three := group(3)
+		if !three.polls() {
+			t.Errorf("3 shards alone on 4 Ps do not poll")
 		}
-		for _, g := range []*Group{second, wide, single, third} {
-			g.Close()
+		epoch(three, 1)
+		two := group(2)
+		if three.polls() || two.polls() {
+			t.Errorf("3 and 2 shards open on 4 Ps: polling %v, %v; want both parked", three.polls(), two.polls())
 		}
-		if held := spinSlots.Load(); held != 0 {
-			t.Errorf("%d spin slots held after every group closed, want 0", held)
+		epoch(three, 2)
+		epoch(two, 2)
+		two.Close()
+		two.Close() // idempotent: takes its shards back once
+		if open := openShards.n.Load(); open != 3 {
+			t.Errorf("%d shards open after the 2-shard group closed twice, want 3", open)
+		}
+		if !three.polls() {
+			t.Errorf("3 shards left alone on 4 Ps do not poll again")
+		}
+		epoch(three, 3)
+		single := group(1)
+		if open := openShards.n.Load(); open != 3 {
+			t.Errorf("%d shards open beside a group of one, want 3: it has no hand-offs to count", open)
+		}
+		three.Close()
+		full := group(4)
+		if !full.polls() {
+			t.Errorf("4 shards alone on 4 Ps do not poll")
+		}
+		epoch(full, 4)
+		full.Close()
+		wide := group(5)
+		if wide.polls() {
+			t.Errorf("5 shards alone on 4 Ps poll")
+		}
+		epoch(wide, 5)
+		epoch(single, 1)
+		wide.Close()
+		single.Close()
+		if open := openShards.n.Load(); open != 0 {
+			t.Errorf("%d shards open after every group closed, want 0", open)
 		}
 	})
 }
@@ -212,8 +238,8 @@ func TestGroupSpinParks(t *testing.T) {
 		a, b := NewEngine(1), NewEngine(1)
 		g := NewGroup([]*Engine{a, b})
 		defer g.Close()
-		if !g.spin {
-			t.Errorf("2 shards on 2 Ps do not poll")
+		if !g.polls() {
+			t.Errorf("2 shards alone on 2 Ps do not poll")
 			return
 		}
 		// Generous against the bound: a loaded machine, or -race, slows the
@@ -440,9 +466,8 @@ func TestGroupBarrierEquivalence(t *testing.T) {
 					grouped := runBarrierTrial(trialGrouped, shards, seed)
 					for mode, got := range map[string]barrierTrial{"grouped": grouped, "inbox": runBarrierTrial(trialInbox, shards, seed)} {
 						name := fmt.Sprintf("procs=%d shards=%d seed=%d %s", procs, shards, seed, mode)
-						if got.epochs != want.epochs || got.events != want.events || got.now != want.now {
-							t.Errorf("%s: epochs/events/now = %d/%d/%d, sequential %d/%d/%d",
-								name, got.epochs, got.events, got.now, want.epochs, want.events, want.now)
+						if diff := got.diff(want); diff != "" {
+							t.Errorf("%s: %s", name, diff)
 							return
 						}
 						for i := 0; i < shards; i++ {
@@ -451,24 +476,86 @@ func TestGroupBarrierEquivalence(t *testing.T) {
 									name, i, got.dispatched[i], grouped.dispatched[i])
 								return
 							}
-							if len(got.orders[i]) != len(want.orders[i]) {
-								t.Errorf("%s: shard %d ran %d events, sequential ran %d",
-									name, i, len(got.orders[i]), len(want.orders[i]))
-								return
-							}
-							for k := range want.orders[i] {
-								if got.orders[i][k] != want.orders[i][k] {
-									t.Errorf("%s: shard %d diverges at %d: %s vs %s",
-										name, i, k, got.orders[i][k], want.orders[i][k])
-									return
-								}
-							}
 						}
 					}
 				}
 			})
 		}
 	}
+}
+
+// diff describes the first way a grouped trial departs from the
+// sequential one, or returns "" when they agree.
+func (got barrierTrial) diff(want barrierTrial) string {
+	if got.epochs != want.epochs || got.events != want.events || got.now != want.now {
+		return fmt.Sprintf("epochs/events/now = %d/%d/%d, sequential %d/%d/%d",
+			got.epochs, got.events, got.now, want.epochs, want.events, want.now)
+	}
+	for i := range want.orders {
+		if len(got.orders[i]) != len(want.orders[i]) {
+			return fmt.Sprintf("shard %d ran %d events, sequential ran %d", i, len(got.orders[i]), len(want.orders[i]))
+		}
+		for k := range want.orders[i] {
+			if got.orders[i][k] != want.orders[i][k] {
+				return fmt.Sprintf("shard %d diverges at %d: %s vs %s", i, k, got.orders[i][k], want.orders[i][k])
+			}
+		}
+	}
+	return ""
+}
+
+// TestGroupConcurrentGroups: two goroutines each run groups of 1 to 3
+// shards through epochs, one trial after another, while a third opens a
+// 2-shard group, runs an epoch, closes it and pauses, over and over. Each
+// hand-off finds a different set of groups open, so at GOMAXPROCS 2 or 4
+// the same group switches between polling and parking mid-run, and a
+// worker and its coordinator may decide differently at one epoch; every
+// trial must still match the same engines stepped sequentially.
+func TestGroupConcurrentGroups(t *testing.T) {
+	underWatchdog(t, groupWatchdog, func() {
+		var runners sync.WaitGroup
+		for k := 0; k < 2; k++ {
+			runners.Add(1)
+			go func() {
+				defer runners.Done()
+				for trial := 0; trial < 6; trial++ {
+					shards, seed := 1+(trial+k)%3, int64(7000+100*k+trial)
+					want := runBarrierTrial(trialSequential, shards, seed)
+					for _, mode := range []int{trialGrouped, trialInbox} {
+						if diff := runBarrierTrial(mode, shards, seed).diff(want); diff != "" {
+							t.Errorf("runner %d shards=%d seed=%d mode %d: %s", k, shards, seed, mode, diff)
+							return
+						}
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			runners.Wait()
+			close(done)
+		}()
+		for churn := Time(1); ; churn++ {
+			select {
+			case <-done:
+				if open := openShards.n.Load(); open != 0 {
+					t.Errorf("%d shards open after every group closed, want 0", open)
+				}
+				return
+			default:
+			}
+			a, b := NewEngine(1), NewEngine(1)
+			a.Schedule(churn, func() {})
+			b.Schedule(churn, func() {})
+			g := NewGroup([]*Engine{a, b})
+			g.RunEpoch(churn)
+			if g.Events() != 2 {
+				t.Errorf("churned group %d ran %d events, want 2", churn, g.Events())
+			}
+			g.Close()
+			time.Sleep(50 * time.Microsecond) // the runners' groups alone for a while
+		}
+	})
 }
 
 // TestGroupEach: fn runs once for every shard, the shards' calls are in
