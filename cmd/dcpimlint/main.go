@@ -1,14 +1,17 @@
-// Command dcpimlint runs the repo's hot-path allocation analyzer,
-// hotalloc (internal/analysis, DESIGN.md §17), over the given package
-// patterns and exits nonzero on any unsuppressed finding, so CI can gate
-// on it:
+// Command dcpimlint checks the repo's zero-allocation hot paths
+// (internal/analysis, DESIGN.md §17) over the given package patterns and
+// exits nonzero on any unsuppressed finding, so CI can gate on it:
 //
 //	go run ./cmd/dcpimlint ./...
 //
-// Each finding prints with the directive that would accept it
+// It loads the matched packages and their module-internal dependencies
+// in one pass and reports every allocation site reachable from a
+// //lint:hotpath function, wherever in the module the site lies. Each
+// finding prints with the directive that would accept it
 // (`accept with: //lint:ignore hotalloc <reason>`, or //lint:coldpath on
 // the containing function); the reason is always mandatory, and nothing
-// is edited. A //lint: comment the suite does not read is a finding too.
+// is edited. A //lint: comment other than those three, or one without a
+// reason, is a finding too. dcpimlint has no flags.
 // Exit status: 0 clean, 1 findings, 2 usage or load error — including a
 // pattern that matches no package of the module.
 package main
@@ -36,7 +39,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	diags, err := analysis.RunDir(wd, analysis.Analyzers(), patterns...)
+	diags, err := analysis.RunDir(wd, patterns...)
 	if err != nil {
 		fail(err)
 	}

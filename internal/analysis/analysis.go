@@ -1,22 +1,22 @@
 // Package analysis implements dcpimlint, the static check behind the
-// simulator's zero-allocation hot paths (DESIGN.md §17). The one analyzer
-// is hotalloc: a function marked //lint:hotpath, plus everything it
+// simulator's zero-allocation hot paths (DESIGN.md §17). Its one rule is
+// hotalloc: a function marked //lint:hotpath, plus everything it
 // statically calls inside the module, must contain no allocation sites.
 // A benchmark only measures the call tree it happens to run, so a new
 // allocation in a rarely taken branch passes every runtime test; hotalloc
 // sees it. The determinism and ownership contracts are held by tests
 // instead — golden digests at every shard count and the race legs
-// (DESIGN.md §12). cmd/dcpimlint runs the suite and CI gates on a clean
+// (DESIGN.md §12). cmd/dcpimlint runs the check and CI gates on a clean
 // exit.
 //
-// The Analyzer/Pass/Diagnostic surface is an API-compatible subset of
-// golang.org/x/tools/go/analysis, reimplemented locally on the standard
-// library (go/ast, go/types, go list) so the module keeps zero external
-// dependencies and the linter builds offline. hotalloc's cross-package
-// call graph rides on a fact mechanism (facts.go) modeled on x/tools
-// facts, extended with a module-wide Finish pass.
+// The check is one pass over the whole module, built on the standard
+// library alone (go/ast, go/types, go list), so the module keeps zero
+// external dependencies and the linter builds offline. load type-checks
+// every module package from source against the others, so a function is
+// one *types.Func in every package that calls it and the call graph
+// needs no keys.
 //
-// The suite reads three directives, each with a mandatory reason:
+// dcpimlint reads three directives, each with a mandatory reason:
 //
 //	//lint:ignore hotalloc <reason>
 //	//lint:hotpath <reason>
@@ -24,121 +24,25 @@
 //
 // An ignore sits at the end of the offending line or alone on the line
 // directly above it; the markers sit in a function's doc comment. Any
-// other //lint: comment, or one without a reason, is itself a diagnostic
+// other //lint: comment, or one without a reason, is itself a finding
 // ("lintdirective"). See CONTRIBUTING.md for the directive reference.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
+	"maps"
+	"slices"
+	"strings"
 )
-
-// An Analyzer describes one named rule. Run inspects a single package via
-// its Pass and reports findings through pass.Report/Reportf; analyzers
-// with cross-package rules export facts from Run and reconcile them in
-// Finish, which the runner calls once after every package.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore directives. It must be a valid Go identifier.
-	Name string
-
-	// Run applies the rule to one type-checked package. Diagnostics go
-	// through pass.Report; the error return is for analysis failures
-	// (not findings) and aborts the whole run.
-	Run func(*Pass) error
-
-	// Finish, if non-nil, runs once per analysis run after every package,
-	// with access to all exported facts. Diagnostics reported here must
-	// carry a resolved Position (facts store Pos for exactly this purpose).
-	Finish func(*FinishPass) error
-}
-
-// A Pass provides one analyzer with a single type-checked package and a
-// sink for diagnostics — the same contract as x/tools' analysis.Pass —
-// plus fact export/import against the current run's fact store.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	// Report records a finding. The runner fills Diagnostic.Analyzer and
-	// Diagnostic.Position and applies suppression directives.
-	Report func(Diagnostic)
-
-	run *runner
-}
-
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Position resolves a token.Pos against the pass's FileSet.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
-// ObjectKey returns obj's fact key ("pkg#Name", "pkg#T.M", "pkg#T#f"),
-// or ok=false for objects facts cannot describe (locals, universe
-// objects). Analyzers use it to record references to other packages'
-// objects inside their own facts (e.g. hotalloc's call-graph edges).
-func (p *Pass) ObjectKey(obj types.Object) (string, bool) {
-	return p.run.keys.keyOf(obj)
-}
-
-// ExportObjectFact exports a fact about obj, which must be keyable: a
-// package-level object, a method, or a field of a package-level named
-// struct type (see facts.go). Reports whether the object was keyable.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) bool {
-	key, ok := p.run.keys.keyOf(obj)
-	if !ok {
-		return false
-	}
-	p.run.store.put(p.Analyzer.Name, key, f)
-	return true
-}
-
-// ImportObjectFact copies the fact of f's type about obj into f and
-// reports whether one was found. Facts exported by this package and by
-// every package analyzed before it (its module-internal dependencies, at
-// least) are visible.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	key, ok := p.run.keys.keyOf(obj)
-	if !ok {
-		return false
-	}
-	return p.run.store.get(p.Analyzer.Name, key, f)
-}
-
-// A FinishPass gives an analyzer's Finish hook a module-wide view of its
-// facts. Diagnostics must set Position: there is no FileSet here, only
-// the Pos values facts carry.
-type FinishPass struct {
-	Analyzer *Analyzer
-
-	// Report records a finding at Diagnostic.Position. The runner applies
-	// suppression directives collected from every loaded package.
-	Report func(Diagnostic)
-
-	run *runner
-}
-
-// AllObjectFacts returns every object fact of example's type exported by
-// this analyzer, sorted by object key.
-func (fp *FinishPass) AllObjectFacts(example Fact) []KeyedFact {
-	return fp.run.store.all(fp.Analyzer.Name, example)
-}
 
 // A Diagnostic is one finding at one position.
 type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-
-	// Filled in by the runner (Finish hooks set Position themselves).
-	Analyzer string
+	Analyzer string // "hotalloc", or "lintdirective" for a bad //lint: comment
 	Position token.Position
+	Message  string
 
 	// Suggest, when set, is the copy-paste directive that would accept
 	// this finding; dcpimlint prints it under the finding.
@@ -149,7 +53,162 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Position, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the dcpimlint suite.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{HotAlloc}
+// RunDir loads patterns relative to dir (see load) and returns every
+// unsuppressed finding, sorted by position.
+func RunDir(dir string, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	return run(pkgs), nil
+}
+
+// run checks pkgs, which must come from load. hotalloc findings are kept
+// wherever a hot root reaches, in target and dependency packages alike,
+// unless a //lint:ignore in any loaded package covers them. Directive
+// findings are kept for target packages only.
+func run(pkgs []*srcPkg) []Diagnostic {
+	sup := make(suppressions)
+	var diags []Diagnostic
+	for _, p := range pkgs {
+		s, bad := collectSuppressions(p)
+		maps.Copy(sup, s)
+		if p.target {
+			diags = append(diags, bad...)
+		}
+	}
+	hotAlloc(pkgs, func(d Diagnostic) {
+		if !sup.suppresses(d.Analyzer, d.Position) {
+			diags = append(diags, d)
+		}
+	})
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line),
+			cmp.Compare(a.Position.Column, b.Position.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer))
+	})
+	return diags
+}
+
+// directives are the //lint: forms dcpimlint reads, each followed by a
+// reason.
+var directives = []string{"//lint:ignore hotalloc", "//lint:hotpath", "//lint:coldpath"}
+
+// A suppression is one analyzer silenced on one line of one file.
+type suppression struct {
+	file     string
+	line     int
+	analyzer string
+}
+
+// suppressions is the set of lines each //lint:ignore directive covers.
+type suppressions map[suppression]bool
+
+func (s suppressions) suppresses(analyzer string, pos token.Position) bool {
+	return s[suppression{pos.Filename, pos.Line, analyzer}]
+}
+
+// collectSuppressions scans every comment in p for lint directives. A
+// directive covers its own line and, when it stands alone on a line, the
+// line directly below — so it can trail the offending statement or sit
+// immediately above it. Every //lint: comment must be one of
+// directives, with a reason; any other, such as one left behind by a deleted
+// analyzer, comes back as a diagnostic and takes no effect. The
+// hotpath/coldpath markers are checked here only; hotalloc reads them
+// from function doc comments itself.
+func collectSuppressions(p *srcPkg) (suppressions, []Diagnostic) {
+	sup := make(suppressions)
+	var bad []Diagnostic
+	for _, f := range p.files {
+		code := codeLines(p.fset, f)
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				keyword, analyzer, reason, ok := parseDirective(c.Text)
+				if !ok {
+					continue
+				}
+				pos := p.fset.Position(c.Pos())
+				report := func(format string, args ...any) {
+					bad = append(bad, Diagnostic{
+						Analyzer: "lintdirective",
+						Position: pos,
+						Message:  fmt.Sprintf(format, args...),
+					})
+				}
+				directive := strings.TrimSpace("//lint:" + keyword + " " + analyzer)
+				switch {
+				case !slices.Contains(directives, directive):
+					report("unknown directive %s: dcpimlint reads only %s", directive, strings.Join(directives, ", "))
+				case reason == "":
+					report("%s directive needs a reason", directive)
+				case keyword == "ignore":
+					sup[suppression{pos.Filename, pos.Line, analyzer}] = true
+					if !code[pos.Line] {
+						sup[suppression{pos.Filename, pos.Line + 1, analyzer}] = true
+					}
+				}
+			}
+		}
+	}
+	return sup, bad
+}
+
+// parseDirective splits a //lint: comment into its keyword ("ignore",
+// "hotpath", "coldpath", or any other word, which is stale), the
+// analyzer an ignore names, and the reason that follows. ok is false
+// for every comment that does not begin with //lint:.
+func parseDirective(text string) (keyword, analyzer, reason string, ok bool) {
+	rest, ok := strings.CutPrefix(text, "//lint:")
+	if !ok {
+		return "", "", "", false
+	}
+	fields := strings.Fields(rest)
+	if len(fields) > 0 {
+		keyword, fields = fields[0], fields[1:]
+	}
+	if keyword == "ignore" && len(fields) > 0 {
+		analyzer, fields = fields[0], fields[1:]
+	}
+	return keyword, analyzer, strings.Join(fields, " "), true
+}
+
+// codeLines returns the lines of f that hold non-comment code. A //lint:
+// directive on such a line trails the code it covers; one alone on its
+// line covers the line below as well.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		return true
+	})
+	return lines
+}
+
+// directiveLines maps every line of f covered by the named //lint:
+// directive to its reason, under the placement rule of codeLines.
+// Reasonless directives are included (reason ""): collectSuppressions
+// already reports them, and the caller decides whether they count.
+func directiveLines(fset *token.FileSet, f *ast.File, name string) map[int]string {
+	code := codeLines(fset, f)
+	out := make(map[int]string)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			keyword, _, reason, ok := parseDirective(c.Text)
+			if !ok || keyword != name {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			out[line] = reason
+			if !code[line] {
+				out[line+1] = reason
+			}
+		}
+	}
+	return out
 }

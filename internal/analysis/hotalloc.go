@@ -1,28 +1,25 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// hotalloc enforces the zero-allocation contract on hot paths (DESIGN.md
-// §17). The 0-alloc benchmarks (BenchmarkOnPacket, the engine hold model,
-// barrier epochs) already gate allocations at the root function, but a benchmark
-// only measures the call tree it happens to exercise; a new allocation in
+// hotAlloc enforces the zero-allocation contract on hot paths (DESIGN.md
+// §17). The 0-alloc tests and benchmarks (TestForwardingAllocs, the
+// engine step and group epoch tests in internal/sim, the forwarding and
+// end-to-end benchmarks) gate allocations at the root function, but they
+// only measure the call tree they happen to exercise; a new allocation in
 // a rarely-taken branch, or in a helper three calls down, slips through
 // until a perf regression shows up as a digest-preserving slowdown.
 // hotalloc closes that statically: a function marked //lint:hotpath
 // <reason>, plus everything it statically calls inside the module, must
 // contain no allocation sites.
-//
-// Per package, Run exports an AllocProfileFact for every function: whether
-// it is marked hot (//lint:hotpath) or cold (//lint:coldpath — e.g. a
-// lane ring's grow path, amortized and deliberately allocating), its
-// syntactic allocation sites, and its static in-module callees. Finish
-// walks the call graph from every hot root, stops at cold nodes, and
-// reports each reachable allocation once.
 //
 // Allocation sites recognized (conservative — provability, not escape
 // analysis, decides):
@@ -40,73 +37,128 @@ import (
 // path carries //lint:coldpath <reason> on its function. Calls through
 // interfaces or function values are not resolvable statically and are not
 // traversed — the benchmarks still cover those.
-var HotAlloc = &Analyzer{
-	Name:   "hotalloc",
-	Run:    runHotAlloc,
-	Finish: finishHotAlloc,
-}
-
-// AllocSite is one syntactic allocation inside a function.
-type AllocSite struct {
-	Pos  Pos
-	What string
-}
-
-// AllocProfileFact is one function's hot-path profile: markings,
-// allocation sites, and static in-module call edges.
-type AllocProfileFact struct {
-	Hot    bool
-	Cold   bool
-	Allocs []AllocSite
-	Calls  []string // callee fact keys, sorted
-}
-
-func (*AllocProfileFact) AFact() {}
-
-func runHotAlloc(pass *Pass) error {
-	info := pass.TypesInfo
-	for _, f := range pass.Files {
-		hotLines := directiveLines(pass.Fset, f, "hotpath")
-		coldLines := directiveLines(pass.Fset, f, "coldpath")
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			prof := &AllocProfileFact{}
-			line := pass.Position(fd.Pos()).Line
-			if r, ok := hotLines[line]; ok && r != "" {
-				prof.Hot = true
-			}
-			if r, ok := coldLines[line]; ok && r != "" {
-				prof.Cold = true
-			}
-			prof.Allocs, prof.Calls = scanFuncBody(pass, fd)
-			if prof.Hot || prof.Cold || len(prof.Allocs) > 0 || len(prof.Calls) > 0 {
-				pass.ExportObjectFact(fn, prof)
+//
+// hotAlloc profiles every function declared in pkgs, then walks the call
+// graph breadth-first from each //lint:hotpath root in key order, stops
+// at //lint:coldpath functions other than the root, and reports each
+// reachable allocation site once, naming the first root that reaches it.
+func hotAlloc(pkgs []*srcPkg, report func(Diagnostic)) {
+	fns := make(map[*types.Func]*profile)
+	var roots []*profile
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			hotLines := directiveLines(p.fset, f, "hotpath")
+			coldLines := directiveLines(p.fset, f, "coldpath")
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, _ := p.info.Defs[fd.Name].(*types.Func)
+				if obj == nil {
+					continue
+				}
+				line := p.fset.Position(fd.Pos()).Line
+				n := &profile{key: funcKey(obj), hot: hotLines[line] != "", cold: coldLines[line] != ""}
+				n.allocs, n.callees = scanFuncBody(p.fset, p.info, fd)
+				fns[obj] = n
+				if n.hot {
+					roots = append(roots, n)
+				}
 			}
 		}
 	}
-	return nil
+	byKey := func(a, b *profile) int { return cmp.Compare(a.key, b.key) }
+	for _, n := range fns {
+		for callee := range n.callees {
+			if c := fns[callee]; c != nil {
+				n.calls = append(n.calls, c)
+			}
+		}
+		slices.SortFunc(n.calls, byKey)
+	}
+	slices.SortFunc(roots, byKey)
+
+	reported := make(map[token.Position]bool)
+	for _, root := range roots {
+		queue := []*profile{root}
+		visited := map[*profile]bool{root: true}
+		for len(queue) > 0 {
+			n := queue[0]
+			queue = queue[1:]
+			if n.cold && n != root {
+				continue
+			}
+			for _, a := range n.allocs {
+				if reported[a.pos] {
+					continue
+				}
+				reported[a.pos] = true
+				msg := fmt.Sprintf("%s in hot-path function %s", a.what, n.name())
+				if n != root {
+					msg += fmt.Sprintf(" (reached from //lint:hotpath root %s)", root.name())
+				}
+				report(Diagnostic{
+					Analyzer: "hotalloc",
+					Position: a.pos,
+					Message:  msg,
+					Suggest:  "//lint:ignore hotalloc <why this site cannot allocate in practice>, or //lint:coldpath <reason> on the containing function",
+				})
+			}
+			for _, c := range n.calls {
+				if !visited[c] {
+					visited[c] = true
+					queue = append(queue, c)
+				}
+			}
+		}
+	}
 }
 
-// scanFuncBody collects fd's allocation sites and static in-module call
-// edges. Nested func literals are scanned only for the capture check: a
-// closure body runs on its own activation, and if the closure itself is
-// hot it carries its own marking (closures aren't keyable, so in practice
+// A profile is one declared function's profile: its markings, its syntactic
+// allocation sites, and its static callees declared in the loaded
+// packages.
+type profile struct {
+	key       string // "pkg#Name" or "pkg#T.Method": orders roots and callees
+	hot, cold bool
+	allocs    []allocSite
+	callees   map[*types.Func]bool // every static callee, generic ones by Origin
+	calls     []*profile           // the callees declared in the module, by key
+}
+
+// name renders key for diagnostics: "pkg#T.M" → "pkg.T.M".
+func (p *profile) name() string { return strings.Replace(p.key, "#", ".", 1) }
+
+// allocSite is one syntactic allocation inside a function.
+type allocSite struct {
+	pos  token.Position
+	what string
+}
+
+// funcKey returns obj's sort key: "pkg#Name" for a function, "pkg#T.M"
+// for a method of named type T.
+func funcKey(obj *types.Func) string {
+	name := obj.Name()
+	if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+		if t, ok := types.Unalias(deref(recv.Type())).(*types.Named); ok {
+			name = t.Obj().Name() + "." + name
+		}
+	}
+	return obj.Pkg().Path() + "#" + name
+}
+
+// scanFuncBody collects fd's allocation sites and static callees. Nested
+// func literals are scanned only for the capture check: a closure body
+// runs on its own activation, and if the closure itself is hot it carries
+// its own marking (closures have no declaration to mark, so in practice
 // hot closures are hoisted to methods — which the capture rule nudges
 // toward anyway).
-func scanFuncBody(pass *Pass, fd *ast.FuncDecl) ([]AllocSite, []string) {
-	info := pass.TypesInfo
-	var allocs []AllocSite
-	calls := make(map[string]bool)
+func scanFuncBody(fset *token.FileSet, info *types.Info, fd *ast.FuncDecl) ([]allocSite, map[*types.Func]bool) {
+	var allocs []allocSite
+	calls := make(map[*types.Func]bool)
 	counted := make(map[ast.Node]bool) // composite lits already reported via &
 	site := func(n ast.Node, what string) {
-		allocs = append(allocs, AllocSite{Pos: MakePos(pass.Position(n.Pos())), What: what})
+		allocs = append(allocs, allocSite{pos: fset.Position(n.Pos()), what: what})
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -133,22 +185,16 @@ func scanFuncBody(pass *Pass, fd *ast.FuncDecl) ([]AllocSite, []string) {
 				site(x, "map literal")
 			}
 		case *ast.CallExpr:
-			scanCall(pass, x, site, calls)
+			scanCall(info, x, site, calls)
 		}
 		return true
 	})
-	out := make([]string, 0, len(calls))
-	for k := range calls {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return allocs, out
+	return allocs, calls
 }
 
 // scanCall classifies one call expression: allocating builtin, allocating
 // conversion, interface-boxing arguments, or a static call edge.
-func scanCall(pass *Pass, call *ast.CallExpr, site func(ast.Node, string), calls map[string]bool) {
-	info := pass.TypesInfo
+func scanCall(info *types.Info, call *ast.CallExpr, site func(ast.Node, string), calls map[*types.Func]bool) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
@@ -174,30 +220,41 @@ func scanCall(pass *Pass, call *ast.CallExpr, site func(ast.Node, string), calls
 	// Interface boxing at the call boundary.
 	if fn := funcObject(info, call.Fun); fn != nil {
 		if sig, ok := fn.Type().(*types.Signature); ok {
-			checkBoxing(pass, call, sig, site)
+			checkBoxing(info, call, sig, site)
 		}
-		if fn.Pkg() != nil && hasPathPrefix(fn.Pkg().Path(), modulePath) {
-			if key, ok := pass.ObjectKey(fn); ok {
-				calls[key] = true
-			}
-		}
+		calls[fn.Origin()] = true
 		return
 	}
 	// Dynamic call (function value, interface method on unresolvable
 	// receiver): not traversable; the boxing check still applies if the
 	// signature is known.
 	if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok && sig != nil {
-		checkBoxing(pass, call, sig, site)
+		checkBoxing(info, call, sig, site)
 	}
+}
+
+// funcObject resolves expr to the *types.Func it names, if any: a direct
+// identifier or a selector (pkg.F, v.Method).
+func funcObject(info *types.Info, expr ast.Expr) *types.Func {
+	switch e := expr.(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[e].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[e.Sel].(*types.Func)
+		return fn
+	case *ast.ParenExpr:
+		return funcObject(info, e.X)
+	}
+	return nil
 }
 
 // checkBoxing reports args whose concrete, non-pointer-shaped value is
 // passed to an interface parameter — the conversion heap-boxes the value.
-func checkBoxing(pass *Pass, call *ast.CallExpr, sig *types.Signature, site func(ast.Node, string)) {
+func checkBoxing(info *types.Info, call *ast.CallExpr, sig *types.Signature, site func(ast.Node, string)) {
 	if call.Ellipsis.IsValid() {
 		return // slice passed through verbatim, no boxing here
 	}
-	info := pass.TypesInfo
 	params := sig.Params()
 	for i, arg := range call.Args {
 		var pt types.Type
@@ -276,55 +333,10 @@ func capturesOuterVars(info *types.Info, outer *ast.FuncDecl, lit *ast.FuncLit) 
 	return captured
 }
 
-func finishHotAlloc(fp *FinishPass) error {
-	profiles := make(map[string]*AllocProfileFact)
-	var roots []string
-	for _, kf := range fp.AllObjectFacts((*AllocProfileFact)(nil)) {
-		prof := kf.Fact.(*AllocProfileFact)
-		profiles[kf.Object] = prof
-		if prof.Hot {
-			roots = append(roots, kf.Object)
-		}
+// deref strips one level of pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
 	}
-	sort.Strings(roots)
-	reported := make(map[Pos]bool)
-	for _, root := range roots {
-		// BFS over static call edges, skipping cold nodes.
-		queue := []string{root}
-		visited := map[string]bool{root: true}
-		for len(queue) > 0 {
-			key := queue[0]
-			queue = queue[1:]
-			prof := profiles[key]
-			if prof == nil {
-				continue // leaf with no profile: no allocs, no calls
-			}
-			if prof.Cold && key != root {
-				continue
-			}
-			for _, a := range prof.Allocs {
-				if reported[a.Pos] {
-					continue
-				}
-				reported[a.Pos] = true
-				where := prettyKey(key)
-				msg := fmt.Sprintf("%s in hot-path function %s", a.What, where)
-				if key != root {
-					msg += fmt.Sprintf(" (reached from //lint:hotpath root %s)", prettyKey(root))
-				}
-				fp.Report(Diagnostic{
-					Message:  msg,
-					Position: a.Pos.Position(),
-					Suggest:  "//lint:ignore hotalloc <why this site cannot allocate in practice>, or //lint:coldpath <reason> on the containing function",
-				})
-			}
-			for _, callee := range prof.Calls {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-	}
-	return nil
+	return t
 }

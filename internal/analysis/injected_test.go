@@ -81,7 +81,7 @@ func inject(t *testing.T, dir, file, needle, repl string) {
 // diagnostic list is exactly the dcpimlint exit-1 condition.
 func requireFinding(t *testing.T, dir, pattern, analyzer, substr string) {
 	t.Helper()
-	diags, err := RunDir(dir, Analyzers(), pattern)
+	diags, err := RunDir(dir, pattern)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,21 +19,16 @@ import (
 	"strings"
 )
 
-// A Package is one type-checked package ready for analysis: the loaded
-// equivalent of x/tools' packages.Package, restricted to what the
-// analyzers need.
-type Package struct {
-	ImportPath string
-	Fset       *token.FileSet
-	Syntax     []*ast.File
-	Types      *types.Package
-	TypesInfo  *types.Info
+// A srcPkg is one module package, parsed and type-checked from source.
+type srcPkg struct {
+	fset  *token.FileSet // shared by every package of one load
+	files []*ast.File
+	info  *types.Info
 
-	// Target reports whether the package matched the load patterns.
-	// Non-target packages are module-internal dependencies, loaded so
-	// their analyses can export facts; their own diagnostics are
-	// discarded.
-	Target bool
+	// target reports whether the package matched the load patterns.
+	// Other packages are module-internal dependencies, loaded so hot
+	// roots can reach into them; their directive findings are dropped.
+	target bool
 }
 
 // listedPackage mirrors the subset of `go list -json` output the loader
@@ -52,21 +47,20 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Load resolves patterns relative to dir (a directory inside the target
+// load resolves patterns relative to dir (a directory inside the target
 // module) via `go list -export -deps`, then parses and type-checks the
 // matched packages plus their module-internal dependency closure, in
 // topological order (dependencies first, lexicographic among ready
-// packages, so fact and diagnostic production is deterministic). Matched
-// packages have Target set; dependency-only packages participate in
-// analysis for their facts but their diagnostics are discarded by Run.
-// Dependencies outside the module (the standard library) are imported
-// from compiler export data, never from source. A pattern that matches
-// no package of the module is an error, so a mistyped or out-of-module
-// pattern cannot pass the gate by analyzing nothing.
+// packages). Each module package is type-checked against the source-checked
+// packages it imports, never against their export data, so a function is
+// the same *types.Func in every importer. Dependencies outside the module
+// (the standard library) come from compiler export data. A pattern that
+// matches no package of the module is an error, so a mistyped or
+// out-of-module pattern cannot pass the gate by analyzing nothing.
 //
 // Test files are host-side code and are not loaded; the hot paths live
 // in package GoFiles.
-func Load(dir string, patterns ...string) ([]*Package, error) {
+func load(dir string, patterns ...string) ([]*srcPkg, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -114,7 +108,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	// Keep only module-internal import edges: the edges facts flow along.
+	// Keep only module-internal import edges, the order checking needs.
 	for _, p := range byPath {
 		var mod []string
 		for _, imp := range p.Imports {
@@ -130,26 +124,39 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
+	exportData := importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		f, ok := exports[ip]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", ip)
+		}
+		return os.Open(f)
+	})
+	checked := make(map[string]*types.Package)
 	conf := &types.Config{
-		Importer: importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
-			f, ok := exports[ip]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", ip)
+		Importer: importerFunc(func(ip string) (*types.Package, error) {
+			if tp, ok := checked[ip]; ok {
+				return tp, nil
 			}
-			return os.Open(f)
+			return exportData.Import(ip)
 		}),
 		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
-	pkgs := make([]*Package, 0, len(order))
+	pkgs := make([]*srcPkg, 0, len(order))
 	for _, p := range order {
-		pkg, err := check(fset, conf, p)
+		pkg, tp, err := check(fset, conf, p)
 		if err != nil {
 			return nil, err
 		}
+		checked[p.ImportPath] = tp
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // cleanPattern puts a pattern in the canonical form `go list` reports in
 // Match: path-cleaned, with a leading "./" preserved.
@@ -199,36 +206,26 @@ func topoSort(byPath map[string]*listedPackage) ([]*listedPackage, error) {
 }
 
 // check parses and type-checks one listed package.
-func check(fset *token.FileSet, conf *types.Config, p *listedPackage) (*Package, error) {
+func check(fset *token.FileSet, conf *types.Config, p *listedPackage) (*srcPkg, *types.Package, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		full := filepath.Join(p.Dir, name)
 		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", full, err)
+			return nil, nil, fmt.Errorf("parse %s: %w", full, err)
 		}
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	tp, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
+		return nil, nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 	}
-	return &Package{
-		ImportPath: p.ImportPath,
-		Fset:       fset,
-		Syntax:     files,
-		Types:      tpkg,
-		TypesInfo:  info,
-		Target:     !p.DepOnly,
-	}, nil
+	return &srcPkg{fset: fset, files: files, info: info, target: !p.DepOnly}, tp, nil
 }
 
 // goList runs `go list -e -export -json -deps patterns...` in dir and

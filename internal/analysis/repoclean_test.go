@@ -17,7 +17,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunDir(root, Analyzers(), "./...")
+	diags, err := RunDir(root, "./...")
 	if err != nil {
 		t.Fatalf("running dcpimlint over %s: %v", root, err)
 	}

@@ -1,9 +1,27 @@
 package analysis
 
 import (
-	"reflect"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// writeModule materializes a module in a temp dir; files maps
+// module-relative paths to contents.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for rel, content := range files {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
 
 // TestPatternMatchingNothingFails pins that a pattern naming a directory
 // with no Go files is an error, not a clean run over zero packages. A
@@ -17,29 +35,13 @@ func TestPatternMatchingNothingFails(t *testing.T) {
 		"empty/README.md": "no Go files here\n",
 	})
 	for _, pattern := range []string{"./a", "./a/", "./a/../a", "./...", "emptymod/a"} {
-		if _, err := RunDir(dir, Analyzers(), pattern); err != nil {
+		if _, err := RunDir(dir, pattern); err != nil {
 			t.Errorf("RunDir(%q): %v", pattern, err)
 		}
 	}
 	for _, pattern := range []string{"./empty", "./empty/..."} {
-		if _, err := RunDir(dir, Analyzers(), "./a", pattern); err == nil {
+		if _, err := RunDir(dir, "./a", pattern); err == nil {
 			t.Errorf("RunDir(%q) returned no error for a pattern matching no package", pattern)
 		}
-	}
-}
-
-// TestRepeatedAnalyzerRunsOnce pins that listing an analyzer twice does
-// not report each of its findings twice.
-func TestRepeatedAnalyzerRunsOnce(t *testing.T) {
-	once, err := RunDir("testdata/src", []*Analyzer{HotAlloc}, "./internal/hotfix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	twice, err := RunDir("testdata/src", []*Analyzer{HotAlloc, HotAlloc}, "./internal/hotfix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(once) == 0 || !reflect.DeepEqual(once, twice) {
-		t.Errorf("{HotAlloc, HotAlloc} gave %d findings, {HotAlloc} gave %d", len(twice), len(once))
 	}
 }

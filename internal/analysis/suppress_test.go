@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-func parseFixtureSimple(t *testing.T, src string) *Package {
+func parseFixtureSimple(t *testing.T, src string) *srcPkg {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return &Package{Fset: fset, Syntax: []*ast.File{f}}
+	return &srcPkg{fset: fset, files: []*ast.File{f}}
 }
 
 func TestParseDirective(t *testing.T) {

@@ -3,18 +3,23 @@
 // sites, except under //lint:coldpath functions and //lint:ignore lines.
 package hotfix
 
+import "dcpim/internal/hotdep"
+
 type ring struct {
-	buf []int
+	buf   []int
+	stack hotdep.Stack[int]
 }
 
-// Push is a hot root: its own append and its callee's make are findings;
-// grow is cold, so its make is not.
+// Push is a hot root: its own append and its callees' allocations, here
+// and in hotdep, are findings; grow is cold, so its make is not.
 //
 //lint:hotpath fixture hot root covering direct and transitive sites
 func (r *ring) Push(v int) {
 	r.buf = append(r.buf, v) // want "append growth in hot-path function dcpim/internal/hotfix.ring.Push"
 	r.helper(v)
 	r.grow(v)
+	_ = hotdep.Scale(v)
+	r.stack.Push(v)
 }
 
 func (r *ring) helper(v int) {
