@@ -315,9 +315,7 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		d.numHosts, d.spray, d.spec = t.NumHosts, cfg.Spray, sw
 		in := base + i // one ingress counter per port and one for the attached hosts
 		d.ingressBytes = w.ingress[in : in+np+1 : in+np+1]
-		if sw.Rule != nil {
-			d.rule = *sw.Rule
-		}
+		d.rule = *sw.Rule
 		if w.paused != nil {
 			d.paused = w.paused[base : base : base+np]
 		}
@@ -596,12 +594,10 @@ func hostDeliver(a, b any, _ int) {
 // nothing behind it.
 type swDev struct {
 	sh       *shardState
-	ports    []outPort // this switch's window of Fabric.ports
-	numHosts int       // copy of topo.Topology.NumHosts
-	// rule is a copy of spec.Rule; DownDiv == 0 (no valid rule has it)
-	// marks a table-routed switch, which goes through spec.Routes.
-	rule  topo.RouteRule
-	spray bool // copy of Config.Spray
+	ports    []outPort      // this switch's window of Fabric.ports
+	numHosts int            // copy of topo.Topology.NumHosts
+	rule     topo.RouteRule // copy of spec.Rule
+	spray    bool           // copy of Config.Spray
 
 	// down marks a rebooting switch: arrivals are discarded (FaultDrops)
 	// until RestoreSwitch brings the forwarding plane back.
@@ -650,13 +646,7 @@ func (d *swDev) forward(p *packet.Packet, in int) {
 		d.sh.fab.dropped(p)
 		return
 	}
-	var pi int32
-	var cands []int32
-	if d.rule.DownDiv != 0 {
-		pi, cands = d.rule.Route(p.Dst)
-	} else {
-		pi, cands = d.spec.Route(p.Dst)
-	}
+	pi, cands := d.rule.Route(p.Dst)
 	if pi < 0 {
 		// Multipath: spray draws from the device RNG, ECMP hashes flow
 		// identity; a resolved down port consumes no randomness in either

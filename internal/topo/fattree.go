@@ -57,7 +57,7 @@ func HyperscaleFatTree() FatTreeConfig { return FatTreeK(32) }
 // explicit per-switch tables at k=48 would cost gigabytes.
 func MegaFatTree() FatTreeConfig { return FatTreeK(48) }
 
-// Build constructs the fat-tree graph and routing tables.
+// Build constructs the fat-tree graph and routing rules.
 func (c FatTreeConfig) Build() *Topology {
 	k := c.K
 	if k < 2 || k%2 != 0 {

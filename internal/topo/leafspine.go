@@ -72,7 +72,7 @@ func SmallLeafSpine() LeafSpineConfig {
 	return c
 }
 
-// Build constructs the topology graph and routing tables.
+// Build constructs the topology graph and routing rules.
 func (c LeafSpineConfig) Build() *Topology {
 	if c.Racks <= 0 || c.HostsPerRack <= 0 || c.Spines <= 0 {
 		panic(fmt.Sprintf("topo: invalid leaf-spine config %+v", c))

@@ -3,7 +3,9 @@
 # prints an explicit summary of what ran, so a skipped checker is
 # visible instead of a silent gap.
 #
-#   go vet       — always, in the root module and in bench/e2e
+#   go vet       — always, in the root module and in bench/e2e, and once
+#                  more over internal/sim with -tags groupchaos (the
+#                  root ./... never compiles chaos_on.go)
 #   dcpimlint    — always (the in-repo hot-path allocation check; each
 #                  finding prints with its `accept with:` directive, and
 #                  the gate is its exit status)
@@ -65,6 +67,8 @@ ensure_tool() {
 run_checker "go vet" go vet ./...
 # bench/e2e is a module of its own, so the root ./... never reaches it.
 run_checker "go vet (bench/e2e)" bash -c 'cd bench/e2e && go vet ./...'
+# chaos_on.go builds only under the groupchaos tag of the CI race legs.
+run_checker "go vet (groupchaos)" go vet -tags groupchaos ./internal/sim
 
 run_checker "dcpimlint" go run ./cmd/dcpimlint ./...
 
