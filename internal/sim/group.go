@@ -405,7 +405,7 @@ func (g *Group) nextAt(i int) (Time, bool) {
 // beyond the barrier itself — nobody else touches a skipped shard's
 // engine or inbox during the epoch.
 //
-//lint:hotpath epoch barrier; 0-alloc contract of BenchmarkGroupEpoch
+//lint:hotpath epoch barrier; 0-alloc contract of BenchmarkGroupEpoch, asserted by TestGroupEpochAllocs
 func (g *Group) RunEpoch(until Time) {
 	in := g.clockIn()
 	g.epochs++
