@@ -14,7 +14,7 @@ import (
 // runner compares the snapshot streams of two runs (experiments.Bisect),
 // which agree exactly when the runs executed identically.
 // Lanes hold ordinary pending events — where an event is stored is
-// physical layout — so capture lists their records with the queues'.
+// physical layout — so capture lists their records with the heap's.
 
 // EventRecord is the execution-order key of one event: its timestamp and
 // its full seq word (band bit included, so band-1 arrival keys are
@@ -39,10 +39,10 @@ type EngineState struct {
 	Pending []EventRecord
 }
 
-// CaptureState snapshots the engine. Pure reads: the queues are walked
-// without popping, so capture at a barrier never perturbs the run — the
-// property that lets periodic checkpointing coexist with byte-identity
-// goldens.
+// CaptureState snapshots the engine. Pure reads: the heap and the lanes
+// are walked without popping, so capture at a barrier never perturbs the
+// run — the property that lets periodic checkpointing coexist with
+// byte-identity goldens.
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
 		Now:    e.now,
@@ -52,13 +52,9 @@ func (e *Engine) CaptureState() EngineState {
 		Draws:  e.src.Draws(),
 	}
 	st.Pending = make([]EventRecord, 0, e.Pending())
-	add := func(q []hent) {
-		for _, h := range q {
-			st.Pending = append(st.Pending, EventRecord{At: h.at, Seq: h.seq})
-		}
+	for _, h := range e.q {
+		st.Pending = append(st.Pending, EventRecord{At: h.at, Seq: h.seq})
 	}
-	add(e.q)
-	add(e.qa)
 	for _, l := range e.lanes {
 		for k := 0; k < l.n; k++ {
 			r := &l.buf[(l.head+k)&(len(l.buf)-1)]

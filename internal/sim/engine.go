@@ -11,12 +11,12 @@ import (
 // run in the order they were scheduled (stable FIFO tie-break), which keeps
 // protocol state machines deterministic.
 //
-// The event queue is an inlined 4-ary min-heap ordered by (time, seq): a
-// 4-ary layout halves tree depth versus binary, so the sift loops touch
-// fewer cache lines per operation, and inlining the comparisons avoids
-// container/heap's interface-call overhead. Fired and cancelled events are
-// recycled through a free list, so steady-state scheduling allocates
-// nothing.
+// Pending events live in two structures, both ordered by (time, seq): an
+// inlined 4-ary min-heap and the lanes (lane.go). A 4-ary layout halves
+// tree depth versus binary, so the sift loops touch fewer cache lines per
+// operation, and inlining the comparisons avoids container/heap's
+// interface-call overhead. Fired and cancelled events are recycled
+// through a free list, so steady-state scheduling allocates nothing.
 // Sharded execution (see Group) splits one simulation across several
 // engines and relies on a two-band ordering of the seq field: ordinary
 // events occupy band 0 (engine-local insertion sequence, top bit clear)
@@ -25,6 +25,7 @@ import (
 // insertion order. Band-1 events therefore sort after every band-0 event
 // at the same instant, and among themselves in a shard-count-invariant
 // order — the property that makes sharded runs byte-identical to serial.
+// Both bands share the heap: the key alone orders it.
 type Engine struct {
 	now Time
 	// ord is one more than the seq of the event executing now (of the last
@@ -33,8 +34,7 @@ type Engine struct {
 	// compares keys against. Run and SkipTo leave it at ordEnd: every key
 	// at the horizon has passed.
 	ord uint64
-	q   []hent // 4-ary min-heap by (at, seq), band-0 events only
-	qa  []hent // arrival-band events (ScheduleArrival), same order
+	q   []hent // 4-ary min-heap by (at, seq), events of both bands
 	// lanes hold events of either band by value (lane.go); fronts[i]
 	// caches lanes[i]'s head key (laneIdle when empty, and past the last
 	// lane up to a power of two), and win is a winner tree over fronts
@@ -123,7 +123,7 @@ type Timer struct {
 func (t Timer) Active() bool { return t.ev != nil && t.ev.gen == t.gen }
 
 // At returns the time the timer fires, or 0 if it is no longer active.
-// An active timer's event sits in the band-0 heap, at its idx.
+// An active timer's event sits in the heap, at its idx.
 func (t Timer) At() Time {
 	if t.Active() {
 		return t.ev.eng.q[t.ev.idx].at
@@ -189,7 +189,7 @@ func (e *Engine) Events() uint64 { return e.nEvent }
 
 // Pending returns the number of live events currently queued. Cancelled
 // events are removed from the queue immediately and never counted.
-func (e *Engine) Pending() int { return len(e.q) + len(e.qa) + e.laneN }
+func (e *Engine) Pending() int { return len(e.q) + e.laneN }
 
 // alloc takes an event from the free list, or makes one.
 //
@@ -224,7 +224,7 @@ func (e *Engine) recycle(t *event) {
 }
 
 // push allocates an event at absolute time at, stamps it with the next
-// band-0 sequence number and inserts it into the band-0 queue. Scheduling
+// band-0 sequence number and inserts it into the heap. Scheduling
 // in the past panics: it would silently corrupt causality.
 func (e *Engine) push(at Time) *event {
 	if at < e.now {
@@ -233,9 +233,10 @@ func (e *Engine) push(at Time) *event {
 	return e.insert(at, e.ReserveSeq())
 }
 
-// insert queues a band-0 event under the key (at, seq). The heap orders
-// by the key alone, so seq need not be the newest one allocated
-// (ScheduleReserved inserts keys reserved earlier).
+// insert queues an event under the key (at, seq). The heap orders by the
+// key alone, so seq need not be the newest one allocated
+// (ScheduleReserved inserts keys reserved earlier, ScheduleArrival keys
+// of the arrival band).
 func (e *Engine) insert(at Time, seq uint64) *event {
 	t := e.alloc()
 	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
@@ -259,25 +260,14 @@ const arrivalBand = uint64(1) << 63
 // sharded runs byte-identical to serial ones. Keys must be unique per
 // (time, key) pair; the caller's per-link counters guarantee that.
 //
-// Arrivals live in their own heap: identity-derived keys are not
-// insertion-ordered, and mixing them into the main heap measurably slows
-// its sift paths (band-0 pushes are near-sorted, so their sifts terminate
-// almost immediately). The split keeps the main heap's comparisons on
-// monotonic keys and confines arrival-key comparisons to the small
-// in-flight-arrivals heap; Step merges the two roots, where the band bit
-// in seq settles every same-instant tie in the main heap's favor.
-//
 //lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
 func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	t := e.alloc()
+	t := e.insert(at, arrivalBand|key)
 	t.fn = fn
 	t.a, t.b, t.i = a, b, i
-	//lint:ignore hotalloc arrival-heap growth is amortized to the peak in-flight arrival count; the backing array is reused for the rest of the run
-	e.qa = append(e.qa, hent{at, arrivalBand | key, t})
-	siftUp(e.qa, len(e.qa)-1)
 }
 
 // Schedule runs fn at absolute time at.
@@ -368,14 +358,13 @@ func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int
 
 // Where the next event sits: a lane index, or one of these.
 const (
-	srcNone    = -1 - iota // nothing pending
-	srcMain                // the band-0 queue
-	srcArrival             // the arrival heap
+	srcNone = -1 - iota // nothing pending
+	srcHeap             // the heap
 )
 
-// next finds the earliest pending event across the band-0 queue, the
-// arrival heap and the lanes, and returns where it sits and its time. All
-// of them order by (time, seq), so the merge is the single total order.
+// next finds the earliest pending event across the heap and the lanes,
+// and returns where it sits and its time. Both order by (time, seq), so
+// the merge is the single total order.
 func (e *Engine) next() (src int, at Time) {
 	src, at = srcNone, laneIdle.At
 	seq := laneIdle.Seq
@@ -384,14 +373,9 @@ func (e *Engine) next() (src int, at Time) {
 			src, at, seq = int(i), e.fronts[i].At, e.fronts[i].Seq
 		}
 	}
-	if len(e.qa) > 0 {
-		if h := &e.qa[0]; h.at < at || (h.at == at && h.seq < seq) {
-			src, at, seq = srcArrival, h.at, h.seq
-		}
-	}
 	if len(e.q) > 0 {
 		if h := &e.q[0]; h.at < at || (h.at == at && h.seq < seq) {
-			src, at = srcMain, h.at
+			src, at = srcHeap, h.at
 		}
 	}
 	return src, at
@@ -403,18 +387,12 @@ func (e *Engine) next() (src int, at Time) {
 // the time it executes.
 func (e *Engine) exec(src int) {
 	var r laneRec
-	switch src {
-	case srcMain, srcArrival:
-		var h hent
-		if src == srcMain {
-			h = popRoot(&e.q)
-		} else {
-			h = popRoot(&e.qa)
-		}
+	if src == srcHeap {
+		h := e.popRoot()
 		t := h.ev
 		r = laneRec{at: h.at, seq: h.seq, fn: t.fn, a: t.a, b: t.b, i: t.i}
 		e.recycle(t)
-	default:
+	} else {
 		l := e.lanes[src]
 		r = l.pop()
 		e.setFront(src, l.front())
@@ -482,15 +460,15 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// popRoot removes and returns a heap's minimum slot; its event is not
+// popRoot removes and returns the heap's minimum slot; its event is not
 // recycled (exec still needs its fields).
-func popRoot(qp *[]hent) hent {
-	q := *qp
+func (e *Engine) popRoot() hent {
+	q := e.q
 	h := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = hent{}
-	*qp = q[:n]
+	e.q = q[:n]
 	if n > 0 {
 		q[0] = last
 		siftDown(q[:n], 0)
@@ -502,25 +480,20 @@ func popRoot(qp *[]hent) hent {
 // it. Only band-0 events can be cancelled: ScheduleArrival returns no
 // Timer, so arrival events never come through here.
 func (e *Engine) remove(t *event) {
-	heapRemove(&e.q, int(t.idx))
-	e.recycle(t)
-}
-
-// heapRemove deletes slot i from a (time, seq) heap.
-func heapRemove(qp *[]hent, i int) {
-	q := *qp
+	i, q := int(t.idx), e.q
 	n := len(q) - 1
 	last := q[n]
 	q[n] = hent{}
-	*qp = q[:n]
+	q = q[:n]
+	e.q = q
 	if i != n {
-		q = q[:n]
 		q[i] = last
 		siftUp(q, i)
 		if int(last.ev.idx) == i {
 			siftDown(q, i)
 		}
 	}
+	e.recycle(t)
 }
 
 // siftUp restores the heap above index i (4-ary: parent of i is (i-1)/4).

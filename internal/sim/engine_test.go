@@ -471,7 +471,7 @@ func runSchedule(ops []queueOp, steps []int) []string {
 	return order
 }
 
-// refQueue is the reference model the engine's heaps are checked against:
+// refQueue is the reference model the engine's heap is checked against:
 // every pending event of both bands in one slice kept sorted by (at, seq)
 // and popped from the front.
 type refQueue struct {
@@ -547,10 +547,11 @@ func refSchedule(ops []queueOp, steps []int) []string {
 	return r.order
 }
 
-// TestQueueOracleEquivalence checks the engine's queues against the
+// TestQueueOracleEquivalence checks the engine's heap against the
 // sorted-slice model: identical randomized schedules — cancellations,
-// same-instant ties in both bands, near events, far-future events and
-// dense same-instant bursts — execute in the identical order.
+// same-instant ties in both bands and across them, near events,
+// far-future events and dense same-instant bursts — execute in the
+// identical order.
 func TestQueueOracleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -566,14 +567,22 @@ func TestQueueOracleEquivalence(t *testing.T) {
 				o.victim = rng.Intn(1 << 20)
 			case 1, 2: // band-1 arrival with a unique identity key
 				o.arrival = true
+				// Half the keys fall among the band-0 seqs in play (fewer
+				// than n are taken), with delays that share instants with
+				// the short band-0 ones: there only the band bit puts the
+				// arrival after a band-0 event.
+				span, delay := 1<<30, 2000
+				if rng.Intn(2) == 0 {
+					span, delay = n, 64
+				}
 				for {
-					o.key = uint64(rng.Intn(1 << 30))
+					o.key = uint64(rng.Intn(span))
 					if !arrKeys[o.key] {
 						arrKeys[o.key] = true
 						break
 					}
 				}
-				o.delay = Duration(rng.Intn(2000))
+				o.delay = Duration(rng.Intn(delay))
 			default:
 				// Delay mix: 0 forces same-instant FIFO ties, small values
 				// collide on a few instants, large ones sit deep in the heap

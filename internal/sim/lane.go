@@ -8,16 +8,16 @@ import "math"
 // (time, seq): they need a queue, not a priority queue. A lane stores them
 // by value in a ring — no event object, no heap sift, no free list — under
 // the exact keys AfterFunc and ScheduleArrival would have used, and the
-// engine's drain loop takes the minimum over the band-0 queue, the arrival
-// heap and the lane fronts. Every structure orders by the key alone, so
-// which one holds an event is invisible to execution order (DESIGN.md
-// §8.1.2): a caller may route any constant-delay schedule through a lane
-// and any other through the queues, in any mix.
+// engine's drain loop takes the minimum over the heap and the lane
+// fronts. Every structure orders by the key alone, so which one holds an
+// event is invisible to execution order (DESIGN.md §8.1.2): a caller may
+// route any constant-delay schedule through a lane and any other through
+// the heap, in any mix.
 //
-// A lane made by NewTimeLane is filled in time order instead (At): it
-// holds events whose absolute times were known up front and are handed
-// over sorted, such as a trace's flow arrivals. A lane is filled one way
-// or the other, never both.
+// A lane made by NewTimeLane is filled in time order instead
+// (AtReserved): it holds events whose absolute times were known up front
+// and are handed over sorted, such as a trace's flow arrivals. A lane is
+// filled one way or the other, never both.
 //
 // Lane events cannot be cancelled (no Timer is returned); they are meant
 // for events that never are: per-hop fabric latencies, fixed-interval
@@ -52,7 +52,7 @@ const laneMinSlots = 16
 // every real key: no event's seq reaches ordEnd.
 var laneIdle = EventRecord{At: Time(math.MaxInt64), Seq: ordEnd}
 
-// timed is the delay of a lane filled by At: no delay applies.
+// timed is the delay of a lane filled by AtReserved: no delay applies.
 const timed Duration = -1
 
 // NewLane returns a lane whose events fire d after they are scheduled.
@@ -65,7 +65,7 @@ func (e *Engine) NewLane(d Duration) *Lane {
 	return e.newLane(d)
 }
 
-// NewTimeLane returns a lane filled in time order by At / AtReserved, its
+// NewTimeLane returns a lane filled in time order by AtReserved, its
 // ring sized at once for n records (0: grown as needed). Its ring is
 // dropped when the lane drains, so a lane filled once, such as a trace's
 // arrivals, holds no memory once they have all run.
@@ -138,7 +138,7 @@ func (e *Engine) setFront(i int, f EventRecord) {
 func (l *Lane) After(fn func(a, b any, i int), a, b any, i int) {
 	e := l.eng
 	if l.d == timed {
-		panic("sim: After on a lane filled by At")
+		panic("sim: After on a lane filled by AtReserved")
 	}
 	l.put(e.now.Add(l.d), e.ReserveSeq(), fn, a, b, i)
 }
@@ -149,27 +149,21 @@ func (l *Lane) After(fn func(a, b any, i int), a, b any, i int) {
 //lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
 func (l *Lane) Arrive(key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if l.d == timed {
-		panic("sim: Arrive on a lane filled by At")
+		panic("sim: Arrive on a lane filled by AtReserved")
 	}
 	l.put(l.eng.now.Add(l.d), arrivalBand|key, fn, a, b, i)
 }
 
-// At runs fn(a, b, i) at absolute time at, under the key ScheduleFunc
-// would have given it: the next band-0 sequence number. The lane must
-// come from NewTimeLane, and the record must follow its tail.
-func (l *Lane) At(at Time, fn func(a, b any, i int), a, b any, i int) {
-	l.AtReserved(at, l.eng.ReserveSeq(), fn, a, b, i)
-}
-
-// AtReserved is At under the key (at, seq), seq having come from
+// AtReserved runs fn(a, b, i) at the key (at, seq), seq having come from
 // ReserveSeq: a caller that must hand records over in time order but owes
 // them keys in some other order (a trace not sorted by arrival) reserves
-// the keys first. Like At it panics on a time before the clock and on a
-// key that does not follow the lane's tail.
+// the keys first. The lane must come from NewTimeLane; AtReserved panics
+// on a time before the clock and on a key that does not follow the
+// lane's tail.
 func (l *Lane) AtReserved(at Time, seq uint64, fn func(a, b any, i int), a, b any, i int) {
 	e := l.eng
 	if l.d != timed {
-		panic("sim: At on a lane filled by delay")
+		panic("sim: AtReserved on a lane filled by delay")
 	}
 	if at < e.now {
 		panic("sim: scheduling event in the past")

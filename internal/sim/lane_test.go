@@ -8,12 +8,12 @@ import (
 // TestLaneEquivalence is the property behind lanes: where an event is
 // stored is invisible. A random program that routes a random subset of its
 // constant-delay schedules through Lane.After / Lane.Arrive, and of its
-// non-decreasing absolute-time schedules through Lane.At, executes the
-// identical (time, seq) sequence, allocates the identical sequence
-// numbers, and shows the identical Pending, NextAt and captured pending
-// set after every driver action — Run, Step and SkipTo interleaved — as
-// the same program with every event in the queues, with eager and lazy
-// completions.
+// non-decreasing absolute-time schedules through Lane.AtReserved,
+// executes the identical (time, seq) sequence, allocates the identical
+// sequence numbers, and shows the identical Pending, NextAt and captured
+// pending set after every driver action — Run, Step and SkipTo
+// interleaved — as the same program with every event in the heap, with
+// eager and lazy completions.
 func TestLaneEquivalence(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -96,9 +96,9 @@ func TestLaneTieOrder(t *testing.T) {
 // TestLaneAtOrder: a time lane takes records in key order only — a
 // record behind its tail panics, at an earlier instant or under a smaller
 // reserved seq of the same one — and never from the clock's past; a lane
-// is filled by delay or by At, never both. Keys reserved in one order and
-// handed over in another (AtReserved) run in key order, and a drained
-// time lane lets its ring go.
+// is filled by delay or by AtReserved, never both. Keys reserved in one
+// order and handed over in another run in key order, and a drained time
+// lane lets its ring go.
 func TestLaneAtOrder(t *testing.T) {
 	mustPanic := func(what string, fn func()) {
 		t.Helper()
@@ -123,12 +123,12 @@ func TestLaneAtOrder(t *testing.T) {
 	tl.AtReserved(7, s0, rec, nil, nil, 0)
 	tl.AtReserved(7, s2, rec, nil, nil, 2)
 	mustPanic("a smaller seq at the tail's instant", func() { tl.AtReserved(7, s1, rec, nil, nil, 9) })
-	mustPanic("an instant before the tail's", func() { tl.At(6, rec, nil, nil, 9) })
-	tl.At(7, rec, nil, nil, 3) // same instant, fresh seq: follows the tail
-	tl.At(9, rec, nil, nil, 4)
+	mustPanic("an instant before the tail's", func() { tl.AtReserved(6, e.ReserveSeq(), rec, nil, nil, 9) })
+	tl.AtReserved(7, e.ReserveSeq(), rec, nil, nil, 3) // same instant, fresh seq: follows the tail
+	tl.AtReserved(9, e.ReserveSeq(), rec, nil, nil, 4)
 	mustPanic("After on a time lane", func() { tl.After(rec, nil, nil, 9) })
 	mustPanic("Arrive on a time lane", func() { tl.Arrive(1, rec, nil, nil, 9) })
-	mustPanic("At on a delay lane", func() { e.NewLane(2).At(10, rec, nil, nil, 9) })
+	mustPanic("AtReserved on a delay lane", func() { e.NewLane(2).AtReserved(10, e.ReserveSeq(), rec, nil, nil, 9) })
 	e.AfterFunc(7, rec, nil, nil, 5) // (7, a seq after every record above)
 
 	e.RunAll()
@@ -138,8 +138,8 @@ func TestLaneAtOrder(t *testing.T) {
 	if tl.buf != nil {
 		t.Errorf("a drained time lane still holds its %d-slot ring", len(tl.buf))
 	}
-	mustPanic("At before the clock", func() { tl.At(8, rec, nil, nil, 9) })
-	tl.At(9, rec, nil, nil, 6) // the clock's own instant is not the past
+	mustPanic("AtReserved before the clock", func() { tl.AtReserved(8, e.ReserveSeq(), rec, nil, nil, 9) })
+	tl.AtReserved(9, e.ReserveSeq(), rec, nil, nil, 6) // the clock's own instant is not the past
 	e.RunAll()
 	if got[len(got)-1] != 6 {
 		t.Errorf("a time lane refilled after draining did not run its record")

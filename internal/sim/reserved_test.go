@@ -40,8 +40,8 @@ type reservedRun struct {
 // whose delay is one of the small constants goes through Lane.After /
 // Lane.Arrive instead of AfterFunc / ScheduleArrival, and a random subset
 // of its timeline — absolute times that never decrease, as a trace's
-// arrivals — through Lane.At instead of ScheduleFunc; which ones is drawn
-// from a stream of its own, so the program does not change.
+// arrivals — through Lane.AtReserved instead of ScheduleFunc; which ones
+// is drawn from a stream of its own, so the program does not change.
 func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 	var out reservedRun
 	e := NewEngine(1)
@@ -84,7 +84,7 @@ func runReservedProgram(lazy, lanes bool, seed int64) reservedRun {
 		last = max(last, e.now).Add(d)
 		if lanes && pick.Intn(3) != 0 {
 			out.laneEvents++
-			timeLane.At(last, fn, nil, nil, u)
+			timeLane.AtReserved(last, e.ReserveSeq(), fn, nil, nil, u)
 		} else {
 			e.ScheduleFunc(last, fn, nil, nil, u)
 		}
