@@ -99,8 +99,8 @@ type Fabric struct {
 	cfg  Config
 
 	// Sharded execution state (see shard.go). A fabric built with New has
-	// one shard whose engine is eng and whose counters alias Counters, so
-	// the serial path is unchanged.
+	// one shard whose engine is eng and whose counters alias Counters; it
+	// runs the same epochs as any other shard count.
 	grp    *sim.Group
 	part   *topo.Partition // which shard owns which device
 	shards []*shardState
@@ -140,8 +140,9 @@ type Fabric struct {
 }
 
 // New builds a single-shard fabric over the topology: everything runs on
-// eng and callers drive it with eng.Run as before. Protocols are attached
-// afterwards with AttachProtocol (every host must have one before Run).
+// eng, so callers may drive it with eng.Run as well as with Fabric.Run —
+// nothing crosses a cut. Protocols are attached afterwards with
+// AttachProtocol (every host must have one before Run).
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Fabric {
 	part, err := topo.MakePartition(t, 1)
 	if err != nil {
@@ -199,17 +200,14 @@ func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partitio
 		s := &shardState{id: i, fab: f, eng: grp.Engine(i)}
 		s.hostLane = s.lane(t.HostDelay)
 		s.swLane = s.lane(t.SwitchDelay)
-		if n == 1 {
-			s.counters = &f.Counters
-		} else {
+		s.counters = &f.Counters // one shard's counters are the fabric's
+		if n > 1 {
 			s.counters = new(Counters)
-			s.out[0], s.out[1] = make([]stagingRow, n), make([]stagingRow, n)
 		}
+		s.out[0], s.out[1] = make([]stagingRow, n), make([]stagingRow, n)
 		f.shards = append(f.shards, s)
 	}
-	if n > 1 {
-		grp.SetInbox(f)
-	}
+	grp.SetInbox(f)
 
 	// One slab per kind of state; every device gets a window or an element.
 	// base[i] says where switch i's ports start in the port slab and what

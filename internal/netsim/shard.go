@@ -19,7 +19,8 @@ import (
 // itself as its next epoch starts (Land), keyed by (directed link id, link
 // sequence) in the engine's arrival band — an ordering derived from
 // simulation identity, not insertion order, so event execution order is
-// identical at every shard count, including 1.
+// identical at every shard count. One shard runs the same epochs, with
+// empty staging rows.
 //
 // The staging rows are double-buffered by epoch parity. During an epoch
 // of parity p a shard appends only to its out[p] rows, while every
@@ -163,40 +164,22 @@ func bandKey(linkID, seq uint64) uint64 {
 	return linkID<<arrSeqBits | seq
 }
 
-// Run advances the simulation to until across all shards. With one
-// shard it is exactly Engine.Run; with several it executes
+// Run advances the simulation to until across all shards in
 // barrier-synchronized epochs, every shard landing the cross-shard
-// arrivals staged for it as its next epoch starts. Fabric.Counters is up
-// to date and staging empty when it returns.
+// arrivals staged for it as its next epoch starts. With one shard an
+// epoch is exactly Engine.Run. Fabric.Counters is up to date and staging
+// empty when it returns.
 func (f *Fabric) Run(until sim.Time) { f.RunSynced(until, 0, nil) }
 
 // RunSynced is Run with evenly spaced synchronization points: atSync is
 // called at every multiple of interval up to until, after all events at
 // that instant have executed and counters have merged — the hook the
 // metrics sampler uses so that sampled series are identical at every
-// shard count. interval <= 0 disables the hook.
+// shard count. interval <= 0 disables the hook. Sync points at or before
+// the clock were taken by an earlier call (checkpointing drivers call
+// RunSynced repeatedly with increasing horizons), so a resumed schedule
+// is identical to one uninterrupted call.
 func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(sim.Time)) {
-	if len(f.shards) == 1 {
-		eng := f.eng
-		if interval > 0 {
-			// Sample points at or before the current clock were already
-			// taken by an earlier windowed call (checkpointing drivers call
-			// RunSynced repeatedly with increasing horizons); <= keeps the
-			// resumed schedule identical to one uninterrupted call.
-			for next := sim.Time(interval); next <= until; next = next.Add(interval) {
-				if next <= eng.Now() {
-					continue
-				}
-				eng.Run(next)
-				if atSync != nil {
-					atSync(next)
-				}
-			}
-		}
-		eng.Run(until)
-		return
-	}
-
 	now := f.grp.Now()
 	next := sim.Time(interval)
 	for interval > 0 && next <= now {
@@ -208,10 +191,11 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 	// send ≥ M stages lands at send + W or later (NewSharded derives W as
 	// exactly that floor) — strictly after T = M + W − 1ps, so the barrier
 	// never truncates a causal chain. stage checks it per arrival against
-	// the barrier published here.
+	// the barrier published here. Nothing crosses the cut of one shard
+	// (W = 0), and its epochs run to the next sync point or until.
 	for now < until {
 		t := until
-		if m, ok := f.grp.NextAt(); ok {
+		if m, ok := f.grp.NextAt(); ok && f.lookahead > 0 {
 			if c := m.Add(f.lookahead) - 1; c < t {
 				t = c
 			}
@@ -318,12 +302,13 @@ func (f *Fabric) mergeCounters() {
 // NumShards returns how many shards the fabric runs on.
 func (f *Fabric) NumShards() int { return len(f.shards) }
 
-// ShardStats describes one shard's share of a sharded run — the numbers
-// that quantify barrier overhead: how many epochs the shard actually had
-// work in (versus idle-skipped at the barrier), how many events it
-// executed, how many of them bounded an epoch, and how many cross-shard
-// arrivals were staged into it, and, in a metered run, how long it was
-// busy. The counters are maintained unconditionally (their upkeep is
+// ShardStats describes one shard's share of a run — the numbers that
+// quantify barrier overhead: how many epochs the shard actually had work
+// in (versus idle-skipped at the barrier), how many events it executed,
+// how many of them bounded an epoch, and how many cross-shard arrivals
+// were staged into it, and, in a metered run, how long it was busy. A
+// one-shard run is dispatched in every epoch and all its events are
+// critical. The counters are maintained unconditionally (their upkeep is
 // noise against an epoch's hand-off); they are only formatted when a
 // caller reads them here.
 type ShardStats struct {
@@ -363,16 +348,17 @@ func (f *Fabric) ShardStats() []ShardStats {
 	return out
 }
 
-// Epochs returns the number of barriers executed (0 when single-shard:
-// one shard runs on its engine without epochs).
+// Epochs returns the number of barriers executed. One shard runs epochs
+// too: one per sync point and one to the horizon of each Run.
 func (f *Fabric) Epochs() uint64 { return f.grp.Epochs() }
 
 // Lookahead returns the conservative synchronization window: the least
 // time between an event on one shard and the earliest arrival it can
 // stage on another, over the links that cross shards — propagation plus
 // a header's serialization and the peer's SwitchDelay for the fused data
-// forward, the bare propagation delay when PFC frames can cross (0 when
-// single-shard).
+// forward, the bare propagation delay when PFC frames can cross. It is 0
+// when nothing crosses (one shard), and epochs then end only at sync
+// points and horizons.
 func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
 
 // ShardOfHost returns the shard owning host h.

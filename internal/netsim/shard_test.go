@@ -263,11 +263,13 @@ func TestShardedBoundaryFirstInstant(t *testing.T) {
 // however busy it is — and a busy one takes about that many. The
 // barrier-overhead counters must add up on the way: every shard is
 // dispatched or skipped in every epoch, and the critical path lies
-// between the busiest shard's events and the total.
+// between the busiest shard's events and the total. One shard has no
+// window: it runs the same loop, dispatched in every epoch, and each of
+// its events is on the critical path.
 func TestWindowBoundsEpochs(t *testing.T) {
 	tp := topo.SmallFatTree().Build()
 	const horizon = 100 * sim.Microsecond
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		underWatchdog(t, shardWatchdog, func() {
 			f, _, closeGroup := shardedFabric(t, tp, shards, Config{Spray: true})
 			defer closeGroup()
@@ -285,6 +287,14 @@ func TestWindowBoundsEpochs(t *testing.T) {
 
 			w := f.Lookahead()
 			epochs := f.Epochs()
+			if shards == 1 {
+				s := f.ShardStats()[0]
+				if w != 0 || epochs < 1 || s.Dispatched != epochs || s.Critical != s.Events {
+					t.Errorf("one shard: window %v, %d epochs, dispatched %d, critical %d of %d events; want 0, >= 1, all epochs, all events",
+						w, epochs, s.Dispatched, s.Critical, s.Events)
+				}
+				return
+			}
 			if most := uint64((horizon+20*sim.Microsecond)/w) + 2; epochs > most {
 				t.Errorf("shards=%d: %d epochs of a %v window, want at most %d", shards, epochs, w, most)
 			}
