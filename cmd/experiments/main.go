@@ -67,6 +67,14 @@ func runMain() (code int) {
 		fmt.Fprintf(os.Stderr, "-shards %d: want 0 (auto), 1 (serial) or a shard count\n", *shards)
 		return 2
 	}
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "-scale %v: want a positive horizon factor (1 = paper fidelity)\n", *scale)
+		return 2
+	}
+	if *hosts < 0 {
+		fmt.Fprintf(os.Stderr, "-hosts %d: want 0 (paper size) or a host count\n", *hosts)
+		return 2
+	}
 	// A cadence with nowhere to write captures every snapshot and throws
 	// it away; a directory with no cadence stays empty.
 	if *ckptEvery < 0 || (*ckptEvery > 0) != (*ckptDir != "") {

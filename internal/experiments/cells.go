@@ -43,7 +43,7 @@ func (f figure) run(o Options, cells []cell) []RunResult {
 			Metrics: o.metrics(c.label), Checkpoint: o.checkpoint(c.label),
 		}
 	}
-	return RunMany(specs, o.workers())
+	return RunMany(specs, o.EffectiveWorkers())
 }
 
 // allToAll generates the evaluation's all-to-all trace on tp (see

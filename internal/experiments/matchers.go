@@ -314,7 +314,7 @@ func defaultMatcherSweep(o Options) matcherSweepConfig {
 		DensePorts:  []int{256, 1024},
 		Trials:      3,
 		Seed:        o.Seed,
-		Workers:     o.workers(),
+		Workers:     o.EffectiveWorkers(),
 	}
 	if o.Matchers != "" {
 		cfg.Matchers = nil

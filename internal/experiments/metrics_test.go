@@ -6,8 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dcpim/internal/sim"
 )
@@ -45,6 +47,47 @@ func TestMetricsSamplerDeterminism(t *testing.T) {
 			}
 			if !bytes.Equal(res.MetricsJSON, serial.MetricsJSON) {
 				t.Errorf("workers=%d run %d: JSON differs from serial", workers, i)
+			}
+		}
+	}
+}
+
+// TestMetricsSyncPoints pins the sampling cadence itself: the CSV's time
+// column is exactly 0, Interval, 2·Interval … up to the horizon — serial,
+// at the auto count, on two shards, and checkpointed, where the run is
+// driven in windows whose ends fall between sync points. One epoch loop
+// serves every shard count, and the determinism tests only compare these
+// runs with each other, so a cadence bug common to all of them would pass
+// there. The watchdog turns an epoch loop that stops advancing into a
+// failure instead of a hang.
+func TestMetricsSyncPoints(t *testing.T) {
+	watchdog(t, time.Minute)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		ckpt   bool
+	}{
+		{"serial", 1, false},
+		{"auto", 0, false},
+		{"shards=2", 2, false},
+		{"serial checkpointed", 1, true},
+	} {
+		spec := metricsGoldenSpec(t, DCPIM)
+		spec.Shards = tc.shards
+		if tc.ckpt {
+			spec.Checkpoint = &CheckpointSpec{Every: 73*sim.Microsecond + 3}
+		}
+		res := Run(spec)
+		iv := spec.Metrics.Interval
+		rows := strings.Split(strings.TrimSuffix(string(res.MetricsCSV), "\n"), "\n")[1:]
+		if want := int(spec.Horizon/iv) + 1; len(rows) != want {
+			t.Errorf("%s: %d sampled rows, want %d (0 to %v every %v)", tc.name, len(rows), want, spec.Horizon, iv)
+		}
+		for i, row := range rows {
+			at, _, _ := strings.Cut(row, ",")
+			if want := strconv.FormatInt(int64(i)*int64(iv), 10); at != want {
+				t.Errorf("%s: row %d sampled at %s ps, want %s", tc.name, i, at, want)
+				break
 			}
 		}
 	}

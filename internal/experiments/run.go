@@ -155,19 +155,18 @@ func (o Options) scaled(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * o.Scale)
 }
 
-// workers resolves the worker-pool size for RunMany. With an explicit
-// Shards > 1 each concurrent simulation runs that many engine
-// goroutines, so the pool is the floor of GOMAXPROCS over the shard
-// count — workers × shards never exceeds GOMAXPROCS (the old ceiling
-// division oversubscribed the machine whenever shards didn't divide it
-// evenly: 4 CPUs at 3 shards gave 2 workers × 3 shards = 6 runnable
-// engine goroutines). The floor is clamped to one worker so sweeps
-// always make progress even when a single simulation is wider than the
-// machine. Auto (Shards 0) leaves the pool alone: its count depends on
-// each spec's topology, and a sweep of auto-sharded runs measured level
-// with serial at 432 and 1024 hosts and at most a few percent slower at
-// 144, where halving the pool was slower still (DESIGN.md §11.5).
-func (o Options) workers() int {
+// EffectiveWorkers resolves the worker-pool size for RunMany — what
+// bounds sweep concurrency, which run reports surface instead of the raw
+// -parallel flag. With an explicit Shards > 1 each concurrent simulation
+// runs that many engine goroutines, so the pool is the floor of
+// GOMAXPROCS over the shard count: workers × shards never exceeds
+// GOMAXPROCS. The floor is clamped to one worker so sweeps always make
+// progress even when a single simulation is wider than the machine. Auto
+// (Shards 0) leaves the pool alone: its count depends on each spec's
+// topology, and a sweep of auto-sharded runs measured level with serial
+// at 432 and 1024 hosts and at most a few percent slower at 144, where
+// halving the pool was slower still (DESIGN.md §11.5).
+func (o Options) EffectiveWorkers() int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -180,11 +179,6 @@ func (o Options) workers() int {
 	}
 	return w
 }
-
-// EffectiveWorkers reports the RunMany pool size the options resolve to —
-// what actually bounds sweep concurrency after the shard clamp — so run
-// reports can surface it instead of the raw -parallel flag.
-func (o Options) EffectiveWorkers() int { return o.workers() }
 
 // metrics returns a MetricsSpec labeled for one run, or nil when the
 // telemetry layer is disabled (no MetricsDir).

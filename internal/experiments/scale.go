@@ -32,8 +32,8 @@ type ScaleResult struct {
 	SkippedPct   float64 `json:"skipped_pct"`
 	Digest       string  `json:"digest"`
 	// Critical is Σ over epochs of the most events any one shard executed
-	// (0 when serial). Events over it bounds the cell's speedup on a core
-	// per shard; it is a count, equal across repeats of a seed.
+	// (Events when serial). Events over it bounds the cell's speedup on a
+	// core per shard; it is a count, equal across repeats of a seed.
 	Critical uint64 `json:"critical_events"`
 	// WireS is the cell's set-up wall time (RunResult.Wire) and SerialFrac
 	// the share of its whole wall time spent outside the shard goroutines
@@ -55,9 +55,9 @@ type ScaleResult struct {
 // core per shard and a free barrier to gain over one core. Measured far
 // under it with cores to spare is barrier cost; a bound far under the
 // shard count is imbalance; measured under it with fewer cores than
-// shards is the box. A serial cell has no epochs and no bound.
+// shards is the box. A serial cell has nothing to bound.
 func (r ScaleResult) bound() string {
-	if r.Critical == 0 {
+	if r.Shards == 1 {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(r.Events)/float64(r.Critical))
@@ -78,7 +78,7 @@ func (r ScaleResult) amdahl(cores int) float64 {
 // serialLabel renders the serial share and the Amdahl speedups it implies
 // at 4, 8 and 16 cores, to sit beside bound on a row.
 func (r ScaleResult) serialLabel() string {
-	if r.Critical == 0 || r.SerialFrac == 0 {
+	if r.SerialFrac == 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%% %.1f/%.1f/%.1fx", 100*r.SerialFrac, r.amdahl(4), r.amdahl(8), r.amdahl(16))
@@ -212,12 +212,7 @@ func RunScale(o Options, w io.Writer) error {
 					Protocol: DCPIM, Topo: tp, Trace: tr,
 					Horizon: horizon + horizon/2, Seed: o.Seed + 7,
 					Shards: shards, Digest: true,
-				}
-				if o.CheckpointEvery > 0 {
-					spec.Checkpoint = &CheckpointSpec{
-						Every: o.CheckpointEvery, Dir: o.CheckpointDir,
-						Label: scaleCellLabel(hosts, load, shards), Journal: true,
-					}
+					Checkpoint: o.checkpoint(scaleCellLabel(hosts, load, shards)),
 				}
 				elapsed := WallTimer()
 				res := runClocked(spec, elapsed)

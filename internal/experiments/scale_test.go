@@ -115,6 +115,20 @@ func TestCheckpointedCellIsMetered(t *testing.T) {
 	}
 }
 
+// TestScaleRowBound: a serial row counts every event as critical, since
+// one shard runs epochs too, and still prints no bound and no serial
+// share; a sharded row prints events over critical events.
+func TestScaleRowBound(t *testing.T) {
+	serial := ScaleResult{Shards: 1, Events: 100, Critical: 100}
+	if got, lbl := serial.bound(), serial.serialLabel(); got != "-" || lbl != "-" {
+		t.Errorf("serial row: bound %q, serial %q; want - and -", got, lbl)
+	}
+	sharded := ScaleResult{Shards: 2, Events: 100, Critical: 80}
+	if got := sharded.bound(); got != "1.25x" {
+		t.Errorf("sharded row: bound %q, want 1.25x", got)
+	}
+}
+
 // TestWorkersClamp pins the RunMany pool division: the pool is the floor
 // of the worker budget over an explicit shard count, clamped to one, so
 // workers × shards never exceeds the budget (the old ceiling division
@@ -133,9 +147,6 @@ func TestWorkersClamp(t *testing.T) {
 		{1, 64, 1}, // never zero
 	} {
 		o := Options{Workers: tc.workers, Shards: tc.shards}
-		if got := o.workers(); got != tc.want {
-			t.Errorf("workers=%d shards=%d: pool %d, want %d", tc.workers, tc.shards, got, tc.want)
-		}
 		if got := o.EffectiveWorkers(); got != tc.want {
 			t.Errorf("EffectiveWorkers(workers=%d shards=%d) = %d, want %d", tc.workers, tc.shards, got, tc.want)
 		}
