@@ -189,9 +189,10 @@ func TestForwardingAllocs(t *testing.T) {
 }
 
 // TestMetricsDisabledAllocs pins the telemetry layer's zero-cost-off
-// guarantee: with no metrics registry (fab.RegisterMetrics(nil) and nil
-// instruments everywhere), the observer fan-out and nil-safe instrument
-// calls must leave the forwarding hot path at its 0-alloc budget.
+// guarantee: with an uninstrumented collector (fab.RegisterMetrics on a
+// collector without EnableInstruments, and zero Counters everywhere),
+// the observer fan-out and the no-op instrument calls must leave the
+// forwarding hot path at its 0-alloc budget.
 func TestMetricsDisabledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
@@ -199,7 +200,7 @@ func TestMetricsDisabledAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	fab.RegisterMetrics(nil) // disabled telemetry: must register nothing
+	fab.RegisterMetrics(stats.NewCollector()) // uninstrumented: must register nothing
 	for i := 0; i < tp.NumHosts; i++ {
 		fab.AttachProtocol(i, nopProto{})
 	}
@@ -232,7 +233,7 @@ func BenchmarkDcPIMEndToEnd(b *testing.B) {
 		eng := sim.NewEngine(int64(i + 1))
 		tp := topo.SmallLeafSpine().Build()
 		fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-		col := stats.NewCollector(0)
+		col := stats.NewCollector()
 		core.Attach(fab, core.DefaultConfig(), col)
 		fab.Start()
 		tr := workload.AllToAllConfig{

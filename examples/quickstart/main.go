@@ -29,7 +29,7 @@ func main() {
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 
 	// 4. dcPIM on every host, sharing one stats collector.
-	col := stats.NewCollector(10 * sim.Microsecond)
+	col := stats.NewCollector()
 	core.Attach(fab, core.DefaultConfig(), col)
 	fab.Start()
 

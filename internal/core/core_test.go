@@ -25,7 +25,7 @@ func newHarness(topoCfg topo.LeafSpineConfig, cfg Config, seed int64) *harness {
 	eng := sim.NewEngine(seed)
 	tp := topoCfg.Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(10 * sim.Microsecond)
+	col := stats.NewCollector()
 	protos := Attach(fab, cfg, col)
 	fab.Start()
 	return &harness{eng: eng, fab: fab, col: col, protos: protos, tp: tp}
@@ -205,7 +205,7 @@ func TestIncastShortFlowRecovery(t *testing.T) {
 		Spray:           true,
 		PortBufferBytes: 20 * packet.MTU,
 	})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	var flows []workload.Flow
@@ -379,5 +379,5 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Fatalf("Attach with zero rounds: recovered %v, want the config panic", r)
 		}
 	}()
-	Attach(fab, Config{Rounds: 0, Channels: 1, Beta: 1}, stats.NewCollector(0))
+	Attach(fab, Config{Rounds: 0, Channels: 1, Beta: 1}, stats.NewCollector())
 }

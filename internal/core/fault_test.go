@@ -30,7 +30,7 @@ func faultScenario(t *testing.T, seed int64, drain sim.Duration, events ...fault
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 	fab.EnableAudit()
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	sched := &faults.Schedule{Events: events}
@@ -109,7 +109,7 @@ func TestGeneratedFaultStorm(t *testing.T) {
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 	fab.EnableAudit()
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	horizon := 400 * sim.Microsecond

@@ -161,7 +161,7 @@ func TestIdleHostAllocs(t *testing.T) {
 	eng := sim.NewEngine(5)
 	tp := cfgT.Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	protos := Attach(fab, DefaultConfig(), col)
 	const ringOnce = 1
 

@@ -244,7 +244,7 @@ func (r *receiver) onData(d *packet.Packet) {
 	}
 	if f.state.get(d.Seq) == seqTokened {
 		f.outstanding--
-		r.p.sh.ins.tokensOutstanding.Add(-1)
+		r.p.col.Add(r.p.sh.ins.tokensOutstanding, -1)
 	} else {
 		f.untokenedCnt--
 	}
@@ -255,7 +255,7 @@ func (r *receiver) onData(d *packet.Packet) {
 		payload = 0 // a trimmed packet delivers no payload (defensive; dcPIM runs without trimming)
 	}
 	f.receivedByte += payload
-	r.p.col.Delivered(r.p.eng.Now(), payload)
+	r.p.col.Delivered(payload)
 
 	if f.receivedByte >= f.size {
 		r.complete(f)
@@ -309,8 +309,8 @@ func (r *receiver) onEpochStart(e int64) {
 			f.state.set(int(tr.seq), seqUntokened)
 			f.untokenedCnt++
 			f.outstanding--
-			r.p.sh.ins.tokensReverted.Inc()
-			r.p.sh.ins.tokensOutstanding.Add(-1)
+			r.p.col.Add(r.p.sh.ins.tokensReverted, 1)
+			r.p.col.Add(r.p.sh.ins.tokensOutstanding, -1)
 			f.retx.push(tr.seq)
 		}
 	}
@@ -327,7 +327,7 @@ func (r *receiver) onEpochStart(e int64) {
 	for _, ch := range r.matchedNow {
 		total += ch
 	}
-	r.p.sh.ins.matchedChannels.Add(int64(total - r.matchedTotal))
+	r.p.col.Add(r.p.sh.ins.matchedChannels, int64(total-r.matchedTotal))
 	r.matchedTotal = total
 	clear(r.loops)
 	for _, src := range sortedKeys(r.matchedNow) {
@@ -406,8 +406,8 @@ func (r *receiver) issueToken(l *tokenLoop, f *recvFlow, seq int) {
 	f.state.set(seq, seqTokened)
 	f.untokenedCnt--
 	f.outstanding++
-	r.p.sh.ins.tokensIssued.Inc()
-	r.p.sh.ins.tokensOutstanding.Add(1)
+	r.p.col.Add(r.p.sh.ins.tokensIssued, 1)
+	r.p.col.Add(r.p.sh.ins.tokensOutstanding, 1)
 	f.tokened.push(tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
 
 	tok := packet.NewControl(packet.Token, r.p.id, f.src, f.id)
@@ -553,7 +553,7 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 		acc.Round = round
 		acc.Epoch = epoch
 		r.p.send(acc)
-		r.p.sh.ins.roundAccept(round, take)
+		r.p.sh.ins.roundAccept(r.p.col, round, take)
 		r.used += take
 		free -= take
 		r.matchedNext[g.Src] += take

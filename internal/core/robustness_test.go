@@ -29,7 +29,7 @@ func TestRandomLossRecovery(t *testing.T) {
 				ctrlDrops++
 			}
 		}})
-		col := stats.NewCollector(0)
+		col := stats.NewCollector()
 		Attach(fab, DefaultConfig(), col)
 		fab.Start()
 		tr := workload.AllToAllConfig{
@@ -71,7 +71,7 @@ func TestLongFlowUnderControlLoss(t *testing.T) {
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 	lossEverywhere(fab, 0.02)
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	fab.Inject(&workload.Trace{Flows: []workload.Flow{
@@ -90,7 +90,7 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	protos := Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	p := protos[0]
@@ -156,7 +156,7 @@ func TestFCTRoundPrefersShortFlow(t *testing.T) {
 	eng := sim.NewEngine(3)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	cfg := DefaultConfig()
 	cfg.Channels = 1 // force a single channel so the choice is exclusive
 	cfg.Rounds = 1   // only the FCT round
@@ -192,7 +192,7 @@ func TestMultiEpochFlow(t *testing.T) {
 	eng := sim.NewEngine(8)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	protos := Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	// 4 MB ≫ one epoch's channel capacity (≈95 KB × 4 channels).
@@ -228,7 +228,7 @@ func TestBufferingBoundedByBDP(t *testing.T) {
 	eng := sim.NewEngine(9)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	// Long flows only (no short-flow bursts): worst case for queueing is
@@ -255,7 +255,7 @@ func TestClockSkewTolerance(t *testing.T) {
 	for _, skew := range []sim.Duration{tm.stageLen / 4, tm.stageLen} {
 		eng := sim.NewEngine(13)
 		fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-		col := stats.NewCollector(0)
+		col := stats.NewCollector()
 		cfg := DefaultConfig()
 		cfg.MaxClockSkew = skew
 		Attach(fab, cfg, col)

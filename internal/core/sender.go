@@ -152,9 +152,9 @@ func (s *sender) transmitData(f *sendFlow, seq int, prio uint8) {
 	// (including short-flow recovery, re-admitted at data priorities) is
 	// scheduled.
 	if prio == packet.PrioShort {
-		s.p.sh.ins.unschedBytes.Add(int64(d.Size))
+		s.p.col.Add(s.p.sh.ins.unschedBytes, int64(d.Size))
 	} else {
-		s.p.sh.ins.schedBytes.Add(int64(d.Size))
+		s.p.col.Add(s.p.sh.ins.schedBytes, int64(d.Size))
 	}
 	if !f.sent.get(seq) {
 		f.sent.set(seq)

@@ -76,7 +76,7 @@ func TestCheckpointStreamsReproduce(t *testing.T) {
 				prep := func(withCk bool) RunSpec {
 					spec := goldenSpec(t, DCPIM, withFaults)
 					spec.Shards = shards
-					spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
+					spec.Metrics = &MetricsSpec{Label: "ckpt-prop"}
 					if withCk {
 						spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
 					}
@@ -119,7 +119,7 @@ func TestCheckpointAutoShards(t *testing.T) {
 		spec := RunSpec{
 			Protocol: DCPIM, Topo: tp, Trace: tr, Horizon: horizon, Seed: 12,
 			Shards: shards, Digest: true,
-			Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "ckpt-auto"},
+			BinWidth: 5 * sim.Microsecond, Metrics: &MetricsSpec{Label: "ckpt-auto"},
 		}
 		if withCk {
 			spec.Checkpoint = &CheckpointSpec{Every: horizon / 4, Journal: true}

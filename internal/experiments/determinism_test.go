@@ -157,7 +157,7 @@ func TestShardedByteIdentity(t *testing.T) {
 	watchdog(t, time.Minute)
 	sharded := func(t *testing.T, withFaults bool, shards int) RunSpec {
 		spec := goldenSpec(t, DCPIM, withFaults)
-		spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "shard"}
+		spec.Metrics = &MetricsSpec{Label: "shard"}
 		spec.Shards = shards
 		return spec
 	}
@@ -336,7 +336,7 @@ func TestAutoShardsInvariant(t *testing.T) {
 				return RunSpec{
 					Protocol: proto, Topo: tp, Trace: tr,
 					Horizon: horizon + horizon/2, Seed: 6, Shards: shards, Digest: true,
-					Metrics: &MetricsSpec{Interval: 5 * sim.Microsecond, Label: "auto"},
+					BinWidth: 5 * sim.Microsecond, Metrics: &MetricsSpec{Label: "auto"},
 				}
 			}
 			if proto == HPCC {

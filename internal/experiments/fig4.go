@@ -58,15 +58,12 @@ func RunFig4a(o Options, w io.Writer) error {
 	tbl := newTable(header...)
 	fig := figure{topo: tp, horizon: horizon, seed: o.Seed + 9, bin: 50 * sim.Microsecond}
 	for _, res := range fig.run(o, perProtocol("fig4a", Comparators, trace)) {
-		// Normalize by the 16 loaded receiver downlinks, not all hosts.
+		// Normalize by the 16 loaded receiver downlinks, not all hosts. The
+		// series has a bin per 50 µs of the run, traffic or not.
 		series := res.Col.UtilizationSeries(hpr, tp.HostRate)
 		row := []any{res.Protocol}
-		for b := 0; b < bins; b++ {
-			if b < len(series) {
-				row = append(row, series[b])
-			} else {
-				row = append(row, 0.0)
-			}
+		for _, u := range series[:bins] {
+			row = append(row, u)
 		}
 		tbl.add(row...)
 	}

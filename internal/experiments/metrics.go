@@ -7,19 +7,17 @@ import (
 	"os"
 	"path/filepath"
 
-	"dcpim/internal/metrics"
 	"dcpim/internal/sim"
+	"dcpim/internal/stats"
 )
 
-// MetricsSpec enables the telemetry layer for one run: a per-run
-// metrics.Registry is created, the fabric and protocol register their
-// instruments on it, and a Sampler snapshots them on a simulation-clock
-// cadence. The sampled series lands in RunResult.MetricsCSV and the
-// end-of-run report in RunResult.MetricsJSON; when Dir is non-empty both
-// are also written to <Dir>/<label>.csv and <Dir>/<label>.json.
+// MetricsSpec enables the telemetry layer for one run: the fabric and
+// protocol register their instruments on the run's collector, which
+// samples them every RunSpec.BinWidth of simulated time. The sampled
+// series lands in RunResult.MetricsCSV and the end-of-run report in
+// RunResult.MetricsJSON; when Dir is non-empty both are also written to
+// <Dir>/<label>.csv and <Dir>/<label>.json.
 type MetricsSpec struct {
-	// Interval is the sampling cadence (0 = Horizon/256).
-	Interval sim.Duration
 	// Dir, when non-empty, receives the CSV series and JSON report.
 	Dir string
 	// Label names the output files (sanitized to [A-Za-z0-9._-]);
@@ -31,27 +29,14 @@ type MetricsSpec struct {
 // identifying fields plus the final value of every instrument, each list
 // sorted by instrument name.
 type RunReport struct {
-	Label      string                     `json:"label"`
-	Protocol   string                     `json:"protocol"`
-	Seed       int64                      `json:"seed"`
-	HorizonPs  int64                      `json:"horizon_ps"`
-	IntervalPs int64                      `json:"interval_ps"`
-	Samples    int                        `json:"samples"`
-	Counters   []metrics.NameValue        `json:"counters"`
-	Gauges     []metrics.NameValue        `json:"gauges"`
-	Histograms []metrics.HistogramSummary `json:"histograms"`
-}
-
-// sampleInterval resolves the cadence for a run.
-func (m *MetricsSpec) sampleInterval(horizon sim.Duration) sim.Duration {
-	iv := m.Interval
-	if iv <= 0 {
-		iv = horizon / 256
-	}
-	if iv <= 0 {
-		iv = sim.Microsecond
-	}
-	return iv
+	Label      string            `json:"label"`
+	Protocol   string            `json:"protocol"`
+	Seed       int64             `json:"seed"`
+	HorizonPs  int64             `json:"horizon_ps"`
+	IntervalPs int64             `json:"interval_ps"`
+	Samples    int               `json:"samples"`
+	Counters   []stats.NameValue `json:"counters"`
+	Gauges     []stats.NameValue `json:"gauges"`
 }
 
 // label resolves the output-file stem.
@@ -83,9 +68,9 @@ func sanitizeLabel(s string) string {
 // deterministic: columns sort by name, times are integer picoseconds, and
 // JSON field order is fixed by the RunReport struct. File-system failures
 // panic — the output directory is caller-provided configuration.
-func emitMetrics(spec RunSpec, reg *metrics.Registry, smp *metrics.Sampler) (csvB, jsonB []byte) {
+func emitMetrics(spec RunSpec, col *stats.Collector, interval sim.Duration) (csvB, jsonB []byte) {
 	var buf bytes.Buffer
-	if err := smp.WriteCSV(&buf); err != nil {
+	if err := col.WriteCSV(&buf); err != nil {
 		panic(fmt.Sprintf("experiments: metrics CSV: %v", err))
 	}
 	csvB = append([]byte(nil), buf.Bytes()...)
@@ -95,12 +80,10 @@ func emitMetrics(spec RunSpec, reg *metrics.Registry, smp *metrics.Sampler) (csv
 		Protocol:   spec.Protocol,
 		Seed:       spec.Seed,
 		HorizonPs:  int64(spec.Horizon),
-		IntervalPs: int64(smp.Interval()),
-		Samples:    smp.Len(),
-		Counters:   reg.CounterValues(),
-		Gauges:     reg.GaugeValues(),
-		Histograms: reg.HistogramSummaries(),
+		IntervalPs: int64(interval),
+		Samples:    col.Samples(),
 	}
+	rep.Counters, rep.Gauges = col.Values()
 	var err error
 	jsonB, err = json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -6,19 +6,23 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dcpim/internal/core"
+	"dcpim/internal/netsim"
 	"dcpim/internal/sim"
+	"dcpim/internal/stats"
 )
 
 // metricsGoldenSpec is goldenSpec with the telemetry layer on.
 func metricsGoldenSpec(t *testing.T, proto string) RunSpec {
 	t.Helper()
 	spec := goldenSpec(t, proto, false)
-	spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "golden-" + proto}
+	spec.Metrics = &MetricsSpec{Label: "golden-" + proto}
 	return spec
 }
 
@@ -53,7 +57,7 @@ func TestMetricsSamplerDeterminism(t *testing.T) {
 }
 
 // TestMetricsSyncPoints pins the sampling cadence itself: the CSV's time
-// column is exactly 0, Interval, 2·Interval … up to the horizon — serial,
+// column is exactly 0, BinWidth, 2·BinWidth … up to the horizon — serial,
 // at the auto count, on two shards, and checkpointed, where the run is
 // driven in windows whose ends fall between sync points. One epoch loop
 // serves every shard count, and the determinism tests only compare these
@@ -78,7 +82,7 @@ func TestMetricsSyncPoints(t *testing.T) {
 			spec.Checkpoint = &CheckpointSpec{Every: 73*sim.Microsecond + 3}
 		}
 		res := Run(spec)
-		iv := spec.Metrics.Interval
+		iv := 10 * sim.Microsecond // BinWidth's default
 		rows := strings.Split(strings.TrimSuffix(string(res.MetricsCSV), "\n"), "\n")[1:]
 		if want := int(spec.Horizon/iv) + 1; len(rows) != want {
 			t.Errorf("%s: %d sampled rows, want %d (0 to %v every %v)", tc.name, len(rows), want, spec.Horizon, iv)
@@ -88,6 +92,75 @@ func TestMetricsSyncPoints(t *testing.T) {
 			if want := strconv.FormatInt(int64(i)*int64(iv), 10); at != want {
 				t.Errorf("%s: row %d sampled at %s ps, want %s", tc.name, i, at, want)
 				break
+			}
+		}
+	}
+}
+
+// TestMetricsSyncInstant pins which row an event at a sync instant lands
+// in: a counter bumped by an event at exactly k·BinWidth appears from row
+// k+1 on, never in row k, because a sync point samples after every event
+// before its instant and before any event at it — the rule that puts a
+// byte delivered at exactly k·BinWidth in utilization bin k. Host 0 and
+// the last host each bump the counter, so on two shards both shards add
+// to it; the checkpointed run's windows end exactly on sync points. A
+// bump at the horizon itself reaches the end-of-run value but no row.
+func TestMetricsSyncInstant(t *testing.T) {
+	watchdog(t, time.Minute)
+	const iv = 10 * sim.Microsecond
+	const horizon = 200 * sim.Microsecond
+	probe := transportNamed(DCPIM)
+	probe.name = "probe"
+	probe.attach = func(fab *netsim.Fabric, col *stats.Collector, cfg *core.Config) {
+		transportNamed(DCPIM).attach(fab, col, cfg)
+		bumps := col.Counter("probe/bumps")
+		for _, h := range []int{0, fab.Topology().NumHosts - 1} {
+			sc := col.ForShard(fab.ShardOfHost(h))
+			for k := 1; k <= int(horizon/iv); k++ {
+				fab.HostEngine(h).Schedule(sim.Time(k)*sim.Time(iv), func() { sc.Add(bumps, 1) })
+			}
+		}
+	}
+	transports = append(transports, probe)
+	defer func() { transports = transports[:len(transports)-1] }()
+
+	for _, tc := range []struct {
+		name   string
+		shards int
+		ckpt   bool
+	}{
+		{"serial", 1, false},
+		{"shards=2", 2, false},
+		{"shards=2 checkpointed", 2, true},
+	} {
+		spec := metricsGoldenSpec(t, "probe")
+		spec.Horizon, spec.BinWidth, spec.Shards = horizon, iv, tc.shards
+		if tc.ckpt {
+			spec.Checkpoint = &CheckpointSpec{Every: 3 * iv}
+		}
+		res := Run(spec)
+		lines := strings.Split(strings.TrimSuffix(string(res.MetricsCSV), "\n"), "\n")
+		col := slices.Index(strings.Split(lines[0], ","), "probe/bumps")
+		if col < 0 {
+			t.Fatalf("%s: no probe/bumps column in %q", tc.name, lines[0])
+		}
+		for k, row := range lines[1:] {
+			want := 0
+			if k > 0 {
+				want = 2 * (k - 1) // bumps at iv … (k−1)·iv, on two hosts
+			}
+			if got := strings.Split(row, ",")[col]; got != strconv.Itoa(want) {
+				t.Errorf("%s: row %d (t=%v) holds %s bumps, want %d", tc.name, k, sim.Duration(k)*iv, got, want)
+				break
+			}
+		}
+		var rep RunReport
+		if err := json.Unmarshal(res.MetricsJSON, &rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range rep.Counters {
+			if want := 2 * int64(horizon/iv); c.Name == "probe/bumps" && c.Value != want {
+				t.Errorf("%s: end-of-run probe/bumps %d, want %d", tc.name, c.Value, want)
 			}
 		}
 	}
@@ -140,7 +213,7 @@ func TestMetricsContent(t *testing.T) {
 	if rep.Samples != len(lines)-2 { // header + trailing newline
 		t.Errorf("report samples %d, CSV rows %d", rep.Samples, len(lines)-2)
 	}
-	counters := map[string]float64{}
+	counters := map[string]int64{}
 	for _, c := range rep.Counters {
 		counters[c.Name] = c.Value
 	}
@@ -224,14 +297,6 @@ func TestMetricsAcrossProtocols(t *testing.T) {
 			if strings.HasPrefix(ctr.Name, prefix) && ctr.Value > 0 {
 				found = true
 				break
-			}
-		}
-		if !found {
-			for _, h := range rep.Histograms {
-				if strings.HasPrefix(h.Name, prefix) && h.Count > 0 {
-					found = true
-					break
-				}
 			}
 		}
 		if !found {

@@ -16,7 +16,6 @@ import (
 	"dcpim/internal/checkpoint"
 	"dcpim/internal/core"
 	"dcpim/internal/faults"
-	"dcpim/internal/metrics"
 	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
 	"dcpim/internal/protocols/fastpass"
@@ -49,47 +48,47 @@ var Comparators = []string{DCPIM, HomaAeolus, NDP, HPCC}
 
 // transport is one protocol a RunSpec may name: the fabric it expects and
 // how it attaches. attach installs it on every host, recording into col,
-// and registers its instruments on reg (none when reg is nil) under the
-// row's name as the prefix — dcPIM's under "core". Only dcPIM reads cfg; a
-// nil cfg selects its defaults.
+// and registers its instruments there (none unless col is instrumented)
+// under the row's name as the prefix — dcPIM's under "core". Only dcPIM
+// reads cfg; a nil cfg selects its defaults.
 type transport struct {
 	name   string
 	fabric netsim.Config
-	attach func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, cfg *core.Config)
+	attach func(fab *netsim.Fabric, col *stats.Collector, cfg *core.Config)
 }
 
 // transports is every protocol Run accepts, in the order an unknown
 // name's panic lists them.
 var transports = []transport{
-	{DCPIM, netsim.Config{Spray: true}, func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, cfg *core.Config) {
+	{DCPIM, netsim.Config{Spray: true}, func(fab *netsim.Fabric, col *stats.Collector, cfg *core.Config) {
 		c := core.DefaultConfig()
 		if cfg != nil {
 			c = *cfg
 		}
-		core.RegisterMetrics(core.Attach(fab, c, col), reg)
+		core.RegisterMetrics(core.Attach(fab, c, col), col)
 	}},
-	{HomaAeolus, homa.AeolusConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		homa.RegisterMetrics(homa.Attach(fab, homa.AeolusConfig(), col), reg, HomaAeolus)
+	{HomaAeolus, homa.AeolusConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		homa.RegisterMetrics(homa.Attach(fab, homa.AeolusConfig(), col), col, HomaAeolus)
 	}},
-	{Homa, homa.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		homa.RegisterMetrics(homa.Attach(fab, homa.DefaultConfig(), col), reg, Homa)
+	{Homa, homa.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		homa.RegisterMetrics(homa.Attach(fab, homa.DefaultConfig(), col), col, Homa)
 	}},
-	{NDP, ndp.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		ndp.RegisterMetrics(ndp.Attach(fab, col), reg)
+	{NDP, ndp.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		ndp.RegisterMetrics(ndp.Attach(fab, col), col)
 	}},
-	{HPCC, hpcc.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		hpcc.RegisterMetrics(hpcc.Attach(fab, col), reg)
+	{HPCC, hpcc.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		hpcc.RegisterMetrics(hpcc.Attach(fab, col), col)
 	}},
-	{PHost, phost.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		homa.RegisterMetrics(phost.Attach(fab, col), reg, PHost)
+	{PHost, phost.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		homa.RegisterMetrics(phost.Attach(fab, col), col, PHost)
 	}},
-	{DCTCP, tcp.DCTCPConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(), col), reg, DCTCP)
+	{DCTCP, tcp.DCTCPConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(), col), col, DCTCP)
 	}},
-	{Cubic, tcp.CubicConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, reg *metrics.Registry, _ *core.Config) {
-		tcp.RegisterMetrics(tcp.Attach(fab, tcp.CubicConfig(), col), reg, Cubic)
+	{Cubic, tcp.CubicConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		tcp.RegisterMetrics(tcp.Attach(fab, tcp.CubicConfig(), col), col, Cubic)
 	}},
-	{Fastpass, fastpass.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *metrics.Registry, _ *core.Config) {
+	{Fastpass, fastpass.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
 		fastpass.Attach(fab, col)
 	}},
 }
@@ -206,7 +205,7 @@ type RunSpec struct {
 	Horizon  sim.Duration // total run time (trace horizon + drain)
 	Seed     int64
 	Shards   int          // fabric shard count: 0 = auto (topo.AutoShards), 1 = serial
-	BinWidth sim.Duration // utilization series bin (0 = 10 µs)
+	BinWidth sim.Duration // sampling interval: utilization bins and -metrics rows (0 = 10 µs)
 	DcPIM    *core.Config // optional dcPIM parameter override
 
 	// Faults, when set, is installed on the fabric before the run: the
@@ -223,11 +222,13 @@ type RunSpec struct {
 	// digests across serial and parallel execution and against golden
 	// values.
 	Digest bool
-	// Metrics, when set, enables the telemetry layer: instruments are
-	// registered on a per-run registry, sampled on the simulation clock,
-	// and serialized into RunResult.MetricsCSV / MetricsJSON (and to
-	// Metrics.Dir when set). Sampling adds pure-read events only, so the
-	// simulated packet stream — and Digest — is unchanged.
+	// Metrics, when set, enables the telemetry layer: the fabric and the
+	// protocol register their instruments on the run's collector, which
+	// samples them every BinWidth beside the delivered bytes, and the
+	// series and end-of-run values are serialized into
+	// RunResult.MetricsCSV / MetricsJSON (and to Metrics.Dir when set).
+	// Sampling is pure reads at sync points, so the simulated packet
+	// stream — and Digest — is unchanged.
 	Metrics *MetricsSpec
 }
 
@@ -365,8 +366,8 @@ func run(spec RunSpec, clock func() time.Duration, keep bool) (RunResult, []*che
 	return rs.result(), snaps
 }
 
-// runState is one simulation mid-flight: the wired fabric, engines,
-// collector and sampler, paused at a barrier sync point. run drives it
+// runState is one simulation mid-flight: the wired fabric, engines and
+// collector, paused at a barrier sync point. run drives it
 // to the horizon, in one call or, when checkpointing, window by window
 // with a snapshot between windows. Window placement never changes
 // execution order — engines run events strictly in (time, seq) order and
@@ -377,9 +378,7 @@ type runState struct {
 	grp         *sim.Group
 	col         *stats.Collector
 	fab         *netsim.Fabric
-	reg         *metrics.Registry
-	smp         *metrics.Sampler
-	interval    sim.Duration
+	interval    sim.Duration // the collector's sampling cadence (BinWidth)
 	hostDigests []uint64
 	clock       func() time.Duration // the caller's wall clock, nil when the run is not metered
 	wire        time.Duration        // clock's reading when set-up ended
@@ -413,21 +412,16 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	if clock != nil {
 		grp.SetClock(clock)
 	}
-	bin := spec.BinWidth
-	if bin == 0 {
-		bin = 10 * sim.Microsecond
-	}
-	col := stats.NewCollector(bin)
+	col := stats.NewCollector()
 
 	tr := transportNamed(spec.Protocol)
 	fab := netsim.NewSharded(grp, spec.Topo, tr.fabric, part)
 
-	var reg *metrics.Registry
 	if spec.Metrics != nil {
-		reg = metrics.NewRegistry()
-		fab.RegisterMetrics(reg)
+		col.EnableInstruments()
+		fab.RegisterMetrics(col)
 	}
-	tr.attach(fab, col, reg, spec.DcPIM)
+	tr.attach(fab, col, spec.DcPIM)
 
 	// The digest folds each host's delivered-packet stream separately —
 	// deliveries for one host all run on its shard's engine, so the
@@ -457,17 +451,6 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	if spec.Faults != nil {
 		faults.Install(fab, spec.Faults)
 	}
-	// The sampler freezes its column set at construction: build it after
-	// every instrument is registered (fabric + protocol). It is driven
-	// from barrier sync points (never engine ticks), so sampled series
-	// match at every shard count; the first snapshot lands at t=0.
-	var smp *metrics.Sampler
-	interval := sim.Duration(0)
-	if spec.Metrics != nil {
-		interval = spec.Metrics.sampleInterval(spec.Horizon)
-		smp = metrics.NewSampler(reg, interval)
-		smp.Reserve(int(spec.Horizon/interval) + 1)
-	}
 	if spec.Checkpoint != nil && spec.Checkpoint.Journal {
 		for _, eng := range engines {
 			eng.StartJournal()
@@ -475,10 +458,18 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 	}
 	fab.Start()
 	fab.Inject(spec.Trace)
-	smp.SampleAt(0)
+	// The series fixes its column set as it starts, after every
+	// instrument is registered (fabric + protocol), and takes its first
+	// sample at t=0 before any event; the rest come from barrier sync
+	// points (never engine ticks), so they match at every shard count.
+	interval := spec.BinWidth
+	if interval == 0 {
+		interval = 10 * sim.Microsecond
+	}
+	col.StartSeries(interval, spec.Horizon)
 	rs := &runState{
 		spec: spec, engines: engines, grp: grp, col: col,
-		fab: fab, reg: reg, smp: smp, interval: interval,
+		fab: fab, interval: interval,
 		hostDigests: hostDigests, clock: clock,
 	}
 	if clock != nil {
@@ -491,7 +482,7 @@ func newRunState(spec RunSpec, clock func() time.Duration) *runState {
 // Repeated calls with increasing targets execute the same event stream
 // as a single call to the final target.
 func (rs *runState) runTo(t sim.Time) {
-	rs.fab.RunSynced(t, rs.interval, rs.smp.SampleAt)
+	rs.fab.RunSynced(t, rs.interval, rs.col.Sample)
 }
 
 func (rs *runState) close() { rs.grp.Close() }
@@ -526,7 +517,7 @@ func (rs *runState) result() RunResult {
 		End:        sim.Time(spec.Horizon),
 	}
 	if spec.Metrics != nil {
-		res.MetricsCSV, res.MetricsJSON = emitMetrics(spec, rs.reg, rs.smp)
+		res.MetricsCSV, res.MetricsJSON = emitMetrics(spec, rs.col, rs.interval)
 	}
 	if rs.clock != nil {
 		res.Wall, res.Wire = rs.clock(), rs.wire

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"dcpim/internal/metrics"
-	"dcpim/internal/packet"
+	"dcpim/internal/stats"
 )
 
 // portNameTab interns the per-port gauge names. A 1024-host FatTree has
@@ -34,88 +33,61 @@ func portName(si, pi int) string {
 	return t.names[si][pi]
 }
 
-// RegisterMetrics instruments the fabric on reg: a computed queue-depth
-// gauge per switch output port, aggregate NIC and fabric occupancy, the
-// port high-water mark, and — through an Observer — per-priority drop
-// counters, delivered bytes/packets and trims as cumulative time series.
-// No-op when reg is nil (telemetry disabled); call before traffic is
-// injected.
+// RegisterMetrics registers the fabric's columns on the run's collector:
+// a queue-depth gauge per switch output port, aggregate NIC and fabric
+// occupancy, the port high-water mark, and the merged Counters —
+// delivered packets and bytes, trims, and the disjoint drop, ECN and PFC
+// counts — as cumulative time series. No-op unless col is instrumented;
+// call before traffic is injected.
 //
-// Gauge reads are pure state inspections over fixed-order device slices,
-// so sampled series are deterministic. The per-port gauges are sampled,
-// not updated per packet, keeping the forwarding path untouched.
-func (f *Fabric) RegisterMetrics(reg *metrics.Registry) {
-	if reg == nil {
+// Every column is a pure read of state the sync point has settled
+// (Counters merge there), over fixed-order device slices, so sampled
+// series are deterministic and the forwarding path is untouched.
+func (f *Fabric) RegisterMetrics(col *stats.Collector) {
+	if !col.Instrumented() {
 		return
 	}
 	for si := range f.switches {
 		for pi := range f.switches[si].ports {
 			port := &f.switches[si].ports[pi]
-			reg.GaugeFunc(portName(si, pi),
-				func() float64 { return float64(port.queuedBytes) })
+			col.GaugeFunc(portName(si, pi), func() int64 { return port.queuedBytes })
 		}
 	}
-	reg.GaugeFunc("netsim/nic_queued_bytes", func() float64 {
+	col.GaugeFunc("netsim/nic_queued_bytes", func() int64 {
 		var total int64
 		for i := range f.hosts {
 			total += f.hosts[i].nic.queuedBytes
 		}
-		return float64(total)
+		return total
 	})
-	reg.GaugeFunc("netsim/switch_queued_bytes", func() float64 {
+	col.GaugeFunc("netsim/switch_queued_bytes", func() int64 {
 		var total int64
 		sp := f.switchPorts()
 		for i := range sp {
 			total += sp[i].queuedBytes
 		}
-		return float64(total)
+		return total
 	})
-	reg.GaugeFunc("netsim/max_port_queue_bytes", func() float64 {
-		return float64(f.MaxPortQueue())
-	})
+	col.GaugeFunc("netsim/max_port_queue_bytes", f.MaxPortQueue)
 
-	mo := &metricsObserver{
-		deliveredPkts:  reg.Counter("netsim/delivered_pkts"),
-		deliveredBytes: reg.Counter("netsim/delivered_bytes"),
-		trims:          reg.Counter("netsim/trims"),
+	c := &f.Counters
+	col.CounterFunc("netsim/delivered_pkts", func() int64 { return c.DeliveredData + c.DeliveredCtrl })
+	for _, k := range []struct {
+		name string
+		v    *int64
+	}{
+		{"netsim/delivered_bytes", &c.DeliveredBytes},
+		{"netsim/trims", &c.Trims},
+		{"netsim/data_drops", &c.DataDrops},
+		{"netsim/ctrl_drops", &c.CtrlDrops},
+		{"netsim/aeolus_drops", &c.AeolusDrops},
+		{"netsim/host_drops", &c.HostDrops},
+		{"netsim/fault_drops", &c.FaultDrops},
+		{"netsim/ecn_marks", &c.ECNMarks},
+		{"netsim/pfc_pauses", &c.PFCPauses},
+		{"netsim/pfc_resumes", &c.PFCResumes},
+	} {
+		v := k.v
+		col.CounterFunc(k.name, func() int64 { return *v })
 	}
-	for pr := 0; pr < packet.NumPriorities; pr++ {
-		mo.prioDrops[pr] = reg.Counter(fmt.Sprintf("netsim/drops/prio%d", pr))
-	}
-	f.AddObserver(mo)
-}
-
-// metricsObserver folds packet-lifecycle events into counters so the
-// Sampler can expose drops and throughput as time series rather than
-// end-of-run totals.
-type metricsObserver struct {
-	prioDrops      [packet.NumPriorities]*metrics.Counter
-	deliveredPkts  *metrics.Counter
-	deliveredBytes *metrics.Counter
-	trims          *metrics.Counter
-}
-
-// PacketInjected implements Observer.
-func (m *metricsObserver) PacketInjected(int, *packet.Packet) {}
-
-// PacketDelivered implements Observer.
-func (m *metricsObserver) PacketDelivered(_ int, p *packet.Packet) {
-	m.deliveredPkts.Inc()
-	if p.Kind == packet.Data {
-		m.deliveredBytes.Add(int64(p.Size))
-	}
-}
-
-// PacketDropped implements Observer.
-func (m *metricsObserver) PacketDropped(p *packet.Packet) {
-	pr := p.Priority
-	if int(pr) >= packet.NumPriorities {
-		pr = packet.NumPriorities - 1
-	}
-	m.prioDrops[pr].Inc()
-}
-
-// PacketTrimmed implements Observer.
-func (m *metricsObserver) PacketTrimmed(*packet.Packet) {
-	m.trims.Inc()
 }

@@ -134,7 +134,7 @@ type Fabric struct {
 	audit *auditor
 
 	// obs fans packet-lifecycle events out to every registered Observer
-	// (tracing, auditing, digests, metrics probes). Empty for
+	// (the conservation auditor, delivered-stream digests). Empty for
 	// uninstrumented runs, which keeps the hot path allocation-free.
 	obs []Observer
 }

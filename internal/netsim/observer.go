@@ -2,10 +2,11 @@ package netsim
 
 import "dcpim/internal/packet"
 
-// Observer watches the fabric's packet lifecycle. It is the single
-// attachment surface for instrumentation: the packet-conservation
-// auditor (EnableAudit), delivered-stream digests and metrics probes all
-// register through AddObserver and receive the same fan-out.
+// Observer watches the fabric's packet lifecycle, packet by packet: the
+// packet-conservation auditor (EnableAudit) and delivered-stream digests
+// register through AddObserver and receive the same fan-out. Counts do
+// not need it — the fabric keeps them in Counters, and its -metrics
+// columns read those (RegisterMetrics).
 //
 // Callbacks run synchronously at the fabric's ownership transition
 // points. Observers must copy whatever they need from the packet — the

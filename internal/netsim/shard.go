@@ -171,14 +171,16 @@ func bandKey(linkID, seq uint64) uint64 {
 // empty when it returns.
 func (f *Fabric) Run(until sim.Time) { f.RunSynced(until, 0, nil) }
 
-// RunSynced is Run with evenly spaced synchronization points: atSync is
-// called at every multiple of interval up to until, after all events at
-// that instant have executed and counters have merged — the hook the
-// metrics sampler uses so that sampled series are identical at every
-// shard count. interval <= 0 disables the hook. Sync points at or before
-// the clock were taken by an earlier call (checkpointing drivers call
-// RunSynced repeatedly with increasing horizons), so a resumed schedule
-// is identical to one uninterrupted call.
+// RunSynced is Run with evenly spaced synchronization points: atSync(t)
+// is called at every multiple t of interval up to until, with every
+// event before t executed, none at t, staging empty and counters merged
+// — the hook the collector samples at, so a sample stamped t holds
+// [0, t) at every shard count. The epoch before a sync point ends one
+// picosecond short of it, and the events at t run in the next. interval
+// <= 0 disables the hook. Sync points at or before the clock were taken
+// by an earlier call (checkpointing drivers call RunSynced repeatedly
+// with increasing horizons), so a resumed schedule is identical to one
+// uninterrupted call.
 func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(sim.Time)) {
 	now := f.grp.Now()
 	next := sim.Time(interval)
@@ -192,7 +194,8 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 	// exactly that floor) — strictly after T = M + W − 1ps, so the barrier
 	// never truncates a causal chain. stage checks it per arrival against
 	// the barrier published here. Nothing crosses the cut of one shard
-	// (W = 0), and its epochs run to the next sync point or until.
+	// (W = 0), and its epochs run to until or to just before the next
+	// sync point.
 	for now < until {
 		t := until
 		if m, ok := f.grp.NextAt(); ok && f.lookahead > 0 {
@@ -200,8 +203,9 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 				t = c
 			}
 		}
-		if interval > 0 && next <= until && next < t {
-			t = next
+		sync := interval > 0 && next <= until && next-1 <= t
+		if sync {
+			t = next - 1
 		}
 		f.barrier = t
 		f.grp.RunEpoch(t)
@@ -209,11 +213,11 @@ func (f *Fabric) RunSynced(until sim.Time, interval sim.Duration, atSync func(si
 		// epoch appends there, and lands what this one staged.
 		f.parity = 1 - f.parity
 		now = t
-		if interval > 0 && now == next {
+		if sync {
 			f.landAll()
 			f.mergeCounters()
 			if atSync != nil {
-				atSync(now)
+				atSync(next)
 			}
 			next = next.Add(interval)
 		}

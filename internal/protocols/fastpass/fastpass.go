@@ -267,7 +267,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	f := p.ensureRx(pkt)
 	payload := f.MarkReceived(pkt.Seq, pkt.Size)
 	if payload > 0 {
-		p.col.Delivered(p.eng.Now(), payload)
+		p.col.Delivered(payload)
 	}
 	if payload > 0 && f.Done {
 		opt := p.host.Topo().UnloadedFCT(f.Src, p.id, f.Size)

@@ -186,9 +186,9 @@ func (p *Proto) sendData(f *flowtrack.Tx, seq int, prio uint8, unsched bool) {
 	d.FlowSize = f.Size
 	d.Unsched = unsched
 	f.MarkSent(seq)
-	p.ins.sentBytes.Add(int64(d.Size))
+	p.col.Add(p.ins.sentBytes, int64(d.Size))
 	if unsched {
-		p.ins.unschedBytes.Add(int64(d.Size))
+		p.col.Add(p.ins.unschedBytes, int64(d.Size))
 	}
 	p.host.Send(d)
 }
@@ -268,7 +268,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	payload := f.MarkReceived(pkt.Seq, wire)
 	if payload > 0 {
 		f.lastProgress = p.eng.Now()
-		p.col.Delivered(p.eng.Now(), payload)
+		p.col.Delivered(payload)
 	}
 	if payload > 0 && f.Done {
 		// This packet completed the flow (duplicates return 0 payload).
@@ -330,8 +330,8 @@ func (p *Proto) grantTick() {
 		g := packet.NewControl(packet.Grant, p.id, f.Src, f.ID)
 		g.Seq = seq
 		g.Count = int(p.schedPrio(rank))
-		p.ins.grants.Inc()
-		p.ins.grantedBytes.Add(int64(packet.DataPacketSize(f.Size, seq)))
+		p.col.Add(p.ins.grants, 1)
+		p.col.Add(p.ins.grantedBytes, int64(packet.DataPacketSize(f.Size, seq)))
 		p.host.Send(g)
 		granted = true
 		break

@@ -16,7 +16,7 @@ func runHoma(t *testing.T, cfg Config, tr *workload.Trace, horizon sim.Duration,
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, cfg.FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, cfg, col)
 	fab.Start()
 	fab.Inject(tr)
@@ -56,8 +56,8 @@ func TestUnloadedLongFlow(t *testing.T) {
 }
 
 func TestPriorityLayouts(t *testing.T) {
-	classic := newProto(DefaultConfig(), stats.NewCollector(0))
-	aeolus := newProto(AeolusConfig(), stats.NewCollector(0))
+	classic := newProto(DefaultConfig(), stats.NewCollector())
+	aeolus := newProto(AeolusConfig(), stats.NewCollector())
 	// Give both window parameters without a fabric.
 	classic.windowPkts = 50
 	aeolus.windowPkts = 50
@@ -102,7 +102,7 @@ func TestClassicHomaDropsUnderIncast(t *testing.T) {
 	eng := sim.NewEngine(4)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true, PortBufferBytes: 100 * packet.MTU})
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, DefaultConfig(), col)
 	fab.Start()
 	fab.Inject(&workload.Trace{Flows: flows})

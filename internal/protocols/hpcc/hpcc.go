@@ -180,7 +180,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	}
 	payload := f.MarkReceived(pkt.Seq, pkt.Size)
 	if payload > 0 {
-		p.col.Delivered(p.eng.Now(), payload)
+		p.col.Delivered(payload)
 		for f.cum < f.Npkts && f.State(f.cum) == flowtrack.Received {
 			f.cum++
 		}
@@ -299,6 +299,5 @@ func (p *Proto) computeWind(f *txState, u float64, updateWc bool) {
 	if f.w < packet.MTU {
 		f.w = packet.MTU
 	}
-	p.ins.updates.Inc()
-	p.ins.cwnd.Observe(f.w)
+	p.col.Add(p.ins.updates, 1)
 }

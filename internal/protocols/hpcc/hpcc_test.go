@@ -18,7 +18,7 @@ func runHPCC(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64)
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
@@ -97,7 +97,7 @@ func TestIncastTriggersPFC(t *testing.T) {
 	fc.PFCPause = 40 << 10
 	fc.PFCResume = 20 << 10
 	fab := netsim.New(eng, tp, fc)
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, col)
 	fab.Start()
 	fab.Inject(&workload.Trace{Flows: flows})
@@ -116,7 +116,7 @@ func TestIncastTriggersPFC(t *testing.T) {
 func TestWindowReactsToCongestion(t *testing.T) {
 	// Direct unit test of the update rule: high measured utilization
 	// shrinks the window below the reference; low utilization grows it.
-	p := newProto(stats.NewCollector(0))
+	p := newProto(stats.NewCollector())
 	p.bdp = 72_500
 	p.baseRTT = 6 * sim.Microsecond
 	f := &txState{Tx: mkTx(1), w: 72_500, wc: 72_500}

@@ -1,23 +1,21 @@
 package hpcc
 
-import "dcpim/internal/metrics"
+import "dcpim/internal/stats"
 
 // instruments is HPCC's optional telemetry, shared across hosts. The
-// zero value is inert (nil instruments no-op).
+// zero value is inert (zero Counters record nothing).
 type instruments struct {
-	cwnd    *metrics.Histogram // window after each HPCC update, bytes
-	updates *metrics.Counter   // window updates (per-ACK)
+	updates stats.Counter // window updates (per-ACK)
 }
 
-// RegisterMetrics instruments every attached Proto on reg. No-op when
-// reg is nil.
-func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
-	if reg == nil || len(ps) == 0 {
+// RegisterMetrics registers every attached Proto's instruments on the
+// run's collector. No-op unless col is instrumented.
+func RegisterMetrics(ps []*Proto, col *stats.Collector) {
+	if !col.Instrumented() || len(ps) == 0 {
 		return
 	}
 	ins := instruments{
-		cwnd:    reg.Histogram("hpcc/cwnd_bytes"),
-		updates: reg.Counter("hpcc/window_updates"),
+		updates: col.Counter("hpcc/window_updates"),
 	}
 	for _, p := range ps {
 		p.ins = ins

@@ -1,25 +1,25 @@
 package ndp
 
-import "dcpim/internal/metrics"
+import "dcpim/internal/stats"
 
 // instruments is NDP's optional telemetry, shared across hosts. The zero
-// value is inert (nil instruments no-op).
+// value is inert (zero Counters record nothing).
 type instruments struct {
-	sentBytes *metrics.Counter // transmitted data wire bytes (incl. retransmissions)
-	pulls     *metrics.Counter // pull credits issued by receivers
-	nacks     *metrics.Counter // trim/loss NACKs processed by senders
+	sentBytes stats.Counter // transmitted data wire bytes (incl. retransmissions)
+	pulls     stats.Counter // pull credits issued by receivers
+	nacks     stats.Counter // trim/loss NACKs processed by senders
 }
 
-// RegisterMetrics instruments every attached Proto on reg. No-op when
-// reg is nil.
-func RegisterMetrics(ps []*Proto, reg *metrics.Registry) {
-	if reg == nil || len(ps) == 0 {
+// RegisterMetrics registers every attached Proto's instruments on the
+// run's collector. No-op unless col is instrumented.
+func RegisterMetrics(ps []*Proto, col *stats.Collector) {
+	if !col.Instrumented() || len(ps) == 0 {
 		return
 	}
 	ins := instruments{
-		sentBytes: reg.Counter("ndp/sent_bytes"),
-		pulls:     reg.Counter("ndp/pulls"),
-		nacks:     reg.Counter("ndp/nacks"),
+		sentBytes: col.Counter("ndp/sent_bytes"),
+		pulls:     col.Counter("ndp/pulls"),
+		nacks:     col.Counter("ndp/nacks"),
 	}
 	for _, p := range ps {
 		p.ins = ins

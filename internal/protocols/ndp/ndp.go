@@ -113,7 +113,7 @@ func (p *Proto) sendData(f *txState, seq int, prio uint8) {
 	d := packet.NewData(p.id, f.Dst, f.ID, seq, packet.DataPacketSize(f.Size, seq), prio)
 	d.FlowSize = f.Size
 	f.MarkSent(seq)
-	p.ins.sentBytes.Add(int64(d.Size))
+	p.col.Add(p.ins.sentBytes, int64(d.Size))
 	p.host.Send(d)
 }
 
@@ -204,7 +204,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	}
 	payload := f.MarkReceived(pkt.Seq, pkt.Size)
 	if payload > 0 {
-		p.col.Delivered(p.eng.Now(), payload)
+		p.col.Delivered(payload)
 	}
 	if payload > 0 && f.Done {
 		// This packet completed the flow (duplicates return 0 payload).
@@ -274,7 +274,7 @@ func (p *Proto) pullTick() {
 			continue
 		}
 		pull := packet.NewControl(packet.Pull, p.id, ref.src, ref.flow)
-		p.ins.pulls.Inc()
+		p.col.Add(p.ins.pulls, 1)
 		p.host.Send(pull)
 		p.eng.AfterFunc(p.mtuTime, pullTickFunc, p, nil, 0)
 		return
@@ -289,7 +289,7 @@ func (p *Proto) onNack(pkt *packet.Packet) {
 	if f == nil {
 		return
 	}
-	p.ins.nacks.Inc()
+	p.col.Add(p.ins.nacks, 1)
 	for _, s := range f.retx {
 		if s == pkt.Seq {
 			return // already queued

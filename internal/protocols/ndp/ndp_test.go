@@ -15,7 +15,7 @@ func runNDP(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64) 
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)

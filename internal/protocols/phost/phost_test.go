@@ -16,7 +16,7 @@ func runPHost(t *testing.T, tr *workload.Trace, horizon sim.Duration, seed int64
 	eng := sim.NewEngine(seed)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, col)
 	fab.Start()
 	fab.Inject(tr)
@@ -46,7 +46,7 @@ func TestFlatPriority(t *testing.T) {
 	eng := sim.NewEngine(2)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, col)
 	fab.Start()
 	prios := map[uint8]bool{}

@@ -1,25 +1,26 @@
 package tcp
 
-import "dcpim/internal/metrics"
+import "dcpim/internal/stats"
 
 // instruments is TCP's optional telemetry, shared across hosts. The zero
-// value is inert (nil instruments no-op).
+// value is inert (zero Counters record nothing).
 type instruments struct {
-	cwnd     *metrics.Histogram // congestion window after each ACK, bytes
-	fastRetx *metrics.Counter
-	rtos     *metrics.Counter
+	windowUpdates stats.Counter // congestion-window updates (per-ACK)
+	fastRetx      stats.Counter
+	rtos          stats.Counter
 }
 
-// RegisterMetrics instruments every attached Proto on reg under the
-// variant's name prefix ("dctcp", "cubic"). No-op when reg is nil.
-func RegisterMetrics(ps []*Proto, reg *metrics.Registry, prefix string) {
-	if reg == nil || len(ps) == 0 {
+// RegisterMetrics registers every attached Proto's instruments on the
+// run's collector under the variant's name prefix ("dctcp", "cubic").
+// No-op unless col is instrumented.
+func RegisterMetrics(ps []*Proto, col *stats.Collector, prefix string) {
+	if !col.Instrumented() || len(ps) == 0 {
 		return
 	}
 	ins := instruments{
-		cwnd:     reg.Histogram(prefix + "/cwnd_bytes"),
-		fastRetx: reg.Counter(prefix + "/fast_retransmits"),
-		rtos:     reg.Counter(prefix + "/rtos"),
+		windowUpdates: col.Counter(prefix + "/window_updates"),
+		fastRetx:      col.Counter(prefix + "/fast_retransmits"),
+		rtos:          col.Counter(prefix + "/rtos"),
 	}
 	for _, p := range ps {
 		p.ins = ins

@@ -178,7 +178,7 @@ func (p *Proto) onRTO(f *txState) {
 		return
 	}
 	// Retransmit from the cumulative ack; collapse the window.
-	p.ins.rtos.Inc()
+	p.col.Add(p.ins.rtos, 1)
 	f.cc.OnLoss(p.eng.Now())
 	f.cc.OnLoss(p.eng.Now()) // RTO is a stronger signal than a dup-ack loss
 	f.nextSeq = f.cumAck
@@ -218,7 +218,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	}
 	payload := f.MarkReceived(pkt.Seq, pkt.Size)
 	if payload > 0 {
-		p.col.Delivered(p.eng.Now(), payload)
+		p.col.Delivered(payload)
 		for f.cum < f.Npkts && f.State(f.cum) == flowtrack.Received {
 			f.cum++
 		}
@@ -285,13 +285,13 @@ func (p *Proto) onAck(ack *packet.Packet) {
 		f.dupAcks++
 		f.cc.OnAck(0, ack.ECN, now, f.srtt)
 		if f.dupAcks == 3 && f.cumAck >= f.recover {
-			p.ins.fastRetx.Inc()
+			p.col.Add(p.ins.fastRetx, 1)
 			f.cc.OnLoss(now)
 			f.recover = f.nextSeq
 			p.sendSeq(f, f.cumAck) // fast retransmit the hole
 		}
 	}
-	p.ins.cwnd.Observe(f.cc.Window())
+	p.col.Add(p.ins.windowUpdates, 1)
 	p.trySend(f)
 }
 

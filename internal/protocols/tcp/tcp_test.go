@@ -17,7 +17,7 @@ func runTCP(t *testing.T, cfg Config, tr *workload.Trace, horizon sim.Duration, 
 	eng := sim.NewEngine(seed)
 	tp := topo.TestbedLeafSpine().Build()
 	fab := netsim.New(eng, tp, cfg.FabricConfig())
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, cfg, col)
 	fab.Start()
 	fab.Inject(tr)
@@ -108,7 +108,7 @@ func TestFastRetransmitRecoversLoss(t *testing.T) {
 	fc := cfg.FabricConfig()
 	fc.PortBufferBytes = 15 * 1500
 	fab := netsim.New(eng, tp, fc)
-	col := stats.NewCollector(0)
+	col := stats.NewCollector()
 	Attach(fab, cfg, col)
 	fab.Start()
 	var flows []workload.Flow
@@ -196,7 +196,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Fatal("newProto accepted nil NewCC")
 		}
 	}()
-	newProto(Config{}, stats.NewCollector(0))
+	newProto(Config{}, stats.NewCollector())
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,7 +1,10 @@
-// Package stats collects and summarizes the evaluation metrics the paper
-// reports: per-flow completion times normalized to the unloaded optimum
-// (slowdown), mean and tail percentiles overall and bucketed by flow size,
-// and network utilization over time.
+// Package stats is a run's one recorder. It collects and summarizes the
+// evaluation metrics the paper reports — per-flow completion times
+// normalized to the unloaded optimum (slowdown), mean and tail
+// percentiles overall and bucketed by flow size, and network utilization
+// over time — and the named instruments (counters, gauges) that the
+// fabric and the transports register and that it samples at the run's
+// sync points.
 package stats
 
 import (
@@ -38,31 +41,31 @@ func (r FlowRecord) Slowdown() float64 {
 	return float64(r.FCT()) / float64(r.Optimal)
 }
 
-// Collector accumulates flow completions and delivered-byte samples during
-// one simulation run.
+// Collector is a run's one recorder: flow completions, delivered payload
+// bytes, named instruments (counters and gauges; instruments.go) and the
+// series sampled from them at the run's sync points.
 //
 // Sharded runs give every shard its own child collector (ForShard), so
-// protocol callbacks never contend across shards; the root's readers
-// merge the children deterministically — counts and bins sum, and
-// Records always returns (Finish, ID) order, which is the same total
-// order at every shard count.
+// protocol callbacks never contend across shards: each child keeps its
+// own records, byte count and instrument slots as plain values, with no
+// atomics and no locks. The root's readers merge the children one way,
+// summing in shard order — and Records always returns (Finish, ID)
+// order — so every read is the same at every shard count.
 type Collector struct {
 	records   []FlowRecord
-	delivered int64 // unique payload bytes confirmed delivered
-
-	binWidth sim.Duration
-	bins     []int64 // delivered payload bytes per time bin
+	delivered int64   // unique payload bytes confirmed delivered
+	slots     []int64 // this shard's value of each registered instrument
 
 	// shards holds the per-shard child collectors on the root; index 0 is
 	// the root itself. Empty for single-shard runs.
 	shards []*Collector // per-shard children, built by ForShard
+
+	series // root only: the registered columns and their samples
 }
 
-// NewCollector returns a collector with the given utilization bin width
-// (0 disables the time series).
-func NewCollector(binWidth sim.Duration) *Collector {
-	return &Collector{binWidth: binWidth}
-}
+// NewCollector returns an empty collector that records no instruments
+// until EnableInstruments.
+func NewCollector() *Collector { return &Collector{} }
 
 // ForShard returns the child collector for shard i, creating children up
 // to i on first use (call during setup, before events run). Shard 0 is
@@ -77,7 +80,7 @@ func (c *Collector) ForShard(i int) *Collector {
 		if len(c.shards) == 0 {
 			c.shards = append(c.shards, c)
 		} else {
-			c.shards = append(c.shards, &Collector{binWidth: c.binWidth})
+			c.shards = append(c.shards, &Collector{slots: make([]int64, len(c.slots))})
 		}
 	}
 	return c.shards[i]
@@ -98,21 +101,10 @@ func (c *Collector) each(f func(*Collector)) {
 // FlowDone records a completed flow.
 func (c *Collector) FlowDone(r FlowRecord) { c.records = append(c.records, r) }
 
-// Delivered records unique payload bytes arriving at a receiver at time t.
+// Delivered records unique payload bytes arriving at a receiver.
 // Protocols call this exactly once per distinct payload byte, so the sum
 // is goodput, not raw throughput.
-func (c *Collector) Delivered(t sim.Time, bytes int64) {
-	c.delivered += bytes
-	if c.binWidth <= 0 {
-		return
-	}
-	bin := int(sim.Duration(t) / c.binWidth)
-	for len(c.bins) <= bin {
-		//lint:ignore hotalloc bin growth is bounded by run length / binWidth and amortized; the series is opt-in (binWidth 0 disables it)
-		c.bins = append(c.bins, 0)
-	}
-	c.bins[bin] += bytes
-}
+func (c *Collector) Delivered(bytes int64) { c.delivered += bytes }
 
 // Completed returns the number of completed flows across all shards.
 func (c *Collector) Completed() int64 {
@@ -149,22 +141,24 @@ func (c *Collector) Records() []FlowRecord {
 	return out
 }
 
-// UtilizationSeries returns, for each time bin, delivered goodput as a
-// fraction of aggregate capacity (hosts × rate), summed across shards.
+// UtilizationSeries returns delivered goodput per sampling interval as a
+// fraction of aggregate capacity (hosts × rate): bin k is what was
+// delivered in [k·interval, (k+1)·interval), the difference of samples
+// k+1 and k, and the last bin is what was delivered from the last sample
+// to the end of the run, deliveries at the horizon included. There is
+// one bin per sample, so the series is as long as the run, not as the
+// traffic; nil before StartSeries.
 func (c *Collector) UtilizationSeries(hosts int, rateBps float64) []float64 {
-	bins := 0
-	c.each(func(s *Collector) {
-		if len(s.bins) > bins {
-			bins = len(s.bins)
-		}
-	})
-	out := make([]float64, bins)
-	cap := rateBps * float64(hosts) / 8 * c.binWidth.Seconds()
-	c.each(func(s *Collector) {
-		for i, b := range s.bins {
-			out[i] += float64(b) / cap
-		}
-	})
+	if c.interval == 0 {
+		return nil
+	}
+	out := make([]float64, len(c.goodput))
+	cap := rateBps * float64(hosts) / 8 * c.interval.Seconds()
+	end := c.DeliveredBytes()
+	for k := len(c.goodput) - 1; k >= 0; k-- {
+		out[k] = float64(end-c.goodput[k]) / cap
+		end = c.goodput[k]
+	}
 	return out
 }
 
