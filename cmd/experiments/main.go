@@ -21,10 +21,12 @@
 //	experiments -run fig3a -metrics out/  # per-cell CSV series + JSON reports
 //	experiments -run fig3b -cpuprofile cpu.pprof
 //	experiments -run fig3b -checkpoint 100us -checkpoint-dir ckA/  # per-cell snapshot streams
-//	experiments -bisect ckA,ckB           # first diverging event between two snapshot dirs
+//	diff -r ckA/ ckB/                     # empty when two such runs agree
 //
-// Snapshots are assertions, not restore points: to check a stored stream,
-// run the same command into a fresh directory and -bisect the two.
+// Snapshots are assertions, not restore points, written as text: to check
+// a stored stream, run the same command into a fresh directory and diff
+// the two. The differing file with the lowest index is a label's first
+// diverging snapshot, and its first journal hunk the first diverging event.
 package main
 
 import (
@@ -34,7 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"dcpim/internal/experiments"
@@ -60,7 +61,6 @@ func runMain() (code int) {
 		matchers   = flag.String("matchers", "", "restrict the matchers experiment to these comma-separated registered matchers (empty = all)")
 		ckptEvery  = flag.Duration("checkpoint", 0, "snapshot every figure's runs every this much simulated time (e.g. 100us); needs -checkpoint-dir")
 		ckptDir    = flag.String("checkpoint-dir", "", "write snapshot files (*.dcpimck) into this directory; needs -checkpoint")
-		bisect     = flag.String("bisect", "", "compare two snapshot directories 'dirA,dirB' and localize the first diverging event, then exit")
 	)
 	flag.Parse()
 	if *shards < 0 {
@@ -82,7 +82,7 @@ func runMain() (code int) {
 		return 2
 	}
 
-	if *list || (*run == "" && *bisect == "") {
+	if *list || *run == "" {
 		fmt.Println("experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-9s %s\n", e.ID, e.Title)
@@ -136,18 +136,6 @@ func runMain() (code int) {
 		CheckpointDir:   *ckptDir,
 	}
 
-	if *bisect != "" {
-		dirs := strings.SplitN(*bisect, ",", 2)
-		if len(dirs) != 2 {
-			fmt.Fprintln(os.Stderr, "-bisect wants two snapshot directories: dirA,dirB")
-			return 2
-		}
-		if err := experiments.BisectDirs(dirs[0], dirs[1], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "bisect: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	var todo []experiments.Experiment
 	if *run == "all" {
 		todo = experiments.All()

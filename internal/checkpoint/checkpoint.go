@@ -1,6 +1,6 @@
-// Package checkpoint owns the snapshot: what it holds, its versioned
-// binary format, and how two snapshots compare. It is the only package
-// that writes, reads or compares one.
+// Package checkpoint owns the snapshot: what it holds, how it is written
+// as text, and how two snapshots compare. It is the only package that
+// writes or compares one.
 //
 // Snapshots are assertions, not restorable state: each engine's pending
 // event keys, clock and RNG position, the per-host delivered-stream
@@ -8,41 +8,28 @@
 // with physical layouts normalized away. Two runs whose snapshots at T
 // are equal have the same pending events, RNG positions and delivered
 // streams there — and, with journals, executed the same events. Nothing
-// is ever restored from a snapshot; two streams are compared (Compare,
-// experiments.Bisect). See DESIGN.md §14.
+// ever reads a snapshot back: a file is one field per line, so two
+// streams are compared with diff, and two values with Compare. See
+// DESIGN.md §14.
 package checkpoint
 
 import (
-	"encoding/binary"
-	"errors"
+	"bytes"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"strconv"
 
 	"dcpim/internal/sim"
 )
 
-// magic identifies a dcPIM checkpoint stream; the trailing digit is the
-// header layout revision (bumped only if the framing itself changes).
-const magic = "DCPIMCK1"
-
-// Version is the current snapshot format version. Any change to what a
-// snapshot holds or how it is encoded MUST bump this — Read rejects
-// mismatched versions with a VersionError rather than misinterpreting
-// bytes. Versioning rules are spelled out in DESIGN.md §14.
-//
-// A v6 stream is the magic, the version, the Meta block (label,
-// protocol, seed, host count, engine count, horizon, time, index,
-// cadence), a section count, the sections engine/0…engine/n-1, digest
-// and, when journaled, journal/0…journal/n-1, each a name and a
-// length-prefixed payload, then an FNV-1a 64 checksum over everything
-// before it. Integers are little-endian.
-const Version uint32 = 6
+// Version is the snapshot format version, written on a file's first line.
+// A change to what a snapshot holds or how it is written bumps it, so
+// that a diff of two builds' streams names the format change first.
+const Version = 7
 
 // Meta identifies what a snapshot is of: the run's identity and the
-// snapshot's position in it. It labels a snapshot for people and for
-// BisectDirs' grouping; Compare reads only TimePs. The host and engine
-// counts the format also carries are len(Digests) and len(Engines).
+// snapshot's position in it. All of it but TimePs is written on the
+// identity line, which Compare skips: two streams of one spec may be
+// labeled differently, and a different spec shows up in the state itself.
 type Meta struct {
 	Label     string // run label (file stem; informational)
 	Protocol  string
@@ -63,364 +50,85 @@ type Snapshot struct {
 	Journals [][]sim.EventRecord
 }
 
-// Typed error taxonomy. A version error means "written by another
-// format" (fail loudly, nothing to repair), corruption means the bytes
-// themselves are damaged, and divergence means two streams that should
-// agree do not — the one that turns checkpoints into a correctness
-// oracle.
-var (
-	// ErrBadMagic reports a stream that is not a dcPIM checkpoint.
-	ErrBadMagic = errors.New("checkpoint: bad magic (not a dcPIM checkpoint)")
-	// ErrTruncated reports a stream that ends before its framing says it
-	// should.
-	ErrTruncated = errors.New("checkpoint: truncated stream")
-	// ErrChecksum reports a stream whose trailing checksum does not match
-	// its contents.
-	ErrChecksum = errors.New("checkpoint: checksum mismatch")
-)
+// identityLine is the 1-based line that holds the run's identity.
+const identityLine = 2
 
-// VersionError reports a snapshot written by a different format version.
-type VersionError struct {
-	Got, Want uint32
-}
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("checkpoint: format version %d, this build reads %d", e.Got, e.Want)
-}
-
-// CorruptError reports structurally invalid content inside a frame that
-// passed the checksum: sections out of order, payloads that disagree
-// with their lengths, counts that disagree with the header.
-type CorruptError struct {
-	Detail string
-}
-
-func (e *CorruptError) Error() string { return "checkpoint: corrupt snapshot: " + e.Detail }
-
-func corrupt(format string, a ...any) error {
-	return &CorruptError{Detail: fmt.Sprintf(format, a...)}
-}
-
-// DivergenceError reports the first field, in encoding order, where two
-// snapshots of the same nominal state disagree: a stored stream a fresh
-// run does not reproduce, or the bisection target between two builds.
-type DivergenceError struct {
-	Section string // "header", "engine/<i>", "digest" or "journal/<i>"
-	Field   string // e.g. "Shards", "Journals" (count), "Draws", "Pending[12]", "[3]"
-	Detail  string // the two values, first snapshot's first
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("checkpoint: snapshots diverge at %s %s: %s", e.Section, e.Field, e.Detail)
-}
-
-// Compare returns nil when the two snapshots capture identical state,
-// or a *DivergenceError naming the first differing field. Of Meta only
-// the time is compared: two streams of one spec may be labeled
-// differently, and a different spec shows up in the state itself.
-func Compare(a, b *Snapshot) error {
-	for _, f := range [...]struct {
-		name string
-		a, b int64
-	}{
-		{"Hosts", int64(len(a.Digests)), int64(len(b.Digests))},
-		{"Shards", int64(len(a.Engines)), int64(len(b.Engines))},
-		{"TimePs", a.Meta.TimePs, b.Meta.TimePs},
-		{"Journals", int64(len(a.Journals)), int64(len(b.Journals))},
-	} {
-		if f.a != f.b {
-			return &DivergenceError{Section: "header", Field: f.name, Detail: fmt.Sprintf("%d vs %d", f.a, f.b)}
-		}
-	}
-	for i := range a.Engines {
-		if err := compareEngine(i, &a.Engines[i], &b.Engines[i]); err != nil {
-			return err
-		}
-	}
-	for h, d := range a.Digests {
-		if d != b.Digests[h] {
-			return &DivergenceError{Section: "digest", Field: fmt.Sprintf("[%d]", h),
-				Detail: fmt.Sprintf("%#016x vs %#016x", d, b.Digests[h])}
-		}
-	}
-	for i, j := range a.Journals {
-		if err := compareRecords(fmt.Sprintf("journal/%d", i), "", j, b.Journals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func compareEngine(i int, a, b *sim.EngineState) error {
-	sec := fmt.Sprintf("engine/%d", i)
-	if a.Now != b.Now {
-		return &DivergenceError{Section: sec, Field: "Now", Detail: fmt.Sprintf("%v vs %v", a.Now, b.Now)}
-	}
-	for _, f := range [...]struct {
-		name string
-		a, b uint64
-	}{{"Ord", a.Ord, b.Ord}, {"Seq", a.Seq, b.Seq}, {"Events", a.Events, b.Events}, {"Draws", a.Draws, b.Draws}} {
-		if f.a != f.b {
-			return &DivergenceError{Section: sec, Field: f.name, Detail: fmt.Sprintf("%d vs %d", f.a, f.b)}
-		}
-	}
-	return compareRecords(sec, "Pending", a.Pending, b.Pending)
-}
-
-// compareRecords compares two event-key lists the way they are encoded:
-// length first, then key by key. A journal is a section of its own, so
-// its field is "".
-func compareRecords(sec, field string, a, b []sim.EventRecord) error {
-	if len(a) != len(b) {
-		n := "len"
-		if field != "" {
-			n = "len(" + field + ")"
-		}
-		return &DivergenceError{Section: sec, Field: n, Detail: fmt.Sprintf("%d vs %d", len(a), len(b))}
-	}
-	for k, r := range a {
-		if r != b[k] {
-			return &DivergenceError{Section: sec, Field: fmt.Sprintf("%s[%d]", field, k),
-				Detail: fmt.Sprintf("(t=%v, seq=%#x) vs (t=%v, seq=%#x)", r.At, r.Seq, b[k].At, b[k].Seq)}
-		}
-	}
-	return nil
-}
-
-// Checkpoint serializes the snapshot to w in the v6 format (see
-// Version). The byte stream is a pure function of the snapshot's
-// contents — no timestamps, no map iteration — so equal states produce
-// equal files.
-func (s *Snapshot) Checkpoint(w io.Writer) error {
-	if len(s.Journals) != 0 && len(s.Journals) != len(s.Engines) {
-		return fmt.Errorf("checkpoint: %d journals for %d engines", len(s.Journals), len(s.Engines))
-	}
-	b := &writer{buf: []byte(magic)}
-	b.u32(Version)
-	b.str(s.Meta.Label)
-	b.str(s.Meta.Protocol)
-	for _, v := range [...]int64{s.Meta.Seed, int64(len(s.Digests)), int64(len(s.Engines)),
-		s.Meta.HorizonPs, s.Meta.TimePs, int64(s.Meta.Index), s.Meta.EveryPs} {
-		b.u64(uint64(v))
-	}
-	b.u32(uint32(len(s.Engines) + 1 + len(s.Journals)))
+// Text renders the snapshot, one field per line, in this order: the
+// format line, the identity line, the host, shard, time and journal
+// counts; each engine's now, ord, seq, events, draws and pending keys;
+// the per-host digests; then the journals. Every line names its section,
+// a list's length precedes its records, and a record line carries no
+// ordinal, so diff aligns an inserted event rather than shifting every
+// later line. Times are picoseconds and seqs hex. The text is a pure
+// function of the snapshot, so equal states write equal files.
+func (s *Snapshot) Text() []byte {
+	m := &s.Meta
+	b := fmt.Appendf(nil, "dcpim-snapshot %d\n", Version)
+	b = fmt.Appendf(b, "label %s protocol %s seed %d horizon_ps %d index %d every_ps %d\n",
+		m.Label, m.Protocol, m.Seed, m.HorizonPs, m.Index, m.EveryPs)
+	b = fmt.Appendf(b, "hosts %d\nshards %d\ntime_ps %d\njournals %d\n",
+		len(s.Digests), len(s.Engines), m.TimePs, len(s.Journals))
 	for i := range s.Engines {
-		st := &s.Engines[i]
-		b.section(fmt.Sprintf("engine/%d", i), func() {
-			for _, v := range [...]uint64{uint64(st.Now), st.Ord, st.Seq, st.Events, st.Draws} {
-				b.u64(v)
-			}
-			b.records(st.Pending)
-		})
+		e := &s.Engines[i]
+		b = fmt.Appendf(b, "engine %d now_ps %d\nengine %d ord %d\nengine %d seq %#x\n"+
+			"engine %d events %d\nengine %d draws %d\n",
+			i, int64(e.Now), i, e.Ord, i, e.Seq, i, e.Events, i, e.Draws)
+		b = records(b, "engine "+strconv.Itoa(i)+" pending", e.Pending)
 	}
-	b.section("digest", func() {
-		b.u32(uint32(len(s.Digests)))
-		for _, d := range s.Digests {
-			b.u64(d)
-		}
-	})
+	for h, d := range s.Digests {
+		b = fmt.Appendf(b, "digest %d 0x%016x\n", h, d)
+	}
 	for i, j := range s.Journals {
-		b.section(fmt.Sprintf("journal/%d", i), func() { b.records(j) })
+		b = records(b, "journal "+strconv.Itoa(i), j)
 	}
-	b.u64(checksum(b.buf))
-	_, err := w.Write(b.buf)
-	return err
-}
-
-// maxSnapshotBytes bounds how much Read will buffer — far above any real
-// snapshot, low enough that a corrupt length field cannot demand an
-// absurd allocation.
-const maxSnapshotBytes = 1 << 31
-
-// Read parses a snapshot from r. The whole stream is read and verified —
-// magic, version, checksum, then every section in the one order the
-// writer emits — before anything is returned, so a failed Read never
-// yields a partially valid snapshot. All errors are typed: ErrBadMagic,
-// *VersionError, ErrTruncated, ErrChecksum, or *CorruptError.
-func Read(r io.Reader) (*Snapshot, error) {
-	buf, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes))
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case len(buf) >= len(magic) && string(buf[:len(magic)]) != magic:
-		return nil, ErrBadMagic
-	case len(buf) < len(magic)+4+8:
-		return nil, ErrTruncated
-	}
-	body := buf[:len(buf)-8]
-	if binary.LittleEndian.Uint64(buf[len(body):]) != checksum(body) {
-		return nil, ErrChecksum
-	}
-	c := &cursor{buf: body, off: len(magic)}
-	if v := c.u32(); v != Version {
-		return nil, &VersionError{Got: v, Want: Version}
-	}
-	s := &Snapshot{}
-	s.Meta.Label = c.str()
-	s.Meta.Protocol = c.str()
-	s.Meta.Seed = c.i64()
-	hosts := c.i64()
-	shards := c.i64()
-	s.Meta.HorizonPs = c.i64()
-	s.Meta.TimePs = c.i64()
-	s.Meta.Index = int(c.i64())
-	s.Meta.EveryPs = c.i64()
-	n := int64(c.u32())
-	if c.err != nil {
-		return nil, c.err
-	}
-	if shards < 0 || (n != shards+1 && n != 2*shards+1) {
-		return nil, corrupt("%d sections for %d engines", n, shards)
-	}
-	for i := int64(0); i < shards && c.err == nil; i++ {
-		var st sim.EngineState
-		c.section(fmt.Sprintf("engine/%d", i), func(p *cursor) {
-			st.Now = sim.Time(p.i64())
-			st.Ord, st.Seq, st.Events, st.Draws = p.u64(), p.u64(), p.u64(), p.u64()
-			st.Pending = p.records()
-		})
-		s.Engines = append(s.Engines, st)
-	}
-	c.section("digest", func(p *cursor) {
-		s.Digests = make([]uint64, p.count(8))
-		for h := range s.Digests {
-			s.Digests[h] = p.u64()
-		}
-	})
-	for i := int64(0); n > shards+1 && i < shards && c.err == nil; i++ {
-		c.section(fmt.Sprintf("journal/%d", i), func(p *cursor) {
-			s.Journals = append(s.Journals, p.records())
-		})
-	}
-	switch {
-	case c.err != nil:
-		return nil, c.err
-	case c.off != len(body):
-		return nil, corrupt("%d trailing bytes", len(body)-c.off)
-	case hosts != int64(len(s.Digests)):
-		return nil, corrupt("header says %d hosts, digest holds %d", hosts, len(s.Digests))
-	}
-	return s, nil
-}
-
-// checksum is FNV-1a 64 over a byte stream, stable across Go versions.
-func checksum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// writer appends the format's little-endian primitives.
-type writer struct {
-	buf []byte
-}
-
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// str writes a string behind its 4-byte length.
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// records writes a count and then each event key as (time, seq).
-func (w *writer) records(rs []sim.EventRecord) {
-	w.u32(uint32(len(rs)))
-	for _, r := range rs {
-		w.u64(uint64(r.At))
-		w.u64(r.Seq)
-	}
-}
-
-// section writes a section's name, then body's output behind its 8-byte
-// length.
-func (w *writer) section(name string, body func()) {
-	w.str(name)
-	at := len(w.buf)
-	w.u64(0)
-	body()
-	binary.LittleEndian.PutUint64(w.buf[at:], uint64(len(w.buf)-at-8))
-}
-
-// cursor reads the format's primitives. The first read past the end
-// latches ErrTruncated (or whatever error a caller sets) and every later
-// read returns zero values, so a decode sequence runs unchecked and tests
-// err once at the end.
-type cursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *cursor) remaining() int { return len(c.buf) - c.off }
-
-func (c *cursor) take(n uint64) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n > uint64(c.remaining()) {
-		c.err = ErrTruncated
-		return nil
-	}
-	b := c.buf[c.off : c.off+int(n)]
-	c.off += int(n)
 	return b
 }
 
-func (c *cursor) u32() uint32 {
-	if b := c.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
+// records appends a list of event keys under section: its length, then
+// one "<section> <ps> <seq>" line per key.
+func records(b []byte, section string, rs []sim.EventRecord) []byte {
+	b = fmt.Appendf(b, "%s len %d\n", section, len(rs))
+	for _, r := range rs {
+		b = append(b, section...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(r.At), 10)
+		b = append(b, " 0x"...)
+		b = strconv.AppendUint(b, r.Seq, 16)
+		b = append(b, '\n')
 	}
-	return 0
+	return b
 }
 
-func (c *cursor) u64() uint64 {
-	if b := c.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
+// DivergenceError reports the first line, below the identity line, on
+// which two snapshots' texts differ.
+type DivergenceError struct {
+	Line int    // 1-based line number, the same in both texts
+	A, B string // the two lines, first snapshot's first; "" past a text's end
 }
 
-func (c *cursor) i64() int64  { return int64(c.u64()) }
-func (c *cursor) str() string { return string(c.take(uint64(c.u32()))) }
-
-// count reads an element count and checks that that many size-byte
-// elements fit in what is left; 0 once an error has latched.
-func (c *cursor) count(size int) int {
-	n := int(c.u32())
-	if c.err == nil && n > c.remaining()/size {
-		c.err = ErrTruncated
-	}
-	if c.err != nil {
-		return 0
-	}
-	return n
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("checkpoint: snapshots diverge at line %d: %q vs %q", e.Line, e.A, e.B)
 }
 
-// records reads what writer.records wrote.
-func (c *cursor) records() []sim.EventRecord {
-	rs := make([]sim.EventRecord, c.count(16))
-	for k := range rs {
-		rs[k] = sim.EventRecord{At: sim.Time(c.i64()), Seq: c.u64()}
-	}
-	return rs
-}
-
-// section reads the next section, which must be called name, and decodes
-// its payload with body, which must consume it exactly.
-func (c *cursor) section(name string, body func(p *cursor)) {
-	got := c.str()
-	p := &cursor{buf: c.take(c.u64())}
-	switch {
-	case c.err != nil:
-	case got != name:
-		c.err = corrupt("section %q where %q belongs", got, name)
-	default:
-		body(p)
-		if p.err != nil || p.remaining() != 0 {
-			c.err = corrupt("section %s does not hold what its length says", name)
+// Compare renders both snapshots and returns nil when they agree below
+// the identity line, or a *DivergenceError naming the first line that
+// differs. Two snapshots of one identity compare equal exactly when
+// their files are byte-identical.
+func Compare(a, b *Snapshot) error {
+	la := bytes.Split(a.Text(), []byte("\n"))
+	lb := bytes.Split(b.Text(), []byte("\n"))
+	// la[identityLine] is the line below the identity line (1-based).
+	for i := identityLine; i < len(la) || i < len(lb); i++ {
+		var x, y []byte
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if !bytes.Equal(x, y) {
+			return &DivergenceError{Line: i + 1, A: string(x), B: string(y)}
 		}
 	}
+	return nil
 }

@@ -143,7 +143,7 @@ func scaleMachine() ScaleMachine {
 
 // scaleCellLabel names one campaign cell's snapshot files. Every axis
 // that changes the run is in the name, so each cell's stream has a label
-// of its own and -bisect compares two campaigns cell by cell.
+// of its own and diff -r compares two campaigns cell by cell.
 func scaleCellLabel(hosts int, load float64, shards int) string {
 	return fmt.Sprintf("scale-h%d-l%02d-s%d", hosts, int(load*100), shards)
 }

@@ -9,10 +9,10 @@ import (
 // serialized; what CAN be captured exactly is everything that orders
 // future execution and randomness — the clock, the sequence allocator,
 // the (time, seq) key of every pending event, and the RNG position.
-// CaptureState returns that as plain data; the checkpoint file format
-// lives in internal/checkpoint. Nothing restores it: the experiment
-// runner compares the snapshot streams of two runs (experiments.Bisect),
-// which agree exactly when the runs executed identically.
+// CaptureState returns that as plain data; the snapshot's text lives in
+// internal/checkpoint. Nothing restores it: two runs' snapshot streams
+// are compared (checkpoint.Compare, or diff on their files), and agree
+// exactly when the runs executed identically.
 // Lanes hold ordinary pending events — where an event is stored is
 // physical layout — so capture lists their records with the heap's.
 
@@ -69,7 +69,7 @@ func (e *Engine) CaptureState() EngineState {
 }
 
 // StartJournal begins recording the (At, Seq) key of every executed
-// event. Used by checkpoint bisection to name the first diverging event;
+// event. Journaled snapshots use it to name the first diverging event;
 // costs one slice append per event while on, nothing while off.
 func (e *Engine) StartJournal() {
 	e.journalOn = true
