@@ -24,7 +24,7 @@ import (
 // Version is the snapshot format version, written on a file's first line.
 // A change to what a snapshot holds or how it is written bumps it, so
 // that a diff of two builds' streams names the format change first.
-const Version = 7
+const Version = 8
 
 // Meta identifies what a snapshot is of: the run's identity and the
 // snapshot's position in it. All of it but TimePs is written on the
@@ -55,7 +55,7 @@ const identityLine = 2
 
 // Text renders the snapshot, one field per line, in this order: the
 // format line, the identity line, the host, shard, time and journal
-// counts; each engine's now, ord, seq, events, draws and pending keys;
+// counts; each engine's now, seq, events, draws and pending keys;
 // the per-host digests; then the journals. Every line names its section,
 // a list's length precedes its records, and a record line carries no
 // ordinal, so diff aligns an inserted event rather than shifting every
@@ -70,9 +70,9 @@ func (s *Snapshot) Text() []byte {
 		len(s.Digests), len(s.Engines), m.TimePs, len(s.Journals))
 	for i := range s.Engines {
 		e := &s.Engines[i]
-		b = fmt.Appendf(b, "engine %d now_ps %d\nengine %d ord %d\nengine %d seq %#x\n"+
+		b = fmt.Appendf(b, "engine %d now_ps %d\nengine %d seq %#x\n"+
 			"engine %d events %d\nengine %d draws %d\n",
-			i, int64(e.Now), i, e.Ord, i, e.Seq, i, e.Events, i, e.Draws)
+			i, int64(e.Now), i, e.Seq, i, e.Events, i, e.Draws)
 		b = records(b, "engine "+strconv.Itoa(i)+" pending", e.Pending)
 	}
 	for h, d := range s.Digests {

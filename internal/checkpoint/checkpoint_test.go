@@ -17,10 +17,10 @@ func sampleSnapshot() *Snapshot {
 			HorizonPs: 2_000_000_000, TimePs: 1_000_000_000, Index: 3, EveryPs: 250_000_000,
 		},
 		Engines: []sim.EngineState{
-			{Now: 1_000_000_000, Ord: 2, Seq: 41, Events: 900, Draws: 17, Pending: []sim.EventRecord{
+			{Now: 1_000_000_000, Seq: 41, Events: 900, Draws: 17, Pending: []sim.EventRecord{
 				{At: 1_000_000_000, Seq: 40}, {At: 1_000_500_000, Seq: 1<<63 | 3}, {At: 1_200_000_000, Seq: 12},
 			}},
-			{Now: 1_000_000_000, Ord: 0, Seq: 7, Events: 30, Draws: 0, Pending: []sim.EventRecord{}},
+			{Now: 1_000_000_000, Seq: 7, Events: 30, Draws: 0, Pending: []sim.EventRecord{}},
 		},
 		Digests:  []uint64{0xcbf29ce484222325, 1, 2, 3, 4, 5, 6, 0xffffffffffffffff},
 		Journals: [][]sim.EventRecord{{{At: 750_000_000, Seq: 9}, {At: 999_999_999, Seq: 39}}, {}},
@@ -38,14 +38,13 @@ func TestEncodingIsDeterministic(t *testing.T) {
 // spelled out by hand: streams an earlier build stored diff clean against
 // this build's only while the layout holds.
 func TestTextFormat(t *testing.T) {
-	const want = `dcpim-snapshot 7
+	const want = `dcpim-snapshot 8
 label fig3a-dcpim-load0.500 protocol dcpim seed 99 horizon_ps 2000000000 index 3 every_ps 250000000
 hosts 8
 shards 2
 time_ps 1000000000
 journals 2
 engine 0 now_ps 1000000000
-engine 0 ord 2
 engine 0 seq 0x29
 engine 0 events 900
 engine 0 draws 17
@@ -54,7 +53,6 @@ engine 0 pending 1000000000 0x28
 engine 0 pending 1000500000 0x8000000000000003
 engine 0 pending 1200000000 0xc
 engine 1 now_ps 1000000000
-engine 1 ord 0
 engine 1 seq 0x7
 engine 1 events 30
 engine 1 draws 0
@@ -75,7 +73,7 @@ journal 1 len 0
 	if got := string(sampleSnapshot().Text()); got != want {
 		t.Fatalf("snapshot text changed:\n%s\nwant:\n%s", got, want)
 	}
-	if Version != 7 {
+	if Version != 8 {
 		t.Fatalf("Version = %d; a new version needs a new spelling here", Version)
 	}
 }
@@ -99,13 +97,13 @@ func TestCompare(t *testing.T) {
 		{"time", func(s *Snapshot) { s.Meta.TimePs++ }, 5, "time_ps 1000000000", "time_ps 1000000001"},
 		{"engine count", func(s *Snapshot) { s.Engines, s.Journals = s.Engines[:1], s.Journals[:1] }, 4, "shards 2", "shards 1"},
 		{"journals on one side", func(s *Snapshot) { s.Journals = nil }, 6, "journals 2", "journals 0"},
-		{"draws", func(s *Snapshot) { s.Engines[1].Draws++ }, 20, "engine 1 draws 0", "engine 1 draws 1"},
-		{"pending key", func(s *Snapshot) { s.Engines[0].Pending[1].At += 1_000_000 }, 14,
+		{"draws", func(s *Snapshot) { s.Engines[1].Draws++ }, 18, "engine 1 draws 0", "engine 1 draws 1"},
+		{"pending key", func(s *Snapshot) { s.Engines[0].Pending[1].At += 1_000_000 }, 13,
 			"engine 0 pending 1000500000 0x8000000000000003", "engine 0 pending 1001500000 0x8000000000000003"},
-		{"pending count", func(s *Snapshot) { s.Engines[0].Pending = s.Engines[0].Pending[:2] }, 12,
+		{"pending count", func(s *Snapshot) { s.Engines[0].Pending = s.Engines[0].Pending[:2] }, 11,
 			"engine 0 pending len 3", "engine 0 pending len 2"},
-		{"digest", func(s *Snapshot) { s.Digests[7] ^= 0x10 }, 29, "digest 7 0xffffffffffffffff", "digest 7 0xffffffffffffffef"},
-		{"journal", func(s *Snapshot) { s.Journals[1] = append(s.Journals[1], sim.EventRecord{}) }, 33, "journal 1 len 0", "journal 1 len 1"},
+		{"digest", func(s *Snapshot) { s.Digests[7] ^= 0x10 }, 27, "digest 7 0xffffffffffffffff", "digest 7 0xffffffffffffffef"},
+		{"journal", func(s *Snapshot) { s.Journals[1] = append(s.Journals[1], sim.EventRecord{}) }, 31, "journal 1 len 0", "journal 1 len 1"},
 	} {
 		b := sampleSnapshot()
 		c.mutate(b)
@@ -119,7 +117,7 @@ func TestCompare(t *testing.T) {
 	b = sampleSnapshot()
 	b.Engines[0].Pending[2].Seq = 13
 	if err := Compare(a, b); err == nil || err.Error() !=
-		`checkpoint: snapshots diverge at line 15: "engine 0 pending 1200000000 0xc" vs "engine 0 pending 1200000000 0xd"` {
+		`checkpoint: snapshots diverge at line 14: "engine 0 pending 1200000000 0xc" vs "engine 0 pending 1200000000 0xd"` {
 		t.Errorf("error text %q does not name the line and both texts", err)
 	}
 }

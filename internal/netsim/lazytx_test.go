@@ -12,33 +12,46 @@ import (
 // queues its completion event only when a packet is waiting for it.
 
 // TestIdlePathEventCount pins the events-per-packet arithmetic: a packet
-// crossing an idle 144-host leaf-spine traverses four links and costs
-// seven events (NIC enqueue, NIC delivery, leaf forward, fused spine
-// forward, fused leaf forward, downlink delivery, host delivery) — the
-// four transmitter completions that used to make it eleven find nothing
-// queued and are never scheduled.
+// crossing an idle 144-host leaf-spine traverses four links and costs six
+// events (NIC enqueue, leaf forward, fused spine forward, fused leaf
+// forward, downlink delivery, host delivery) — the four transmitter
+// completions that used to make it ten find nothing queued and are never
+// scheduled, and the uplink's delivery is the leaf's forward. The 10G
+// testbed keeps the uplink's arrival as an event of its own
+// (fuseHops): seven.
 func TestIdlePathEventCount(t *testing.T) {
-	f, sinks := buildFabric(t, topo.DefaultLeafSpine(), Config{Spray: true})
-	eng := f.Engine()
-	dst := f.Topology().NumHosts / 2
-	f.Host(0).Send(packet.NewData(0, dst, 1, 0, packet.MTU, packet.PrioShort))
-	eng.RunAll()
-	if len(sinks[dst].received) != 1 {
-		t.Fatal("packet not delivered")
-	}
-	if got := eng.Events(); got != 7 {
-		t.Fatalf("one packet across an idle fabric cost %d events, want 7", got)
-	}
+	for _, tc := range []struct {
+		name string
+		topo topo.LeafSpineConfig
+		one  uint64
+	}{
+		{"fused", topo.DefaultLeafSpine(), 6},
+		{"testbed pair", topo.TestbedLeafSpine(), 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, sinks := buildFabric(t, tc.topo, Config{Spray: true})
+			eng := f.Engine()
+			dst := f.Topology().NumHosts / 2
+			f.Host(0).Send(packet.NewData(0, dst, 1, 0, packet.MTU, packet.PrioShort))
+			eng.RunAll()
+			if len(sinks[dst].received) != 1 {
+				t.Fatal("packet not delivered")
+			}
+			if got := eng.Events(); got != tc.one {
+				t.Fatalf("one packet across an idle fabric cost %d events, want %d", got, tc.one)
+			}
 
-	// Two packets sent together share every port back to back: only the
-	// NIC ever holds the second while the first serializes, so exactly one
-	// completion is materialised.
-	before := eng.Events()
-	f.Host(1).Send(packet.NewData(1, dst, 2, 0, packet.MTU, packet.PrioShort))
-	f.Host(1).Send(packet.NewData(1, dst, 2, 1, packet.MTU, packet.PrioShort))
-	eng.RunAll()
-	if got := eng.Events() - before; got != 15 {
-		t.Fatalf("two back-to-back packets cost %d events, want 7+7+1", got)
+			// Two packets sent together share every port back to back: only
+			// the NIC ever holds the second while the first serializes, so
+			// exactly one completion is materialised.
+			before := eng.Events()
+			f.Host(1).Send(packet.NewData(1, dst, 2, 0, packet.MTU, packet.PrioShort))
+			f.Host(1).Send(packet.NewData(1, dst, 2, 1, packet.MTU, packet.PrioShort))
+			eng.RunAll()
+			if got := eng.Events() - before; got != 2*tc.one+1 {
+				t.Fatalf("two back-to-back packets cost %d events, want %d+%d+1", got, tc.one, tc.one)
+			}
+		})
 	}
 }
 
@@ -75,15 +88,15 @@ func TestPushAtBusyUntilTie(t *testing.T) {
 		wantQueued int
 		wantEvents uint64
 	}{
-		// Ten events move the two packets (injection, NIC delivery, leaf
-		// forward, downlink delivery, host delivery, each twice), and the
-		// leaf downlink materialises one completion in both cases: the
-		// second packet's forward there was scheduled before the first's
-		// transmission began, so it sorts before that key. The twelfth is
-		// the NIC's completion in the first case, the helper event in the
+		// Eight events move the two packets (injection, leaf forward,
+		// downlink delivery, host delivery, each twice), and the leaf
+		// downlink materialises one completion in both cases: the second
+		// packet's forward there was scheduled before the first's
+		// transmission began, so it sorts before that key. The tenth is the
+		// NIC's completion in the first case, the helper event in the
 		// second.
-		{"before the key: queues", false, 1, 12},
-		{"after the key: transmits", true, 0, 12},
+		{"before the key: queues", false, 1, 10},
+		{"after the key: transmits", true, 0, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, sinks := buildFabric(t, topo.SmallLeafSpine(), Config{Spray: true})

@@ -195,11 +195,14 @@ func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partitio
 		eng: grp.Engine(0), topo: t, cfg: cfg,
 		grp: grp, part: part,
 	}
+	fuse := fuseHops(t) && !pairHops
 	n := grp.N()
 	for i := 0; i < n; i++ {
 		s := &shardState{id: i, fab: f, eng: grp.Engine(i)}
 		s.hostLane = s.lane(t.HostDelay)
-		s.swLane = s.lane(t.SwitchDelay)
+		if !fuse {
+			s.swLane = s.lane(t.SwitchDelay)
+		}
 		s.counters = &f.Counters // one shard's counters are the fabric's
 		if n > 1 {
 			s.counters = new(Counters)
@@ -217,6 +220,7 @@ func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partitio
 	w := &wiring{
 		base:  make([]swBase, len(t.Switches)+1),
 		cross: make([]sim.Duration, n),
+		fuse:  fuse,
 	}
 	for i, sw := range t.Switches {
 		links := uint64(0)
@@ -251,7 +255,37 @@ type wiring struct {
 	// cross[s] is the least staging latency over shard s's cross-shard
 	// links, 0 when it has none; written by shard s's wireShard only.
 	cross []sim.Duration
+	// fuse says intra-shard hops into a switch are one event (hopFused).
+	fuse bool
 }
+
+// fuseHops reports whether a hop into a switch can be one event on t —
+// the forward, scheduled as the transmission starts — in the order the
+// arrival and its forward a SwitchDelay later would run (DESIGN.md
+// §8.1.2): whether every link's MTU serialization and propagation delay
+// are shorter than SwitchDelay. It reads the topology alone.
+func fuseHops(t *topo.Topology) bool {
+	short := func(p *topo.Port) bool {
+		return sim.TransmissionTime(packet.MTU, p.Rate) < t.SwitchDelay && p.Delay < t.SwitchDelay
+	}
+	if !short(&t.HostLink) {
+		return false
+	}
+	for _, sw := range t.Switches {
+		for pi := range sw.Ports {
+			if !short(&sw.Ports[pi]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pairHops makes fabrics built while it is set keep the two-event hop
+// where fuseHops holds, so the package's tests can run one fabric both
+// ways and compare. A variable so tests can set it; the two hops give the
+// same output, so nothing else has reason to.
+var pairHops = false
 
 // swBase is a switch's first port in the port slab and its first directed
 // boundary link's id.
@@ -284,8 +318,9 @@ func (w *wiring) lookahead() sim.Duration {
 // would be built and copied), given their shard's class for the link they
 // drive, and wired to their far end, so a delivery event never goes back
 // to the port that sent the packet.
-// Directed boundary links carry their stable id: their delivery is the
-// fused forward at the peer switch, a SwitchDelay further out —
+// A hop into a switch is the forward there, a SwitchDelay further out
+// than the link's latency, where w.fuse says so (hopFused). Directed
+// boundary links always deliver that way and carry their stable id —
 // intra-shard on the port's own engine, cross-shard via staging (no lanes
 // there: staged arrivals are scheduled at a barrier, not a constant delay
 // ahead of the engine's clock).
@@ -301,6 +336,12 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 	s := f.shards[shard]
 	t, cfg := f.topo, &f.cfg
 	seed := f.eng.Seed()
+	// What a hop into a switch that stays on the shard schedules, and the
+	// latency its lanes add for it.
+	inner, extra := hopPair, sim.Duration(0)
+	if w.fuse {
+		inner, extra = hopFused, t.SwitchDelay
+	}
 	for i, owner := range f.part.SwitchShard {
 		if int(owner) != shard {
 			continue
@@ -325,6 +366,7 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 			o := &d.ports[pi]
 			o.sh, o.owner = s, d
 			if p.ToHost {
+				o.hop = hopHost
 				o.peerHost = &f.hosts[p.Peer]
 				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, 0)
 				continue
@@ -332,10 +374,11 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 			o.peerSw = &f.switches[p.Peer]
 			o.peerIn = int32(p.PeerPort)
 			if !p.Boundary {
-				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, 0)
+				o.hop = inner
+				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, extra)
 				continue
 			}
-			o.boundary = true
+			o.hop = hopBoundary
 			o.linkID = linkID
 			linkID++
 			if int(f.part.SwitchShard[p.Peer]) == shard {
@@ -363,8 +406,8 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		host.src.Seed(deviceSeed(seed, 2, h))
 		host.rng = *rand.New(&host.src)
 		nic := host.nic
-		nic.sh = s
-		nic.class = s.wireClass(up.Rate, up.Delay, cfg.HostQueueBytes, 0)
+		nic.sh, nic.hop = s, inner
+		nic.class = s.wireClass(up.Rate, up.Delay, cfg.HostQueueBytes, extra)
 		nic.peerSw = &f.switches[t.HostSwitch[h]]
 		nic.peerIn = int32(t.HostPort[h])
 	}
@@ -373,9 +416,9 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 // wireClass returns the class of a port on this shard driving a link of
 // the given rate and delay with the given budget, whose deliveries ride
 // lanes: serialization plus propagation of each fixed size, plus extra
-// (the peer's SwitchDelay on a fused boundary link). The lanes are asked
-// for MTU first, port by port, so each engine creates them in the same
-// order at every shard count.
+// (the peer's SwitchDelay where the delivery is the forward there). The
+// lanes are asked for MTU first, port by port, so each engine creates
+// them in the same order at every shard count.
 func (s *shardState) wireClass(rate float64, delay sim.Duration, capacity int64, extra sim.Duration) *portClass {
 	latency := delay + extra
 	return s.portClass(portClass{
@@ -615,21 +658,21 @@ type swDev struct {
 	paused       []bool // whether we've paused each ingress
 }
 
-// receive handles a packet arriving at the switch from ingress port `in`
-// (-1 for host-attached arrivals; those are accounted per their host
-// port). Processing latency is applied before enqueueing.
-func (d *swDev) receive(p *packet.Packet, in int) {
-	d.sh.swLane.After(swForward, d, p, in)
-}
-
 // arriveAtSwitch is the delivery event of a link that ends at a switch,
-// entering through its port in.
+// entering through its port in, on a fabric that keeps the two-event hop
+// (hopPair): the forward runs a SwitchDelay later.
 //
-//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
+//lint:hotpath one event per packet hop on a fabric that keeps the pair; 0-alloc contract of BenchmarkFabricForwarding
 func arriveAtSwitch(a, b any, in int) {
-	a.(*swDev).receive(b.(*packet.Packet), in)
+	d := a.(*swDev)
+	d.sh.swLane.After(swForward, d, b.(*packet.Packet), in)
 }
 
+// swForward is a packet's hop through a switch, entering through its
+// port in: the SwitchDelay after its arrival, scheduled by the arrival
+// (hopPair) or, one event for the hop, by the transmission that put it on
+// the link (hopFused, hopBoundary).
+//
 //lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
 func swForward(a, b any, in int) {
 	a.(*swDev).forward(b.(*packet.Packet), in)

@@ -48,13 +48,9 @@ type outPort struct {
 	// down halts the transmitter like a PFC pause but is independent of it
 	// (see Fabric's fault-control methods).
 	down bool
-	// boundary marks egress onto a switch↔switch link marked
-	// topo.Port.Boundary: delivery is fused into a single arrival-band
-	// event — the forward at the peer switch, scheduled
-	// tx+delay+SwitchDelay ahead with a key built from the directed link
-	// id and a per-link sequence, so its execution order is identical at
-	// every shard count.
-	boundary bool // topo.Port.Boundary
+	// hop says what the far end does with a packet, and so which event a
+	// transmission schedules (hopKind).
+	hop hopKind
 	// faulty says the port has an entry in its shard's fault table, so a
 	// clean link never looks there.
 	faulty bool // the port has a shardState.faults entry
@@ -76,6 +72,28 @@ type outPort struct {
 	linkID uint64 // derived from the directed link identity
 	arrSeq uint64
 }
+
+// hopKind is what a port's transmission schedules at the far end of its
+// link. A hop into a switch is one event — the forward, tx+delay+SwitchDelay
+// ahead — except on a fabric where fusing could move an event
+// (fuseHops, DESIGN.md §8.1.2), whose intra-shard hops keep the arrival
+// and the forward a SwitchDelay later.
+type hopKind uint8
+
+const (
+	// hopHost: the arrival at a host, which delivers a HostDelay later.
+	hopHost hopKind = iota
+	// hopPair: the arrival at a switch, which forwards a SwitchDelay later.
+	hopPair
+	// hopFused: the forward at the peer switch, under the band-0 seq
+	// reserved as the transmission starts.
+	hopFused
+	// hopBoundary: the forward at the peer switch across a link marked
+	// topo.Port.Boundary, under an arrival-band key built from the
+	// directed link id and a per-link sequence, so its execution order is
+	// identical at every shard count.
+	hopBoundary
+)
 
 // portClass is what every port of a shard driving the same kind of link
 // shares: the link's rate and propagation delay, the port's byte budget,
@@ -320,11 +338,11 @@ func (o *outPort) tryTransmit() {
 	case packet.HeaderSize:
 		lane = c.laneHdr
 	}
-	switch {
-	case o.boundary:
-		// Fused boundary delivery: schedule the forward at the peer switch
-		// directly, keyed in the arrival band so execution order does not
-		// depend on which shard inserted it, or when.
+	switch o.hop {
+	case hopBoundary:
+		// Schedule the forward at the peer switch directly, keyed in the
+		// arrival band so execution order does not depend on which shard
+		// inserted it, or when.
 		key := bandKey(o.linkID, o.arrSeq)
 		o.arrSeq++
 		if lane != nil {
@@ -337,13 +355,22 @@ func (o *outPort) tryTransmit() {
 		} else {
 			o.sh.stage(peer, at, key, swForward, o.peerSw, p, int(o.peerIn))
 		}
-	case o.peerHost != nil:
+	case hopFused:
+		// The forward at the peer switch, under the seq its arrival would
+		// have taken: the order it runs in is the two-event chain's
+		// (DESIGN.md §8.1.2).
+		if lane != nil {
+			lane.After(swForward, o.peerSw, p, int(o.peerIn))
+		} else {
+			eng.AfterFunc(tx+c.delay+o.sh.fab.topo.SwitchDelay, swForward, o.peerSw, p, int(o.peerIn))
+		}
+	case hopHost:
 		if lane != nil {
 			lane.After(arriveAtHost, o.peerHost, p, 0)
 		} else {
 			eng.AfterFunc(tx+c.delay, arriveAtHost, o.peerHost, p, 0)
 		}
-	default:
+	default: // hopPair
 		if lane != nil {
 			lane.After(arriveAtSwitch, o.peerSw, p, int(o.peerIn))
 		} else {

@@ -44,9 +44,10 @@ type shardState struct {
 	staged   uint64          // cross-shard arrivals landed ON this shard
 
 	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
-	// host stack, the switch traversal, serialization + propagation of an
-	// MTU or a header on each kind of link this shard's ports drive, and
-	// the protocol clocks asked for through Host.Lane. The events in
+	// host stack, the switch traversal (only where a hop into a switch is
+	// two events, hopPair; nil otherwise), serialization + propagation of
+	// an MTU or a header on each kind of link this shard's ports drive,
+	// and the protocol clocks asked for through Host.Lane. The events in
 	// flight are engine state, captured there.
 	hostLane *sim.Lane
 	swLane   *sim.Lane

@@ -66,8 +66,8 @@ func portWiring(o *outPort) string {
 	if o.owner != nil {
 		owner = fmt.Sprintf("sw%d", o.owner.spec.ID)
 	}
-	return fmt.Sprintf("shard %d %s -> %s rate %g delay %v cap %d boundary %v link %d mtu %s hdr %s",
-		o.sh.id, owner, peer, o.class.rate, o.class.delay, o.class.capacity, o.boundary, o.linkID, lane(o.class.laneMTU), lane(o.class.laneHdr))
+	return fmt.Sprintf("shard %d %s -> %s rate %g delay %v cap %d hop %d link %d mtu %s hdr %s",
+		o.sh.id, owner, peer, o.class.rate, o.class.delay, o.class.capacity, o.hop, o.linkID, lane(o.class.laneMTU), lane(o.class.laneHdr))
 }
 
 func describeWiring(f *Fabric) wiredFabric {

@@ -30,7 +30,6 @@ type EventRecord struct {
 // with equal EngineStates execute identically from here on.
 type EngineState struct {
 	Now    Time
-	Ord    uint64 // position within the instant Now (Engine.Passed); ordEnd after Run
 	Seq    uint64 // next band-0 sequence number
 	Events uint64 // events executed so far
 	Draws  uint64 // RNG draws consumed from the seeded source
@@ -46,7 +45,6 @@ type EngineState struct {
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
 		Now:    e.now,
-		Ord:    e.ord,
 		Seq:    e.seq,
 		Events: e.nEvent,
 		Draws:  e.src.Draws(),
