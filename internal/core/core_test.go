@@ -284,15 +284,15 @@ func TestTokenWindowInvariant(t *testing.T) {
 		h.eng.Run(h.eng.Now().Add(10 * sim.Microsecond))
 		for _, p := range h.protos {
 			for _, f := range p.rcv.flows {
-				if f.done {
+				if f.Done {
 					continue
 				}
-				if f.outstanding > tm.windowPkts {
+				if f.Outstanding > tm.windowPkts {
 					t.Fatalf("flow %d outstanding %d > window %d",
-						f.id, f.outstanding, tm.windowPkts)
+						f.ID, f.Outstanding, tm.windowPkts)
 				}
-				if f.untokenedCnt < 0 || f.outstanding < 0 {
-					t.Fatalf("flow %d negative counters", f.id)
+				if f.NeededCnt() < 0 || f.Outstanding < 0 {
+					t.Fatalf("flow %d negative counters", f.ID)
 				}
 			}
 			if p.snd.reserved < 0 {

@@ -4,39 +4,21 @@ import (
 	"sort"
 
 	"dcpim/internal/packet"
+	"dcpim/internal/protocols/flowtrack"
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 )
 
-// seq states within a receiver flow.
-const (
-	seqUntokened uint8 = iota // needs admission (or unsolicited arrival)
-	seqTokened                // token sent, data not yet received
-	seqReceived
-)
-
-// recvFlow is the receiver-side state of one flow.
+// recvFlow is the receiver-side state of one flow: the shared tracker,
+// where Granted means tokened, plus dcPIM's token and matching state.
 type recvFlow struct {
-	id      uint64
-	src     int
-	size    int64
-	arrival sim.Time
-	npkts   int
-	short   bool
+	flowtrack.Rx
 
-	state        twoBits        // 2 bits per packet: seqUntokened/Tokened/Received (slab.go)
-	tokened      fifo[tokenRef] // issued tokens, oldest first (lazy cleanup)
-	retx         fifo[int32]    // reverted seqs awaiting re-admission
-	nextNew      int            // lowest never-tokened seq
-	senderIdx    int            // position in the bySender index
-	outstanding  int            // live tokens (sent, data not received)
-	untokenedCnt int
-	receivedCnt  int
-	receivedByte int64
+	tokened   flowtrack.FIFO[tokenRef] // issued tokens, oldest first (lazy cleanup)
+	senderIdx int                      // position in the bySender index
 
 	recoverTimer sim.Timer // short-flow recovery probe (cancelled on recycle)
-	eligible     bool      // participates in matching demand
-	done         bool
+	short        bool
+	eligible     bool // participates in matching demand
 }
 
 // tokenRef packs one issued token to 8 bytes — these sit in per-flow
@@ -49,32 +31,13 @@ type tokenRef struct {
 	epoch int32
 }
 
-func (f *recvFlow) remaining() int64 { return f.size - f.receivedByte }
-
 // demandBytes is the unadmitted payload used for channel asks.
 func (f *recvFlow) demandBytes() int64 {
-	b := int64(f.untokenedCnt) * packet.PayloadSize
-	if r := f.remaining(); b > r {
+	b := int64(f.NeededCnt()) * packet.PayloadSize
+	if r := f.Remaining(); b > r {
 		b = r
 	}
 	return b
-}
-
-// nextCandidate returns the lowest seq needing a token, or -1.
-func (f *recvFlow) nextCandidate() int {
-	for f.retx.len() > 0 {
-		if s := int(f.retx.front()); f.state.get(s) == seqUntokened {
-			return s
-		}
-		f.retx.pop()
-	}
-	for f.nextNew < f.npkts && f.state.get(f.nextNew) != seqUntokened {
-		f.nextNew++
-	}
-	if f.nextNew < f.npkts {
-		return f.nextNew
-	}
-	return -1
 }
 
 // tokenLoop clocks tokens to one matched sender during a data phase.
@@ -175,16 +138,13 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 		return nil
 	}
 	r.wake()
-	n := packet.PacketsForBytes(pkt.FlowSize)
 	f := r.newRecvFlow()
-	f.id, f.src, f.size, f.arrival = pkt.Flow, pkt.Src, pkt.FlowSize, pkt.SentAt
-	f.npkts, f.short = n, pkt.FlowSize <= r.p.sh.bdp
-	f.state = f.state.grow(n)
-	f.untokenedCnt = n
-	r.flows[f.id] = f
-	f.senderIdx = len(r.bySender[f.src])
+	f.Reset(pkt)
+	f.short = pkt.FlowSize <= r.p.sh.bdp
+	r.flows[f.ID] = f
+	f.senderIdx = len(r.bySender[f.Src])
 	//lint:ignore hotalloc per-flow admission, not per-packet; swap-delete in complete keeps the per-sender slice's capacity for reuse
-	r.bySender[f.src] = append(r.bySender[f.src], f)
+	r.bySender[f.Src] = append(r.bySender[f.Src], f)
 
 	if f.short {
 		// Short flows arrive unsolicited; if anything is missing after a
@@ -194,10 +154,10 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 		f.recoverTimer = r.p.eng.AfterFunc(r.p.sh.dataRTT, recoverFunc, r, f, 0)
 	} else {
 		f.eligible = true
-		r.addPlanned(f.src, f.demandBytes())
+		r.addPlanned(f.Src, f.demandBytes())
 		// A matched-but-idle token loop can pick the new flow up
 		// mid-phase.
-		r.resumeLoop(f.src)
+		r.resumeLoop(f.Src)
 	}
 	return f
 }
@@ -209,10 +169,10 @@ func recoverFunc(a, b any, _ int) { a.(*receiver).recoverShort(b.(*recvFlow)) }
 // recoverShort makes a short flow still incomplete one data RTT after
 // its admission eligible for matching.
 func (r *receiver) recoverShort(f *recvFlow) {
-	if !f.done {
+	if !f.Done {
 		f.eligible = true
-		r.addPlanned(f.src, f.demandBytes())
-		r.resumeLoop(f.src)
+		r.addPlanned(f.Src, f.demandBytes())
+		r.resumeLoop(f.Src)
 	}
 }
 
@@ -239,25 +199,19 @@ func (r *receiver) onFinishSender(fin *packet.Packet) {
 
 func (r *receiver) onData(d *packet.Packet) {
 	f := r.ensure(d)
-	if f == nil || d.Seq < 0 || d.Seq >= f.npkts || f.state.get(d.Seq) == seqReceived {
+	if f == nil || d.Seq < 0 || d.Seq >= f.Npkts || f.State(d.Seq) == flowtrack.Received {
 		return
 	}
-	if f.state.get(d.Seq) == seqTokened {
-		f.outstanding--
+	if f.State(d.Seq) == flowtrack.Granted {
 		r.p.col.Add(r.p.sh.ins.tokensOutstanding, -1)
-	} else {
-		f.untokenedCnt--
 	}
-	f.state.set(d.Seq, seqReceived)
-	f.receivedCnt++
-	payload := int64(d.Size) - packet.HeaderSize
+	wire := d.Size
 	if d.Trimmed {
-		payload = 0 // a trimmed packet delivers no payload (defensive; dcPIM runs without trimming)
+		wire = packet.HeaderSize // a trimmed packet delivers no payload (defensive; dcPIM runs without trimming)
 	}
-	f.receivedByte += payload
-	r.p.col.Delivered(payload)
+	r.p.col.Delivered(f.MarkReceived(d.Seq, wire))
 
-	if f.receivedByte >= f.size {
+	if f.Done {
 		r.complete(f)
 		return
 	}
@@ -268,17 +222,12 @@ func (r *receiver) onData(d *packet.Packet) {
 
 //lint:coldpath runs once per flow completion, amortized across the flow's packets; FlowDone and UnloadedFCT costs live here, off the per-packet path
 func (r *receiver) complete(f *recvFlow) {
-	f.done = true
-	opt := r.p.host.Topo().UnloadedFCT(f.src, r.p.id, f.size)
-	r.p.col.FlowDone(stats.FlowRecord{
-		ID: f.id, Src: int32(f.src), Dst: int32(r.p.id), Size: f.size,
-		Arrival: f.arrival, Finish: r.p.eng.Now(), Optimal: opt,
-	})
+	r.p.col.FlowDone(f.Record(r.p.host))
 	// Remember only the id — duplicates and finish retransmissions
 	// resolve through doneFlows — and recycle the whole record.
-	r.doneFlows[f.id] = struct{}{}
-	delete(r.flows, f.id)
-	peers := r.bySender[f.src]
+	r.doneFlows[f.ID] = struct{}{}
+	delete(r.flows, f.ID)
+	peers := r.bySender[f.Src]
 	last := len(peers) - 1
 	if i := f.senderIdx; i != last {
 		moved := peers[last]
@@ -286,7 +235,7 @@ func (r *receiver) complete(f *recvFlow) {
 		moved.senderIdx = i
 	}
 	peers[last] = nil
-	r.bySender[f.src] = peers[:last]
+	r.bySender[f.Src] = peers[:last]
 	r.recycleRecvFlow(f)
 }
 
@@ -298,20 +247,12 @@ func (r *receiver) onEpochStart(e int64) {
 	// when the sender is next matched (§3.2 loss recovery). Per-flow state
 	// is independent, so map order is harmless here.
 	for _, f := range r.flows {
-		if f.done {
-			continue
-		}
-		for f.tokened.len() > 0 && int64(f.tokened.front().epoch) < e {
-			tr := f.tokened.pop()
-			if f.state.get(int(tr.seq)) != seqTokened {
-				continue // already received
+		for f.tokened.Len() > 0 && int64(f.tokened.Front().epoch) < e {
+			// A seq no longer tokened was received since.
+			if f.Revert(int(f.tokened.Pop().seq)) {
+				r.p.col.Add(r.p.sh.ins.tokensReverted, 1)
+				r.p.col.Add(r.p.sh.ins.tokensOutstanding, -1)
 			}
-			f.state.set(int(tr.seq), seqUntokened)
-			f.untokenedCnt++
-			f.outstanding--
-			r.p.col.Add(r.p.sh.ins.tokensReverted, 1)
-			r.p.col.Add(r.p.sh.ins.tokensOutstanding, -1)
-			f.retx.push(tr.seq)
 		}
 	}
 	// Swap in the matching computed during the previous epoch.
@@ -366,17 +307,17 @@ func (r *receiver) fireLoop(l *tokenLoop) {
 	var bestSeq int
 	w := r.window(l.channels)
 	for _, f := range r.bySender[l.src] {
-		if !f.eligible || f.outstanding >= w {
+		if !f.eligible || f.Outstanding >= w {
 			continue
 		}
-		seq := f.nextCandidate()
+		seq := f.NextNeeded()
 		if seq < 0 {
 			continue
 		}
 		// SRPT with a flow-id tie-break so map order cannot leak into
 		// the packet stream.
-		if best == nil || f.remaining() < best.remaining() ||
-			(f.remaining() == best.remaining() && f.id < best.id) {
+		if best == nil || f.Remaining() < best.Remaining() ||
+			(f.Remaining() == best.Remaining() && f.ID < best.ID) {
 			best, bestSeq = f, seq
 		}
 	}
@@ -400,21 +341,16 @@ func (r *receiver) fireLoop(l *tokenLoop) {
 func fireLoopFunc(a, b any, _ int) { a.(*receiver).fireLoop(b.(*tokenLoop)) }
 
 func (r *receiver) issueToken(l *tokenLoop, f *recvFlow, seq int) {
-	if f.retx.len() > 0 && int(f.retx.front()) == seq {
-		f.retx.pop()
-	}
-	f.state.set(seq, seqTokened)
-	f.untokenedCnt--
-	f.outstanding++
+	f.Grant(seq)
 	r.p.col.Add(r.p.sh.ins.tokensIssued, 1)
 	r.p.col.Add(r.p.sh.ins.tokensOutstanding, 1)
-	f.tokened.push(tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
+	f.tokened.Push(tokenRef{seq: int32(seq), epoch: int32(l.epoch)})
 
-	tok := packet.NewControl(packet.Token, r.p.id, f.src, f.id)
+	tok := packet.NewControl(packet.Token, r.p.id, f.Src, f.ID)
 	tok.Seq = seq
 	tok.Epoch = l.epoch
-	tok.Count = int(prioForRemaining(f.remaining(), r.p.sh.bdp))
-	tok.CumAck = f.receivedCnt
+	tok.Count = int(prioForRemaining(f.Remaining(), r.p.sh.bdp))
+	tok.CumAck = f.RecvCnt
 	r.p.send(tok)
 }
 
@@ -497,7 +433,7 @@ func (r *receiver) minRemainingFrom(src int) int64 {
 		if !f.eligible {
 			continue
 		}
-		if rem := f.remaining(); rem < best {
+		if rem := f.Remaining(); rem < best {
 			best = rem
 		}
 	}

@@ -97,8 +97,8 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	s := &p.snd
 
 	// Install a fake flow and tokens.
-	f := &sendFlow{id: 9, dst: 1, size: 100_000, npkts: 10}
-	f.sent = f.sent.grow(10)
+	f := &sendFlow{}
+	f.Reset(9, 1, 100_000, 0)
 	s.flows = map[uint64]*sendFlow{9: f}
 	s.dataEpoch = 5
 	// Advance the engine clock past epoch 5's grace window.
@@ -112,41 +112,15 @@ func TestPopValidTokenExpiry(t *testing.T) {
 	cur.Epoch = 5
 	s.dataEpoch = 5
 	for _, tok := range []*packet.Packet{old, prev, cur} {
-		s.tokens.push(tok)
+		s.tokens.Push(tok)
 	}
 
 	got := s.popValidToken()
 	if got != cur {
 		t.Fatalf("popValidToken = %v, want the current-epoch token", got)
 	}
-	if s.tokens.len() != 0 {
-		t.Fatalf("stale tokens left in queue: %d", s.tokens.len())
-	}
-}
-
-// Unit test of the receiver's candidate selection: retransmissions come
-// before fresh sequence numbers, and received seqs are skipped.
-func TestRecvFlowCandidateOrder(t *testing.T) {
-	f := &recvFlow{npkts: 6, untokenedCnt: 6}
-	f.state = f.state.grow(6)
-	if s := f.nextCandidate(); s != 0 {
-		t.Fatalf("first candidate %d, want 0", s)
-	}
-	f.state.set(0, seqReceived)
-	f.state.set(1, seqTokened)
-	if s := f.nextCandidate(); s != 2 {
-		t.Fatalf("candidate %d, want 2", s)
-	}
-	// A reverted seq jumps the queue.
-	f.state.set(1, seqUntokened)
-	f.retx.push(1)
-	if s := f.nextCandidate(); s != 1 {
-		t.Fatalf("candidate %d, want reverted 1", s)
-	}
-	// If the reverted seq has meanwhile been received, it is skipped.
-	f.state.set(1, seqReceived)
-	if s := f.nextCandidate(); s != 2 {
-		t.Fatalf("candidate %d, want 2 after stale retx", s)
+	if s.tokens.Len() != 0 {
+		t.Fatalf("stale tokens left in queue: %d", s.tokens.Len())
 	}
 }
 

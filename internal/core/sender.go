@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dcpim/internal/packet"
+	"dcpim/internal/protocols/flowtrack"
 	"dcpim/internal/sim"
 	"dcpim/internal/workload"
 )
@@ -20,7 +21,7 @@ type sender struct {
 
 	// Token queue (FIFO as issued by receivers, which already order their
 	// token streams by SRPT).
-	tokens fifo[*packet.Packet]
+	tokens flowtrack.FIFO[*packet.Packet]
 	pacing bool
 
 	// Matching state for epoch matchEpoch (the data phase being built).
@@ -43,30 +44,17 @@ type roundState struct {
 	released bool
 }
 
-// sendFlow is the sender-side state of one flow.
+// sendFlow is the sender-side state of one flow: the shared tracker plus
+// dcPIM's reliability timers.
 type sendFlow struct {
-	id      uint64
-	dst     int
-	size    int64
-	arrival sim.Time
-	npkts   int
-	short   bool
+	flowtrack.Tx
 
-	sent    bitset // 1 bit per packet (slab.go)
-	sentCnt int
-
-	notifAcked bool
 	notifTimer sim.Timer
 	finTimer   sim.Timer
 	burstTimer sim.Timer // short-flow burst-serialized finish probe
+	short      bool
+	notifAcked bool
 	finSent    bool
-	done       bool
-}
-
-// remainingBytes approximates untransmitted payload (the SRPT key carried
-// in grants).
-func (f *sendFlow) remainingBytes() int64 {
-	return int64(f.npkts-f.sentCnt) * packet.PayloadSize
 }
 
 // init binds the sender to its host. It allocates nothing: Attach has
@@ -88,36 +76,34 @@ func (s *sender) wake() {
 // short flows, blast the payload immediately at the short-flow priority.
 func (s *sender) flowArrival(fl workload.Flow) {
 	f := s.newSendFlow()
-	f.id, f.dst, f.size, f.arrival = fl.ID, fl.Dst, fl.Size, fl.Arrival
-	f.npkts = packet.PacketsForBytes(fl.Size)
+	f.Reset(fl.ID, fl.Dst, fl.Size, fl.Arrival)
 	f.short = fl.Size <= s.p.sh.bdp
-	f.sent = f.sent.grow(f.npkts)
 	if s.flows == nil {
 		s.flows = make(map[uint64]*sendFlow)
 	}
-	s.flows[f.id] = f
+	s.flows[f.ID] = f
 
 	s.sendNotification(f)
 
 	if f.short {
-		for seq := 0; seq < f.npkts; seq++ {
+		for seq := 0; seq < f.Npkts; seq++ {
 			s.transmitData(f, seq, packet.PrioShort)
 		}
 		// First finish once the burst has serialized out of the NIC. Held
 		// in burstTimer so recycling can cancel it: were it left live, a
 		// late fire would probe whatever flow reuses the record.
-		txAll := sim.TransmissionTime(int(f.size)+f.npkts*packet.HeaderSize,
+		txAll := sim.TransmissionTime(int(f.Size)+f.Npkts*packet.HeaderSize,
 			s.p.host.LineRate())
 		f.burstTimer = s.p.eng.AfterFunc(txAll+s.p.sh.mtuTime, maybeFinishFunc, s, f, 0)
 	}
 }
 
 func (s *sender) sendNotification(f *sendFlow) {
-	if f.notifAcked || f.done {
+	if f.notifAcked || f.Done {
 		return
 	}
-	n := packet.NewControl(packet.Notification, s.p.id, f.dst, f.id)
-	n.FlowSize = f.size
+	n := packet.NewControl(packet.Notification, s.p.id, f.Dst, f.ID)
+	n.FlowSize = f.Size
 	s.p.send(n)
 	// Retransmit until acknowledged (§3.5). The period leaves slack above
 	// one cRTT so an in-flight ack from the farthest host wins the race.
@@ -142,9 +128,9 @@ func (s *sender) onNotificationAck(pkt *packet.Packet) {
 
 // transmitData sends packet seq of f at the given priority.
 func (s *sender) transmitData(f *sendFlow, seq int, prio uint8) {
-	d := packet.NewData(s.p.id, f.dst, f.id, seq,
-		packet.DataPacketSize(f.size, seq), prio)
-	d.FlowSize = f.size
+	d := packet.NewData(s.p.id, f.Dst, f.ID, seq,
+		packet.DataPacketSize(f.Size, seq), prio)
+	d.FlowSize = f.Size
 	if f.short {
 		d.Unsched = true // eligible for Aeolus-style selective drop
 	}
@@ -156,10 +142,7 @@ func (s *sender) transmitData(f *sendFlow, seq int, prio uint8) {
 	} else {
 		s.p.col.Add(s.p.sh.ins.schedBytes, int64(d.Size))
 	}
-	if !f.sent.get(seq) {
-		f.sent.set(seq)
-		f.sentCnt++
-	}
+	f.MarkSent(seq)
 	s.p.send(d)
 }
 
@@ -167,17 +150,17 @@ func (s *sender) transmitData(f *sendFlow, seq int, prio uint8) {
 // least once and no tokens for the flow are pending, then keeps
 // retransmitting it every control RTT until the receiver confirms (§3.5).
 func (s *sender) maybeFinish(f *sendFlow) {
-	if f.done || f.sentCnt < f.npkts {
+	if f.Done || f.SentCnt < f.Npkts {
 		return
 	}
-	for _, t := range s.tokens.live() {
-		if t.Flow == f.id {
+	for _, t := range s.tokens.Live() {
+		if t.Flow == f.ID {
 			return // still owe admitted data
 		}
 	}
-	fin := packet.NewControl(packet.FinishSender, s.p.id, f.dst, f.id)
-	fin.Count = f.npkts
-	fin.FlowSize = f.size
+	fin := packet.NewControl(packet.FinishSender, s.p.id, f.Dst, f.ID)
+	fin.Count = f.Npkts
+	fin.FlowSize = f.Size
 	s.p.send(fin)
 	f.finSent = true
 	f.finTimer = s.p.eng.AfterFunc(s.p.sh.ctrlRTT*2, maybeFinishFunc, s, f, 0)
@@ -188,8 +171,8 @@ func (s *sender) onFinishReceiver(pkt *packet.Packet) {
 	if f == nil {
 		return
 	}
-	f.done = true
-	delete(s.flows, f.id)
+	f.Done = true
+	delete(s.flows, f.ID)
 	// Tokens still queued for the flow resolve through s.flows (nil →
 	// discarded by popValidToken), never through the record, so it can
 	// recycle immediately; recycleSendFlow cancels the timers.
@@ -201,13 +184,13 @@ func (s *sender) onFinishReceiver(pkt *packet.Packet) {
 // sender takes ownership and releases it in pace/popValidToken.
 func (s *sender) onToken(tok *packet.Packet) {
 	f := s.flows[tok.Flow]
-	if f == nil || f.done {
+	if f == nil || f.Done {
 		return
 	}
 	// New admissions supersede the finish cycle (retransmissions).
 	f.finTimer.Cancel()
 	tok.Keep()
-	s.tokens.push(tok)
+	s.tokens.Push(tok)
 	s.kickPacer()
 }
 
@@ -231,7 +214,7 @@ func paceFunc(a, _ any, _ int) { a.(*sender).pace() }
 // one token's data packet per tick, yielding to short-flow bursts already
 // occupying the NIC (§3.2 sender-side logic).
 func (s *sender) pace() {
-	if s.tokens.len() == 0 {
+	if s.tokens.Len() == 0 {
 		s.pacing = false
 		return
 	}
@@ -253,7 +236,7 @@ func (s *sender) pace() {
 	seq := tok.Seq
 	packet.Release(tok) // spent
 	s.transmitData(f, seq, prio)
-	if f.sentCnt == f.npkts {
+	if f.SentCnt == f.Npkts {
 		s.maybeFinish(f)
 	}
 	s.p.clk.pace.After(paceFunc, s, nil, 0)
@@ -264,8 +247,8 @@ func (s *sender) pace() {
 func (s *sender) popValidToken() *packet.Packet {
 	now := s.p.eng.Now()
 	graceEnd := sim.Time(int64(s.p.sh.epochLen) * s.dataEpoch).Add(s.p.sh.grace)
-	for s.tokens.len() > 0 {
-		tok := s.tokens.pop()
+	for s.tokens.Len() > 0 {
+		tok := s.tokens.Pop()
 		switch {
 		case tok.Epoch >= s.dataEpoch:
 			// Current (or, with clock skew, upcoming) phase: usable.
@@ -275,7 +258,7 @@ func (s *sender) popValidToken() *packet.Packet {
 			packet.Release(tok) // expired
 			continue
 		}
-		if f := s.flows[tok.Flow]; f == nil || f.done {
+		if f := s.flows[tok.Flow]; f == nil || f.Done {
 			packet.Release(tok)
 			continue
 		}
@@ -301,7 +284,7 @@ func (s *sender) onEpochStart(e int64) {
 	}
 	// Tokens from before the previous epoch can never become valid again;
 	// drop them eagerly so the queue stays short.
-	live, n := s.tokens.live(), 0
+	live, n := s.tokens.Live(), 0
 	for _, t := range live {
 		if t.Epoch >= e-1 {
 			live[n] = t
@@ -310,7 +293,7 @@ func (s *sender) onEpochStart(e int64) {
 			packet.Release(t)
 		}
 	}
-	s.tokens.truncate(n)
+	s.tokens.Truncate(n)
 	if n > 0 {
 		s.kickPacer()
 	}
@@ -421,10 +404,10 @@ func (s *sender) minRemainingTo(dst int) int64 {
 	best := int64(1) << 62
 	// A min fold: map order cannot affect it.
 	for _, f := range s.flows {
-		if f.dst != dst || f.done {
+		if f.Dst != dst || f.Done {
 			continue
 		}
-		if r := f.remainingBytes(); r < best {
+		if r := f.RemainingBytes(); r < best {
 			best = r
 		}
 	}

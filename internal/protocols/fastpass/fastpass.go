@@ -55,8 +55,9 @@ type Proto struct {
 	mtuTime sim.Duration
 	ctlRTT  sim.Duration
 
-	tx map[uint64]*flowtrack.Tx
-	rx map[uint64]*rxState
+	tx   map[uint64]*flowtrack.Tx
+	rx   map[uint64]*flowtrack.Rx // live incoming flows
+	done map[uint64]struct{}      // ids of finished incoming flows
 
 	// Arbiter state (arbiterHost only).
 	demands map[uint64]*demand
@@ -72,15 +73,12 @@ type alloc struct {
 	count int
 }
 
-type rxState struct {
-	*flowtrack.Rx
-}
-
 // newProto returns an unattached Fastpass host.
 func newProto(col *stats.Collector) *Proto {
 	return &Proto{col: col,
-		tx: make(map[uint64]*flowtrack.Tx),
-		rx: make(map[uint64]*rxState),
+		tx:   make(map[uint64]*flowtrack.Tx),
+		rx:   make(map[uint64]*flowtrack.Rx),
+		done: make(map[uint64]struct{}),
 	}
 }
 
@@ -254,29 +252,34 @@ func (p *Proto) sendTick() {
 
 // ---- receiver ----
 
-func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
+// ensureRx returns the live flow state for pkt, creating it on the
+// flow's first packet, or nil when the flow already finished: a duplicate
+// of a finished flow is ignored.
+func (p *Proto) ensureRx(pkt *packet.Packet) *flowtrack.Rx {
 	if f, ok := p.rx[pkt.Flow]; ok {
 		return f
 	}
-	f := &rxState{Rx: flowtrack.NewRx(pkt)}
+	if _, done := p.done[pkt.Flow]; done {
+		return nil
+	}
+	f := flowtrack.NewRx(pkt)
 	p.rx[pkt.Flow] = f
 	return f
 }
 
 func (p *Proto) onData(pkt *packet.Packet) {
 	f := p.ensureRx(pkt)
-	payload := f.MarkReceived(pkt.Seq, pkt.Size)
-	if payload > 0 {
+	if f == nil {
+		return
+	}
+	if payload := f.MarkReceived(pkt.Seq, pkt.Size); payload > 0 {
 		p.col.Delivered(payload)
 	}
-	if payload > 0 && f.Done {
-		opt := p.host.Topo().UnloadedFCT(f.Src, p.id, f.Size)
-		p.col.FlowDone(stats.FlowRecord{
-			ID: f.ID, Src: int32(f.Src), Dst: int32(p.id), Size: f.Size,
-			Arrival: f.Arrival, Finish: p.eng.Now(), Optimal: opt,
-		})
+	if f.Done {
+		p.col.FlowDone(f.Record(p.host))
 		fin := packet.NewControl(packet.FinishReceiver, p.id, f.Src, f.ID)
 		p.host.Send(fin)
-		f.Release()
+		delete(p.rx, f.ID)
+		p.done[f.ID] = struct{}{}
 	}
 }

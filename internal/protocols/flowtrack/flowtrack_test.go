@@ -64,6 +64,99 @@ func TestRxRevertStale(t *testing.T) {
 	}
 }
 
+// TestRxNextNeeded: re-requests come before fresh seqs, in the order
+// they were reverted, and NextNeeded skips whatever is no longer Needed —
+// granted, received, or reverted and received since.
+func TestRxNextNeeded(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		do   func(f *Rx)
+		want int
+	}{
+		{"fresh", func(f *Rx) {}, 0},
+		{"candidate order", func(f *Rx) {
+			f.MarkReceived(0, packet.MTU)
+			f.Grant(1)
+		}, 2},
+		{"reverted seq first", func(f *Rx) {
+			f.MarkReceived(0, packet.MTU)
+			f.Grant(1)
+			f.Revert(1)
+		}, 1},
+		{"reverted seq received since", func(f *Rx) {
+			f.MarkReceived(0, packet.MTU)
+			f.Grant(1)
+			f.Revert(1)
+			f.MarkReceived(1, packet.MTU)
+		}, 2},
+		{"revert order", func(f *Rx) {
+			for seq := 0; seq < 4; seq++ {
+				f.Grant(seq)
+			}
+			f.Revert(3)
+			f.Revert(1)
+		}, 3},
+		{"granting the oldest re-request", func(f *Rx) {
+			for seq := 0; seq < 4; seq++ {
+				f.Grant(seq)
+			}
+			f.Revert(3)
+			f.Revert(1)
+			f.Grant(f.NextNeeded())
+		}, 1},
+		{"re-reverted seq goes to the back", func(f *Rx) {
+			for seq := 0; seq < 4; seq++ {
+				f.Grant(seq)
+			}
+			f.Revert(3)
+			f.Revert(1)
+			f.Grant(3)
+			f.Revert(3)
+		}, 1},
+		{"revert of an ungranted seq", func(f *Rx) { f.Revert(2) }, 0},
+		{"all granted", func(f *Rx) {
+			for seq := 0; seq < f.Npkts; seq++ {
+				f.Grant(seq)
+			}
+		}, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := rxFor(6 * packet.PayloadSize)
+			c.do(f)
+			if got := f.NextNeeded(); got != c.want {
+				t.Fatalf("NextNeeded = %d, want %d", got, c.want)
+			}
+		})
+	}
+}
+
+// TestRxReset: a record started over as another flow keeps its arrays
+// and forgets every seq state and re-request of the flow before.
+func TestRxReset(t *testing.T) {
+	f := rxFor(80 * packet.PayloadSize)
+	for seq := 0; seq < f.Npkts; seq += 2 {
+		f.Grant(seq)
+		f.MarkReceived(seq+1, packet.MTU)
+	}
+	f.RevertStale(f.Npkts)
+	state := &f.state[0]
+	f.Reset(&packet.Packet{Flow: 2, Src: 3, FlowSize: 40 * packet.PayloadSize})
+	if &f.state[0] != state {
+		t.Error("Reset made a new state array for a smaller flow")
+	}
+	if f.ID != 2 || f.Npkts != 40 || f.Outstanding != 0 || f.RecvCnt != 0 || f.MaxReceived != -1 || f.Done {
+		t.Fatalf("Reset left %+v", *f)
+	}
+	for seq := 0; seq < f.Npkts; seq++ {
+		if f.State(seq) != Needed {
+			t.Fatalf("seq %d is %d after Reset, want Needed", seq, f.State(seq))
+		}
+	}
+	if s := f.NextNeeded(); s != 0 {
+		t.Fatalf("NextNeeded = %d after Reset, want 0 (no re-request survives)", s)
+	}
+}
+
 func TestRxSkipGrant(t *testing.T) {
 	f := rxFor(10 * packet.PayloadSize)
 	for i := 0; i < 3; i++ {
@@ -174,5 +267,50 @@ func TestNextNeededExhaustsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFifoKeepsItsArray: the token queues pop from the front and push at
+// the back for as long as a flow lives. A FIFO must return entries in
+// push order across every slide of its live entries to the front, and a
+// queue that stays within a length allocates nothing once its array has
+// grown to that length — which reslicing the front away (x = x[1:])
+// never achieves, since every pop strands a slot.
+func TestFifoKeepsItsArray(t *testing.T) {
+	var q FIFO[int32]
+	next, want := int32(0), int32(0)
+	// Lengths swing between 1 and 40, so the queue slides and grows.
+	for round := 0; round < 200; round++ {
+		for q.Len() < 1+round%40 {
+			q.Push(next)
+			next++
+		}
+		for q.Len() > round%7 {
+			if got := q.Pop(); got != want {
+				t.Fatalf("round %d: popped %d, want %d", round, got, want)
+			}
+			want++
+		}
+	}
+	if live := q.Live(); len(live) > 0 && live[0] != want {
+		t.Fatalf("live starts at %d, want %d", live[0], want)
+	}
+	if c := cap(q.buf); c > 4*40 {
+		t.Errorf("array grew to %d for a queue never longer than 40", c)
+	}
+	steady := func() {
+		for i := 0; i < 64; i++ {
+			q.Push(next)
+			next++
+			q.Pop()
+		}
+	}
+	steady()
+	if n := testing.AllocsPerRun(100, steady); n != 0 {
+		t.Errorf("a queue at steady length allocated %.1f times per 64 push/pop pairs, want 0", n)
+	}
+	q.Truncate(0)
+	if q.Len() != 0 || q.head != 0 {
+		t.Errorf("Truncate(0) left length %d, head %d", q.Len(), q.head)
 	}
 }

@@ -83,8 +83,9 @@ type Proto struct {
 	mtuTime    sim.Duration
 	dataRTT    sim.Duration
 
-	tx map[uint64]*flowtrack.Tx
-	rx map[uint64]*rxState
+	tx   map[uint64]*flowtrack.Tx
+	rx   map[uint64]*rxState // live incoming flows
+	done map[uint64]struct{} // ids of finished incoming flows
 
 	granting bool
 	cands    []*rxState // grantCandidates' buffer, reused every grant tick
@@ -102,8 +103,9 @@ type rxState struct {
 // newProto returns an unattached Homa host.
 func newProto(cfg Config, col *stats.Collector) *Proto {
 	return &Proto{cfg: cfg, col: col,
-		tx: make(map[uint64]*flowtrack.Tx),
-		rx: make(map[uint64]*rxState),
+		tx:   make(map[uint64]*flowtrack.Tx),
+		rx:   make(map[uint64]*rxState),
+		done: make(map[uint64]struct{}),
 	}
 }
 
@@ -209,9 +211,15 @@ func (p *Proto) OnPacket(pkt *packet.Packet) {
 
 // ---- receiver side ----
 
+// ensureRx returns the live flow state for pkt, creating it on the
+// flow's first packet, or nil when the flow already finished: a duplicate
+// of a finished flow is ignored.
 func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
 	if f, ok := p.rx[pkt.Flow]; ok {
 		return f
+	}
+	if _, done := p.done[pkt.Flow]; done {
+		return nil
 	}
 	f := &rxState{Rx: flowtrack.NewRx(pkt), lastProgress: p.eng.Now()}
 	p.rx[pkt.Flow] = f
@@ -261,6 +269,9 @@ func (p *Proto) onNotification(pkt *packet.Packet) {
 
 func (p *Proto) onData(pkt *packet.Packet) {
 	f := p.ensureRx(pkt)
+	if f == nil {
+		return
+	}
 	wire := pkt.Size
 	if pkt.Trimmed {
 		wire = packet.HeaderSize // no payload credit
@@ -270,12 +281,8 @@ func (p *Proto) onData(pkt *packet.Packet) {
 		f.lastProgress = p.eng.Now()
 		p.col.Delivered(payload)
 	}
-	if payload > 0 && f.Done {
-		// This packet completed the flow (duplicates return 0 payload).
-		p.completeRx(f)
-		return
-	}
 	if f.Done {
+		p.completeRx(f)
 		return
 	}
 	// Data-clocked granting keeps the pipe full.
@@ -284,15 +291,11 @@ func (p *Proto) onData(pkt *packet.Packet) {
 
 func (p *Proto) completeRx(f *rxState) {
 	f.checker.Cancel()
-	opt := p.host.Topo().UnloadedFCT(f.Src, p.id, f.Size)
-	p.col.FlowDone(stats.FlowRecord{
-		ID: f.ID, Src: int32(f.Src), Dst: int32(p.id), Size: f.Size,
-		Arrival: f.Arrival, Finish: p.eng.Now(), Optimal: opt,
-	})
+	p.col.FlowDone(f.Record(p.host))
 	fin := packet.NewControl(packet.FinishReceiver, p.id, f.Src, f.ID)
 	p.host.Send(fin)
-	// Keep the entry (Done) so duplicates don't recreate the flow.
-	f.Release()
+	delete(p.rx, f.ID)
+	p.done[f.ID] = struct{}{}
 }
 
 // kickGranter starts the paced grant loop if idle.
@@ -350,7 +353,7 @@ func (p *Proto) grantCandidates() []*rxState {
 	cands := p.cands[:0]
 	// Map order is harmless: the sort below totally orders by (remaining, flow id).
 	for _, f := range p.rx {
-		if f.Done || f.NeededCnt() <= 0 {
+		if f.NeededCnt() <= 0 {
 			continue
 		}
 		cands = append(cands, f)
@@ -412,13 +415,15 @@ func (p *Proto) spendCredit() {
 		for _, g := range p.credits {
 			packet.Release(g) // credit for flows that no longer exist
 		}
+		clear(p.credits)
 		p.credits = p.credits[:0]
 		p.pacing = false
 		return
 	}
-	g := p.credits[best]
-	p.credits[best] = p.credits[len(p.credits)-1]
-	p.credits = p.credits[:len(p.credits)-1]
+	g, last := p.credits[best], len(p.credits)-1
+	p.credits[best] = p.credits[last]
+	p.credits[last] = nil // the array must not hold a spent packet
+	p.credits = p.credits[:last]
 	f := p.tx[g.Flow]
 	prio := uint8(g.Count)
 	if prio == 0 || prio >= packet.NumPriorities {

@@ -52,8 +52,9 @@ type Proto struct {
 	baseRTT sim.Duration
 	bdp     int64
 
-	tx map[uint64]*txState
-	rx map[uint64]*rxState
+	tx   map[uint64]*txState
+	rx   map[uint64]*rxState // live incoming flows
+	done map[uint64]struct{} // ids of finished incoming flows
 }
 
 type txState struct {
@@ -81,8 +82,9 @@ type rxState struct {
 // newProto returns an unattached HPCC host.
 func newProto(col *stats.Collector) *Proto {
 	return &Proto{col: col,
-		tx: make(map[uint64]*txState),
-		rx: make(map[uint64]*rxState),
+		tx:   make(map[uint64]*txState),
+		rx:   make(map[uint64]*rxState),
+		done: make(map[uint64]struct{}),
 	}
 }
 
@@ -172,23 +174,38 @@ func (p *Proto) OnPacket(pkt *packet.Packet) {
 
 // ---- receiver side ----
 
-func (p *Proto) onData(pkt *packet.Packet) {
-	f, ok := p.rx[pkt.Flow]
-	if !ok {
-		f = &rxState{Rx: flowtrack.NewRx(pkt)}
-		p.rx[pkt.Flow] = f
+// ensureRx returns the live flow state for pkt, creating it on the
+// flow's first packet, or nil when the flow already finished.
+func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
+	if f, ok := p.rx[pkt.Flow]; ok {
+		return f
 	}
-	payload := f.MarkReceived(pkt.Seq, pkt.Size)
-	if payload > 0 {
-		p.col.Delivered(payload)
-		for f.cum < f.Npkts && f.State(f.cum) == flowtrack.Received {
-			f.cum++
+	if _, done := p.done[pkt.Flow]; done {
+		return nil
+	}
+	f := &rxState{Rx: flowtrack.NewRx(pkt)}
+	p.rx[pkt.Flow] = f
+	return f
+}
+
+// onData acks every data packet, a duplicate of a finished flow too: its
+// cumulative ack is the whole flow.
+func (p *Proto) onData(pkt *packet.Packet) {
+	f := p.ensureRx(pkt)
+	cum := packet.PacketsForBytes(pkt.FlowSize) // all of a finished flow
+	if f != nil {
+		if payload := f.MarkReceived(pkt.Seq, pkt.Size); payload > 0 {
+			p.col.Delivered(payload)
+			for f.cum < f.Npkts && f.State(f.cum) == flowtrack.Received {
+				f.cum++
+			}
 		}
+		cum = f.cum
 	}
 	// Per-packet ACK echoing the telemetry.
 	ack := packet.NewControl(packet.Ack, p.id, pkt.Src, pkt.Flow)
 	ack.Seq = pkt.Seq
-	ack.CumAck = f.cum
+	ack.CumAck = cum
 	ack.Count = pkt.Size // echo wire size for inflight accounting
 	// Copy the telemetry rather than aliasing it: the fabric recycles pkt
 	// (and reuses its INT backing array) right after OnPacket returns,
@@ -196,15 +213,12 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	ack.INT = append(ack.INT[:0], pkt.INT...)
 	p.host.Send(ack)
 
-	if payload > 0 && f.Done {
-		opt := p.host.Topo().UnloadedFCT(f.Src, p.id, f.Size)
-		p.col.FlowDone(stats.FlowRecord{
-			ID: f.ID, Src: int32(f.Src), Dst: int32(p.id), Size: f.Size,
-			Arrival: f.Arrival, Finish: p.eng.Now(), Optimal: opt,
-		})
+	if f != nil && f.Done {
+		p.col.FlowDone(f.Record(p.host))
 		fin := packet.NewControl(packet.FinishReceiver, p.id, f.Src, f.ID)
 		p.host.Send(fin)
-		f.Release()
+		delete(p.rx, f.ID)
+		p.done[f.ID] = struct{}{}
 	}
 }
 

@@ -41,8 +41,9 @@ type Proto struct {
 	mtuTime  sim.Duration
 	dataRTT  sim.Duration
 
-	tx map[uint64]*txState
-	rx map[uint64]*rxState
+	tx   map[uint64]*txState
+	rx   map[uint64]*rxState // live incoming flows
+	done map[uint64]struct{} // ids of finished incoming flows
 
 	pullQ     []pullRef // FIFO of flows owed a pull (fresh data)
 	pullQFast []pullRef // priority pulls for retransmissions (trims)
@@ -69,8 +70,9 @@ type rxState struct {
 // newProto returns an unattached NDP host.
 func newProto(col *stats.Collector) *Proto {
 	return &Proto{col: col,
-		tx: make(map[uint64]*txState),
-		rx: make(map[uint64]*rxState),
+		tx:   make(map[uint64]*txState),
+		rx:   make(map[uint64]*rxState),
+		done: make(map[uint64]struct{}),
 	}
 }
 
@@ -135,9 +137,15 @@ func (p *Proto) OnPacket(pkt *packet.Packet) {
 
 // ---- receiver side ----
 
+// ensureRx returns the live flow state for pkt, creating it on the
+// flow's first packet, or nil when the flow already finished: a duplicate
+// of a finished flow is ignored.
 func (p *Proto) ensureRx(pkt *packet.Packet) *rxState {
 	if f, ok := p.rx[pkt.Flow]; ok {
 		return f
+	}
+	if _, done := p.done[pkt.Flow]; done {
+		return nil
 	}
 	f := &rxState{Rx: flowtrack.NewRx(pkt)}
 	p.rx[pkt.Flow] = f
@@ -189,10 +197,13 @@ func (p *Proto) enqueuePullNack(f *rxState, seq int) {
 
 func (p *Proto) onData(pkt *packet.Packet) {
 	f := p.ensureRx(pkt)
+	if f == nil {
+		return
+	}
 	if pkt.Trimmed {
 		// Header arrived, payload was cut: NACK for retransmission and
 		// schedule a pull slot for it.
-		if !f.Done && pkt.Seq >= 0 && pkt.Seq < f.Npkts && f.State(pkt.Seq) != flowtrack.Received {
+		if pkt.Seq >= 0 && pkt.Seq < f.Npkts && f.State(pkt.Seq) != flowtrack.Received {
 			// Stays in Granted state: the retransmission is in the
 			// sender's retx queue and will be pulled.
 			nack := packet.NewControl(packet.Nack, p.id, f.Src, f.ID)
@@ -206,12 +217,8 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	if payload > 0 {
 		p.col.Delivered(payload)
 	}
-	if payload > 0 && f.Done {
-		// This packet completed the flow (duplicates return 0 payload).
-		p.completeRx(f)
-		return
-	}
 	if f.Done {
+		p.completeRx(f)
 		return
 	}
 	// Each arrival earns the flow another pull if work remains: either
@@ -227,15 +234,11 @@ func (p *Proto) onData(pkt *packet.Packet) {
 
 func (p *Proto) completeRx(f *rxState) {
 	f.checker.Cancel()
-	opt := p.host.Topo().UnloadedFCT(f.Src, p.id, f.Size)
-	p.col.FlowDone(stats.FlowRecord{
-		ID: f.ID, Src: int32(f.Src), Dst: int32(p.id), Size: f.Size,
-		Arrival: f.Arrival, Finish: p.eng.Now(), Optimal: opt,
-	})
+	p.col.FlowDone(f.Record(p.host))
 	fin := packet.NewControl(packet.FinishReceiver, p.id, f.Src, f.ID)
 	p.host.Send(fin)
-	// Keep the entry (Done) so duplicates don't recreate the flow.
-	f.Release()
+	delete(p.rx, f.ID)
+	p.done[f.ID] = struct{}{}
 }
 
 // enqueuePull adds one pull slot for the flow and starts the paced puller.
@@ -270,7 +273,7 @@ func (p *Proto) pullTick() {
 			ref = p.pullQ[0]
 			p.pullQ = p.pullQ[1:]
 		}
-		if f, ok := p.rx[ref.flow]; !ok || f.Done {
+		if _, live := p.rx[ref.flow]; !live {
 			continue
 		}
 		pull := packet.NewControl(packet.Pull, p.id, ref.src, ref.flow)

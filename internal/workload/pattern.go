@@ -222,39 +222,3 @@ func (c SubsetAllToAll) Generate() *Trace {
 	reID(tr)
 	return tr
 }
-
-// PermutationConfig generates permutation traffic: every host sends one
-// flow of FlowSize bytes to a distinct partner (a random derangement) at
-// time zero — the classic stress pattern where a perfect matching exists
-// and an ideal scheduler reaches 100% utilization.
-type PermutationConfig struct {
-	Hosts    int
-	FlowSize int64
-	Horizon  sim.Duration
-	Seed     int64
-}
-
-// Generate produces the permutation trace.
-func (c PermutationConfig) Generate() *Trace {
-	rng := rand.New(rand.NewSource(c.Seed))
-	// Sattolo's algorithm yields a uniform cyclic permutation: no host
-	// maps to itself.
-	perm := make([]int, c.Hosts)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := c.Hosts - 1; i > 0; i-- {
-		j := rng.Intn(i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	tr := &Trace{Horizon: c.Horizon}
-	for src, dst := range perm {
-		tr.Flows = append(tr.Flows, Flow{
-			ID: uint64(src + 1), Src: src, Dst: dst, Size: c.FlowSize, Arrival: 0,
-		})
-		tr.OfferedBytes += c.FlowSize
-	}
-	tr.sortByArrival()
-	reID(tr)
-	return tr
-}

@@ -331,22 +331,3 @@ func TestTruncatedDist(t *testing.T) {
 		t.Fatalf("Name = %q", d.Name())
 	}
 }
-
-func TestPermutation(t *testing.T) {
-	tr := PermutationConfig{Hosts: 64, FlowSize: 1 << 20, Horizon: sim.Millisecond, Seed: 9}.Generate()
-	if len(tr.Flows) != 64 {
-		t.Fatalf("flows = %d", len(tr.Flows))
-	}
-	seenSrc := map[int]bool{}
-	seenDst := map[int]bool{}
-	for _, f := range tr.Flows {
-		if f.Src == f.Dst {
-			t.Fatal("self flow in permutation")
-		}
-		if seenSrc[f.Src] || seenDst[f.Dst] {
-			t.Fatal("not a permutation")
-		}
-		seenSrc[f.Src] = true
-		seenDst[f.Dst] = true
-	}
-}
