@@ -150,78 +150,170 @@ func (nopProto) Start(*netsim.Host)          {}
 func (nopProto) OnFlowArrival(workload.Flow) {}
 func (nopProto) OnPacket(*packet.Packet)     {}
 
-// TestForwardingAllocs pins the hot-path allocation budget: once the event
-// free list and packet pool are warm, forwarding a packet through the
-// fabric (NIC, two or three switch hops, delivery) must not allocate. The
-// budget of 1/16 alloc per packet leaves room only for amortized queue
-// growth.
+// countProto counts what the fabric delivers to one host: every packet,
+// and those that carry INT hops.
+type countProto struct{ delivered, withINT int64 }
+
+func (*countProto) Start(*netsim.Host)          {}
+func (*countProto) OnFlowArrival(workload.Flow) {}
+func (c *countProto) OnPacket(p *packet.Packet) {
+	c.delivered++
+	if len(p.INT) > 0 {
+		c.withINT++
+	}
+}
+
+// TestForwardingAllocs pins the per-packet allocation budget of the
+// fabric, one row per path a packet can take: once the event free lists,
+// lanes, port queues, staging rows and packet pool are warm, forwarding a
+// packet (NIC, three switch hops, delivery) must not allocate. The budget
+// of 1/16 alloc per packet leaves room only for amortized growth.
+//
+// Each row runs the fabric the way experiments do, through Fabric.Run, so
+// every batch also crosses Group.RunEpoch and Engine.Run. Every row but
+// incast sends each packet to the same slot in the other rack; incast
+// sends every host's packets to host 0, which queues them at its ToR.
+// Each row's seen reads a count that grows only when the row's path
+// runs, and it must grow while the allocations are measured.
+//
+// The rows hold the allocation-free contracts of the fabric's event
+// handlers (hostEnqueue, arriveAtHost, hostDeliver, arriveAtSwitch,
+// swForward, portTxDone) and of the engine calls they make (Lane.After,
+// Lane.Arrive, Engine.AfterFunc, Engine.ScheduleReserved,
+// Engine.ScheduleArrival, Engine.Run, Group.RunEpoch): DESIGN.md §12
+// maps each to the rows that reach it.
 func TestForwardingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
 	}
-	eng := sim.NewEngine(1)
-	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
+	type row struct {
+		name    string
+		topo    topo.LeafSpineConfig
+		shards  int
+		cfg     netsim.Config
+		metrics bool  // register an uninstrumented collector
+		incast  bool  // every packet to host 0
+		prio    uint8 // data priority
+		intHops bool  // collect INT at every hop
+		seen    func(*netsim.Fabric, []countProto) int64
 	}
-	fab.Start()
-	seq := 0
-	batch := func() {
-		for i := 0; i < 64; i++ {
-			src := seq % 8
-			dst := (seq + 1) % 8
-			fab.Host(src).Send(packet.NewData(src, dst, uint64(seq), 0, packet.MTU, packet.PrioShort))
-			seq++
+	delivered := func(_ *netsim.Fabric, hosts []countProto) (n int64) {
+		for i := range hosts {
+			n += hosts[i].delivered
 		}
-		eng.RunAll()
+		return n
 	}
-	// Warm the pools: the first batches grow the heap, the heap backing
-	// array, per-port queues and the packet pool.
-	for i := 0; i < 16; i++ {
-		batch()
+	rows := []row{
+		// Fused hops: a hop into a switch is one event (hopFused, or
+		// hopBoundary on the rack↔spine links), on one shard.
+		{name: "fused", seen: delivered},
+		// The testbed's 10 Gbps links serialize an MTU slower than a
+		// switch traversal, so every hop into a switch is two events: the
+		// arrival, and the forward a SwitchDelay later (hopPair).
+		{name: "paired-hop", topo: topo.TestbedLeafSpine(), seen: delivered},
+		// Two shards: every packet crosses the cut, staged, landed and
+		// scheduled on the peer engine in the arrival band.
+		{name: "cross-shard", shards: 2, seen: func(f *netsim.Fabric, _ []countProto) (n int64) {
+			for _, s := range f.ShardStats() {
+				n += int64(s.Staged)
+			}
+			return n
+		}},
+		// Watermarks a few packets deep: the incast pauses the ports
+		// that feed host 0's ToR, and resumes them as host 0's port
+		// drains.
+		{name: "pfc", incast: true,
+			cfg:  netsim.Config{Spray: true, EnablePFC: true, PFCPause: 4 * packet.MTU, PFCResume: 2 * packet.MTU},
+			seen: func(f *netsim.Fabric, _ []countProto) int64 { return f.Counters.PFCResumes }},
+		// NDP's dataplane: regular data behind a queue of 8 packets is cut
+		// to its header.
+		{name: "trim", incast: true, prio: packet.PrioDataHigh,
+			cfg:  netsim.Config{Spray: true, TrimThresholdBytes: 8 * packet.MTU},
+			seen: func(f *netsim.Fabric, _ []countProto) int64 { return f.Counters.Trims }},
+		// HPCC's telemetry: every port a packet leaves appends an INT hop,
+		// into the capacity the recycled packet kept.
+		{name: "int", intHops: true, seen: func(_ *netsim.Fabric, hosts []countProto) (n int64) {
+			for i := range hosts {
+				n += hosts[i].withINT
+			}
+			return n
+		}},
+		// The telemetry layer costs nothing when off: an uninstrumented
+		// collector registers no series, and the forwarding path stays at
+		// its budget.
+		{name: "metrics-disabled", metrics: true, seen: delivered},
 	}
-	perBatch := testing.AllocsPerRun(50, batch)
-	if perPacket := perBatch / 64; perPacket > 1.0/16 {
-		t.Fatalf("forwarding allocates %.3f allocs/packet (%.1f per 64-packet batch), want ~0",
-			perPacket, perBatch)
-	}
-}
-
-// TestMetricsDisabledAllocs pins the telemetry layer's zero-cost-off
-// guarantee: with an uninstrumented collector (fab.RegisterMetrics on a
-// collector without EnableInstruments, and zero Counters everywhere),
-// the observer fan-out and the no-op instrument calls must leave the
-// forwarding hot path at its 0-alloc budget.
-func TestMetricsDisabledAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
-	}
-	eng := sim.NewEngine(1)
-	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	fab.RegisterMetrics(stats.NewCollector()) // uninstrumented: must register nothing
-	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
-	}
-	fab.Start()
-	seq := 0
-	batch := func() {
-		for i := 0; i < 64; i++ {
-			src := seq % 8
-			dst := (seq + 1) % 8
-			fab.Host(src).Send(packet.NewData(src, dst, uint64(seq), 0, packet.MTU, packet.PrioShort))
-			seq++
-		}
-		eng.RunAll()
-	}
-	for i := 0; i < 16; i++ {
-		batch()
-	}
-	perBatch := testing.AllocsPerRun(50, batch)
-	if perPacket := perBatch / 64; perPacket > 1.0/16 {
-		t.Fatalf("disabled metrics allocate %.3f allocs/packet (%.1f per 64-packet batch), want ~0",
-			perPacket, perBatch)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.topo.Racks == 0 {
+				r.topo = topo.SmallLeafSpine()
+			}
+			if r.shards == 0 {
+				r.shards = 1
+			}
+			if r.cfg == (netsim.Config{}) {
+				r.cfg = netsim.Config{Spray: true}
+			}
+			if r.prio == 0 {
+				r.prio = packet.PrioShort
+			}
+			tp := r.topo.Build()
+			part, err := topo.MakePartition(tp, r.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines := make([]*sim.Engine, r.shards)
+			for i := range engines {
+				engines[i] = sim.NewEngine(1)
+			}
+			grp := sim.NewGroup(engines)
+			defer grp.Close()
+			fab := netsim.NewSharded(grp, tp, r.cfg, part)
+			if r.metrics {
+				fab.RegisterMetrics(stats.NewCollector())
+			}
+			n := tp.NumHosts
+			hosts := make([]countProto, n)
+			for i := range hosts {
+				fab.AttachProtocol(i, &hosts[i])
+			}
+			fab.Start()
+			seq, until := 0, sim.Time(0)
+			batch := func() {
+				for i := 0; i < 64; i++ {
+					src, dst := seq%n, (seq%n+n/2)%n
+					if r.incast {
+						src, dst = 1+seq%(n-1), 0
+					}
+					p := packet.NewData(src, dst, uint64(seq), 0, packet.MTU, r.prio)
+					p.CollectINT = r.intHops
+					fab.Host(src).Send(p)
+					seq++
+				}
+				until = until.Add(100 * sim.Microsecond)
+				fab.Run(until)
+			}
+			// Warm the pools: the first batches grow the heap, the heap
+			// backing array, lanes, per-port queues, staging rows and the
+			// packet pool.
+			for i := 0; i < 16; i++ {
+				batch()
+			}
+			before := r.seen(fab, hosts)
+			perBatch := testing.AllocsPerRun(50, batch)
+			after := r.seen(fab, hosts)
+			t.Logf("%.4f allocs/packet; the row's path count went %d -> %d", perBatch/64, before, after)
+			if perPacket := perBatch / 64; perPacket > 1.0/16 {
+				t.Errorf("forwarding allocates %.3f allocs/packet (%.1f per 64-packet batch), want ~0",
+					perPacket, perBatch)
+			}
+			if after == before {
+				t.Errorf("the measured batches never took the row's path")
+			}
+			if got := delivered(fab, hosts); got != int64(seq) {
+				t.Errorf("delivered %d of %d packets: batches must drain", got, seq)
+			}
+		})
 	}
 }
 

@@ -167,7 +167,8 @@ func (p *Proto) OnFlowArrival(f workload.Flow) {
 // OnPacket implements netsim.Protocol, dispatching by kind to the sender
 // or receiver half.
 //
-//lint:hotpath per-packet fast path under the 0-alloc contract of BenchmarkDcPIMEndToEnd steady state
+// It is the per-packet path of every dcPIM packet: TestPacerMallocsPerPacket
+// holds it, and all it calls, to a steady-state malloc budget per packet.
 func (p *Proto) OnPacket(pkt *packet.Packet) {
 	switch pkt.Kind {
 	case packet.Data:

@@ -104,8 +104,6 @@ func (r *receiver) rounds() int {
 // wake makes the receiver's maps and grant buffers, once, before the
 // first write to any of them: on the host's first flow (ensure) or
 // buffered grant (onGrant).
-//
-//lint:coldpath runs once per receiving host
 func (r *receiver) wake() {
 	if r.flows != nil {
 		return
@@ -143,7 +141,8 @@ func (r *receiver) ensure(pkt *packet.Packet) *recvFlow {
 	f.short = pkt.FlowSize <= r.p.sh.bdp
 	r.flows[f.ID] = f
 	f.senderIdx = len(r.bySender[f.Src])
-	//lint:ignore hotalloc per-flow admission, not per-packet; swap-delete in complete keeps the per-sender slice's capacity for reuse
+	// Per-flow admission, not per-packet: swap-delete in complete keeps the
+	// per-sender slice's capacity for reuse.
 	r.bySender[f.Src] = append(r.bySender[f.Src], f)
 
 	if f.short {
@@ -220,7 +219,8 @@ func (r *receiver) onData(d *packet.Packet) {
 	r.resumeLoop(d.Src)
 }
 
-//lint:coldpath runs once per flow completion, amortized across the flow's packets; FlowDone and UnloadedFCT costs live here, off the per-packet path
+// complete runs once per flow, so the costs of FlowDone and UnloadedFCT
+// stay off the per-packet path.
 func (r *receiver) complete(f *recvFlow) {
 	r.p.col.FlowDone(f.Record(r.p.host))
 	// Remember only the id — duplicates and finish retransmissions
@@ -330,8 +330,8 @@ func (r *receiver) fireLoop(l *tokenLoop) {
 	l.stalled = false
 	// Argument-form scheduling: the loop re-arms once per token issued
 	// (line rate), so a closure here would allocate per data packet —
-	// exactly what AfterFunc's event-stored arguments avoid (hotalloc
-	// flagged the closure form this replaced).
+	// exactly what AfterFunc's event-stored arguments avoid (the closure
+	// form this replaced fails TestPacerMallocsPerPacket).
 	l.timer = r.p.eng.AfterFunc(l.interval, fireLoopFunc, r, l, 0)
 }
 
@@ -446,7 +446,8 @@ func (r *receiver) onGrant(g *packet.Packet) {
 	}
 	r.wake()
 	g.Keep() // buffered until the round's accept tick
-	//lint:ignore hotalloc one append per grant per matching round (epoch rate, not packet rate), bounded by the channel budget
+	// One append per grant per matching round (epoch rate, not packet
+	// rate), bounded by the channel budget.
 	r.grantBuf[g.Round] = append(r.grantBuf[g.Round], g)
 }
 

@@ -66,8 +66,6 @@ func (s *sender) init(p *Proto) {
 
 // wake makes the request buffers, one per round, on the host's first
 // request.
-//
-//lint:coldpath runs once per host that is ever asked for a grant
 func (s *sender) wake() {
 	s.rtsBuf = make([][]*packet.Packet, s.p.sh.cfg.Rounds)
 }
@@ -310,7 +308,8 @@ func (s *sender) onRTS(rts *packet.Packet) {
 		s.wake()
 	}
 	rts.Keep() // buffered until the round's grant tick
-	//lint:ignore hotalloc one append per RTS per matching round (epoch rate, not packet rate), bounded by the channel budget
+	// One append per RTS per matching round (epoch rate, not packet rate),
+	// bounded by the channel budget.
 	s.rtsBuf[rts.Round] = append(s.rtsBuf[rts.Round], rts)
 }
 

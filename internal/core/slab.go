@@ -25,9 +25,7 @@ func (s *sender) newSendFlow() *sendFlow {
 
 // recycleSendFlow cancels every timer that could still reference f —
 // after this no live closure can observe the record — resets it, and
-// returns it to the free list.
-//
-//lint:coldpath runs once per flow completion; the free-list append reuses capacity after warmup
+// returns it to the free list, whose append reuses capacity after warm-up.
 func (s *sender) recycleSendFlow(f *sendFlow) {
 	f.notifTimer.Cancel()
 	f.finTimer.Cancel()
@@ -37,9 +35,7 @@ func (s *sender) recycleSendFlow(f *sendFlow) {
 }
 
 // newRecvFlow takes a recycled record from the receiver's free list, or
-// makes one.
-//
-//lint:coldpath runs once per flow arrival; the free list covers steady state, allocating only while flow concurrency grows
+// makes one: it allocates only while flow concurrency grows.
 func (r *receiver) newRecvFlow() *recvFlow {
 	if n := len(r.freeFlows); n > 0 {
 		f := r.freeFlows[n-1]
@@ -52,9 +48,8 @@ func (r *receiver) newRecvFlow() *recvFlow {
 
 // recycleRecvFlow cancels the short-flow recovery timer (the only
 // closure that can outlive the flow), resets the record keeping its
-// arrays, and returns it to the free list.
-//
-//lint:coldpath runs once per flow completion; the free-list append reuses capacity after warmup
+// arrays, and returns it to the free list, whose append reuses capacity
+// after warm-up.
 func (r *receiver) recycleRecvFlow(f *recvFlow) {
 	f.recoverTimer.Cancel()
 	f.tokened.Reset()

@@ -589,7 +589,8 @@ func (h *Host) Send(p *packet.Packet) {
 	h.sh.hostLane.After(hostEnqueue, h, p, 0)
 }
 
-//lint:hotpath one event per injected packet; 0-alloc contract of BenchmarkFabricForwarding
+// hostEnqueue is the NIC's enqueue event, one per injected packet.
+// TestForwardingAllocs holds it allocation-free once warm.
 func hostEnqueue(a, b any, _ int) {
 	h := a.(*Host)
 	h.nic.enqueue(b.(*packet.Packet), &h.rng)
@@ -600,9 +601,8 @@ func (h *Host) deliver(p *packet.Packet) {
 	h.sh.hostLane.After(hostDeliver, h, p, 0)
 }
 
-// arriveAtHost is the delivery event of a link that ends at a host.
-//
-//lint:hotpath one event per delivered packet; 0-alloc contract of BenchmarkFabricForwarding
+// arriveAtHost is the delivery event of a link that ends at a host, one
+// per delivered packet. TestForwardingAllocs holds it allocation-free.
 func arriveAtHost(a, b any, _ int) {
 	a.(*Host).deliver(b.(*packet.Packet))
 }
@@ -610,8 +610,7 @@ func arriveAtHost(a, b any, _ int) {
 // hostDeliver is the fabric's delivery point and one of its two packet
 // release points: once the protocol's OnPacket returns the packet is
 // recycled, unless the protocol claimed it with packet.Keep.
-//
-//lint:hotpath one event per delivered packet; 0-alloc contract of BenchmarkFabricForwarding
+// TestForwardingAllocs holds it allocation-free.
 func hostDeliver(a, b any, _ int) {
 	h := a.(*Host)
 	p := b.(*packet.Packet)
@@ -661,8 +660,7 @@ type swDev struct {
 // arriveAtSwitch is the delivery event of a link that ends at a switch,
 // entering through its port in, on a fabric that keeps the two-event hop
 // (hopPair): the forward runs a SwitchDelay later.
-//
-//lint:hotpath one event per packet hop on a fabric that keeps the pair; 0-alloc contract of BenchmarkFabricForwarding
+// TestForwardingAllocs/paired-hop holds it allocation-free.
 func arriveAtSwitch(a, b any, in int) {
 	d := a.(*swDev)
 	d.sh.swLane.After(swForward, d, b.(*packet.Packet), in)
@@ -671,9 +669,8 @@ func arriveAtSwitch(a, b any, in int) {
 // swForward is a packet's hop through a switch, entering through its
 // port in: the SwitchDelay after its arrival, scheduled by the arrival
 // (hopPair) or, one event for the hop, by the transmission that put it on
-// the link (hopFused, hopBoundary).
-//
-//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
+// the link (hopFused, hopBoundary). TestForwardingAllocs holds it
+// allocation-free.
 func swForward(a, b any, in int) {
 	a.(*swDev).forward(b.(*packet.Packet), in)
 }

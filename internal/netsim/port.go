@@ -318,7 +318,8 @@ func (o *outPort) tryTransmit() {
 	tx := sim.TransmissionTime(p.Size, c.rate)
 	o.txBytes += int64(p.Size)
 	if p.CollectINT {
-		//lint:ignore hotalloc packet.Release keeps the INT backing array, so a recycled packet appends into capacity it already grew
+		// packet.Release keeps the INT backing array, so a recycled packet
+		// appends into capacity it already grew (TestForwardingAllocs/int).
 		p.INT = append(p.INT, packet.INTHop{
 			QueueBytes: o.queuedBytes,
 			TxBytes:    o.txBytes,
@@ -395,7 +396,8 @@ func (o *outPort) armWake() {
 	o.sh.eng.ScheduleReserved(o.busyUntil, o.busySeq, portTxDone, o, nil, 0)
 }
 
-//lint:hotpath one completion per back-to-back packet; 0-alloc contract of BenchmarkFabricForwarding
+// portTxDone is a transmitter's completion event, one per back-to-back
+// packet. TestForwardingAllocs holds it allocation-free.
 func portTxDone(a, _ any, _ int) {
 	o := a.(*outPort)
 	o.busy, o.wakeArmed = false, false

@@ -127,9 +127,8 @@ type stagingRow struct {
 // arrival must land after the epoch in flight ends: the destination shard
 // is running that epoch now and may already be past an earlier instant.
 // A window wider than what the fabric can stage is caught here, at its
-// cause, instead of as a reordered delivery.
-//
-//lint:coldpath a row grows to its epoch high-water mark once; Land hands the backing array back (q[:0])
+// cause, instead of as a reordered delivery. A row grows to its epoch
+// high-water mark once: Land hands the backing array back (q[:0]).
 func (s *shardState) stage(dst *shardState, at sim.Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if at <= s.fab.barrier {
 		panic(fmt.Sprintf("netsim: shard %d staged an arrival on shard %d at %v, inside the epoch ending at %v (window %v too wide)",

@@ -253,9 +253,8 @@ func (f *Tx) RemainingBytes() int64 {
 }
 
 // zeroed returns w zeroed words, reusing buf's array when it is large
-// enough.
-//
-//lint:coldpath amortized slab growth; recycled backing arrays make steady state zero-alloc once the largest flow shape has been seen
+// enough: once the largest flow shape has been seen, a recycled tracker
+// allocates nothing.
 func zeroed(buf []uint64, w int) []uint64 {
 	if cap(buf) >= w {
 		buf = buf[:w]
@@ -305,7 +304,8 @@ func (q *FIFO[T]) Push(x T) {
 		clear(q.buf[n:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	//lint:ignore hotalloc grows only while the queue's length does: pops leave their slots to later pushes (FIFO)
+	// The array grows only while the queue's length does: pops leave their
+	// slots to later pushes.
 	q.buf = append(q.buf, x)
 }
 

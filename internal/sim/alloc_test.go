@@ -2,11 +2,13 @@ package sim
 
 import "testing"
 
-// The //lint:hotpath reasons on Group.RunEpoch and Engine.Step cite the
-// 0-alloc contracts of BenchmarkGroupEpoch and BenchmarkEngineHold. These
-// tests assert them: dcpimlint proves no allocation site is reachable,
-// and AllocsPerRun proves the runtime agrees on the paths the benchmarks
-// take.
+// The engine's per-event calls allocate nothing in steady state. These
+// tests hold that contract on the set-ups of BenchmarkGroupEpoch and
+// BenchmarkEngineHold: Group.RunEpoch and Engine.Run here, Engine.Step
+// and Engine.AfterFunc (which After and every re-armed event go through)
+// in both. The fabric's paths are held by the root package's
+// TestForwardingAllocs, dcPIM's by core's TestPacerMallocsPerPacket;
+// DESIGN.md §12 maps every per-packet function to its test.
 
 // TestGroupEpochAllocs runs BenchmarkGroupEpoch's set-up — 4 engines, 1
 // or 4 of them executing one event per epoch — and asserts that an

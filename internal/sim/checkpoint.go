@@ -108,9 +108,8 @@ func NewCountingSource(seed int64) *CountingSource {
 	return c
 }
 
-// materialise builds the source and replays the draws taken lazily.
-//
-//lint:coldpath runs at most once per stream; every later draw finds the source built
+// materialise builds the source and replays the draws taken lazily. It
+// runs at most once per stream: every later draw finds the source built.
 func (c *CountingSource) materialise() {
 	src := rand.NewSource(seedOf(c.feed, c.n)).(rand.Source64)
 	for i := uint64(0); i < c.n; i++ {

@@ -191,9 +191,8 @@ func (e *Engine) Events() uint64 { return e.nEvent }
 // events are removed from the queue immediately and never counted.
 func (e *Engine) Pending() int { return len(e.q) + e.laneN }
 
-// alloc takes an event from the free list, or makes one.
-//
-//lint:coldpath event-slab growth; the free list covers steady state, allocating only while the live event population grows
+// alloc takes an event from the free list, or makes one: it allocates
+// only while the live event population grows.
 func (e *Engine) alloc() *event {
 	t := e.free
 	if t != nil {
@@ -239,7 +238,8 @@ func (e *Engine) push(at Time) *event {
 // of the arrival band).
 func (e *Engine) insert(at Time, seq uint64) *event {
 	t := e.alloc()
-	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
+	// Heap growth is amortized to the peak event population: the backing
+	// array is reused for the rest of the run.
 	e.q = append(e.q, hent{at, seq, t})
 	siftUp(e.q, len(e.q)-1)
 	return t
@@ -259,8 +259,7 @@ const arrivalBand = uint64(1) << 63
 // inserted — the property cross-shard staging queues need to keep
 // sharded runs byte-identical to serial ones. Keys must be unique per
 // (time, key) pair; the caller's per-link counters guarantee that.
-//
-//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
+// TestForwardingAllocs/cross-shard holds it allocation-free.
 func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
@@ -288,9 +287,8 @@ func callFunc(a, _ any, _ int) { a.(func())() }
 // captures the arguments in the event itself rather than in a closure, so
 // per-packet paths can schedule without allocating; fn should be a
 // package-level function. Pointer-shaped arguments (the usual case) do
-// not allocate when converted to any.
-//
-//lint:hotpath per-packet timer scheduling; 0-alloc contract of the forwarding benchmarks
+// not allocate when converted to any. TestEngineStepAllocs,
+// TestGroupEpochAllocs and TestPacerMallocsPerPacket hold it allocation-free.
 func (e *Engine) AfterFunc(d Duration, fn func(a, b any, i int), a, b any, i int) Timer {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -334,8 +332,8 @@ func (e *Engine) Passed(at Time, seq uint64) bool {
 // from ReserveSeq. The key may be inserted long after it was reserved but
 // never at or behind the executing event — that would run it out of
 // order, so it panics. One key must be materialised at most once.
-//
-//lint:hotpath per-packet transmitter wake-up; 0-alloc contract of BenchmarkFabricForwarding
+// It is the transmitter's wake-up, which TestForwardingAllocs holds
+// allocation-free.
 func (e *Engine) ScheduleReserved(at Time, seq uint64, fn func(a, b any, i int), a, b any, i int) {
 	if at < e.now || (at == e.now && seq < e.ord) {
 		panic("sim: reserved key is not ahead of the executing event")
@@ -401,16 +399,14 @@ func (e *Engine) exec(src int) {
 	e.ord = r.seq + 1
 	e.nEvent++
 	if e.journalOn {
-		//lint:ignore hotalloc opt-in replay journal, off on every measured path; the guard above keeps default runs alloc-free
+		// An opt-in replay journal: default runs never reach this append.
 		e.journal = append(e.journal, EventRecord{At: r.at, Seq: r.seq})
 	}
 	r.fn(r.a, r.b, r.i)
 }
 
 // Step executes the next pending event, if any, and reports whether one
-// ran.
-//
-//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold, asserted by TestEngineStepAllocs
+// ran. TestEngineStepAllocs holds it allocation-free.
 func (e *Engine) Step() bool {
 	src, _ := e.next()
 	if src == srcNone {
@@ -435,8 +431,8 @@ func (e *Engine) SkipTo(at Time) {
 // Run executes events until nothing is pending or the clock would pass
 // until. Events stamped exactly at until still run. The clock is left at
 // the later of its current value and until when the horizon is hit.
-//
-//lint:hotpath event drain loop of every fabric run; one merged scan per event
+// TestGroupEpochAllocs and TestForwardingAllocs/cross-shard hold it
+// allocation-free.
 func (e *Engine) Run(until Time) {
 	for {
 		src, at := e.next()

@@ -403,9 +403,8 @@ func (g *Group) nextAt(i int) (Time, bool) {
 // coordinator advances their clock inline (SkipTo) instead of paying a
 // barrier crossing for a no-op epoch, and lands whatever waits for them
 // beyond the barrier itself — nobody else touches a skipped shard's
-// engine or inbox during the epoch.
-//
-//lint:hotpath epoch barrier; 0-alloc contract of BenchmarkGroupEpoch, asserted by TestGroupEpochAllocs
+// engine or inbox during the epoch. TestGroupEpochAllocs holds it
+// allocation-free.
 func (g *Group) RunEpoch(until Time) {
 	in := g.clockIn()
 	g.epochs++

@@ -92,9 +92,8 @@ func (e *Engine) newLane(d Duration) *Lane {
 
 // growFronts doubles the leaves of the lanes' winner tree (or makes the
 // first), the new ones idle, and rebuilds the tree: win[n+i] is leaf i,
-// win[j] the lane with the lesser front of win[2j] and win[2j+1].
-//
-//lint:coldpath runs when an engine's lane count reaches a power of two, at wiring time
+// win[j] the lane with the lesser front of win[2j] and win[2j+1]. It
+// runs when an engine's lane count reaches a power of two, at wiring time.
 func (e *Engine) growFronts() {
 	n := max(1, 2*len(e.fronts))
 	fronts := make([]EventRecord, n)
@@ -133,8 +132,7 @@ func (e *Engine) setFront(i int, f EventRecord) {
 
 // After runs fn(a, b, i) the lane's delay after the current time, under
 // the key AfterFunc would have given it: the next band-0 sequence number.
-//
-//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
+// TestForwardingAllocs holds it allocation-free.
 func (l *Lane) After(fn func(a, b any, i int), a, b any, i int) {
 	e := l.eng
 	if l.d == timed {
@@ -145,8 +143,7 @@ func (l *Lane) After(fn func(a, b any, i int), a, b any, i int) {
 
 // Arrive runs fn(a, b, i) the lane's delay after the current time, under
 // the arrival-band key ScheduleArrival would have given it.
-//
-//lint:hotpath one event per packet hop; 0-alloc contract of BenchmarkFabricForwarding
+// TestForwardingAllocs holds it allocation-free.
 func (l *Lane) Arrive(key uint64, fn func(a, b any, i int), a, b any, i int) {
 	if l.d == timed {
 		panic("sim: Arrive on a lane filled by AtReserved")
@@ -213,9 +210,8 @@ func (l *Lane) put(at Time, seq uint64, fn func(a, b any, i int), a, b any, i in
 }
 
 // grow doubles the ring (or makes the first one), unrolling it to start
-// at slot 0.
-//
-//lint:coldpath ring growth is amortized to the lane's peak occupancy; the ring is reused for the rest of the run
+// at slot 0. Growth is amortized to the lane's peak occupancy: the ring
+// is reused for the rest of the run.
 func (l *Lane) grow() {
 	size := 2 * len(l.buf)
 	if size == 0 {

@@ -6,9 +6,6 @@
 #   go vet       — always, in the root module and in bench/e2e, and once
 #                  more over internal/sim with -tags groupchaos (the
 #                  root ./... never compiles chaos_on.go)
-#   dcpimlint    — always (the in-repo hot-path allocation check; each
-#                  finding prints with its `accept with:` directive, and
-#                  the gate is its exit status)
 #   staticcheck  — pinned version; installed on demand when the module
 #                  proxy is reachable
 #   govulncheck  — pinned version; needs the network for the vuln DB
@@ -69,8 +66,6 @@ run_checker "go vet" go vet ./...
 run_checker "go vet (bench/e2e)" bash -c 'cd bench/e2e && go vet ./...'
 # chaos_on.go builds only under the groupchaos tag of the CI race legs.
 run_checker "go vet (groupchaos)" go vet -tags groupchaos ./internal/sim
-
-run_checker "dcpimlint" go run ./cmd/dcpimlint ./...
 
 if ensure_tool staticcheck "honnef.co/go/tools/cmd/staticcheck@${STATICCHECK_VERSION}"; then
     run_checker "staticcheck" staticcheck ./...
