@@ -9,7 +9,8 @@ import (
 // instruments is the optional telemetry of a dcPIM run, shared by every
 // host's Proto; each host adds through its own shard's collector. The
 // zero value is fully inert — zero Counters record nothing — so
-// uninstrumented runs carry no telemetry branches and no allocations.
+// uninstrumented runs carry no telemetry branches and allocate nothing
+// for it per event.
 type instruments struct {
 	// tokensOutstanding is the fabric-wide token-window occupancy: tokens
 	// issued whose data has not yet arrived. The paper's buffer-bound
@@ -40,14 +41,12 @@ func (ins *instruments) roundAccept(col *stats.Collector, round, channels int) {
 	}
 }
 
-// RegisterMetrics registers every Proto's instruments of one run on the
-// run's collector (no-op unless col is instrumented). The instruments
-// aggregate across hosts: each shard adds in deterministic event order
-// and the columns sum over shards, so sampled series are reproducible.
-func RegisterMetrics(ps []*Proto, col *stats.Collector) {
-	if !col.Instrumented() || len(ps) == 0 {
-		return
-	}
+// newInstruments registers a dcPIM run's instruments on the run's
+// collector; one without instruments hands out zero Counters. The
+// instruments aggregate across hosts: each shard adds in deterministic
+// event order and the columns sum over shards, so sampled series are
+// reproducible.
+func newInstruments(col *stats.Collector, rounds int) instruments {
 	ins := instruments{
 		tokensOutstanding: col.Gauge("core/tokens_outstanding"),
 		tokensIssued:      col.Counter("core/tokens_issued"),
@@ -55,13 +54,10 @@ func RegisterMetrics(ps []*Proto, col *stats.Collector) {
 		unschedBytes:      col.Counter("core/unsched_bytes"),
 		schedBytes:        col.Counter("core/sched_bytes"),
 		matchedChannels:   col.Gauge("core/matched_channels"),
+		roundAccepts:      make([]stats.Counter, rounds),
 	}
-	rounds := ps[0].sh.cfg.Rounds
-	ins.roundAccepts = make([]stats.Counter, rounds)
-	for r := 0; r < rounds; r++ {
+	for r := range ins.roundAccepts {
 		ins.roundAccepts[r] = col.Counter(fmt.Sprintf("core/match/round%d_accepted_channels", r))
 	}
-	for _, p := range ps {
-		p.sh.ins = ins
-	}
+	return ins
 }

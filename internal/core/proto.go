@@ -66,10 +66,12 @@ func newClocks(h *netsim.Host, tm *timing) clocks {
 // (Fabric.ForEachHost), and the clocks its shard's first host resolved.
 // Each instance records into col's child collector for its host's shard,
 // so completions never contend across shards; col's readers merge the
-// children deterministically.
+// children deterministically. Attach registers the instruments on col.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
 	cfg.validate()
-	sh := &shared{cfg: cfg, timing: deriveTiming(cfg, fab.Topology())}
+	// Registration grows every shard's slots, so it runs here, before the
+	// fill below runs on the shard goroutines.
+	sh := &shared{cfg: cfg, ins: newInstruments(col, cfg.Rounds), timing: deriveTiming(cfg, fab.Topology())}
 	n, r := fab.Topology().NumHosts, cfg.Rounds
 	slab := make([]Proto, n)
 	protos := make([]*Proto, n)

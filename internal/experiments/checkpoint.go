@@ -35,15 +35,6 @@ type CheckpointSpec struct {
 	Journal bool
 }
 
-// label resolves the snapshot-file stem.
-func (c *CheckpointSpec) label(spec RunSpec) string {
-	l := c.Label
-	if l == "" {
-		l = fmt.Sprintf("%s-seed%d", spec.Protocol, spec.Seed)
-	}
-	return sanitizeLabel(l)
-}
-
 // RunCheckpointed is Run that also returns the snapshots it captured, one
 // per multiple of spec.Checkpoint.Every up to the horizon (none when
 // spec.Checkpoint is nil). The RunResult is byte-identical to an
@@ -61,7 +52,7 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 	ck := rs.spec.Checkpoint
 	snap := &checkpoint.Snapshot{
 		Meta: checkpoint.Meta{
-			Label: ck.label(rs.spec), Protocol: rs.spec.Protocol, Seed: rs.spec.Seed,
+			Label: rs.spec.label(ck.Label), Protocol: rs.spec.Protocol, Seed: rs.spec.Seed,
 			HorizonPs: int64(rs.spec.Horizon), TimePs: int64(at), Index: idx, EveryPs: int64(ck.Every),
 		},
 		Engines: make([]sim.EngineState, len(rs.engines)),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,6 +180,16 @@ func TestSteadyUtilizationWindow(t *testing.T) {
 	u := steadyUtilization(res, 250*sim.Microsecond, 500*sim.Microsecond)
 	if u < 0.25 || u > 0.75 {
 		t.Fatalf("steady utilization %.2f, want near the (noisy 8-host) offered 0.5", u)
+	}
+	// A window the run does not cover has no value: fig4c's 100–300 µs
+	// column on a shorter run prints "-", not a measured 0.
+	for _, w := range [][2]sim.Duration{
+		{700 * sim.Microsecond, 900 * sim.Microsecond}, // straddles the end
+		{800 * sim.Microsecond, sim.Millisecond},       // wholly past it
+	} {
+		if u := steadyUtilization(res, w[0], w[1]); !math.IsNaN(u) {
+			t.Errorf("window [%v, %v) of a %v run: utilization %.2f, want none", w[0], w[1], res.End, u)
+		}
 	}
 	// At a longer horizon the whole-run ratio stabilizes; dcPIM sustains.
 	tr2 := workload.AllToAllConfig{

@@ -39,9 +39,10 @@ type RunReport struct {
 	Gauges     []stats.NameValue `json:"gauges"`
 }
 
-// label resolves the output-file stem.
-func (m *MetricsSpec) label(spec RunSpec) string {
-	l := m.Label
+// label resolves an output-file stem from a MetricsSpec's or
+// CheckpointSpec's Label: l, or "<protocol>-seed<seed>" when l is empty,
+// sanitized.
+func (spec RunSpec) label(l string) string {
 	if l == "" {
 		l = fmt.Sprintf("%s-seed%d", spec.Protocol, spec.Seed)
 	}
@@ -76,7 +77,7 @@ func emitMetrics(spec RunSpec, col *stats.Collector, interval sim.Duration) (csv
 	csvB = append([]byte(nil), buf.Bytes()...)
 
 	rep := RunReport{
-		Label:      spec.Metrics.label(spec),
+		Label:      spec.label(spec.Metrics.Label),
 		Protocol:   spec.Protocol,
 		Seed:       spec.Seed,
 		HorizonPs:  int64(spec.Horizon),

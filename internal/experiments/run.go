@@ -22,7 +22,6 @@ import (
 	"dcpim/internal/protocols/homa"
 	"dcpim/internal/protocols/hpcc"
 	"dcpim/internal/protocols/ndp"
-	"dcpim/internal/protocols/phost"
 	"dcpim/internal/protocols/tcp"
 	"dcpim/internal/sim"
 	"dcpim/internal/stats"
@@ -47,10 +46,10 @@ const (
 var Comparators = []string{DCPIM, HomaAeolus, NDP, HPCC}
 
 // transport is one protocol a RunSpec may name: the fabric it expects and
-// how it attaches. attach installs it on every host, recording into col,
-// and registers its instruments there (none unless col is instrumented)
-// under the row's name as the prefix — dcPIM's under "core". Only dcPIM
-// reads cfg; a nil cfg selects its defaults.
+// how it attaches. attach installs it on every host, recording into col;
+// the transport's Attach registers its instruments there (none unless col
+// is instrumented) under the row's name as the prefix — dcPIM's under
+// "core". Only dcPIM reads cfg; a nil cfg selects its defaults.
 type transport struct {
 	name   string
 	fabric netsim.Config
@@ -65,28 +64,28 @@ var transports = []transport{
 		if cfg != nil {
 			c = *cfg
 		}
-		core.RegisterMetrics(core.Attach(fab, c, col), col)
+		core.Attach(fab, c, col)
 	}},
 	{HomaAeolus, homa.AeolusConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		homa.RegisterMetrics(homa.Attach(fab, homa.AeolusConfig(), col), col, HomaAeolus)
+		homa.Attach(fab, homa.AeolusConfig(), col)
 	}},
 	{Homa, homa.DefaultConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		homa.RegisterMetrics(homa.Attach(fab, homa.DefaultConfig(), col), col, Homa)
+		homa.Attach(fab, homa.DefaultConfig(), col)
 	}},
 	{NDP, ndp.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		ndp.RegisterMetrics(ndp.Attach(fab, col), col)
+		ndp.Attach(fab, col)
 	}},
 	{HPCC, hpcc.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		hpcc.RegisterMetrics(hpcc.Attach(fab, col), col)
+		hpcc.Attach(fab, col)
 	}},
-	{PHost, phost.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		homa.RegisterMetrics(phost.Attach(fab, col), col, PHost)
+	{PHost, homa.PHostConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
+		homa.Attach(fab, homa.PHostConfig(), col)
 	}},
 	{DCTCP, tcp.DCTCPConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		tcp.RegisterMetrics(tcp.Attach(fab, tcp.DCTCPConfig(), col), col, DCTCP)
+		tcp.Attach(fab, tcp.DCTCPConfig(), col)
 	}},
 	{Cubic, tcp.CubicConfig().FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
-		tcp.RegisterMetrics(tcp.Attach(fab, tcp.CubicConfig(), col), col, Cubic)
+		tcp.Attach(fab, tcp.CubicConfig(), col)
 	}},
 	{Fastpass, fastpass.FabricConfig(), func(fab *netsim.Fabric, col *stats.Collector, _ *core.Config) {
 		fastpass.Attach(fab, col)

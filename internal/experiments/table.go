@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"dcpim/internal/sim"
@@ -24,6 +25,9 @@ func (t *table) add(cells ...any) {
 			row[i] = v
 		case float64:
 			row[i] = fmt.Sprintf("%.2f", v)
+			if math.IsNaN(v) {
+				row[i] = "-" // nothing was measured
+			}
 		case int, int64:
 			row[i] = fmt.Sprintf("%d", v)
 		default:
@@ -64,16 +68,14 @@ func (t *table) write(w io.Writer) {
 }
 
 // steadyUtilization returns mean fabric utilization (fraction of aggregate
-// host capacity) over [from, to).
+// host capacity) over [from, to), or NaN, which a table prints as "-",
+// when that window is not inside the run.
 func steadyUtilization(res RunResult, from, to sim.Duration) float64 {
 	series := res.Col.UtilizationSeries(res.Hosts, res.HostRate)
 	bin := 10 * sim.Microsecond
-	lo, hi := int(from/bin), int(to/bin)
-	if hi > len(series) {
-		hi = len(series)
-	}
-	if lo >= hi {
-		return 0
+	lo, hi := int(from/bin), min(int(to/bin), len(series))
+	if sim.Time(to) > res.End || lo >= hi {
+		return math.NaN()
 	}
 	var sum float64
 	for _, u := range series[lo:hi] {

@@ -2,36 +2,9 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"dcpim/internal/stats"
 )
-
-// portNameTab interns the per-port gauge names. A 1024-host FatTree has
-// 5120 switch ports, and a sweep re-registers the same names for every
-// (load, shard, seed) cell; the table formats each name once per process
-// instead of once per run. Guarded by a mutex because RunMany registers
-// several runs' metrics concurrently.
-var portNameTab struct {
-	mu    sync.Mutex
-	names [][]string // [switch][port]
-}
-
-func portName(si, pi int) string {
-	t := &portNameTab
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.names) <= si {
-		t.names = append(t.names, nil)
-	}
-	for len(t.names[si]) <= pi {
-		t.names[si] = append(t.names[si], "")
-	}
-	if t.names[si][pi] == "" {
-		t.names[si][pi] = fmt.Sprintf("netsim/sw%d/port%d/queue_bytes", si, pi)
-	}
-	return t.names[si][pi]
-}
 
 // RegisterMetrics registers the fabric's columns on the run's collector:
 // a queue-depth gauge per switch output port, aggregate NIC and fabric
@@ -50,7 +23,7 @@ func (f *Fabric) RegisterMetrics(col *stats.Collector) {
 	for si := range f.switches {
 		for pi := range f.switches[si].ports {
 			port := &f.switches[si].ports[pi]
-			col.GaugeFunc(portName(si, pi), func() int64 { return port.queuedBytes })
+			col.GaugeFunc(fmt.Sprintf("netsim/sw%d/port%d/queue_bytes", si, pi), func() int64 { return port.queuedBytes })
 		}
 	}
 	col.GaugeFunc("netsim/nic_queued_bytes", func() int64 {

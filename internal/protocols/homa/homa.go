@@ -1,6 +1,7 @@
 // Package homa implements a receiver-driven Homa-style transport
-// (Montazeri et al., SIGCOMM 2018) and its Aeolus variant (Hu et al.,
-// SIGCOMM 2020), the strongest baseline in the dcPIM evaluation.
+// (Montazeri et al., SIGCOMM 2018), its Aeolus variant (Hu et al.,
+// SIGCOMM 2020), the strongest baseline in the dcPIM evaluation, and
+// pHost (PHostConfig) as a configuration of the same engine.
 //
 // Mechanisms reproduced:
 //
@@ -42,16 +43,30 @@ type Config struct {
 	// FlatPriority collapses all data to one priority class (used by the
 	// pHost-like configuration; control stays at priority 0).
 	FlatPriority bool
+
+	// name prefixes the instruments' names ("homa", "homa-aeolus",
+	// "phost"); each constructor sets it.
+	name string
 }
 
 // DefaultConfig returns Homa defaults (classic mode). The overcommitment
 // degree follows the Homa paper's observation that several concurrently
 // granted senders are needed to keep a downlink busy when senders are
 // shared across receivers.
-func DefaultConfig() Config { return Config{Overcommit: 4} }
+func DefaultConfig() Config { return Config{Overcommit: 4, name: "homa"} }
 
 // AeolusConfig returns the Homa Aeolus configuration.
-func AeolusConfig() Config { return Config{Aeolus: true, Overcommit: 4} }
+func AeolusConfig() Config { return Config{Aeolus: true, Overcommit: 4, name: "homa-aeolus"} }
+
+// PHostConfig returns a pHost-style receiver-driven transport (Gao et
+// al., CoNEXT 2015): per-packet tokens from the receiver, a free
+// first-BDP window the sender transmits without credit, SRPT token
+// scheduling at the receiver, and no reliance on switch priorities for
+// data. Mechanically this is the Homa engine with a flat data priority and
+// no overcommitment, which is exactly how the dcPIM paper positions the
+// two designs (single-round matching protocols, footnote 1). Its fabric
+// sprays per packet over plain drop-tail queues.
+func PHostConfig() Config { return Config{Overcommit: 1, FlatPriority: true, name: "phost"} }
 
 // FabricConfig returns the netsim configuration this protocol expects:
 // spraying, and in Aeolus mode an early selective-drop threshold for
@@ -73,7 +88,7 @@ func (c Config) FabricConfig() netsim.Config {
 type Proto struct {
 	cfg Config
 	col *stats.Collector
-	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
+	ins instruments // shared by every host; registered by Attach
 
 	host *netsim.Host
 	eng  *sim.Engine
@@ -94,6 +109,15 @@ type Proto struct {
 	pacing  bool
 }
 
+// instruments is Homa's telemetry, shared across hosts. A collector
+// without instruments hands out zero Counters, which record nothing.
+type instruments struct {
+	sentBytes    stats.Counter // all transmitted data wire bytes
+	unschedBytes stats.Counter // unscheduled (blind-prefix) wire bytes
+	grantedBytes stats.Counter // wire bytes granted by receivers
+	grants       stats.Counter
+}
+
 type rxState struct {
 	*flowtrack.Rx
 	lastProgress sim.Time
@@ -109,11 +133,19 @@ func newProto(cfg Config, col *stats.Collector) *Proto {
 	}
 }
 
-// Attach installs Homa on every host of the fabric.
+// Attach installs Homa on every host of the fabric and registers its
+// instruments on col under the configuration's name.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
+	ins := instruments{
+		sentBytes:    col.Counter(cfg.name + "/sent_bytes"),
+		unschedBytes: col.Counter(cfg.name + "/unsched_bytes"),
+		grantedBytes: col.Counter(cfg.name + "/granted_bytes"),
+		grants:       col.Counter(cfg.name + "/grants"),
+	}
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
 		ps[i] = newProto(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i].ins = ins
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps

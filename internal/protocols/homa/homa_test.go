@@ -117,13 +117,60 @@ func TestClassicHomaDropsUnderIncast(t *testing.T) {
 
 func TestAllToAllCompletes(t *testing.T) {
 	cfgT := topo.SmallLeafSpine()
-	tr := workload.AllToAllConfig{
-		Hosts: 8, HostRate: cfgT.HostRate, Load: 0.5,
-		Dist: workload.IMC10(), Horizon: sim.Millisecond, Seed: 5,
-	}.Generate()
-	col, _ := runHoma(t, AeolusConfig(), tr, 4*sim.Millisecond, 5)
-	if col.Completed() < int64(len(tr.Flows))*95/100 {
-		t.Fatalf("completed %d/%d", col.Completed(), len(tr.Flows))
+	for _, c := range []struct {
+		cfg  Config
+		seed int64
+	}{{AeolusConfig(), 5}, {PHostConfig(), 3}} {
+		t.Run(c.cfg.name, func(t *testing.T) {
+			tr := workload.AllToAllConfig{
+				Hosts: 8, HostRate: cfgT.HostRate, Load: 0.5,
+				Dist: workload.IMC10(), Horizon: sim.Millisecond, Seed: c.seed,
+			}.Generate()
+			col, _ := runHoma(t, c.cfg, tr, 4*sim.Millisecond, c.seed)
+			if col.Completed() < int64(len(tr.Flows))*95/100 {
+				t.Fatalf("completed %d/%d", col.Completed(), len(tr.Flows))
+			}
+		})
+	}
+}
+
+func TestPHostUnloadedFlows(t *testing.T) {
+	tr := &workload.Trace{Flows: []workload.Flow{
+		{ID: 1, Src: 0, Dst: 7, Size: 10_000, Arrival: 0},
+		{ID: 2, Src: 1, Dst: 6, Size: 1_000_000, Arrival: 0},
+	}}
+	col, _ := runHoma(t, PHostConfig(), tr, 2*sim.Millisecond, 1)
+	if col.Completed() != 2 {
+		t.Fatalf("completed %d/2", col.Completed())
+	}
+	for _, r := range col.Records() {
+		if sd := r.Slowdown(); sd > 1.5 {
+			t.Fatalf("flow %d unloaded slowdown %.2f", r.ID, sd)
+		}
+	}
+}
+
+func TestPHostFlatPriority(t *testing.T) {
+	// pHost does not rely on switch data priorities: every data packet
+	// uses one class.
+	eng := sim.NewEngine(2)
+	tp := topo.SmallLeafSpine().Build()
+	fab := netsim.New(eng, tp, PHostConfig().FabricConfig())
+	Attach(fab, PHostConfig(), stats.NewCollector())
+	fab.Start()
+	prios := map[uint8]bool{}
+	fab.AddObserver(netsim.ObserverFuncs{Delivered: func(host int, p *packet.Packet) {
+		if p.Kind == packet.Data {
+			prios[p.Priority] = true
+		}
+	}})
+	fab.Inject(&workload.Trace{Flows: []workload.Flow{
+		{ID: 1, Src: 0, Dst: 7, Size: 500_000, Arrival: 0},
+		{ID: 2, Src: 1, Dst: 7, Size: 5_000, Arrival: 0},
+	}})
+	eng.Run(sim.Time(sim.Millisecond))
+	if len(prios) != 1 {
+		t.Fatalf("pHost used %d data priorities, want 1", len(prios))
 	}
 }
 

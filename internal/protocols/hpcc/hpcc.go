@@ -43,7 +43,7 @@ func FabricConfig() netsim.Config {
 // Proto is one host's HPCC instance.
 type Proto struct {
 	col *stats.Collector
-	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
+	ins instruments // shared by every host; registered by Attach
 
 	host *netsim.Host
 	eng  *sim.Engine
@@ -55,6 +55,12 @@ type Proto struct {
 	tx   map[uint64]*txState
 	rx   map[uint64]*rxState // live incoming flows
 	done map[uint64]struct{} // ids of finished incoming flows
+}
+
+// instruments is HPCC's telemetry, shared across hosts. A collector
+// without instruments hands out zero Counters, which record nothing.
+type instruments struct {
+	updates stats.Counter // window updates (per-ACK)
 }
 
 type txState struct {
@@ -88,11 +94,14 @@ func newProto(col *stats.Collector) *Proto {
 	}
 }
 
-// Attach installs HPCC on every host of the fabric.
+// Attach installs HPCC on every host of the fabric and registers its
+// instruments on col.
 func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
+	ins := instruments{updates: col.Counter("hpcc/window_updates")}
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
 		ps[i] = newProto(col.ForShard(fab.ShardOfHost(i)))
+		ps[i].ins = ins
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps

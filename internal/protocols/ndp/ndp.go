@@ -31,7 +31,7 @@ func FabricConfig() netsim.Config {
 // Proto is one host's NDP instance.
 type Proto struct {
 	col *stats.Collector
-	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
+	ins instruments // shared by every host; registered by Attach
 
 	host *netsim.Host
 	eng  *sim.Engine
@@ -48,6 +48,14 @@ type Proto struct {
 	pullQ     []pullRef // FIFO of flows owed a pull (fresh data)
 	pullQFast []pullRef // priority pulls for retransmissions (trims)
 	pulling   bool
+}
+
+// instruments is NDP's telemetry, shared across hosts. A collector
+// without instruments hands out zero Counters, which record nothing.
+type instruments struct {
+	sentBytes stats.Counter // transmitted data wire bytes (incl. retransmissions)
+	pulls     stats.Counter // pull credits issued by receivers
+	nacks     stats.Counter // trim/loss NACKs processed by senders
 }
 
 type pullRef struct {
@@ -76,11 +84,18 @@ func newProto(col *stats.Collector) *Proto {
 	}
 }
 
-// Attach installs NDP on every host of the fabric.
+// Attach installs NDP on every host of the fabric and registers its
+// instruments on col.
 func Attach(fab *netsim.Fabric, col *stats.Collector) []*Proto {
+	ins := instruments{
+		sentBytes: col.Counter("ndp/sent_bytes"),
+		pulls:     col.Counter("ndp/pulls"),
+		nacks:     col.Counter("ndp/nacks"),
+	}
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
 		ps[i] = newProto(col.ForShard(fab.ShardOfHost(i)))
+		ps[i].ins = ins
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps

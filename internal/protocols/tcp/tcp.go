@@ -46,6 +46,10 @@ type Config struct {
 	// ECNThreshold configures the fabric's marking threshold in bytes
 	// (DCTCP); 0 disables marking.
 	ECNThreshold int64
+
+	// name prefixes the instruments' names ("dctcp", "cubic"); each
+	// constructor sets it.
+	name string
 }
 
 // DCTCPConfig returns a DCTCP deployment: ECN marking at dctcpK packets
@@ -54,12 +58,13 @@ func DCTCPConfig() Config {
 	return Config{
 		NewCC:        func() CongestionControl { return NewDCTCP() },
 		ECNThreshold: dctcpK * packet.MTU,
+		name:         "dctcp",
 	}
 }
 
 // CubicConfig returns a TCP Cubic deployment (loss-based, drop-tail).
 func CubicConfig() Config {
-	return Config{NewCC: func() CongestionControl { return NewCubic() }}
+	return Config{NewCC: func() CongestionControl { return NewCubic() }, name: "cubic"}
 }
 
 // FabricConfig returns the netsim configuration for this deployment:
@@ -72,7 +77,7 @@ func (c Config) FabricConfig() netsim.Config {
 type Proto struct {
 	cfg Config
 	col *stats.Collector
-	ins instruments // optional telemetry (RegisterMetrics); zero value is inert
+	ins instruments // shared by every host; registered by Attach
 
 	host *netsim.Host
 	eng  *sim.Engine
@@ -81,6 +86,14 @@ type Proto struct {
 	tx   map[uint64]*txState
 	rx   map[uint64]*rxState // live incoming flows
 	done map[uint64]struct{} // ids of finished incoming flows
+}
+
+// instruments is TCP's telemetry, shared across hosts. A collector
+// without instruments hands out zero Counters, which record nothing.
+type instruments struct {
+	windowUpdates stats.Counter // congestion-window updates (per-ACK)
+	fastRetx      stats.Counter
+	rtos          stats.Counter
 }
 
 type txState struct {
@@ -117,11 +130,18 @@ func newProto(cfg Config, col *stats.Collector) *Proto {
 	}
 }
 
-// Attach installs the TCP variant on every host of the fabric.
+// Attach installs the TCP variant on every host of the fabric and
+// registers its instruments on col under the variant's name.
 func Attach(fab *netsim.Fabric, cfg Config, col *stats.Collector) []*Proto {
+	ins := instruments{
+		windowUpdates: col.Counter(cfg.name + "/window_updates"),
+		fastRetx:      col.Counter(cfg.name + "/fast_retransmits"),
+		rtos:          col.Counter(cfg.name + "/rtos"),
+	}
 	ps := make([]*Proto, fab.Topology().NumHosts)
 	for i := range ps {
 		ps[i] = newProto(cfg, col.ForShard(fab.ShardOfHost(i)))
+		ps[i].ins = ins
 		fab.AttachProtocol(i, ps[i])
 	}
 	return ps

@@ -3,23 +3,17 @@ package topo
 import (
 	"fmt"
 	"sort"
-
-	"dcpim/internal/sim"
 )
 
 // Partition assigns every host and switch of a topology to one of
-// NumShards shards such that only Boundary-marked links cross shards.
-// Lookahead is the minimum propagation delay over cross-shard links,
-// which MakePartition requires to be positive: nothing executed on one
-// shard can affect another sooner, whatever rides the link. It is a
-// floor, not the synchronization window — the fabric knows what it
-// actually sends across the cut and derives its (wider) epoch from that
-// (netsim.NewSharded).
+// NumShards shards such that only Boundary-marked links cross shards,
+// each with a positive propagation delay. The synchronization window is
+// not computed here: the fabric knows what it actually sends across the
+// cut and derives its epoch from that (netsim.NewSharded).
 type Partition struct {
 	NumShards   int
 	HostShard   []int32 // host id → shard
 	SwitchShard []int32 // switch id → shard
-	Lookahead   sim.Duration
 }
 
 // ShardOfHost returns the shard owning host h.
@@ -158,9 +152,9 @@ func MakePartition(t *Topology, n int) (*Partition, error) {
 		p.HostShard[h] = p.SwitchShard[t.HostSwitch[h]]
 	}
 
-	// Lookahead: minimum delay over links that actually cross shards.
 	// Every cross-shard link must be a boundary link with positive delay;
 	// anything else would break conservative synchronization.
+	crossed := false
 	for _, sw := range t.Switches {
 		for pi, port := range sw.Ports {
 			if port.ToHost {
@@ -177,12 +171,10 @@ func MakePartition(t *Topology, n int) (*Partition, error) {
 				return nil, fmt.Errorf("topo: %s: cross-shard link sw%d:%d–sw%d has zero delay; lookahead would be empty",
 					t.Name, sw.ID, pi, port.Peer)
 			}
-			if p.Lookahead == 0 || port.Delay < p.Lookahead {
-				p.Lookahead = port.Delay
-			}
+			crossed = true
 		}
 	}
-	if n > 1 && p.Lookahead == 0 {
+	if n > 1 && !crossed {
 		return nil, fmt.Errorf("topo: %s: no cross-shard links in a %d-shard partition", t.Name, n)
 	}
 	return p, nil
