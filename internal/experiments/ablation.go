@@ -18,6 +18,8 @@ import (
 //     The ablation quantifies what that optimization buys medium flows.
 //   - The token window (§3.2): halving or doubling the 1-BDP window
 //     trades loss-recovery lag against in-network buffering.
+//
+// What this repository expects of each is its rows in targets.
 func RunAblation(o Options, w io.Writer) error {
 	tp := leafSpineFor(o.Hosts)
 	horizon := o.scaled(1 * sim.Millisecond)
@@ -45,24 +47,20 @@ func RunAblation(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "dcPIM design ablations, WebSearch at load %.2f (horizon %v)\n", load, horizon)
 
-	fmt.Fprintf(w, "\n-- FCT-optimizing round (§3.5): flow sizes known vs unknown --\n")
-	tbl := newTable("first-round", "short-mean", "short-p99", "medium-mean", "medium-p99", "all-mean")
-	for i, fct := range fcts {
+	fct := titled("FCT-optimizing round (§3.5): flow sizes known vs unknown", "first-round", "short-mean", "short-p99", "medium-mean", "medium-p99", "all-mean")
+	for i, on := range fcts {
 		label := "SRPT (sizes known)"
-		if !fct {
+		if !on {
 			label = "random (sizes unknown)"
 		}
-		row(tbl, label, results[i])
+		row(fct, label, results[i])
 	}
-	tbl.write(w)
+	fct.write(w)
 
-	fmt.Fprintf(w, "\n-- token window (§3.2): fraction of one BDP --\n")
-	tbl = newTable("window", "short-mean", "short-p99", "medium-mean", "medium-p99", "all-mean")
+	window := titled("token window (§3.2): fraction of one BDP", "window", "short-mean", "short-p99", "medium-mean", "medium-p99", "all-mean")
 	for i, frac := range fracs {
-		row(tbl, fmt.Sprintf("%.1f BDP", frac), results[len(fcts)+i])
+		row(window, fmt.Sprintf("%.1f BDP", frac), results[len(fcts)+i])
 	}
-	tbl.write(w)
-
-	fmt.Fprintln(w, "\nexpected: the SRPT round mainly helps medium flows; a 1-BDP window is the sweet spot")
-	return nil
+	window.write(w)
+	return writeTargets(w, o, "ablation", fct, window)
 }

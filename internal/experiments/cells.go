@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
+	"math"
 
 	"dcpim/internal/core"
 	"dcpim/internal/faults"
@@ -86,18 +86,23 @@ func dcpimCell(label string, tr *workload.Trace, edit func(*core.Config)) cell {
 	return cell{label: label, protocol: DCPIM, trace: tr, dcpim: &cfg}
 }
 
-// writeBucketTables prints one size-bucket table per workload from the
-// results of a workloadCells grid over dists.
-func writeBucketTables(w io.Writer, bdp int64, dists []workload.SizeDist, results []RunResult) {
+// writeBucketTables prints one size-bucket table per workload, titled
+// "workload <name>", from the results of a workloadCells grid over dists,
+// and returns the tables.
+func writeBucketTables(w io.Writer, bdp int64, dists []workload.SizeDist, results []RunResult) []*table {
 	per := len(results) / len(dists)
+	tables := make([]*table, len(dists))
 	for i, dist := range dists {
-		fmt.Fprintf(w, "\n-- workload %s --\n", dist.Name())
-		bucketTable(bdp, results[i*per:(i+1)*per]).write(w)
+		tables[i] = bucketTable(bdp, results[i*per:(i+1)*per])
+		tables[i].title = "workload " + dist.Name()
+		tables[i].write(w)
 	}
+	return tables
 }
 
 // bucketTable folds runs into the slowdown-by-flow-size table: a mean row
-// and a p99 row per run over stats.DefaultBuckets.
+// and a p99 row per run over stats.DefaultBuckets, keyed "<protocol>
+// <metric>".
 func bucketTable(bdp int64, results []RunResult) *table {
 	buckets := stats.DefaultBuckets(bdp)
 	header := []string{"protocol", "metric"}
@@ -105,12 +110,13 @@ func bucketTable(bdp int64, results []RunResult) *table {
 		header = append(header, b.Label)
 	}
 	tbl := newTable(header...)
+	tbl.keys = 2
 	for _, res := range results {
 		mean := []any{res.Protocol, "mean"}
 		tail := []any{res.Protocol, "p99"}
 		for _, b := range stats.BucketSlowdowns(res.Records, buckets) {
-			mean = append(mean, orDash(b.Summary.Count, b.Summary.Mean))
-			tail = append(tail, orDash(b.Summary.Count, b.Summary.P99))
+			mean = append(mean, measured(b.Summary, b.Summary.Mean))
+			tail = append(tail, measured(b.Summary, b.Summary.P99))
 		}
 		tbl.add(mean...)
 		tbl.add(tail...)
@@ -118,12 +124,13 @@ func bucketTable(bdp int64, results []RunResult) *table {
 	return tbl
 }
 
-// orDash renders a bucket's statistic, or "-" when the bucket is empty.
-func orDash(count int, v float64) string {
-	if count == 0 {
-		return "-"
+// measured is v, a statistic of s, or NaN when s summarizes no flows
+// (stats.Summarize gives an empty class a zero summary).
+func measured(s stats.Summary, v float64) float64 {
+	if s.Count == 0 {
+		return math.NaN()
 	}
-	return fmt.Sprintf("%.2f", v)
+	return v
 }
 
 // classes are a run's slowdown summaries by flow size: short flows fit
@@ -140,7 +147,7 @@ func sizeClasses(res RunResult, bdp int64) classes {
 	}
 }
 
-// completed renders a run's completed flows over the flows it started.
-func completed(res RunResult) string {
-	return fmt.Sprintf("%d/%d", res.Col.Completed(), res.Started)
+// completed is a run's completed flows over the flows it started.
+func completed(res RunResult) fraction {
+	return fraction{res.Col.Completed(), res.Started}
 }

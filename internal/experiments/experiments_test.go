@@ -181,6 +181,13 @@ func TestSteadyUtilizationWindow(t *testing.T) {
 	if u < 0.25 || u > 0.75 {
 		t.Fatalf("steady utilization %.2f, want near the (noisy 8-host) offered 0.5", u)
 	}
+	// The window averages the run's own bins: 50 µs ones cover it as
+	// 10 µs ones do.
+	wide := Run(RunSpec{Protocol: DCPIM, Topo: tp, Trace: tr,
+		Horizon: 750 * sim.Microsecond, Seed: 8, BinWidth: 50 * sim.Microsecond})
+	if uw := steadyUtilization(wide, 250*sim.Microsecond, 500*sim.Microsecond); !(math.Abs(uw-u) <= 1e-9) {
+		t.Errorf("utilization over [250, 500) µs: %.6f in 50 µs bins, %.6f in 10 µs bins", uw, u)
+	}
 	// A window the run does not cover has no value: fig4c's 100–300 µs
 	// column on a shorter run prints "-", not a measured 0.
 	for _, w := range [][2]sim.Duration{

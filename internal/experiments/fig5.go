@@ -10,8 +10,7 @@ import (
 // RunFig5ab reproduces Figure 5(a,b): the 2:1 oversubscribed leaf-spine
 // at load 0.5 (the highest load every baseline survives there). The paper
 // compares dcPIM, NDP and HPCC (Homa Aeolus was not runnable on
-// oversubscribed topologies); dcPIM's token clocking absorbs core
-// congestion.
+// oversubscribed topologies); its claims are the rows in targets.
 func RunFig5ab(o Options, w io.Writer) error {
 	tp := oversubFor(o.Hosts)
 	horizon := o.scaled(2 * sim.Millisecond)
@@ -22,13 +21,12 @@ func RunFig5ab(o Options, w io.Writer) error {
 	dists := fig3Workloads()
 	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 13}
 	results := fig.run(o, workloadCells("fig5ab", tp, dists, protos, 0.5, horizon, o.Seed))
-	writeBucketTables(w, tp.BDP(), dists, results)
-	fmt.Fprintln(w, "\npaper: same trend as Figure 3 — dcPIM's token clocking handles core congestion")
-	return nil
+	return writeTargets(w, o, "fig5ab", writeBucketTables(w, tp.BDP(), dists, results)...)
 }
 
 // RunFig5cd reproduces Figure 5(c,d): the three-tier 1024-host FatTree at
-// load 0.6. Pipelining hides the longer RTTs; results mirror Figure 3.
+// load 0.6, IMC10 alone below -scale 1. The paper's claims are its rows
+// in targets.
 func RunFig5cd(o Options, w io.Writer) error {
 	tp := fatTreeFor(o.Hosts)
 	horizon := o.scaled(1 * sim.Millisecond)
@@ -40,7 +38,5 @@ func RunFig5cd(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "Figure 5(c,d): FatTree %s at load 0.6 (horizon %v)\n", tp.Name, horizon)
 	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 21}
 	results := fig.run(o, workloadCells("fig5cd", tp, dists, Comparators, 0.6, horizon, o.Seed))
-	writeBucketTables(w, tp.BDP(), dists, results)
-	fmt.Fprintln(w, "\npaper: same trend as Figure 3; matching-phase length set by the longest cRTT is hidden by pipelining")
-	return nil
+	return writeTargets(w, o, "fig5cd", writeBucketTables(w, tp.BDP(), dists, results)...)
 }

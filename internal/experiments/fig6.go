@@ -13,8 +13,7 @@ import (
 // parameters — matching rounds r, channels k, and slack β — at load 0.54
 // (the highest load sustainable across every combination). One parameter
 // varies per sweep; the others stay at the defaults (r=4, k=4, β=1.3).
-// The paper's findings: going 1→2 rounds buys 18–24% more sustainable
-// load; 2–4 channels are the sweet spot; β has no effect beyond 1.1.
+// The paper's findings are its rows in targets.
 func RunFig6(o Options, w io.Writer) error {
 	horizon := o.scaled(1 * sim.Millisecond)
 	const load = 0.54
@@ -45,27 +44,22 @@ func RunFig6(o Options, w io.Writer) error {
 
 	fmt.Fprintf(w, "Figure 6: dcPIM sensitivity at load %.2f (horizon %v)\n", load, horizon)
 
-	fmt.Fprintf(w, "\n-- rounds r (k=4, β=1.3) --\n")
-	tbl := newTable("r", "goodput/offered", "short-mean", "short-p99", "all-mean")
+	rt := titled("rounds r (k=4, β=1.3)", "r", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, r := range rounds {
-		row(tbl, r, results[i])
+		row(rt, r, results[i])
 	}
-	tbl.write(w)
+	rt.write(w)
 
-	fmt.Fprintf(w, "\n-- channels k (r=4, β=1.3) --\n")
-	tbl = newTable("k", "goodput/offered", "short-mean", "short-p99", "all-mean")
+	kt := titled("channels k (r=4, β=1.3)", "k", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, k := range channels {
-		row(tbl, k, results[len(rounds)+i])
+		row(kt, k, results[len(rounds)+i])
 	}
-	tbl.write(w)
+	kt.write(w)
 
-	fmt.Fprintf(w, "\n-- slack β (r=4, k=4) --\n")
-	tbl = newTable("beta", "goodput/offered", "short-mean", "short-p99", "all-mean")
+	bt := titled("slack β (r=4, k=4)", "beta", "goodput/offered", "short-mean", "short-p99", "all-mean")
 	for i, b := range betas {
-		row(tbl, b, results[len(rounds)+len(channels)+i])
+		row(bt, b, results[len(rounds)+len(channels)+i])
 	}
-	tbl.write(w)
-
-	fmt.Fprintln(w, "\npaper: 1→2 rounds has the largest effect; k=2-4 best; β irrelevant beyond 1.1")
-	return nil
+	bt.write(w)
+	return writeTargets(w, o, "fig6", rt, kt, bt)
 }

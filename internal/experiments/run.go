@@ -2,7 +2,8 @@
 // paper's evaluation (§4): it wires workloads, topologies and protocols
 // into the fabric simulator, runs them, and prints the same rows and
 // series the paper plots. cmd/experiments exposes each one on the command
-// line; EXPERIMENTS.md records paper-reported versus measured values.
+// line. The paper's claims are one table, targets (targets.go), and every
+// report ends with its claims beside the cells it measured.
 package experiments
 
 import (

@@ -145,6 +145,10 @@ func (c *Collector) Sample(t sim.Time) {
 // Samples returns the number of rows sampled so far.
 func (c *Collector) Samples() int { return len(c.times) }
 
+// Interval returns the sampling cadence StartSeries fixed, which is also
+// the width of every UtilizationSeries bin (0 before StartSeries).
+func (c *Collector) Interval() sim.Duration { return c.interval }
+
 // WriteCSV emits the sampled instruments: a header line
 // "time_ps,<instrument>,..." (instruments sorted by name) followed by one
 // row per sample. Times are integer picoseconds and values exact
