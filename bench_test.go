@@ -93,7 +93,7 @@ func BenchmarkAblations(b *testing.B)          { benchExperiment(b, "ablation", 
 func BenchmarkPIMMatching(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
-	g := matching.RandomGraph(rng, 144, 144, 4)
+	g := matching.SparseRandomGraph(rng, 144, 144, 4)
 	m, err := matching.MustLookup("dcpim").New(matching.Options{Rounds: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -108,7 +108,7 @@ func BenchmarkPIMMatching(b *testing.B) {
 func BenchmarkChannelMatching(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
-	g := matching.RandomGraph(rng, 144, 144, 4)
+	g := matching.SparseRandomGraph(rng, 144, 144, 4)
 	m, err := matching.MustLookup("dcpim-k").New(matching.Options{Rounds: 4, K: 4})
 	if err != nil {
 		b.Fatal(err)

@@ -56,7 +56,7 @@ func main() {
 	for _, n := range []int{256, 1024, 4096} {
 		fmt.Printf("  %-8d", n)
 		rng := rand.New(rand.NewSource(int64(n)))
-		g := matching.RandomGraph(rng, n, n, 5)
+		g := matching.SparseRandomGraph(rng, n, n, 5)
 		ref, _ := pim.Match(g, rand.New(rand.NewSource(1)))
 		mStar := ref.Size()
 		for _, r := range []int{1, 2, 3, 4} {
@@ -75,7 +75,7 @@ func main() {
 	// unit matching.
 	fmt.Println("\nMulti-channel matching with unit demands (144 hosts, avg degree 4):")
 	rng := rand.New(rand.NewSource(9))
-	g2 := matching.RandomGraph(rng, 144, 144, 4)
+	g2 := matching.SparseRandomGraph(rng, 144, 144, 4)
 	for _, k := range []int{1, 2, 4} {
 		km := must(matching.MustLookup("dcpim-k").New(matching.Options{
 			Rounds: 4, K: k,

@@ -6,8 +6,8 @@ package core
 // sent-marks) and 2 bits (receiver packet states) per sequence number,
 // and flow records recycle through per-host free lists so steady state
 // allocates nothing per flow beyond what must outlive it (the completion
-// record and the done-flow id). The measured budget is enforced by
-// TestSteadyStateBytesPerFlow and recorded in DESIGN.md §13.
+// record and the done-flow id). The budget is enforced by
+// TestSteadyStateBytesPerFlow (DESIGN.md §13.1).
 
 // newSendFlow takes a recycled record from the sender's free list, or
 // makes one. The tracker keeps its array across recycles (Tx.Reset), so

@@ -42,7 +42,7 @@ func RunAblation(o Options, w io.Writer) error {
 	results := fig.run(o, cells)
 	row := func(tbl *table, label string, res RunResult) {
 		c := sizeClasses(res, bdp)
-		tbl.add(label, c.short.Mean, c.short.P99, c.medium.Mean, c.medium.P99, c.all.Mean)
+		tbl.add(label, c.short.mean, c.short.p99, c.medium.mean, c.medium.p99, c.all.mean)
 	}
 
 	fmt.Fprintf(w, "dcPIM design ablations, WebSearch at load %.2f (horizon %v)\n", load, horizon)

@@ -133,17 +133,25 @@ func measured(s stats.Summary, v float64) float64 {
 	return v
 }
 
-// classes are a run's slowdown summaries by flow size: short flows fit
-// in one BDP, medium ones in 16, long ones are larger.
-type classes struct{ short, medium, long, all stats.Summary }
+// class is one size class's mean and p99 slowdown, each NaN when the
+// class finished no flow.
+type class struct{ mean, p99 float64 }
+
+// classes are a run's slowdowns by size class: short flows fit in one
+// BDP, medium ones in 16, long ones are larger.
+type classes struct{ short, medium, long, all class }
 
 // sizeClasses summarizes res by size class on a fabric of the given BDP.
 func sizeClasses(res RunResult, bdp int64) classes {
+	of := func(keep func(stats.FlowRecord) bool) class {
+		s := stats.Summarize(res.Records, keep)
+		return class{measured(s, s.Mean), measured(s, s.P99)}
+	}
 	return classes{
-		short:  stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size <= bdp }),
-		medium: stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size > bdp && r.Size <= 16*bdp }),
-		long:   stats.Summarize(res.Records, func(r stats.FlowRecord) bool { return r.Size > 16*bdp }),
-		all:    stats.Summarize(res.Records, nil),
+		short:  of(func(r stats.FlowRecord) bool { return r.Size <= bdp }),
+		medium: of(func(r stats.FlowRecord) bool { return r.Size > bdp && r.Size <= 16*bdp }),
+		long:   of(func(r stats.FlowRecord) bool { return r.Size > 16*bdp }),
+		all:    of(nil),
 	}
 }
 

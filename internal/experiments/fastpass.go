@@ -22,7 +22,7 @@ func RunFastpass(o Options, w io.Writer) error {
 	fig := figure{topo: tp, horizon: horizon + horizon/2, seed: o.Seed + 51}
 	for _, res := range fig.run(o, perProtocol("fastpass", []string{DCPIM, Fastpass}, tr)) {
 		c := sizeClasses(res, tp.BDP())
-		tbl.add(res.Protocol, c.short.Mean, c.short.P99, c.all.Mean, completed(res), res.Counters.DataDrops)
+		tbl.add(res.Protocol, c.short.mean, c.short.p99, c.all.mean, completed(res), res.Counters.DataDrops)
 	}
 	tbl.write(w)
 	return writeTargets(w, o, "fastpass", tbl)

@@ -39,7 +39,7 @@ func RunFig6(o Options, w io.Writer) error {
 	results := fig.run(o, cells)
 	row := func(tbl *table, param any, res RunResult) {
 		c := sizeClasses(res, tp.BDP())
-		tbl.add(param, steadyUtilization(res, horizon/2, horizon)/load, c.short.Mean, c.short.P99, c.all.Mean)
+		tbl.add(param, steadyUtilization(res, horizon/2, horizon)/load, c.short.mean, c.short.p99, c.all.mean)
 	}
 
 	fmt.Fprintf(w, "Figure 6: dcPIM sensitivity at load %.2f (horizon %v)\n", load, horizon)

@@ -35,9 +35,7 @@ func RunFig7(o Options, w io.Writer) error {
 	d := sizeClasses(results[0], tp.BDP())
 	for _, res := range results[1:] {
 		r := sizeClasses(res, tp.BDP())
-		adv.add(res.Protocol, measured(r.short, r.short.Mean)/measured(d.short, d.short.Mean),
-			measured(r.short, r.short.P99)/measured(d.short, d.short.P99),
-			measured(r.long, r.long.Mean)/measured(d.long, d.long.Mean))
+		adv.add(res.Protocol, r.short.mean/d.short.mean, r.short.p99/d.short.p99, r.long.mean/d.long.mean)
 	}
 	adv.write(w)
 	// The testbed has one size: -hosts does not shrink it.

@@ -11,9 +11,9 @@ import (
 // per CPU (runtime.GOMAXPROCS(0)); workers == 1 (or a single spec) is
 // the plain serial loop. Each run itself uses one goroutine per shard
 // (RunSpec.Shards: 0 = auto, 1 = serial), so a sweep of sharded specs runs
-// up to workers × shards goroutines — Options.workers divides the pool by
-// an explicit shard count to keep that product near GOMAXPROCS, and
-// leaves it alone for auto.
+// up to workers × shards goroutines — Options.EffectiveWorkers divides
+// the pool by an explicit shard count to keep that product near
+// GOMAXPROCS, and leaves it alone for auto.
 //
 // Determinism contract: every simulation is hermetic — it owns its engine,
 // RNG, fabric and collector, all seeded from the spec alone — so each

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"dcpim/internal/stats"
 )
 
 // TestTargetsTable checks the table itself: sorted by experiment, table,
@@ -160,6 +162,25 @@ func TestCellFormat(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("target lines:\n%s\nwant %q", buf.String(), want)
 		}
+	}
+}
+
+// TestEmptySizeClassUnmeasured: a size class that finished no flow
+// prints "-" in every figure that reads sizeClasses (ablation, fig6,
+// fastpass, fig7), not a measured 0.00.
+func TestEmptySizeClassUnmeasured(t *testing.T) {
+	const bdp = 1000
+	res := RunResult{Records: []stats.FlowRecord{
+		{ID: 1, Size: bdp, Finish: 2000, Optimal: 1000},
+		{ID: 2, Size: 20 * bdp, Finish: 9000, Optimal: 3000},
+	}}
+	c := sizeClasses(res, bdp)
+	tbl := newTable("run", "short-mean", "medium-mean", "medium-p99", "long-p99", "all-mean")
+	tbl.add("one", c.short.mean, c.medium.mean, c.medium.p99, c.long.p99, c.all.mean)
+	var buf bytes.Buffer
+	tbl.write(&buf)
+	if want := "one  2.00        -            -           3.00      2.50\n"; !strings.HasSuffix(buf.String(), want) {
+		t.Errorf("table:\n%s\nwant its row %q", buf.String(), want)
 	}
 }
 

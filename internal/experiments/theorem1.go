@@ -42,7 +42,7 @@ func RunTheorem1(o Options, w io.Writer) error {
 			holds := true
 			for trial := 0; trial < trials; trial++ {
 				rng := rand.New(rand.NewSource(o.Seed + int64(trial) + int64(1000*r) + int64(deg)))
-				g := matching.RandomGraph(rng, n, n, deg)
+				g := matching.SparseRandomGraph(rng, n, n, deg)
 				ref, _ := mStarMatcher.Match(g, rand.New(rand.NewSource(o.Seed+int64(trial))))
 				mStar := ref.Size()
 				if mStar == 0 {

@@ -47,35 +47,13 @@ func NewGraph(senders, receivers int, adj [][]int) (*Graph, error) {
 	return &Graph{Senders: senders, Receivers: receivers, Adj: adj}, nil
 }
 
-// RandomGraph generates a sparse bipartite graph where each possible edge
-// exists independently with probability avgDegree/receivers, giving
-// expected sender degree avgDegree — the sparse-traffic-matrix regime of
-// Theorem 1. It draws one uniform variate per possible edge (O(n²)); for
-// the 10^5-port regime use SparseRandomGraph, which samples the same
-// distribution in O(edges).
-func RandomGraph(rng *rand.Rand, senders, receivers int, avgDegree float64) *Graph {
-	p := avgDegree / float64(receivers)
-	if p > 1 {
-		p = 1
-	}
-	adj := make([][]int, senders)
-	for s := range adj {
-		for r := 0; r < receivers; r++ {
-			if rng.Float64() < p {
-				adj[s] = append(adj[s], r)
-			}
-		}
-	}
-	return &Graph{Senders: senders, Receivers: receivers, Adj: adj}
-}
-
-// SparseRandomGraph samples the same edge distribution as RandomGraph —
-// each edge present independently with probability avgDegree/receivers —
-// but in O(edges) by drawing geometric gaps between successive present
-// edges instead of one coin per possible edge. This is what makes
-// 10^5-port sweep cells affordable (RandomGraph would need 10^10 draws).
-// The two generators realize different graphs for the same seed; within
-// one experiment always use one of them.
+// SparseRandomGraph generates a sparse bipartite graph where each
+// possible edge exists independently with probability
+// avgDegree/receivers, giving expected sender degree avgDegree — the
+// sparse-traffic-matrix regime of Theorem 1. It runs in O(edges) by
+// drawing geometric gaps between successive present edges instead of
+// one coin per possible edge, which is what makes 10^5-port sweep cells
+// affordable.
 func SparseRandomGraph(rng *rand.Rand, senders, receivers int, avgDegree float64) *Graph {
 	p := avgDegree / float64(receivers)
 	if p >= 1 {

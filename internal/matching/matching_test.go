@@ -33,14 +33,6 @@ func TestDenseGraph(t *testing.T) {
 	}
 }
 
-func TestRandomGraphDegree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RandomGraph(rng, 500, 500, 6)
-	if d := g.AvgDegree(); d < 5 || d > 7 {
-		t.Fatalf("avg degree = %v, want ≈6", d)
-	}
-}
-
 // Figure 1's example: 4 inputs × 4 outputs. Blue(0)→{1,3,4}, Red(1)→{2,4},
 // Green(2)→{1}, Yellow(3)→{1,3} (0-indexed: 0→{0,2,3}, 1→{1,3}, 2→{0},
 // 3→{0,2}). PIM must converge to a maximal matching of size 3
@@ -87,7 +79,7 @@ func TestPIMMaximality(t *testing.T) {
 	// After convergence, no edge may connect two unmatched nodes.
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		g := RandomGraph(rng, 100, 100, 3)
+		g := SparseRandomGraph(rng, 100, 100, 3)
 		m := runPIM(g, convergenceRounds(g), rng, nil)
 		if !m.Valid(g) {
 			t.Fatal("invalid matching")
@@ -125,7 +117,7 @@ func TestTheorem1Bound(t *testing.T) {
 		used := 0
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(100_000*c + trial)))
-			g := RandomGraph(rng, n, n, avgDeg)
+			g := SparseRandomGraph(rng, n, n, avgDeg)
 			mStar := runPIM(g, convergenceRounds(g), rand.New(rand.NewSource(int64(trial+1))), nil).Size()
 			if mStar == 0 {
 				continue
@@ -175,7 +167,7 @@ func TestPIMMonotoneProperty(t *testing.T) {
 	f := func(seed int64, degree, size uint8) bool {
 		n := int(size%50) + 2
 		d := float64(degree%8) + 0.5
-		g := RandomGraph(rand.New(rand.NewSource(seed)), n, n, d)
+		g := SparseRandomGraph(rand.New(rand.NewSource(seed)), n, n, d)
 		prev := 0
 		for r := 0; r <= 6; r++ {
 			m := runPIM(g, r, rand.New(rand.NewSource(seed+7)), nil)
@@ -240,7 +232,7 @@ func TestChannelMatchK1EquivalentToPIM(t *testing.T) {
 	// With k=1 the channel matcher degenerates to PIM-style matching:
 	// sizes should be comparable (both maximal-ish on sparse graphs).
 	rng := rand.New(rand.NewSource(11))
-	g := RandomGraph(rng, 80, 80, 3)
+	g := SparseRandomGraph(rng, 80, 80, 3)
 	m := channelMatch(g, Options{Rounds: 16, K: 1}, rng, nil)
 	if !m.Valid(g) {
 		t.Fatal("invalid")
@@ -276,7 +268,7 @@ func TestChannelMatchBudgetProperty(t *testing.T) {
 		n := int(nRaw%30) + 2
 		d := float64(dRaw%6) + 0.5
 		rng := rand.New(rand.NewSource(seed))
-		g := RandomGraph(rng, n, n, d)
+		g := SparseRandomGraph(rng, n, n, d)
 		m := channelMatch(g, Options{Rounds: rounds, K: k}, rng, nil)
 		return m.Valid(g)
 	}
@@ -289,7 +281,7 @@ func TestChannelMatchBudgetProperty(t *testing.T) {
 // the saturated allocation — the quantitative heart of §3.4.
 func TestChannelMatchUtilizationSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	g := RandomGraph(rng, 144, 144, 4)
+	g := SparseRandomGraph(rng, 144, 144, 4)
 	// With unlimited demand, k does not change effective capacity much.
 	m4 := channelMatch(g, Options{Rounds: 4, K: 4}, rng, nil)
 	m1 := channelMatch(g, Options{Rounds: 4, K: 1}, rand.New(rand.NewSource(21)), nil)
@@ -326,7 +318,7 @@ func TestRoundsToMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{64, 256, 1024} {
 		for _, deg := range []float64{2, 8} {
-			g := RandomGraph(rng, n, n, deg)
+			g := SparseRandomGraph(rng, n, n, deg)
 			_, st := pim.Match(g, rng)
 			if !st.Converged {
 				t.Fatalf("n=%d deg=%.0f: not maximal after %d rounds", n, deg, st.Rounds)

@@ -124,7 +124,7 @@ func TestChannelMatchPanicsOnInvalidOptions(t *testing.T) {
 // Each row must replay the exact RNG stream of the core it wraps under
 // the same seed: the table is a re-expression, not a reimplementation.
 func TestAdaptersMatchDirectCalls(t *testing.T) {
-	g := RandomGraph(rand.New(rand.NewSource(4)), 96, 96, 3)
+	g := SparseRandomGraph(rand.New(rand.NewSource(4)), 96, 96, 3)
 	sameMatching := func(name string, got, want *Matching) {
 		t.Helper()
 		for s, r := range want.ReceiverOf {
@@ -230,7 +230,7 @@ func TestSparseRandomGraphDegree(t *testing.T) {
 }
 
 func TestChannelMatchingProject(t *testing.T) {
-	g := RandomGraph(rand.New(rand.NewSource(6)), 40, 40, 4)
+	g := SparseRandomGraph(rand.New(rand.NewSource(6)), 40, 40, 4)
 	cm := channelMatch(g, Options{Rounds: 8, K: 4}, rand.New(rand.NewSource(8)), nil)
 	um := cm.Project(g)
 	if !um.Valid(g) {

@@ -9,7 +9,7 @@ import (
 // bounds: one entry per executed round, nondecreasing, ending at the
 // final matching size.
 func TestPIMRoundsTrajectory(t *testing.T) {
-	g := RandomGraph(rand.New(rand.NewSource(7)), 32, 32, 4)
+	g := SparseRandomGraph(rand.New(rand.NewSource(7)), 32, 32, 4)
 	dcpim, err := MustLookup("dcpim").New(Options{Rounds: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestPIMRoundsTrajectory(t *testing.T) {
 // per executed round, ending at MatchedChannels; convergence-skipped
 // rounds record nothing.
 func TestChannelMatchOnRound(t *testing.T) {
-	g := RandomGraph(rand.New(rand.NewSource(3)), 24, 24, 3)
+	g := SparseRandomGraph(rand.New(rand.NewSource(3)), 24, 24, 3)
 	dk, err := MustLookup("dcpim-k").New(Options{Rounds: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,8 @@ func MaxShards(t *Topology) int {
 // a shard's epochs are too thin to repay the barrier; at it the 144-host
 // leaf-spine runs on two whole-rack shards 1.3–1.5× faster than serial on
 // two cores and level with serial on one, while one shard per rack there
-// gains less and costs a fifth more memory in a sweep (DESIGN.md §11.5).
+// gains less and costs a fifth more memory in a sweep (CHANGES.md has
+// the measurements; DESIGN.md §11.5 the rule).
 const autoShardFloor = 64
 
 // AutoShards is the shard count a run takes when none is requested: one
@@ -98,7 +99,8 @@ func hostsPerSwitch(t *Topology) []int {
 // approaching the unit count most shards hold only switch-only units
 // and the host-bearing shards dominate the critical path; the barrier
 // loop's idle-skip dispatch (sim.Group) keeps those near-empty shards
-// cheap. See DESIGN.md §13 for the measured 16–64-shard profile.
+// cheap. The scale campaign (DESIGN.md §13.2) measures the 16–64-shard
+// profile.
 //
 // It fails when n exceeds the unit count, when a unit-internal link is
 // marked Boundary inconsistently (cross-shard link with zero delay), or
