@@ -158,7 +158,7 @@ func (*countProto) Start(*netsim.Host)          {}
 func (*countProto) OnFlowArrival(workload.Flow) {}
 func (c *countProto) OnPacket(p *packet.Packet) {
 	c.delivered++
-	if len(p.INT) > 0 {
+	if len(p.INT()) > 0 {
 		c.withINT++
 	}
 }

@@ -349,7 +349,7 @@ func (r *receiver) issueToken(l *tokenLoop, f *recvFlow, seq int) {
 	tok := packet.NewControl(packet.Token, r.p.id, f.Src, f.ID)
 	tok.Seq = seq
 	tok.Epoch = l.epoch
-	tok.Count = int(prioForRemaining(f.Remaining(), r.p.sh.bdp))
+	tok.Count = int32(prioForRemaining(f.Remaining(), r.p.sh.bdp))
 	tok.CumAck = f.RecvCnt
 	r.p.send(tok)
 }
@@ -396,8 +396,8 @@ func (r *receiver) requestStage(epoch int64, round int) {
 			want = free
 		}
 		rts := packet.NewControl(packet.RTS, r.p.id, src, 0)
-		rts.Channels = want
-		rts.Round = round
+		rts.Channels = int32(want)
+		rts.Round = int32(round)
 		rts.Epoch = epoch
 		rts.Remaining = r.minRemainingFrom(src)
 		r.p.send(rts)
@@ -441,7 +441,7 @@ func (r *receiver) minRemainingFrom(src int) int64 {
 }
 
 func (r *receiver) onGrant(g *packet.Packet) {
-	if g.Epoch != r.matchEpoch || g.Round < 0 || g.Round >= r.rounds() {
+	if g.Epoch != r.matchEpoch || g.Round < 0 || int(g.Round) >= r.rounds() {
 		return
 	}
 	r.wake()
@@ -481,13 +481,10 @@ func (r *receiver) acceptStage(epoch int64, round int) {
 		if free <= 0 {
 			break
 		}
-		take := g.Channels
-		if take > free {
-			take = free
-		}
+		take := min(int(g.Channels), free)
 		acc := packet.NewControl(packet.Accept, r.p.id, g.Src, 0)
-		acc.Channels = take
-		acc.Round = round
+		acc.Channels = int32(take)
+		acc.Round = int32(round)
 		acc.Epoch = epoch
 		r.p.send(acc)
 		r.p.sh.ins.roundAccept(r.p.col, round, take)

@@ -157,7 +157,7 @@ func (s *sender) maybeFinish(f *sendFlow) {
 		}
 	}
 	fin := packet.NewControl(packet.FinishSender, s.p.id, f.Dst, f.ID)
-	fin.Count = f.Npkts
+	fin.Count = int32(f.Npkts)
 	fin.FlowSize = f.Size
 	s.p.send(fin)
 	f.finSent = true
@@ -301,7 +301,7 @@ func (s *sender) onEpochStart(e int64) {
 // Stale requests (wrong epoch or a round whose grant stage has passed) are
 // dropped — the multi-round design absorbs the loss (§3.3).
 func (s *sender) onRTS(rts *packet.Packet) {
-	if rts.Epoch != s.matchEpoch || rts.Round < 0 || rts.Round >= s.p.sh.cfg.Rounds {
+	if rts.Epoch != s.matchEpoch || rts.Round < 0 || int(rts.Round) >= s.p.sh.cfg.Rounds {
 		return
 	}
 	if s.rtsBuf == nil {
@@ -317,14 +317,14 @@ func (s *sender) onRTS(rts *packet.Packet) {
 // budget was released) are still honored: the receiver considers itself
 // matched and will clock tokens, which the sender always obeys (§3.5).
 func (s *sender) onAccept(acc *packet.Packet) {
-	if acc.Epoch != s.matchEpoch || acc.Round < 0 || acc.Round >= len(s.rounds) {
+	if acc.Epoch != s.matchEpoch || acc.Round < 0 || int(acc.Round) >= len(s.rounds) {
 		return
 	}
-	s.committed += int32(acc.Channels)
+	s.committed += acc.Channels
 	rs := &s.rounds[acc.Round]
-	rs.accepted += acc.Channels
+	rs.accepted += int(acc.Channels)
 	if !rs.released {
-		s.reserved -= int32(acc.Channels)
+		s.reserved -= acc.Channels
 	}
 }
 
@@ -375,16 +375,13 @@ func (s *sender) grantStage(epoch int64, round int) {
 		if free <= 0 {
 			break
 		}
-		give := r.Channels
-		if give > free {
-			give = free
-		}
+		give := min(int(r.Channels), free)
 		if give <= 0 {
 			continue
 		}
 		g := packet.NewControl(packet.Grant, s.p.id, r.Src, 0)
-		g.Channels = give
-		g.Round = round
+		g.Channels = int32(give)
+		g.Round = int32(round)
 		g.Epoch = epoch
 		g.Remaining = s.minRemainingTo(r.Src)
 		s.p.send(g)

@@ -101,20 +101,23 @@ func (f *Fabric) EnableAudit() {
 }
 
 // auditQueued returns the number of packets buffered in port o, and
-// checks each against the auditor's live set.
+// checks each against the auditor's live set and each class's walk
+// against its tail.
 func (o *outPort) auditQueued(a *auditor) int64 {
 	var n int64
 	for pr := range o.q {
+		var last *packet.Packet
 		for p := o.first(pr); p != nil; p = o.next(pr, p) {
 			n++
+			last = p
 			if _, ok := a.live[p]; !ok {
 				a.fail("audit: queued packet not owned by fabric (released while buffered): %v", p)
 			}
 		}
-	}
-	if n != int64(o.nQueued) {
-		a.fail("audit: port counts %d queued packets but its class lists hold %d (released while buffered: recycling a packet zeroes its queue link)",
-			o.nQueued, n)
+		if last != o.q[pr] {
+			a.fail("audit: class %d list ends %d packets in, before its tail (released while buffered: recycling a packet zeroes its queue link)",
+				pr, n)
+		}
 	}
 	return n
 }

@@ -45,7 +45,7 @@ func (f *Fabric) HostDown(h int) bool { return f.hosts[h].nic.down }
 // Counters.FaultDrops. Rate 0 restores a clean link.
 func (f *Fabric) SetLinkLossRate(sw, pt int, rate float64) {
 	o := &f.switches[sw].ports[pt]
-	lf := o.sh.faults[o]
+	lf := o.class.sh.faults[o]
 	lf.lossRate = rate
 	o.setLoss(lf)
 }
@@ -54,7 +54,7 @@ func (f *Fabric) SetLinkLossRate(sw, pt int, rate float64) {
 // direction of a degraded access link).
 func (f *Fabric) SetHostLossRate(h int, rate float64) {
 	o := f.hosts[h].nic
-	lf := o.sh.faults[o]
+	lf := o.class.sh.faults[o]
 	lf.lossRate = rate
 	o.setLoss(lf)
 }
@@ -64,7 +64,7 @@ func (f *Fabric) SetHostLossRate(h int, rate float64) {
 // than any persistent degrade already present).
 func (f *Fabric) SetLossBurst(sw, pt int, until sim.Time, rate float64) {
 	o := &f.switches[sw].ports[pt]
-	lf := o.sh.faults[o]
+	lf := o.class.sh.faults[o]
 	lf.burstRate, lf.burstUntil = rate, until
 	o.setLoss(lf)
 }
@@ -72,7 +72,7 @@ func (f *Fabric) SetLossBurst(sw, pt int, until sim.Time, rate float64) {
 // SetHostLossBurst is SetLossBurst for host h's NIC.
 func (f *Fabric) SetHostLossBurst(h int, until sim.Time, rate float64) {
 	o := f.hosts[h].nic
-	lf := o.sh.faults[o]
+	lf := o.class.sh.faults[o]
 	lf.burstRate, lf.burstUntil = rate, until
 	o.setLoss(lf)
 }

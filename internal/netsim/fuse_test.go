@@ -50,14 +50,20 @@ func TestFuseHopsCondition(t *testing.T) {
 		pairHops = c.pair
 		f, _, closeGroup := shardedFabric(t, c.tp, 2, Config{Spray: true})
 		pairHops = false
+		var specs []topo.Port // the switch ports' links, in port-slab order
+		for _, sw := range c.tp.Switches {
+			specs = append(specs, sw.Ports...)
+		}
 		for i := range f.ports {
 			o := &f.ports[i]
 			want := c.inner
-			switch {
-			case o.peerHost != nil:
-				want = hopHost
-			case o.hop == hopBoundary:
-				want = hopBoundary
+			if i < len(specs) {
+				switch {
+				case specs[i].ToHost:
+					want = hopHost
+				case specs[i].Boundary:
+					want = hopBoundary
+				}
 			}
 			if o.hop != want {
 				t.Errorf("%s pairHops=%v: %s is hop kind %d, want %d", c.tp.Name, c.pair, portWiring(o), o.hop, want)
@@ -129,23 +135,25 @@ func randomTraffic(f *Fabric, seed int64, n int, span sim.Duration, flaps int) {
 
 // fabricRecord is what a run leaves that the hop could have changed: every
 // host's delivered stream, each packet with its marks and per-hop INT, the
-// counters, every port's byte counts and every switch's RNG draws.
+// counters, every port's byte counts, the switch ports' high-water mark
+// and every switch's RNG draws.
 type fabricRecord struct {
 	hosts    [][]string
 	counters Counters
+	maxQueue int64
 	ports    []string
 	draws    []uint64
 }
 
 func recordFabric(f *Fabric, sinks []*sink) fabricRecord {
-	r := fabricRecord{hosts: make([][]string, len(sinks)), counters: f.Counters}
+	r := fabricRecord{hosts: make([][]string, len(sinks)), counters: f.Counters, maxQueue: f.MaxPortQueue()}
 	var b strings.Builder
 	for h, s := range sinks {
 		for i, p := range s.received {
 			b.Reset()
 			fmt.Fprintf(&b, "%v flow %d seq %d size %d kind %d ecn %v trimmed %v int",
 				s.at[i], p.Flow, p.Seq, p.Size, p.Kind, p.ECN, p.Trimmed)
-			for _, hop := range p.INT {
+			for _, hop := range p.INT() {
 				fmt.Fprintf(&b, " %v/%d/%d", hop.Timestamp, hop.TxBytes, hop.QueueBytes)
 			}
 			r.hosts[h] = append(r.hosts[h], b.String())
@@ -153,7 +161,7 @@ func recordFabric(f *Fabric, sinks []*sink) fabricRecord {
 	}
 	for i := range f.ports {
 		o := &f.ports[i]
-		r.ports = append(r.ports, fmt.Sprintf("tx %d max %d queued %d", o.txBytes, o.maxQueued, o.queuedBytes))
+		r.ports = append(r.ports, fmt.Sprintf("tx %d queued %d", o.txBytes, o.queuedBytes))
 	}
 	for i := range f.switches {
 		r.draws = append(r.draws, f.switches[i].src.Draws())
@@ -164,6 +172,9 @@ func recordFabric(f *Fabric, sinks []*sink) fabricRecord {
 func (r fabricRecord) diff(o fabricRecord) string {
 	if r.counters != o.counters {
 		return fmt.Sprintf("counters %+v vs %+v", r.counters, o.counters)
+	}
+	if r.maxQueue != o.maxQueue {
+		return fmt.Sprintf("switch port high-water mark %d vs %d", r.maxQueue, o.maxQueue)
 	}
 	for h := range r.hosts {
 		if len(r.hosts[h]) != len(o.hosts[h]) {
@@ -305,7 +316,7 @@ func TestForwardAtCompletionKey(t *testing.T) {
 				// before the downlink took the key's, so at the key it runs
 				// between the band-0 forward and the completion.
 				eng.Schedule(key.Add(-300*sim.Nanosecond), func() {
-					eng.Schedule(key, func() { queued, armed = int(port.nQueued), port.wakeArmed })
+					eng.Schedule(key, func() { queued, armed = queuedCount(port), port.wakeArmed })
 				})
 				eng.RunAll()
 				if queued != tc.wantQueued || armed != (tc.wantQueued > 0) {

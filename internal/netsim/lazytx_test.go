@@ -106,7 +106,7 @@ func TestPushAtBusyUntilTie(t *testing.T) {
 			second := packet.NewData(0, 1, 1, 1, packet.MTU, packet.PrioShort)
 			var queued int
 			var armed bool
-			look := func() { queued, armed = int(nic.nQueued), nic.wakeArmed }
+			look := func() { queued, armed = queuedCount(nic), nic.wakeArmed }
 
 			inject(f, 0, first, t0, nil)
 			if tc.afterKey {
@@ -168,8 +168,8 @@ func TestResumeMidSerializationDrains(t *testing.T) {
 			})
 			eng.Schedule(start.Add(tx/4), func() { tc.halt(f, port) })
 			eng.Schedule(start.Add(tx/2), func() {
-				if port.nQueued != 2 || port.wakeArmed {
-					t.Errorf("before release: %d queued, completion armed=%v; want 2 queued behind an unarmed halt", port.nQueued, port.wakeArmed)
+				if n := queuedCount(port); n != 2 || port.wakeArmed {
+					t.Errorf("before release: %d queued, completion armed=%v; want 2 queued behind an unarmed halt", n, port.wakeArmed)
 				}
 				tc.release(f, port)
 				if !port.wakeArmed {

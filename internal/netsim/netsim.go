@@ -121,6 +121,10 @@ type Fabric struct {
 	hosts    []Host
 	switches []swDev
 	ports    []outPort // the switch windows and host NICs partition it
+	// arrSeq is the next arrival sequence of each directed boundary link,
+	// by link id (outPort.link), written only by the shard that drives the
+	// link. It is the tail of the ingress counters' slab.
+	arrSeq []int64
 
 	// Counters aggregates across shards. Always current single-shard;
 	// with several shards it is recomputed at every barrier and when Run
@@ -238,7 +242,9 @@ func newFabric(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partitio
 	f.switches = make([]swDev, len(t.Switches))
 	f.hosts = make([]Host, t.NumHosts)
 	f.ports = make([]outPort, swPorts+t.NumHosts)
-	w.ingress = make([]int64, swPorts+len(t.Switches))
+	ingress := swPorts + len(t.Switches)
+	counters := make([]int64, ingress+int(w.base[len(t.Switches)].link))
+	w.ingress, f.arrSeq = counters[:ingress:ingress], counters[ingress:]
 	if cfg.EnablePFC {
 		w.paused = make([]bool, swPorts)
 	}
@@ -364,22 +370,20 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		for pi := range sw.Ports {
 			p := &sw.Ports[pi]
 			o := &d.ports[pi]
-			o.sh, o.owner = s, d
+			o.owner = int32(i)
 			if p.ToHost {
-				o.hop = hopHost
-				o.peerHost = &f.hosts[p.Peer]
+				o.hop, o.peerIn = hopHost, int32(p.Peer)
 				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, 0)
 				continue
 			}
-			o.peerSw = &f.switches[p.Peer]
-			o.peerIn = int32(p.PeerPort)
+			o.peer, o.peerIn = int32(p.Peer), int32(p.PeerPort)
 			if !p.Boundary {
 				o.hop = inner
 				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, extra)
 				continue
 			}
 			o.hop = hopBoundary
-			o.linkID = linkID
+			o.link = int32(linkID)
 			linkID++
 			if int(f.part.SwitchShard[p.Peer]) == shard {
 				o.class = s.wireClass(p.Rate, p.Delay, cfg.PortBufferBytes, t.SwitchDelay)
@@ -406,10 +410,9 @@ func (f *Fabric) wireShard(shard int, w *wiring) {
 		host.src.Seed(deviceSeed(seed, 2, h))
 		host.rng = *rand.New(&host.src)
 		nic := host.nic
-		nic.sh, nic.hop = s, inner
+		nic.hop, nic.owner = inner, -1
 		nic.class = s.wireClass(up.Rate, up.Delay, cfg.HostQueueBytes, extra)
-		nic.peerSw = &f.switches[t.HostSwitch[h]]
-		nic.peerIn = int32(t.HostPort[h])
+		nic.peer, nic.peerIn = int32(t.HostSwitch[h]), int32(t.HostPort[h])
 	}
 }
 
@@ -710,18 +713,16 @@ func ecmpHash(flow uint64, src, dst int) uint64 {
 }
 
 // MaxPortQueue returns the highest buffer occupancy any switch output
-// port reached during the run, in bytes. The paper argues dcPIM bounds
+// port reached during the run, in bytes: the greatest of the shards'
+// high-water marks (shardState.maxQueued). The paper argues dcPIM bounds
 // this near one BDP (token windows admit exactly one RTT of data);
 // experiments and tests assert it.
 func (f *Fabric) MaxPortQueue() int64 {
-	var max int64
-	sp := f.switchPorts()
-	for i := range sp {
-		if q := sp[i].maxQueued; q > max {
-			max = q
-		}
+	var q int64
+	for _, s := range f.shards {
+		q = max(q, s.maxQueued)
 	}
-	return max
+	return q
 }
 
 // switchPorts returns the switch output ports: Fabric.ports without the

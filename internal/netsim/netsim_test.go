@@ -326,23 +326,40 @@ func TestPFCPausesUpstream(t *testing.T) {
 	}
 }
 
+// TestINTCollection sends three packets of one flow, smallest first, at
+// one instant down one ECMP path: host NIC, leaf uplink, spine downlink,
+// leaf downlink. Every hop must record its line rate, the port's
+// cumulative transmitted bytes with the packet counted, and the bytes
+// still queued as the packet leaves. The two larger packets wait at the
+// NIC behind the first, so the second leaves with the third queued; every
+// later hop is faster than the NIC, or sees each packet only after the one
+// before has gone, so nothing queues there.
 func TestINTCollection(t *testing.T) {
 	f, sinks := buildFabric(t, topo.SmallLeafSpine(), Config{Spray: false})
-	p := packet.NewData(0, 7, 1, 0, packet.MTU, packet.PrioDataHigh)
-	p.CollectINT = true
-	f.Host(0).Send(p)
+	sizes := []int{packet.HeaderSize, 700, packet.MTU}
+	for i, size := range sizes {
+		p := packet.NewData(0, 7, 1, i, size, packet.PrioDataHigh)
+		p.CollectINT = true
+		f.Host(0).Send(p)
+	}
 	f.Engine().RunAll()
-	got := sinks[7].received[0]
-	// Hops: host NIC, leaf uplink, spine downlink, leaf downlink = 4.
-	if len(got.INT) != 4 {
-		t.Fatalf("INT hops = %d, want 4", len(got.INT))
+	got := sinks[7].received
+	if len(got) != len(sizes) {
+		t.Fatalf("delivered %d packets, want %d", len(got), len(sizes))
 	}
-	if got.INT[0].RateBps != 100e9 || got.INT[1].RateBps != 400e9 {
-		t.Fatalf("INT rates = %v/%v", got.INT[0].RateBps, got.INT[1].RateBps)
-	}
-	for _, h := range got.INT {
-		if h.TxBytes < int64(packet.MTU) {
-			t.Fatal("INT TxBytes missing this packet")
+	rates := []float64{100e9, 400e9, 400e9, 100e9}
+	wantTx := []int64{64, 764, 2264} // the same at every hop: no other traffic
+	wantQueued := [][]int64{{0, 0, 0, 0}, {packet.MTU, 0, 0, 0}, {0, 0, 0, 0}}
+	for i, p := range got {
+		hops := p.INT()
+		if len(hops) != len(rates) {
+			t.Fatalf("packet %d: %d INT hops, want %d", i, len(hops), len(rates))
+		}
+		for h, hop := range hops {
+			if hop.RateBps != rates[h] || hop.TxBytes != wantTx[i] || hop.QueueBytes != wantQueued[i][h] {
+				t.Errorf("packet %d (%d B) hop %d: rate %g, tx %d B, queued %d B; want %g, %d, %d",
+					i, p.Size, h, hop.RateBps, hop.TxBytes, hop.QueueBytes, rates[h], wantTx[i], wantQueued[i][h])
+			}
 		}
 	}
 }

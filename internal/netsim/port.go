@@ -10,23 +10,24 @@ import (
 
 // outPort models one transmit side of a full-duplex link: eight
 // strict-priority FIFO queues sharing a byte budget, a serializing
-// transmitter, and the attached link's class (rate, propagation delay,
-// budget, lanes). A port belongs either to a switch (owner set) or to a
-// host NIC.
+// transmitter, and the attached link's class (shard, rate, propagation
+// delay, budget, lanes). A port belongs either to a switch (owner is its
+// index) or to a host NIC (owner is -1).
 //
 // Ports live in one slab per fabric (Fabric.ports) and the field order is
-// the memory layout (DESIGN.md §8.4): everything a packet hop touches —
-// enqueueAt → push → tryTransmit → armWake — comes first, the class
-// lists follow, and the boundary link's identity closes it. What only a
-// faulty link reads lives in its shard's side table (shardState.faults).
-// TestPortLayout guards the split; a new field shared by every port of a
-// kind of link goes in portClass, and any other new field needs a
-// measurement that every hop pays for it.
+// the memory layout (DESIGN.md §8.4): a port is exactly two cache lines of
+// a page-aligned slab. The first holds everything a packet hop touches —
+// enqueueAt → push → tryTransmit → armWake — and the second the eight
+// class tails. What a hop does not need lives elsewhere: the port's shard
+// in its class, a boundary link's arrival sequence in Fabric.arrSeq, the
+// high-water mark of the switch ports in their shard
+// (shardState.maxQueued), and what only a faulty link reads in its shard's
+// side table (shardState.faults). TestPortLayout guards the size; a new
+// field shared by every port of a kind of link goes in portClass, and any
+// other new field needs something else to leave.
 type outPort struct {
-	sh          *shardState
-	class       *portClass // static link parameters and lane wiring
+	class       *portClass // static link parameters, lane wiring and shard
 	queuedBytes int64
-	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
 
 	// Transmitter completion is lazy (DESIGN.md §8.1). Starting a
@@ -39,38 +40,35 @@ type outPort struct {
 	// ahead.
 	busyUntil sim.Time
 	busySeq   uint64
-	nQueued   int32 // packets across the class lists
-	peerIn    int32
-	nonEmpty  uint8 // bit pr is set while class pr's list holds a packet
+
+	// The far end of the link, so the delivery event goes straight to the
+	// receiving device: host peerIn where hop is hopHost, port peerIn of
+	// switch peer otherwise (indices into Fabric.hosts and
+	// Fabric.switches).
+	peer, peerIn int32
+	owner        int32 // index of the switch the port belongs to; -1 on a host NIC
+	// link is the directed boundary link's id where hop is hopBoundary:
+	// the high field of its arrival-band keys and its Fabric.arrSeq index.
+	link int32
+
+	nonEmpty uint8 // bit pr is set while class pr's list holds a packet
+	// hop says what the far end does with a packet, and so which event a
+	// transmission schedules (hopKind).
+	hop       hopKind
 	paused    bool
 	busy      bool
 	wakeArmed bool
 	// down halts the transmitter like a PFC pause but is independent of it
 	// (see Fabric's fault-control methods).
 	down bool
-	// hop says what the far end does with a packet, and so which event a
-	// transmission schedules (hopKind).
-	hop hopKind
 	// faulty says the port has an entry in its shard's fault table, so a
 	// clean link never looks there.
-	faulty bool // the port has a shardState.faults entry
-
-	// The far end of the link, so the delivery event goes straight to the
-	// receiving device: a host (peerHost), or port peerIn of a switch
-	// (peerSw).
-	peerHost *Host
-	peerSw   *swDev
-	owner    *swDev
+	faulty bool
 
 	// q[pr] is the tail of class pr: a circular list through
 	// packet.Packet.QNext, so the head is q[pr].QNext; nil while the class
 	// is empty. Walk it with first and next.
 	q [packet.NumPriorities]*packet.Packet
-
-	// The boundary link's identity and sequence. Data and PFC frames on
-	// the same directed link share arrSeq.
-	linkID uint64 // derived from the directed link identity
-	arrSeq uint64
 }
 
 // hopKind is what a port's transmission schedules at the far end of its
@@ -96,8 +94,9 @@ const (
 )
 
 // portClass is what every port of a shard driving the same kind of link
-// shares: the link's rate and propagation delay, the port's byte budget,
-// and the lanes for the two packet sizes that make up nearly all traffic.
+// shares: the shard itself, the link's rate and propagation delay, the
+// port's byte budget, and the lanes for the two packet sizes that make up
+// nearly all traffic.
 // The delivery of a full MTU or a bare header fires a delay fixed by the
 // link, so it needs no priority queue (sim.Lane). Any other size is
 // scheduled by the engine, and so is every cross-shard delivery: a class
@@ -105,6 +104,7 @@ const (
 // classes are found by their whole value (shardState.portClass), so two
 // ports share one exactly when they agree on everything in it.
 type portClass struct {
+	sh               *shardState
 	rate             float64
 	delay            sim.Duration
 	capacity         int64
@@ -124,14 +124,15 @@ type linkFault struct {
 // fault table — or takes it out when all three are zero — and the flag
 // that says whether there is an entry to look up.
 func (o *outPort) setLoss(lf linkFault) {
+	sh := o.class.sh
 	if o.faulty = lf != (linkFault{}); !o.faulty {
-		delete(o.sh.faults, o)
+		delete(sh.faults, o)
 		return
 	}
-	if o.sh.faults == nil {
-		o.sh.faults = make(map[*outPort]linkFault)
+	if sh.faults == nil {
+		sh.faults = make(map[*outPort]linkFault)
 	}
-	o.sh.faults[o] = lf
+	sh.faults[o] = lf
 }
 
 // faultDrop applies injected link faults (degrade / loss burst) at enqueue
@@ -139,16 +140,17 @@ func (o *outPort) setLoss(lf linkFault) {
 // rng, the owning device's seeded stream, so runs stay deterministic at
 // any shard count; clean links draw nothing.
 func (o *outPort) faultDrop(p *packet.Packet, rng *rand.Rand) bool {
-	lf := o.sh.faults[o]
+	sh := o.class.sh
+	lf := sh.faults[o]
 	r := lf.lossRate
-	if lf.burstRate > r && o.sh.eng.Now() < lf.burstUntil {
+	if lf.burstRate > r && sh.eng.Now() < lf.burstUntil {
 		r = lf.burstRate
 	}
 	if r <= 0 || rng.Float64() >= r {
 		return false
 	}
-	o.sh.counters.FaultDrops++
-	o.sh.fab.dropped(p)
+	sh.counters.FaultDrops++
+	sh.fab.dropped(p)
 	return true
 }
 
@@ -160,8 +162,9 @@ func (o *outPort) enqueue(p *packet.Packet, rng *rand.Rand) {
 		return
 	}
 	if o.queuedBytes+int64(p.Size) > o.class.capacity {
-		o.sh.counters.HostDrops++
-		o.sh.fab.dropped(p)
+		sh := o.class.sh
+		sh.counters.HostDrops++
+		sh.fab.dropped(p)
 		return
 	}
 	o.push(p, -1)
@@ -170,9 +173,12 @@ func (o *outPort) enqueue(p *packet.Packet, rng *rand.Rand) {
 // enqueueAt is the entry point for sw, the switch that owns the port,
 // applying Aeolus selective dropping, NDP trimming, ECN marking, and
 // drop-tail in that order, then PFC accounting for the ingress the packet
-// came through. Injected loss draws from sw's stream.
+// came through. Injected loss draws from sw's stream. The shard's
+// high-water mark (MaxPortQueue) takes the port's occupancy with the
+// packet in, before its transmitter can take one out.
 func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
-	fab := o.sh.fab
+	sh := sw.sh
+	fab := sh.fab
 	cfg := &fab.cfg
 	if o.faulty && o.faultDrop(p, &sw.rng) {
 		return
@@ -181,7 +187,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 
 	if isData && p.Unsched && cfg.AeolusThresholdBytes > 0 &&
 		o.queuedBytes >= cfg.AeolusThresholdBytes {
-		o.sh.counters.AeolusDrops++
+		sh.counters.AeolusDrops++
 		fab.dropped(p)
 		return
 	}
@@ -193,7 +199,7 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 		p.Trimmed = true
 		p.Size = packet.HeaderSize
 		p.Priority = packet.PrioControl
-		o.sh.counters.Trims++
+		sh.counters.Trims++
 		for _, ob := range fab.obs {
 			ob.PacketTrimmed(p)
 		}
@@ -201,16 +207,19 @@ func (o *outPort) enqueueAt(p *packet.Packet, sw *swDev, in int) {
 	}
 	if o.queuedBytes+int64(p.Size) > o.class.capacity {
 		if p.Kind == packet.Data {
-			o.sh.counters.DataDrops++
+			sh.counters.DataDrops++
 		} else {
-			o.sh.counters.CtrlDrops++
+			sh.counters.CtrlDrops++
 		}
 		fab.dropped(p)
 		return
 	}
 	if isData && cfg.ECNThresholdBytes > 0 && o.queuedBytes >= cfg.ECNThresholdBytes {
 		p.ECN = true
-		o.sh.counters.ECNMarks++
+		sh.counters.ECNMarks++
+	}
+	if q := o.queuedBytes + int64(p.Size); q > sh.maxQueued {
+		sh.maxQueued = q
 	}
 	o.push(p, in)
 	if cfg.EnablePFC && in >= 0 {
@@ -236,11 +245,7 @@ func (o *outPort) push(p *packet.Packet, in int) {
 		p.QNext, tail.QNext = tail.QNext, p
 	}
 	o.q[pr] = p
-	o.nQueued++
 	o.queuedBytes += int64(p.Size)
-	if o.queuedBytes > o.maxQueued {
-		o.maxQueued = o.queuedBytes
-	}
 	o.tryTransmit()
 }
 
@@ -263,7 +268,6 @@ func (o *outPort) pop() (*packet.Packet, int) {
 	}
 	in := int(p.QIn)
 	p.QNext, p.QIn = nil, 0
-	o.nQueued--
 	o.queuedBytes -= int64(p.Size)
 	return p, in
 }
@@ -306,30 +310,34 @@ func (o *outPort) tryTransmit() {
 		return
 	}
 	o.busy = true
+	c := o.class
+	sh := c.sh
+	fab := sh.fab
 
 	// Release PFC accounting as soon as the packet leaves the buffer (only
 	// switch ports record an ingress).
-	if in >= 0 && o.sh.fab.cfg.EnablePFC {
-		o.owner.ingressBytes[in] -= int64(p.Size)
-		o.owner.checkResume(in)
+	if in >= 0 && fab.cfg.EnablePFC {
+		sw := &fab.switches[o.owner]
+		sw.ingressBytes[in] -= int64(p.Size)
+		sw.checkResume(in)
 	}
 
-	c := o.class
 	tx := sim.TransmissionTime(p.Size, c.rate)
 	o.txBytes += int64(p.Size)
+	eng := sh.eng
 	if p.CollectINT {
-		// packet.Release keeps the INT backing array, so a recycled packet
-		// appends into capacity it already grew (TestForwardingAllocs/int).
-		p.INT = append(p.INT, packet.INTHop{
+		// packet.Release keeps the INT box and backing array, so a recycled
+		// packet appends into capacity it already grew
+		// (TestForwardingAllocs/int).
+		p.AppendINT(packet.INTHop{
 			QueueBytes: o.queuedBytes,
 			TxBytes:    o.txBytes,
-			Timestamp:  o.sh.eng.Now(),
+			Timestamp:  eng.Now(),
 			RateBps:    c.rate,
 		})
 	}
 	// The completion's place in the execution order is fixed here, where
 	// the eager event was scheduled, whether or not it is ever queued.
-	eng := o.sh.eng
 	o.busyUntil, o.busySeq = eng.Now().Add(tx), eng.ReserveSeq()
 	o.armWake()
 	var lane *sim.Lane
@@ -339,43 +347,46 @@ func (o *outPort) tryTransmit() {
 	case packet.HeaderSize:
 		lane = c.laneHdr
 	}
+	if o.hop == hopHost {
+		host := &fab.hosts[o.peerIn]
+		if lane != nil {
+			lane.After(arriveAtHost, host, p, 0)
+		} else {
+			eng.AfterFunc(tx+c.delay, arriveAtHost, host, p, 0)
+		}
+		return
+	}
+	peer, peerIn := &fab.switches[o.peer], int(o.peerIn)
 	switch o.hop {
 	case hopBoundary:
 		// Schedule the forward at the peer switch directly, keyed in the
 		// arrival band so execution order does not depend on which shard
 		// inserted it, or when.
-		key := bandKey(o.linkID, o.arrSeq)
-		o.arrSeq++
+		key := fab.linkKey(o)
 		if lane != nil {
-			lane.Arrive(key, swForward, o.peerSw, p, int(o.peerIn))
+			lane.Arrive(key, swForward, peer, p, peerIn)
 			break
 		}
-		at := eng.Now().Add(tx + c.delay + o.sh.fab.topo.SwitchDelay)
-		if peer := o.peerSw.sh; peer == o.sh {
-			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, int(o.peerIn))
+		at := eng.Now().Add(tx + c.delay + fab.topo.SwitchDelay)
+		if peer.sh == sh {
+			eng.ScheduleArrival(at, key, swForward, peer, p, peerIn)
 		} else {
-			o.sh.stage(peer, at, key, swForward, o.peerSw, p, int(o.peerIn))
+			sh.stage(peer.sh, at, key, swForward, peer, p, peerIn)
 		}
 	case hopFused:
 		// The forward at the peer switch, under the seq its arrival would
 		// have taken: the order it runs in is the two-event chain's
 		// (DESIGN.md §8.1.2).
 		if lane != nil {
-			lane.After(swForward, o.peerSw, p, int(o.peerIn))
+			lane.After(swForward, peer, p, peerIn)
 		} else {
-			eng.AfterFunc(tx+c.delay+o.sh.fab.topo.SwitchDelay, swForward, o.peerSw, p, int(o.peerIn))
-		}
-	case hopHost:
-		if lane != nil {
-			lane.After(arriveAtHost, o.peerHost, p, 0)
-		} else {
-			eng.AfterFunc(tx+c.delay, arriveAtHost, o.peerHost, p, 0)
+			eng.AfterFunc(tx+c.delay+fab.topo.SwitchDelay, swForward, peer, p, peerIn)
 		}
 	default: // hopPair
 		if lane != nil {
-			lane.After(arriveAtSwitch, o.peerSw, p, int(o.peerIn))
+			lane.After(arriveAtSwitch, peer, p, peerIn)
 		} else {
-			eng.AfterFunc(tx+c.delay, arriveAtSwitch, o.peerSw, p, int(o.peerIn))
+			eng.AfterFunc(tx+c.delay, arriveAtSwitch, peer, p, peerIn)
 		}
 	}
 }
@@ -383,17 +394,17 @@ func (o *outPort) tryTransmit() {
 // serializing reports whether a transmission is in progress: one was
 // started and the engine has not yet passed its completion key.
 func (o *outPort) serializing() bool {
-	return o.busy && !o.sh.eng.Passed(o.busyUntil, o.busySeq)
+	return o.busy && !o.class.sh.eng.Passed(o.busyUntil, o.busySeq)
 }
 
 // armWake queues the completion event of the transmission in progress if
 // a packet is waiting for it and it is not queued already.
 func (o *outPort) armWake() {
-	if o.wakeArmed || o.nQueued == 0 {
+	if o.wakeArmed || o.nonEmpty == 0 {
 		return
 	}
 	o.wakeArmed = true
-	o.sh.eng.ScheduleReserved(o.busyUntil, o.busySeq, portTxDone, o, nil, 0)
+	o.class.sh.eng.ScheduleReserved(o.busyUntil, o.busySeq, portTxDone, o, nil, 0)
 }
 
 // portTxDone is a transmitter's completion event, one per back-to-back
@@ -453,13 +464,21 @@ func (d *swDev) signalUpstream(in int, pause bool) {
 	}
 	rev := &d.ports[in] // our transmitter on the same directed link d→peer
 	at := d.sh.eng.Now().Add(spec.Delay)
-	key := bandKey(rev.linkID, rev.arrSeq)
-	rev.arrSeq++
-	if peer := up.sh; peer == d.sh {
+	key := fab.linkKey(rev)
+	if peer := up.class.sh; peer == d.sh {
 		d.sh.eng.ScheduleArrival(at, key, pfcApply, up, nil, i)
 	} else {
 		d.sh.stage(peer, at, key, pfcApply, up, nil, i)
 	}
+}
+
+// linkKey returns the arrival-band key of the next frame — data or PFC —
+// on boundary port o's directed link, and advances the link's sequence.
+func (f *Fabric) linkKey(o *outPort) uint64 {
+	seq := &f.arrSeq[o.link]
+	key := bandKey(uint64(o.link), uint64(*seq))
+	*seq++
+	return key
 }
 
 // pfcApply lands a PFC frame at the upstream transmitter: i==1 pauses,

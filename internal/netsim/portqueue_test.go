@@ -88,14 +88,14 @@ func (m *portModel) enqueue(p *packet.Packet, in int) bool {
 // class list with the model and describes the first difference ("" when
 // they agree). Each class is walked with first/next, so its packets must
 // be the model's, in the model's order, each with the ingress it arrived
-// through; a clean port holds no fault entry and no arrival sequence.
+// through; a clean port holds no fault entry.
 func (m *portModel) diff(o *outPort) string {
 	if o.serializing() != m.busy || o.paused != m.paused || o.down != m.down {
 		return fmt.Sprintf("port serializing=%v paused=%v down=%v, model %v %v %v",
 			o.serializing(), o.paused, o.down, m.busy, m.paused, m.down)
 	}
-	if o.faulty || o.arrSeq != 0 {
-		return fmt.Sprintf("clean port has faulty=%v arrSeq=%d", o.faulty, o.arrSeq)
+	if o.faulty {
+		return "clean port is marked faulty"
 	}
 	for pr := range m.q {
 		i := 0
@@ -115,6 +115,16 @@ func (m *portModel) diff(o *outPort) string {
 	return ""
 }
 
+// queuedCount walks every class list of o and counts its packets.
+func queuedCount(o *outPort) (n int) {
+	for pr := range o.q {
+		for p := o.first(pr); p != nil; p = o.next(pr, p) {
+			n++
+		}
+	}
+	return n
+}
+
 // unlinked reports whether p carries no queue linkage.
 func unlinked(p *packet.Packet) bool { return p.QNext == nil && p.QIn == 0 }
 
@@ -123,7 +133,8 @@ func unlinked(p *packet.Packet) bool { return p.QNext == nil && p.QIn == 0 }
 // queue: enqueues in every class (classes ≥ 8 clamp to the lowest) from
 // random ingresses, transmit completions, PFC pause/resume, link down/up
 // and a cold reboot's drain. After every step the port must agree with
-// the slice-per-class model on the counters, on the auditor's walk, and
+// the slice-per-class model on the counters (the high-water mark is the
+// shard's, and this port is the only one that fills), on the auditor's walk, and
 // on the content and order of every class (hence the pop order); a
 // packet that leaves the
 // queue — transmitted, drained or dropped — must carry no stale link or
@@ -142,10 +153,10 @@ func TestPortQueueAgainstModel(t *testing.T) {
 
 		check := func(step int, op string) {
 			t.Helper()
-			if int(port.nQueued) != m.count() || port.queuedBytes != m.queuedBytes ||
-				port.maxQueued != m.maxQueued || port.txBytes != m.txBytes {
-				t.Fatalf("seed %d step %d (%s): port nQueued=%d queuedBytes=%d maxQueued=%d txBytes=%d, model %d %d %d %d",
-					seed, step, op, port.nQueued, port.queuedBytes, port.maxQueued, port.txBytes,
+			if n, hw := queuedCount(port), f.MaxPortQueue(); n != m.count() || port.queuedBytes != m.queuedBytes ||
+				hw != m.maxQueued || port.txBytes != m.txBytes {
+				t.Fatalf("seed %d step %d (%s): port holds %d packets, queuedBytes=%d MaxPortQueue=%d txBytes=%d, model %d %d %d %d",
+					seed, step, op, n, port.queuedBytes, hw, port.txBytes,
 					m.count(), m.queuedBytes, m.maxQueued, m.txBytes)
 			}
 			if n := port.auditQueued(f.audit); n != int64(m.count()) || len(f.audit.errs) != 0 {
@@ -289,7 +300,6 @@ func TestClassListsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &portModel{down: true, ingress: make([]int64, 4)}
-		o.maxQueued = 0 // the port is empty again; its high-water mark starts over with the model's
 		pop := func(step int, op string) bool {
 			t.Helper()
 			want, ok := m.pop()
@@ -326,9 +336,9 @@ func TestClassListsAgainstModel(t *testing.T) {
 				for pop(step, op) {
 				}
 			}
-			if bits := o.nonEmpty; int(o.nQueued) != m.count() || o.queuedBytes != m.queuedBytes {
+			if n, bits := queuedCount(o), o.nonEmpty; n != m.count() || o.queuedBytes != m.queuedBytes {
 				t.Fatalf("seed %d step %d (%s): port holds %d packets, %d bytes, mask %08b; model %d, %d",
-					seed, step, op, o.nQueued, o.queuedBytes, bits, m.count(), m.queuedBytes)
+					seed, step, op, n, o.queuedBytes, bits, m.count(), m.queuedBytes)
 			}
 			for pr := range m.q {
 				if empty := o.nonEmpty&(1<<pr) == 0; empty != (len(m.q[pr]) == 0) || empty != (o.q[pr] == nil) {
@@ -346,26 +356,30 @@ func TestClassListsAgainstModel(t *testing.T) {
 
 // TestPortLayout guards the memory layout the forwarding path was sized
 // for (DESIGN.md §8.4). A hop's first touch of a port is a cache miss at
-// 8192 hosts, so everything enqueueAt → push → tryTransmit → armWake reads
-// or writes besides the class lists must stay inside the first two cache
-// lines, and the port inside 176 bytes: a field added without thought
-// would push a hot one out, or grow every one of a fabric's ports (49,152
-// at k=32). A field every port of a kind of link shares goes in
-// portClass; any other needs something else to leave.
+// 8192 hosts, so a port is exactly two cache lines of a 64-byte-aligned
+// slab: everything enqueueAt → push → tryTransmit → armWake reads or
+// writes besides the class lists in the first, the eight class tails in
+// the second. A field added without thought would grow every one of a
+// fabric's ports (57,344 at k=32) by a line. A field every port of a kind
+// of link shares goes in portClass; any other needs something else to
+// leave. A packet stays within the allocator's 128-byte size class.
 func TestPortLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is sized for 64-bit words")
+	}
 	var o outPort
-	if sz := unsafe.Sizeof(o); sz > 176 {
-		t.Errorf("outPort is %d bytes, want <= 176", sz)
+	if sz := unsafe.Sizeof(o); sz != 128 {
+		t.Errorf("outPort is %d bytes, want exactly 128 (two cache lines)", sz)
 	}
-	// owner is the last hot field; the class lists follow it.
-	if off := unsafe.Offsetof(o.owner); off >= 128 {
-		t.Errorf("outPort.owner, the last hot field, sits at offset %d, want < 128", off)
+	if off := unsafe.Offsetof(o.q); off != 64 {
+		t.Errorf("outPort.q starts at offset %d, want 64 (the second cache line)", off)
 	}
-	if off := unsafe.Offsetof(o.q); off > 128 {
-		t.Errorf("outPort.q starts at offset %d, want <= 128", off)
+	if sz := unsafe.Sizeof(packet.Packet{}); sz > 128 {
+		t.Errorf("packet.Packet is %d bytes, want <= 128 (the allocator's size class)", sz)
 	}
-	if sz := unsafe.Sizeof(packet.Packet{}); sz > 160 {
-		t.Errorf("packet.Packet is %d bytes with its queue link, want <= 160 (the allocator's size class before the link)", sz)
+	f := New(sim.NewEngine(1), topo.FatTreeK(8).Build(), Config{Spray: true})
+	if addr := uintptr(unsafe.Pointer(&f.ports[0])); addr%64 != 0 {
+		t.Errorf("a k=8 FatTree's port slab starts at %#x, not on a 64-byte line", addr)
 	}
 }
 
@@ -383,10 +397,11 @@ func TestNewShardedAllocatesSlabs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		NewSharded(sim.NewGroup([]*sim.Engine{sim.NewEngine(1)}), tp, cfg, part)
 	})
-	// Measured 44 at k=8 and at k=16: engine and group, one shard with its
-	// lanes and its port-class slab, five slabs, and the
-	// per-switch offset table and per-shard result the shards' wiring
-	// passes share. One allocation per switch alone would add 80.
+	// Measured 47 at k=8 (48 at k=16): engine and group, one shard with
+	// its lanes and its port-class slab, five slabs (the boundary links'
+	// arrival sequences share the ingress counters'), and the per-switch
+	// offset table and per-shard result the shards' wiring passes share.
+	// One allocation per switch alone would add 80.
 	if allocs > 48 {
 		t.Errorf("NewSharded on a k=8 FatTree made %.0f allocations, want a constant (<= 48), not one per device", allocs)
 	}

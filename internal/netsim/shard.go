@@ -42,6 +42,9 @@ type shardState struct {
 	counters *Counters       // aliases Fabric.Counters when single-shard
 	out      [2][]stagingRow // barrier staging queues by epoch parity then destination
 	staged   uint64          // cross-shard arrivals landed ON this shard
+	// maxQueued is the high-water mark of queuedBytes over the shard's
+	// switch ports (outPort.enqueueAt), read by Fabric.MaxPortQueue.
+	maxQueued int64
 
 	// Constant-delay lanes on eng (sim.Lane), one per distinct delay: the
 	// host stack, the switch traversal (only where a hop into a switch is
@@ -67,9 +70,10 @@ type shardState struct {
 // portClass returns the shard's class equal to c, adding it on first
 // request. A full slab is replaced, not grown: the ports keep the old one
 // alive, and a class met again after that is added a second time, which
-// costs 40 bytes and changes nothing (no topology here has more than
+// costs 48 bytes and changes nothing (no topology here has more than
 // eight classes on a shard).
 func (s *shardState) portClass(c portClass) *portClass {
+	c.sh = s
 	for i := range s.classes {
 		if s.classes[i] == c {
 			return &s.classes[i]

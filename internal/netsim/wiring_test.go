@@ -44,30 +44,30 @@ type wiredFabric struct {
 // position among its shard's lanes, which is the order the shard's engine
 // created them in, and by its delay.
 func portWiring(o *outPort) string {
+	sh := o.class.sh
 	lane := func(l *sim.Lane) string {
 		if l == nil {
 			return "none"
 		}
-		for i, sl := range o.sh.lanes {
+		for i, sl := range sh.lanes {
 			if sl.lane == l {
 				return fmt.Sprintf("#%d/%v", i, sl.d)
 			}
 		}
 		return "foreign"
 	}
-	peer := "?"
-	switch {
-	case o.peerHost != nil:
-		peer = fmt.Sprintf("host%d", o.peerHost.id)
-	case o.peerSw != nil:
-		peer = fmt.Sprintf("sw%d:%d", o.peerSw.spec.ID, o.peerIn)
+	var peer string
+	if o.hop == hopHost {
+		peer = fmt.Sprintf("host%d", sh.fab.hosts[o.peerIn].id)
+	} else {
+		peer = fmt.Sprintf("sw%d:%d", sh.fab.switches[o.peer].spec.ID, o.peerIn)
 	}
 	owner := "nic"
-	if o.owner != nil {
-		owner = fmt.Sprintf("sw%d", o.owner.spec.ID)
+	if o.owner >= 0 {
+		owner = fmt.Sprintf("sw%d", sh.fab.switches[o.owner].spec.ID)
 	}
 	return fmt.Sprintf("shard %d %s -> %s rate %g delay %v cap %d hop %d link %d mtu %s hdr %s",
-		o.sh.id, owner, peer, o.class.rate, o.class.delay, o.class.capacity, o.hop, o.linkID, lane(o.class.laneMTU), lane(o.class.laneHdr))
+		sh.id, owner, peer, o.class.rate, o.class.delay, o.class.capacity, o.hop, o.link, lane(o.class.laneMTU), lane(o.class.laneHdr))
 }
 
 func describeWiring(f *Fabric) wiredFabric {

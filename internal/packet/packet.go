@@ -47,16 +47,11 @@ const (
 	// Ack is a transport acknowledgement (HPCC, DCTCP, Cubic) and may echo
 	// INT telemetry or ECN state.
 	Ack
-	// Pause and Resume are PFC hop-by-hop flow control frames.
-	Pause
-	// ResumeKind resumes a PFC-paused priority ("Resume" would collide
-	// with no method but reads oddly as a const; keep the Kind suffix).
-	ResumeKind
 )
 
 var kindNames = [...]string{
 	"DATA", "NOTIF", "NOTIF-ACK", "FIN-SND", "FIN-RCV", "TOKEN",
-	"RTS", "GRANT", "ACCEPT", "NACK", "PULL", "ACK", "PAUSE", "RESUME",
+	"RTS", "GRANT", "ACCEPT", "NACK", "PULL", "ACK",
 }
 
 func (k Kind) String() string {
@@ -119,9 +114,23 @@ type INTHop struct {
 // protocol that needs the packet afterwards (e.g. buffering tokens or
 // grants for a later phase) must call Keep inside OnPacket, after which it
 // owns the packet and should Release it once consumed.
+//
+// The field order is the memory layout: the byte-sized fields share the
+// first word, the 32-bit counts pair up, and the telemetry sits behind a
+// pointer, so a packet is 120 bytes and takes the allocator's 128-byte
+// size class (TestPortLayout in netsim holds it there).
 type Packet struct {
 	Kind     Kind
-	Priority uint8  // 0 (highest) .. NumPriorities-1
+	Priority uint8 // 0 (highest) .. NumPriorities-1
+
+	// Fabric-maintained flags.
+	ECN        bool // congestion-experienced mark
+	Trimmed    bool // payload was trimmed to a header (NDP)
+	Unsched    bool // unscheduled data, eligible for selective drop (Aeolus)
+	CollectINT bool // gather per-hop telemetry (HPCC)
+
+	keep bool // transient ownership flag, false for every packet at rest in a queue
+
 	Src, Dst int    // host ids
 	Flow     uint64 // flow id (0 = none)
 	Seq      int    // data/token sequence number within the flow
@@ -132,21 +141,13 @@ type Packet struct {
 	FlowSize  int64 // total flow payload bytes (Notification, RTS)
 	Remaining int64 // remaining payload bytes (RTS, Grant for SRPT choices)
 	CumAck    int   // cumulative ack: smallest seq not yet received
-	Round     int   // matching round (dcPIM RTS/Grant/Accept)
 	Epoch     int64 // matching epoch (dcPIM)
-	Channels  int   // number of channels requested/granted/accepted (dcPIM)
-	Count     int   // generic count (FinishSender: packets sent; Homa grant: granted prio)
 
-	// Fabric-maintained state.
-	ECN        bool     // congestion-experienced mark
-	Trimmed    bool     // payload was trimmed to a header (NDP)
-	Unsched    bool     // unscheduled data, eligible for selective drop (Aeolus)
-	CollectINT bool     // gather per-hop telemetry (HPCC)
-	INT        []INTHop // telemetry, appended per hop
-	SentAt     sim.Time // when the source host handed the packet to its NIC
-	PauseClass uint8    // priority class a Pause/Resume applies to
+	SentAt sim.Time // when the source host handed the packet to its NIC
 
-	keep bool // transient ownership flag, false for every packet at rest in a queue
+	Round    int32 // matching round (dcPIM RTS/Grant/Accept)
+	Channels int32 // number of channels requested/granted/accepted (dcPIM)
+	Count    int32 // generic count (FinishSender: packets sent; Homa grant: granted prio)
 
 	// Queue linkage, owned by the fabric while the packet is buffered in a
 	// port (netsim's intrusive per-class lists) and zero at every other
@@ -155,6 +156,11 @@ type Packet struct {
 	// through (-1 when not applicable). Protocols never read or write them.
 	QIn   int32
 	QNext *Packet
+
+	// hops is the telemetry (INT, AppendINT, SetINT), nil until the
+	// packet first carries any. Release keeps the box and its backing
+	// array, so a recycled packet appends into capacity it already grew.
+	hops *[]INTHop
 }
 
 // pool recycles packets across the whole process. Packets carry no
@@ -169,12 +175,44 @@ func Get() *Packet {
 }
 
 // Release zeroes p and returns it to the pool. The caller must own p and
-// drop every reference to it; the INT backing array is kept for reuse.
+// drop every reference to it; the telemetry's backing array is kept for
+// reuse.
 func Release(p *Packet) {
-	hops := p.INT[:0]
+	hops := p.hops
 	*p = Packet{}
-	p.INT = hops
+	if hops != nil {
+		*hops = (*hops)[:0]
+		p.hops = hops
+	}
 	pool.Put(p)
+}
+
+// INT returns the telemetry the packet carries, one entry per hop.
+func (p *Packet) INT() []INTHop {
+	if p.hops == nil {
+		return nil
+	}
+	return *p.hops
+}
+
+// AppendINT records one more hop's telemetry.
+func (p *Packet) AppendINT(h INTHop) {
+	if p.hops == nil {
+		p.hops = new([]INTHop)
+	}
+	*p.hops = append(*p.hops, h)
+}
+
+// SetINT replaces the packet's telemetry with a copy of hops (an ack
+// echoing its data packet's).
+func (p *Packet) SetINT(hops []INTHop) {
+	if p.hops == nil {
+		if len(hops) == 0 {
+			return
+		}
+		p.hops = new([]INTHop)
+	}
+	*p.hops = append((*p.hops)[:0], hops...)
 }
 
 // Keep marks a delivered packet as taken over by the receiving protocol:

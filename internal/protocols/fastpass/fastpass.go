@@ -122,7 +122,7 @@ func (p *Proto) OnFlowArrival(fl workload.Flow) {
 func (p *Proto) reportDemand(f *flowtrack.Tx) {
 	rts := packet.NewControl(packet.RTS, p.id, arbiterHost, f.ID)
 	rts.FlowSize = f.Size
-	rts.Count = f.Dst // carry the true destination; the packet goes to the arbiter
+	rts.Count = int32(f.Dst) // carry the true destination; the packet goes to the arbiter
 	rts.Remaining = int64(f.Npkts-f.SentCnt) * packet.PayloadSize
 	p.host.Send(rts)
 }
@@ -161,7 +161,7 @@ func (p *Proto) onDemand(rts *packet.Packet) {
 		return
 	}
 	p.demands[rts.Flow] = &demand{
-		flow: rts.Flow, src: rts.Src, dst: rts.Count,
+		flow: rts.Flow, src: rts.Src, dst: int(rts.Count),
 		remain: pkts, nextSeq: packet.PacketsForBytes(rts.FlowSize) - pkts,
 	}
 	p.order = append(p.order, rts.Flow)
@@ -207,7 +207,7 @@ func (p *Proto) arbiterTick() {
 		}
 		d.remain -= n
 		g := packet.NewControl(packet.Grant, p.id, d.src, d.flow)
-		g.Count = n
+		g.Count = int32(n)
 		p.host.Send(g)
 	}
 }
@@ -218,7 +218,7 @@ func (p *Proto) onAlloc(g *packet.Packet) {
 	if p.tx[g.Flow] == nil {
 		return
 	}
-	p.allocQ = append(p.allocQ, alloc{flow: g.Flow, count: g.Count})
+	p.allocQ = append(p.allocQ, alloc{flow: g.Flow, count: int(g.Count)})
 	if !p.sending {
 		p.sending = true
 		p.sendTick()

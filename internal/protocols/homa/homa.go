@@ -364,7 +364,7 @@ func (p *Proto) grantTick() {
 		f.Grant(seq)
 		g := packet.NewControl(packet.Grant, p.id, f.Src, f.ID)
 		g.Seq = seq
-		g.Count = int(p.schedPrio(rank))
+		g.Count = int32(p.schedPrio(rank))
 		p.col.Add(p.ins.grants, 1)
 		p.col.Add(p.ins.grantedBytes, int64(packet.DataPacketSize(f.Size, seq)))
 		p.host.Send(g)

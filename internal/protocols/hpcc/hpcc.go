@@ -215,11 +215,11 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	ack := packet.NewControl(packet.Ack, p.id, pkt.Src, pkt.Flow)
 	ack.Seq = pkt.Seq
 	ack.CumAck = cum
-	ack.Count = pkt.Size // echo wire size for inflight accounting
+	ack.Count = int32(pkt.Size) // echo wire size for inflight accounting
 	// Copy the telemetry rather than aliasing it: the fabric recycles pkt
 	// (and reuses its INT backing array) right after OnPacket returns,
 	// while the ack is just beginning its journey back to the sender.
-	ack.INT = append(ack.INT[:0], pkt.INT...)
+	ack.SetINT(pkt.INT())
 	p.host.Send(ack)
 
 	if f != nil && f.Done {
@@ -247,7 +247,7 @@ func (p *Proto) onAck(ack *packet.Packet) {
 		f.cumAck = ack.CumAck
 	}
 
-	u := p.measureInflight(f, ack.INT)
+	u := p.measureInflight(f, ack.INT())
 	updateWc := ack.Seq >= f.lastWcSeq
 	p.computeWind(f, u, updateWc)
 	if updateWc {

@@ -264,7 +264,7 @@ func (p *Proto) onData(pkt *packet.Packet) {
 	ack.Seq = pkt.Seq
 	ack.CumAck = cum
 	ack.ECN = pkt.ECN
-	ack.Count = pkt.Size
+	ack.Count = int32(pkt.Size)
 	p.host.Send(ack)
 
 	if f != nil && f.Done {
