@@ -165,9 +165,10 @@ func (c *countProto) OnPacket(p *packet.Packet) {
 
 // TestForwardingAllocs pins the per-packet allocation budget of the
 // fabric, one row per path a packet can take: once the event free lists,
-// lanes, port queues, staging rows and packet pool are warm, forwarding a
-// packet (NIC, three switch hops, delivery) must not allocate. The budget
-// of 1/16 alloc per packet leaves room only for amortized growth.
+// lane block pools, port queues, staging logs and packet pool are warm,
+// forwarding a packet (NIC, three switch hops, delivery) must not
+// allocate. The budget of 1/16 alloc per packet leaves room only for
+// amortized growth.
 //
 // Each row runs the fabric the way experiments do, through Fabric.Run, so
 // every batch also crosses Group.RunEpoch and Engine.Run. Every row but
@@ -294,8 +295,8 @@ func TestForwardingAllocs(t *testing.T) {
 				fab.Run(until)
 			}
 			// Warm the pools: the first batches grow the heap, the heap
-			// backing array, lanes, per-port queues, staging rows and the
-			// packet pool.
+			// backing array, the lane block pools, per-port queues, staging
+			// logs and the packet pool.
 			for i := 0; i < 16; i++ {
 				batch()
 			}

@@ -397,10 +397,11 @@ func TestNewShardedAllocatesSlabs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		NewSharded(sim.NewGroup([]*sim.Engine{sim.NewEngine(1)}), tp, cfg, part)
 	})
-	// Measured 47 at k=8 (48 at k=16): engine and group, one shard with
-	// its lanes and its port-class slab, five slabs (the boundary links'
-	// arrival sequences share the ingress counters'), and the per-switch
-	// offset table and per-shard result the shards' wiring passes share.
+	// Measured 46 at k=8 (47 at k=16): engine and group, one shard with
+	// its lanes, its staging chains and its port-class slab, five slabs
+	// (the boundary links' arrival sequences share the ingress
+	// counters'), and the per-switch offset table and per-shard result
+	// the shards' wiring passes share.
 	// One allocation per switch alone would add 80.
 	if allocs > 48 {
 		t.Errorf("NewSharded on a k=8 FatTree made %.0f allocations, want a constant (<= 48), not one per device", allocs)

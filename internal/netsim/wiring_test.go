@@ -229,13 +229,17 @@ func TestShardedWiringEquivalence(t *testing.T) {
 	}
 }
 
-// stagingRows counts the arrivals sitting in staging rows, either half.
-func stagingRows(f *Fabric) int {
+// unlanded counts the arrivals staged and not landed yet, in either log
+// of every shard: the length of every chain.
+func unlanded(f *Fabric) int {
 	n := 0
 	for _, s := range f.shards {
-		for p := range s.out {
-			for d := range s.out[p] {
-				n += len(s.out[p][d].q)
+		for p := range s.logs {
+			log := &s.logs[p]
+			for d := range log.chains {
+				for k := log.chains[d].first; k != 0; k = log.arrivals[k-1].next {
+					n++
+				}
 			}
 		}
 	}
@@ -247,7 +251,8 @@ func stagingRows(f *Fabric) int {
 // shard with nothing queued is idle-skipped while arrivals staged for it
 // lie beyond the barrier. The coordinator must land them — the shard's own
 // goroutine is not running — so that they are on its engine, counted, and
-// the rows are free for the epoch after next; and the packets must then
+// the log they sat in is free for its source's next epoch of that parity;
+// and the packets must then
 // arrive exactly when and in the order the serial run delivers them.
 func TestSkippedShardReceivesLateArrivals(t *testing.T) {
 	tp := topo.SmallLeafSpine().Build() // two racks: hosts 0-3 and 4-7
@@ -292,14 +297,14 @@ func TestSkippedShardReceivesLateArrivals(t *testing.T) {
 		// Step one event-instant at a time until rack 0 has staged toward
 		// shard 1 and shard 1 has nothing of its own to do.
 		dst := f.shards[1]
-		for stagingRows(f) == 0 || dst.eng.Pending() > 0 {
+		for unlanded(f) == 0 || dst.eng.Pending() > 0 {
 			if f.grp.Now() > sim.Time(10*sim.Microsecond) {
 				t.Errorf("no arrival staged for an idle shard 1 within 10 µs")
 				return
 			}
 			epoch(next())
 		}
-		staged := stagingRows(f)
+		staged := unlanded(f)
 		at, ok := f.InboundAt(1)
 		if !ok || at <= f.grp.Now() {
 			t.Errorf("InboundAt(1) = %v, %v with %d arrivals staged at %v", at, ok, staged, f.grp.Now())
@@ -317,9 +322,10 @@ func TestSkippedShardReceivesLateArrivals(t *testing.T) {
 				dst.staged-landed, staged, dst.eng.Pending())
 		}
 		for _, src := range f.shards {
-			// The half the next epoch appends to must be free again.
-			if n := len(src.out[f.parity][1].q); n != 0 {
-				t.Errorf("after the skipped epoch: shard %d's row for shard 1 still holds %d arrivals", src.id, n)
+			// The log the skipped epoch landed is the one the next epoch
+			// resets: no chain of it may still hold an arrival for shard 1.
+			if c := src.logs[f.parity].chains[1]; c.first != 0 {
+				t.Errorf("after the skipped epoch: shard %d's chain for shard 1 still holds arrivals", src.id)
 			}
 		}
 		if m, _ := dst.eng.NextAt(); m != at {
@@ -341,7 +347,7 @@ func TestSkippedShardReceivesLateArrivals(t *testing.T) {
 }
 
 // TestStagingEmptyAtSyncPoints: whatever an epoch staged, no arrival is
-// left in a staging row when an atSync callback runs or when RunSynced
+// left in staging when an atSync callback runs or when RunSynced
 // returns — the points where callers sample, capture and resume — on two
 // shards and on the topology's own count, with and without an interval,
 // and across successive windows as the checkpoint drivers call it. The
@@ -374,12 +380,12 @@ func TestStagingEmptyAtSyncPoints(t *testing.T) {
 				for _, until := range []sim.Time{sim.Time(horizon / 3), sim.Time(horizon / 3), sim.Time(horizon)} {
 					f.RunSynced(until, interval, func(now sim.Time) {
 						syncs++
-						if rows := stagingRows(f); rows != 0 {
-							t.Errorf("%s: %d arrivals in staging rows inside atSync at %v", name, rows, now)
+						if n := unlanded(f); n != 0 {
+							t.Errorf("%s: %d arrivals left in staging inside atSync at %v", name, n, now)
 						}
 					})
-					if rows := stagingRows(f); rows != 0 {
-						t.Errorf("%s: %d arrivals in staging rows after RunSynced(%v)", name, rows, until)
+					if n := unlanded(f); n != 0 {
+						t.Errorf("%s: %d arrivals left in staging after RunSynced(%v)", name, n, until)
 					}
 					if _, ok := f.grp.NextAt(); ok {
 						if m, _ := f.grp.NextAt(); m <= until {

@@ -26,7 +26,7 @@ type EventRecord struct {
 
 // EngineState is a complete logical snapshot of one engine: everything
 // that determines its future behavior, with physical layout (heap array
-// order, lane rings, free lists) normalized away. Two engines
+// order, lane blocks, free lists) normalized away. Two engines
 // with equal EngineStates execute identically from here on.
 type EngineState struct {
 	Now    Time
@@ -54,9 +54,13 @@ func (e *Engine) CaptureState() EngineState {
 		st.Pending = append(st.Pending, EventRecord{At: h.at, Seq: h.seq})
 	}
 	for _, l := range e.lanes {
-		for k := 0; k < l.n; k++ {
-			r := &l.buf[(l.head+k)&(len(l.buf)-1)]
-			st.Pending = append(st.Pending, EventRecord{At: r.at, Seq: r.seq})
+		b, k := l.head, l.hi
+		for range l.n {
+			if k == laneBlockRecs {
+				b, k = b.next, 0
+			}
+			st.Pending = append(st.Pending, EventRecord{At: b.recs[k].at, Seq: b.recs[k].seq})
+			k++
 		}
 	}
 	sort.Slice(st.Pending, func(i, j int) bool {

@@ -39,7 +39,7 @@ type Engine struct {
 	// caches lanes[i]'s head key (laneIdle when empty, and past the last
 	// lane up to a power of two), and win is a winner tree over fronts
 	// whose root win[1] is the lane with the least head key, so the drain
-	// loop finds the earliest lane without scanning them or their rings.
+	// loop finds the earliest lane without scanning them or their blocks.
 	lanes  []*Lane
 	fronts []EventRecord
 	win    []int32
@@ -51,6 +51,8 @@ type Engine struct {
 	nEvent uint64 // total events executed, for instrumentation
 	free   *event // recycled-event free list
 	freeN  int
+
+	blocks *laneBlock // pool of drained lane blocks, linked through next
 
 	journalOn bool
 	journal   []EventRecord
@@ -391,8 +393,16 @@ func (e *Engine) exec(src int) {
 		r = laneRec{at: h.at, seq: h.seq, fn: t.fn, a: t.a, b: t.b, i: t.i}
 		e.recycle(t)
 	} else {
+		// The lane's front record, its slot cleared so no block retains a
+		// packet; a block that drains goes back to the pool at once.
 		l := e.lanes[src]
-		r = l.pop()
+		h, k := l.head, l.hi
+		r, h.recs[k] = h.recs[k], laneRec{}
+		l.hi, l.n = k+1, l.n-1
+		e.laneN--
+		if l.hi == laneBlockRecs || l.n == 0 {
+			l.dropHead()
+		}
 		e.setFront(src, l.front())
 	}
 	e.now = r.at

@@ -166,7 +166,7 @@ type shardWork struct {
 
 // Inbox is a set of per-shard queues of events that one shard produced for
 // another during an epoch and that are not on the destination engine yet
-// (netsim's staging rows). A group that has one counts the waiting events
+// (netsim's staging logs). A group that has one counts the waiting events
 // as pending — in NextAt and in the idle-skip test of RunEpoch — and has
 // every shard land its own at the start of its epoch run, on the shard's
 // goroutine, so the hand-over costs the coordinator nothing.
