@@ -347,35 +347,24 @@ func fixtureSpec(hosts int) RunSpec {
 	}
 }
 
-const fixturePath = "testdata/ckpt-fattree16.dcpimck"
+const fixtureName = "ckpt-fattree16.dcpimck"
 
 // TestGoldenCheckpointFixture locks the snapshot text and the
 // simulation's event stream to a checked-in fixture: snapshot 1 of the
 // 16-host fixtureSpec run. A failure here means a stored stream no longer
 // matches what this build writes: if the behavior change is deliberate,
-// regenerate with
-//
-//	DCPIM_REGEN=1 go test ./internal/experiments -run TestGoldenCheckpointFixture
-//
-// and bump checkpoint.Version if the layout itself changed.
+// regenerate it through golden, and bump checkpoint.Version if the layout
+// itself changed.
 func TestGoldenCheckpointFixture(t *testing.T) {
 	_, snaps16 := RunCheckpointed(fixtureSpec(16))
 	if len(snaps16) != 4 {
 		t.Fatalf("fixture run took %d snapshots, want 4", len(snaps16))
 	}
 	fresh := snaps16[1].Text()
-	if os.Getenv("DCPIM_REGEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fixturePath, fresh, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", fixturePath, len(fresh))
-	}
-	raw, err := os.ReadFile(fixturePath)
+	golden(t, fixtureName, fresh)
+	raw, err := os.ReadFile(filepath.Join("testdata", fixtureName))
 	if err != nil {
-		t.Fatalf("golden fixture missing (see regeneration note above): %v", err)
+		t.Fatal(err)
 	}
 	want := strings.Split(string(raw), "\n")
 

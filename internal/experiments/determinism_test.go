@@ -26,9 +26,9 @@ func goldenFaults() []faults.Event {
 	}
 }
 
-// goldenSpec builds the fixed-seed digest run. Every call constructs a
-// fresh trace and topology so serial and parallel executions share
-// nothing.
+// goldenSpec builds the fixed-seed digest run, with the telemetry layer
+// on so its summary carries every counter. Every call constructs a fresh
+// trace and topology so serial and parallel executions share nothing.
 func goldenSpec(t *testing.T, proto string, withFaults bool) RunSpec {
 	t.Helper()
 	tp := leafSpineFor(8)
@@ -39,6 +39,7 @@ func goldenSpec(t *testing.T, proto string, withFaults bool) RunSpec {
 	spec := RunSpec{
 		Protocol: proto, Topo: tp, Trace: tr,
 		Horizon: 2 * sim.Millisecond, Seed: 99, Digest: true,
+		Metrics: &MetricsSpec{Label: "golden-" + proto},
 	}
 	if withFaults {
 		sched := &faults.Schedule{Events: goldenFaults()}
@@ -50,106 +51,74 @@ func goldenSpec(t *testing.T, proto string, withFaults bool) RunSpec {
 	return spec
 }
 
-// Golden delivered-stream digests for goldenSpec. If a deliberate
-// behavior change shifts the packet stream, rerun
-//
-//	go test ./internal/experiments -run TestGoldenDigest -v
-//
-// and copy the measured digests printed in the failure. A change here
-// must be explainable by the commit touching protocol or fabric timing.
-// (Last regeneration: sharded execution gave every device its own
-// seed-derived RNG stream and made the digest a per-host fold, both of
-// which shift the stream and its hash once, for every shard count.)
-const (
-	goldenDigestClean   uint64 = 0x1eb6e81d4616af03
-	goldenDigestFaulted uint64 = 0x68dea6ffa9e57f4c
-)
+// goldenFile names the summary of goldenSpec(proto, withFaults) under
+// testdata. A change to any transport's packet stream shows up as a diff
+// of its two files, and a commit that moves them explains why.
+func goldenFile(proto string, withFaults bool) string {
+	if withFaults {
+		return "golden/" + proto + "-faulted.txt"
+	}
+	return "golden/" + proto + "-clean.txt"
+}
 
-// TestGoldenDigest locks the delivered-packet event stream of a
-// fixed-seed dcPIM run — with and without faults — to checked-in
-// digests, and requires serial and parallel RunMany execution to agree
-// bit-for-bit at any worker count.
+// TestGoldenDigest locks the summary of a fixed-seed dcPIM run — with
+// and without faults — to its golden file, and requires serial and
+// parallel RunMany execution to agree bit-for-bit at any worker count.
 func TestGoldenDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		faults bool
-		want   uint64
 	}{
-		{"clean", false, goldenDigestClean},
-		{"faulted", true, goldenDigestFaulted},
+		{"clean", false},
+		{"faulted", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := Run(goldenSpec(t, DCPIM, tc.faults))
+			spec := goldenSpec(t, DCPIM, tc.faults)
+			bdp := spec.Topo.BDP()
+			serial := Run(spec)
 			if serial.Digest == 0 {
 				t.Fatal("digest not computed")
 			}
-			if serial.Digest != tc.want {
-				t.Errorf("digest %#016x, want %#016x (see regeneration note)", serial.Digest, tc.want)
-			}
+			want := summary(serial, bdp)
+			golden(t, goldenFile(DCPIM, tc.faults), want)
 			specs := make([]RunSpec, 4)
 			for i := range specs {
 				specs[i] = goldenSpec(t, DCPIM, tc.faults)
 			}
 			for i, res := range RunMany(specs, 4) {
-				if res.Digest != serial.Digest {
-					t.Errorf("parallel run %d digest %#016x != serial %#016x", i, res.Digest, serial.Digest)
-				}
+				sameSummary(t, fmt.Sprintf("parallel run %d vs serial", i), want, summary(res, bdp))
 			}
 		})
 	}
 }
 
-// goldenPerTransport pins goldenSpec's clean and faulted digests for
-// every row of the transports table, so a refactor of any baseline that
-// moves its packet stream fails here by name. dcPIM's pair is the golden
-// pair above; regenerate the rest the same way.
-var goldenPerTransport = map[string][2]uint64{
-	DCPIM:      {goldenDigestClean, goldenDigestFaulted},
-	HomaAeolus: {0x16c0ff598a7d3407, 0x9b58b3afa0127f5d},
-	Homa:       {0xa0d6ae970e962384, 0xc7b5a4323276b099},
-	NDP:        {0x6d45649ef3990d5f, 0x101de7773fb80f5a},
-	HPCC:       {0x5348fd6d00b2b713, 0xebc265a478a536ee},
-	PHost:      {0x244f4ddd12d6722e, 0x6e8b923150b8686f},
-	DCTCP:      {0x0db33f7645a33bad, 0x73e9cd8dc5ce3091},
-	Cubic:      {0xd91224b1850367dd, 0xd33372d2f40354b4},
-	Fastpass:   {0x8cd320e16f42ce4d, 0xb2aa2652edbe1f8b},
-}
-
 // TestGoldenDigestPerProtocol locks every transport's clean and faulted
-// delivered stream to goldenPerTransport, and requires that faults change
-// the stream while reruns do not.
+// summaries to their golden files, so a refactor of any baseline that
+// moves its packet stream fails here by name, and requires that faults
+// change the stream while reruns do not.
 func TestGoldenDigestPerProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-transport digest sweep")
 	}
-	if len(goldenPerTransport) != len(transports) {
-		t.Fatalf("%d pinned transports, %d in the table", len(goldenPerTransport), len(transports))
-	}
 	for _, tr := range transports {
-		want, ok := goldenPerTransport[tr.name]
-		if !ok {
-			t.Errorf("%s: no pinned digests", tr.name)
-			continue
-		}
-		clean := Run(goldenSpec(t, tr.name, false))
+		spec := goldenSpec(t, tr.name, false)
+		bdp := spec.Topo.BDP()
+		clean := Run(spec)
 		again := Run(goldenSpec(t, tr.name, false))
 		faulted := Run(goldenSpec(t, tr.name, true))
-		if clean.Digest != again.Digest {
-			t.Errorf("%s: rerun digest %#x != %#x", tr.name, again.Digest, clean.Digest)
-		}
+		sum := summary(clean, bdp)
+		sameSummary(t, tr.name+": a rerun", sum, summary(again, bdp))
 		if clean.Digest == faulted.Digest {
 			t.Errorf("%s: fault schedule did not change delivered stream (%#x)", tr.name, clean.Digest)
 		}
-		if clean.Digest != want[0] || faulted.Digest != want[1] {
-			t.Errorf("%s: digests clean %#016x faulted %#016x, want %#016x %#016x",
-				tr.name, clean.Digest, faulted.Digest, want[0], want[1])
-		}
+		golden(t, goldenFile(tr.name, false), sum)
+		golden(t, goldenFile(tr.name, true), summary(faulted, bdp))
 	}
 }
 
 // TestShardedByteIdentity is the sharded engine's core invariant: one
 // seed, run serially and across 2 and 4 shards, produces bit-identical
-// digests, flow records, counters, and sampled metrics artifacts — with
+// summaries, flow records, counters, and sampled metrics artifacts — with
 // and without a fault schedule. goldenSpec's topology (leafspine-8: two
 // racks, two spines) splits into at most 4 single-switch shards, so 4
 // is the hardest cut: every switch↔switch link is a shard boundary.
@@ -157,28 +126,25 @@ func TestShardedByteIdentity(t *testing.T) {
 	watchdog(t, time.Minute)
 	sharded := func(t *testing.T, withFaults bool, shards int) RunSpec {
 		spec := goldenSpec(t, DCPIM, withFaults)
-		spec.Metrics = &MetricsSpec{Label: "shard"}
 		spec.Shards = shards
 		return spec
 	}
 	for _, tc := range []struct {
 		name   string
 		faults bool
-		want   uint64
 	}{
-		{"clean", false, goldenDigestClean},
-		{"faulted", true, goldenDigestFaulted},
+		{"clean", false},
+		{"faulted", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := Run(sharded(t, tc.faults, 1))
-			if serial.Digest != tc.want {
-				t.Fatalf("serial digest %#016x, want golden %#016x", serial.Digest, tc.want)
-			}
+			spec := sharded(t, tc.faults, 1)
+			bdp := spec.Topo.BDP()
+			serial := Run(spec)
+			want := summary(serial, bdp)
+			golden(t, goldenFile(DCPIM, tc.faults), want)
 			for _, shards := range []int{2, 4} {
 				res := Run(sharded(t, tc.faults, shards))
-				if res.Digest != serial.Digest {
-					t.Errorf("shards=%d digest %#016x != serial %#016x", shards, res.Digest, serial.Digest)
-				}
+				sameSummary(t, fmt.Sprintf("shards=%d vs serial", shards), want, summary(res, bdp))
 				if !reflect.DeepEqual(res.Records, serial.Records) {
 					t.Errorf("shards=%d flow records differ from serial", shards)
 				}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,10 +50,8 @@ func quickCases() []quickCase {
 // compares its printed report with the golden file
 // testdata/quick/<name>.txt, so a change to any figure's numbers or
 // layout shows up as a text diff. scale is exempt from the comparison:
-// its columns are wall-clock readings. If a change to the output is
-// deliberate, regenerate the golden files with
-//
-//	DCPIM_REGEN=1 go test ./internal/experiments -run TestAllExperimentsRunQuick
+// its columns are wall-clock readings. A deliberate change regenerates
+// the files through golden.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs are not short")
@@ -77,22 +74,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if c.e.ID == "scale" {
 				return
 			}
-			path := filepath.Join("testdata", "quick", c.name+".txt")
-			if os.Getenv("DCPIM_REGEN") != "" {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden output missing (see regeneration note above): %v", err)
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				t.Errorf("%s: output differs from %s:\n%s\nwant:\n%s", c.name, path, out, want)
-			}
+			golden(t, filepath.Join("quick", c.name+".txt"), buf.Bytes())
 		})
 	}
 }

@@ -2,20 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"dcpim/internal/matching"
 )
-
-// goldenMatcherDigest pins the matchers sweep at the canonical smoke
-// configuration (quick() options, Workers forced to 1/4/8 below). The
-// sweep is a pure function of its config, so any change here means the
-// matcher algorithms, seed derivation, or CSV schema changed — regenerate
-// deliberately with:
-//
-//	go test ./internal/experiments -run TestMatcherSweepGoldenDigest -v
-const goldenMatcherDigest uint64 = 0x0f539d1274ea359f
 
 // matcherQuick is the canonical smoke config: every matcher in the table,
 // small sparse+dense grid, two budgets for budgeted matchers.
@@ -30,31 +22,28 @@ func matcherQuick(workers int) matcherSweepConfig {
 	}
 }
 
-// The sweep digest must be byte-identical at -parallel 1, 4 and 8, and
-// must match the pinned golden value.
+// The sweep's CSV — the bytes the printed sweep digest hashes — must be
+// byte-identical at -parallel 1, 4 and 8, and must match
+// testdata/golden/matchers.csv. The sweep is a pure function of its
+// config, so any change there means the matcher algorithms, seed
+// derivation, or CSV schema changed.
 func TestMatcherSweepGoldenDigest(t *testing.T) {
-	var ref uint64
+	var ref []byte
 	for _, workers := range []int{1, 4, 8} {
 		rows, err := matcherSweep(matcherQuick(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		digest, err := matcherDigest(rows)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := writeMatcherCSV(&buf, rows); err != nil {
 			t.Fatal(err)
 		}
 		if workers == 1 {
-			ref = digest
-			t.Logf("matchers digest (serial): %#016x over %d rows", digest, len(rows))
-			if digest != goldenMatcherDigest {
-				t.Errorf("sweep digest %#016x != golden %#016x — matcher behavior or schema changed",
-					digest, goldenMatcherDigest)
-			}
+			ref = buf.Bytes()
+			golden(t, "golden/matchers.csv", ref)
 			continue
 		}
-		if digest != ref {
-			t.Errorf("workers=%d digest %#016x != serial %#016x", workers, digest, ref)
-		}
+		sameSummary(t, fmt.Sprintf("workers=%d CSV vs serial", workers), ref, buf.Bytes())
 	}
 }
 

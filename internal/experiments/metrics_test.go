@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,24 +19,21 @@ import (
 	"dcpim/internal/stats"
 )
 
-// metricsGoldenSpec is goldenSpec with the telemetry layer on.
-func metricsGoldenSpec(t *testing.T, proto string) RunSpec {
-	t.Helper()
-	spec := goldenSpec(t, proto, false)
-	spec.Metrics = &MetricsSpec{Label: "golden-" + proto}
-	return spec
-}
-
 // TestMetricsSamplerDeterminism is the telemetry layer's core guarantee:
 // the sampled CSV series and JSON report are byte-identical between a
 // serial run and RunMany at any worker count, and turning metrics on
-// does not perturb the simulated packet stream (the golden digest is
-// unchanged).
+// does not perturb the simulated packet stream (the digest is the one a
+// run without metrics folds).
 func TestMetricsSamplerDeterminism(t *testing.T) {
-	serial := Run(metricsGoldenSpec(t, DCPIM))
-	if serial.Digest != goldenDigestClean {
-		t.Errorf("metrics-enabled digest %#016x != golden %#016x: sampling perturbed the run",
-			serial.Digest, goldenDigestClean)
+	spec := goldenSpec(t, DCPIM, false)
+	bdp := spec.Topo.BDP()
+	serial := Run(spec)
+	want := summary(serial, bdp)
+	golden(t, goldenFile(DCPIM, false), want)
+	bare := goldenSpec(t, DCPIM, false)
+	bare.Metrics = nil
+	if d := Run(bare).Digest; serial.Digest != d {
+		t.Errorf("metrics-enabled digest %#016x != %#016x without metrics: sampling perturbed the run", serial.Digest, d)
 	}
 	if len(serial.MetricsCSV) == 0 || len(serial.MetricsJSON) == 0 {
 		t.Fatal("metrics run produced no CSV/JSON")
@@ -43,9 +41,10 @@ func TestMetricsSamplerDeterminism(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		specs := make([]RunSpec, workers)
 		for i := range specs {
-			specs[i] = metricsGoldenSpec(t, DCPIM)
+			specs[i] = goldenSpec(t, DCPIM, false)
 		}
 		for i, res := range RunMany(specs, workers) {
+			sameSummary(t, fmt.Sprintf("workers=%d run %d vs serial", workers, i), want, summary(res, bdp))
 			if !bytes.Equal(res.MetricsCSV, serial.MetricsCSV) {
 				t.Errorf("workers=%d run %d: CSV differs from serial", workers, i)
 			}
@@ -76,7 +75,7 @@ func TestMetricsSyncPoints(t *testing.T) {
 		{"shards=2", 2, false},
 		{"serial checkpointed", 1, true},
 	} {
-		spec := metricsGoldenSpec(t, DCPIM)
+		spec := goldenSpec(t, DCPIM, false)
 		spec.Shards = tc.shards
 		if tc.ckpt {
 			spec.Checkpoint = &CheckpointSpec{Every: 73*sim.Microsecond + 3}
@@ -133,7 +132,7 @@ func TestMetricsSyncInstant(t *testing.T) {
 		{"shards=2", 2, false},
 		{"shards=2 checkpointed", 2, true},
 	} {
-		spec := metricsGoldenSpec(t, "probe")
+		spec := goldenSpec(t, "probe", false)
 		spec.Horizon, spec.BinWidth, spec.Shards = horizon, iv, tc.shards
 		if tc.ckpt {
 			spec.Checkpoint = &CheckpointSpec{Every: 3 * iv}
@@ -171,7 +170,7 @@ func TestMetricsSyncInstant(t *testing.T) {
 // instruments the paper's arguments lean on (token-window occupancy,
 // unscheduled-bypass split, per-round matching, fabric queues).
 func TestMetricsContent(t *testing.T) {
-	res := Run(metricsGoldenSpec(t, DCPIM))
+	res := Run(goldenSpec(t, DCPIM, false))
 
 	lines := strings.Split(string(res.MetricsCSV), "\n")
 	if len(lines) < 3 {
@@ -232,7 +231,7 @@ func TestMetricsContent(t *testing.T) {
 // the directory with sanitized names.
 func TestMetricsFilesWritten(t *testing.T) {
 	dir := t.TempDir()
-	spec := metricsGoldenSpec(t, DCPIM)
+	spec := goldenSpec(t, DCPIM, false)
 	spec.Metrics.Dir = dir
 	spec.Metrics.Label = "fig weird/label"
 	res := Run(spec)
@@ -281,7 +280,7 @@ func TestMetricsAcrossProtocols(t *testing.T) {
 			t.Errorf("%s: not an expected transport", proto)
 			continue
 		}
-		res := Run(metricsGoldenSpec(t, proto))
+		res := Run(goldenSpec(t, proto, false))
 		var rep RunReport
 		if err := json.Unmarshal(res.MetricsJSON, &rep); err != nil {
 			t.Fatalf("%s: %v", proto, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -9,14 +10,9 @@ import (
 	"dcpim/internal/workload"
 )
 
-// golden1024Digest locks the 1024-host FatTree campaign cell (WebSearch
-// all-to-all at load 0.3, 100 µs trace, seed 8 — the `-run scale` low-load
-// point). Regenerate the same way as the leaf-spine goldens: run the test
-// with -v and copy the measured digest, with the change explained by the
-// commit.
-const golden1024Digest uint64 = 0xfdbadd4100015ba2
-
-// scale1024Spec mirrors the low-load 1024-host cell of RunScale.
+// scale1024Spec mirrors the low-load 1024-host cell of RunScale
+// (WebSearch all-to-all at load 0.3, 100 µs trace, seed 8 — the
+// `-run scale` low-load point), with the telemetry layer on.
 func scale1024Spec() RunSpec {
 	tp := fatTreeFor(1024)
 	horizon := 100 * sim.Microsecond
@@ -27,11 +23,30 @@ func scale1024Spec() RunSpec {
 	return RunSpec{
 		Protocol: DCPIM, Topo: tp, Trace: tr,
 		Horizon: horizon + horizon/2, Seed: 8, Digest: true,
+		Metrics: &MetricsSpec{Label: "fattree1024"},
+	}
+}
+
+// pinShards runs spec at each shard count, pins the first run's summary
+// to the golden file name, and requires every other run's to equal it.
+func pinShards(t *testing.T, spec func() RunSpec, name string, counts []int) {
+	t.Helper()
+	var want []byte
+	for _, shards := range counts {
+		s := spec()
+		s.Shards = shards
+		got := summary(Run(s), s.Topo.BDP())
+		if want == nil {
+			want = got
+			golden(t, name, want)
+			continue
+		}
+		sameSummary(t, fmt.Sprintf("shards=%d vs shards=%d", shards, counts[0]), want, got)
 	}
 }
 
 // Test1024HostDigest runs the 1024-host FatTree at 1, 8, 16 and 64 shards
-// and requires every run to reproduce the committed digest: the
+// and requires every run to reproduce the committed summary: the
 // hyperscale configurations the campaign actually uses stay byte-identical
 // to serial execution, not just the small topologies the other
 // determinism tests cover.
@@ -40,25 +55,13 @@ func Test1024HostDigest(t *testing.T) {
 		t.Skip("four 1024-host runs")
 	}
 	watchdog(t, 3*time.Minute)
-	for _, shards := range []int{1, 8, 16, 64} {
-		spec := scale1024Spec()
-		spec.Shards = shards
-		res := Run(spec)
-		if res.Digest != golden1024Digest {
-			t.Errorf("shards=%d digest %#016x, want golden %#016x (see regeneration note)",
-				shards, res.Digest, golden1024Digest)
-		}
-	}
+	pinShards(t, scale1024Spec, "golden/fattree1024.txt", []int{1, 8, 16, 64})
 }
 
-// golden8192Digest locks the k=32 (8192-host) FatTree cell: WebSearch
-// all-to-all at load 0.3 over a 10 µs trace, seed 8 — the hyperscale
-// rung the multi-core campaign sweeps, on a horizon short enough for a
-// unit test. Regenerate like the other goldens: run with -v and copy the
-// measured digest, with the change explained by the commit.
-const golden8192Digest uint64 = 0xa5a45b638a5e4730
-
-// scale8192Spec mirrors the 8192-host campaign cell at test scale.
+// scale8192Spec mirrors the k=32 (8192-host) FatTree cell at test scale:
+// WebSearch all-to-all at load 0.3 over a 10 µs trace, seed 8 — the
+// hyperscale rung the multi-core campaign sweeps, on a horizon short
+// enough for a unit test.
 func scale8192Spec() RunSpec {
 	tp := fatTreeFor(8192)
 	horizon := 10 * sim.Microsecond
@@ -69,26 +72,19 @@ func scale8192Spec() RunSpec {
 	return RunSpec{
 		Protocol: DCPIM, Topo: tp, Trace: tr,
 		Horizon: horizon + horizon/2, Seed: 8, Digest: true,
+		Metrics: &MetricsSpec{Label: "fattree8192"},
 	}
 }
 
 // Test8192HostDigest is the hyperscale-rung sibling of Test1024HostDigest:
-// the 8192-host FatTree must reproduce its committed digest serially and
+// the 8192-host FatTree must reproduce its committed summary serially and
 // at 8 shards — structural routing and the epoch barrier in the hot path.
 func Test8192HostDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 8192-host runs")
 	}
 	watchdog(t, 3*time.Minute)
-	for _, shards := range []int{1, 8} {
-		spec := scale8192Spec()
-		spec.Shards = shards
-		res := Run(spec)
-		if res.Digest != golden8192Digest {
-			t.Errorf("shards=%d digest %#016x, want golden %#016x (see regeneration note)",
-				shards, res.Digest, golden8192Digest)
-		}
-	}
+	pinShards(t, scale8192Spec, "golden/fattree8192.txt", []int{1, 8})
 }
 
 // TestCheckpointedCellIsMetered: a checkpointed campaign cell runs
