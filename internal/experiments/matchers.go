@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,7 +71,6 @@ type matcherCell struct {
 	ports      int
 	portIdx    int
 	matcher    string
-	cfgIdx     int // index over (matcher, budget) configurations
 	budgetFrac float64
 	trial      int
 }
@@ -119,13 +119,12 @@ func matcherSweep(cfg matcherSweepConfig) ([]matcherRow, error) {
 	}{{"sparse", cfg.SparsePorts}, {"dense", cfg.DensePorts}}
 	for kindIdx, k := range kinds {
 		for portIdx, n := range k.ports {
-			for cfgIdx, ce := range cfgs {
+			for _, ce := range cfgs {
 				for trial := 0; trial < cfg.Trials; trial++ {
 					cells = append(cells, matcherCell{
 						kind: k.kind, kindIdx: kindIdx,
 						ports: n, portIdx: portIdx,
-						matcher: ce.matcher, cfgIdx: cfgIdx,
-						budgetFrac: ce.frac, trial: trial,
+						matcher: ce.matcher, budgetFrac: ce.frac, trial: trial,
 					})
 				}
 			}
@@ -176,7 +175,7 @@ func runMatcherCell(cfg matcherSweepConfig, c matcherCell, d matching.Descriptor
 	if err != nil {
 		return matcherRow{}, err
 	}
-	got, st := m.Match(g, rand.New(rand.NewSource(gseed+7919*int64(c.cfgIdx+1))))
+	got, st := m.Match(g, rand.New(rand.NewSource(matchSeed(gseed, c.matcher, c.budgetFrac))))
 	if !got.Valid(g) {
 		return matcherRow{}, fmt.Errorf("matchers: %s returned invalid matching on %s n=%d trial=%d",
 			c.matcher, c.kind, c.ports, c.trial)
@@ -202,6 +201,18 @@ func runMatcherCell(cfg matcherSweepConfig, c matcherCell, d matching.Descriptor
 		row.SizeVsMStar = float64(got.Size()) / float64(mStar)
 	}
 	return row, nil
+}
+
+// matchSeed derives a cell's match seed from its graph seed and the
+// matcher's name and budget, not from the configuration's position in
+// the sweep, so adding or removing a matcher or a budget leaves every
+// other cell's draws unchanged.
+func matchSeed(gseed int64, matcher string, budgetFrac float64) int64 {
+	h := fnvMix(fnvOffset, uint64(gseed))
+	for i := 0; i < len(matcher); i++ {
+		h = fnvMix(h, uint64(matcher[i]))
+	}
+	return int64(fnvMix(h, math.Float64bits(budgetFrac)))
 }
 
 // writeMatcherCSV writes sweep rows in the stable column order the

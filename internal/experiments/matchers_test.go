@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,6 +45,28 @@ func TestMatcherSweepGoldenDigest(t *testing.T) {
 			continue
 		}
 		sameSummary(t, fmt.Sprintf("workers=%d CSV vs serial", workers), ref, buf.Bytes())
+	}
+}
+
+// A cell's row does not depend on which other matchers or budgets the
+// sweep runs: its graph seed derives from its grid coordinates and its
+// match seed from the matcher's name and budget, so a sweep without
+// budget-pim (whose three configurations come first) repeats every other
+// matcher's rows.
+func TestMatcherRowsIndependentOfTheSet(t *testing.T) {
+	all, err := matcherSweep(matcherQuick(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := matcherQuick(1)
+	cfg.Matchers = slices.DeleteFunc(slices.Clone(cfg.Matchers), func(m string) bool { return m == "budget-pim" })
+	some, err := matcherSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := slices.DeleteFunc(all, func(r matcherRow) bool { return r.Matcher == "budget-pim" })
+	if len(kept) == len(all) || !slices.Equal(kept, some) {
+		t.Errorf("dropping budget-pim changed the other matchers' rows:\n%v\nvs\n%v", some, kept)
 	}
 }
 
